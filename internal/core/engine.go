@@ -320,61 +320,27 @@ func (e *Engine) ExecContext(ctx context.Context, q *sparql.Query) (*Result, err
 	return s.Result(), nil
 }
 
-// orderLess builds the ORDER BY row comparator over rel's schema: terms
-// compare by numeric value when both are numeric, lexically otherwise, and
-// unbound sorts first.
-func (e *Engine) orderLess(rel *engine.Relation, keys []sparql.OrderKey) func(a, b engine.Row) bool {
-	idx := make([]int, len(keys))
-	for i, k := range keys {
-		idx[i] = rel.ColIndex(k.Var)
+// sortCols resolves the ORDER BY keys to columns of rel; keys naming a
+// variable the relation does not carry order nothing and are dropped.
+func sortCols(rel *engine.Relation, keys []sparql.OrderKey) []engine.SortCol {
+	cols := make([]engine.SortCol, 0, len(keys))
+	for _, k := range keys {
+		if c := rel.ColIndex(k.Var); c >= 0 {
+			cols = append(cols, engine.SortCol{Col: c, Desc: k.Desc})
+		}
 	}
-	d := e.DS.Dict
-	cmp := func(a, b dict.ID) int {
-		if a == b {
-			return 0
-		}
-		if a == engine.Null {
-			return -1
-		}
-		if b == engine.Null {
-			return 1
-		}
-		ta, tb := d.Decode(a), d.Decode(b)
-		if na, ok := ta.Numeric(); ok {
-			if nb, ok := tb.Numeric(); ok {
-				switch {
-				case na < nb:
-					return -1
-				case na > nb:
-					return 1
-				default:
-					return 0
-				}
-			}
-		}
-		switch {
-		case ta < tb:
-			return -1
-		case ta > tb:
-			return 1
-		}
-		return 0
+	return cols
+}
+
+// sortKey places a bound term in ORDER BY's total order (engine.SortKey):
+// numeric literals by value, before every other term by its text. The sort
+// operators call it once per sorted value, from several goroutines.
+func (e *Engine) sortKey(id dict.ID) engine.SortKey {
+	t := e.DS.Dict.Decode(id)
+	if v, ok := t.Numeric(); ok && v == v { // NaN has no place in an order
+		return engine.NumericKey(v)
 	}
-	return func(a, b engine.Row) bool {
-		for i, k := range keys {
-			if idx[i] < 0 {
-				continue
-			}
-			c := cmp(a[idx[i]], b[idx[i]])
-			if k.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	}
+	return engine.TextKey(string(t))
 }
 
 // unitRelation is the join identity: one zero-column row.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"s2rdf/internal/engine"
@@ -12,11 +13,14 @@ import (
 
 // panicYielder panics at the nth engine yield point — the chaos hook for
 // injecting an operator panic mid-query without touching operator code.
-type panicYielder struct{ after, seen int }
+// Partition tasks yield concurrently, so the count is atomic.
+type panicYielder struct {
+	after int
+	seen  atomic.Int64
+}
 
 func (y *panicYielder) Yield() {
-	y.seen++
-	if y.seen >= y.after {
+	if y.seen.Add(1) >= int64(y.after) {
 		panic("injected operator panic")
 	}
 }

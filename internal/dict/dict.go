@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"s2rdf/internal/rdf"
 )
@@ -21,19 +22,36 @@ type ID = uint32
 // NoID is returned by Lookup for unknown terms.
 const NoID = ^uint32(0)
 
-// Dict is a bidirectional, concurrency-safe term dictionary.
+// Dict is a bidirectional, concurrency-safe term dictionary. The term
+// side is read without locks: Decode, Len and the TermJSON hit path are
+// atomic loads only, so query workers decoding concurrently never contend
+// on a shared cache line (a read lock is an atomic read-modify-write per
+// call). Writers — Encode of a new term, at load time and when a query
+// encodes an aggregate result — serialize on mu and publish as below.
 type Dict struct {
+	// mu guards ids and the writer-side view of terms.
 	mu    sync.RWMutex
 	ids   map[rdf.Term]ID
 	terms []rdf.Term
 
-	// jsonTerms memoizes TermJSON renderings. IDs are stable for the
-	// dictionary's lifetime and the rendering is a pure function of the
-	// term, so each slot is computed at most a handful of times (benign
-	// races recompute identical bytes) and then reused by every query that
-	// streams the term — the serving layer's term-render cache (tier 3).
-	jsonMu    sync.RWMutex
-	jsonTerms [][]byte
+	// The published read side. terms is append-only, so slot i of a backing
+	// array never changes once written: a writer fills the slot, republishes
+	// the array (resliced to its full capacity) only when append moved it,
+	// and then stores n = i+1. A reader loads n first, then the array: every
+	// id < n was written before the n it observed, and the array it then
+	// loads is at least as new, so it holds that slot.
+	n    atomic.Uint32
+	snap atomic.Pointer[[]rdf.Term]
+
+	// memo holds TermJSON renderings, one atomically published slot per
+	// ID — the serving layer's term-render cache (tier 3). IDs are stable and
+	// the rendering is a pure function of the term, so racing renders store
+	// identical bytes. The table is allocated on first use and regrown
+	// (under memoMu) to the term array's capacity, i.e. only when that array
+	// itself moved; a slot stored into a table that was just replaced is
+	// lost and rendered again later.
+	memoMu sync.Mutex
+	memo   atomic.Pointer[[]atomic.Pointer[[]byte]]
 }
 
 // New returns an empty dictionary.
@@ -56,8 +74,20 @@ func (d *Dict) Encode(term rdf.Term) ID {
 	}
 	id = ID(len(d.terms))
 	d.ids[term] = id
+	moved := len(d.terms) == cap(d.terms)
 	d.terms = append(d.terms, term)
+	d.publish(moved)
 	return id
+}
+
+// publish makes every term appended so far visible to lock-free readers;
+// moved says the backing array changed. Callers hold mu (or own d).
+func (d *Dict) publish(moved bool) {
+	if moved {
+		full := d.terms[:cap(d.terms)]
+		d.snap.Store(&full)
+	}
+	d.n.Store(uint32(len(d.terms)))
 }
 
 // Lookup returns the ID for term without assigning; NoID if unknown.
@@ -70,19 +100,24 @@ func (d *Dict) Lookup(term rdf.Term) ID {
 	return NoID
 }
 
+// published returns the terms visible to readers: an immutable prefix.
+func (d *Dict) published() []rdf.Term {
+	n := d.n.Load()
+	if n == 0 {
+		return nil
+	}
+	return (*d.snap.Load())[:n]
+}
+
 // Decode returns the term for id. It panics on out-of-range IDs, which
 // indicate internal corruption rather than user error.
 func (d *Dict) Decode(id ID) rdf.Term {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.terms[id]
+	return d.published()[id]
 }
 
 // Len returns the number of distinct terms.
 func (d *Dict) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.terms)
+	return int(d.n.Load())
 }
 
 // EncodeTriple encodes all three components of t.
@@ -97,10 +132,8 @@ func (d *Dict) DecodeTriple(s, p, o ID) rdf.Triple {
 
 // Save writes the dictionary (one term per line, in ID order).
 func (d *Dict) Save(w io.Writer) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	bw := bufio.NewWriter(w)
-	for _, t := range d.terms {
+	for _, t := range d.published() {
 		if _, err := fmt.Fprintln(bw, string(t)); err != nil {
 			return err
 		}
@@ -122,6 +155,7 @@ func Load(r io.Reader) (*Dict, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	d.publish(true)
 	return d, nil
 }
 
@@ -132,23 +166,34 @@ func Load(r io.Reader) (*Dict, error) {
 // result repeats terms (joins repeat them by construction). The returned
 // slice is shared and must not be modified.
 func (d *Dict) TermJSON(id ID) []byte {
-	d.jsonMu.RLock()
-	if int(id) < len(d.jsonTerms) {
-		if b := d.jsonTerms[id]; b != nil {
-			d.jsonMu.RUnlock()
-			return b
+	if memo := d.memo.Load(); memo != nil && int(id) < len(*memo) {
+		if b := (*memo)[id].Load(); b != nil {
+			return *b
 		}
 	}
-	d.jsonMu.RUnlock()
+	return d.renderTermJSON(id)
+}
+
+// renderTermJSON is TermJSON's miss path: render, then memoize.
+func (d *Dict) renderTermJSON(id ID) []byte {
 	b := RenderTermJSON(d.Decode(id))
-	d.jsonMu.Lock()
-	if int(id) >= len(d.jsonTerms) {
-		grown := make([][]byte, d.Len())
-		copy(grown, d.jsonTerms)
-		d.jsonTerms = grown
+	memo := d.memo.Load()
+	if memo == nil || int(id) >= len(*memo) {
+		d.memoMu.Lock()
+		if memo = d.memo.Load(); memo == nil || int(id) >= len(*memo) {
+			// Decode succeeded, so the published array holds id.
+			grown := make([]atomic.Pointer[[]byte], len(*d.snap.Load()))
+			if memo != nil {
+				for i := range *memo {
+					grown[i].Store((*memo)[i].Load())
+				}
+			}
+			memo = &grown
+			d.memo.Store(memo)
+		}
+		d.memoMu.Unlock()
 	}
-	d.jsonTerms[id] = b
-	d.jsonMu.Unlock()
+	(*memo)[id].Store(&b)
 	return b
 }
 
@@ -188,8 +233,7 @@ func RenderTermJSON(t rdf.Term) []byte {
 func (d *Dict) SortedIDs(ids []ID) []ID {
 	out := make([]ID, len(ids))
 	copy(out, ids)
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return d.terms[out[i]] < d.terms[out[j]] })
+	terms := d.published()
+	sort.Slice(out, func(i, j int) bool { return terms[out[i]] < terms[out[j]] })
 	return out
 }

