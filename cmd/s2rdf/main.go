@@ -265,7 +265,6 @@ func cmdServe(args []string) {
 	extra := fs.String("stores", "", "additional stores, NAME=DIR[,NAME=DIR...], served at /sparql/NAME")
 	addr := fs.String("addr", ":8080", "listen address")
 	mode := fs.String("mode", "ExtVP", "default execution mode: ExtVP, VP, TT or PT")
-	workers := fs.Int("workers", 0, "deprecated alias for -max-concurrent")
 	maxConcurrent := fs.Int("max-concurrent", 0, "max concurrent queries per store, split between the cheap and expensive lanes (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", 0, "per-lane admission queue bound; a full queue answers 429 + Retry-After (0 = max(16, 4x max-concurrent))")
 	cheapThreshold := fs.Int("cheap-threshold", 0, "cost-gate boundary in planner-estimated rows (0 = 1000)")
@@ -316,9 +315,6 @@ func cmdServe(args []string) {
 		}
 	}
 
-	if *maxConcurrent == 0 {
-		*maxConcurrent = *workers
-	}
 	h, err := s2rdf.NewMux(stores, s2rdf.DefaultStoreName, s2rdf.ServerOptions{
 		Mode:             m,
 		MaxConcurrent:    *maxConcurrent,

@@ -62,10 +62,12 @@ func (e *Engine) EstimateCost(src string) (CostEstimate, error) {
 }
 
 // EstimateCostNorm is EstimateCost with the normalized query text
-// precomputed by the caller (empty means compute it here); see
-// parseCachedNorm.
+// precomputed by the caller (empty means compute it here).
 func (e *Engine) EstimateCostNorm(src, norm string) (CostEstimate, error) {
-	q, cached, err := e.parseCachedNorm(src, norm)
+	if norm == "" {
+		norm = NormalizeQuery(src)
+	}
+	q, cached, err := e.ParseCached(src, norm)
 	if err != nil {
 		return CostEstimate{}, err
 	}

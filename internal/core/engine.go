@@ -242,7 +242,7 @@ func (e *Engine) Query(src string) (*Result, error) {
 // returns ctx.Err(). Parsed queries are memoized in the plan cache under
 // their normalized text.
 func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) {
-	q, cached, err := e.parseCached(src)
+	q, cached, err := e.ParseCached(src, NormalizeQuery(src))
 	if err != nil {
 		return nil, err
 	}
@@ -253,41 +253,26 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) 
 	return res, err
 }
 
-// parseCached parses src through the plan cache (when configured),
-// reporting whether the parsed query was served from it. It is the shared
-// front of QueryContext and EstimateCost, so estimating a query's cost
-// warms the same cache entry its execution will hit.
-func (e *Engine) parseCached(src string) (q *sparql.Query, cached bool, err error) {
-	return e.parseCachedNorm(src, "")
-}
-
-// parseCachedNorm is parseCached with the normalized query text precomputed
-// by the caller (empty means unknown). A caller that already normalized src
-// — the serving layer does, once per request, for its result-cache and
-// single-flight keys — skips both the raw-alias probe and a second
-// NormalizeQuery here.
-func (e *Engine) parseCachedNorm(src, norm string) (q *sparql.Query, cached bool, err error) {
-	if e.Plans == nil {
-		q, err = sparql.Parse(src)
-		return q, false, err
-	}
-	if norm == "" {
-		q, cached = e.Plans.getRaw(src)
-		if cached {
+// ParseCached parses src through the plan cache (when configured) under
+// norm, which must be NormalizeQuery(src), reporting whether the parsed
+// query was served from the cache. It is the one plan-cache probe of a
+// query: QueryContext, QueryStream and EstimateCost call it with the text
+// they normalize themselves; the serving layer — which already normalized
+// the request for its result-cache and single-flight keys — calls it once
+// and hands the parsed query to EstimateQuery and ExecStream.
+func (e *Engine) ParseCached(src, norm string) (q *sparql.Query, cached bool, err error) {
+	if e.Plans != nil {
+		if q, cached = e.Plans.get(norm); cached {
 			return q, true, nil
 		}
-		norm = NormalizeQuery(src)
 	}
-	q, cached = e.Plans.get(norm)
-	if !cached {
-		q, err = sparql.Parse(src)
-		if err != nil {
-			return nil, false, err
-		}
+	if q, err = sparql.Parse(src); err != nil {
+		return nil, false, err
+	}
+	if e.Plans != nil {
 		e.Plans.put(norm, q)
 	}
-	e.Plans.alias(src, norm)
-	return q, cached, nil
+	return q, false, nil
 }
 
 // Exec executes a parsed query. The query value is not modified, so one

@@ -17,25 +17,15 @@ type PlanCache struct {
 	cap     int
 	order   *list.List // front = most recently used; values are *planEntry
 	entries map[string]*list.Element
-	// raw maps verbatim source strings onto entries, so a repeated query
-	// skips NormalizeQuery entirely; the normalized key stays authoritative
-	// and each entry keeps at most maxRawAliases verbatim spellings.
-	raw map[string]*list.Element
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
 type planEntry struct {
-	key  string
-	q    *sparql.Query
-	raws []string // verbatim source spellings aliased to this entry
+	key string
+	q   *sparql.Query
 }
-
-// maxRawAliases bounds the verbatim-source aliases per entry: reformatted
-// copies beyond it still hit through the normalized key, they just pay the
-// normalization.
-const maxRawAliases = 4
 
 // NewPlanCache returns a cache holding at most capacity plans; capacity <= 0
 // returns nil (caching disabled).
@@ -47,7 +37,6 @@ func NewPlanCache(capacity int) *PlanCache {
 		cap:     capacity,
 		order:   list.New(),
 		entries: make(map[string]*list.Element, capacity),
-		raw:     make(map[string]*list.Element, capacity),
 	}
 }
 
@@ -78,43 +67,8 @@ func (pc *PlanCache) put(key string, q *sparql.Query) {
 	if pc.order.Len() > pc.cap {
 		oldest := pc.order.Back()
 		pc.order.Remove(oldest)
-		old := oldest.Value.(*planEntry)
-		delete(pc.entries, old.key)
-		for _, r := range old.raws {
-			delete(pc.raw, r)
-		}
+		delete(pc.entries, oldest.Value.(*planEntry).key)
 	}
-}
-
-// getRaw returns the plan cached under the verbatim source string, if that
-// exact spelling has been seen before. Misses are not counted here: the
-// caller falls through to the normalized-key get, which settles hit or miss.
-func (pc *PlanCache) getRaw(src string) (*sparql.Query, bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	el, ok := pc.raw[src]
-	if !ok {
-		return nil, false
-	}
-	pc.order.MoveToFront(el)
-	pc.hits.Add(1)
-	return el.Value.(*planEntry).q, true
-}
-
-// alias records src as a verbatim spelling of the entry stored under key.
-func (pc *PlanCache) alias(src, key string) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	el, ok := pc.entries[key]
-	if !ok {
-		return
-	}
-	ent := el.Value.(*planEntry)
-	if _, dup := pc.raw[src]; dup || len(ent.raws) >= maxRawAliases {
-		return
-	}
-	ent.raws = append(ent.raws, src)
-	pc.raw[src] = el
 }
 
 // Len returns the number of cached plans.

@@ -32,15 +32,7 @@ type Stream struct {
 // QueryStream parses src (through the plan cache) and starts executing it,
 // returning the stream of its solutions. See ExecStream.
 func (e *Engine) QueryStream(ctx context.Context, src string) (*Stream, error) {
-	return e.QueryStreamNorm(ctx, src, "")
-}
-
-// QueryStreamNorm is QueryStream with the normalized query text precomputed
-// by the caller (empty means compute it here): serving layers that already
-// normalized the request once — for the result-cache and single-flight keys
-// — reuse that work for the plan-cache key instead of normalizing again.
-func (e *Engine) QueryStreamNorm(ctx context.Context, src, norm string) (*Stream, error) {
-	q, cached, err := e.parseCachedNorm(src, norm)
+	q, cached, err := e.ParseCached(src, NormalizeQuery(src))
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,8 @@
 // A store can serve SPARQL over HTTP, either in-process:
 //
 //	st, _ := s2rdf.LoadFile("data.nt")
-//	log.Fatal(st.Serve(":8080", s2rdf.ServerOptions{}))
+//	h := s2rdf.NewHandler(st, s2rdf.ServerOptions{})
+//	log.Fatal(s2rdf.ListenAndServe(ctx, ":8080", h, 0))
 //
 // or from a persisted store directory via the CLI:
 //

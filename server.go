@@ -1,6 +1,7 @@
 package s2rdf
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,8 +21,8 @@ import (
 	"s2rdf/internal/dict"
 	"s2rdf/internal/engine"
 	"s2rdf/internal/fault"
-	"s2rdf/internal/rdf"
 	"s2rdf/internal/sched"
+	"s2rdf/internal/sparql"
 )
 
 // failedStoreRetryAfter is the Retry-After a failed (corrupt) store answers
@@ -129,20 +130,26 @@ const DefaultStreamThreshold = 1024
 // release their slot as soon as the engine observes the context, not when
 // the plan would have finished.
 type sparqlServer struct {
-	stores map[string]*Store
+	stores map[string]*servedStore
 	def    string // name of the store served at /sparql
 	opts   ServerOptions
-	scheds map[string]*sched.Scheduler
-	// streaming counts in-flight incrementally-delivered responses per
-	// store (the healthz "streaming" gauge). A worker slot is held for
-	// exactly as long as this gauge counts the query: release moved from
-	// result-computed to stream-complete with the streaming pipeline.
-	streaming map[string]*atomic.Int64
-	// rcaches holds each store's full-result cache (nil entries when
-	// ResultCacheBytes is 0 — caching disabled); flights holds the
-	// single-flight groups that coalesce identical cache misses.
-	rcaches map[string]*cache.ResultCache
-	flights map[string]*cache.FlightGroup
+}
+
+// servedStore is one store and everything the server keeps beside it.
+type servedStore struct {
+	name  string
+	st    *Store
+	sched *sched.Scheduler
+	// streaming counts in-flight incrementally-delivered responses (the
+	// healthz "streaming" gauge). A worker slot is held for exactly as long
+	// as this gauge counts the query: release moved from result-computed to
+	// stream-complete with the streaming pipeline.
+	streaming atomic.Int64
+	// rcache is the full-result cache and flights the single-flight group
+	// coalescing identical cache misses; both nil when ResultCacheBytes is
+	// 0 (caching disabled).
+	rcache  *cache.ResultCache
+	flights *cache.FlightGroup
 }
 
 // DefaultStoreName is the name NewHandler registers its single store under,
@@ -204,28 +211,28 @@ func NewMux(stores map[string]*Store, defaultStore string, opts ServerOptions) (
 		opts.MaxQueryLen = 1 << 20
 	}
 	s := &sparqlServer{
-		stores:    stores,
-		def:       defaultStore,
-		opts:      opts,
-		scheds:    make(map[string]*sched.Scheduler, len(stores)),
-		streaming: make(map[string]*atomic.Int64, len(stores)),
-		rcaches:   make(map[string]*cache.ResultCache, len(stores)),
-		flights:   make(map[string]*cache.FlightGroup, len(stores)),
+		stores: make(map[string]*servedStore, len(stores)),
+		def:    defaultStore,
+		opts:   opts,
 	}
 	for name, st := range stores {
-		s.scheds[name] = sched.New(sched.Options{
-			MaxConcurrent: opts.MaxConcurrent,
-			QueueDepth:    opts.QueueDepth,
-			Slice:         opts.Slice,
-		})
-		s.streaming[name] = new(atomic.Int64)
-		s.rcaches[name] = cache.New(opts.ResultCacheBytes, 0)
-		if opts.ResultCacheBytes > 0 {
-			s.flights[name] = cache.NewFlightGroup()
+		sv := &servedStore{
+			name: name,
+			st:   st,
+			sched: sched.New(sched.Options{
+				MaxConcurrent: opts.MaxConcurrent,
+				QueueDepth:    opts.QueueDepth,
+				Slice:         opts.Slice,
+			}),
+			rcache: cache.New(opts.ResultCacheBytes, 0),
+		}
+		if sv.rcache != nil {
+			sv.flights = cache.NewFlightGroup()
 		}
 		if opts.MemBudget > 0 {
 			st.SetMemBudget(opts.MemBudget, opts.SpillDir)
 		}
+		s.stores[name] = sv
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/sparql", func(w http.ResponseWriter, r *http.Request) {
@@ -322,24 +329,22 @@ func (s *sparqlServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Triples int                  `json:"triples"`
 		Stores  map[string]storeInfo `json:"stores"`
 	}{Status: "ok", Stores: make(map[string]storeInfo, len(s.stores))}
-	for name, st := range s.stores {
-		health := st.Health()
-		plan, sel := st.CacheCounters()
+	for name, sv := range s.stores {
+		health := sv.st.Health()
+		plan, sel := sv.st.CacheCounters()
 		info := storeInfo{
-			Triples:        st.NumTriples(),
+			Triples:        sv.st.NumTriples(),
 			Default:        name == s.def,
-			Sched:          s.scheds[name].Stats(),
-			Streaming:      s.streaming[name].Load(),
-			SpilledBytes:   st.SpilledBytes(),
+			Sched:          sv.sched.Stats(),
+			Streaming:      sv.streaming.Load(),
+			SpilledBytes:   sv.st.SpilledBytes(),
 			Health:         health,
 			PlanCache:      plan,
 			SelectionCache: sel,
 		}
-		if rc := s.rcaches[name]; rc != nil {
-			cs := rc.Stats()
-			if fg := s.flights[name]; fg != nil {
-				cs.Coalesced, cs.Waiting = fg.Stats()
-			}
+		if sv.rcache != nil {
+			cs := sv.rcache.Stats()
+			cs.Coalesced, cs.Waiting = sv.flights.Stats()
 			info.ResultCache = &cs
 		}
 		doc.Stores[name] = info
@@ -349,64 +354,253 @@ func (s *sparqlServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			doc.Status = health.State
 		}
 	}
-	doc.Triples = s.stores[s.def].NumTriples()
+	doc.Triples = s.stores[s.def].st.NumTriples()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(&doc)
 }
 
-// queryText extracts the SPARQL query from a request per the SPARQL
-// protocol: GET ?query=, urlencoded POST query=, or a raw
-// application/sparql-query body.
-func (s *sparqlServer) queryText(r *http.Request) (string, error) {
-	switch r.Method {
-	case http.MethodGet:
-		return r.URL.Query().Get("query"), nil
-	case http.MethodPost:
-		ct := r.Header.Get("Content-Type")
-		if idx := strings.IndexByte(ct, ';'); idx >= 0 {
-			ct = ct[:idx]
-		}
-		switch strings.TrimSpace(ct) {
-		case "application/sparql-query":
-			body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxQueryLen+1))
-			if err != nil {
-				return "", err
-			}
-			if int64(len(body)) > s.opts.MaxQueryLen {
-				return "", errQueryTooLarge
-			}
-			return string(body), nil
-		default:
-			r.Body = http.MaxBytesReader(nil, r.Body, s.opts.MaxQueryLen)
-			if err := r.ParseForm(); err != nil {
-				return "", err
-			}
-			return r.PostForm.Get("query"), nil
-		}
-	default:
-		return "", fmt.Errorf("method %s not allowed", r.Method)
-	}
+// request is one /sparql request descending the serving pipeline. Each stage
+// of handleSPARQL fills the fields listed under it; later stages, the header
+// renderer and the error mapper read them.
+type request struct {
+	s *sparqlServer
+	w *trackingWriter
+	r *http.Request
+
+	// route
+	sv *servedStore
+	// parseProtocol
+	src     string
+	mode    Mode
+	timeout time.Duration // 0 = no deadline
+	// normalize: the one key text of the plan cache, the result cache and
+	// the single-flight group
+	norm string
+	// probeCache (zero when caching is off)
+	ckey cache.Key
+	// the handler: the request context under its deadline, and where a
+	// context error struck ("while queued", …) for its message
+	ctx   context.Context
+	phase string
+	// joinFlight: non-nil on a flight's leader only
+	flight *cache.Flight
+	// parse
+	q          *sparql.Query
+	planCached bool
+	// gate
+	cost  core.CostEstimate
+	class sched.Class
+	// admit
+	ticket *sched.Ticket
+	// execute
+	stream *core.Stream
 }
 
-// param reads a request parameter from the URL or, for form POSTs (already
-// parsed by queryText), from the body.
-func param(r *http.Request, name string) string {
-	if v := r.URL.Query().Get(name); v != "" {
-		return v
+// handleSPARQL runs one request through the stages, in order: route, parse
+// protocol, normalize, result-cache probe, flight join, parse (once, through
+// the plan cache), cost gate, admit, execute, respond. A stage that fails
+// ends the request through fail, the one place errors become statuses.
+func (s *sparqlServer) handleSPARQL(w *trackingWriter, r *http.Request, storeName string) {
+	req := &request{s: s, w: w, r: r, ctx: r.Context()}
+	if req.fail(req.route(storeName)) || req.fail(req.parseProtocol()) {
+		return
 	}
-	if r.PostForm != nil {
+	req.norm = core.NormalizeQuery(req.src)
+	// A result-cache hit is served before the cost gate and admission: no
+	// queueing, no execution, exempt from 429.
+	if req.probeCache() {
+		return
+	}
+	// The deadline covers the whole stay: queue wait plus execution. The
+	// context is also cancelled when the client disconnects, which aborts
+	// the plan mid-operator and frees the worker slot.
+	if req.timeout > 0 {
+		var cancel context.CancelFunc
+		req.ctx, cancel = context.WithTimeout(req.ctx, req.timeout)
+		defer cancel()
+	}
+	if req.joinFlight() {
+		return
+	}
+	if req.flight != nil {
+		// Complete removes the flight from the group and — when respond did
+		// not already close it with the real outcome — wakes followers with
+		// the abort error, sending them to execute for themselves.
+		defer req.sv.flights.Complete(req.flight, cache.ErrFlightAborted)
+	}
+	// A parse error is rejected here, so malformed queries never enter the
+	// queue; the gate classifies before the query occupies any slot.
+	if req.fail(req.parse()) {
+		return
+	}
+	req.gate()
+	if req.fail(req.admit()) {
+		return
+	}
+	// The ticket is released when the handler returns — stream-complete (or
+	// abandonment), not result-computed: a worker slot is held for exactly
+	// as long as rows still flow to the client.
+	defer req.ticket.Release()
+	if req.fail(req.execute()) {
+		return
+	}
+	req.respond()
+}
+
+// statusError is a failure whose HTTP status is known where it is detected.
+type statusError struct {
+	status int
+	msg    string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+var (
+	// errQueryTooLarge marks a query past MaxQueryLen (413).
+	errQueryTooLarge = errors.New("query too large")
+	// errMethodNotAllowed marks a method other than GET and POST (405).
+	errMethodNotAllowed = errors.New("not allowed")
+)
+
+// fail ends the request with the status err maps to, reporting whether it
+// did (a nil err is no failure). It is the only place a protocol, parse,
+// admission, execution or stream error becomes a status code; it can only
+// run before the first body byte — later failures truncate the stream.
+func (req *request) fail(err error) bool {
+	if err == nil {
+		return false
+	}
+	h := req.w.Header()
+	status, msg := http.StatusBadRequest, err.Error() // parse errors and the like
+	var known *statusError
+	var maxBytes *http.MaxBytesError
+	var full *sched.QueueFullError
+	switch {
+	case errors.As(err, &known):
+		status = known.status
+	case errors.Is(err, errQueryTooLarge), errors.As(err, &maxBytes):
+		status = http.StatusRequestEntityTooLarge
+		msg = fmt.Sprintf("query exceeds %d bytes", req.s.opts.MaxQueryLen)
+	case errors.Is(err, errMethodNotAllowed):
+		status = http.StatusMethodNotAllowed
+		h.Set("Allow", "GET, POST")
+	case errors.As(err, &full):
+		// Backpressure: the lane's slots are busy and its queue is full.
+		status = http.StatusTooManyRequests
+		msg = fmt.Sprintf("%s admission queue full, retry later", full.Class)
+		h.Set("Retry-After", strconv.Itoa(retryAfterSeconds(full.RetryAfter)))
+	case errors.Is(err, context.DeadlineExceeded):
+		status, msg = http.StatusGatewayTimeout, "query deadline exceeded "+req.phase
+	case errors.Is(err, context.Canceled):
+		// The client went away: the response is written into the void, but
+		// keeps logs and tests honest.
+		status, msg = http.StatusServiceUnavailable, "request cancelled "+req.phase
+	case errors.Is(err, core.ErrInternal):
+		// An operator panic recovered at the query boundary: the server's
+		// fault, not the request's — and the process keeps serving.
+		status = http.StatusInternalServerError
+	}
+	req.setHeaders(nil)
+	httpError(req.w, status, msg)
+	return true
+}
+
+func httpError(w http.ResponseWriter, status int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
+// route resolves the store. Every /sparql response reports the store's
+// health, and a failed store (detected data corruption) refuses admission
+// outright: wrong bindings must never leave the process, and a 503 with
+// Retry-After tells load balancers to route around the store while its
+// siblings keep serving.
+func (req *request) route(storeName string) error {
+	sv, ok := req.s.stores[storeName]
+	if !ok {
+		known := make([]string, 0, len(req.s.stores))
+		for name := range req.s.stores {
+			known = append(known, name)
+		}
+		sort.Strings(known)
+		return &statusError{http.StatusNotFound,
+			fmt.Sprintf("unknown store %q (stores: %s)", storeName, strings.Join(known, ", "))}
+	}
+	req.sv = sv
+	faults := sv.st.Faults()
+	state := faults.State()
+	req.w.Header().Set("X-S2RDF-Store-Health", state.String())
+	if state != fault.Failed {
+		return nil
+	}
+	req.w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(failedStoreRetryAfter)))
+	reason := faults.Reason()
+	if reason == "" {
+		reason = "data corruption detected"
+	}
+	return &statusError{http.StatusServiceUnavailable,
+		fmt.Sprintf("store %q is unavailable: %s", storeName, reason)}
+}
+
+// parseProtocol reads the request per the SPARQL protocol — GET ?query=,
+// urlencoded POST query=, or a raw application/sparql-query body — plus the
+// "mode" and "timeout" parameters, which the URL or a form body may carry.
+func (req *request) parseProtocol() error {
+	r, max := req.r, req.s.opts.MaxQueryLen
+	params := r.URL.Query()
+	switch r.Method {
+	case http.MethodGet:
+		req.src = params.Get("query")
+	case http.MethodPost:
+		ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
+		if strings.TrimSpace(ct) == "application/sparql-query" {
+			body, err := io.ReadAll(io.LimitReader(r.Body, max+1))
+			if err != nil {
+				return err
+			}
+			req.src = string(body)
+			break
+		}
+		r.Body = http.MaxBytesReader(nil, r.Body, max)
+		if err := r.ParseForm(); err != nil {
+			return err
+		}
+		req.src = r.PostForm.Get("query")
+	default:
+		return fmt.Errorf("method %s %w", r.Method, errMethodNotAllowed)
+	}
+	if strings.TrimSpace(req.src) == "" {
+		return &statusError{http.StatusBadRequest, "missing query parameter"}
+	}
+	if int64(len(req.src)) > max {
+		return errQueryTooLarge
+	}
+	param := func(name string) string {
+		if v := params.Get(name); v != "" {
+			return v
+		}
 		return r.PostForm.Get(name)
 	}
-	return ""
+	req.mode = req.s.opts.Mode
+	if m := param("mode"); m != "" {
+		var ok bool
+		if req.mode, ok = ParseMode(m); !ok {
+			return fmt.Errorf("unknown mode %q", m)
+		}
+	}
+	var err error
+	req.timeout, err = req.s.requestTimeout(param("timeout"))
+	return err
 }
 
 // requestTimeout resolves the query deadline: the request's "timeout"
 // parameter (a Go duration like "250ms", or a plain integer meaning
 // milliseconds), else the server default, both clamped to MaxTimeout.
 // A zero result means the query runs without a deadline.
-func (s *sparqlServer) requestTimeout(r *http.Request) (time.Duration, error) {
+func (s *sparqlServer) requestTimeout(raw string) (time.Duration, error) {
 	d := s.opts.DefaultTimeout
-	if raw := param(r, "timeout"); raw != "" {
+	if raw != "" {
 		parsed, err := time.ParseDuration(raw)
 		if err != nil {
 			ms, merr := strconv.Atoi(raw)
@@ -426,271 +620,304 @@ func (s *sparqlServer) requestTimeout(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-func (s *sparqlServer) handleSPARQL(w http.ResponseWriter, r *http.Request, storeName string) {
-	st, ok := s.stores[storeName]
-	if !ok {
-		known := make([]string, 0, len(s.stores))
-		for name := range s.stores {
-			known = append(known, name)
-		}
-		sort.Strings(known)
-		httpError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown store %q (stores: %s)", storeName, strings.Join(known, ", ")))
-		return
-	}
-
-	// Every /sparql response reports the store's health, and a failed store
-	// (detected data corruption) refuses admission outright: wrong bindings
-	// must never leave the process, and a 503 with Retry-After tells load
-	// balancers to route around the store while its siblings keep serving.
-	state := st.Faults().State()
-	w.Header().Set("X-S2RDF-Store-Health", state.String())
-	if state == fault.Failed {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(failedStoreRetryAfter)))
-		reason := st.Faults().Reason()
-		if reason == "" {
-			reason = "data corruption detected"
-		}
-		httpError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("store %q is unavailable: %s", storeName, reason))
-		return
-	}
-
-	src, err := s.queryText(r)
-	if err != nil {
-		status := http.StatusBadRequest
-		var maxBytes *http.MaxBytesError
-		switch {
-		case errors.Is(err, errQueryTooLarge), errors.As(err, &maxBytes):
-			status = http.StatusRequestEntityTooLarge
-			err = fmt.Errorf("query exceeds %d bytes", s.opts.MaxQueryLen)
-		case strings.Contains(err.Error(), "not allowed"):
-			status = http.StatusMethodNotAllowed
-		}
-		httpError(w, status, err.Error())
-		return
-	}
-	if strings.TrimSpace(src) == "" {
-		httpError(w, http.StatusBadRequest, "missing query parameter")
-		return
-	}
-	if int64(len(src)) > s.opts.MaxQueryLen {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("query exceeds %d bytes", s.opts.MaxQueryLen))
-		return
-	}
-
-	mode := s.opts.Mode
-	if m := param(r, "mode"); m != "" {
-		pm, ok := ParseMode(m)
-		if !ok {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q", m))
-			return
-		}
-		mode = pm
-	}
-
-	timeout, err := s.requestTimeout(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	// The query text is normalized exactly once per request; the plan
-	// cache, the result cache and the single-flight group all key on this
-	// same string.
-	norm := core.NormalizeQuery(src)
-
-	// Result-cache fast path: a hit is served straight from the cached
-	// buffer — before the cost gate, before admission, exempt from 429 —
-	// replaying the header snapshot taken when the body was produced. The
-	// key carries the store's current statistics epoch, so an entry from a
-	// superseded epoch can never be looked up again.
-	rc := s.rcaches[storeName]
-	var ckey cache.Key
-	if rc != nil {
-		ckey = cache.Key{
-			Store: storeName,
-			Mode:  mode.String(),
-			Query: norm,
-			Epoch: st.Dataset().StatsEpoch(),
-		}
-		if ent, ok := rc.Get(ckey); ok {
-			serveCachedEntry(w, ent)
-			return
-		}
-	}
-
-	// The deadline covers the whole stay: queue wait plus execution. The
-	// context is also cancelled when the client disconnects, which aborts
-	// the plan mid-operator and frees the worker slot.
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	// Single-flight: concurrent identical cache misses coalesce onto one
-	// execution. The first request in becomes the leader and runs the query
-	// normally, teeing its serialized response into the flight; the rest
-	// stream the leader's bytes without occupying a slot or executing
-	// anything. A flight that aborts before producing a body (the leader
-	// hit a parse error, a full queue, a deadline…) sends its followers
-	// down the normal execution path instead — the leader's failure may
-	// have been specific to its own request.
-	var flight *cache.Flight
-	if fg := s.flights[storeName]; fg != nil {
-		f, leader := fg.Join(ckey)
-		if !leader {
-			if s.serveFollower(w, ctx, f) {
-				return
-			}
-		} else {
-			flight = f
-			// The deferred Complete removes the flight from the group and —
-			// when writeStream did not already close it with the real
-			// outcome — wakes followers with the abort error.
-			defer fg.Complete(f, cache.ErrFlightAborted)
-		}
-	}
-
-	// Cost gate: classify the query from the planner's estimates before
-	// it occupies any slot. A parse error is rejected here, so malformed
-	// queries never enter the queue.
-	cost, err := st.Engine(mode).EstimateCostNorm(src, norm)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	class := sched.Classify(cost.Cost(), s.opts.CheapThreshold)
-
-	// Admission: wait for a worker slot in the class's lane. A full lane
-	// queue rejects immediately with 429 + Retry-After (backpressure); a
-	// deadline or client disconnect while queued withdraws the request
-	// without it ever executing.
-	sc := s.scheds[storeName]
-	ticket, err := sc.Admit(ctx, class)
-	if err != nil {
-		var full *sched.QueueFullError
-		if errors.As(err, &full) {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(full.RetryAfter)))
-			w.Header().Set("X-S2RDF-Query-Class", class.String())
-			httpError(w, http.StatusTooManyRequests,
-				fmt.Sprintf("%s admission queue full, retry later", full.Class))
-			return
-		}
-		writeCtxError(w, err, "while queued")
-		return
-	}
-	// The ticket is released when the handler returns — with the streaming
-	// pipeline that is stream-complete (or abandonment), not
-	// result-computed: a worker slot is held for exactly as long as rows
-	// still flow to the client.
-	defer ticket.Release()
-
-	// Expensive queries carry the ticket as the engine's yield hook: at
-	// every row-batch boundary past the time slice they give up the slot
-	// and re-queue, so concurrent heavy queries share the lane fairly.
-	// Each streamed batch is such a boundary, so a slow consumer yields
-	// too. The test pacer, when set, rides the same hook.
-	qctx := ctx
-	var yielders yieldChain
-	if class == sched.Expensive {
-		yielders = append(yielders, ticket)
-	}
-	if s.opts.pacer != nil {
-		yielders = append(yielders, s.opts.pacer)
-	}
-	if s.opts.chaos != nil {
-		if y := s.opts.chaos(r); y != nil {
-			yielders = append(yielders, y)
-		}
-	}
-	switch len(yielders) {
-	case 0:
-	case 1:
-		qctx = engine.WithYielder(ctx, yielders[0])
-	default:
-		qctx = engine.WithYielder(ctx, yielders)
-	}
-
-	stream, err := st.Engine(mode).QueryStreamNorm(qctx, src, norm)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			setSchedHeaders(w.Header(), sc, class, cost, ticket)
-			writeCtxError(w, err, "during execution")
-			return
-		}
-		if errors.Is(err, core.ErrInternal) {
-			// An operator panic (or other execution-machinery failure)
-			// recovered at the query boundary: the server's fault, not the
-			// request's — 500, and the process keeps serving.
-			setSchedHeaders(w.Header(), sc, class, cost, ticket)
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.writeStream(w, st, storeName, mode, stream, sc, class, cost, ticket, rc, ckey, flight)
-}
-
-// serveCachedEntry answers a request entirely from the result cache: the
+// probeCache answers the request from the result cache when it can: the
 // snapshotted explain headers, X-S2RDF-Cache: hit, and the pre-serialized
-// body. No admission, no execution, no engine rows scanned.
-func serveCachedEntry(w http.ResponseWriter, ent *cache.Entry) {
-	copyCachedHeaders(w.Header(), ent.Header)
-	w.Header().Set("X-S2RDF-Cache", "hit")
-	w.Header().Set("Content-Length", strconv.Itoa(len(ent.Body)))
-	w.Write(ent.Body)
-}
-
-// serveFollower streams another request's in-flight execution to this one,
-// reporting whether a response was written. false means the flight aborted
-// before producing a body and the caller should execute normally.
-func (s *sparqlServer) serveFollower(w http.ResponseWriter, ctx context.Context, f *cache.Flight) bool {
-	hdr, err := f.AwaitHeader(ctx)
-	if err != nil {
-		if ctx.Err() != nil {
-			writeCtxError(w, err, "while coalesced")
-			return true
-		}
+// body. The key carries the store's current statistics epoch, so an entry
+// from a superseded epoch can never be looked up again.
+func (req *request) probeCache() bool {
+	rc := req.sv.rcache
+	if rc == nil {
 		return false
 	}
-	copyCachedHeaders(w.Header(), hdr)
-	w.Header().Set("X-S2RDF-Cache", "coalesced")
-	fl, _ := w.(http.Flusher)
+	req.ckey = cache.Key{
+		Store: req.sv.name,
+		Mode:  req.mode.String(),
+		Query: req.norm,
+		Epoch: req.sv.st.Dataset().StatsEpoch(),
+	}
+	ent, ok := rc.Get(req.ckey)
+	if !ok {
+		return false
+	}
+	h := req.w.Header()
+	copyCachedHeaders(h, ent.Header)
+	h.Set("X-S2RDF-Cache", "hit")
+	h.Set("Content-Length", strconv.Itoa(len(ent.Body)))
+	req.w.Write(ent.Body)
+	return true
+}
+
+// joinFlight coalesces concurrent identical cache misses onto one execution
+// (single-flight). The first request in becomes the leader (req.flight) and
+// runs the query normally, teeing its serialized response into the flight;
+// the rest stream the leader's bytes without occupying a slot or executing
+// anything, and joinFlight reports their response written. A flight that
+// aborts before producing a body (the leader hit a parse error, a full
+// queue, a deadline…) sends its followers down the normal execution path
+// instead — the leader's failure may have been specific to its own request.
+func (req *request) joinFlight() bool {
+	if req.sv.flights == nil {
+		return false
+	}
+	f, leader := req.sv.flights.Join(req.ckey)
+	if leader {
+		req.flight = f
+		return false
+	}
+	req.phase = "while coalesced"
+	hdr, err := f.AwaitHeader(req.ctx)
+	if err != nil {
+		return req.fail(req.ctx.Err())
+	}
+	copyCachedHeaders(req.w.Header(), hdr)
+	req.w.Header().Set("X-S2RDF-Cache", "coalesced")
 	off := 0
 	for {
-		chunk, done, err := f.Read(ctx, off)
+		chunk, done, err := f.Read(req.ctx, off)
 		if len(chunk) > 0 {
-			w.Write(chunk)
+			req.w.Write(chunk)
 			off += len(chunk)
-			if fl != nil {
-				fl.Flush()
-			}
+			req.w.Flush()
 		}
 		if err != nil {
-			if off == 0 {
-				// Nothing written yet: the status line can still carry the
-				// verdict (own-context errors map like any pre-body failure).
-				if ctx.Err() != nil {
-					writeCtxError(w, err, "while coalesced")
-				} else {
-					httpError(w, http.StatusInternalServerError,
-						"coalesced execution aborted: "+err.Error())
-				}
-				return true
+			if off > 0 {
+				// Mid-body: same contract as the leader's own abort —
+				// trailing "error" member, then a truncated connection.
+				writeAbortTrailer(req.w, err)
+				panic(http.ErrAbortHandler)
 			}
-			// Mid-body: same contract as the leader's own abort — trailing
-			// "error" member, then a truncated connection.
-			writeAbortTrailer(w, err)
-			panic(http.ErrAbortHandler)
+			// Nothing written yet: the status line can still carry the
+			// verdict (own-context errors map like any pre-body failure).
+			return req.fail(req.ctx.Err()) || req.fail(&statusError{
+				http.StatusInternalServerError, "coalesced execution aborted: " + err.Error()})
 		}
 		if done {
 			return true
 		}
+	}
+}
+
+func (req *request) engine() *core.Engine { return req.sv.st.Engine(req.mode) }
+
+// parse is the request's one plan-cache probe; gate and execute reuse the
+// parsed query.
+func (req *request) parse() (err error) {
+	req.q, req.planCached, err = req.engine().ParseCached(req.src, req.norm)
+	return err
+}
+
+// gate classifies the query from the planner's estimates.
+func (req *request) gate() {
+	req.cost = req.engine().EstimateQuery(req.q)
+	req.class = sched.Classify(req.cost.Cost(), req.s.opts.CheapThreshold)
+}
+
+// admit waits for a worker slot in the class's lane. A full lane queue
+// rejects immediately (429 + Retry-After); a deadline or client disconnect
+// while queued withdraws the request without it ever executing.
+func (req *request) admit() (err error) {
+	req.phase = "while queued"
+	req.ticket, err = req.sv.sched.Admit(req.ctx, req.class)
+	return err
+}
+
+// execute runs the plan to its final relation. Expensive queries carry the
+// ticket as the engine's yield hook: at every row-batch boundary past the
+// time slice they give up the slot and re-queue, so concurrent heavy
+// queries share the lane fairly. Each streamed batch is such a boundary, so
+// a slow consumer yields too. The test hooks, when set, ride the same hook.
+func (req *request) execute() (err error) {
+	req.phase = "during execution"
+	var yielders yieldChain
+	if req.class == sched.Expensive {
+		yielders = append(yielders, req.ticket)
+	}
+	if req.s.opts.pacer != nil {
+		yielders = append(yielders, req.s.opts.pacer)
+	}
+	if req.s.opts.chaos != nil {
+		if y := req.s.opts.chaos(req.r); y != nil {
+			yielders = append(yielders, y)
+		}
+	}
+	ctx := req.ctx
+	switch len(yielders) {
+	case 0:
+	case 1:
+		ctx = engine.WithYielder(ctx, yielders[0])
+	default:
+		ctx = engine.WithYielder(ctx, yielders)
+	}
+	req.stream, err = req.engine().ExecStream(ctx, req.q)
+	return err
+}
+
+// yieldChain fans one engine yield point out to several hooks (the sched
+// ticket plus the test pacer).
+type yieldChain []engine.Yielder
+
+func (c yieldChain) Yield() {
+	for _, y := range c {
+		y.Yield()
+	}
+}
+
+// respond delivers the executing query's answer through the one encoder.
+// It buffers up to StreamThreshold rows: a result that completes within the
+// buffer (and any ASK answer) is written as a single JSON document with
+// final metrics in the headers. Past the threshold it switches to
+// incremental delivery — head and buffered rows flushed immediately, then
+// one flush per decoded engine batch — so the client's first bytes do not
+// wait for the last row. Metric headers are then a snapshot as of the first
+// flush (headers cannot trail the body). Either way every chunk tees into
+// the flight and the cache fill, so a cached or coalesced replay is
+// byte-identical to direct execution.
+//
+// A query that dies before the first byte keeps the error contract (fail).
+// A query that dies mid-stream cannot change the status line anymore: the
+// response ends with a trailing "error" extension member after the bindings
+// array and the connection is closed without a clean terminator, so both
+// JSON-level and transport-level clients can tell the result is a
+// truncation.
+func (req *request) respond() {
+	threshold := req.s.opts.StreamThreshold
+	if threshold <= 0 {
+		threshold = DefaultStreamThreshold
+	}
+	var rows []engine.Row
+	done := false
+	for !done && len(rows) <= threshold {
+		batch, err := req.stream.NextRaw()
+		if req.fail(err) {
+			return
+		}
+		rows, done = append(rows, batch...), batch == nil
+	}
+
+	h := req.w.Header()
+	if !done {
+		req.sv.streaming.Add(1)
+		defer req.sv.streaming.Add(-1)
+		h.Set("X-S2RDF-Streaming", "true")
+	}
+	if req.sv.rcache != nil {
+		h.Set("X-S2RDF-Cache", "miss")
+	}
+	res := req.stream.Result()
+	req.setHeaders(res)
+
+	enc := req.newEncoder()
+	if req.q.Ask {
+		enc.ask(res.Ask)
+	} else {
+		enc.head(res.Vars)
+		enc.bindings(rows)
+		for !done {
+			enc.flush()
+			if req.s.opts.flushed != nil {
+				req.s.opts.flushed(enc.n)
+			}
+			batch, err := req.stream.NextRaw()
+			if err != nil {
+				// The trailer is deliberately not teed — followers and the
+				// cache must never see one request's error text: the flight
+				// is closed with the error itself, the fill never inserted.
+				// Closing the connection without the terminating chunk marks
+				// the body as truncated at the transport level; the JSON
+				// document is still complete for lenient clients.
+				if req.flight != nil {
+					req.flight.Close(err)
+				}
+				writeAbortTrailer(req.w, err)
+				panic(http.ErrAbortHandler)
+			}
+			enc.bindings(batch)
+			done = batch == nil
+		}
+		enc.end()
+	}
+	if req.flight != nil {
+		req.flight.Close(nil)
+	}
+	// The fill re-checks the statistics epoch: a lazy ExtVP count that
+	// landed mid-query bumped it, and a result computed under the old
+	// statistics must not be published under a key that was already
+	// superseded when it finished.
+	if f := enc.fill; f != nil && !f.over && req.sv.st.Dataset().StatsEpoch() == req.ckey.Epoch {
+		req.sv.rcache.Put(req.ckey, &cache.Entry{Body: f.body, Header: f.header, Rows: enc.n})
+	}
+}
+
+// setHeaders renders everything the request knows about itself so far: from
+// the cost gate on, the verdict and estimate; once admitted, the time spent
+// queued, how often the query yielded its slot and the lane's current queue
+// depth; and with res, the per-query engine metrics (on the streaming path
+// a snapshot as of the first flush, not the final totals). The plan- and
+// selection-cache status is the one the parse and the gate observed —
+// whether the server had seen the query before this request — not that of
+// the execution they warmed the caches for.
+func (req *request) setHeaders(res *Result) {
+	h := req.w.Header()
+	itoa := func(n int64) string { return strconv.FormatInt(n, 10) }
+	if req.q != nil {
+		h.Set("X-S2RDF-Query-Class", req.class.String())
+		h.Set("X-S2RDF-Cost-Estimate", strconv.Itoa(req.cost.Cost()))
+	}
+	if t := req.ticket; t != nil {
+		h.Set("X-S2RDF-Queue-Wait", t.QueueWait().String())
+		h.Set("X-S2RDF-Sched-Yields", strconv.Itoa(t.Yields()))
+		stats := req.sv.sched.Stats()
+		depth := stats.Cheap.Queued
+		if req.class == sched.Expensive {
+			depth = stats.Expensive.Queued
+		}
+		h.Set("X-S2RDF-Queue-Depth", strconv.Itoa(depth))
+	}
+	if res == nil {
+		return
+	}
+	hitOrMiss := func(hit bool) string {
+		if hit {
+			return "hit"
+		}
+		return "miss"
+	}
+	h.Set("Content-Type", "application/sparql-results+json")
+	h.Set("X-S2RDF-Mode", req.mode.String())
+	h.Set("X-S2RDF-Duration", res.Duration.String())
+	h.Set("X-S2RDF-TTFR", res.TimeToFirstRow.String())
+	h.Set("X-S2RDF-Peak-Mem", itoa(res.PeakMemBytes))
+	h.Set("X-S2RDF-Rows-Scanned", itoa(res.Metrics.RowsScanned))
+	h.Set("X-S2RDF-Rows-Pruned", itoa(res.Metrics.RowsPruned))
+	h.Set("X-S2RDF-Rows-Shuffled", itoa(res.Metrics.RowsShuffled))
+	h.Set("X-S2RDF-Rows-Sorted", itoa(res.Metrics.RowsSorted))
+	h.Set("X-S2RDF-Bytes-Spilled", itoa(res.Metrics.BytesSpilled))
+	h.Set("X-S2RDF-Join-Comparisons", itoa(res.Metrics.JoinComparisons))
+	h.Set("X-S2RDF-Rows-Output", itoa(res.Metrics.RowsOutput))
+	h.Set("X-S2RDF-Tasks", itoa(res.Metrics.Tasks))
+	h.Set("X-S2RDF-Plan-Cache", hitOrMiss(req.planCached))
+	if res.SelectionCacheHits+res.SelectionCacheMisses > 0 {
+		h.Set("X-S2RDF-Selection-Cache", hitOrMiss(req.cost.SelectionCacheMisses == 0))
+	}
+	if len(res.JoinOrder) > 0 {
+		order := make([]string, len(res.JoinOrder))
+		for i, idx := range res.JoinOrder {
+			order[i] = strconv.Itoa(idx)
+		}
+		h.Set("X-S2RDF-Join-Order", strings.Join(order, ","))
+	}
+	if len(res.Joins) > 0 {
+		strategies := make([]string, len(res.Joins))
+		shuffled := make([]string, len(res.Joins))
+		for i, j := range res.Joins {
+			strategies[i] = j.Strategy
+			shuffled[i] = itoa(j.RowsShuffled)
+		}
+		h.Set("X-S2RDF-Join-Strategies", strings.Join(strategies, ","))
+		h.Set("X-S2RDF-Join-Shuffled", strings.Join(shuffled, ","))
+	}
+	if res.StatsOnly {
+		h.Set("X-S2RDF-Stats-Only", "true")
 	}
 }
 
@@ -722,213 +949,16 @@ func copyCachedHeaders(dst http.Header, src map[string][]string) {
 	}
 }
 
-// yieldChain fans one engine yield point out to several hooks (the sched
-// ticket plus the test pacer).
-type yieldChain []engine.Yielder
-
-func (c yieldChain) Yield() {
-	for _, y := range c {
-		y.Yield()
-	}
-}
-
-// writeStream delivers one executing query's solutions. It buffers up to
-// StreamThreshold rows: a result that completes within the buffer (and any
-// ASK answer) is written as a single JSON document with final metrics in
-// the headers, exactly like the pre-streaming server. Past the threshold it
-// switches to incremental delivery — head and buffered rows flushed
-// immediately, then one flush per decoded engine batch — so the client's
-// first bytes do not wait for the last row. Metric headers are then a
-// snapshot as of the first flush (headers cannot trail the body).
-//
-// A query that dies before the first byte keeps the old error contract
-// (504/503 with a JSON body). A query that dies mid-stream cannot change
-// the status line anymore: the response ends with a trailing "error"
-// extension member after the bindings array and the connection is closed
-// without a clean terminator, so both JSON-level and transport-level
-// clients can tell the result is a truncation.
-func (s *sparqlServer) writeStream(w http.ResponseWriter, st *Store, storeName string, mode Mode, stream *core.Stream, sc *sched.Scheduler, class sched.Class, cost core.CostEstimate, ticket *sched.Ticket, rc *cache.ResultCache, ckey cache.Key, flight *cache.Flight) {
-	threshold := s.opts.StreamThreshold
-	if threshold <= 0 {
-		threshold = DefaultStreamThreshold
-	}
-
-	var rows []engine.Row
-	var streamErr error
-	done := false
-	for !done && len(rows) <= threshold {
-		batch, err := stream.NextRaw()
-		if err != nil {
-			streamErr = err
-			done = true
-		} else if batch == nil {
-			done = true
-		} else {
-			rows = append(rows, batch...)
-		}
-	}
-
-	// finish stamps the result with the scheduling record and the cache
-	// status as of the cost estimate, so the headers keep meaning "had the
-	// server seen this query before this request" (the gate parsed and
-	// planned first, warming the caches the execution then hit).
-	finish := func() *Result {
-		res := stream.Result()
-		res.Sched = &core.SchedInfo{
-			Class:     class.String(),
-			Cost:      cost,
-			QueueWait: ticket.QueueWait(),
-			Yields:    ticket.Yields(),
-		}
-		res.PlanCached = cost.PlanCached
-		if res.SelectionCacheHits+res.SelectionCacheMisses > 0 {
-			res.SelectionCacheHits = cost.SelectionCacheHits
-			res.SelectionCacheMisses = cost.SelectionCacheMisses
-		}
-		return res
-	}
-
-	if done && streamErr != nil {
-		finish()
-		setSchedHeaders(w.Header(), sc, class, cost, ticket)
-		if errors.Is(streamErr, core.ErrInternal) {
-			// The query panicked before the first byte was written: the
-			// status line can still carry the verdict — 500, while the
-			// process (and every concurrent query) keeps serving.
-			httpError(w, http.StatusInternalServerError, streamErr.Error())
-			return
-		}
-		writeCtxError(w, streamErr, "during execution")
-		return
-	}
-
-	if done {
-		res := finish()
-		setSchedHeaders(w.Header(), sc, class, cost, ticket)
-		if res.Vars == nil && rows == nil {
-			// ASK answer: a tiny buffered document, never cached or teed
-			// (followers of an ASK flight fall back to executing — the
-			// answer is a cheap count probe by construction).
-			writeResult(w, mode, res)
-			return
-		}
-		// Buffered SELECT: the complete document goes through the same
-		// encoder as the streaming path — including the flight tee and the
-		// cache fill — so a cached or coalesced replay is byte-identical
-		// to direct execution. Headers carry the final metrics, exactly as
-		// before.
-		if rc != nil {
-			w.Header().Set("X-S2RDF-Cache", "miss")
-		}
-		setResultHeaders(w.Header(), mode, res)
-		fill := s.newFill(rc, class)
-		snap := s.publishSnapshot(w, flight, fill)
-		enc := newStreamEncoder(w, st.Dataset().Dict, res.Vars, flight, fill)
-		enc.bindings(rows)
-		enc.end()
-		if flight != nil {
-			flight.Close(nil)
-		}
-		s.fillCache(st, rc, ckey, fill, snap, enc.n)
-		return
-	}
-
-	g := s.streaming[storeName]
-	g.Add(1)
-	defer g.Add(-1)
-
-	res := finish()
-	setSchedHeaders(w.Header(), sc, class, cost, ticket)
-	if rc != nil {
-		w.Header().Set("X-S2RDF-Cache", "miss")
-	}
-	setResultHeaders(w.Header(), mode, res)
-	w.Header().Set("X-S2RDF-Streaming", "true")
-
-	fill := s.newFill(rc, class)
-	snap := s.publishSnapshot(w, flight, fill)
-	enc := newStreamEncoder(w, st.Dataset().Dict, res.Vars, flight, fill)
-	enc.bindings(rows)
-	enc.flush()
-	if s.opts.flushed != nil {
-		s.opts.flushed(enc.n)
-	}
-	for {
-		batch, err := stream.NextRaw()
-		if err != nil {
-			if flight != nil {
-				flight.Close(err)
-			}
-			enc.abort(err)
-			// Closing the connection without the terminating chunk marks
-			// the body as truncated at the transport level; the JSON
-			// document above is still complete for lenient clients.
-			panic(http.ErrAbortHandler)
-		}
-		if batch == nil {
-			break
-		}
-		enc.bindings(batch)
-		enc.flush()
-		if s.opts.flushed != nil {
-			s.opts.flushed(enc.n)
-		}
-	}
-	enc.end()
-	if flight != nil {
-		flight.Close(nil)
-	}
-	s.fillCache(st, rc, ckey, fill, snap, enc.n)
-}
-
-// newFill returns the cache-fill accumulator for one executing query, or
-// nil when its result is not cacheable: the cache is off, or the cost gate
-// classified the query cheap (point lookups re-execute faster than they
-// churn the LRU — the admission policy of the result cache is the same
-// gate that splits the scheduler lanes).
-func (s *sparqlServer) newFill(rc *cache.ResultCache, class sched.Class) *fillState {
-	if rc == nil || class != sched.Expensive {
-		return nil
-	}
-	return &fillState{max: rc.MaxEntry(), rc: rc}
-}
-
-// publishSnapshot takes the response-header snapshot (once the handler has
-// stamped every header) and, when a flight is open, publishes it so
-// followers can start replaying. Returns nil when nothing will replay it.
-func (s *sparqlServer) publishSnapshot(w http.ResponseWriter, flight *cache.Flight, fill *fillState) map[string][]string {
-	if flight == nil && fill == nil {
-		return nil
-	}
-	snap := snapshotHeaders(w.Header())
-	if flight != nil {
-		flight.SetHeader(snap)
-	}
-	return snap
-}
-
-// fillCache inserts a completed response into the result cache, re-checking
-// the statistics epoch first: a lazy ExtVP count that landed mid-query
-// bumped the epoch, and a result computed under the old statistics must not
-// be published under a key that was already superseded when it finished.
-func (s *sparqlServer) fillCache(st *Store, rc *cache.ResultCache, ckey cache.Key, fill *fillState, snap map[string][]string, rows int) {
-	if fill == nil || fill.over {
-		return
-	}
-	if st.Dataset().StatsEpoch() != ckey.Epoch {
-		return
-	}
-	rc.Put(ckey, &cache.Entry{Body: fill.body, Header: snap, Rows: rows})
-}
-
-// fillState accumulates the serialized body for a cache fill, abandoning
-// the copy (and counting the rejection) as soon as it outgrows the
-// per-entry cap — the executing response keeps streaming regardless.
+// fillState accumulates the header snapshot and the serialized body for a
+// cache fill, abandoning the copy (and counting the rejection) as soon as
+// it outgrows the per-entry cap — the executing response keeps streaming
+// regardless.
 type fillState struct {
-	body []byte
-	max  int64
-	over bool
-	rc   *cache.ResultCache
+	header map[string][]string
+	body   []byte
+	max    int64
+	over   bool
+	rc     *cache.ResultCache
 }
 
 func (fs *fillState) add(p []byte) {
@@ -944,17 +974,16 @@ func (fs *fillState) add(p []byte) {
 	fs.body = append(fs.body, p...)
 }
 
-// streamEncoder writes the SPARQL 1.1 JSON results document over raw
-// dictionary-ID rows: head on creation, bindings as they arrive, one Flush
-// per engine batch. Terms render through the dictionary's memoized
-// SPARQL-JSON bytes (dict.TermJSON), so a term is escaped once per store
-// lifetime, not once per row. Every flushed chunk tees into the request's
-// flight (followers replay it live) and its cache fill (future hits replay
-// it from memory); because buffered and streaming responses both flow
-// through here, a replayed body is byte-identical to an executed one.
+// streamEncoder writes the SPARQL 1.1 JSON results document — the ASK
+// document, or a SELECT head, bindings over raw dictionary-ID rows as they
+// arrive, and the tail, one Flush per engine batch. Terms render through
+// the dictionary's memoized SPARQL-JSON bytes (dict.TermJSON), so a term is
+// escaped once per store lifetime, not once per row. Every flushed chunk
+// tees into the request's flight (followers replay it live) and its cache
+// fill (future hits replay it from memory); because every executed response
+// flows through here, a replayed body is byte-identical to an executed one.
 type streamEncoder struct {
-	w      io.Writer
-	f      http.Flusher
+	w      *trackingWriter
 	d      *dict.Dict
 	names  [][]byte // pre-marshaled JSON variable names, by column
 	buf    []byte   // pending bytes since the last flush
@@ -963,16 +992,45 @@ type streamEncoder struct {
 	fill   *fillState
 }
 
-func newStreamEncoder(w http.ResponseWriter, d *dict.Dict, vars []string, flight *cache.Flight, fill *fillState) *streamEncoder {
-	e := &streamEncoder{w: w, d: d, flight: flight, fill: fill}
-	e.f, _ = w.(http.Flusher)
+// newEncoder opens the response body once the handler has stamped every
+// header: it takes the header snapshot and publishes it to the flight, when
+// one is open, so followers can start replaying. The result is cached only
+// when the cache is on and the cost gate classified the query expensive
+// (point lookups re-execute faster than they churn the LRU — the admission
+// policy of the result cache is the same gate that splits the scheduler
+// lanes).
+func (req *request) newEncoder() *streamEncoder {
+	e := &streamEncoder{w: req.w, d: req.sv.st.Dataset().Dict, flight: req.flight}
+	if rc := req.sv.rcache; rc != nil && req.class == sched.Expensive {
+		e.fill = &fillState{max: rc.MaxEntry(), rc: rc}
+	}
+	if e.flight != nil || e.fill != nil {
+		snap := snapshotHeaders(req.w.Header())
+		if e.flight != nil {
+			e.flight.SetHeader(snap)
+		}
+		if e.fill != nil {
+			e.fill.header = snap
+		}
+	}
+	return e
+}
+
+// ask writes the complete document of an ASK answer.
+func (e *streamEncoder) ask(answer bool) {
+	e.buf = fmt.Appendf(e.buf, "{\"head\":{},\"boolean\":%t}\n", answer)
+	e.flush()
+}
+
+// head opens a SELECT document.
+func (e *streamEncoder) head(vars []string) {
 	e.names = make([][]byte, len(vars))
 	for i, v := range vars {
 		e.names[i], _ = json.Marshal(v)
 	}
-	head, _ := json.Marshal(vars)
-	e.buf = fmt.Appendf(e.buf, `{"head":{"vars":%s},"results":{"bindings":[`, head)
-	return e
+	e.buf = append(e.buf, `{"head":{"vars":[`...)
+	e.buf = append(e.buf, bytes.Join(e.names, []byte{','})...)
+	e.buf = append(e.buf, `]},"results":{"bindings":[`...)
 }
 
 func (e *streamEncoder) bindings(rows []engine.Row) {
@@ -1012,45 +1070,29 @@ func (e *streamEncoder) flush() {
 		}
 		e.buf = e.buf[:0]
 	}
-	if e.f != nil {
-		e.f.Flush()
-	}
+	e.w.Flush()
 }
 
-// end closes the document after a complete stream.
+// end closes a SELECT document after a complete stream.
 func (e *streamEncoder) end() {
 	e.buf = append(e.buf, "\n]}}\n"...)
 	e.flush()
 }
 
-// abort closes the document after a mid-stream failure, appending the
-// trailing "error" extension member the endpoint documents: the bindings
-// delivered so far are a truncation, not the result. The trailer is
-// deliberately not teed — followers and the cache must never see one
-// request's error text; the flight is closed with the error itself, and the
-// fill is simply never inserted.
-func (e *streamEncoder) abort(err error) {
-	writeAbortTrailer(e.w, err)
-}
-
 // writeAbortTrailer appends the trailing "error" member that marks a
 // response body as truncated (shared by the leader's abort path and a
 // follower whose flight died mid-body).
-func writeAbortTrailer(w io.Writer, err error) {
-	msg := "query aborted mid-stream"
+func writeAbortTrailer(w *trackingWriter, err error) {
+	msg := err.Error()
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		msg = "query deadline exceeded mid-stream"
 	case errors.Is(err, context.Canceled):
 		msg = "request cancelled mid-stream"
-	case err != nil:
-		msg = err.Error()
 	}
 	quoted, _ := json.Marshal(msg)
 	fmt.Fprintf(w, "\n]},\"error\":%s}\n", quoted)
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
+	w.Flush()
 }
 
 // retryAfterSeconds renders a Retry-After duration as whole seconds,
@@ -1061,164 +1103,6 @@ func retryAfterSeconds(d time.Duration) int {
 		secs = 1
 	}
 	return secs
-}
-
-// setSchedHeaders attaches the scheduling record of one admitted query:
-// the cost-gate verdict and estimate, the time it spent queued, how often
-// it yielded its slot, and the lane's current admission-queue depth.
-func setSchedHeaders(h http.Header, sc *sched.Scheduler, class sched.Class, cost core.CostEstimate, ticket *sched.Ticket) {
-	h.Set("X-S2RDF-Query-Class", class.String())
-	h.Set("X-S2RDF-Cost-Estimate", strconv.Itoa(cost.Cost()))
-	h.Set("X-S2RDF-Queue-Wait", ticket.QueueWait().String())
-	h.Set("X-S2RDF-Sched-Yields", strconv.Itoa(ticket.Yields()))
-	stats := sc.Stats()
-	depth := stats.Cheap.Queued
-	if class == sched.Expensive {
-		depth = stats.Expensive.Queued
-	}
-	h.Set("X-S2RDF-Queue-Depth", strconv.Itoa(depth))
-}
-
-// writeCtxError maps a context error onto the HTTP status the SPARQL
-// endpoint promises: 504 when the query deadline passed, 503 when the
-// client went away (the response is then written into the void, but keeps
-// logs and tests honest).
-func writeCtxError(w http.ResponseWriter, err error, phase string) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		httpError(w, http.StatusGatewayTimeout, "query deadline exceeded "+phase)
-		return
-	}
-	httpError(w, http.StatusServiceUnavailable, "request cancelled "+phase)
-}
-
-// errQueryTooLarge marks an oversize application/sparql-query body so the
-// handler can answer 413 rather than a generic 400.
-var errQueryTooLarge = errors.New("query body too large")
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-// writeResult renders res in the SPARQL 1.1 Query Results JSON Format as
-// one buffered document and attaches the per-query metrics as response
-// headers (the non-streaming path: ASK answers and results at or below the
-// stream threshold).
-func writeResult(w http.ResponseWriter, mode Mode, res *Result) {
-	setResultHeaders(w.Header(), mode, res)
-
-	type jsonResults struct {
-		Bindings []map[string]map[string]string `json:"bindings"`
-	}
-	var doc struct {
-		Head struct {
-			Vars []string `json:"vars,omitempty"`
-		} `json:"head"`
-		Boolean *bool        `json:"boolean,omitempty"`
-		Results *jsonResults `json:"results,omitempty"`
-	}
-	if res.Vars == nil && res.Rows == nil {
-		// ASK query.
-		b := res.Ask
-		doc.Boolean = &b
-		json.NewEncoder(w).Encode(&doc)
-		return
-	}
-	doc.Head.Vars = res.Vars
-	out := &jsonResults{Bindings: make([]map[string]map[string]string, 0, len(res.Rows))}
-	for _, row := range res.Rows {
-		out.Bindings = append(out.Bindings, bindingJSON(res.Vars, row))
-	}
-	doc.Results = out
-	json.NewEncoder(w).Encode(&doc)
-}
-
-// setResultHeaders attaches the per-query metrics of one result. On the
-// streaming path they are set before the first flush, so duration and
-// counters are a snapshot as of that moment, not the final totals.
-func setResultHeaders(h http.Header, mode Mode, res *Result) {
-	h.Set("Content-Type", "application/sparql-results+json")
-	h.Set("X-S2RDF-Mode", mode.String())
-	h.Set("X-S2RDF-Duration", res.Duration.String())
-	h.Set("X-S2RDF-TTFR", res.TimeToFirstRow.String())
-	h.Set("X-S2RDF-Peak-Mem", strconv.FormatInt(res.PeakMemBytes, 10))
-	h.Set("X-S2RDF-Rows-Scanned", strconv.FormatInt(res.Metrics.RowsScanned, 10))
-	h.Set("X-S2RDF-Rows-Pruned", strconv.FormatInt(res.Metrics.RowsPruned, 10))
-	h.Set("X-S2RDF-Rows-Shuffled", strconv.FormatInt(res.Metrics.RowsShuffled, 10))
-	h.Set("X-S2RDF-Rows-Sorted", strconv.FormatInt(res.Metrics.RowsSorted, 10))
-	h.Set("X-S2RDF-Bytes-Spilled", strconv.FormatInt(res.Metrics.BytesSpilled, 10))
-	h.Set("X-S2RDF-Join-Comparisons", strconv.FormatInt(res.Metrics.JoinComparisons, 10))
-	h.Set("X-S2RDF-Rows-Output", strconv.FormatInt(res.Metrics.RowsOutput, 10))
-	h.Set("X-S2RDF-Tasks", strconv.FormatInt(res.Metrics.Tasks, 10))
-	if res.PlanCached {
-		h.Set("X-S2RDF-Plan-Cache", "hit")
-	} else {
-		h.Set("X-S2RDF-Plan-Cache", "miss")
-	}
-	if n := res.SelectionCacheHits + res.SelectionCacheMisses; n > 0 {
-		if res.SelectionCacheMisses == 0 {
-			h.Set("X-S2RDF-Selection-Cache", "hit")
-		} else {
-			h.Set("X-S2RDF-Selection-Cache", "miss")
-		}
-	}
-	if len(res.JoinOrder) > 0 {
-		order := make([]string, len(res.JoinOrder))
-		for i, idx := range res.JoinOrder {
-			order[i] = strconv.Itoa(idx)
-		}
-		h.Set("X-S2RDF-Join-Order", strings.Join(order, ","))
-	}
-	if len(res.Joins) > 0 {
-		strategies := make([]string, len(res.Joins))
-		shuffled := make([]string, len(res.Joins))
-		for i, j := range res.Joins {
-			strategies[i] = j.Strategy
-			shuffled[i] = strconv.FormatInt(j.RowsShuffled, 10)
-		}
-		h.Set("X-S2RDF-Join-Strategies", strings.Join(strategies, ","))
-		h.Set("X-S2RDF-Join-Shuffled", strings.Join(shuffled, ","))
-	}
-	if res.StatsOnly {
-		h.Set("X-S2RDF-Stats-Only", "true")
-	}
-}
-
-// bindingJSON converts one solution row into its SPARQL-results JSON
-// binding object.
-func bindingJSON(vars []string, row []rdf.Term) map[string]map[string]string {
-	b := make(map[string]map[string]string, len(row))
-	for i, t := range row {
-		if t == "" {
-			continue // unbound under OPTIONAL/UNION
-		}
-		b[vars[i]] = termJSON(t)
-	}
-	return b
-}
-
-// termJSON converts one RDF term into its SPARQL-results JSON object.
-func termJSON(t rdf.Term) map[string]string {
-	m := make(map[string]string, 3)
-	switch {
-	case t.IsIRI():
-		m["type"] = "uri"
-		m["value"] = t.Value()
-	case t.IsBlank():
-		m["type"] = "bnode"
-		m["value"] = t.Value()
-	default:
-		m["type"] = "literal"
-		m["value"] = t.Value()
-		if dt := t.Datatype(); dt != "" {
-			m["datatype"] = dt
-		}
-		if lang := t.Lang(); lang != "" {
-			m["xml:lang"] = lang
-		}
-	}
-	return m
 }
 
 // ParseMode resolves a layout-mode name (case-insensitive); ok is false for
@@ -1240,21 +1124,6 @@ func ParseMode(name string) (Mode, bool) {
 // DefaultDrainTimeout bounds graceful shutdown when the caller passes no
 // explicit drain budget to ListenAndServe or ServeListener.
 const DefaultDrainTimeout = 30 * time.Second
-
-// Serve runs the SPARQL endpoint on addr until the listener fails. It is a
-// thin convenience over NewHandler + http.Server with sane timeouts; use
-// ServeContext for graceful shutdown, or NewMux + ListenAndServe for
-// multi-store serving.
-func (s *Store) Serve(addr string, opts ServerOptions) error {
-	return s.ServeContext(context.Background(), addr, opts)
-}
-
-// ServeContext runs the SPARQL endpoint on addr until ctx is cancelled,
-// then shuts down gracefully: the listener closes immediately while
-// in-flight queries drain for up to DefaultDrainTimeout.
-func (s *Store) ServeContext(ctx context.Context, addr string, opts ServerOptions) error {
-	return ListenAndServe(ctx, addr, NewHandler(s, opts), 0)
-}
 
 // ListenAndServe serves h on addr until ctx is cancelled, then drains:
 // new connections are refused, in-flight requests (and their queries) get

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,45 +34,33 @@ type cacheStats struct {
 
 func healthzCaches(t *testing.T, srv *httptest.Server) (rc cacheStats, plan, sel CacheCounters) {
 	t.Helper()
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Stores map[string]struct {
-			ResultCache    *cacheStats   `json:"result_cache"`
-			PlanCache      CacheCounters `json:"plan_cache"`
-			SelectionCache CacheCounters `json:"selection_cache"`
-		} `json:"stores"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	s := doc.Stores[DefaultStoreName]
-	if s.ResultCache != nil {
-		rc = *s.ResultCache
-	}
-	return rc, s.PlanCache, s.SelectionCache
+	s := readHealthz(t, srv).Stores[DefaultStoreName]
+	return s.ResultCache, s.PlanCache, s.SelectionCache
 }
 
 // getCached issues one query and returns the body plus the X-S2RDF-Cache
 // header ("hit", "miss", "coalesced", or "" when caching is disabled).
 func getCached(t *testing.T, srv *httptest.Server, query string) (body []byte, lane string) {
 	t.Helper()
-	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(query))
+	body, lane, err := fetchCached(srv, query)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return body, lane
+}
+
+// fetchCached is getCached for goroutines other than the test's own.
+func fetchCached(srv *httptest.Server, query string) (body []byte, lane string, err error) {
+	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(query))
+	if err != nil {
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d for %q", resp.StatusCode, query)
+		return nil, "", fmt.Errorf("status = %d for %q", resp.StatusCode, query)
 	}
 	body, err = io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body, resp.Header.Get("X-S2RDF-Cache")
+	return body, resp.Header.Get("X-S2RDF-Cache"), err
 }
 
 // rankedTriples builds n subjects where every subject has an urn:score,
@@ -115,8 +104,7 @@ func TestServerResultCacheEpochInvalidation(t *testing.T) {
 		ResultCacheBytes: 1 << 20,
 	}
 	opts.chaos = func(*http.Request) engine.Yielder { execs.Add(1); return nil }
-	srv := httptest.NewServer(NewHandler(st, opts))
-	defer srv.Close()
+	srv := startServer(t, NewHandler(st, opts))
 
 	const q1 = `SELECT * WHERE { ?p <urn:score> ?s . ?p <urn:rank> ?r }`
 	const q2 = `SELECT * WHERE { ?p <urn:score> ?s . ?p <urn:tag> ?v }`
@@ -213,8 +201,7 @@ func TestServerResultCacheByteEquality(t *testing.T) {
 		ResultCacheBytes: 16 << 20,
 	}
 	opts.chaos = func(*http.Request) engine.Yielder { execs.Add(1); return nil }
-	srv := httptest.NewServer(NewHandler(st, opts))
-	defer srv.Close()
+	srv := startServer(t, NewHandler(st, opts))
 
 	rng := rand.New(rand.NewSource(7))
 	hits := 0
@@ -240,6 +227,77 @@ func TestServerResultCacheByteEquality(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no WatDiv shape produced a cache hit — fill policy broken")
 	}
+
+	// ASK answers and zero-variable SELECTs ride the same encoder, tee and
+	// fill policy: executed and cached bodies are the same bytes, and the
+	// bytes are pinned. A fully bound friendOf pattern costs 3 estimated
+	// rows, so the gate (threshold 1) classifies it expensive and it caches.
+	var edge Triple
+	for _, tr := range data.Triples {
+		if strings.HasSuffix(string(tr.P), "friendOf>") {
+			edge = tr
+			break
+		}
+	}
+	// (The generator repeats some edges, and a zero-variable SELECT answers
+	// one empty solution per matching triple.)
+	match := fmt.Sprintf("SELECT * WHERE { %s %s %s }", edge.S, edge.P, edge.O)
+	matches, err := st.Query(match)
+	if err != nil || matches.Len() == 0 {
+		t.Fatalf("%s: %v, %d solutions in process", match, err, matches.Len())
+	}
+	for q, want := range map[string]string{
+		fmt.Sprintf("ASK { %s %s ?o }", edge.S, edge.P):         "{\"head\":{},\"boolean\":true}\n",
+		fmt.Sprintf("ASK { %s %s %s }", edge.S, edge.P, edge.S): "{\"head\":{},\"boolean\":false}\n",
+		match: "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[" + strings.Repeat(",\n{}", matches.Len())[1:] + "\n]}}\n",
+		fmt.Sprintf("SELECT * WHERE { %s %s %s }", edge.S, edge.P, edge.S): "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[\n]}}\n",
+	} {
+		cold, coldLane := getCached(t, srv, q)
+		before := execs.Load()
+		warm, warmLane := getCached(t, srv, q)
+		if coldLane != "miss" || warmLane != "hit" || execs.Load() != before {
+			t.Fatalf("%s: lanes %q then %q (%d executions on the repeat), want miss then hit without executing",
+				q, coldLane, warmLane, execs.Load()-before)
+		}
+		if string(cold) != want || !bytes.Equal(cold, warm) {
+			t.Fatalf("%s: executed %q, cached %q, want both %q", q, cold, warm, want)
+		}
+	}
+}
+
+// TestServerOnePlanCacheProbePerExecution: a request that executes looks its
+// query up in the plan cache exactly once — the parsed query then serves the
+// cost gate and the execution — and a result-cache hit not at all, so
+// healthz plan_cache hits+misses counts executed requests.
+func TestServerOnePlanCacheProbePerExecution(t *testing.T) {
+	st := Load(scoreTriples(200), Options{})
+	srv := startServer(t, NewHandler(st, ServerOptions{
+		CheapThreshold:   100, // the scan caches, the point lookup never does
+		ResultCacheBytes: 1 << 20,
+	}))
+	probes := func() int64 {
+		_, plan, _ := healthzCaches(t, srv)
+		return plan.Hits + plan.Misses
+	}
+	const point = `SELECT ?s WHERE { <urn:P1> <urn:score> ?s }`
+	for i, step := range []struct {
+		query, lane string
+		probes      int64
+	}{
+		{scanQuery, "miss", 1},                               // first sight: one probe (a miss)
+		{scanQuery, "hit", 0},                                // served from the result cache
+		{"SELECT *\nWHERE { ?p <urn:score>  ?s }", "hit", 0}, // so is a reformatted copy
+		{point, "miss", 1},                                   // cheap: executes every time,
+		{point, "miss", 1},                                   // one probe (a hit) per execution
+	} {
+		before := probes()
+		if _, lane := getCached(t, srv, step.query); lane != step.lane {
+			t.Fatalf("step %d: lane %q, want %q", i, lane, step.lane)
+		}
+		if got := probes() - before; got != step.probes {
+			t.Errorf("step %d (%s, %s): %d plan-cache probes, want %d", i, step.query, step.lane, got, step.probes)
+		}
+	}
 }
 
 // TestServerSingleFlightStampede sends 8 identical requests at a store
@@ -254,7 +312,16 @@ func TestServerSingleFlightStampede(t *testing.T) {
 		StreamThreshold:  64,
 		ResultCacheBytes: 1 << 20,
 	}
-	opts.chaos = func(*http.Request) engine.Yielder { execs.Add(1); return nil }
+	// park, when set, holds every executing request just before its plan
+	// runs (the buffered cases below have no first flush to park on).
+	var park atomic.Pointer[chan struct{}]
+	opts.chaos = func(*http.Request) engine.Yielder {
+		execs.Add(1)
+		if gate := park.Load(); gate != nil {
+			<-*gate
+		}
+		return nil
+	}
 	srv := streamServer(t, st, pacer, opts)
 
 	const followers = 7
@@ -340,6 +407,57 @@ func TestServerSingleFlightStampede(t *testing.T) {
 		if !bytes.Equal(r.body, leaderBody) {
 			t.Fatalf("follower %d body diverges from the leader (%d vs %d bytes)",
 				i, len(r.body), len(leaderBody))
+		}
+	}
+
+	// Buffered documents — ASK answers and zero-variable SELECTs — coalesce
+	// the same way: the leader is parked before it executes, 7 requests join
+	// its flight, one execution answers all 8 with the same pinned bytes.
+	for q, want := range map[string]string{
+		`ASK { ?p <urn:score> ?s }`:                   "{\"head\":{},\"boolean\":true}\n",
+		`SELECT * WHERE { <urn:P1> <urn:score> 1 }`:   "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[\n{}\n]}}\n",
+		`SELECT * WHERE { <urn:P1> <urn:score> 999 }`: "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[\n]}}\n",
+	} {
+		gate := make(chan struct{})
+		park.Store(&gate)
+		execsBefore := execs.Load()
+		before, _, _ := healthzCaches(t, srv)
+		lanes := make(chan string, followers+1)
+		request := func() {
+			body, lane, err := fetchCached(srv, q)
+			if err != nil || string(body) != want {
+				t.Errorf("%s: %s body %q (%v), want %q", q, lane, body, err, want)
+			}
+			lanes <- lane
+		}
+		// Poll until the leader has reached the hook and parked, then until
+		// every follower has joined its flight (coalesced is cumulative).
+		await := func(what string, cond func() bool) {
+			t.Helper()
+			for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					close(gate) // let the parked leader go, or the server cannot close
+					t.Fatalf("%s: %s never happened", q, what)
+				}
+			}
+		}
+		go request()
+		await("leader parked", func() bool { return execs.Load() == execsBefore+1 })
+		for i := 0; i < followers; i++ {
+			go request()
+		}
+		await("followers coalesced", func() bool {
+			rc, _, _ := healthzCaches(t, srv)
+			return rc.Coalesced-before.Coalesced == followers
+		})
+		close(gate)
+		count := map[string]int{}
+		for i := 0; i < followers+1; i++ {
+			count[<-lanes]++
+		}
+		if count["miss"] != 1 || count["coalesced"] != followers || execs.Load() != execsBefore+1 {
+			t.Fatalf("%s: lanes %v with %d executions, want 1 miss + %d coalesced from 1 execution",
+				q, count, execs.Load()-execsBefore, followers)
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"s2rdf/internal/engine"
 	"s2rdf/internal/fault"
@@ -52,62 +51,8 @@ func chaosServer(t *testing.T, st *Store, opts ServerOptions, yd func() engine.Y
 		}
 		return yd()
 	}
-	srv := httptest.NewServer(NewHandler(st, opts))
-	t.Cleanup(srv.Close)
+	srv := startServer(t, NewHandler(st, opts))
 	return srv
-}
-
-// healthzDoc reads the full healthz document.
-func healthzDoc(t *testing.T, srv *httptest.Server) (status string, stores map[string]struct {
-	Streaming int64 `json:"streaming"`
-	Sched     struct {
-		Cheap     struct{ Running, Waiting int } `json:"cheap"`
-		Expensive struct{ Running, Waiting int } `json:"expensive"`
-	} `json:"sched"`
-	Health fault.HealthSnapshot `json:"health"`
-}) {
-	t.Helper()
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Status string `json:"status"`
-		Stores map[string]struct {
-			Streaming int64 `json:"streaming"`
-			Sched     struct {
-				Cheap     struct{ Running, Waiting int } `json:"cheap"`
-				Expensive struct{ Running, Waiting int } `json:"expensive"`
-			} `json:"sched"`
-			Health fault.HealthSnapshot `json:"health"`
-		} `json:"stores"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	return doc.Status, doc.Stores
-}
-
-// awaitGaugesDrained polls healthz until every slot and streaming gauge of
-// the default store reads zero (handler defers run after the response body
-// is on the wire, so a freshly-finished request may still hold its slot
-// for an instant).
-func awaitGaugesDrained(t *testing.T, srv *httptest.Server) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, stores := healthzDoc(t, srv)
-		s := stores[DefaultStoreName]
-		if s.Streaming == 0 && s.Sched.Cheap.Running == 0 && s.Sched.Expensive.Running == 0 &&
-			s.Sched.Cheap.Waiting == 0 && s.Sched.Expensive.Waiting == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("gauges never drained: %+v", s.Sched)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 // TestPanicBeforeFirstByteIs500: a request whose query panics during plan
@@ -157,7 +102,7 @@ func TestPanicBeforeFirstByteIs500(t *testing.T) {
 	if len(doc.Results.Bindings) != 1 {
 		t.Fatalf("follow-up bindings = %v", doc.Results.Bindings)
 	}
-	awaitGaugesDrained(t, srv)
+	assertQuiescent(t, srv)
 }
 
 // TestPanicMidStreamTruncates: a query that panics after its first flushed
@@ -209,7 +154,7 @@ func TestPanicMidStreamTruncates(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("follow-up status = %d", resp2.StatusCode)
 	}
-	awaitGaugesDrained(t, srv)
+	assertQuiescent(t, srv)
 }
 
 // TestPanicCrashContinuity is the crash-continuity e2e: one request panics
@@ -289,7 +234,7 @@ func TestPanicCrashContinuity(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	awaitGaugesDrained(t, srv)
+	assertQuiescent(t, srv)
 }
 
 // TestFailedStoreGated: a store in the failed health state answers 503 +
@@ -302,8 +247,7 @@ func TestFailedStoreGated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(h)
-	t.Cleanup(srv.Close)
+	srv := startServer(t, h)
 
 	resp, err := http.Get(srv.URL + "/sparql/bad?query=" + url.QueryEscape(followsQuery))
 	if err != nil {
@@ -336,10 +280,11 @@ func TestFailedStoreGated(t *testing.T) {
 		t.Fatalf("healthy sibling health header = %q", got)
 	}
 
-	status, stores := healthzDoc(t, srv)
-	if status != "failed" {
-		t.Fatalf("healthz status = %q with a failed store, want failed", status)
+	report := readHealthz(t, srv)
+	if report.Status != "failed" {
+		t.Fatalf("healthz status = %q with a failed store, want failed", report.Status)
 	}
+	stores := report.Stores
 	if stores["bad"].Health.State != "failed" || stores["good"].Health.State != "healthy" {
 		t.Fatalf("healthz health records = bad:%v good:%v",
 			stores["bad"].Health, stores["good"].Health)
@@ -390,8 +335,7 @@ func TestCorruptStoreDirectoryEndToEnd(t *testing.T) {
 
 	// Serve it the way the CLI does: route alive, queries refused.
 	broken := NewUnavailableStore(err.Error())
-	srv := httptest.NewServer(NewHandler(broken, ServerOptions{MaxConcurrent: 2}))
-	t.Cleanup(srv.Close)
+	srv := startServer(t, NewHandler(broken, ServerOptions{MaxConcurrent: 2}))
 	resp, rerr := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(followsQuery))
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -419,8 +363,7 @@ func TestHealthDegradesOnSpillFaults(t *testing.T) {
 	in := fault.NewInjector(fault.OS)
 	in.FailWritesFrom(1, nil)
 	st.SetFaultFS(in)
-	srv := httptest.NewServer(NewHandler(st, ServerOptions{MaxConcurrent: 2}))
-	t.Cleanup(srv.Close)
+	srv := startServer(t, NewHandler(st, ServerOptions{MaxConcurrent: 2}))
 
 	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(spillJoinQuery))
 	if err != nil {
@@ -441,7 +384,7 @@ func TestHealthDegradesOnSpillFaults(t *testing.T) {
 	if st.Health().State != "degraded" {
 		t.Fatalf("store health = %v after persistent spill failures, want degraded", st.Health().State)
 	}
-	if status, _ := healthzDoc(t, srv); status != "degraded" {
+	if status := readHealthz(t, srv).Status; status != "degraded" {
 		t.Fatalf("healthz status = %q, want degraded", status)
 	}
 

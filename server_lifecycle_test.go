@@ -98,8 +98,7 @@ func TestQueryContextClientCancel(t *testing.T) {
 // the slow store returns 504 within ~100ms, in both duration and
 // integer-milliseconds forms.
 func TestServeTimeoutParam504(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(slowFixture(t), ServerOptions{MaxConcurrent: 4}))
-	defer srv.Close()
+	srv := startServer(t, NewHandler(slowFixture(t), ServerOptions{MaxConcurrent: 4}))
 	for _, timeout := range []string{"50ms", "50"} {
 		start := time.Now()
 		resp, err := http.Get(srv.URL + "/sparql?timeout=" + timeout +
@@ -124,8 +123,7 @@ func TestServeTimeoutParam504(t *testing.T) {
 func TestServeDefaultAndMaxTimeout(t *testing.T) {
 	st := slowFixture(t)
 	t.Run("default", func(t *testing.T) {
-		srv := httptest.NewServer(NewHandler(st, ServerOptions{DefaultTimeout: 50 * time.Millisecond}))
-		defer srv.Close()
+		srv := startServer(t, NewHandler(st, ServerOptions{DefaultTimeout: 50 * time.Millisecond}))
 		resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(slowQuery))
 		if err != nil {
 			t.Fatal(err)
@@ -136,8 +134,7 @@ func TestServeDefaultAndMaxTimeout(t *testing.T) {
 		}
 	})
 	t.Run("max-caps-client", func(t *testing.T) {
-		srv := httptest.NewServer(NewHandler(st, ServerOptions{MaxTimeout: 50 * time.Millisecond}))
-		defer srv.Close()
+		srv := startServer(t, NewHandler(st, ServerOptions{MaxTimeout: 50 * time.Millisecond}))
 		resp, err := http.Get(srv.URL + "/sparql?timeout=1h&query=" + url.QueryEscape(slowQuery))
 		if err != nil {
 			t.Fatal(err)
@@ -148,8 +145,7 @@ func TestServeDefaultAndMaxTimeout(t *testing.T) {
 		}
 	})
 	t.Run("bad-timeout", func(t *testing.T) {
-		srv := httptest.NewServer(NewHandler(st, ServerOptions{}))
-		defer srv.Close()
+		srv := startServer(t, NewHandler(st, ServerOptions{}))
 		for _, v := range []string{"bogus", "-5ms", "0"} {
 			resp, err := http.Get(srv.URL + "/sparql?timeout=" + v +
 				"&query=" + url.QueryEscape(fastQuery))
@@ -169,8 +165,7 @@ func TestServeDefaultAndMaxTimeout(t *testing.T) {
 // timed-out queries must release their worker promptly (no leaked slots).
 // Run under -race in CI.
 func TestServeTimeoutFreesWorkerSlots(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(slowFixture(t), ServerOptions{MaxConcurrent: 2}))
-	defer srv.Close()
+	srv := startServer(t, NewHandler(slowFixture(t), ServerOptions{MaxConcurrent: 2}))
 
 	const burst = 8
 	var wg sync.WaitGroup
@@ -225,8 +220,7 @@ func multiStoreFixture(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(h)
-	t.Cleanup(srv.Close)
+	srv := startServer(t, h)
 	return srv
 }
 
@@ -322,8 +316,7 @@ func TestNewMuxValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(h)
-	defer srv.Close()
+	srv := startServer(t, h)
 	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(followsQuery))
 	if err != nil {
 		t.Fatal(err)
@@ -338,8 +331,7 @@ func TestNewMuxValidation(t *testing.T) {
 // the query exceeds MaxQueryLen.
 func TestOversizeQuery413(t *testing.T) {
 	st := Load(exampleTriples(), Options{})
-	srv := httptest.NewServer(NewHandler(st, ServerOptions{MaxQueryLen: 64}))
-	defer srv.Close()
+	srv := startServer(t, NewHandler(st, ServerOptions{MaxQueryLen: 64}))
 	big := "SELECT ?s WHERE { ?s <urn:p> <urn:o> } #" + strings.Repeat("x", 128)
 
 	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(big))

@@ -2,7 +2,6 @@ package s2rdf
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -31,20 +30,7 @@ import (
 // scheduler snapshot.
 func schedStats(t *testing.T, ts *httptest.Server, store string) sched.Stats {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Stores map[string]struct {
-			Sched sched.Stats `json:"sched"`
-		} `json:"stores"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("healthz decode: %v", err)
-	}
-	info, ok := doc.Stores[store]
+	info, ok := readHealthz(t, ts).Stores[store]
 	if !ok {
 		t.Fatalf("healthz has no store %q", store)
 	}
@@ -80,8 +66,7 @@ func queryURL(ts *httptest.Server, q string, params ...string) string {
 // lookup would sit behind queued multi-second joins (≥1s each); the
 // two-lane cost gate must keep the cheap lane's slots free of them.
 func TestSchedStarvationBound(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(slowFixture(t), ServerOptions{MaxConcurrent: 4}))
-	defer srv.Close()
+	srv := startServer(t, NewHandler(slowFixture(t), ServerOptions{MaxConcurrent: 4}))
 
 	getOK := func(u string) time.Duration {
 		t.Helper()
@@ -180,12 +165,11 @@ func TestSchedBackpressure(t *testing.T) {
 	// runner and drain the admission queue, which is exactly the fairness
 	// behavior the starvation test wants — but here the queue must stay
 	// full so the overflow path is deterministic.
-	srv := httptest.NewServer(NewHandler(slowFixture(t), ServerOptions{
+	srv := startServer(t, NewHandler(slowFixture(t), ServerOptions{
 		MaxConcurrent: 2, // expensive lane: 1 slot
 		QueueDepth:    1,
 		Slice:         time.Hour,
 	}))
-	defer srv.Close()
 
 	heavyURL := queryURL(srv, slowQueryLimited, "timeout", "30s")
 	launch := func() (cancel context.CancelFunc, done chan struct{}) {
@@ -264,13 +248,8 @@ func TestSchedBackpressure(t *testing.T) {
 	// H1 disconnects mid-execution: every gauge drains to zero.
 	cancel1()
 	<-done1
-	s = waitForStats(t, srv, 5*time.Second, func(s sched.Stats) bool {
-		return s.Expensive.Running == 0 && s.Expensive.Waiting == 0
-	})
-	if s.Expensive.Running != 0 || s.Expensive.Queued != 0 || s.Expensive.Waiting != 0 {
-		t.Fatalf("gauges after drain: running=%d queued=%d waiting=%d, want all 0",
-			s.Expensive.Running, s.Expensive.Queued, s.Expensive.Waiting)
-	}
+	assertQuiescent(t, srv)
+	s = schedStats(t, srv, DefaultStoreName)
 	if s.Expensive.Admitted != s.Expensive.Started+s.Expensive.Abandoned {
 		t.Errorf("admitted %d != started %d + abandoned %d",
 			s.Expensive.Admitted, s.Expensive.Started, s.Expensive.Abandoned)
@@ -286,11 +265,10 @@ func TestSchedBackpressure(t *testing.T) {
 // well-defined outcome and that the scheduler's gauges drained to zero with
 // consistent counters.
 func TestSchedRandomizedServer(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(slowFixture(t), ServerOptions{
+	srv := startServer(t, NewHandler(slowFixture(t), ServerOptions{
 		MaxConcurrent: 4,
 		QueueDepth:    2, // small queue so the storm actually trips 429s
 	}))
-	defer srv.Close()
 
 	const (
 		clients       = 12
@@ -355,18 +333,12 @@ func TestSchedRandomizedServer(t *testing.T) {
 		ok200.Load(), rejected429.Load(), timeout5xx.Load(), clientErr.Load())
 
 	// Quiescence: all gauges back to zero, counters consistent per lane.
-	s := waitForStats(t, srv, 10*time.Second, func(s sched.Stats) bool {
-		return s.Cheap.Running == 0 && s.Cheap.Waiting == 0 &&
-			s.Expensive.Running == 0 && s.Expensive.Waiting == 0
-	})
+	assertQuiescent(t, srv)
+	s := schedStats(t, srv, DefaultStoreName)
 	for _, lane := range []struct {
 		name string
 		l    sched.LaneStats
 	}{{"cheap", s.Cheap}, {"expensive", s.Expensive}} {
-		if lane.l.Running != 0 || lane.l.Queued != 0 || lane.l.Waiting != 0 {
-			t.Errorf("%s gauges after storm: running=%d queued=%d waiting=%d, want all 0",
-				lane.name, lane.l.Running, lane.l.Queued, lane.l.Waiting)
-		}
 		if lane.l.Admitted != lane.l.Started+lane.l.Abandoned {
 			t.Errorf("%s: admitted %d != started %d + abandoned %d",
 				lane.name, lane.l.Admitted, lane.l.Started, lane.l.Abandoned)
@@ -468,8 +440,7 @@ func TestSchedCostGateWatDiv(t *testing.T) {
 // TestSchedHeadersSurfaceQueueState checks the scheduling headers a
 // successful response carries: class, cost estimate, and queue wait.
 func TestSchedHeadersSurfaceQueueState(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(slowFixture(t), ServerOptions{MaxConcurrent: 2}))
-	defer srv.Close()
+	srv := startServer(t, NewHandler(slowFixture(t), ServerOptions{MaxConcurrent: 2}))
 
 	resp, err := srv.Client().Get(queryURL(srv, fastQuery))
 	if err != nil {

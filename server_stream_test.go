@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"s2rdf/internal/rdf"
-	"s2rdf/internal/sched"
 )
 
 // scoreTriples builds n subjects with an integer score in [0, n/4): plenty
@@ -79,30 +78,8 @@ func streamServer(t *testing.T, st *Store, pacer *gatePacer, opts ServerOptions)
 		opts.pacer = pacer
 		opts.flushed = func(int) { pacer.armed.Store(true) }
 	}
-	srv := httptest.NewServer(NewHandler(st, opts))
-	t.Cleanup(srv.Close)
+	srv := startServer(t, NewHandler(st, opts))
 	return srv
-}
-
-// healthzStore reads one store's healthz gauges.
-func healthzStore(t *testing.T, srv *httptest.Server) (streaming, spilled int64) {
-	t.Helper()
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Stores map[string]struct {
-			Streaming    int64 `json:"streaming"`
-			SpilledBytes int64 `json:"spilled_bytes"`
-		} `json:"stores"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	s := doc.Stores[DefaultStoreName]
-	return s.Streaming, s.SpilledBytes
 }
 
 const scanQuery = `SELECT * WHERE { ?p <urn:score> ?s }`
@@ -141,7 +118,7 @@ func TestServerStreamsBeforeCompletion(t *testing.T) {
 	if strings.Contains(got, "]}}") {
 		t.Fatal("response already complete before the engine finished")
 	}
-	if streaming, _ := healthzStore(t, srv); streaming != 1 {
+	if streaming := readHealthz(t, srv).Stores[DefaultStoreName].Streaming; streaming != 1 {
 		t.Fatalf("healthz streaming gauge = %d mid-stream, want 1", streaming)
 	}
 
@@ -202,23 +179,7 @@ func TestServerStreamCancelMidwayStopsProduction(t *testing.T) {
 	// Slot and gauge release: once the engine observes the cancellation the
 	// handler must finish, free its worker slot and drop the streaming
 	// gauge back to zero.
-	s := waitForStats(t, srv, 10*time.Second, func(s sched.Stats) bool {
-		return s.Cheap.Running == 0 && s.Expensive.Running == 0
-	})
-	if s.Cheap.Running != 0 || s.Expensive.Running != 0 {
-		t.Fatalf("worker slot still held after disconnect: %+v", s)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		streaming, _ := healthzStore(t, srv)
-		if streaming == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("streaming gauge still %d after disconnect", streaming)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	assertQuiescent(t, srv)
 }
 
 // TestServerStreamDeadlineTrailingError lets the query deadline expire
@@ -315,7 +276,7 @@ func TestServerMemBudgetSpillEquivalence(t *testing.T) {
 			t.Fatalf("binding %d: got %s, want %s", i, gotSet[i], wantSet[i])
 		}
 	}
-	if _, spilled := healthzStore(t, srv); spilled <= 0 {
+	if spilled := readHealthz(t, srv).Stores[DefaultStoreName].SpilledBytes; spilled <= 0 {
 		t.Fatalf("healthz spilled_bytes = %d, want positive", spilled)
 	}
 }

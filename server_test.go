@@ -3,13 +3,19 @@ package s2rdf
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"s2rdf/internal/fault"
+	"s2rdf/internal/sched"
 )
 
 type resultsDoc struct {
@@ -25,9 +31,108 @@ type resultsDoc struct {
 func serverFixture(t *testing.T) (*Store, *httptest.Server) {
 	t.Helper()
 	st := Load(exampleTriples(), Options{BuildPropertyTable: true})
-	srv := httptest.NewServer(NewHandler(st, ServerOptions{MaxConcurrent: 4}))
+	return st, startServer(t, NewHandler(st, ServerOptions{MaxConcurrent: 4}))
+}
+
+// restGoroutines maps each startServer server to the process's goroutine
+// count right after it started listening.
+var restGoroutines sync.Map
+
+// startServer serves h on a loopback listener for the length of the test
+// and registers, ahead of the listener's Close, the assertion that the
+// server is at rest when the test ends.
+func startServer(t *testing.T, h http.Handler) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	restGoroutines.Store(srv, runtime.NumGoroutine())
 	t.Cleanup(srv.Close)
-	return st, srv
+	t.Cleanup(func() { assertQuiescent(t, srv) })
+	return srv
+}
+
+// assertQuiescent waits (handler defers run after the response body is on
+// the wire, so a freshly-finished request may still hold its slot for an
+// instant) until every store srv serves is at rest — no query running or
+// waiting in either scheduler lane, no response streaming, no follower
+// blocked on a flight — and, once the clients' idle connections are closed,
+// the goroutine count is back to what it was when srv started. Anything
+// still held after 10s is a leak and fails the test.
+func assertQuiescent(t *testing.T, srv *httptest.Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		busy := busyStores(t, srv)
+		if busy == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never came to rest: %s", busy)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	base, ok := restGoroutines.Load(srv)
+	if !ok {
+		t.Fatal("assertQuiescent on a server not started by startServer")
+	}
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	srv.Client().Transport.(*http.Transport).CloseIdleConnections()
+	for runtime.NumGoroutine() > base.(int) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines at rest, %d when the server started:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// healthzReport is the part of the /healthz document the tests read.
+type healthzReport struct {
+	Status string `json:"status"`
+	Stores map[string]struct {
+		Sched          sched.Stats          `json:"sched"`
+		Streaming      int64                `json:"streaming"`
+		SpilledBytes   int64                `json:"spilled_bytes"`
+		Health         fault.HealthSnapshot `json:"health"`
+		ResultCache    cacheStats           `json:"result_cache"` // zero when caching is off
+		PlanCache      CacheCounters        `json:"plan_cache"`
+		SelectionCache CacheCounters        `json:"selection_cache"`
+	} `json:"stores"`
+}
+
+func readHealthz(t *testing.T, srv *httptest.Server) healthzReport {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc healthzReport
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// busyStores names every healthz gauge that is not at rest ("" when all are).
+func busyStores(t *testing.T, srv *httptest.Server) string {
+	t.Helper()
+	var busy []string
+	for name, s := range readHealthz(t, srv).Stores {
+		for gauge, n := range map[string]int{
+			"cheap.running":     s.Sched.Cheap.Running,
+			"cheap.waiting":     s.Sched.Cheap.Waiting,
+			"expensive.running": s.Sched.Expensive.Running,
+			"expensive.waiting": s.Sched.Expensive.Waiting,
+			"streaming":         int(s.Streaming),
+			"flight waiting":    s.ResultCache.Waiting,
+		} {
+			if n != 0 {
+				busy = append(busy, fmt.Sprintf("%s %s=%d", name, gauge, n))
+			}
+		}
+	}
+	return strings.Join(busy, ", ")
 }
 
 func decodeResults(t *testing.T, resp *http.Response) resultsDoc {
@@ -105,9 +210,66 @@ func TestServeAsk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := decodeResults(t, resp)
-	if doc.Boolean == nil || !*doc.Boolean {
-		t.Fatalf("boolean = %v", doc.Boolean)
+	if got := resp.Header.Get("X-S2RDF-Rows-Scanned"); got == "" {
+		t.Error("ASK response carries no metric headers")
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ASK document is pinned byte for byte: it is what the retired
+	// encoding/json writer produced.
+	if want := "{\"head\":{},\"boolean\":true}\n"; string(body) != want {
+		t.Fatalf("ASK body = %q, want %q", body, want)
+	}
+}
+
+// TestServeZeroVariableSelect: a SELECT whose pattern binds no variable is
+// still a SELECT — an (empty) vars array and a bindings array with one empty
+// solution when the pattern matches, none when it does not. It must not be
+// mistaken for an ASK because it has neither variables nor rows.
+func TestServeZeroVariableSelect(t *testing.T) {
+	_, srv := serverFixture(t)
+	for q, want := range map[string]string{
+		`SELECT * WHERE { <urn:A> <urn:follows> <urn:B> }`:    "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[\n{}\n]}}\n",
+		`SELECT * WHERE { <urn:A> <urn:follows> <urn:NOPE> }`: "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[\n]}}\n",
+	} {
+		resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || string(body) != want {
+			t.Errorf("%s: status %d, body %q, want %q", q, resp.StatusCode, body, want)
+		}
+	}
+}
+
+// TestServeMethodNotAllowed: anything but GET and POST is 405 and names the
+// methods that are allowed.
+func TestServeMethodNotAllowed(t *testing.T) {
+	_, srv := serverFixture(t)
+	for _, method := range []string{http.MethodHead, http.MethodPut} {
+		req, err := http.NewRequest(method, srv.URL+"/sparql?query="+url.QueryEscape(followsQuery), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s: status = %d, want 405", method, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Allow"); got != "GET, POST" {
+			t.Errorf("%s: Allow = %q, want \"GET, POST\"", method, got)
+		}
 	}
 }
 
