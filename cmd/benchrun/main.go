@@ -10,60 +10,51 @@
 //	-exp oo         Sec. 5.2 ablation (OO-correlation omission)
 //	-exp bitvec     Sec. 8 future work (bit-vector ExtVP + unification)
 //	-exp scaling    Table 4 scale axis (Basic means vs dataset size)
-//	-exp concurrent concurrent serving throughput on one shared engine
 //	-exp all        everything
 //
+// An unknown -exp name exits non-zero with the list of experiments before
+// any work starts.
+//
 // With -json PATH the raw measurements of every experiment that ran are
-// additionally written as one JSON document, so CI can archive them and a
-// benchmark trajectory accumulates across commits. Workload cells include
+// additionally written as one JSON document. Workload cells include
 // AllocBytesPerOp/AllocsPerOp (mean heap bytes and allocations per query,
 // the -json analogue of go test's B/op and allocs/op) plus
 // RowsScanned/RowsPruned (mean metered scan input and rows skipped by scan
-// pruning), so allocation and scan-volume regressions show up in the
-// BENCH_*.json artifact alongside wall time. The concurrent experiment's
-// rows run through the admission scheduler the HTTP server uses and split
-// mean latency into MeanQueueWait (time waiting for a worker slot) and
-// MeanExec (execution), so a serving regression is attributable to
-// queueing or to the engine from the artifact alone.
-//
-// With -compare OLD.json the basic-workload cells of a previous run (for
-// example the BENCH_baseline.json committed to the repository) are diffed
-// against this run and printed as a delta table, so CI job logs surface
-// scan and allocation regressions without downloading artifacts. The table
-// carries warm-repeat means and cache hit-rate cells (WarmNanos /
-// CacheHitRate in the JSON) next to the cold times, so warm-vs-cold
-// medians — the effect of the memo and result caches — are visible in the
-// same diff. A missing
-// OLD.json is reported and skipped, not fatal: the first run of a new
-// baseline has nothing to compare against.
+// pruning), so allocation and scan-volume differences show up alongside
+// wall time. Serving throughput and latency are measured by the benchmark/
+// harness, not here.
 package main
 
 import (
 	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"s2rdf/internal/bench"
 )
 
+// experiments lists the -exp names in run order ("all" runs each of them).
+var experiments = []string{"load", "st", "basic", "il", "threshold", "joinorder", "oo", "bitvec", "scaling"}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchrun: ")
-	exp := flag.String("exp", "all", "experiment: load, st, basic, il, threshold, joinorder, oo, bitvec, scaling, concurrent, all")
+	names := strings.Join(experiments, ", ")
+	exp := flag.String("exp", "all", "experiment: "+names+", all")
 	scale := flag.Float64("scale", 0.2, "WatDiv scale factor (1 ≈ 10^5 triples)")
 	seed := flag.Int64("seed", 42, "generator seed")
 	runs := flag.Int("runs", 3, "instantiations per query template")
 	timeout := flag.Duration("timeout", 120*time.Second, "per-query timeout (timed-out entries print F)")
 	engines := flag.String("engines", "", "comma-separated engine subset (default all)")
 	jsonOut := flag.String("json", "", "write raw results of the executed experiments to this JSON file")
-	compare := flag.String("compare", "", "previous -json output to diff the basic workload against (delta table)")
-	failAbove := flag.Float64("fail-above", 0, "with -compare: exit non-zero when any basic cell's wall time regresses by more than this fraction (e.g. 0.25 = +25%); 0 only prints the delta")
 	flag.Parse()
+	if *exp != "all" && !slices.Contains(experiments, *exp) {
+		log.Fatalf("unknown -exp %q; want one of: %s, all", *exp, names)
+	}
 
 	tmp, err := os.MkdirTemp("", "s2rdf-bench-*")
 	if err != nil {
@@ -113,9 +104,6 @@ func main() {
 	run("joinorder", func() (any, error) { return bench.RunJoinOrder(cfg) })
 	run("oo", func() (any, error) { return bench.RunOO(cfg) })
 	run("bitvec", func() (any, error) { return bench.RunBitVec(cfg) })
-	run("concurrent", func() (any, error) {
-		return bench.RunConcurrent(cfg, []int{1, 2, 4, 8, 16})
-	})
 	run("scaling", func() (any, error) {
 		return bench.RunScaling(cfg, []float64{*scale / 4, *scale / 2, *scale, *scale * 2})
 	})
@@ -131,76 +119,4 @@ func main() {
 		}
 		log.Printf("wrote %s", *jsonOut)
 	}
-	if *compare != "" {
-		if cells, ok := results["basic"].([]bench.Cell); ok {
-			regressed := printDelta(os.Stdout, *compare, cells, *failAbove)
-			if *failAbove > 0 && len(regressed) > 0 {
-				log.Fatalf("-fail-above %.2f: %d cell(s) regressed: %s",
-					*failAbove, len(regressed), strings.Join(regressed, ", "))
-			}
-		} else {
-			log.Printf("-compare: basic workload did not run, nothing to diff")
-		}
-	}
-}
-
-// printDelta diffs this run's basic-workload cells against a previous -json
-// document and renders a per-(query, engine) delta table: wall time, allocs
-// and scan volume, plus the pruning counts themselves. With failAbove > 0 it
-// returns the "query/engine" labels of cells whose wall time regressed past
-// that fraction, for the caller to fail on. A missing or unreadable previous
-// file only logs a note — the first run after adding a baseline has nothing
-// to compare against and must not fail CI.
-func printDelta(w *os.File, oldPath string, cells []bench.Cell, failAbove float64) []string {
-	raw, err := os.ReadFile(oldPath)
-	if err != nil {
-		log.Printf("-compare: %v (skipping delta)", err)
-		return nil
-	}
-	var doc struct {
-		Basic []bench.Cell `json:"basic"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		log.Printf("-compare: parsing %s: %v (skipping delta)", oldPath, err)
-		return nil
-	}
-	old := make(map[[2]string]bench.Cell, len(doc.Basic))
-	for _, c := range doc.Basic {
-		old[[2]string{c.Query, c.Engine}] = c
-	}
-	pct := func(oldV, newV int64) string {
-		if oldV == 0 {
-			if newV == 0 {
-				return "0%"
-			}
-			return "new"
-		}
-		return fmt.Sprintf("%+.0f%%", 100*float64(newV-oldV)/float64(oldV))
-	}
-	fmt.Fprintf(w, "\n=== delta vs %s (basic workload) ===\n", oldPath)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "query\tengine\ttime\tΔtime\twarm\tΔwarm\thit%\tttfr\tallocs\tΔallocs\tscanned\tΔscanned\tpruned")
-	var regressed []string
-	for _, c := range cells {
-		o, ok := old[[2]string{c.Query, c.Engine}]
-		if !ok || c.Failed || o.Failed {
-			continue
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%v\t%s\t%v\t%s\t%.0f\t%v\t%d\t%s\t%d\t%s\t%d\n",
-			c.Query, c.Engine, c.Reported.Round(time.Microsecond),
-			pct(int64(o.Reported), int64(c.Reported)),
-			c.Warm.Round(time.Microsecond),
-			pct(int64(o.Warm), int64(c.Warm)),
-			100*c.CacheHitRate,
-			c.TTFR.Round(time.Microsecond),
-			c.Allocs, pct(int64(o.Allocs), int64(c.Allocs)),
-			c.RowsScanned, pct(o.RowsScanned, c.RowsScanned),
-			c.RowsPruned)
-		if failAbove > 0 && o.Reported > 0 &&
-			float64(c.Reported-o.Reported) > failAbove*float64(o.Reported) {
-			regressed = append(regressed, c.Query+"/"+c.Engine)
-		}
-	}
-	tw.Flush()
-	return regressed
 }

@@ -266,28 +266,3 @@ func TestRunScaling(t *testing.T) {
 		}
 	}
 }
-
-func TestRunConcurrent(t *testing.T) {
-	var out bytes.Buffer
-	cfg := testConfig(t)
-	cfg.Out = &out
-	rows, err := RunConcurrent(cfg, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// The metered work is identical at every concurrency level: parallel
-	// serving changes throughput, never the answers' cost accounting.
-	if rows[0].RowsScanned != rows[1].RowsScanned {
-		t.Errorf("scanned rows differ across worker counts: %d vs %d",
-			rows[0].RowsScanned, rows[1].RowsScanned)
-	}
-	if rows[0].Queries != rows[1].Queries || rows[0].Queries == 0 {
-		t.Errorf("query counts: %d vs %d", rows[0].Queries, rows[1].Queries)
-	}
-	if !strings.Contains(out.String(), "Concurrent serving throughput") {
-		t.Errorf("report missing header:\n%s", out.String())
-	}
-}

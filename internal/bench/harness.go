@@ -75,10 +75,6 @@ type RunStats struct {
 	// PeakMem is the peak accounted intermediate state in bytes
 	// (0 for systems that do not meter it).
 	PeakMem int64
-	// Cached reports whether the engine answered the query through its
-	// plan cache (false for systems that do not meter it); the warm-run
-	// hit-rate cells aggregate it.
-	Cached bool
 }
 
 // Engine is a uniform wrapper over all compared systems.
@@ -163,7 +159,6 @@ func NewWorkbench(cfg Config) (*Workbench, error) {
 				Rows: res.Len(), Wall: res.Duration, Reported: res.Duration,
 				Scanned: res.Metrics.RowsScanned, Pruned: res.Metrics.RowsPruned,
 				TTFR: res.TimeToFirstRow, PeakMem: res.PeakMemBytes,
-				Cached: res.PlanCached,
 			}, nil
 		}}
 	}
@@ -256,15 +251,13 @@ type Cell struct {
 	Failed   bool
 	// AllocBytes and Allocs are the mean heap bytes and allocation count
 	// per query execution (runtime.MemStats deltas), the -json analogue of
-	// go test's B/op and allocs/op: CI archives them so allocation
-	// regressions surface in the benchmark artifact alongside wall time.
+	// go test's B/op and allocs/op, reported alongside wall time.
 	AllocBytes uint64 `json:"AllocBytesPerOp"`
 	Allocs     uint64 `json:"AllocsPerOp"`
 	// RowsScanned and RowsPruned are the engine's mean metered scan input
 	// and the mean rows its scans skipped via sort order and zone maps per
-	// query (0 for systems that do not meter them), so scan-volume
-	// regressions — and pruning effectiveness — are visible in the
-	// artifact.
+	// query (0 for systems that do not meter them), so scan volume — and
+	// pruning effectiveness — are reported per cell.
 	RowsScanned int64 `json:"RowsScanned"`
 	RowsPruned  int64 `json:"RowsPruned"`
 	// TTFR is the mean time to first row, the latency a streaming client
@@ -273,14 +266,6 @@ type Cell struct {
 	// them.
 	TTFR    time.Duration `json:"TTFRNanos"`
 	PeakMem int64         `json:"PeakMemBytes"`
-	// Warm is the mean reported time of re-running the same instantiations
-	// immediately after the measured runs, when every memo layer the
-	// serving stack relies on (plan cache, selection cache, lazily counted
-	// ExtVP reductions) is hot; CacheHitRate is the fraction of those warm
-	// repeats the engine answered through its plan cache. Together they
-	// make warm-vs-cold medians visible in the -compare delta table.
-	Warm         time.Duration `json:"WarmNanos"`
-	CacheHitRate float64       `json:"CacheHitRate"`
 }
 
 // allocDelta runs fn and returns the process-wide heap allocation deltas
@@ -349,24 +334,6 @@ func (wb *Workbench) RunWorkload(templates []watdiv.Template) []Cell {
 				cell.RowsPruned = pruned / int64(n)
 				cell.TTFR = ttfr / time.Duration(len(queries))
 				cell.PeakMem = peak / int64(n)
-				// Warm repeats: the same instantiations again, now that the
-				// engine's memo layers have seen them.
-				var warm time.Duration
-				hits := 0
-				for _, src := range queries {
-					st, err := runWithTimeout(wb.Cfg.Timeout,
-						func() (RunStats, error) { return eng.Run(src) })
-					if err != nil || st.Reported == timedOut {
-						warm, hits = 0, 0
-						break
-					}
-					warm += st.Reported
-					if st.Cached {
-						hits++
-					}
-				}
-				cell.Warm = warm / time.Duration(len(queries))
-				cell.CacheHitRate = float64(hits) / float64(len(queries))
 			}
 			cells = append(cells, cell)
 		}

@@ -20,8 +20,7 @@ import (
 //     connected to what is already joined so no accidental cross join is
 //     introduced (the refinement of the paper's Algorithm 4);
 //   - join STRATEGY: per join, broadcast the smaller side when replicating
-//     it to every partition moves fewer rows than shuffling both sides,
-//     instead of the engine's static SetBroadcastThreshold global;
+//     it to every partition moves fewer rows than shuffling both sides;
 //
 // and memoizes the table selections themselves per normalized BGP (the
 // SelectionCache), so repeat queries skip Algorithm 1 entirely until the

@@ -76,8 +76,7 @@ func TestPlannerStarAcceptance(t *testing.T) {
 	}
 	// Both joins keep a 1-row intermediate on the left: replicating it to
 	// 4 partitions is cheaper than shuffling both sides, so the planner
-	// must broadcast — with SetBroadcastThreshold unset (0), the old
-	// static check would have shuffled every join.
+	// must broadcast rather than fall back to the zero (shuffle) strategy.
 	if len(res.Joins) != 2 {
 		t.Fatalf("Joins = %+v, want 2 steps", res.Joins)
 	}

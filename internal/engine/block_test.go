@@ -124,9 +124,9 @@ func TestJoinTableChains(t *testing.T) {
 
 func TestUnionDisjointSchemasPadsNull(t *testing.T) {
 	c := NewCluster(2)
-	a := c.FromRows([]string{"x"}, []Row{{1}})
-	b := c.FromRows([]string{"y"}, []Row{{2}})
-	res := c.Union(a, b)
+	a := c.exec().FromRows([]string{"x"}, []Row{{1}})
+	b := c.exec().FromRows([]string{"y"}, []Row{{2}})
+	res := c.exec().Union(a, b)
 	if !reflect.DeepEqual(res.Schema, []string{"x", "y"}) {
 		t.Fatalf("schema = %v", res.Schema)
 	}
@@ -135,9 +135,9 @@ func TestUnionDisjointSchemasPadsNull(t *testing.T) {
 
 func TestUnionOverlappingSchemas(t *testing.T) {
 	c := NewCluster(2)
-	a := c.FromRows([]string{"x", "y"}, []Row{{1, 2}, {3, 4}})
-	b := c.FromRows([]string{"y", "z"}, []Row{{4, 5}})
-	res := c.Union(a, b)
+	a := c.exec().FromRows([]string{"x", "y"}, []Row{{1, 2}, {3, 4}})
+	b := c.exec().FromRows([]string{"y", "z"}, []Row{{4, 5}})
+	res := c.exec().Union(a, b)
 	if !reflect.DeepEqual(res.Schema, []string{"x", "y", "z"}) {
 		t.Fatalf("schema = %v", res.Schema)
 	}
@@ -154,9 +154,9 @@ func TestUnionThenJoinReshuffles(t *testing.T) {
 		arows = append(arows, Row{dict.ID(i), dict.ID(100 + i)})
 		brows = append(brows, Row{dict.ID(30 + i), dict.ID(200 + i)})
 	}
-	u := c.Union(
-		c.FromRows([]string{"x", "y"}, arows),
-		c.FromRows([]string{"x", "y"}, brows),
+	u := c.exec().Union(
+		c.exec().FromRows([]string{"x", "y"}, arows),
+		c.exec().FromRows([]string{"x", "y"}, brows),
 	)
 	if len(u.Parts) != 2*c.Partitions() {
 		t.Fatalf("union has %d partitions, want %d", len(u.Parts), 2*c.Partitions())
@@ -165,8 +165,8 @@ func TestUnionThenJoinReshuffles(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		rrows = append(rrows, Row{dict.ID(i), dict.ID(300 + i)})
 	}
-	right := c.FromRows([]string{"x", "z"}, rrows)
-	res := c.Join(u, right)
+	right := c.exec().FromRows([]string{"x", "z"}, rrows)
+	res := c.exec().JoinWith(u, right, StrategyShuffle)
 	if res.NumRows() != 60 {
 		t.Errorf("join after union = %d rows, want 60", res.NumRows())
 	}
@@ -177,9 +177,9 @@ func TestUnionThenJoinReshuffles(t *testing.T) {
 
 func TestUnionEmptySide(t *testing.T) {
 	c := NewCluster(2)
-	a := c.FromRows([]string{"x"}, []Row{{1}, {2}})
-	empty := c.FromRows([]string{"x", "y"}, nil)
-	res := c.Union(a, empty)
+	a := c.exec().FromRows([]string{"x"}, []Row{{1}, {2}})
+	empty := c.exec().FromRows([]string{"x", "y"}, nil)
+	res := c.exec().Union(a, empty)
 	rowsEqual(t, res, []Row{{1, Null}, {2, Null}})
 }
 
@@ -249,21 +249,6 @@ func TestScanUnknownColumnErrors(t *testing.T) {
 		t.Errorf("projection: err %v, want mention of %q and the table name", err, "nope")
 	}
 
-	// The Scan builder/test convenience keeps the panic contract: its
-	// callers construct both table and spec, so an unknown column there is
-	// a true invariant violation.
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Error("Scan: no panic")
-			return
-		}
-		perr, ok := r.(error)
-		if !ok || !strings.Contains(perr.Error(), `"nope"`) {
-			t.Errorf("Scan: panic %v, want error mentioning %q", r, "nope")
-		}
-	}()
-	c.Scan(tbl, []ScanProjection{{Col: "nope", As: "x"}}, nil)
 }
 
 func TestEachRowMatchesRows(t *testing.T) {
@@ -272,7 +257,7 @@ func TestEachRowMatchesRows(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		rows = append(rows, Row{dict.ID(i), dict.ID(i * 2)})
 	}
-	rel := c.FromRows([]string{"a", "b"}, rows)
+	rel := c.exec().FromRows([]string{"a", "b"}, rows)
 	var got []Row
 	rel.EachRow(func(i int, row Row) bool {
 		if i != len(got) {
@@ -298,11 +283,11 @@ func TestLimitOffsetOnBlocks(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		rows = append(rows, Row{dict.ID(i)})
 	}
-	rel := c.FromRows([]string{"x"}, rows)
-	if got := c.Limit(rel, 5, 0).NumRows(); got != 0 {
+	rel := c.exec().FromRows([]string{"x"}, rows)
+	if got := c.exec().Limit(rel, 5, 0).NumRows(); got != 0 {
 		t.Errorf("Limit(5, 0) = %d rows, want 0", got)
 	}
-	if got := c.Limit(rel, 18, 10).NumRows(); got != 2 {
+	if got := c.exec().Limit(rel, 18, 10).NumRows(); got != 2 {
 		t.Errorf("Limit(18, 10) = %d rows, want 2", got)
 	}
 }

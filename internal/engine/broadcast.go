@@ -1,14 +1,11 @@
 package engine
 
 // Broadcast joins. The paper's evaluation runs Spark with broadcast joins
-// disabled (Sec. 7 setup); this engine supports them behind a threshold so
-// the choice can be reproduced and ablated. When one join side is smaller
-// than BroadcastThreshold rows, it is replicated to every partition of the
-// other side instead of shuffling both sides by the join key.
-
-// SetBroadcastThreshold enables broadcast joins for build sides of at most
-// n rows (0 disables them, the paper's configuration).
-func (c *Cluster) SetBroadcastThreshold(n int) { c.broadcastThreshold = n }
+// disabled (Sec. 7 setup); this engine supports them so the choice can be
+// reproduced and ablated. Under StrategyBroadcast the smaller join side is
+// replicated to every partition of the other side instead of shuffling both
+// sides by the join key; the planner in internal/core picks the strategy per
+// join from estimated side sizes.
 
 // broadcastJoin joins left and right by replicating the smaller side to
 // every partition of the bigger one. The small side is gathered and indexed

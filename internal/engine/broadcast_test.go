@@ -18,16 +18,15 @@ func TestBroadcastJoinMatchesShuffleJoin(t *testing.T) {
 		for _, v := range bv {
 			brows = append(brows, Row{dict.ID(v % 8), dict.ID(v / 2)})
 		}
-		shuffled := NewCluster(4)
+		shuffled := NewCluster(4).exec()
 		a1 := shuffled.FromRows([]string{"x", "y"}, arows)
 		b1 := shuffled.FromRows([]string{"x", "z"}, brows)
-		want := sortedRows(shuffled.Join(a1, b1))
+		want := sortedRows(shuffled.JoinWith(a1, b1, StrategyShuffle))
 
-		broadcast := NewCluster(4)
-		broadcast.SetBroadcastThreshold(1 << 20) // always broadcast
+		broadcast := NewCluster(4).exec()
 		a2 := broadcast.FromRows([]string{"x", "y"}, arows)
 		b2 := broadcast.FromRows([]string{"x", "z"}, brows)
-		got := sortedRows(broadcast.Join(a2, b2))
+		got := sortedRows(broadcast.JoinWith(a2, b2, StrategyBroadcast))
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -37,17 +36,17 @@ func TestBroadcastJoinMatchesShuffleJoin(t *testing.T) {
 
 func TestBroadcastJoinSmallRightSide(t *testing.T) {
 	c := NewCluster(4)
-	c.SetBroadcastThreshold(10)
+	x := c.exec()
 	var big []Row
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
 		big = append(big, Row{dict.ID(rng.Intn(20)), dict.ID(i)})
 	}
-	bigRel := c.FromRows([]string{"x", "y"}, big)
-	small := c.FromRows([]string{"x", "z"}, []Row{{3, 100}, {7, 200}})
+	bigRel := x.FromRows([]string{"x", "y"}, big)
+	small := x.FromRows([]string{"x", "z"}, []Row{{3, 100}, {7, 200}})
 
 	before := c.Metrics.RowsShuffled.Load()
-	res := c.Join(bigRel, small)
+	res := x.JoinWith(bigRel, small, StrategyBroadcast)
 	shuffled := c.Metrics.RowsShuffled.Load() - before
 	// Broadcast cost: 2 small rows × 4 partitions = 8, not 102.
 	if shuffled != 8 {
@@ -69,15 +68,14 @@ func TestBroadcastJoinSmallRightSide(t *testing.T) {
 }
 
 func TestBroadcastJoinSmallLeftSide(t *testing.T) {
-	c := NewCluster(3)
-	c.SetBroadcastThreshold(10)
-	small := c.FromRows([]string{"x", "y"}, []Row{{1, 10}, {2, 20}})
+	x := NewCluster(3).exec()
+	small := x.FromRows([]string{"x", "y"}, []Row{{1, 10}, {2, 20}})
 	var big []Row
 	for i := 0; i < 50; i++ {
 		big = append(big, Row{dict.ID(i % 4), dict.ID(i)})
 	}
-	bigRel := c.FromRows([]string{"x", "z"}, big)
-	res := c.Join(small, bigRel)
+	bigRel := x.FromRows([]string{"x", "z"}, big)
+	res := x.JoinWith(small, bigRel, StrategyBroadcast)
 	if !reflect.DeepEqual(res.Schema, []string{"x", "y", "z"}) {
 		t.Fatalf("schema = %v", res.Schema)
 	}
@@ -92,12 +90,16 @@ func TestBroadcastJoinSmallLeftSide(t *testing.T) {
 	}
 }
 
+// TestBroadcastDisabledByDefault pins the zero JoinStrategy to the paper's
+// configuration: a shuffle join, never a broadcast.
 func TestBroadcastDisabledByDefault(t *testing.T) {
 	c := NewCluster(4)
-	a := c.FromRows([]string{"x"}, []Row{{1}})
-	b := c.FromRows([]string{"x", "y"}, []Row{{1, 2}, {3, 4}})
+	x := c.exec()
+	a := x.FromRows([]string{"x"}, []Row{{1}})
+	b := x.FromRows([]string{"x", "y"}, []Row{{1, 2}, {3, 4}})
 	before := c.Metrics.RowsShuffled.Load()
-	c.Join(a, b)
+	var zero JoinStrategy
+	x.JoinWith(a, b, zero)
 	// Both sides shuffled (1 + 2 rows), not broadcast (1×4).
 	if got := c.Metrics.RowsShuffled.Load() - before; got != 3 {
 		t.Errorf("shuffled %d rows, want 3 (shuffle join)", got)
@@ -105,11 +107,10 @@ func TestBroadcastDisabledByDefault(t *testing.T) {
 }
 
 func TestBroadcastJoinEmptySmallSide(t *testing.T) {
-	c := NewCluster(2)
-	c.SetBroadcastThreshold(10)
-	empty := c.FromRows([]string{"x", "y"}, nil)
-	big := c.FromRows([]string{"x", "z"}, []Row{{1, 2}, {3, 4}})
-	if res := c.Join(empty, big); res.NumRows() != 0 {
+	x := NewCluster(2).exec()
+	empty := x.FromRows([]string{"x", "y"}, nil)
+	big := x.FromRows([]string{"x", "z"}, []Row{{1, 2}, {3, 4}})
+	if res := x.JoinWith(empty, big, StrategyBroadcast); res.NumRows() != 0 {
 		t.Errorf("rows = %d, want 0", res.NumRows())
 	}
 }

@@ -18,12 +18,12 @@ func TestCancelledExecSkipsOperators(t *testing.T) {
 	if err := x.Err(); err != context.Canceled {
 		t.Fatalf("Err = %v, want context.Canceled", err)
 	}
-	f := x.Scan(follows, []ScanProjection{{Col: "s", As: "x"}, {Col: "o", As: "y"}}, nil)
+	f := mustScan(x, follows, ScanSpec{Projs: []ScanProjection{{Col: "s", As: "x"}, {Col: "o", As: "y"}}})
 	if f.NumRows() != 0 {
 		t.Errorf("cancelled Scan produced %d rows, want 0", f.NumRows())
 	}
-	l := x.Scan(likes, []ScanProjection{{Col: "s", As: "y"}, {Col: "o", As: "w"}}, nil)
-	j := x.Join(f, l)
+	l := mustScan(x, likes, ScanSpec{Projs: []ScanProjection{{Col: "s", As: "y"}, {Col: "o", As: "w"}}})
+	j := x.JoinWith(f, l, StrategyShuffle)
 	if j.NumRows() != 0 {
 		t.Errorf("cancelled Join produced %d rows, want 0", j.NumRows())
 	}
@@ -38,7 +38,7 @@ func TestExecWithoutContextNeverCancels(t *testing.T) {
 	if x.Err() != nil || x.Cancelled() {
 		t.Fatal("context-free Exec reports cancellation")
 	}
-	rel := x.Scan(follows, []ScanProjection{{Col: "s", As: "x"}}, nil)
+	rel := mustScan(x, follows, ScanSpec{Projs: []ScanProjection{{Col: "s", As: "x"}}})
 	if rel.NumRows() != follows.NumRows() {
 		t.Errorf("rows = %d, want %d", rel.NumRows(), follows.NumRows())
 	}
@@ -55,7 +55,7 @@ func TestCancelMidJoinReturnsPromptly(t *testing.T) {
 		for i := range rows {
 			rows[i] = Row{base + uint32(i)}
 		}
-		return c.FromRows([]string{col}, rows)
+		return c.exec().FromRows([]string{col}, rows)
 	}
 	left, right := mk("a", 0), mk("b", 1<<20)
 
@@ -64,7 +64,7 @@ func TestCancelMidJoinReturnsPromptly(t *testing.T) {
 	time.AfterFunc(5*time.Millisecond, cancel)
 
 	start := time.Now()
-	out := x.Join(left, right) // no shared columns: 9M-row cross join
+	out := x.JoinWith(left, right, StrategyShuffle) // no shared columns: 9M-row cross join
 	elapsed := time.Since(start)
 
 	if err := x.Err(); err != context.Canceled {

@@ -40,7 +40,6 @@ import (
 
 	"s2rdf/internal/dict"
 	"s2rdf/internal/fault"
-	"s2rdf/internal/store"
 )
 
 // Null marks an unbound value in a row (produced by OPTIONAL and UNION).
@@ -144,10 +143,7 @@ func (s MetricsSnapshot) Add(other MetricsSnapshot) MetricsSnapshot {
 type Cluster struct {
 	partitions int
 	workers    int
-	// broadcastThreshold enables broadcast joins for sides of at most this
-	// many rows; 0 disables them (the paper's Spark configuration).
-	broadcastThreshold int
-	Metrics            Metrics
+	Metrics    Metrics
 }
 
 // NewCluster returns a cluster with the given number of partitions per
@@ -247,10 +243,6 @@ func (c *Cluster) NewExecContext(ctx context.Context, m *Metrics) *Exec {
 	}
 	return x
 }
-
-// exec returns an aggregate-only handle backing the Cluster convenience
-// methods.
-func (c *Cluster) exec() *Exec { return &Exec{c: c} }
 
 // Cluster returns the underlying cluster.
 func (x *Exec) Cluster() *Cluster { return x.c }
@@ -678,26 +670,21 @@ func splitRange(n, parts, p int) (lo, hi int) {
 }
 
 // FromRows builds a relation from a row slice, block-partitioned. It is the
-// compatibility constructor for coordinator-side row sets; the rows are
-// copied into column-major blocks.
-func (c *Cluster) FromRows(schema []string, rows []Row) *Relation {
-	rel := newRelation(schema, c.partitions)
+// constructor for coordinator-side row sets; the rows are copied into
+// column-major blocks.
+func (x *Exec) FromRows(schema []string, rows []Row) *Relation {
+	parts := x.c.partitions
+	rel := newRelation(schema, parts)
 	if len(rows) == 0 {
 		return rel
 	}
 	arity := len(schema)
-	for p := 0; p < c.partitions; p++ {
-		lo, hi := splitRange(len(rows), c.partitions, p)
+	for p := 0; p < parts; p++ {
+		lo, hi := splitRange(len(rows), parts, p)
 		if lo < hi {
 			rel.Parts[p] = blockOfRows(arity, rows[lo:hi])
 		}
 	}
-	return rel
-}
-
-// FromRows builds a relation from a row slice, block-partitioned.
-func (x *Exec) FromRows(schema []string, rows []Row) *Relation {
-	rel := x.c.FromRows(schema, rows)
 	x.trackRelation(rel)
 	return rel
 }
@@ -886,18 +873,12 @@ func sharedCols(left, right []string) (lIdx, rIdx []int) {
 }
 
 // JoinStrategy selects the physical algorithm for one join. The planner in
-// internal/core picks it per join from the statistics-estimated side sizes;
-// StrategyAuto reproduces the legacy threshold behavior for callers that do
-// not plan.
+// internal/core picks it per join from the statistics-estimated side sizes.
 type JoinStrategy int
 
 const (
-	// StrategyAuto lets the engine decide from the cluster's static
-	// broadcast threshold (SetBroadcastThreshold); with no threshold it
-	// always shuffles.
-	StrategyAuto JoinStrategy = iota
 	// StrategyShuffle repartitions both sides by the join key.
-	StrategyShuffle
+	StrategyShuffle JoinStrategy = iota
 	// StrategyBroadcast replicates the smaller side (for LeftJoinWith:
 	// always the right side) to every partition of the other.
 	StrategyBroadcast
@@ -906,8 +887,6 @@ const (
 // String returns the strategy name as reported in explain output.
 func (s JoinStrategy) String() string {
 	switch s {
-	case StrategyAuto:
-		return "auto"
 	case StrategyShuffle:
 		return "shuffle"
 	case StrategyBroadcast:
@@ -916,37 +895,18 @@ func (s JoinStrategy) String() string {
 	return fmt.Sprintf("JoinStrategy(%d)", int(s))
 }
 
-// Join computes the natural join of left and right on all shared columns.
-// With no shared columns it degenerates to a cross join (metered but
-// discouraged; the query planner avoids it). The physical algorithm follows
-// StrategyAuto; planners choose per join via JoinWith.
-func (x *Exec) Join(left, right *Relation) *Relation {
-	return x.JoinWith(left, right, StrategyAuto)
-}
-
-// JoinWith is Join under an explicit physical strategy. StrategyBroadcast
-// replicates whichever side is smaller; StrategyShuffle repartitions both
-// sides; StrategyAuto falls back to the cluster's static threshold.
+// JoinWith computes the natural join of left and right on all shared
+// columns under an explicit physical strategy: StrategyBroadcast replicates
+// whichever side is smaller, StrategyShuffle repartitions both sides. With
+// no shared columns it degenerates to a cross join (metered but
+// discouraged; the query planner avoids it).
 func (x *Exec) JoinWith(left, right *Relation, strat JoinStrategy) *Relation {
 	c := x.c
 	lIdx, rIdx := sharedCols(left.Schema, right.Schema)
 	if len(lIdx) == 0 {
 		return x.cross(left, right)
 	}
-	broadcast := false
-	switch strat {
-	case StrategyBroadcast:
-		broadcast = true
-	case StrategyAuto:
-		if n := c.broadcastThreshold; n > 0 {
-			small := left.NumRows()
-			if r := right.NumRows(); r < small {
-				small = r
-			}
-			broadcast = small <= n
-		}
-	}
-	if broadcast {
+	if strat == StrategyBroadcast {
 		return x.broadcastJoin(left, right, lIdx, rIdx)
 	}
 	// Shuffle both sides by the first join column; remaining join columns
@@ -958,24 +918,19 @@ func (x *Exec) JoinWith(left, right *Relation, strat JoinStrategy) *Relation {
 	out := newRelation(outSchema, c.partitions)
 	out.keyCol = lIdx[0]
 	x.parallel(c.partitions, func(p int) {
-		out.Parts[p] = x.hashJoinPartition(l.Parts[p], r.Parts[p], lIdx, rIdx, false, len(outSchema))
+		out.Parts[p] = x.hashJoinPartition(l.Parts[p], r.Parts[p], lIdx, rIdx, len(outSchema))
 	})
 	x.trackRelation(out)
 	x.addOutput(int64(out.NumRows()))
 	return out
 }
 
-// LeftJoin computes the left outer join (SPARQL OPTIONAL): unmatched left
-// rows survive with Null in the right-only columns. An optional post-join
-// predicate (the OPTIONAL group's filter) is applied to matched rows.
-func (x *Exec) LeftJoin(left, right *Relation, pred func(Row) bool) *Relation {
-	return x.LeftJoinWith(left, right, pred, StrategyAuto)
-}
-
-// LeftJoinWith is LeftJoin under an explicit physical strategy. Only the
-// right side of an outer join can be broadcast (every left row must appear
-// exactly once, so left rows stay partitioned in place); StrategyAuto and
-// StrategyShuffle both shuffle, preserving the legacy behavior.
+// LeftJoinWith computes the left outer join (SPARQL OPTIONAL) under an
+// explicit physical strategy: unmatched left rows survive with Null in the
+// right-only columns, and an optional post-join predicate (the OPTIONAL
+// group's filter) is applied to matched rows. Only the right side of an
+// outer join can be broadcast (every left row must appear exactly once, so
+// left rows stay partitioned in place).
 func (x *Exec) LeftJoinWith(left, right *Relation, pred func(Row) bool, strat JoinStrategy) *Relation {
 	c := x.c
 	lIdx, rIdx := sharedCols(left.Schema, right.Schema)
@@ -1008,44 +963,19 @@ func (x *Exec) LeftJoinWith(left, right *Relation, pred func(Row) bool, strat Jo
 	return out
 }
 
-// SemiJoin keeps the left rows that have at least one match in right on the
-// shared columns. This is the engine primitive ExtVP construction uses.
-func (x *Exec) SemiJoin(left, right *Relation) *Relation {
-	c := x.c
-	lIdx, rIdx := sharedCols(left.Schema, right.Schema)
-	if len(lIdx) == 0 {
-		if right.NumRows() > 0 {
-			return left
-		}
-		return newRelation(left.Schema, len(left.Parts))
-	}
-	l := x.shuffle(left, lIdx[0])
-	r := x.shuffle(right, rIdx[0])
-	out := newRelation(left.Schema, c.partitions)
-	out.keyCol = lIdx[0]
-	x.parallel(c.partitions, func(p int) {
-		out.Parts[p] = x.hashJoinPartition(l.Parts[p], r.Parts[p], lIdx, rIdx, true, len(left.Schema))
-	})
-	x.trackRelation(out)
-	x.addOutput(int64(out.NumRows()))
-	return out
-}
-
 // hashJoinPartition joins one co-partition pair. The probe pass emits
 // (build-row, probe-row) index pair vectors — no output row is assembled
 // during probing — and the pairs are materialized once at the end, one
-// gather per output column. When semi is true it instead records each
-// matching probe (= left) row once and gathers those.
-func (x *Exec) hashJoinPartition(lblk, rblk *Block, lIdx, rIdx []int, semi bool, outArity int) *Block {
+// gather per output column.
+func (x *Exec) hashJoinPartition(lblk, rblk *Block, lIdx, rIdx []int, outArity int) *Block {
 	if lblk.Len() == 0 || rblk.Len() == 0 {
 		return newFixedBlock(outArity, 0)
 	}
-	// Build on the smaller side unless emitting semi-join output, which
-	// must preserve left rows.
+	// Build on the smaller side.
 	build, probe := rblk, lblk
 	bIdx, pIdx := rIdx, lIdx
 	swapped := false
-	if !semi && lblk.Len() < rblk.Len() {
+	if lblk.Len() < rblk.Len() {
 		build, probe = lblk, rblk
 		bIdx, pIdx = lIdx, rIdx
 		swapped = true
@@ -1054,7 +984,7 @@ func (x *Exec) hashJoinPartition(lblk, rblk *Block, lIdx, rIdx []int, semi bool,
 	// the external sort-merge join instead (see spill.go). A disk failure
 	// falls through to the in-memory path: the budget is best-effort, the
 	// result is not.
-	if !semi && x.overBudget(tableBytes(build.Len())) {
+	if x.overBudget(tableBytes(build.Len())) {
 		if out, ok := x.spillJoin(build, probe, bIdx, pIdx, outArity, swapped); ok {
 			return out
 		}
@@ -1081,18 +1011,11 @@ func (x *Exec) hashJoinPartition(lblk, rblk *Block, lIdx, rIdx []int, semi bool,
 					continue cand
 				}
 			}
-			if semi {
-				psel = append(psel, int32(i))
-				break
-			}
 			bsel = append(bsel, bi)
 			psel = append(psel, int32(i))
 		}
 	}
 	x.addComparisons(comparisons)
-	if semi {
-		return probe.gatherSel(psel)
-	}
 	if swapped {
 		// build is the left input: its columns lead the output.
 		return gatherPairs(build, bsel, probe, keepCols(probe.Arity(), pIdx), psel)
@@ -1482,61 +1405,6 @@ func (x *Exec) Limit(r *Relation, offset, n int) *Relation {
 	}
 	x.trackRelation(out)
 	return out
-}
-
-// Cluster-level operator wrappers. These run the operator with
-// aggregate-only metering — the single-query convenience surface used by
-// ExtVP construction, tests and tools. Query execution should go through
-// NewExec for per-query accounting.
-
-// Scan reads a stored table; see Exec.Scan.
-func (c *Cluster) Scan(t *store.Table, projs []ScanProjection, conds []ScanCondition) *Relation {
-	return c.exec().Scan(t, projs, conds)
-}
-
-// Filter keeps the rows satisfying pred; see Exec.Filter.
-func (c *Cluster) Filter(r *Relation, pred func(Row) bool) *Relation {
-	return c.exec().Filter(r, pred)
-}
-
-// Project keeps the named columns, in order; see Exec.Project.
-func (c *Cluster) Project(r *Relation, cols []string) *Relation {
-	return c.exec().Project(r, cols)
-}
-
-// Join computes the natural join; see Exec.Join.
-func (c *Cluster) Join(left, right *Relation) *Relation {
-	return c.exec().Join(left, right)
-}
-
-// LeftJoin computes the left outer join; see Exec.LeftJoin.
-func (c *Cluster) LeftJoin(left, right *Relation, pred func(Row) bool) *Relation {
-	return c.exec().LeftJoin(left, right, pred)
-}
-
-// SemiJoin keeps left rows with a match in right; see Exec.SemiJoin.
-func (c *Cluster) SemiJoin(left, right *Relation) *Relation {
-	return c.exec().SemiJoin(left, right)
-}
-
-// Union concatenates two relations; see Exec.Union.
-func (c *Cluster) Union(a, b *Relation) *Relation {
-	return c.exec().Union(a, b)
-}
-
-// Distinct removes duplicate rows; see Exec.Distinct.
-func (c *Cluster) Distinct(r *Relation) *Relation {
-	return c.exec().Distinct(r)
-}
-
-// OrderBy sorts all rows; see Exec.OrderBy.
-func (c *Cluster) OrderBy(r *Relation, cols []SortCol, keyOf func(dict.ID) SortKey) *Relation {
-	return c.exec().OrderBy(r, cols, keyOf)
-}
-
-// Limit returns at most n rows after skipping offset rows; see Exec.Limit.
-func (c *Cluster) Limit(r *Relation, offset, n int) *Relation {
-	return c.exec().Limit(r, offset, n)
 }
 
 func indexOf(s []string, v string) int {

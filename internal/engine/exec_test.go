@@ -14,9 +14,9 @@ func TestExecPerQueryMetrics(t *testing.T) {
 	follows, likes := g1VP()
 
 	plan := func(x *Exec) *Relation {
-		f := x.Scan(follows, []ScanProjection{{"s", "x"}, {"o", "y"}}, nil)
-		l := x.Scan(likes, []ScanProjection{{"s", "y"}, {"o", "w"}}, nil)
-		return x.Distinct(x.Join(f, l))
+		f := mustScan(x, follows, ScanSpec{Projs: []ScanProjection{{"s", "x"}, {"o", "y"}}})
+		l := mustScan(x, likes, ScanSpec{Projs: []ScanProjection{{"s", "y"}, {"o", "w"}}})
+		return x.Distinct(x.JoinWith(f, l, StrategyShuffle))
 	}
 
 	// Isolated baseline.
@@ -65,12 +65,12 @@ func TestExecPerQueryMetrics(t *testing.T) {
 	}
 }
 
-// TestExecNilMetrics checks the aggregate-only path (Cluster convenience
-// wrappers) still meters the cluster totals.
+// TestExecNilMetrics checks an aggregate-only handle (NewExec(nil)) still
+// meters the cluster totals.
 func TestExecNilMetrics(t *testing.T) {
 	follows, _ := g1VP()
 	c := NewCluster(2)
-	c.Scan(follows, []ScanProjection{{"s", "x"}}, nil)
+	mustScan(c.exec(), follows, ScanSpec{Projs: []ScanProjection{{"s", "x"}}})
 	if got := c.Metrics.RowsScanned.Load(); got != int64(follows.NumRows()) {
 		t.Errorf("aggregate RowsScanned = %d, want %d", got, follows.NumRows())
 	}
@@ -84,8 +84,8 @@ func TestDistinctFNVCollisionSafety(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		rows = append(rows, Row{uint32(i % 7), uint32(i % 3)})
 	}
-	rel := c.FromRows([]string{"a", "b"}, rows)
-	got := c.Distinct(rel)
+	rel := c.exec().FromRows([]string{"a", "b"}, rows)
+	got := c.exec().Distinct(rel)
 	distinct := map[[2]uint32]bool{}
 	for _, r := range rows {
 		distinct[[2]uint32{r[0], r[1]}] = true
@@ -138,7 +138,7 @@ func benchRelation(c *Cluster, n int) *Relation {
 	for i := range rows {
 		rows[i] = Row{uint32(i % 512), uint32(i % 100), uint32(i % 4)}
 	}
-	return c.FromRows([]string{"a", "b", "c"}, rows)
+	return c.exec().FromRows([]string{"a", "b", "c"}, rows)
 }
 
 func BenchmarkDistinctFNV(b *testing.B) {
@@ -146,7 +146,7 @@ func BenchmarkDistinctFNV(b *testing.B) {
 	rel := benchRelation(c, 100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Distinct(rel)
+		c.exec().Distinct(rel)
 	}
 }
 

@@ -350,34 +350,3 @@ func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []sc
 	}
 	return out
 }
-
-// Scan reads a stored table, applies constant conditions, projects and
-// renames columns, and produces a block-partitioned relation; see ScanTable.
-// Unlike ScanTable it panics on unknown columns: Scan is the builder/test
-// convenience whose callers construct both table and spec, so an unknown
-// column is a true invariant violation there.
-func (x *Exec) Scan(t *store.Table, projs []ScanProjection, conds []ScanCondition) *Relation {
-	rel, _, err := x.ScanTable(t, ScanSpec{Projs: projs, Conds: conds})
-	if err != nil {
-		panic(err)
-	}
-	return rel
-}
-
-// ScanSel is Scan restricted to the rows whose bit is set in sel — the scan
-// operator for the bit-vector ExtVP representation: the base VP table is
-// read through a selection vector instead of reading a materialized
-// reduction. Only selected rows are metered as scanned, mirroring the I/O a
-// materialized reduction of the same size would cost.
-func (x *Exec) ScanSel(t *store.Table, sel *bitvec.Bitset, projs []ScanProjection, conds []ScanCondition) *Relation {
-	rel, _, err := x.ScanTable(t, ScanSpec{Projs: projs, Conds: conds, Sel: sel})
-	if err != nil {
-		panic(err)
-	}
-	return rel
-}
-
-// ScanSel is the aggregate-only convenience wrapper; see Exec.ScanSel.
-func (c *Cluster) ScanSel(t *store.Table, sel *bitvec.Bitset, projs []ScanProjection, conds []ScanCondition) *Relation {
-	return c.exec().ScanSel(t, sel, projs, conds)
-}

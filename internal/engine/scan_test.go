@@ -292,7 +292,7 @@ func TestFromRowsBalanced(t *testing.T) {
 	for i := range rows {
 		rows[i] = Row{dict.ID(i)}
 	}
-	rel := c.FromRows([]string{"x"}, rows)
+	rel := c.exec().FromRows([]string{"x"}, rows)
 	nonEmpty := 0
 	for _, p := range rel.Parts {
 		if p.Len() > 0 {
@@ -318,7 +318,7 @@ func TestScanBalancedPartitions(t *testing.T) {
 		tbl.Append(dict.ID(i), dict.ID(i))
 	}
 	c := NewCluster(5)
-	rel := c.Scan(tbl, []ScanProjection{{"s", "x"}, {"o", "y"}}, nil)
+	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}, {"o", "y"}}})
 	minSz, maxSz := 14, -1
 	for _, p := range rel.Parts {
 		sz := p.Len()

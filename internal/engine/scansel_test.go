@@ -19,7 +19,7 @@ func TestScanSelFiltersRows(t *testing.T) {
 	sel.Set(2)
 	sel.Set(5)
 	sel.Set(9)
-	rel := c.ScanSel(tbl, sel, []ScanProjection{{"s", "x"}, {"o", "y"}}, nil)
+	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}, {"o", "y"}}, Sel: sel})
 	rowsEqual(t, rel, []Row{{2, 20}, {5, 50}, {9, 90}})
 	// Metered scan cost = selected rows only.
 	if got := c.Metrics.RowsScanned.Load(); got != 3 {
@@ -36,8 +36,7 @@ func TestScanSelWithConditions(t *testing.T) {
 	sel := bitvec.New(3)
 	sel.Set(0)
 	sel.Set(2)
-	rel := c.ScanSel(tbl, sel, []ScanProjection{{"s", "x"}},
-		[]ScanCondition{{Col: "o", Value: 7}})
+	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}}, Conds: []ScanCondition{{Col: "o", Value: 7}}, Sel: sel})
 	rowsEqual(t, rel, []Row{{1}}) // row 1 (2,7) excluded by bitset
 }
 
@@ -45,7 +44,7 @@ func TestScanSelNilBitsetFallsBack(t *testing.T) {
 	c := NewCluster(2)
 	tbl := store.NewTable("t", "s", "o")
 	tbl.Append(1, 2)
-	rel := c.ScanSel(tbl, nil, []ScanProjection{{"s", "x"}}, nil)
+	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}}})
 	if rel.NumRows() != 1 {
 		t.Errorf("rows = %d", rel.NumRows())
 	}
@@ -59,7 +58,7 @@ func TestScanSelRepeatedVariable(t *testing.T) {
 	sel := bitvec.New(2)
 	sel.Set(0)
 	sel.Set(1)
-	rel := c.ScanSel(tbl, sel, []ScanProjection{{"s", "x"}, {"o", "x"}}, nil)
+	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}, {"o", "x"}}, Sel: sel})
 	if !reflect.DeepEqual(rel.Schema, []string{"x"}) {
 		t.Fatalf("schema = %v", rel.Schema)
 	}
@@ -69,7 +68,7 @@ func TestScanSelRepeatedVariable(t *testing.T) {
 func TestScanSelEmptyTable(t *testing.T) {
 	c := NewCluster(2)
 	tbl := store.NewTable("t", "s", "o")
-	rel := c.ScanSel(tbl, bitvec.New(0), []ScanProjection{{"s", "x"}}, nil)
+	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}}, Sel: bitvec.New(0)})
 	if rel.NumRows() != 0 {
 		t.Errorf("rows = %d", rel.NumRows())
 	}

@@ -159,7 +159,7 @@ func (y *cancelAfter) Yield() {
 func TestOrderByAndTopKStopWithinABatch(t *testing.T) {
 	const parts, perPart = 3, 20 * cancelBatch
 	c := NewCluster(parts)
-	r := c.FromRows([]string{"v"}, yieldRows(parts*perPart))
+	r := c.exec().FromRows([]string{"v"}, yieldRows(parts*perPart))
 	ops := map[string]func(x *Exec, keyOf func(dict.ID) SortKey) *Relation{
 		"OrderBy": func(x *Exec, keyOf func(dict.ID) SortKey) *Relation {
 			return x.OrderBy(r, []SortCol{{Col: 0, Desc: true}}, keyOf)
@@ -205,7 +205,7 @@ func benchSortInput() *Relation {
 	for i := range rows {
 		rows[i] = Row{dict.ID(rng.Intn(30000)), dict.ID(i)}
 	}
-	return NewCluster(3).FromRows([]string{"k", "v"}, rows)
+	return NewCluster(3).exec().FromRows([]string{"k", "v"}, rows)
 }
 
 // benchKeys builds the key functions the benchmarks sort by, decoding from

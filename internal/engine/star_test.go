@@ -12,9 +12,9 @@ import (
 // probing meters comparisons.
 func TestStarJoinStatsAndMetering(t *testing.T) {
 	c := NewCluster(3)
-	center := c.FromRows([]string{"x", "y"}, []Row{{1, 10}, {2, 20}, {3, 30}})
-	r0 := c.FromRows([]string{"x", "a"}, []Row{{1, 100}, {1, 101}, {2, 102}})
-	r1 := c.FromRows([]string{"x", "b"}, []Row{{1, 200}, {2, 201}, {9, 202}})
+	center := c.exec().FromRows([]string{"x", "y"}, []Row{{1, 10}, {2, 20}, {3, 30}})
+	r0 := c.exec().FromRows([]string{"x", "a"}, []Row{{1, 100}, {1, 101}, {2, 102}})
+	r1 := c.exec().FromRows([]string{"x", "b"}, []Row{{1, 200}, {2, 201}, {9, 202}})
 	var m Metrics
 	x := c.NewExec(&m)
 	out, stats := x.StarJoin(center, []*Relation{r0, r1})
@@ -45,15 +45,15 @@ func TestStarJoinStatsAndMetering(t *testing.T) {
 // same variable) reports zero shuffled rows for its half of stage 0.
 func TestStarJoinCoPartitionedCenterShufflesNothing(t *testing.T) {
 	c := NewCluster(3)
-	a := c.FromRows([]string{"x", "y"}, []Row{{1, 10}, {2, 20}, {3, 30}})
-	b := c.FromRows([]string{"x", "z"}, []Row{{1, 40}, {2, 50}, {3, 60}})
+	a := c.exec().FromRows([]string{"x", "y"}, []Row{{1, 10}, {2, 20}, {3, 30}})
+	b := c.exec().FromRows([]string{"x", "z"}, []Row{{1, 40}, {2, 50}, {3, 60}})
 	x := c.NewExec(nil)
 	center := x.JoinWith(a, b, StrategyShuffle) // partitioned by x
 	if !center.CoPartitionedBy(0, c.Partitions()) {
 		t.Fatal("join output not co-partitioned by its key")
 	}
-	r0 := c.FromRows([]string{"x", "a"}, []Row{{1, 100}})
-	r1 := c.FromRows([]string{"x", "b"}, []Row{{2, 200}})
+	r0 := c.exec().FromRows([]string{"x", "a"}, []Row{{1, 100}})
+	r1 := c.exec().FromRows([]string{"x", "b"}, []Row{{2, 200}})
 	_, stats := x.StarJoin(center, []*Relation{r0, r1})
 	// Stage 0 moves only r0's single row; the 3-row center stays put.
 	if stats[0].RowsShuffled != 1 {
@@ -72,7 +72,7 @@ func TestCoPartitionedJoinShufflesNothing(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			rows = append(rows, Row{dict.ID(i), dict.ID(base + i)})
 		}
-		return c.FromRows([]string{"x", col2}, rows)
+		return c.exec().FromRows([]string{"x", col2}, rows)
 	}
 	var m Metrics
 	x := c.NewExec(&m)

@@ -9,8 +9,7 @@ import (
 )
 
 // TestJoinWithExplicitStrategies checks that an explicit broadcast or
-// shuffle choice produces identical contents, independent of the cluster's
-// static threshold.
+// shuffle choice produces identical contents.
 func TestJoinWithExplicitStrategies(t *testing.T) {
 	f := func(av, bv []uint8) bool {
 		var arows, brows []Row
@@ -20,9 +19,9 @@ func TestJoinWithExplicitStrategies(t *testing.T) {
 		for _, v := range bv {
 			brows = append(brows, Row{dict.ID(v % 8), dict.ID(v / 2)})
 		}
-		c := NewCluster(4) // threshold 0: StrategyAuto would always shuffle
-		a := c.FromRows([]string{"x", "y"}, arows)
-		b := c.FromRows([]string{"x", "z"}, brows)
+		c := NewCluster(4)
+		a := c.exec().FromRows([]string{"x", "y"}, arows)
+		b := c.exec().FromRows([]string{"x", "z"}, brows)
 		x := c.exec()
 		want := sortedRows(x.JoinWith(a, b, StrategyShuffle))
 		got := sortedRows(x.JoinWith(a, b, StrategyBroadcast))
@@ -33,17 +32,17 @@ func TestJoinWithExplicitStrategies(t *testing.T) {
 	}
 }
 
-// TestJoinWithBroadcastOverridesThreshold verifies the planner hook: with no
-// threshold configured, StrategyBroadcast still broadcasts (metered as
-// small×partitions replicated rows, not a both-sides shuffle).
+// TestJoinWithBroadcastOverridesThreshold verifies the planner hook:
+// StrategyBroadcast broadcasts (metered as small×partitions replicated rows,
+// not a both-sides shuffle).
 func TestJoinWithBroadcastOverridesThreshold(t *testing.T) {
 	c := NewCluster(4)
 	var big []Row
 	for i := 0; i < 100; i++ {
 		big = append(big, Row{dict.ID(i % 10), dict.ID(i)})
 	}
-	bigRel := c.FromRows([]string{"x", "y"}, big)
-	small := c.FromRows([]string{"x", "z"}, []Row{{3, 100}})
+	bigRel := c.exec().FromRows([]string{"x", "y"}, big)
+	small := c.exec().FromRows([]string{"x", "z"}, []Row{{3, 100}})
 	before := c.Metrics.RowsShuffled.Load()
 	res := c.exec().JoinWith(bigRel, small, StrategyBroadcast)
 	if got := c.Metrics.RowsShuffled.Load() - before; got != 4 {
@@ -59,8 +58,8 @@ func TestJoinWithBroadcastOverridesThreshold(t *testing.T) {
 func leftJoinCase(t *testing.T, lrows, rrows []Row, pred func(Row) bool) {
 	t.Helper()
 	c := NewCluster(4)
-	left := c.FromRows([]string{"x", "y"}, lrows)
-	right := c.FromRows([]string{"x", "z"}, rrows)
+	left := c.exec().FromRows([]string{"x", "y"}, lrows)
+	right := c.exec().FromRows([]string{"x", "z"}, rrows)
 	x := c.exec()
 	want := sortedRows(x.LeftJoinWith(left, right, pred, StrategyShuffle))
 	got := sortedRows(x.LeftJoinWith(left, right, pred, StrategyBroadcast))
@@ -92,8 +91,8 @@ func TestLeftJoinBroadcastQuick(t *testing.T) {
 			rrows = append(rrows, Row{dict.ID(v % 6), dict.ID(v / 3)})
 		}
 		c := NewCluster(3)
-		left := c.FromRows([]string{"x", "y"}, lrows)
-		right := c.FromRows([]string{"x", "z"}, rrows)
+		left := c.exec().FromRows([]string{"x", "y"}, lrows)
+		right := c.exec().FromRows([]string{"x", "z"}, rrows)
 		x := c.exec()
 		want := sortedRows(x.LeftJoinWith(left, right, nil, StrategyShuffle))
 		got := sortedRows(x.LeftJoinWith(left, right, nil, StrategyBroadcast))
@@ -117,8 +116,8 @@ func TestLeftJoinBroadcastKeepsLeftPartitioning(t *testing.T) {
 			rrows = append(rrows, Row{dict.ID(i), dict.ID(i * 3)})
 		}
 	}
-	left := x.shuffle(c.FromRows([]string{"x", "y"}, lrows), 0)
-	right := c.FromRows([]string{"x", "z"}, rrows)
+	left := x.shuffle(c.exec().FromRows([]string{"x", "y"}, lrows), 0)
+	right := c.exec().FromRows([]string{"x", "z"}, rrows)
 	out := x.LeftJoinWith(left, right, nil, StrategyBroadcast)
 	if out.keyCol != 0 {
 		t.Errorf("keyCol = %d, want 0 (left partitioning preserved)", out.keyCol)
@@ -130,7 +129,7 @@ func TestLeftJoinBroadcastKeepsLeftPartitioning(t *testing.T) {
 
 func TestJoinStrategyString(t *testing.T) {
 	for s, want := range map[JoinStrategy]string{
-		StrategyAuto: "auto", StrategyShuffle: "shuffle", StrategyBroadcast: "broadcast",
+		StrategyShuffle: "shuffle", StrategyBroadcast: "broadcast",
 	} {
 		if got := s.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(s), got, want)

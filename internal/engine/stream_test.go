@@ -11,7 +11,7 @@ import (
 
 // relOfRows builds a test relation over nParts partitions.
 func relOfRows(c *Cluster, schema []string, rows []Row) *Relation {
-	return c.FromRows(schema, rows)
+	return c.exec().FromRows(schema, rows)
 }
 
 func TestLimitEdgeCases(t *testing.T) {
@@ -36,7 +36,7 @@ func TestLimitEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := c.Limit(r, tc.offset, tc.n)
+			got := c.exec().Limit(r, tc.offset, tc.n)
 			if !reflect.DeepEqual(got.Schema, r.Schema) {
 				t.Fatalf("schema = %v, want %v", got.Schema, r.Schema)
 			}

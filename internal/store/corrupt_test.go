@@ -109,20 +109,19 @@ func TestCorruptTableIgnoresTrailingBytes(t *testing.T) {
 	}
 }
 
-// writeTableV2 emits the legacy (pre-checksum) v2 encoding, preserved here
-// so compatibility keeps being tested after the writer moved to v3.
-func writeTableV2(t *Table) []byte {
+// writeLegacyTable emits the unchecksummed encoding of format version 1
+// (no sort column, no statistics) or 2 (with them), which earlier releases
+// wrote and ReadTable no longer accepts.
+func writeLegacyTable(t *Table, ver uint32) []byte {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
 	vbuf := make([]byte, binary.MaxVarintLen64)
 	w.WriteString(magic)
-	writeU32(w, version2)
+	writeU32(w, ver)
 	writeU32(w, uint32(len(t.Cols)))
 	writeU64(w, uint64(t.NumRows()))
-	if t.SortCol >= 0 {
+	if ver >= 2 {
 		writeU32(w, uint32(t.SortCol))
-	} else {
-		writeU32(w, noSortCol)
 	}
 	for c, name := range t.Cols {
 		writeU32(w, uint32(len(name)))
@@ -135,10 +134,10 @@ func writeTableV2(t *Table) []byte {
 			n = binary.PutUvarint(vbuf, uint64(r.length))
 			w.Write(vbuf[:n])
 		}
-		var m ColMeta
-		if c < len(t.Meta) {
-			m = t.Meta[c]
+		if ver < 2 {
+			continue
 		}
+		m := t.Meta[c]
 		writeU64(w, uint64(m.Distinct))
 		writeU64(w, uint64(len(m.ZoneMin)))
 		for z := range m.ZoneMin {
@@ -152,22 +151,19 @@ func writeTableV2(t *Table) []byte {
 	return buf.Bytes()
 }
 
-// TestCorruptReadsLegacyV2: v2 files (no checksums) written by earlier
-// releases still load, statistics intact.
-func TestCorruptReadsLegacyV2(t *testing.T) {
+// TestCorruptRejectsLegacyVersions: complete, well-formed v1 and v2 files
+// carry no checksums, so they are rejected as ErrCorrupt ("unsupported
+// version") and never decoded, not even partially.
+func TestCorruptRejectsLegacyVersions(t *testing.T) {
 	tbl := testTable(t, 500)
-	got, err := ReadTable(bytes.NewReader(writeTableV2(tbl)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameTable(tbl, got) {
-		t.Fatal("v2 round trip lost data")
-	}
-	if got.SortCol != tbl.SortCol {
-		t.Fatalf("v2 SortCol = %d, want %d", got.SortCol, tbl.SortCol)
-	}
-	if got.Meta[0].Distinct != tbl.Meta[0].Distinct {
-		t.Fatalf("v2 Distinct = %d, want %d", got.Meta[0].Distinct, tbl.Meta[0].Distinct)
+	for _, ver := range []uint32{1, 2} {
+		got, err := ReadTable(bytes.NewReader(writeLegacyTable(tbl, ver)))
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("v%d: err = %v, want ErrCorrupt", ver, err)
+		}
+		if got != nil {
+			t.Fatalf("v%d: returned a table alongside %v", ver, err)
+		}
 	}
 }
 
@@ -239,19 +235,21 @@ func TestCorruptManifestTruncation(t *testing.T) {
 	}
 }
 
-// TestCorruptLegacyManifestLoads: a pre-v3 bare-map manifest still opens.
-func TestCorruptLegacyManifestLoads(t *testing.T) {
+// TestCorruptLegacyManifestRejected: a pre-v3 bare-map manifest has no
+// checksum envelope, so Open rejects it as ErrCorrupt instead of loading
+// unverified statistics.
+func TestCorruptLegacyManifestRejected(t *testing.T) {
 	dir := t.TempDir()
 	legacy := `{"VP:follows": {"name": "VP:follows", "rows": 7, "sf": 1}}`
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open on legacy manifest: %v, want ErrCorrupt", err)
 	}
-	if st, ok := d.Stats("VP:follows"); !ok || st.Rows != 7 {
-		t.Fatalf("legacy stats = %+v, %v", st, ok)
+	if d != nil {
+		t.Fatalf("Open returned a store alongside %v", err)
 	}
 }
 

@@ -21,16 +21,16 @@ import (
 // File format ("parquet-lite"): a little-endian binary layout per table.
 //
 //	magic "S2TB" | version u32
-//	body: ncols u32 | nrows u64 | sortcol u32 (v2+)
+//	body: ncols u32 | nrows u64 | sortcol u32
 //	per column: name-len u32 | name | nruns u64 | runs (value uvarint, length uvarint)
-//	            distinct u64 | nzones u64 | zones (min uvarint, max uvarint)  (v2+)
+//	            distinct u64 | nzones u64 | zones (min uvarint, max uvarint)
 //
 // Columns are run-length encoded; dictionary encoding already happened via
-// the global term dictionary, so values are uint32 IDs. Version 2 added the
+// the global term dictionary, so values are uint32 IDs. The body carries the
 // scan statistics Table.Finalize computes — the sort column, per-column
 // distinct counts and zone maps — so a loaded store prunes scans without
-// re-deriving them. Version 3 wraps the body (everything after the 8-byte
-// header) in checksummed chunks:
+// re-deriving them. The body (everything after the 8-byte header) is
+// wrapped in checksummed chunks:
 //
 //	chunk: payload-len u32 | crc32c u32 | payload   (≤ 64 KiB payload)
 //	terminator: 0 u32 | 0 u32
@@ -41,13 +41,11 @@ import (
 // mismatch, a bad magic or version, a structurally impossible value, or a
 // file that ends before its terminator chunk — is reported as an error
 // wrapping ErrCorrupt; genuine I/O errors from the underlying reader pass
-// through unwrapped so callers can tell a bad disk from bad data. Versions
-// 1 and 2 (no checksums) are still readable.
+// through unwrapped so callers can tell a bad disk from bad data. Only
+// version 3 is readable; any other version is reported as corruption.
 const (
-	magic    = "S2TB"
-	version  = 3
-	version2 = 2
-	version1 = 1
+	magic   = "S2TB"
+	version = 3
 	// noSortCol encodes Table.SortCol == -1.
 	noSortCol = ^uint32(0)
 
@@ -151,8 +149,9 @@ func WriteTable(w io.Writer, t *Table) (int64, error) {
 	return cw.n, cw.err
 }
 
-// ReadTable deserializes a table written by WriteTable (any format
-// version). Corruption is reported as an error wrapping ErrCorrupt.
+// ReadTable deserializes a table written by WriteTable. Corruption — and any
+// format version other than the current one — is reported as an error
+// wrapping ErrCorrupt.
 func ReadTable(r io.Reader) (*Table, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head := make([]byte, 4)
@@ -166,35 +165,31 @@ func ReadTable(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, asCorrupt(err, "header")
 	}
-	switch ver {
-	case version:
-		// The v3 body is chunk-framed: parse it through the checksum-
-		// verifying reader.
-		body := bufio.NewReaderSize(&chunkReader{r: br}, 1<<16)
-		t, err := readTableBody(body, ver)
-		if err != nil {
-			return nil, err
-		}
-		// The body must end exactly where the terminator chunk begins: a
-		// file truncated after its last data chunk, or one with stray
-		// payload after the body, is damaged even though every chunk it
-		// does have checksums clean.
-		if _, err := body.ReadByte(); err == nil {
-			return nil, corruptf("trailing data after table body")
-		} else if !errors.Is(err, io.EOF) {
-			return nil, asCorrupt(err, "terminator")
-		}
-		return t, nil
-	case version2, version1:
-		return readTableBody(br, ver)
-	default:
+	if ver != version {
 		return nil, corruptf("unsupported version %d", ver)
 	}
+	// The body is chunk-framed: parse it through the checksum-verifying
+	// reader.
+	body := bufio.NewReaderSize(&chunkReader{r: br}, 1<<16)
+	t, err := readTableBody(body)
+	if err != nil {
+		return nil, err
+	}
+	// The body must end exactly where the terminator chunk begins: a file
+	// truncated after its last data chunk, or one with stray payload after
+	// the body, is damaged even though every chunk it does have checksums
+	// clean.
+	if _, err := body.ReadByte(); err == nil {
+		return nil, corruptf("trailing data after table body")
+	} else if !errors.Is(err, io.EOF) {
+		return nil, asCorrupt(err, "terminator")
+	}
+	return t, nil
 }
 
 // readTableBody parses the table body (everything after magic+version)
-// from br, which already verifies checksums for v3.
-func readTableBody(br *bufio.Reader, ver uint32) (*Table, error) {
+// from br, which verifies the chunk checksums.
+func readTableBody(br *bufio.Reader) (*Table, error) {
 	ncols, err := readU32(br)
 	if err != nil {
 		return nil, asCorrupt(err, "column count")
@@ -206,19 +201,16 @@ func readTableBody(br *bufio.Reader, ver uint32) (*Table, error) {
 	if err != nil {
 		return nil, asCorrupt(err, "row count")
 	}
-	t := &Table{SortCol: -1}
-	if ver >= version2 {
-		sc, err := readU32(br)
-		if err != nil {
-			return nil, asCorrupt(err, "sort column")
+	t := &Table{SortCol: -1, Meta: make([]ColMeta, 0, ncols)}
+	sc, err := readU32(br)
+	if err != nil {
+		return nil, asCorrupt(err, "sort column")
+	}
+	if sc != noSortCol {
+		if sc >= ncols {
+			return nil, corruptf("sort column %d out of range", sc)
 		}
-		if sc != noSortCol {
-			if sc >= ncols {
-				return nil, corruptf("sort column %d out of range", sc)
-			}
-			t.SortCol = int(sc)
-		}
-		t.Meta = make([]ColMeta, 0, ncols)
+		t.SortCol = int(sc)
 	}
 	for c := uint32(0); c < ncols; c++ {
 		nameLen, err := readU32(br)
@@ -268,50 +260,43 @@ func readTableBody(br *bufio.Reader, ver uint32) (*Table, error) {
 				string(name), len(col), nrows)
 		}
 		t.Data = append(t.Data, col)
-		if ver >= version2 {
-			var m ColMeta
-			distinct, err := readU64(br)
-			if err != nil {
-				return nil, asCorrupt(err, "distinct count")
-			}
-			if distinct > nrows {
-				return nil, corruptf("column %q distinct %d exceeds %d rows",
-					string(name), distinct, nrows)
-			}
-			m.Distinct = int(distinct)
-			nzones, err := readU64(br)
-			if err != nil {
-				return nil, asCorrupt(err, "zone count")
-			}
-			// nzones is 0 when the table was never finalized (no zone map).
-			if want := (nrows + ZoneSize - 1) / ZoneSize; nzones != 0 && nzones != want {
-				return nil, corruptf("column %q has %d zones, want %d",
-					string(name), nzones, want)
-			}
-			m.ZoneMin = make([]dict.ID, nzones)
-			m.ZoneMax = make([]dict.ID, nzones)
-			for z := uint64(0); z < nzones; z++ {
-				lo, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, asCorrupt(err, "zone min")
-				}
-				hi, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, asCorrupt(err, "zone max")
-				}
-				if lo > math.MaxUint32 || hi > math.MaxUint32 || lo > hi {
-					return nil, corruptf("column %q zone %d bounds [%d,%d] invalid",
-						string(name), z, lo, hi)
-				}
-				m.ZoneMin[z], m.ZoneMax[z] = dict.ID(lo), dict.ID(hi)
-			}
-			t.Meta = append(t.Meta, m)
+		var m ColMeta
+		distinct, err := readU64(br)
+		if err != nil {
+			return nil, asCorrupt(err, "distinct count")
 		}
-	}
-	if ver < version2 {
-		// Version 1 predates the scan statistics; derive them now so loaded
-		// stores prune the same way freshly built ones do.
-		t.Finalize()
+		if distinct > nrows {
+			return nil, corruptf("column %q distinct %d exceeds %d rows",
+				string(name), distinct, nrows)
+		}
+		m.Distinct = int(distinct)
+		nzones, err := readU64(br)
+		if err != nil {
+			return nil, asCorrupt(err, "zone count")
+		}
+		// nzones is 0 when the table was never finalized (no zone map).
+		if want := (nrows + ZoneSize - 1) / ZoneSize; nzones != 0 && nzones != want {
+			return nil, corruptf("column %q has %d zones, want %d",
+				string(name), nzones, want)
+		}
+		m.ZoneMin = make([]dict.ID, nzones)
+		m.ZoneMax = make([]dict.ID, nzones)
+		for z := uint64(0); z < nzones; z++ {
+			lo, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, asCorrupt(err, "zone min")
+			}
+			hi, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, asCorrupt(err, "zone max")
+			}
+			if lo > math.MaxUint32 || hi > math.MaxUint32 || lo > hi {
+				return nil, corruptf("column %q zone %d bounds [%d,%d] invalid",
+					string(name), z, lo, hi)
+			}
+			m.ZoneMin[z], m.ZoneMax[z] = dict.ID(lo), dict.ID(hi)
+		}
+		t.Meta = append(t.Meta, m)
 	}
 	return t, nil
 }
@@ -507,7 +492,8 @@ const manifestVersion = 3
 // manifestFile is the on-disk manifest envelope (since v3): the table
 // stats plus a CRC32C over their exact JSON encoding, so manifest bit rot
 // is detected at Open instead of steering the planner with garbage
-// statistics. Legacy manifests (a bare JSON object of stats) still load.
+// statistics. Any other envelope — including a bare JSON object of stats
+// without one — is reported as ErrCorrupt.
 type manifestFile struct {
 	Version int             `json:"version"`
 	CRC32C  uint32          `json:"crc32c"`
@@ -539,22 +525,15 @@ func OpenFS(path string, fs fault.FS) (*Dir, error) {
 	if err := json.Unmarshal(raw, &mf); err != nil {
 		return nil, corruptf("corrupt manifest: %v", err)
 	}
-	switch {
-	case mf.Version == manifestVersion:
-		if got := crc32.Checksum(mf.Tables, castagnoli); got != mf.CRC32C {
-			return nil, corruptf("manifest checksum mismatch: %08x != %08x",
-				got, mf.CRC32C)
-		}
-		if err := json.Unmarshal(mf.Tables, &d.manifest); err != nil {
-			return nil, corruptf("corrupt manifest tables: %v", err)
-		}
-	case mf.Version == 0:
-		// Legacy manifest: a bare map of table stats, no checksum.
-		if err := json.Unmarshal(raw, &d.manifest); err != nil {
-			return nil, corruptf("corrupt manifest: %v", err)
-		}
-	default:
+	if mf.Version != manifestVersion {
 		return nil, corruptf("unsupported manifest version %d", mf.Version)
+	}
+	if got := crc32.Checksum(mf.Tables, castagnoli); got != mf.CRC32C {
+		return nil, corruptf("manifest checksum mismatch: %08x != %08x",
+			got, mf.CRC32C)
+	}
+	if err := json.Unmarshal(mf.Tables, &d.manifest); err != nil {
+		return nil, corruptf("corrupt manifest tables: %v", err)
 	}
 	return d, nil
 }
@@ -594,9 +573,9 @@ func (d *Dir) RecordStats(name string, rows int, sf float64) {
 	d.manifest[name] = Stats{Name: name, Rows: rows, SF: sf}
 }
 
-// LoadTable reads a table back from disk, verifying its checksums (v3
-// files). A checksum mismatch or structural impossibility reports
-// ErrCorrupt — a corrupted file can error, never produce wrong bindings.
+// LoadTable reads a table back from disk, verifying its checksums. A
+// checksum mismatch or structural impossibility reports ErrCorrupt — a
+// corrupted file can error, never produce wrong bindings.
 func (d *Dir) LoadTable(name string) (*Table, error) {
 	f, err := d.fs.Open(d.tablePath(name))
 	if err != nil {
