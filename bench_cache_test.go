@@ -7,7 +7,6 @@
 package s2rdf
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -114,32 +113,4 @@ func BenchmarkResultCacheWarm(b *testing.B) {
 		b.Fatalf("warm serving executed the engine %d times, want 0", got)
 	}
 	b.ReportMetric(0, "execs/op")
-}
-
-// BenchmarkSingleFlightStampede measures a burst of 8 identical concurrent
-// requests against the cold store with single-flight coalescing: one
-// execution per burst, seven replays.
-func BenchmarkSingleFlightStampede(b *testing.B) {
-	_, q := benchCacheFixture(b)
-	var execs atomic.Int64
-	srv := benchCacheServer(b, 64<<20, &execs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A fresh never-cached query text per burst (comment differences
-		// normalize away, so vary a literal-free dummy pattern instead by
-		// reloading: simplest is busting with a unique LIMIT).
-		bq := fmt.Sprintf("%s LIMIT %d", q, 1000000+i)
-		done := make(chan int, 8)
-		for c := 0; c < 8; c++ {
-			go func() { done <- benchGet(b, srv, bq) }()
-		}
-		for c := 0; c < 8; c++ {
-			<-done
-		}
-	}
-	b.StopTimer()
-	// How often the burst collapsed to one execution: 1.0 = perfect
-	// coalescing (the deterministic contract is covered by
-	// TestServerSingleFlightStampede; timing decides it here).
-	b.ReportMetric(float64(execs.Load())/float64(b.N), "execs/burst")
 }

@@ -272,7 +272,7 @@ func cmdServe(args []string) {
 	pt := fs.Bool("pt", false, "also build the property table so mode=PT requests work")
 	memBudget := fs.Int64("mem-budget", 0, "per-query memory budget in bytes; joins past it spill to temp files (0 = unbounded)")
 	streamThreshold := fs.Int("stream-threshold", 0, "rows above which SELECT responses stream incrementally (0 = 1024)")
-	resultCacheBytes := fs.Int64("result-cache-bytes", 0, "per-store full-result cache budget in bytes; hits skip admission and execution, identical concurrent misses coalesce (0 = disabled)")
+	resultCacheBytes := fs.Int64("result-cache-bytes", 0, "per-store full-result cache budget in bytes; hits skip admission and execution, misses execute and fill (0 = disabled)")
 	timeout := fs.Duration("timeout", 0, "default per-query deadline (0 = none); requests may override with ?timeout=")
 	maxTimeout := fs.Duration("max-timeout", 0, "cap on per-query deadlines, including client-requested ones (0 = no cap)")
 	drainT := fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight queries on SIGINT/SIGTERM")

@@ -1,6 +1,7 @@
 // Package cache implements the serving layer's epoch-keyed full-result
-// cache (tier 1) and the single-flight execution groups that collapse
-// cache-miss stampedes onto one execution (tier 2).
+// cache. Concurrent identical misses are not coalesced: each executes and
+// fills the same key (Put replaces the entry), while admission bounds how
+// many run at once.
 //
 // The design leans on two invariants the rest of the system already
 // maintains: a store is immutable within one statistics epoch
@@ -66,9 +67,9 @@ func (e *Entry) size(k Key) int64 {
 // list nodes, the Entry struct itself) charged against the byte budget.
 const entryOverhead = 256
 
-// Stats is a point-in-time snapshot of a ResultCache plus its flight
-// group, surfaced per store in the healthz "cache" record — the "cached
-// lane" the serving layer meters hits into.
+// Stats is a point-in-time snapshot of a ResultCache, surfaced per store in
+// the healthz "result_cache" record — the "cached lane" the serving layer
+// meters hits into.
 type Stats struct {
 	// Hits counts requests served entirely from the cache (no admission,
 	// no execution). Misses counts lookups that fell through to execution.
@@ -86,11 +87,9 @@ type Stats struct {
 	Entries  int   `json:"entries"`
 	Bytes    int64 `json:"bytes"`
 	Capacity int64 `json:"capacity"`
-	// Coalesced counts requests that joined another request's in-flight
-	// execution instead of executing themselves (tier 2); Waiting is the
-	// current gauge of followers blocked on a flight.
+	// Coalesced is always 0: nothing coalesces identical misses. It stays
+	// only because the serving benchmark (benchmark/run.go) still prints it.
 	Coalesced int64 `json:"coalesced"`
-	Waiting   int   `json:"waiting"`
 }
 
 // ResultCache is a concurrency-safe, byte-accounted LRU of serialized query
@@ -256,8 +255,7 @@ func (c *ResultCache) Len() int {
 }
 
 // Stats returns the cache's counters and gauges (zero on the disabled
-// cache). The flight-group fields are zero here; the serving layer merges
-// them in from its FlightGroup.
+// cache).
 func (c *ResultCache) Stats() Stats {
 	if c == nil {
 		return Stats{}

@@ -1,13 +1,8 @@
 package cache
 
 import (
-	"bytes"
-	"context"
-	"errors"
-	"fmt"
-	"sync"
+	"strings"
 	"testing"
-	"time"
 )
 
 func key(q string, epoch int64) Key {
@@ -122,176 +117,48 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestSingleFlightLeaderFollower checks the happy path: the leader's header
-// and chunks replay to a follower byte-for-byte, and the group's counters
-// record the coalescing.
-func TestSingleFlightLeaderFollower(t *testing.T) {
-	g := NewFlightGroup()
-	k := key("q", 1)
-	f, leader := g.Join(k)
-	if !leader {
-		t.Fatal("first join was not the leader")
+// TestCachePutReplace checks a Put under a key already cached: concurrent
+// identical misses each fill the same key, and the second fill replaces the
+// first in place rather than adding an entry. A replace that grows the
+// cache past its budget evicts other entries, never the replacement.
+func TestCachePutReplace(t *testing.T) {
+	// Room for three entries with one-byte bodies, and a per-entry cap a few
+	// dozen bytes above that.
+	c := New(3*entryOverhead+30, entryOverhead+50)
+	a := key("a", 1)
+	c.Put(a, entry("1"))
+	second := entry("2")
+	if !c.Put(a, second) {
+		t.Fatal("replacing put rejected")
 	}
-	f2, leader2 := g.Join(k)
-	if leader2 || f2 != f {
-		t.Fatal("second join did not coalesce onto the first flight")
+	st := c.Stats()
+	if c.Len() != 1 || st.Bytes != second.size(a) || st.Fills != 2 {
+		t.Fatalf("after two puts under one key: Len %d, Bytes %d, Fills %d; want 1, %d, 2",
+			c.Len(), st.Bytes, st.Fills, second.size(a))
 	}
-
-	var got []byte
-	var gotHdr map[string][]string
-	done := make(chan error, 1)
-	go func() {
-		ctx := context.Background()
-		h, err := f2.AwaitHeader(ctx)
-		if err != nil {
-			done <- err
-			return
-		}
-		gotHdr = h
-		off := 0
-		for {
-			chunk, fin, err := f2.Read(ctx, off)
-			if err != nil {
-				done <- err
-				return
-			}
-			got = append(got, chunk...)
-			off += len(chunk)
-			if fin {
-				done <- nil
-				return
-			}
-		}
-	}()
-
-	f.SetHeader(map[string][]string{"Content-Type": {"application/json"}})
-	f.Write([]byte("hello "))
-	f.Write([]byte("world"))
-	g.Complete(f, nil)
-
-	if err := <-done; err != nil {
-		t.Fatalf("follower error: %v", err)
-	}
-	if !bytes.Equal(got, []byte("hello world")) {
-		t.Fatalf("follower body = %q", got)
-	}
-	if gotHdr["Content-Type"][0] != "application/json" {
-		t.Fatalf("follower header = %v", gotHdr)
-	}
-	coalesced, waiting := g.Stats()
-	if coalesced != 1 || waiting != 0 {
-		t.Fatalf("stats = (%d, %d), want (1, 0)", coalesced, waiting)
-	}
-	// The completed flight left the group: the next join leads again.
-	if _, lead := g.Join(k); !lead {
-		t.Fatal("join after Complete did not lead")
-	}
-}
-
-// TestSingleFlightAbort checks the failure contracts: a Close with an error
-// surfaces it to followers, and a "successful" Close without a header (the
-// leader unwound before producing a body) becomes ErrFlightAborted.
-func TestSingleFlightAbort(t *testing.T) {
-	g := NewFlightGroup()
-	f, _ := g.Join(key("a", 1))
-	boom := errors.New("boom")
-	g.Complete(f, boom)
-	if _, err := f.AwaitHeader(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("AwaitHeader err = %v, want boom", err)
+	if got, _ := c.Get(a); got != second {
+		t.Fatal("Get returned the replaced entry")
 	}
 
-	f2, _ := g.Join(key("b", 1))
-	g.Complete(f2, nil) // no header was ever published
-	if _, err := f2.AwaitHeader(context.Background()); !errors.Is(err, ErrFlightAborted) {
-		t.Fatalf("AwaitHeader err = %v, want ErrFlightAborted", err)
+	b, cc := key("b", 1), key("c", 1)
+	c.Put(b, entry("b"))
+	c.Put(cc, entry("c"))
+	big := entry(strings.Repeat("x", 40))
+	if !c.Put(a, big) {
+		t.Fatal("growing replace rejected")
 	}
-
-	// Mid-body failure: the follower sees the bytes then the error.
-	f3, _ := g.Join(key("c", 1))
-	f3.SetHeader(map[string][]string{})
-	f3.Write([]byte("partial"))
-	g.Complete(f3, boom)
-	chunk, fin, err := f3.Read(context.Background(), 0)
-	if string(chunk) != "partial" || fin || !errors.Is(err, boom) {
-		t.Fatalf("Read = (%q, %v, %v), want (partial, false, boom)", chunk, fin, err)
+	if got, _ := c.Get(a); got != big {
+		t.Fatal("growing replace lost the replacement")
 	}
-}
-
-// TestSingleFlightFollowerContext checks a follower's own cancellation
-// unblocks it without touching the flight.
-func TestSingleFlightFollowerContext(t *testing.T) {
-	g := NewFlightGroup()
-	f, _ := g.Join(key("q", 1))
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := f.AwaitHeader(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("AwaitHeader err = %v, want deadline", err)
+	if _, ok := c.Get(b); ok {
+		t.Fatal("b, the least recently used entry, survived the over-budget replace")
 	}
-	// The flight itself is untouched: a later follower still works.
-	f.SetHeader(map[string][]string{})
-	f.Write([]byte("x"))
-	g.Complete(f, nil)
-	if chunk, fin, err := f.Read(context.Background(), 0); string(chunk) != "x" || !fin || err != nil {
-		t.Fatalf("Read = (%q, %v, %v), want (x, true, nil)", chunk, fin, err)
+	if _, ok := c.Get(cc); !ok {
+		t.Fatal("c evicted although evicting b was enough")
 	}
-}
-
-// TestSingleFlightConcurrentFollowers hammers one flight with many
-// followers while the leader streams, for the race detector's benefit.
-func TestSingleFlightConcurrentFollowers(t *testing.T) {
-	g := NewFlightGroup()
-	f, _ := g.Join(key("q", 1))
-	const followers = 8
-	const chunks = 50
-
-	var want bytes.Buffer
-	for i := 0; i < chunks; i++ {
-		fmt.Fprintf(&want, "chunk-%03d;", i)
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, followers)
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := context.Background()
-			if _, err := f.AwaitHeader(ctx); err != nil {
-				errs <- err
-				return
-			}
-			var got []byte
-			off := 0
-			for {
-				chunk, fin, err := f.Read(ctx, off)
-				if err != nil {
-					errs <- err
-					return
-				}
-				got = append(got, chunk...)
-				off += len(chunk)
-				if fin {
-					break
-				}
-			}
-			if !bytes.Equal(got, want.Bytes()) {
-				errs <- fmt.Errorf("follower body diverged: %d vs %d bytes", len(got), want.Len())
-				return
-			}
-			errs <- nil
-		}()
-	}
-
-	f.SetHeader(map[string][]string{})
-	for i := 0; i < chunks; i++ {
-		f.Write([]byte(fmt.Sprintf("chunk-%03d;", i)))
-	}
-	g.Complete(f, nil)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+	st = c.Stats()
+	if st.Evictions != 1 || st.Bytes != big.size(a)+entry("c").size(cc) {
+		t.Fatalf("after growing replace: Evictions %d, Bytes %d; want 1, %d",
+			st.Evictions, st.Bytes, big.size(a)+entry("c").size(cc))
 	}
 }

@@ -258,7 +258,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) 
 // query was served from the cache. It is the one plan-cache probe of a
 // query: QueryContext, QueryStream and EstimateCost call it with the text
 // they normalize themselves; the serving layer — which already normalized
-// the request for its result-cache and single-flight keys — calls it once
+// the request for its result-cache key — calls it once
 // and hands the parsed query to EstimateQuery and ExecStream.
 func (e *Engine) ParseCached(src, norm string) (q *sparql.Query, cached bool, err error) {
 	if e.Plans != nil {

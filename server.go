@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -91,13 +92,12 @@ type ServerOptions struct {
 	// byte-accounted LRU of this capacity mapping (mode, normalized query,
 	// StatsEpoch) to the pre-serialized response body plus its header
 	// snapshot. Hits are served before the cost gate — no admission, no
-	// queueing, no execution — with X-S2RDF-Cache: hit; concurrent
-	// identical misses coalesce onto one execution (single-flight). Only
-	// expensive-class results whose body fits the per-entry cap (an eighth
-	// of the budget) are cached, so point lookups don't churn the LRU. The
-	// epoch in the key makes the existing statistics-epoch bump invalidate
-	// every stale entry for free. 0 (the default) disables the cache and
-	// the single-flight coalescing that rides on it.
+	// queueing, no execution — with X-S2RDF-Cache: hit; a miss executes
+	// like any other request. Only expensive-class results whose body fits
+	// the per-entry cap (an eighth of the budget) are cached, so point
+	// lookups don't churn the LRU. The epoch in the key makes the existing
+	// statistics-epoch bump invalidate every stale entry for free. 0 (the
+	// default) disables the cache.
 	ResultCacheBytes int64
 
 	// pacer, when non-nil, is composed into every query context as an
@@ -145,11 +145,9 @@ type servedStore struct {
 	// as this gauge counts the query: release moved from result-computed to
 	// stream-complete with the streaming pipeline.
 	streaming atomic.Int64
-	// rcache is the full-result cache and flights the single-flight group
-	// coalescing identical cache misses; both nil when ResultCacheBytes is
-	// 0 (caching disabled).
-	rcache  *cache.ResultCache
-	flights *cache.FlightGroup
+	// rcache is the full-result cache; nil when ResultCacheBytes is 0
+	// (caching disabled).
+	rcache *cache.ResultCache
 }
 
 // DefaultStoreName is the name NewHandler registers its single store under,
@@ -225,9 +223,6 @@ func NewMux(stores map[string]*Store, defaultStore string, opts ServerOptions) (
 				Slice:         opts.Slice,
 			}),
 			rcache: cache.New(opts.ResultCacheBytes, 0),
-		}
-		if sv.rcache != nil {
-			sv.flights = cache.NewFlightGroup()
 		}
 		if opts.MemBudget > 0 {
 			st.SetMemBudget(opts.MemBudget, opts.SpillDir)
@@ -315,8 +310,7 @@ func (s *sparqlServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// refusing queries with 503).
 		Health fault.HealthSnapshot `json:"health"`
 		// ResultCache is the store's full-result cache record — the cached
-		// lane — including the single-flight counters. Omitted when serving
-		// without -result-cache-bytes.
+		// lane. Omitted when serving without -result-cache-bytes.
 		ResultCache *cache.Stats `json:"result_cache,omitempty"`
 		// PlanCache and SelectionCache surface the engines' memo counters,
 		// summed across the store's mode engines (previously visible only
@@ -344,7 +338,6 @@ func (s *sparqlServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		}
 		if sv.rcache != nil {
 			cs := sv.rcache.Stats()
-			cs.Coalesced, cs.Waiting = sv.flights.Stats()
 			info.ResultCache = &cs
 		}
 		doc.Stores[name] = info
@@ -373,8 +366,7 @@ type request struct {
 	src     string
 	mode    Mode
 	timeout time.Duration // 0 = no deadline
-	// normalize: the one key text of the plan cache, the result cache and
-	// the single-flight group
+	// normalize: the one key text of the plan cache and the result cache
 	norm string
 	// probeCache (zero when caching is off)
 	ckey cache.Key
@@ -382,8 +374,6 @@ type request struct {
 	// context error struck ("while queued", …) for its message
 	ctx   context.Context
 	phase string
-	// joinFlight: non-nil on a flight's leader only
-	flight *cache.Flight
 	// parse
 	q          *sparql.Query
 	planCached bool
@@ -397,9 +387,9 @@ type request struct {
 }
 
 // handleSPARQL runs one request through the stages, in order: route, parse
-// protocol, normalize, result-cache probe, flight join, parse (once, through
-// the plan cache), cost gate, admit, execute, respond. A stage that fails
-// ends the request through fail, the one place errors become statuses.
+// protocol, normalize, result-cache probe, parse (once, through the plan
+// cache), cost gate, admit, execute, respond. A stage that fails ends the
+// request through fail, the one place errors become statuses.
 func (s *sparqlServer) handleSPARQL(w *trackingWriter, r *http.Request, storeName string) {
 	req := &request{s: s, w: w, r: r, ctx: r.Context()}
 	if req.fail(req.route(storeName)) || req.fail(req.parseProtocol()) {
@@ -418,15 +408,6 @@ func (s *sparqlServer) handleSPARQL(w *trackingWriter, r *http.Request, storeNam
 		var cancel context.CancelFunc
 		req.ctx, cancel = context.WithTimeout(req.ctx, req.timeout)
 		defer cancel()
-	}
-	if req.joinFlight() {
-		return
-	}
-	if req.flight != nil {
-		// Complete removes the flight from the group and — when respond did
-		// not already close it with the real outcome — wakes followers with
-		// the abort error, sending them to execute for themselves.
-		defer req.sv.flights.Complete(req.flight, cache.ErrFlightAborted)
 	}
 	// A parse error is rejected here, so malformed queries never enter the
 	// queue; the gate classifies before the query occupies any slot.
@@ -603,8 +584,10 @@ func (s *sparqlServer) requestTimeout(raw string) (time.Duration, error) {
 	if raw != "" {
 		parsed, err := time.ParseDuration(raw)
 		if err != nil {
-			ms, merr := strconv.Atoi(raw)
-			if merr != nil {
+			// Beyond maxMs the conversion to a Duration would wrap.
+			const maxMs = math.MaxInt64 / int64(time.Millisecond)
+			ms, merr := strconv.ParseInt(raw, 10, 64)
+			if merr != nil || ms > maxMs || ms < -maxMs {
 				return 0, fmt.Errorf("invalid timeout %q (use a duration like 250ms)", raw)
 			}
 			parsed = time.Duration(ms) * time.Millisecond
@@ -645,56 +628,6 @@ func (req *request) probeCache() bool {
 	h.Set("Content-Length", strconv.Itoa(len(ent.Body)))
 	req.w.Write(ent.Body)
 	return true
-}
-
-// joinFlight coalesces concurrent identical cache misses onto one execution
-// (single-flight). The first request in becomes the leader (req.flight) and
-// runs the query normally, teeing its serialized response into the flight;
-// the rest stream the leader's bytes without occupying a slot or executing
-// anything, and joinFlight reports their response written. A flight that
-// aborts before producing a body (the leader hit a parse error, a full
-// queue, a deadline…) sends its followers down the normal execution path
-// instead — the leader's failure may have been specific to its own request.
-func (req *request) joinFlight() bool {
-	if req.sv.flights == nil {
-		return false
-	}
-	f, leader := req.sv.flights.Join(req.ckey)
-	if leader {
-		req.flight = f
-		return false
-	}
-	req.phase = "while coalesced"
-	hdr, err := f.AwaitHeader(req.ctx)
-	if err != nil {
-		return req.fail(req.ctx.Err())
-	}
-	copyCachedHeaders(req.w.Header(), hdr)
-	req.w.Header().Set("X-S2RDF-Cache", "coalesced")
-	off := 0
-	for {
-		chunk, done, err := f.Read(req.ctx, off)
-		if len(chunk) > 0 {
-			req.w.Write(chunk)
-			off += len(chunk)
-			req.w.Flush()
-		}
-		if err != nil {
-			if off > 0 {
-				// Mid-body: same contract as the leader's own abort —
-				// trailing "error" member, then a truncated connection.
-				writeAbortTrailer(req.w, err)
-				panic(http.ErrAbortHandler)
-			}
-			// Nothing written yet: the status line can still carry the
-			// verdict (own-context errors map like any pre-body failure).
-			return req.fail(req.ctx.Err()) || req.fail(&statusError{
-				http.StatusInternalServerError, "coalesced execution aborted: " + err.Error()})
-		}
-		if done {
-			return true
-		}
-	}
 }
 
 func (req *request) engine() *core.Engine { return req.sv.st.Engine(req.mode) }
@@ -770,8 +703,7 @@ func (c yieldChain) Yield() {
 // one flush per decoded engine batch — so the client's first bytes do not
 // wait for the last row. Metric headers are then a snapshot as of the first
 // flush (headers cannot trail the body). Either way every chunk tees into
-// the flight and the cache fill, so a cached or coalesced replay is
-// byte-identical to direct execution.
+// the cache fill, so a cached replay is byte-identical to direct execution.
 //
 // A query that dies before the first byte keeps the error contract (fail).
 // A query that dies mid-stream cannot change the status line anymore: the
@@ -819,15 +751,11 @@ func (req *request) respond() {
 			}
 			batch, err := req.stream.NextRaw()
 			if err != nil {
-				// The trailer is deliberately not teed — followers and the
-				// cache must never see one request's error text: the flight
-				// is closed with the error itself, the fill never inserted.
-				// Closing the connection without the terminating chunk marks
-				// the body as truncated at the transport level; the JSON
-				// document is still complete for lenient clients.
-				if req.flight != nil {
-					req.flight.Close(err)
-				}
+				// The trailer is deliberately not teed — the cache must
+				// never see one request's error text, and the fill is never
+				// inserted. Closing the connection without the terminating
+				// chunk marks the body as truncated at the transport level;
+				// the JSON document is still complete for lenient clients.
 				writeAbortTrailer(req.w, err)
 				panic(http.ErrAbortHandler)
 			}
@@ -835,9 +763,6 @@ func (req *request) respond() {
 			done = batch == nil
 		}
 		enc.end()
-	}
-	if req.flight != nil {
-		req.flight.Close(nil)
 	}
 	// The fill re-checks the statistics epoch: a lazy ExtVP count that
 	// landed mid-query bumped it, and a result computed under the old
@@ -921,15 +846,15 @@ func (req *request) setHeaders(res *Result) {
 	}
 }
 
-// cacheSnapshotSkip lists response headers never included in a flight or
-// cache header snapshot: each request stamps its own cache status, and a
+// cacheSnapshotSkip lists response headers never included in a cache
+// header snapshot: each request stamps its own cache status, and a
 // replayed body is not an in-progress stream.
 var cacheSnapshotSkip = map[string]bool{
 	http.CanonicalHeaderKey("X-S2RDF-Cache"):     true,
 	http.CanonicalHeaderKey("X-S2RDF-Streaming"): true,
 }
 
-// snapshotHeaders deep-copies h for replay on cache hits and to followers.
+// snapshotHeaders deep-copies h for replay on cache hits.
 func snapshotHeaders(h http.Header) map[string][]string {
 	snap := make(map[string][]string, len(h))
 	for k, vals := range h {
@@ -979,39 +904,28 @@ func (fs *fillState) add(p []byte) {
 // arrive, and the tail, one Flush per engine batch. Terms render through
 // the dictionary's memoized SPARQL-JSON bytes (dict.TermJSON), so a term is
 // escaped once per store lifetime, not once per row. Every flushed chunk
-// tees into the request's flight (followers replay it live) and its cache
-// fill (future hits replay it from memory); because every executed response
-// flows through here, a replayed body is byte-identical to an executed one.
+// tees into the request's cache fill (future hits replay it from memory);
+// because every executed response flows through here, a cached body is
+// byte-identical to an executed one.
 type streamEncoder struct {
-	w      *trackingWriter
-	d      *dict.Dict
-	names  [][]byte // pre-marshaled JSON variable names, by column
-	buf    []byte   // pending bytes since the last flush
-	n      int      // bindings written
-	flight *cache.Flight
-	fill   *fillState
+	w     *trackingWriter
+	d     *dict.Dict
+	names [][]byte // pre-marshaled JSON variable names, by column
+	buf   []byte   // pending bytes since the last flush
+	n     int      // bindings written
+	fill  *fillState
 }
 
 // newEncoder opens the response body once the handler has stamped every
-// header: it takes the header snapshot and publishes it to the flight, when
-// one is open, so followers can start replaying. The result is cached only
-// when the cache is on and the cost gate classified the query expensive
-// (point lookups re-execute faster than they churn the LRU — the admission
-// policy of the result cache is the same gate that splits the scheduler
-// lanes).
+// header. The result is cached only when the cache is on and the cost gate
+// classified the query expensive (point lookups re-execute faster than they
+// churn the LRU — the admission policy of the result cache is the same gate
+// that splits the scheduler lanes); only then is the header snapshot taken,
+// for the fill.
 func (req *request) newEncoder() *streamEncoder {
-	e := &streamEncoder{w: req.w, d: req.sv.st.Dataset().Dict, flight: req.flight}
+	e := &streamEncoder{w: req.w, d: req.sv.st.Dataset().Dict}
 	if rc := req.sv.rcache; rc != nil && req.class == sched.Expensive {
-		e.fill = &fillState{max: rc.MaxEntry(), rc: rc}
-	}
-	if e.flight != nil || e.fill != nil {
-		snap := snapshotHeaders(req.w.Header())
-		if e.flight != nil {
-			e.flight.SetHeader(snap)
-		}
-		if e.fill != nil {
-			e.fill.header = snap
-		}
+		e.fill = &fillState{header: snapshotHeaders(req.w.Header()), max: rc.MaxEntry(), rc: rc}
 	}
 	return e
 }
@@ -1057,14 +971,11 @@ func (e *streamEncoder) bindings(rows []engine.Row) {
 	}
 }
 
-// flush writes the pending chunk to the wire, tees it into the flight and
-// the cache fill, and flushes the connection.
+// flush writes the pending chunk to the wire, tees it into the cache fill,
+// and flushes the connection.
 func (e *streamEncoder) flush() {
 	if len(e.buf) > 0 {
 		e.w.Write(e.buf)
-		if e.flight != nil {
-			e.flight.Write(e.buf)
-		}
 		if e.fill != nil {
 			e.fill.add(e.buf)
 		}
@@ -1080,8 +991,7 @@ func (e *streamEncoder) end() {
 }
 
 // writeAbortTrailer appends the trailing "error" member that marks a
-// response body as truncated (shared by the leader's abort path and a
-// follower whose flight died mid-body).
+// response body as truncated.
 func writeAbortTrailer(w *trackingWriter, err error) {
 	msg := err.Error()
 	switch {

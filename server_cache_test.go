@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"s2rdf/internal/engine"
 	"s2rdf/internal/rdf"
@@ -23,13 +22,11 @@ import (
 // cacheStats reads one store's result_cache record (plus the plan- and
 // selection-cache counters) out of /healthz.
 type cacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Fills     int64 `json:"fills"`
-	Swept     int64 `json:"swept"`
-	Entries   int   `json:"entries"`
-	Coalesced int64 `json:"coalesced"`
-	Waiting   int   `json:"waiting"`
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Fills   int64 `json:"fills"`
+	Swept   int64 `json:"swept"`
+	Entries int   `json:"entries"`
 }
 
 func healthzCaches(t *testing.T, srv *httptest.Server) (rc cacheStats, plan, sel CacheCounters) {
@@ -39,7 +36,7 @@ func healthzCaches(t *testing.T, srv *httptest.Server) (rc cacheStats, plan, sel
 }
 
 // getCached issues one query and returns the body plus the X-S2RDF-Cache
-// header ("hit", "miss", "coalesced", or "" when caching is disabled).
+// header ("hit", "miss", or "" when caching is disabled).
 func getCached(t *testing.T, srv *httptest.Server, query string) (body []byte, lane string) {
 	t.Helper()
 	body, lane, err := fetchCached(srv, query)
@@ -300,164 +297,97 @@ func TestServerOnePlanCacheProbePerExecution(t *testing.T) {
 	}
 }
 
-// TestServerSingleFlightStampede sends 8 identical requests at a store
-// whose engine is parked mid-production: exactly one executes (the
-// leader), the other 7 coalesce onto its flight, and all 8 read complete,
-// byte-identical result documents.
-func TestServerSingleFlightStampede(t *testing.T) {
+// TestServerCacheStampede sends 8 concurrent identical requests for a cold
+// query. Nothing coalesces them: each miss executes on its own, admission
+// bounding how many run at once, and fills the same key; a request that
+// arrives after the first fill is a hit. Every reply is the same complete
+// document, and once the stampede is over the query is a plain cache hit.
+func TestServerCacheStampede(t *testing.T) {
 	st := Load(scoreTriples(3000), Options{})
-	pacer := newGatePacer()
 	var execs atomic.Int64
 	opts := ServerOptions{
+		MaxConcurrent:    4,
+		CheapThreshold:   1, // the full scan is expensive, so it caches
 		StreamThreshold:  64,
-		ResultCacheBytes: 1 << 20,
+		ResultCacheBytes: 16 << 20,
 	}
-	// park, when set, holds every executing request just before its plan
-	// runs (the buffered cases below have no first flush to park on).
-	var park atomic.Pointer[chan struct{}]
-	opts.chaos = func(*http.Request) engine.Yielder {
-		execs.Add(1)
-		if gate := park.Load(); gate != nil {
-			<-*gate
+	opts.chaos = func(*http.Request) engine.Yielder { execs.Add(1); return nil }
+	srv := startServer(t, NewHandler(st, opts))
+
+	const requests = 8
+	// stampede fires the requests at once and checks that each is a 200
+	// miss or hit carrying the same body, with one execution per miss. It
+	// returns that body.
+	stampede := func(q string) []byte {
+		t.Helper()
+		type reply struct {
+			body []byte
+			lane string
+			err  error
 		}
-		return nil
-	}
-	srv := streamServer(t, st, pacer, opts)
-
-	const followers = 7
-	leaderResp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(scanQuery))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaderResp.Body.Close()
-	if lane := leaderResp.Header.Get("X-S2RDF-Cache"); lane != "miss" {
-		t.Fatalf("leader lane = %q, want miss", lane)
-	}
-	// Read the head so the first flush (which arms the pacer) has happened,
-	// then wait for the engine to park mid-production.
-	first := make([]byte, 64<<10)
-	n, err := leaderResp.Body.Read(first)
-	if err != nil || n == 0 {
-		t.Fatalf("leader first read: %d bytes, err %v", n, err)
-	}
-	pacer.awaitBlocked(t)
-
-	// The stampede arrives while the leader is provably still executing.
-	type result struct {
-		body []byte
-		lane string
-		err  error
-	}
-	results := make([]result, followers)
-	var wg sync.WaitGroup
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(scanQuery))
-			if err != nil {
-				results[i].err = err
-				return
+		replies := make([]reply, requests)
+		before := execs.Load()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range replies {
+			wg.Add(1)
+			go func(r *reply) {
+				defer wg.Done()
+				<-start
+				r.body, r.lane, r.err = fetchCached(srv, q)
+			}(&replies[i])
+		}
+		close(start)
+		wg.Wait()
+		misses := int64(0)
+		for i, r := range replies {
+			if r.err != nil {
+				t.Fatalf("%s: request %d: %v", q, i, r.err)
 			}
-			defer resp.Body.Close()
-			results[i].lane = resp.Header.Get("X-S2RDF-Cache")
-			results[i].body, results[i].err = io.ReadAll(resp.Body)
-		}(i)
-	}
-
-	// All 7 must have joined the flight before the engine is released —
-	// coalesced is cumulative, so this poll is race-free.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		rc, _, _ := healthzCaches(t, srv)
-		if rc.Coalesced == followers {
-			break
+			switch r.lane {
+			case "miss":
+				misses++
+			case "hit":
+			default:
+				t.Fatalf("%s: request %d lane = %q, want miss or hit", q, i, r.lane)
+			}
+			if !bytes.Equal(r.body, replies[0].body) {
+				t.Fatalf("%s: request %d body diverges (%d vs %d bytes)", q, i, len(r.body), len(replies[0].body))
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("coalesced = %d, want %d (followers never joined the flight)", rc.Coalesced, followers)
+		if n := execs.Load() - before; n < 1 || n > requests || n != misses {
+			t.Fatalf("%s: %d executions for %d misses, want 1 to %d, one per miss", q, n, misses, requests)
 		}
-		time.Sleep(2 * time.Millisecond)
+		return replies[0].body
 	}
 
-	close(pacer.release)
-	rest, err := io.ReadAll(leaderResp.Body)
-	if err != nil {
-		t.Fatalf("draining leader: %v", err)
-	}
-	leaderBody := append(first[:n], rest...)
-	wg.Wait()
-
-	if got := execs.Load(); got != 1 {
-		t.Fatalf("executions = %d, want exactly 1 for the whole stampede", got)
-	}
+	body := stampede(scanQuery)
 	var doc resultsDoc
-	if err := json.Unmarshal(leaderBody, &doc); err != nil {
-		t.Fatalf("leader document invalid: %v", err)
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("stampede document invalid: %v", err)
 	}
 	if len(doc.Results.Bindings) != 3000 {
-		t.Fatalf("leader streamed %d bindings, want 3000", len(doc.Results.Bindings))
+		t.Fatalf("stampede replies carry %d bindings, want 3000", len(doc.Results.Bindings))
 	}
-	for i, r := range results {
-		if r.err != nil {
-			t.Fatalf("follower %d: %v", i, r.err)
-		}
-		if r.lane != "coalesced" {
-			t.Fatalf("follower %d lane = %q, want coalesced", i, r.lane)
-		}
-		if !bytes.Equal(r.body, leaderBody) {
-			t.Fatalf("follower %d body diverges from the leader (%d vs %d bytes)",
-				i, len(r.body), len(leaderBody))
-		}
+	before := execs.Load()
+	again, lane := getCached(t, srv, scanQuery)
+	if lane != "hit" || !bytes.Equal(again, body) || execs.Load() != before {
+		t.Fatalf("follow-up lane %q with %d executions (same bytes: %v), want a hit on the stampede's bytes without executing",
+			lane, execs.Load()-before, bytes.Equal(again, body))
+	}
+	if rc, _, _ := healthzCaches(t, srv); rc.Entries != 1 {
+		t.Fatalf("healthz result_cache entries = %d after the stampede, want 1", rc.Entries)
 	}
 
-	// Buffered documents — ASK answers and zero-variable SELECTs — coalesce
-	// the same way: the leader is parked before it executes, 7 requests join
-	// its flight, one execution answers all 8 with the same pinned bytes.
+	// Buffered documents — ASK answers and zero-variable SELECTs — take the
+	// same path: every reply is the pinned document.
 	for q, want := range map[string]string{
 		`ASK { ?p <urn:score> ?s }`:                   "{\"head\":{},\"boolean\":true}\n",
 		`SELECT * WHERE { <urn:P1> <urn:score> 1 }`:   "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[\n{}\n]}}\n",
 		`SELECT * WHERE { <urn:P1> <urn:score> 999 }`: "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[\n]}}\n",
 	} {
-		gate := make(chan struct{})
-		park.Store(&gate)
-		execsBefore := execs.Load()
-		before, _, _ := healthzCaches(t, srv)
-		lanes := make(chan string, followers+1)
-		request := func() {
-			body, lane, err := fetchCached(srv, q)
-			if err != nil || string(body) != want {
-				t.Errorf("%s: %s body %q (%v), want %q", q, lane, body, err, want)
-			}
-			lanes <- lane
-		}
-		// Poll until the leader has reached the hook and parked, then until
-		// every follower has joined its flight (coalesced is cumulative).
-		await := func(what string, cond func() bool) {
-			t.Helper()
-			for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					close(gate) // let the parked leader go, or the server cannot close
-					t.Fatalf("%s: %s never happened", q, what)
-				}
-			}
-		}
-		go request()
-		await("leader parked", func() bool { return execs.Load() == execsBefore+1 })
-		for i := 0; i < followers; i++ {
-			go request()
-		}
-		await("followers coalesced", func() bool {
-			rc, _, _ := healthzCaches(t, srv)
-			return rc.Coalesced-before.Coalesced == followers
-		})
-		close(gate)
-		count := map[string]int{}
-		for i := 0; i < followers+1; i++ {
-			count[<-lanes]++
-		}
-		if count["miss"] != 1 || count["coalesced"] != followers || execs.Load() != execsBefore+1 {
-			t.Fatalf("%s: lanes %v with %d executions, want 1 miss + %d coalesced from 1 execution",
-				q, count, execs.Load()-execsBefore, followers)
+		if got := stampede(q); string(got) != want {
+			t.Fatalf("%s: body %q, want %q", q, got, want)
 		}
 	}
 }

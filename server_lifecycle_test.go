@@ -146,7 +146,7 @@ func TestServeDefaultAndMaxTimeout(t *testing.T) {
 	})
 	t.Run("bad-timeout", func(t *testing.T) {
 		srv := startServer(t, NewHandler(st, ServerOptions{}))
-		for _, v := range []string{"bogus", "-5ms", "0"} {
+		for _, v := range []string{"bogus", "-5ms", "0", "18446744073710"} {
 			resp, err := http.Get(srv.URL + "/sparql?timeout=" + v +
 				"&query=" + url.QueryEscape(fastQuery))
 			if err != nil {

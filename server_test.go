@@ -53,8 +53,8 @@ func startServer(t *testing.T, h http.Handler) *httptest.Server {
 // assertQuiescent waits (handler defers run after the response body is on
 // the wire, so a freshly-finished request may still hold its slot for an
 // instant) until every store srv serves is at rest — no query running or
-// waiting in either scheduler lane, no response streaming, no follower
-// blocked on a flight — and, once the clients' idle connections are closed,
+// waiting in either scheduler lane, no response streaming — and, once the
+// clients' idle connections are closed,
 // the goroutine count is back to what it was when srv started. Anything
 // still held after 10s is a leak and fails the test.
 func assertQuiescent(t *testing.T, srv *httptest.Server) {
@@ -125,7 +125,6 @@ func busyStores(t *testing.T, srv *httptest.Server) string {
 			"expensive.running": s.Sched.Expensive.Running,
 			"expensive.waiting": s.Sched.Expensive.Waiting,
 			"streaming":         int(s.Streaming),
-			"flight waiting":    s.ResultCache.Waiting,
 		} {
 			if n != 0 {
 				busy = append(busy, fmt.Sprintf("%s %s=%d", name, gauge, n))
