@@ -26,9 +26,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -372,22 +374,11 @@ func cmdStats(args []string) {
 	fmt.Printf("total tuples:   %d (%.1fx the input)\n", sizes.TotalTuples,
 		float64(sizes.TotalTuples)/float64(sizes.Triples))
 
-	ds := st.Dataset()
-	type entry struct {
-		name string
-		rows int
-	}
-	var entries []entry
-	for p, tbl := range ds.VP {
-		entries = append(entries, entry{tbl.Name, ds.VPRows[p]})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].rows > entries[j].rows })
+	vps := slices.Collect(maps.Values(st.Dataset().VP))
+	sort.Slice(vps, func(i, j int) bool { return vps[i].NumRows() > vps[j].NumRows() })
 	fmt.Printf("\nlargest VP tables:\n")
-	for i, e := range entries {
-		if i >= *top {
-			break
-		}
-		fmt.Printf("  %-40s %8d rows (%.2f of |G|)\n", e.name, e.rows,
-			float64(e.rows)/float64(sizes.Triples))
+	for _, tbl := range vps[:max(0, min(*top, len(vps)))] {
+		fmt.Printf("  %-40s %8d rows (%.2f of |G|)\n", tbl.Name, tbl.NumRows(),
+			float64(tbl.NumRows())/float64(sizes.Triples))
 	}
 }

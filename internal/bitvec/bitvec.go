@@ -29,6 +29,9 @@ func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 // Clear clears bit i.
 func (b *Bitset) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
 
+// Reset clears every bit, keeping the length and the storage.
+func (b *Bitset) Reset() { clear(b.words) }
+
 // Get reports whether bit i is set.
 func (b *Bitset) Get(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 

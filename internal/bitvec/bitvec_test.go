@@ -29,6 +29,21 @@ func TestSetGetClear(t *testing.T) {
 	}
 }
 
+func TestReset(t *testing.T) {
+	b := New(130)
+	for _, i := range []int{0, 64, 129} {
+		b.Set(i)
+	}
+	b.Reset()
+	if b.Count() != 0 || b.Len() != 130 {
+		t.Errorf("after Reset: Count = %d, Len = %d", b.Count(), b.Len())
+	}
+	b.Set(129)
+	if !b.Get(129) {
+		t.Error("Set after Reset failed")
+	}
+}
+
 func TestAnd(t *testing.T) {
 	a, b := New(100), New(100)
 	a.Set(3)

@@ -34,17 +34,13 @@ const (
 	OO
 )
 
+// correlationNames holds each correlation's name in table names and meta.json.
+var correlationNames = [...]string{SS: "SS", OS: "OS", SO: "SO", OO: "OO"}
+
 // String returns the correlation name as used in table names.
 func (c Correlation) String() string {
-	switch c {
-	case SS:
-		return "SS"
-	case OS:
-		return "OS"
-	case SO:
-		return "SO"
-	case OO:
-		return "OO"
+	if int(c) < len(correlationNames) {
+		return correlationNames[c]
 	}
 	return fmt.Sprintf("Correlation(%d)", int(c))
 }
@@ -84,8 +80,6 @@ type Options struct {
 	// reduction then costs |VP_p1|/8 bytes, and several reductions of the
 	// same pattern can be intersected with a word-wise AND.
 	BitVectors bool
-	// Workers bounds build parallelism; <=0 means GOMAXPROCS.
-	Workers int
 }
 
 // DefaultOptions enables ExtVP with no SF threshold.
@@ -102,8 +96,6 @@ type Dataset struct {
 	// VP maps predicate ID to its two-column table (columns s, o), sorted
 	// by (s, o).
 	VP map[dict.ID]*store.Table
-	// VPRows caches VP table sizes.
-	VPRows map[dict.ID]int
 	// ExtVP holds the materialized semi-join reductions (row copies).
 	ExtVP map[ExtKey]*store.Table
 	// ExtBits holds the reductions in bit-vector form when the dataset was
@@ -193,23 +185,29 @@ func BuildEncoded(tt *store.Table, d *dict.Dict, opts Options) *Dataset {
 	if opts.Threshold <= 0 {
 		opts.Threshold = 1.0
 	}
-	ds := &Dataset{
-		Dict:      d,
-		TT:        tt,
-		VP:        make(map[dict.ID]*store.Table),
-		VPRows:    make(map[dict.ID]int),
-		ExtVP:     make(map[ExtKey]*store.Table),
-		ExtBits:   make(map[ExtKey]*bitvec.Bitset),
-		Info:      make(map[ExtKey]TableInfo),
-		Threshold: opts.Threshold,
-	}
-	ds.buildVP()
+	ds := newDataset(d, tt, opts.Threshold)
 	if opts.BuildExtVP {
 		ds.buildExtVP(opts)
 	}
 	if opts.BuildPT {
 		ds.PT = buildPT(ds)
 	}
+	return ds
+}
+
+// newDataset returns a dataset over tt with VP sliced out of it and no
+// ExtVP reductions yet: the state Build and Load share.
+func newDataset(d *dict.Dict, tt *store.Table, threshold float64) *Dataset {
+	ds := &Dataset{
+		Dict:      d,
+		TT:        tt,
+		VP:        make(map[dict.ID]*store.Table),
+		ExtVP:     make(map[ExtKey]*store.Table),
+		ExtBits:   make(map[ExtKey]*bitvec.Bitset),
+		Info:      make(map[ExtKey]TableInfo),
+		Threshold: threshold,
+	}
+	ds.buildVP()
 	return ds
 }
 
@@ -224,137 +222,138 @@ func (ds *Dataset) buildVP() {
 		}
 		p := ps[i]
 		t := store.NewTable(VPName(ds.Dict, p), "s", "o")
-		t.Data[0] = ds.TT.Data[0][i:j]
-		t.Data[1] = ds.TT.Data[2][i:j]
+		// Capped at the run's end, so an append to a VP column copies
+		// instead of overwriting the next predicate's rows in TT.
+		t.Data[0] = ds.TT.Data[0][i:j:j]
+		t.Data[1] = ds.TT.Data[2][i:j:j]
 		// The TT (p,s,o) sort leaves each slice sorted by (s,o): Finalize
 		// records s as the sort column plus zone maps and distinct counts.
 		t.Finalize()
 		ds.VP[p] = t
-		ds.VPRows[p] = j - i
 		ds.Predicates = append(ds.Predicates, p)
 		i = j
 	}
 	sort.Slice(ds.Predicates, func(i, j int) bool { return ds.Predicates[i] < ds.Predicates[j] })
 }
 
-// idSet is a hash set of IDs.
-type idSet map[dict.ID]struct{}
+// semiSets holds the subject and object sets of one predicate P2 as bitsets
+// over the dictionary's dense ID range: the probe side of every semi-join
+// VP[P1] ⋉ VP[P2]. One pair is reused for every P2 in turn, so set memory
+// is 2 × ⌈|dict|/64⌉ words per pair however many predicates there are.
+type semiSets struct {
+	p                 dict.ID // the predicate the sets hold; NoID when empty
+	subjects, objects *bitvec.Bitset
+}
 
-func columnSet(col []dict.ID) idSet {
-	s := make(idSet, len(col))
-	for _, v := range col {
-		s[v] = struct{}{}
+func newSemiSets(n int) *semiSets {
+	return &semiSets{p: dict.NoID, subjects: bitvec.New(n), objects: bitvec.New(n)}
+}
+
+// fill makes the sets hold VP[p]'s subjects and objects.
+func (s *semiSets) fill(ds *Dataset, p dict.ID) {
+	if s.p == p {
+		return
 	}
-	return s
+	s.subjects.Reset()
+	s.objects.Reset()
+	vp := ds.VP[p]
+	for _, v := range vp.Data[0] {
+		s.subjects.Set(int(v))
+	}
+	for _, v := range vp.Data[1] {
+		s.objects.Set(int(v))
+	}
+	s.p = p
 }
 
 // buildExtVP computes the semi-join reductions of every VP table pair for
 // the SS, OS and SO correlations (and OO when requested), in parallel.
 // This is the preprocessing the paper performs at load time (Sec. 5.2).
+// Work is split by P2: a worker fills its one set pair from VP[P2] and
+// reduces every VP[P1] against it, so every group scans all VP tables.
 func (ds *Dataset) buildExtVP(opts Options) {
+	kinds := []Correlation{SS, OS, SO}
+	if opts.BuildOO {
+		kinds = append(kinds, OO)
+	}
 	preds := ds.Predicates
-	subjects := make(map[dict.ID]idSet, len(preds))
-	objects := make(map[dict.ID]idSet, len(preds))
+	next := make(chan dict.ID, len(preds))
 	for _, p := range preds {
-		subjects[p] = columnSet(ds.VP[p].Data[0])
-		objects[p] = columnSet(ds.VP[p].Data[1])
-	}
-
-	type task struct{ key ExtKey }
-	var tasks []task
-	for _, p1 := range preds {
-		for _, p2 := range preds {
-			if p1 != p2 {
-				tasks = append(tasks, task{ExtKey{SS, p1, p2}})
-			}
-			tasks = append(tasks, task{ExtKey{OS, p1, p2}})
-			tasks = append(tasks, task{ExtKey{SO, p1, p2}})
-			if opts.BuildOO && p1 != p2 {
-				tasks = append(tasks, task{ExtKey{OO, p1, p2}})
-			}
-		}
-	}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	next := make(chan task, len(tasks))
-	for _, t := range tasks {
-		next <- t
+		next <- p
 	}
 	close(next)
-	for w := 0; w < workers; w++ {
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(preds)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range next {
-				tbl, bits, info := ds.reduce(t.key, subjects, objects, opts)
-				mu.Lock()
-				if info.SF < 1 { // SF = 1 tables are not recorded: VP is used
-					ds.Info[t.key] = info
-					if tbl != nil {
-						ds.ExtVP[t.key] = tbl
-					}
-					if bits != nil {
-						ds.ExtBits[t.key] = bits
+			sets := newSemiSets(ds.Dict.Len())
+			for p2 := range next {
+				sets.fill(ds, p2)
+				for _, p1 := range preds {
+					for _, kind := range kinds {
+						if p1 == p2 && (kind == SS || kind == OO) {
+							continue // SS and OO of a predicate with itself reduce to VP
+						}
+						key := ExtKey{kind, p1, p2}
+						sel, info := ds.reduce(key, sets, opts.Threshold)
+						var tbl *store.Table
+						if info.Materialized && !opts.BitVectors {
+							tbl = ds.materialize(key, sel, info.Rows)
+						}
+						mu.Lock()
+						if info.SF < 1 { // SF = 1 tables are not recorded: VP is used
+							ds.Info[key] = info
+						}
+						if tbl != nil {
+							ds.ExtVP[key] = tbl
+						} else if info.Materialized {
+							ds.ExtBits[key] = sel
+						}
+						mu.Unlock()
 					}
 				}
-				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// reduceCol resolves which VP column of key.P1 is filtered by which column
-// set of key.P2 for the key's correlation kind.
-func (ds *Dataset) reduceCol(key ExtKey, subjects, objects map[dict.ID]idSet) (filter idSet, col []dict.ID) {
+// reduce runs the semi-join of VP[key.P1] against sets, which must hold
+// key.P2. It returns the selection — bit i marks row i of VP[key.P1] — and
+// the candidate's statistics: row count, SF, and whether it qualifies for
+// materialization under threshold (0 < rows < |VP[key.P1]|, SF < threshold).
+func (ds *Dataset) reduce(key ExtKey, sets *semiSets, threshold float64) (*bitvec.Bitset, TableInfo) {
 	vp := ds.VP[key.P1]
-	switch key.Kind {
-	case SS:
-		return subjects[key.P2], vp.Data[0]
-	case OS:
-		return subjects[key.P2], vp.Data[1]
-	case SO:
-		return objects[key.P2], vp.Data[0]
-	case OO:
-		return objects[key.P2], vp.Data[1]
+	col, filter := vp.Data[0], sets.subjects
+	if key.Kind == OS || key.Kind == OO {
+		col = vp.Data[1]
 	}
-	return nil, nil
-}
-
-// reduceStats computes one reduction's statistics — row count, SF, and
-// whether it qualifies for materialization under threshold — without
-// allocating the reduction itself. Most candidate tables are empty or full,
-// and lazy mode rejects candidates on these statistics before paying for
-// row copies, so the counting pass stands alone.
-func (ds *Dataset) reduceStats(key ExtKey, subjects, objects map[dict.ID]idSet, threshold float64) TableInfo {
-	filter, col := ds.reduceCol(key, subjects, objects)
-	matches := 0
-	for _, v := range col {
-		if _, ok := filter[v]; ok {
-			matches++
+	if key.Kind == SO || key.Kind == OO {
+		filter = sets.objects
+	}
+	sel := bitvec.New(len(col))
+	for i, v := range col {
+		if filter.Get(int(v)) {
+			sel.Set(i)
 		}
 	}
-	total := len(col)
-	info := TableInfo{Rows: matches, SF: float64(matches) / float64(total)}
-	info.Materialized = matches > 0 && matches < total && info.SF < threshold
-	return info
+	matches := sel.Count()
+	info := TableInfo{Rows: matches, SF: float64(matches) / float64(len(col))}
+	info.Materialized = matches > 0 && matches < len(col) && info.SF < threshold
+	return sel, info
 }
 
-// materializeReduction builds the row copy of a reduction that reduceStats
-// found qualifying (0 < matches < total rows).
-func (ds *Dataset) materializeReduction(key ExtKey, subjects, objects map[dict.ID]idSet, matches int) *store.Table {
-	filter, col := ds.reduceCol(key, subjects, objects)
+// materialize copies the rows of VP[key.P1] that sel marks; rows is their
+// count.
+func (ds *Dataset) materialize(key ExtKey, sel *bitvec.Bitset, rows int) *store.Table {
 	vp := ds.VP[key.P1]
 	t := store.NewTable(ExtVPName(ds.Dict, key), "s", "o")
-	t.Data[0] = make([]dict.ID, 0, matches)
-	t.Data[1] = make([]dict.ID, 0, matches)
-	for i, v := range col {
-		if _, ok := filter[v]; ok {
+	t.Data[0] = make([]dict.ID, 0, rows)
+	t.Data[1] = make([]dict.ID, 0, rows)
+	for i := range vp.NumRows() {
+		if sel.Get(i) {
 			t.Data[0] = append(t.Data[0], vp.Data[0][i])
 			t.Data[1] = append(t.Data[1], vp.Data[1][i])
 		}
@@ -364,34 +363,17 @@ func (ds *Dataset) materializeReduction(key ExtKey, subjects, objects map[dict.I
 	return t
 }
 
-// reduce computes one semi-join reduction. The returned table (or bitset,
-// with Options.BitVectors) is nil when the reduction is empty, equal to VP,
-// or above the SF threshold.
-func (ds *Dataset) reduce(key ExtKey, subjects, objects map[dict.ID]idSet, opts Options) (*store.Table, *bitvec.Bitset, TableInfo) {
-	info := ds.reduceStats(key, subjects, objects, opts.Threshold)
-	if !info.Materialized {
-		return nil, nil, info
-	}
-	if opts.BitVectors {
-		filter, col := ds.reduceCol(key, subjects, objects)
-		bits := bitvec.New(len(col))
-		for i, v := range col {
-			if _, ok := filter[v]; ok {
-				bits.Set(i)
-			}
-		}
-		return nil, bits, info
-	}
-	return ds.materializeReduction(key, subjects, objects, info.Rows), nil, info
-}
-
 // ExtInfo returns the statistics for an ExtVP candidate table. When the
 // table was never computed (reduction equals VP) it reports SF = 1.
 func (ds *Dataset) ExtInfo(key ExtKey) TableInfo {
 	if info, ok := ds.Info[key]; ok {
 		return info
 	}
-	return TableInfo{Rows: ds.VPRows[key.P1], SF: 1}
+	rows := 0
+	if vp := ds.VP[key.P1]; vp != nil {
+		rows = vp.NumRows()
+	}
+	return TableInfo{Rows: rows, SF: 1}
 }
 
 // VPName renders a VP table name, e.g. "VP:wsdbm:follows".

@@ -3,7 +3,7 @@ package layout
 import (
 	"sync"
 
-	"s2rdf/internal/dict"
+	"s2rdf/internal/bitvec"
 	"s2rdf/internal/store"
 )
 
@@ -22,9 +22,9 @@ import (
 type LazyExtVP struct {
 	ds *Dataset
 	mu sync.Mutex
-	// cached column sets, computed once per predicate.
-	subjects map[dict.ID]idSet
-	objects  map[dict.ID]idSet
+	// sets holds the last counted key's P2 and is refilled when a key's P2
+	// differs (nil until the first count).
+	sets *semiSets
 	// counted marks reductions whose statistics were computed (even if
 	// empty/equal-to-VP); the rows may still be unmaterialized.
 	counted map[ExtKey]bool
@@ -36,12 +36,7 @@ type LazyExtVP struct {
 // maps are extended in place as reductions are computed, so the regular
 // query compiler picks them up transparently.
 func NewLazyExtVP(ds *Dataset) *LazyExtVP {
-	return &LazyExtVP{
-		ds:       ds,
-		subjects: make(map[dict.ID]idSet),
-		objects:  make(map[dict.ID]idSet),
-		counted:  make(map[ExtKey]bool),
-	}
+	return &LazyExtVP{ds: ds, counted: make(map[ExtKey]bool)}
 }
 
 // Dataset returns the wrapped dataset.
@@ -65,9 +60,7 @@ func (l *LazyExtVP) ensureInfoLocked(key ExtKey) TableInfo {
 	if l.ds.VP[key.P1] == nil || l.ds.VP[key.P2] == nil {
 		return TableInfo{}
 	}
-	l.ensureSet(l.subjects, key.P2, 0)
-	l.ensureSet(l.objects, key.P2, 1)
-	info := l.ds.reduceStats(key, l.subjects, l.objects, l.ds.Threshold)
+	_, info := l.reduce(key)
 	if info.SF < 1 {
 		// The dataset lock orders the write against concurrent Sizes/Save
 		// readers; l.mu already serializes it against other lazy writers.
@@ -102,9 +95,8 @@ func (l *LazyExtVP) EnsureTable(key ExtKey) (*store.Table, TableInfo) {
 	if tbl, ok := l.ds.ExtVP[key]; ok {
 		return tbl, info
 	}
-	l.ensureSet(l.subjects, key.P2, 0)
-	l.ensureSet(l.objects, key.P2, 1)
-	tbl := l.ds.materializeReduction(key, l.subjects, l.objects, info.Rows)
+	sel, _ := l.reduce(key)
+	tbl := l.ds.materialize(key, sel, info.Rows)
 	l.ds.statsLock()
 	l.ds.ExtVP[key] = tbl
 	l.ds.statsUnlock()
@@ -112,10 +104,12 @@ func (l *LazyExtVP) EnsureTable(key ExtKey) (*store.Table, TableInfo) {
 	return tbl, info
 }
 
-// ensureSet lazily fills the column-set cache for one predicate
-// (col 0 = subjects, 1 = objects). Must hold l.mu.
-func (l *LazyExtVP) ensureSet(cache map[dict.ID]idSet, p dict.ID, col int) {
-	if _, ok := cache[p]; !ok {
-		cache[p] = columnSet(l.ds.VP[p].Data[col])
+// reduce runs key's semi-join against the scratch sets, refilling them
+// when key.P2 is not the predicate they hold. Must hold l.mu.
+func (l *LazyExtVP) reduce(key ExtKey) (*bitvec.Bitset, TableInfo) {
+	if l.sets == nil {
+		l.sets = newSemiSets(l.ds.Dict.Len())
 	}
+	l.sets.fill(l.ds, key.P2)
+	return l.ds.reduce(key, l.sets, l.ds.Threshold)
 }

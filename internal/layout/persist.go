@@ -1,10 +1,12 @@
 package layout
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"s2rdf/internal/bitvec"
 	"s2rdf/internal/dict"
@@ -35,21 +37,20 @@ type metaEntry struct {
 }
 
 func corrFromString(s string) (Correlation, error) {
-	switch s {
-	case "SS":
-		return SS, nil
-	case "OS":
-		return OS, nil
-	case "SO":
-		return SO, nil
-	case "OO":
-		return OO, nil
+	if c := slices.Index(correlationNames[:], s); c >= 0 {
+		return Correlation(c), nil
 	}
-	return 0, fmt.Errorf("layout: unknown correlation %q", s)
+	return 0, corrupt("unknown correlation %q", s)
 }
 
-// Save persists the dataset (dictionary, TT, VP, materialized ExtVP tables
-// and all statistics) to dir.
+// corrupt reports a store directory whose parts disagree with each other.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("layout: "+format+": %w", append(args, store.ErrCorrupt)...)
+}
+
+// Save persists the dataset (dictionary, TT, materialized ExtVP tables and
+// all statistics) to dir. VP is not written: it is a view of TT, which Load
+// slices again.
 func Save(ds *Dataset, dir string) error {
 	d, err := store.Open(dir)
 	if err != nil {
@@ -70,11 +71,6 @@ func Save(ds *Dataset, dir string) error {
 	if _, err := d.SaveTable(ds.TT, 1); err != nil {
 		return err
 	}
-	for _, tbl := range ds.VP {
-		if _, err := d.SaveTable(tbl, 1); err != nil {
-			return err
-		}
-	}
 	meta := metaFile{Threshold: ds.Threshold}
 	for _, p := range ds.Predicates {
 		meta.Predicates = append(meta.Predicates, string(ds.Dict.Decode(p)))
@@ -83,7 +79,16 @@ func Save(ds *Dataset, dir string) error {
 	// store may be materializing reductions while it is being persisted.
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
-	for key, info := range ds.Info {
+	keys := make([]ExtKey, 0, len(ds.Info))
+	for key := range ds.Info {
+		keys = append(keys, key)
+	}
+	// Sorted, so that one dataset always writes the same meta.json bytes.
+	slices.SortFunc(keys, func(a, b ExtKey) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.P1, b.P1), cmp.Compare(a.P2, b.P2))
+	})
+	for _, key := range keys {
+		info := ds.Info[key]
 		entry := metaEntry{
 			Kind:         key.Kind.String(),
 			P1:           string(ds.Dict.Decode(key.P1)),
@@ -122,8 +127,10 @@ func Save(ds *Dataset, dir string) error {
 	return d.Flush()
 }
 
-// Load reads a dataset previously written by Save. The property table is
-// rebuilt from the VP tables when buildPT is true.
+// Load reads a dataset previously written by Save, slicing VP out of TT
+// exactly as Build does. Statistics in meta.json that disagree with the
+// tables report an error wrapping store.ErrCorrupt. The property table is
+// rebuilt from the VP tables when withPT is true.
 func Load(dir string, withPT bool) (*Dataset, error) {
 	f, err := os.Open(filepath.Join(dir, "dict.txt"))
 	if err != nil {
@@ -140,38 +147,35 @@ func Load(dir string, withPT bool) (*Dataset, error) {
 	}
 	var meta metaFile
 	if err := json.Unmarshal(raw, &meta); err != nil {
-		return nil, fmt.Errorf("layout: corrupt meta.json: %w", err)
+		return nil, corrupt("meta.json: %v", err)
 	}
 	d, err := store.Open(dir)
 	if err != nil {
 		return nil, err
 	}
 
-	ds := &Dataset{
-		Dict:      dc,
-		VP:        make(map[dict.ID]*store.Table),
-		VPRows:    make(map[dict.ID]int),
-		ExtVP:     make(map[ExtKey]*store.Table),
-		ExtBits:   make(map[ExtKey]*bitvec.Bitset),
-		Info:      make(map[ExtKey]TableInfo),
-		Threshold: meta.Threshold,
-	}
-	ds.TT, err = d.LoadTable("TT")
+	tt, err := d.LoadTable("TT")
 	if err != nil {
 		return nil, err
 	}
+	// buildVP decodes TT's predicates and the semi-join bitsets span the
+	// dictionary's IDs, so an ID past its end (a truncated dict.txt) must
+	// stop here as an error.
+	for _, col := range tt.Data {
+		for _, v := range col {
+			if int(v) >= dc.Len() {
+				return nil, corrupt("TT holds ID %d, dict.txt has %d terms", v, dc.Len())
+			}
+		}
+	}
+	ds := newDataset(dc, tt, meta.Threshold)
+	if len(meta.Predicates) != len(ds.Predicates) {
+		return nil, corrupt("meta.json lists %d predicates, TT holds %d", len(meta.Predicates), len(ds.Predicates))
+	}
 	for _, pterm := range meta.Predicates {
-		p := dc.Lookup(rdf.Term(pterm))
-		if p == dict.NoID {
-			return nil, fmt.Errorf("layout: predicate %q missing from dictionary", pterm)
+		if ds.VP[dc.Lookup(rdf.Term(pterm))] == nil {
+			return nil, corrupt("predicate %q has no triples", pterm)
 		}
-		tbl, err := d.LoadTable(VPName(dc, p))
-		if err != nil {
-			return nil, err
-		}
-		ds.VP[p] = tbl
-		ds.VPRows[p] = tbl.NumRows()
-		ds.Predicates = append(ds.Predicates, p)
 	}
 	for _, entry := range meta.Ext {
 		kind, err := corrFromString(entry.Kind)
@@ -183,23 +187,32 @@ func Load(dir string, withPT bool) (*Dataset, error) {
 			P1:   dc.Lookup(rdf.Term(entry.P1)),
 			P2:   dc.Lookup(rdf.Term(entry.P2)),
 		}
-		if key.P1 == dict.NoID || key.P2 == dict.NoID {
-			return nil, fmt.Errorf("layout: ExtVP entry references unknown predicate")
+		vp := ds.VP[key.P1]
+		if vp == nil || ds.VP[key.P2] == nil {
+			return nil, corrupt("ExtVP entry %s %q|%q references an unknown predicate", entry.Kind, entry.P1, entry.P2)
 		}
 		ds.Info[key] = TableInfo{Rows: entry.Rows, SF: entry.SF, Materialized: entry.Materialized}
+		rows := entry.Rows // an entry without a table has nothing to check
 		switch {
 		case entry.BitVec:
 			tbl, err := d.LoadTable(ExtVPName(dc, key) + "#bits")
 			if err != nil {
 				return nil, err
 			}
-			ds.ExtBits[key] = tableToBits(tbl, ds.VPRows[key.P1])
+			if ds.ExtBits[key], err = tableToBits(tbl, vp.NumRows()); err != nil {
+				return nil, err
+			}
+			rows = ds.ExtBits[key].Count()
 		case entry.Materialized:
 			tbl, err := d.LoadTable(ExtVPName(dc, key))
 			if err != nil {
 				return nil, err
 			}
 			ds.ExtVP[key] = tbl
+			rows = tbl.NumRows()
+		}
+		if rows != entry.Rows {
+			return nil, corrupt("%s holds %d rows, meta.json says %d", ExtVPName(dc, key), rows, entry.Rows)
 		}
 	}
 	if withPT {
@@ -218,13 +231,16 @@ func bitsToTable(name string, bits *bitvec.Bitset) *store.Table {
 }
 
 // tableToBits reverses bitsToTable; n is the bitset length (the base VP
-// table's row count).
-func tableToBits(t *store.Table, n int) *bitvec.Bitset {
+// table's row count), which fixes the number of words.
+func tableToBits(t *store.Table, n int) (*bitvec.Bitset, error) {
+	if t.NumRows() != (n+63)/64 {
+		return nil, corrupt("%s has %d words for %d rows", t.Name, t.NumRows(), n)
+	}
 	words := make([]uint64, t.NumRows())
 	for i := range words {
 		words[i] = uint64(t.Data[0][i]) | uint64(t.Data[1][i])<<32
 	}
-	return bitvec.FromWords(n, words)
+	return bitvec.FromWords(n, words), nil
 }
 
 // DiskBytes sums the persisted size of all tables in dir.

@@ -1,12 +1,17 @@
 package layout
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"s2rdf/internal/bitvec"
+	"s2rdf/internal/rdf"
 	"s2rdf/internal/store"
 )
 
@@ -183,11 +188,12 @@ func TestDiskBytesNonzero(t *testing.T) {
 }
 
 func TestBitsTableRoundTripUnit(t *testing.T) {
-	ds := Build(g1(), DefaultOptions())
-	_ = ds
 	b := bitsFixture()
 	tbl := bitsToTable("x#bits", b)
-	got := tableToBits(tbl, b.Len())
+	got, err := tableToBits(tbl, b.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Count() != b.Count() {
 		t.Fatalf("count = %d, want %d", got.Count(), b.Count())
 	}
@@ -207,6 +213,176 @@ func TestCorrFromString(t *testing.T) {
 	}
 	if _, err := corrFromString("XX"); err == nil {
 		t.Error("expected error for unknown correlation")
+	}
+}
+
+// TestLoadMetaMismatch: meta.json statistics or a dictionary that disagree
+// with the tables beside them are corruption, reported as store.ErrCorrupt.
+func TestLoadMetaMismatch(t *testing.T) {
+	cases := map[string]struct {
+		opts Options
+		edit func(t *testing.T, dir string, ds *Dataset, meta *metaFile)
+	}{
+		"edited rows": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
+			for i := range meta.Ext {
+				if meta.Ext[i].Materialized {
+					meta.Ext[i].Rows++
+					return
+				}
+			}
+			t.Fatal("no materialized entry")
+		}},
+		"truncated bits": {Options{BuildExtVP: true, BitVectors: true}, func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
+			sd, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for key := range ds.ExtBits {
+				if _, err := sd.SaveTable(store.NewTable(ExtVPName(ds.Dict, key)+"#bits", "lo", "hi"), 1); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+			if err := sd.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		"unknown predicate": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
+			// A term of the dictionary that is no predicate: TT has no run.
+			meta.Predicates[0] = string(rdf.NewIRI("A"))
+		}},
+		"truncated dictionary": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
+			path := filepath.Join(dir, "dict.txt")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Drop the last term: TT still holds its ID.
+			last := bytes.LastIndexByte(raw[:len(raw)-1], '\n')
+			if err := os.WriteFile(path, raw[:last+1], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ds := Build(g1(), c.opts)
+			if err := Save(ds, dir); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var meta metaFile
+			if err := json.Unmarshal(raw, &meta); err != nil {
+				t.Fatal(err)
+			}
+			c.edit(t, dir, ds, &meta)
+			raw, err = json.Marshal(&meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "meta.json"), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(dir, false); !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("Load error = %v, want store.ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestSaveMetaDeterministic: saving one dataset writes the same meta.json
+// bytes every time.
+func TestSaveMetaDeterministic(t *testing.T) {
+	ds := Build(randomGraph(1), Options{BuildExtVP: true, BuildOO: true})
+	var first []byte
+	for i := 0; i < 5; i++ {
+		dir := t.TempDir()
+		if err := Save(ds, dir); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = raw
+		} else if !bytes.Equal(raw, first) {
+			t.Fatalf("save %d wrote different meta.json bytes", i)
+		}
+	}
+}
+
+// TestLoadIgnoresStaleVPFiles: VP is always sliced from TT, so a VP table
+// left in the directory by an older store format is never read.
+func TestLoadIgnoresStaleVPFiles(t *testing.T) {
+	dir := t.TempDir()
+	ds := Build(g1(), DefaultOptions())
+	if err := Save(ds, dir); err != nil {
+		t.Fatal(err)
+	}
+	f := pid(ds, "follows")
+	stale := store.NewTable(VPName(ds.Dict, f), "s", "o")
+	stale.Append(pid(ds, "likes"), pid(ds, "likes"))
+	sd, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sd.SaveTable(stale, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sd.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, tbl := range ds.VP {
+		if !reflect.DeepEqual(got.VP[p].Data, tbl.Data) {
+			t.Errorf("%s: loaded %v, want TT's run %v", tbl.Name, got.VP[p].Data, tbl.Data)
+		}
+	}
+}
+
+// TestLoadVPViewsTT: every loaded VP column is a subslice of TT, so the
+// base data is held once.
+func TestLoadVPViewsTT(t *testing.T) {
+	dir := t.TempDir()
+	if err := Save(Build(randomGraph(2), DefaultOptions()), dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := got.TT.Data[1]
+	for i := 0; i < len(ps); {
+		vp := got.VP[ps[i]]
+		if &vp.Data[0][0] != &got.TT.Data[0][i] || &vp.Data[1][0] != &got.TT.Data[2][i] {
+			t.Errorf("%s is not a view of TT at row %d", vp.Name, i)
+		}
+		i += vp.NumRows()
+	}
+}
+
+// TestSaveWritesNoVPTables: the manifest of a saved store lists no VP table.
+func TestSaveWritesNoVPTables(t *testing.T) {
+	dir := t.TempDir()
+	if err := Save(Build(g1(), DefaultOptions()), dir); err != nil {
+		t.Fatal(err)
+	}
+	sd, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range sd.AllStats() {
+		if strings.HasPrefix(st.Name, "VP:") {
+			t.Errorf("saved VP table %s", st.Name)
+		}
 	}
 }
 
