@@ -218,8 +218,6 @@ func cmdQuery(args []string) {
 			res.Sched.Class, cost.Cost(), cost.ScanRows, cost.PeakRows, cost.Patterns)
 		fmt.Printf("# sched: queue wait %v, yields %d\n",
 			res.Sched.QueueWait.Round(time.Microsecond), res.Sched.Yields)
-		fmt.Printf("# stats epoch: %d (result-cache entries for this query key on it)\n",
-			st.Dataset().StatsEpoch())
 		fmt.Println("# plan:")
 		for _, p := range res.Plan {
 			fmt.Printf("#   %-40s -> %s (rows %d, est %d, SF %.2f; scanned %d, pruned %d)\n",

@@ -1,23 +1,18 @@
-// Package cache implements the serving layer's epoch-keyed full-result
-// cache. Concurrent identical misses are not coalesced: each executes and
-// fills the same key (Put replaces the entry), while admission bounds how
-// many run at once.
+// Package cache implements the serving layer's full-result cache.
+// Concurrent identical misses are not coalesced: each executes and fills
+// the same key (Put replaces the entry), while admission bounds how many run
+// at once.
 //
 // The design leans on two invariants the rest of the system already
-// maintains: a store is immutable within one statistics epoch
-// (layout.Dataset.StatsEpoch moves only when the statistics change, e.g. a
-// lazy ExtVP count lands), and the serialized SPARQL-JSON body of a query
-// is a pure function of (store, mode, normalized query text). A cache entry
-// is therefore keyed by exactly that tuple plus the epoch it was produced
-// under: the existing epoch bump invalidates every stale entry for free,
-// with no coordination between the write path and the cache.
+// maintains: a store's data and statistics are immutable once it is loaded
+// (lazy ExtVP defers only row materialization, never statistics), and the
+// serialized SPARQL-JSON body of a query is a pure function of (store,
+// mode, normalized query text). A cache entry is therefore keyed by exactly
+// that tuple and stays valid until LRU eviction.
 //
 // The cache is byte-accounted, not entry-counted: the budget is the sum of
 // body bytes plus per-entry bookkeeping, and the least recently used entry
-// is evicted when an insert would exceed it. Entries from superseded epochs
-// can never be hit again (the lookup key carries the current epoch), so
-// they are swept eagerly the first time a newer epoch is observed rather
-// than lingering until LRU pressure finds them.
+// is evicted when an insert would exceed it.
 package cache
 
 import (
@@ -25,15 +20,13 @@ import (
 	"sync"
 )
 
-// Key identifies one cacheable result: a store, a layout mode, the
-// normalized query text, and the statistics epoch the result was (or would
-// be) computed under. Two requests with equal Keys are guaranteed the same
+// Key identifies one cacheable result: a store, a layout mode and the
+// normalized query text. Two requests with equal Keys are guaranteed the same
 // serialized result body.
 type Key struct {
 	Store string
 	Mode  string
 	Query string // normalized query text (core.NormalizeQuery)
-	Epoch int64  // layout.Dataset.StatsEpoch at lookup time
 }
 
 // Entry is one cached result: the pre-serialized SPARQL-JSON body and the
@@ -79,10 +72,8 @@ type Stats struct {
 	// the cost gate but exceeded the per-entry byte cap.
 	Fills    int64 `json:"fills"`
 	Rejected int64 `json:"rejected_too_large"`
-	// Evictions counts LRU evictions; Swept counts entries dropped because
-	// their epoch was superseded.
+	// Evictions counts LRU evictions.
 	Evictions int64 `json:"evictions"`
-	Swept     int64 `json:"swept"`
 	// Entries and Bytes are the current gauges; Capacity is the budget.
 	Entries  int   `json:"entries"`
 	Bytes    int64 `json:"bytes"`
@@ -102,9 +93,8 @@ type ResultCache struct {
 	bytes    int64
 	order    *list.List // front = most recently used; values are *cacheEntry
 	entries  map[Key]*list.Element
-	epoch    int64 // newest epoch observed; older entries are swept
 
-	hits, misses, fills, rejected, evictions, swept int64
+	hits, misses, fills, rejected, evictions int64
 }
 
 type cacheEntry struct {
@@ -143,16 +133,12 @@ func (c *ResultCache) MaxEntry() int64 {
 }
 
 // Get returns the entry cached under k, marking it most recently used.
-// Observing an epoch newer than any seen before sweeps every entry of an
-// older epoch — they are unreachable by construction (the key carries the
-// epoch) and would otherwise hold budget until LRU pressure found them.
 func (c *ResultCache) Get(k Key) (*Entry, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sweepLocked(k.Epoch)
 	el, ok := c.entries[k]
 	if !ok {
 		c.misses++
@@ -174,12 +160,6 @@ func (c *ResultCache) Put(k Key, e *Entry) bool {
 	size := e.size(k)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sweepLocked(k.Epoch)
-	if k.Epoch < c.epoch {
-		// The statistics moved while this result was being produced; the
-		// entry could never be hit again.
-		return false
-	}
 	if size > c.maxEntry {
 		c.rejected++
 		return false
@@ -221,22 +201,6 @@ func (c *ResultCache) NoteRejected() {
 	c.mu.Unlock()
 }
 
-// sweepLocked drops every entry whose epoch predates the newest observed.
-func (c *ResultCache) sweepLocked(epoch int64) {
-	if epoch <= c.epoch {
-		return
-	}
-	c.epoch = epoch
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*cacheEntry).key.Epoch < epoch {
-			c.removeLocked(el)
-			c.swept++
-		}
-		el = next
-	}
-}
-
 func (c *ResultCache) removeLocked(el *list.Element) {
 	ce := el.Value.(*cacheEntry)
 	c.order.Remove(el)
@@ -265,7 +229,7 @@ func (c *ResultCache) Stats() Stats {
 	return Stats{
 		Hits: c.hits, Misses: c.misses,
 		Fills: c.fills, Rejected: c.rejected,
-		Evictions: c.evictions, Swept: c.swept,
-		Entries: c.order.Len(), Bytes: c.bytes, Capacity: c.capacity,
+		Evictions: c.evictions,
+		Entries:   c.order.Len(), Bytes: c.bytes, Capacity: c.capacity,
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-func key(q string, epoch int64) Key {
-	return Key{Store: "default", Mode: "ExtVP", Query: q, Epoch: epoch}
+func key(q string) Key {
+	return Key{Store: "default", Mode: "ExtVP", Query: q}
 }
 
 func entry(body string) *Entry {
@@ -19,30 +19,30 @@ func TestCacheLRUByteAccounting(t *testing.T) {
 	// Room for roughly three small entries (each ~ entryOverhead + a few
 	// bytes of body and query text).
 	c := New(3*entryOverhead+100, entryOverhead+50)
-	if !c.Put(key("a", 1), entry("aaaa")) {
+	if !c.Put(key("a"), entry("aaaa")) {
 		t.Fatal("put a rejected")
 	}
-	if !c.Put(key("b", 1), entry("bbbb")) {
+	if !c.Put(key("b"), entry("bbbb")) {
 		t.Fatal("put b rejected")
 	}
-	if !c.Put(key("c", 1), entry("cccc")) {
+	if !c.Put(key("c"), entry("cccc")) {
 		t.Fatal("put c rejected")
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())
 	}
 	// Touch "a" so "b" is now the LRU entry, then insert "d" to evict it.
-	if _, ok := c.Get(key("a", 1)); !ok {
+	if _, ok := c.Get(key("a")); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	if !c.Put(key("d", 1), entry("dddd")) {
+	if !c.Put(key("d"), entry("dddd")) {
 		t.Fatal("put d rejected")
 	}
-	if _, ok := c.Get(key("b", 1)); ok {
+	if _, ok := c.Get(key("b")); ok {
 		t.Fatal("b survived past the byte budget (should have been the LRU victim)")
 	}
 	for _, q := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(key(q, 1)); !ok {
+		if _, ok := c.Get(key(q)); !ok {
 			t.Fatalf("%s missing after eviction of b", q)
 		}
 	}
@@ -58,43 +58,18 @@ func TestCacheLRUByteAccounting(t *testing.T) {
 	}
 }
 
-// TestCacheEpochSweep checks that observing a newer epoch drops all older
-// entries and that a stale-epoch Put is refused.
-func TestCacheEpochSweep(t *testing.T) {
-	c := New(1<<20, 0)
-	c.Put(key("a", 1), entry("a"))
-	c.Put(key("b", 1), entry("b"))
-	// A lookup at epoch 2 must miss AND sweep both epoch-1 entries.
-	if _, ok := c.Get(key("a", 2)); ok {
-		t.Fatal("stale entry served under a newer epoch key")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after epoch sweep, want 0", c.Len())
-	}
-	if got := c.Stats().Swept; got != 2 {
-		t.Fatalf("Swept = %d, want 2", got)
-	}
-	// A result produced under the superseded epoch must not be published.
-	if c.Put(key("c", 1), entry("c")) {
-		t.Fatal("stale-epoch Put admitted")
-	}
-	if !c.Put(key("c", 2), entry("c")) {
-		t.Fatal("current-epoch Put rejected")
-	}
-}
-
 // TestCacheOversizeRejected checks the per-entry cap: one oversized result
 // cannot flush the whole cache, and the rejection is counted.
 func TestCacheOversizeRejected(t *testing.T) {
 	c := New(1<<20, 600)
-	if c.Put(key("big", 1), entry(string(make([]byte, 1024)))) {
+	if c.Put(key("big"), entry(string(make([]byte, 1024)))) {
 		t.Fatal("oversized entry admitted")
 	}
 	c.NoteRejected()
 	if got := c.Stats().Rejected; got != 2 {
 		t.Fatalf("Rejected = %d, want 2", got)
 	}
-	if !c.Put(key("small", 1), entry("ok")) {
+	if !c.Put(key("small"), entry("ok")) {
 		t.Fatal("small entry rejected")
 	}
 }
@@ -105,10 +80,10 @@ func TestCacheDisabled(t *testing.T) {
 	if c != nil {
 		t.Fatal("capacity 0 should return the nil cache")
 	}
-	if _, ok := c.Get(key("a", 1)); ok {
+	if _, ok := c.Get(key("a")); ok {
 		t.Fatal("nil cache hit")
 	}
-	if c.Put(key("a", 1), entry("a")) {
+	if c.Put(key("a"), entry("a")) {
 		t.Fatal("nil cache admitted an entry")
 	}
 	c.NoteRejected()
@@ -125,7 +100,7 @@ func TestCachePutReplace(t *testing.T) {
 	// Room for three entries with one-byte bodies, and a per-entry cap a few
 	// dozen bytes above that.
 	c := New(3*entryOverhead+30, entryOverhead+50)
-	a := key("a", 1)
+	a := key("a")
 	c.Put(a, entry("1"))
 	second := entry("2")
 	if !c.Put(a, second) {
@@ -140,7 +115,7 @@ func TestCachePutReplace(t *testing.T) {
 		t.Fatal("Get returned the replaced entry")
 	}
 
-	b, cc := key("b", 1), key("c", 1)
+	b, cc := key("b"), key("c")
 	c.Put(b, entry("b"))
 	c.Put(cc, entry("c"))
 	big := entry(strings.Repeat("x", 40))

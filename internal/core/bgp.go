@@ -71,12 +71,7 @@ func (e *Engine) selectTable(i int, bgp []sparql.TriplePattern) selection {
 	// statistics, so losing reductions are never built.
 	var bestKey *layout.ExtKey
 	consider := func(key layout.ExtKey) {
-		var info layout.TableInfo
-		if e.Lazy != nil {
-			info = e.Lazy.EnsureInfo(key)
-		} else {
-			info = e.DS.ExtInfo(key)
-		}
+		info := e.DS.ExtInfo(key)
 		if info.SF == 0 {
 			// Statistics prove the whole BGP empty: the correlation does
 			// not exist in the dataset.
@@ -165,7 +160,7 @@ func (e *Engine) selectTable(i int, bgp []sparql.TriplePattern) selection {
 	if !best.empty && bestKey != nil {
 		// Resolve (and in lazy mode, build) the winning reduction only.
 		if e.Lazy != nil {
-			best.table, _ = e.Lazy.EnsureTable(*bestKey)
+			best.table = e.Lazy.EnsureTable(*bestKey)
 		} else {
 			best.table = e.DS.ExtVP[*bestKey]
 		}

@@ -77,10 +77,10 @@ type Engine struct {
 	// JoinOrderOpt enables the size-driven join ordering of Algorithm 4;
 	// disabled it falls back to Algorithm 3 (pattern order as written).
 	JoinOrderOpt bool
-	// Lazy, when set, computes ExtVP reductions on demand the first time a
-	// query needs them and caches them for later queries — the paper's
-	// "pay as you go" loading strategy (Sec. 7). The dataset should be
-	// built without ExtVP preprocessing.
+	// Lazy, when set, builds a selected ExtVP reduction's rows the first
+	// time a query needs them and keeps them for later queries — the
+	// paper's "pay as you go" loading strategy (Sec. 7). The dataset must
+	// be built without ExtVP and wrapped by layout.NewLazyExtVP.
 	Lazy *layout.LazyExtVP
 	// UnifyCorrelations intersects all applicable bit-vector reductions of
 	// a triple pattern instead of picking the single best one — the
@@ -91,8 +91,7 @@ type Engine struct {
 	// Plans caches parsed queries by normalized text; nil disables caching.
 	Plans *PlanCache
 	// Selections caches per-BGP table selections (Algorithm 1 output) by
-	// normalized BGP, invalidated on the dataset's statistics epoch; nil
-	// disables caching.
+	// normalized BGP; nil disables caching.
 	Selections *SelectionCache
 	// MemBudget, when > 0, bounds each query's accounted intermediate state
 	// (materialized blocks and join tables) to that many bytes; hash-join

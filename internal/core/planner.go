@@ -23,8 +23,7 @@ import (
 //     it to every partition moves fewer rows than shuffling both sides;
 //
 // and memoizes the table selections themselves per normalized BGP (the
-// SelectionCache), so repeat queries skip Algorithm 1 entirely until the
-// dataset's statistics epoch moves (lazy ExtVP materialization).
+// SelectionCache), so repeat queries skip Algorithm 1 entirely.
 
 // JoinPlan records one executed join step for EXPLAIN-style inspection: the
 // right-hand input joined in, the physical strategy chosen, the input size
@@ -186,22 +185,19 @@ func bgpKey(tpStrs []string) string {
 
 // selEntry is one cached BGP's table selections. sels is truncated at the
 // first statistics-empty pattern (nothing after it was selected); empty
-// records that the statistics proved the BGP unsatisfiable. epoch is the
-// dataset statistics revision the selections were computed under.
+// records that the statistics proved the BGP unsatisfiable.
 type selEntry struct {
 	key   string
 	sels  []selection
 	empty bool
-	epoch int64
 }
 
 // SelectionCache is a concurrency-safe LRU of per-BGP table selections —
 // the output of the paper's Algorithm 1, which depends only on the BGP and
-// the dataset statistics. Entries are invalidated by comparing their
-// statistics epoch against the dataset's, so lazy ExtVP materialization
-// (the only statistics mutation) forces a re-plan that sees the new tables.
-// Cached selections reference immutable tables and bitsets, so one entry
-// may back any number of concurrent executions.
+// the dataset statistics, which never change once the dataset is loaded, so
+// an entry stays valid until LRU eviction. Cached selections reference
+// immutable tables and bitsets, so one entry may back any number of
+// concurrent executions.
 type SelectionCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -228,9 +224,8 @@ func NewSelectionCache(capacity int) *SelectionCache {
 	}
 }
 
-// get returns the cached selections for key when they were computed under
-// the given statistics epoch; stale entries are evicted.
-func (sc *SelectionCache) get(key string, epoch int64) (*selEntry, bool) {
+// get returns the cached selections for key.
+func (sc *SelectionCache) get(key string) (*selEntry, bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	el, ok := sc.entries[key]
@@ -238,16 +233,9 @@ func (sc *SelectionCache) get(key string, epoch int64) (*selEntry, bool) {
 		sc.misses.Add(1)
 		return nil, false
 	}
-	ent := el.Value.(*selEntry)
-	if ent.epoch != epoch {
-		sc.order.Remove(el)
-		delete(sc.entries, key)
-		sc.misses.Add(1)
-		return nil, false
-	}
 	sc.order.MoveToFront(el)
 	sc.hits.Add(1)
-	return ent, true
+	return el.Value.(*selEntry), true
 }
 
 // put inserts selections, evicting the least recently used entry at
@@ -282,14 +270,13 @@ func (sc *SelectionCache) Stats() (hits, misses int64) {
 
 // bgpSelections returns the table selection for every pattern of the BGP,
 // serving repeats from the selection cache. cached reports a hit; on a
-// miss, Algorithm 1 runs and the result is stored under the statistics
-// epoch it observed. sels is truncated after the first statistics-empty
-// pattern, with empty set.
+// miss, Algorithm 1 runs and the result is stored. sels is truncated after
+// the first statistics-empty pattern, with empty set.
 func (e *Engine) bgpSelections(bgp []sparql.TriplePattern, tpStrs []string) (sels []selection, empty, cached bool) {
 	var key string
 	if e.Selections != nil {
 		key = bgpKey(tpStrs)
-		if ent, ok := e.Selections.get(key, e.DS.StatsEpoch()); ok {
+		if ent, ok := e.Selections.get(key); ok {
 			return ent.sels, ent.empty, true
 		}
 	}
@@ -309,13 +296,7 @@ func (e *Engine) bgpSelections(bgp []sparql.TriplePattern, tpStrs []string) (sel
 		}
 	}
 	if e.Selections != nil {
-		// The epoch is re-read after selection: lazy mode may have counted
-		// new statistics (bumping it) while this BGP was being planned, and
-		// those statistics are exactly what this entry reflects. A
-		// concurrent bump between the two reads only over-ages the entry —
-		// selections are always semantically valid (every table is a
-		// correct reduction); the epoch guard is a freshness heuristic.
-		e.Selections.put(&selEntry{key: key, sels: sels, empty: empty, epoch: e.DS.StatsEpoch()})
+		e.Selections.put(&selEntry{key: key, sels: sels, empty: empty})
 	}
 	return sels, empty, false
 }

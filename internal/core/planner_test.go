@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"s2rdf/internal/engine"
@@ -239,41 +241,111 @@ func TestLazyMaterializesOnlyWinners(t *testing.T) {
 	}
 }
 
-// TestSelectionCacheInvalidatesOnNewStats: lazy statistics gathered by a
-// later query move the dataset epoch, so earlier cached selections re-plan
-// and can pick the newly counted tables.
-func TestSelectionCacheInvalidatesOnNewStats(t *testing.T) {
+// TestLazyStatsImmutable: a lazy engine's statistics are final once it is
+// built. Star and path queries race to build rows while Sizes and Save read
+// the dataset; neither Info nor Sizes may move, and a repeated query's
+// cached selection stays a hit.
+func TestLazyStatsImmutable(t *testing.T) {
 	ds := layout.Build(starTriples(), layout.Options{BuildExtVP: false})
 	e := newPlannerEngine(ds, 4)
 	e.Lazy = layout.NewLazyExtVP(ds)
-
+	info, sizes := maps.Clone(ds.Info), ds.Sizes()
 	if _, err := e.Query(starQuery); err != nil {
 		t.Fatal(err)
 	}
-	epoch := ds.StatsEpoch()
-	// A path query touches OS/SO correlations the star never counted, so
-	// new statistics land and the epoch moves.
-	if _, err := e.Query(`SELECT * WHERE { ?x <urn:c1> ?y . ?y <urn:c2> ?z }`); err != nil {
-		t.Fatal(err)
+
+	queries := []string{starQuery, `SELECT * WHERE { ?x <urn:c1> ?y . ?y <urn:c2> ?z }`}
+	dir := t.TempDir()
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range 10 {
+				if _, err := e.Query(queries[(w+n)%len(queries)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
 	}
-	if ds.StatsEpoch() == epoch {
-		t.Fatal("path query counted no new statistics; test setup broken")
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 20 {
+			ds.Sizes()
+		}
+		if err := layout.Save(ds, dir); err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Wait()
+
+	if !maps.Equal(ds.Info, info) {
+		t.Errorf("Info moved: %v, was %v", ds.Info, info)
+	}
+	if got := ds.Sizes(); got != sizes {
+		t.Errorf("Sizes moved: %+v, was %+v", got, sizes)
 	}
 	res, err := e.Query(starQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SelectionCacheHits != 0 || res.SelectionCacheMisses != 1 {
-		t.Errorf("stale entry served: hits/misses = %d/%d, want 0/1",
+	if res.SelectionCacheHits != 1 || res.SelectionCacheMisses != 0 {
+		t.Errorf("selection hits/misses = %d/%d, want 1/0",
 			res.SelectionCacheHits, res.SelectionCacheMisses)
 	}
-	// The re-plan is cached again under the new epoch.
-	res2, err := e.Query(starQuery)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSelectionCacheInvalidatesOnNewStats: statistics are final once a
+// dataset is built, so new statistics arrive only with a new dataset, and
+// New gives every engine its own selection cache. A selection made under
+// one dataset's statistics must never answer a query on another: the
+// second engine's first plan is a miss that follows its own statistics,
+// and its repeat is a hit.
+func TestSelectionCacheInvalidatesOnNewStats(t *testing.T) {
+	plan := func(e *Engine) (tables []string, hits, misses int) {
+		t.Helper()
+		res, err := e.Query(starQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Plan {
+			tables = append(tables, p.Table)
+		}
+		return tables, res.SelectionCacheHits, res.SelectionCacheMisses
 	}
-	if res2.SelectionCacheHits != 1 {
-		t.Errorf("re-planned entry not cached: hits = %d", res2.SelectionCacheHits)
+	old := New(layout.Build(starTriples(), layout.DefaultOptions()), ModeExtVP)
+	oldTables, _, _ := plan(old)
+	if _, hits, _ := plan(old); hits != 1 {
+		t.Fatalf("repeat on the first engine: hits = %d, want 1", hits)
+	}
+
+	// Giving every c1/c2 subject the rare predicate makes the SS
+	// reductions against it equal to VP (SF 1), so the new statistics
+	// select VP where the old ones selected ExtVP.
+	ts := starTriples()
+	for i := 0; i < 4; i++ {
+		ts = append(ts, rdf.Triple{S: rdf.NewIRI("urn:t" + string(rune('0'+i))), P: rdf.NewIRI("urn:rare"), O: rdf.NewIRI("urn:v")})
+	}
+	ds := layout.Build(ts, layout.DefaultOptions())
+	fresh := New(ds, ModeExtVP)
+	if fresh.Selections == old.Selections {
+		t.Fatal("engines share a selection cache")
+	}
+	tables, hits, misses := plan(fresh)
+	if hits != 0 || misses != 1 {
+		t.Errorf("new statistics: hits/misses = %d/%d, want 0/1", hits, misses)
+	}
+	uncached := &Engine{DS: ds, Cluster: engine.NewCluster(0), Mode: ModeExtVP, JoinOrderOpt: true}
+	if want, _, _ := plan(uncached); !reflect.DeepEqual(tables, want) {
+		t.Errorf("new-statistics plan = %v, want the uncached %v", tables, want)
+	}
+	if reflect.DeepEqual(tables, oldTables) {
+		t.Fatalf("plans equal under both statistics (%v); test setup broken", tables)
+	}
+	if again, hits, _ := plan(fresh); hits != 1 || !reflect.DeepEqual(again, tables) {
+		t.Errorf("repeat on the new engine: hits = %d, plan %v, want 1 and %v", hits, again, tables)
 	}
 }
 

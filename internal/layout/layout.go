@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"s2rdf/internal/bitvec"
 	"s2rdf/internal/dict"
@@ -110,34 +109,7 @@ type Dataset struct {
 	Predicates []dict.ID
 	// Threshold is the SF threshold the ExtVP tables were built with.
 	Threshold float64
-
-	// statsEpoch counts statistics revisions. Eagerly built datasets never
-	// change after Build, so the epoch stays 0; lazy ("pay as you go")
-	// ExtVP bumps it whenever a new reduction's statistics land, which
-	// lets selection caches keyed on the old epoch invalidate themselves.
-	statsEpoch atomic.Int64
-
-	// mu guards the maps lazy ExtVP counting mutates after Build (Info and
-	// ExtVP): LazyExtVP takes the write lock around its map writes, and
-	// Sizes/Save — which may run while a lazy store is serving queries —
-	// take the read lock. Eagerly built datasets have no post-Build writers,
-	// so the lock is uncontended there. Query-path readers in lazy mode go
-	// through LazyExtVP (serialized on its own mutex) and need no lock.
-	mu sync.RWMutex
 }
-
-// statsLock acquires the write lock for a lazy statistics/table mutation.
-func (d *Dataset) statsLock() { d.mu.Lock() }
-
-// statsUnlock releases statsLock.
-func (d *Dataset) statsUnlock() { d.mu.Unlock() }
-
-// StatsEpoch returns the current statistics revision; any cached decision
-// derived from the dataset's statistics is stale once the value changes.
-func (d *Dataset) StatsEpoch() int64 { return d.statsEpoch.Load() }
-
-// bumpStatsEpoch records that the statistics changed.
-func (d *Dataset) bumpStatsEpoch() { d.statsEpoch.Add(1) }
 
 // NumTriples returns the dataset size |G|.
 func (d *Dataset) NumTriples() int { return d.TT.NumRows() }
@@ -187,7 +159,7 @@ func BuildEncoded(tt *store.Table, d *dict.Dict, opts Options) *Dataset {
 	}
 	ds := newDataset(d, tt, opts.Threshold)
 	if opts.BuildExtVP {
-		ds.buildExtVP(opts)
+		ds.buildExtVP(opts, true)
 	}
 	if opts.BuildPT {
 		ds.PT = buildPT(ds)
@@ -271,7 +243,9 @@ func (s *semiSets) fill(ds *Dataset, p dict.ID) {
 // This is the preprocessing the paper performs at load time (Sec. 5.2).
 // Work is split by P2: a worker fills its one set pair from VP[P2] and
 // reduces every VP[P1] against it, so every group scans all VP tables.
-func (ds *Dataset) buildExtVP(opts Options) {
+// Every candidate's statistics land in Info; the qualifying reductions are
+// kept (as rows, or as bits with opts.BitVectors) only when retain is set.
+func (ds *Dataset) buildExtVP(opts Options, retain bool) {
 	kinds := []Correlation{SS, OS, SO}
 	if opts.BuildOO {
 		kinds = append(kinds, OO)
@@ -298,8 +272,9 @@ func (ds *Dataset) buildExtVP(opts Options) {
 						}
 						key := ExtKey{kind, p1, p2}
 						sel, info := ds.reduce(key, sets, opts.Threshold)
+						keep := retain && info.Materialized
 						var tbl *store.Table
-						if info.Materialized && !opts.BitVectors {
+						if keep && !opts.BitVectors {
 							tbl = ds.materialize(key, sel, info.Rows)
 						}
 						mu.Lock()
@@ -308,7 +283,7 @@ func (ds *Dataset) buildExtVP(opts Options) {
 						}
 						if tbl != nil {
 							ds.ExtVP[key] = tbl
-						} else if info.Materialized {
+						} else if keep {
 							ds.ExtBits[key] = sel
 						}
 						mu.Unlock()
@@ -363,6 +338,14 @@ func (ds *Dataset) materialize(key ExtKey, sel *bitvec.Bitset, rows int) *store.
 	return t
 }
 
+// rebuild builds the rows of the qualifying reduction key on its own,
+// refilling sets when they do not hold key.P2.
+func (ds *Dataset) rebuild(key ExtKey, sets *semiSets) *store.Table {
+	sets.fill(ds, key.P2)
+	sel, info := ds.reduce(key, sets, ds.Threshold)
+	return ds.materialize(key, sel, info.Rows)
+}
+
 // ExtInfo returns the statistics for an ExtVP candidate table. When the
 // table was never computed (reduction equals VP) it reports SF = 1.
 func (ds *Dataset) ExtInfo(key ExtKey) TableInfo {
@@ -393,16 +376,12 @@ func shrink(d *dict.Dict, p dict.ID) string {
 // SizeSummary aggregates layout sizes for the load-time experiment
 // (paper Table 2 / Table 6).
 type SizeSummary struct {
-	Triples    int // |G| = tuples in TT and in VP
-	VPTables   int
-	ExtTables  int // materialized ExtVP tables (0 < SF < threshold)
-	ExtEmpty   int // candidate tables with SF = 0
-	ExtEqualVP int // candidate tables with SF = 1 (not stored)
-	ExtCut     int // candidate tables cut by the SF threshold
-	// ExtPending counts qualifying reductions whose statistics lazy mode
-	// has counted but whose rows are not built yet (they lost every
-	// selection so far).
-	ExtPending  int
+	Triples     int // |G| = tuples in TT and in VP
+	VPTables    int
+	ExtTables   int // qualifying ExtVP tables (0 < SF < threshold)
+	ExtEmpty    int // candidate tables with SF = 0
+	ExtEqualVP  int // candidate tables with SF = 1 (not stored)
+	ExtCut      int // candidate tables cut by the SF threshold
 	ExtTuples   int // total tuples across materialized ExtVP tables
 	TotalTuples int // VP + ExtVP tuples
 	// ExtBitBytes is the in-memory size of the bit-vector representation
@@ -410,11 +389,9 @@ type SizeSummary struct {
 	ExtBitBytes int
 }
 
-// Sizes computes the dataset's size summary. It is safe to call while a
-// lazy ("pay as you go") store is concurrently materializing reductions.
+// Sizes computes the dataset's size summary from the statistics alone, so
+// a lazy store reports the sizes of its full layout.
 func (ds *Dataset) Sizes() SizeSummary {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
 	s := SizeSummary{
 		Triples:  ds.NumTriples(),
 		VPTables: len(ds.VP),
@@ -428,11 +405,9 @@ func (ds *Dataset) Sizes() SizeSummary {
 		}
 		counted++
 		switch {
-		case info.Materialized && (ds.ExtVP[key] != nil || ds.ExtBits[key] != nil):
+		case info.Materialized:
 			s.ExtTables++
 			s.ExtTuples += info.Rows
-		case info.Materialized:
-			s.ExtPending++ // lazy: counted, not yet built
 		case info.Rows == 0:
 			s.ExtEmpty++
 		default:

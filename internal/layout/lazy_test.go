@@ -1,6 +1,8 @@
 package layout
 
 import (
+	"maps"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -8,49 +10,50 @@ import (
 func TestLazyEnsureComputesOnDemand(t *testing.T) {
 	ds := Build(g1(), Options{BuildExtVP: false})
 	lazy := NewLazyExtVP(ds)
-	if lazy.Dataset() != ds {
-		t.Fatal("Dataset accessor wrong")
-	}
 	f, l := pid(ds, "follows"), pid(ds, "likes")
 
-	// Nothing computed yet.
-	if len(ds.ExtVP) != 0 {
+	// Nothing built yet.
+	if len(ds.ExtVP) != 0 || lazy.Computed != 0 {
 		t.Fatal("dataset pre-populated")
 	}
-	// Ensure the paper's ExtVP_OS follows|likes = {(B,C)}, SF 0.25.
+	// The paper's ExtVP_OS follows|likes = {(B,C)}, SF 0.25.
 	key := ExtKey{OS, f, l}
-	info := lazy.Ensure(key)
-	if info.Rows != 1 || info.SF != 0.25 || !info.Materialized {
+	if info := ds.ExtInfo(key); info.Rows != 1 || info.SF != 0.25 || !info.Materialized {
 		t.Errorf("info = %+v", info)
 	}
-	tbl, _ := lazy.EnsureTable(key)
+	tbl := lazy.EnsureTable(key)
 	if tbl == nil || tbl.NumRows() != 1 {
 		t.Errorf("table = %v", tbl)
 	}
 	if lazy.Computed != 1 {
 		t.Errorf("Computed = %d", lazy.Computed)
 	}
-	// Second Ensure is a cache hit.
-	lazy.Ensure(key)
-	if lazy.Computed != 1 {
-		t.Errorf("Computed after repeat = %d", lazy.Computed)
+	// A second call returns the kept rows.
+	if again := lazy.EnsureTable(key); again != tbl || lazy.Computed != 1 {
+		t.Errorf("EnsureTable rebuilt: Computed = %d", lazy.Computed)
 	}
-	// Empty reductions recorded too (SO follows|likes is empty in G1).
-	if info := lazy.Ensure(ExtKey{SO, f, l}); info.Rows != 0 || info.SF != 0 {
+	// Empty reductions are counted but have no rows (SO follows|likes is
+	// empty in G1).
+	if info := ds.ExtInfo(ExtKey{SO, f, l}); info.Rows != 0 || info.SF != 0 {
 		t.Errorf("empty reduction info = %+v", info)
 	}
+	if lazy.EnsureTable(ExtKey{SO, f, l}) != nil {
+		t.Error("empty reduction built")
+	}
 	// Equal-to-VP reductions stay unmaterialized with SF 1.
-	if info := lazy.Ensure(ExtKey{SS, l, f}); info.SF != 1 || info.Materialized {
+	if info := ds.ExtInfo(ExtKey{SS, l, f}); info.SF != 1 || info.Materialized {
 		t.Errorf("SF-1 reduction info = %+v", info)
+	}
+	if lazy.EnsureTable(ExtKey{SS, l, f}) != nil || lazy.Computed != 1 {
+		t.Errorf("SF-1 reduction built: Computed = %d", lazy.Computed)
 	}
 }
 
 func TestLazyEnsureUnknownPredicate(t *testing.T) {
 	ds := Build(g1(), Options{BuildExtVP: false})
 	lazy := NewLazyExtVP(ds)
-	info := lazy.Ensure(ExtKey{OS, 999, 998})
-	if info.SF != 0 || info.Materialized {
-		t.Errorf("info = %+v", info)
+	if tbl := lazy.EnsureTable(ExtKey{OS, 999, 998}); tbl != nil || lazy.Computed != 0 {
+		t.Errorf("table = %v, Computed = %d", tbl, lazy.Computed)
 	}
 }
 
@@ -67,7 +70,7 @@ func TestLazyConcurrentEnsure(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, k := range keys {
-				lazy.Ensure(k)
+				lazy.EnsureTable(k)
 			}
 		}()
 	}
@@ -77,9 +80,9 @@ func TestLazyConcurrentEnsure(t *testing.T) {
 	}
 }
 
-// TestSizesConcurrentWithLazy pins the monitoring contract: Sizes (and
-// Save) may run while lazy ExtVP counting is mutating the dataset's
-// Info/ExtVP maps — under -race this is the regression test for the
+// TestSizesConcurrentWithLazy pins the monitoring contract: Sizes and Save
+// may run while a lazy store builds rows, because building writes only the
+// wrapper's own map. Under -race this is the regression test for the
 // unsynchronized-map crash a serving lazy store could hit.
 func TestSizesConcurrentWithLazy(t *testing.T) {
 	ds := Build(g1(), Options{BuildExtVP: false})
@@ -95,7 +98,7 @@ func TestSizesConcurrentWithLazy(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, k := range keys {
-				lazy.Ensure(k)
+				lazy.EnsureTable(k)
 			}
 		}()
 	}
@@ -110,103 +113,63 @@ func TestSizesConcurrentWithLazy(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := ds.Sizes(); got.ExtTables+got.ExtPending == 0 {
-		t.Errorf("no reductions visible after concurrent ensure: %+v", got)
+	if got, want := ds.Sizes(), buildG1(t, DefaultOptions()).Sizes(); got != want {
+		t.Errorf("lazy Sizes = %+v, want the eager %+v", got, want)
 	}
 }
 
-// TestLazyEnsureInfoDoesNotMaterialize pins the stats-first contract: the
-// counting pass alone must not build row copies (the planner consults SFs
-// for every candidate correlation and pays for the winner only).
-func TestLazyEnsureInfoDoesNotMaterialize(t *testing.T) {
-	ds := Build(g1(), Options{BuildExtVP: false})
-	lazy := NewLazyExtVP(ds)
-	f, l := pid(ds, "follows"), pid(ds, "likes")
-	key := ExtKey{OS, f, l}
-
-	info := lazy.EnsureInfo(key)
-	if info.Rows != 1 || info.SF != 0.25 || !info.Materialized {
-		t.Errorf("info = %+v", info)
-	}
-	if lazy.Computed != 0 || len(ds.ExtVP) != 0 {
-		t.Errorf("EnsureInfo built rows: Computed=%d, tables=%d", lazy.Computed, len(ds.ExtVP))
-	}
-	// The winner is materialized on demand, exactly once.
-	tbl, _ := lazy.EnsureTable(key)
-	if tbl == nil || tbl.NumRows() != 1 || lazy.Computed != 1 {
-		t.Errorf("EnsureTable: tbl=%v Computed=%d", tbl, lazy.Computed)
-	}
-	again, _ := lazy.EnsureTable(key)
-	if again != tbl || lazy.Computed != 1 {
-		t.Errorf("EnsureTable rebuilt: Computed=%d", lazy.Computed)
-	}
-}
-
-// TestLazyStatsEpoch checks that new statistics bump the dataset epoch so
-// selection caches invalidate, while repeat lookups leave it unchanged.
+// TestLazyStatsEpoch: a lazy dataset's statistics have a single epoch,
+// its construction. Building rows, repeating a build, and looking up an
+// empty or SF-1 reduction must leave Info and Sizes exactly as
+// NewLazyExtVP left them, so no cache keyed on statistics can go stale.
 func TestLazyStatsEpoch(t *testing.T) {
 	ds := Build(g1(), Options{BuildExtVP: false})
 	lazy := NewLazyExtVP(ds)
 	f, l := pid(ds, "follows"), pid(ds, "likes")
-	if ds.StatsEpoch() != 0 {
-		t.Fatalf("fresh dataset epoch = %d", ds.StatsEpoch())
+	info, sizes := maps.Clone(ds.Info), ds.Sizes()
+	if len(info) == 0 {
+		t.Fatal("construction counted no statistics")
 	}
-	lazy.EnsureInfo(ExtKey{OS, f, l})
-	e1 := ds.StatsEpoch()
-	if e1 == 0 {
-		t.Fatal("new statistics did not bump the epoch")
-	}
-	// Repeat lookups and materialization add no statistics.
-	lazy.EnsureInfo(ExtKey{OS, f, l})
+
 	lazy.EnsureTable(ExtKey{OS, f, l})
-	if ds.StatsEpoch() != e1 {
-		t.Errorf("epoch moved on repeats: %d -> %d", e1, ds.StatsEpoch())
+	// Repeat lookups, an empty reduction (SO follows|likes) and an SF-1
+	// one (SS likes|follows: every likes subject also follows) add nothing.
+	lazy.EnsureTable(ExtKey{OS, f, l})
+	lazy.EnsureTable(ExtKey{SO, f, l})
+	if got := ds.ExtInfo(ExtKey{SS, l, f}); got.SF != 1 {
+		t.Fatalf("SS likes|follows SF = %v, want 1", got.SF)
 	}
-	// An SF-1 reduction (SS likes|follows: every likes subject also
-	// follows) records no Info entry and must not bump either.
-	if info := lazy.EnsureInfo(ExtKey{SS, l, f}); info.SF != 1 {
-		t.Fatalf("SS likes|follows SF = %v, want 1", info.SF)
+	lazy.EnsureTable(ExtKey{SS, l, f})
+	if lazy.Computed != 1 {
+		t.Errorf("Computed = %d, want 1", lazy.Computed)
 	}
-	if ds.StatsEpoch() != e1 {
-		t.Errorf("SF-1 lookup bumped the epoch: %d -> %d", e1, ds.StatsEpoch())
+	if !maps.Equal(ds.Info, info) {
+		t.Errorf("Info moved: %v, was %v", ds.Info, info)
+	}
+	if got := ds.Sizes(); got != sizes {
+		t.Errorf("Sizes moved: %+v, was %+v", got, sizes)
 	}
 }
 
-// TestLazyCountedOnlySaveLoad is the regression for saving a lazy store
-// after a counting-only pass: EnsureInfo records qualifying statistics
-// without building rows, and Save used to dereference the missing table.
-// Such entries persist as unmaterialized candidates and a reopened lazy
-// store rebuilds them on demand.
-func TestLazyCountedOnlySaveLoad(t *testing.T) {
+// TestLazyCountsWithoutMaterializing pins the stats-first contract: the
+// counting pass at construction records every candidate's statistics,
+// equal to the eager build's, without building row copies; rows are built
+// for a selected reduction only, exactly once.
+func TestLazyCountsWithoutMaterializing(t *testing.T) {
 	ds := Build(g1(), Options{BuildExtVP: false})
 	lazy := NewLazyExtVP(ds)
-	f, l := pid(ds, "follows"), pid(ds, "likes")
-	key := ExtKey{OS, f, l}
-	if info := lazy.EnsureInfo(key); !info.Materialized {
-		t.Fatalf("info = %+v, want a qualifying candidate", info)
+	if eager := buildG1(t, DefaultOptions()); !reflect.DeepEqual(ds.Info, eager.Info) {
+		t.Errorf("lazy Info = %v, want the eager %v", ds.Info, eager.Info)
 	}
-
-	sizes := ds.Sizes()
-	if sizes.ExtPending != 1 || sizes.ExtTables != 0 || sizes.ExtTuples != 0 {
-		t.Errorf("Sizes = %+v, want 1 pending and no materialized tables", sizes)
+	if lazy.Computed != 0 || len(ds.ExtVP) != 0 || len(ds.ExtBits) != 0 {
+		t.Errorf("counting built rows: Computed=%d, tables=%d, bits=%d", lazy.Computed, len(ds.ExtVP), len(ds.ExtBits))
 	}
-
-	dir := t.TempDir()
-	if err := Save(ds, dir); err != nil {
-		t.Fatalf("Save after counting-only pass: %v", err)
+	key := ExtKey{OS, pid(ds, "follows"), pid(ds, "likes")}
+	tbl := lazy.EnsureTable(key)
+	if tbl == nil || tbl.NumRows() != 1 || lazy.Computed != 1 {
+		t.Errorf("EnsureTable: tbl=%v Computed=%d", tbl, lazy.Computed)
 	}
-	re, err := Load(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := re.ExtInfo(ExtKey{OS, pid(re, "follows"), pid(re, "likes")})
-	if info.Materialized || info.Rows != 1 || info.SF != 0.25 {
-		t.Errorf("reloaded info = %+v, want unmaterialized with preserved stats", info)
-	}
-	// A lazy wrapper over the reloaded store rebuilds the table on demand.
-	relazy := NewLazyExtVP(re)
-	tbl, info := relazy.EnsureTable(ExtKey{OS, pid(re, "follows"), pid(re, "likes")})
-	if tbl == nil || !info.Materialized || tbl.NumRows() != 1 {
-		t.Errorf("reopened lazy EnsureTable = %v, %+v", tbl, info)
+	if len(ds.ExtVP) != 0 {
+		t.Error("EnsureTable wrote the dataset")
 	}
 }

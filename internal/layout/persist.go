@@ -48,9 +48,9 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("layout: "+format+": %w", append(args, store.ErrCorrupt)...)
 }
 
-// Save persists the dataset (dictionary, TT, materialized ExtVP tables and
-// all statistics) to dir. VP is not written: it is a view of TT, which Load
-// slices again.
+// Save persists the dataset (dictionary, TT, every qualifying ExtVP
+// reduction and all statistics) to dir. VP is not written: it is a view of
+// TT, which Load slices again.
 func Save(ds *Dataset, dir string) error {
 	d, err := store.Open(dir)
 	if err != nil {
@@ -75,10 +75,6 @@ func Save(ds *Dataset, dir string) error {
 	for _, p := range ds.Predicates {
 		meta.Predicates = append(meta.Predicates, string(ds.Dict.Decode(p)))
 	}
-	// Hold the statistics read lock across the Info/ExtVP walk: a lazy
-	// store may be materializing reductions while it is being persisted.
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
 	keys := make([]ExtKey, 0, len(ds.Info))
 	for key := range ds.Info {
 		keys = append(keys, key)
@@ -87,6 +83,7 @@ func Save(ds *Dataset, dir string) error {
 	slices.SortFunc(keys, func(a, b ExtKey) int {
 		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.P1, b.P1), cmp.Compare(a.P2, b.P2))
 	})
+	var unbuilt []ExtKey
 	for _, key := range keys {
 		info := ds.Info[key]
 		entry := metaEntry{
@@ -102,20 +99,27 @@ func Save(ds *Dataset, dir string) error {
 			if _, err := d.SaveTable(bitsToTable(ExtVPName(ds.Dict, key)+"#bits", bits), info.SF); err != nil {
 				return err
 			}
-		} else if info.Materialized {
-			if tbl := ds.ExtVP[key]; tbl != nil {
-				if _, err := d.SaveTable(tbl, info.SF); err != nil {
-					return err
-				}
-			} else {
-				// Lazy mode counts a qualifying reduction's statistics
-				// without building its rows unless it wins a selection;
-				// persist such entries as unmaterialized candidates (a
-				// lazy reopen recounts and rebuilds them on demand).
-				entry.Materialized = false
+		} else if tbl := ds.ExtVP[key]; tbl != nil {
+			if _, err := d.SaveTable(tbl, info.SF); err != nil {
+				return err
 			}
+		} else if info.Materialized {
+			unbuilt = append(unbuilt, key)
 		}
 		meta.Ext = append(meta.Ext, entry)
+	}
+	// A lazy store holds no rows in the dataset: build each qualifying
+	// reduction just to write it, grouped by P2 so the sets fill once per
+	// predicate, and keep none of them.
+	slices.SortStableFunc(unbuilt, func(a, b ExtKey) int { return cmp.Compare(a.P2, b.P2) })
+	var sets *semiSets
+	for _, key := range unbuilt {
+		if sets == nil {
+			sets = newSemiSets(ds.Dict.Len())
+		}
+		if _, err := d.SaveTable(ds.rebuild(key, sets), ds.Info[key].SF); err != nil {
+			return err
+		}
 	}
 	raw, err := json.MarshalIndent(&meta, "", " ")
 	if err != nil {

@@ -63,8 +63,8 @@
 // introducing cross joins, and each join broadcasts the estimated smaller
 // side when replicating it to every partition moves fewer rows than
 // shuffling both sides. Table selections are themselves memoized per BGP
-// in a selection cache invalidated on the dataset's statistics epoch, so a
-// repeated query skips Algorithm 1 too. The decisions are reported in
+// in a selection cache, so a repeated query skips Algorithm 1 too: the
+// statistics never change once a store is loaded. The decisions are reported in
 // Result.JoinOrder, Result.Joins and Result.SelectionCacheHits/Misses (and
 // the corresponding X-S2RDF-* headers over HTTP).
 //
@@ -137,9 +137,11 @@ type Options struct {
 	// per triple pattern (requires BitVectors) — the paper's proposed
 	// unification strategy, giving strictly better input selectivity.
 	UnifyCorrelations bool
-	// Lazy enables "pay as you go" loading (paper Sec. 7): no ExtVP
-	// preprocessing at load time; reductions are computed the first time a
-	// query needs them and cached for later queries.
+	// Lazy enables "pay as you go" loading (paper Sec. 7) in Load: every
+	// ExtVP candidate's statistics are counted at load, but a reduction's
+	// rows are built only the first time a query selects it, and kept for
+	// later queries. Open ignores it: a saved store carries its full
+	// layout.
 	Lazy bool
 }
 
@@ -164,7 +166,11 @@ func Load(triples []Triple, opts Options) *Store {
 		BitVectors: opts.BitVectors,
 	}
 	ds := layout.Build(triples, lopts)
-	return newStore(ds, opts)
+	var lazy *layout.LazyExtVP
+	if opts.Lazy && !opts.DisableExtVP {
+		lazy = layout.NewLazyExtVP(ds)
+	}
+	return newStore(ds, opts, lazy)
 }
 
 // LoadReader builds a store from N-Triples input with default options.
@@ -192,22 +198,20 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newStore(ds, opts), nil
+	return newStore(ds, opts, nil), nil
 }
 
 // Save persists the store (dictionary, tables and statistics) to dir.
 func (s *Store) Save(dir string) error { return layout.Save(s.ds, dir) }
 
-func newStore(ds *layout.Dataset, opts Options) *Store {
+// newStore serves ds in every mode; lazy, when set, builds the ExtVP rows
+// the ExtVP-mode engine selects.
+func newStore(ds *layout.Dataset, opts Options, lazy *layout.LazyExtVP) *Store {
 	s := &Store{
 		ds:      ds,
 		opts:    opts,
 		engines: make(map[Mode]*core.Engine),
 		health:  fault.NewHealth(),
-	}
-	var lazy *layout.LazyExtVP
-	if opts.Lazy && !opts.DisableExtVP {
-		lazy = layout.NewLazyExtVP(ds)
 	}
 	for _, m := range []Mode{ModeExtVP, ModeVP, ModeTT, ModePT} {
 		e := core.New(ds, m)

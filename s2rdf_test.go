@@ -1,14 +1,17 @@
 package s2rdf
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"s2rdf/internal/layout"
 	"s2rdf/internal/mapreduce"
 	"s2rdf/internal/rdf"
 	"s2rdf/internal/triplestore"
@@ -304,10 +307,11 @@ func TestLazyPayAsYouGo(t *testing.T) {
 	data := exampleTriples()
 	eager := Load(data, Options{})
 	lazy := Load(data, Options{Lazy: true})
+	built := lazy.Engine(ModeExtVP).Lazy
 
-	// Lazy store starts with no reductions.
-	if n := lazy.Sizes().ExtTables; n != 0 {
-		t.Fatalf("lazy store pre-built %d tables", n)
+	// Lazy store starts with no reductions built.
+	if built.Computed != 0 {
+		t.Fatalf("lazy store pre-built %d tables", built.Computed)
 	}
 	q := `SELECT * WHERE {
 		?x <urn:likes> ?w . ?x <urn:follows> ?y .
@@ -317,26 +321,25 @@ func TestLazyPayAsYouGo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := lazy.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(canonRows(re), canonRows(rl)) {
-		t.Fatalf("lazy results differ: %v vs %v", canonRows(rl), canonRows(re))
-	}
-	// The needed reductions are now cached.
-	if n := lazy.Sizes().ExtTables; n == 0 {
-		t.Error("lazy store cached nothing")
-	}
-	// The warm plan must use the cached reductions (same table choices as
-	// the eager store).
-	rl2, err := lazy.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range re.Plan {
-		if re.Plan[i].Table != rl2.Plan[i].Table {
-			t.Errorf("plan %d: lazy %q vs eager %q", i, rl2.Plan[i].Table, re.Plan[i].Table)
+	// The statistics are complete at load, so the cold plan and the warm
+	// plan both make the eager store's table choices.
+	for pass := range 2 {
+		rl, err := lazy.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(canonRows(re), canonRows(rl)) {
+			t.Fatalf("pass %d: lazy results differ: %v vs %v", pass, canonRows(rl), canonRows(re))
+		}
+		for i := range re.Plan {
+			if re.Plan[i].Table != rl.Plan[i].Table || re.Plan[i].Rows != rl.Plan[i].Rows {
+				t.Errorf("pass %d plan %d: lazy %q (%d rows) vs eager %q (%d rows)", pass, i,
+					rl.Plan[i].Table, rl.Plan[i].Rows, re.Plan[i].Table, re.Plan[i].Rows)
+			}
+		}
+		// The needed reductions are now built.
+		if built.Computed == 0 {
+			t.Errorf("pass %d: lazy store built nothing", pass)
 		}
 	}
 	// Stats-only empty answers work lazily too.
@@ -346,5 +349,61 @@ func TestLazyPayAsYouGo(t *testing.T) {
 	}
 	if res.Len() != 0 || !res.StatsOnly {
 		t.Errorf("lazy empty-correlation: rows=%d statsOnly=%v", res.Len(), res.StatsOnly)
+	}
+}
+
+// TestLazySaveMatchesEager: saving a lazy store writes every qualifying
+// reduction, including the ones no query has built, so its directory is
+// byte-identical to the eager store's and both reopen to the same layout.
+func TestLazySaveMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var data []Triple
+	for range 300 {
+		node := func() Term { return rdf.NewIRI(fmt.Sprintf("urn:n%d", rng.Intn(40))) }
+		data = append(data, Triple{S: node(), P: rdf.NewIRI(fmt.Sprintf("urn:p%d", rng.Intn(5))), O: node()})
+	}
+	eager := Load(data, Options{})
+	lazy := Load(data, Options{Lazy: true})
+	if _, err := lazy.Query(`SELECT * WHERE { ?x <urn:p0> ?y . ?y <urn:p1> ?z }`); err != nil {
+		t.Fatal(err)
+	}
+
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	for i, st := range []*Store{eager, lazy} {
+		if err := st.Save(dirs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dirs[0], "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazyFiles, _ := filepath.Glob(filepath.Join(dirs[1], "*")); len(lazyFiles) != len(files) {
+		t.Fatalf("lazy store wrote %d files, eager %d", len(lazyFiles), len(files))
+	}
+	for _, f := range files {
+		want, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dirs[1], filepath.Base(f)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs between the lazy and the eager save", filepath.Base(f))
+		}
+	}
+
+	var sizes [2]layout.SizeSummary
+	for i, dir := range dirs {
+		st, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = st.Sizes()
+	}
+	if sizes[0] != sizes[1] {
+		t.Errorf("reopened lazy Sizes = %+v, eager %+v", sizes[1], sizes[0])
 	}
 }

@@ -89,15 +89,13 @@ type ServerOptions struct {
 	// SpillDir hosts the spill runs; empty selects the OS temp directory.
 	SpillDir string
 	// ResultCacheBytes enables the full-result cache: each store keeps a
-	// byte-accounted LRU of this capacity mapping (mode, normalized query,
-	// StatsEpoch) to the pre-serialized response body plus its header
-	// snapshot. Hits are served before the cost gate — no admission, no
-	// queueing, no execution — with X-S2RDF-Cache: hit; a miss executes
-	// like any other request. Only expensive-class results whose body fits
-	// the per-entry cap (an eighth of the budget) are cached, so point
-	// lookups don't churn the LRU. The epoch in the key makes the existing
-	// statistics-epoch bump invalidate every stale entry for free. 0 (the
-	// default) disables the cache.
+	// byte-accounted LRU of this capacity mapping (mode, normalized query)
+	// to the pre-serialized response body plus its header snapshot. Hits
+	// are served before the cost gate — no admission, no queueing, no
+	// execution — with X-S2RDF-Cache: hit; a miss executes like any other
+	// request. Only expensive-class results whose body fits the per-entry
+	// cap (an eighth of the budget) are cached, so point lookups don't
+	// churn the LRU. 0 (the default) disables the cache.
 	ResultCacheBytes int64
 
 	// pacer, when non-nil, is composed into every query context as an
@@ -605,8 +603,7 @@ func (s *sparqlServer) requestTimeout(raw string) (time.Duration, error) {
 
 // probeCache answers the request from the result cache when it can: the
 // snapshotted explain headers, X-S2RDF-Cache: hit, and the pre-serialized
-// body. The key carries the store's current statistics epoch, so an entry
-// from a superseded epoch can never be looked up again.
+// body.
 func (req *request) probeCache() bool {
 	rc := req.sv.rcache
 	if rc == nil {
@@ -616,7 +613,6 @@ func (req *request) probeCache() bool {
 		Store: req.sv.name,
 		Mode:  req.mode.String(),
 		Query: req.norm,
-		Epoch: req.sv.st.Dataset().StatsEpoch(),
 	}
 	ent, ok := rc.Get(req.ckey)
 	if !ok {
@@ -764,11 +760,7 @@ func (req *request) respond() {
 		}
 		enc.end()
 	}
-	// The fill re-checks the statistics epoch: a lazy ExtVP count that
-	// landed mid-query bumped it, and a result computed under the old
-	// statistics must not be published under a key that was already
-	// superseded when it finished.
-	if f := enc.fill; f != nil && !f.over && req.sv.st.Dataset().StatsEpoch() == req.ckey.Epoch {
+	if f := enc.fill; f != nil && !f.over {
 		req.sv.rcache.Put(req.ckey, &cache.Entry{Body: f.body, Header: f.header, Rows: enc.n})
 	}
 }
