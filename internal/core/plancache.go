@@ -9,79 +9,89 @@ import (
 	"s2rdf/internal/sparql"
 )
 
-// PlanCache is a concurrency-safe LRU of parsed queries keyed on normalized
-// query text. Execution never mutates a parsed query, so one cached entry
-// may back any number of concurrent executions.
-type PlanCache struct {
+// lru is a concurrency-safe LRU map from string keys to values, counting
+// lookup hits and misses. A nil *lru is a disabled cache; callers check for
+// nil before use.
+type lru[V any] struct {
 	mu      sync.Mutex
 	cap     int
-	order   *list.List // front = most recently used; values are *planEntry
+	order   *list.List // front = most recently used; values are *lruEntry[V]
 	entries map[string]*list.Element
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-type planEntry struct {
+type lruEntry[V any] struct {
 	key string
-	q   *sparql.Query
+	val V
 }
 
-// NewPlanCache returns a cache holding at most capacity plans; capacity <= 0
+// newLRU returns a cache holding at most capacity entries; capacity <= 0
 // returns nil (caching disabled).
-func NewPlanCache(capacity int) *PlanCache {
+func newLRU[V any](capacity int) *lru[V] {
 	if capacity <= 0 {
 		return nil
 	}
-	return &PlanCache{
+	return &lru[V]{
 		cap:     capacity,
 		order:   list.New(),
 		entries: make(map[string]*list.Element, capacity),
 	}
 }
 
-// get returns the cached plan for key, marking it most recently used.
-func (pc *PlanCache) get(key string) (*sparql.Query, bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	el, ok := pc.entries[key]
+// get returns the value cached for key, marking it most recently used.
+func (c *lru[V]) get(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
 	if !ok {
-		pc.misses.Add(1)
-		return nil, false
+		c.misses.Add(1)
+		var zero V
+		return zero, false
 	}
-	pc.order.MoveToFront(el)
-	pc.hits.Add(1)
-	return el.Value.(*planEntry).q, true
+	c.order.MoveToFront(el)
+	c.hits.Add(1)
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put inserts a plan, evicting the least recently used entry at capacity.
-func (pc *PlanCache) put(key string, q *sparql.Query) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.entries[key]; ok {
-		el.Value.(*planEntry).q = q
-		pc.order.MoveToFront(el)
+// put inserts a value, evicting the least recently used entry at capacity.
+func (c *lru[V]) put(key string, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		el.Value.(*lruEntry[V]).val = val
+		c.order.MoveToFront(el)
 		return
 	}
-	pc.entries[key] = pc.order.PushFront(&planEntry{key: key, q: q})
-	if pc.order.Len() > pc.cap {
-		oldest := pc.order.Back()
-		pc.order.Remove(oldest)
-		delete(pc.entries, oldest.Value.(*planEntry).key)
+	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
+	if c.order.Len() > c.cap {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*lruEntry[V]).key)
 	}
 }
 
-// Len returns the number of cached plans.
-func (pc *PlanCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.order.Len()
+// Len returns the number of cached entries.
+func (c *lru[V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
 // Stats returns the cumulative hit and miss counts.
-func (pc *PlanCache) Stats() (hits, misses int64) {
-	return pc.hits.Load(), pc.misses.Load()
+func (c *lru[V]) Stats() (hits, misses int64) {
+	return c.hits.Load(), c.misses.Load()
 }
+
+// PlanCache is an LRU of parsed queries keyed on normalized query text.
+// Execution never mutates a parsed query, so one cached entry may back any
+// number of concurrent executions.
+type PlanCache = lru[*sparql.Query]
+
+// NewPlanCache returns a cache holding at most capacity plans; capacity <= 0
+// returns nil (caching disabled).
+func NewPlanCache(capacity int) *PlanCache { return newLRU[*sparql.Query](capacity) }
 
 // NormalizeQuery canonicalizes a query string for cache lookup: runs of
 // whitespace outside quoted literals collapse to one space, '#' comments

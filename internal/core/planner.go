@@ -1,10 +1,7 @@
 package core
 
 import (
-	"container/list"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"s2rdf/internal/engine"
 	"s2rdf/internal/sparql"
@@ -187,86 +184,24 @@ func bgpKey(tpStrs []string) string {
 // first statistics-empty pattern (nothing after it was selected); empty
 // records that the statistics proved the BGP unsatisfiable.
 type selEntry struct {
-	key   string
 	sels  []selection
 	empty bool
 }
 
-// SelectionCache is a concurrency-safe LRU of per-BGP table selections —
-// the output of the paper's Algorithm 1, which depends only on the BGP and
-// the dataset statistics, which never change once the dataset is loaded, so
-// an entry stays valid until LRU eviction. Cached selections reference
-// immutable tables and bitsets, so one entry may back any number of
-// concurrent executions.
-type SelectionCache struct {
-	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently used; values are *selEntry
-	entries map[string]*list.Element
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
+// SelectionCache is an LRU of per-BGP table selections — the output of the
+// paper's Algorithm 1, which depends only on the BGP and the dataset
+// statistics, which never change once the dataset is loaded, so an entry
+// stays valid until LRU eviction. Cached selections reference immutable
+// tables and bitsets, so one entry may back any number of concurrent
+// executions.
+type SelectionCache = lru[selEntry]
 
 // DefaultSelectionCacheSize is the selection LRU capacity New configures.
 const DefaultSelectionCacheSize = 256
 
 // NewSelectionCache returns a cache holding at most capacity BGPs;
 // capacity <= 0 returns nil (caching disabled).
-func NewSelectionCache(capacity int) *SelectionCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &SelectionCache{
-		cap:     capacity,
-		order:   list.New(),
-		entries: make(map[string]*list.Element, capacity),
-	}
-}
-
-// get returns the cached selections for key.
-func (sc *SelectionCache) get(key string) (*selEntry, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	el, ok := sc.entries[key]
-	if !ok {
-		sc.misses.Add(1)
-		return nil, false
-	}
-	sc.order.MoveToFront(el)
-	sc.hits.Add(1)
-	return el.Value.(*selEntry), true
-}
-
-// put inserts selections, evicting the least recently used entry at
-// capacity.
-func (sc *SelectionCache) put(ent *selEntry) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if el, ok := sc.entries[ent.key]; ok {
-		el.Value = ent
-		sc.order.MoveToFront(el)
-		return
-	}
-	sc.entries[ent.key] = sc.order.PushFront(ent)
-	if sc.order.Len() > sc.cap {
-		oldest := sc.order.Back()
-		sc.order.Remove(oldest)
-		delete(sc.entries, oldest.Value.(*selEntry).key)
-	}
-}
-
-// Len returns the number of cached BGPs.
-func (sc *SelectionCache) Len() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.order.Len()
-}
-
-// Stats returns the cumulative hit and miss counts.
-func (sc *SelectionCache) Stats() (hits, misses int64) {
-	return sc.hits.Load(), sc.misses.Load()
-}
+func NewSelectionCache(capacity int) *SelectionCache { return newLRU[selEntry](capacity) }
 
 // bgpSelections returns the table selection for every pattern of the BGP,
 // serving repeats from the selection cache. cached reports a hit; on a
@@ -296,7 +231,7 @@ func (e *Engine) bgpSelections(bgp []sparql.TriplePattern, tpStrs []string) (sel
 		}
 	}
 	if e.Selections != nil {
-		e.Selections.put(&selEntry{key: key, sels: sels, empty: empty})
+		e.Selections.put(key, selEntry{sels: sels, empty: empty})
 	}
 	return sels, empty, false
 }

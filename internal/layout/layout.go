@@ -297,8 +297,7 @@ func (ds *Dataset) buildExtVP(opts Options, retain bool) {
 
 // reduce runs the semi-join of VP[key.P1] against sets, which must hold
 // key.P2. It returns the selection — bit i marks row i of VP[key.P1] — and
-// the candidate's statistics: row count, SF, and whether it qualifies for
-// materialization under threshold (0 < rows < |VP[key.P1]|, SF < threshold).
+// the candidate's statistics under threshold.
 func (ds *Dataset) reduce(key ExtKey, sets *semiSets, threshold float64) (*bitvec.Bitset, TableInfo) {
 	vp := ds.VP[key.P1]
 	col, filter := vp.Data[0], sets.subjects
@@ -314,10 +313,16 @@ func (ds *Dataset) reduce(key ExtKey, sets *semiSets, threshold float64) (*bitve
 			sel.Set(i)
 		}
 	}
-	matches := sel.Count()
-	info := TableInfo{Rows: matches, SF: float64(matches) / float64(len(col))}
-	info.Materialized = matches > 0 && matches < len(col) && info.SF < threshold
-	return sel, info
+	return sel, tableInfo(sel.Count(), len(col), threshold)
+}
+
+// tableInfo returns the statistics of a reduction of rows out of the n rows
+// of its base VP table: its SF, and whether it qualifies for
+// materialization under threshold (0 < rows < n, SF < threshold).
+func tableInfo(rows, n int, threshold float64) TableInfo {
+	info := TableInfo{Rows: rows, SF: float64(rows) / float64(n)}
+	info.Materialized = rows > 0 && rows < n && info.SF < threshold
+	return info
 }
 
 // materialize copies the rows of VP[key.P1] that sel marks; rows is their

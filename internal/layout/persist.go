@@ -1,11 +1,12 @@
 package layout
 
 import (
+	"bufio"
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"slices"
 
 	"s2rdf/internal/bitvec"
@@ -14,9 +15,14 @@ import (
 	"s2rdf/internal/store"
 )
 
-// persisted metadata: the dictionary lives in dict.txt, tables in *.tbl via
-// store.Dir, and meta.json records the schema (which predicates and ExtVP
-// reductions exist, with their statistics).
+// A saved store is one store.Dir: the dictionary in dict.txt, TT and the
+// qualifying ExtVP reductions in *.tbl files, and the schema in meta.json
+// (the SF threshold, the predicates, and every ExtVP candidate's row
+// count). All of them go through the store's checksummed framing.
+const (
+	dictName = "dict.txt"
+	metaName = "meta.json"
+)
 
 type metaFile struct {
 	Threshold  float64     `json:"threshold"`
@@ -24,13 +30,13 @@ type metaFile struct {
 	Ext        []metaEntry `json:"ext"`
 }
 
+// metaEntry records one ExtVP candidate. Its SF and whether it is
+// materialized follow from Rows, |VP_P1| and the threshold (tableInfo).
 type metaEntry struct {
-	Kind         string  `json:"kind"`
-	P1           string  `json:"p1"`
-	P2           string  `json:"p2"`
-	Rows         int     `json:"rows"`
-	SF           float64 `json:"sf"`
-	Materialized bool    `json:"materialized"`
+	Kind string `json:"kind"`
+	P1   string `json:"p1"`
+	P2   string `json:"p2"`
+	Rows int    `json:"rows"`
 	// BitVec marks reductions stored as bit vectors (Options.BitVectors);
 	// the bits live in a companion "...#bits" table of split uint64 words.
 	BitVec bool `json:"bitvec,omitempty"`
@@ -52,23 +58,14 @@ func corrupt(format string, args ...any) error {
 // reduction and all statistics) to dir. VP is not written: it is a view of
 // TT, which Load slices again.
 func Save(ds *Dataset, dir string) error {
-	d, err := store.Open(dir)
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, "dict.txt"))
-	if err != nil {
+	d := store.Open(dir)
+	if err := d.WriteFile(dictName, ds.Dict.Save); err != nil {
 		return err
 	}
-	if err := ds.Dict.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	if _, err := d.SaveTable(ds.TT, 1); err != nil {
+	if err := d.SaveTable(ds.TT); err != nil {
 		return err
 	}
 	meta := metaFile{Threshold: ds.Threshold}
@@ -85,25 +82,22 @@ func Save(ds *Dataset, dir string) error {
 	})
 	var unbuilt []ExtKey
 	for _, key := range keys {
-		info := ds.Info[key]
 		entry := metaEntry{
-			Kind:         key.Kind.String(),
-			P1:           string(ds.Dict.Decode(key.P1)),
-			P2:           string(ds.Dict.Decode(key.P2)),
-			Rows:         info.Rows,
-			SF:           info.SF,
-			Materialized: info.Materialized,
+			Kind: key.Kind.String(),
+			P1:   string(ds.Dict.Decode(key.P1)),
+			P2:   string(ds.Dict.Decode(key.P2)),
+			Rows: ds.Info[key].Rows,
 		}
 		if bits, ok := ds.ExtBits[key]; ok {
 			entry.BitVec = true
-			if _, err := d.SaveTable(bitsToTable(ExtVPName(ds.Dict, key)+"#bits", bits), info.SF); err != nil {
+			if err := d.SaveTable(bitsToTable(ExtVPName(ds.Dict, key)+"#bits", bits)); err != nil {
 				return err
 			}
 		} else if tbl := ds.ExtVP[key]; tbl != nil {
-			if _, err := d.SaveTable(tbl, info.SF); err != nil {
+			if err := d.SaveTable(tbl); err != nil {
 				return err
 			}
-		} else if info.Materialized {
+		} else if ds.Info[key].Materialized {
 			unbuilt = append(unbuilt, key)
 		}
 		meta.Ext = append(meta.Ext, entry)
@@ -117,74 +111,116 @@ func Save(ds *Dataset, dir string) error {
 		if sets == nil {
 			sets = newSemiSets(ds.Dict.Len())
 		}
-		if _, err := d.SaveTable(ds.rebuild(key, sets), ds.Info[key].SF); err != nil {
+		if err := d.SaveTable(ds.rebuild(key, sets)); err != nil {
 			return err
 		}
 	}
-	raw, err := json.MarshalIndent(&meta, "", " ")
-	if err != nil {
+	return d.WriteFile(metaName, func(w io.Writer) error {
+		raw, err := json.MarshalIndent(&meta, "", " ")
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(raw)
 		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "meta.json"), raw, 0o644); err != nil {
-		return err
-	}
-	return d.Flush()
+	})
 }
 
 // Load reads a dataset previously written by Save, slicing VP out of TT
-// exactly as Build does. Statistics in meta.json that disagree with the
-// tables report an error wrapping store.ErrCorrupt. The property table is
-// rebuilt from the VP tables when withPT is true.
+// exactly as Build does. A damaged file, or statistics in meta.json that
+// disagree with the tables, report an error wrapping store.ErrCorrupt. The
+// property table is rebuilt from the VP tables when withPT is true.
 func Load(dir string, withPT bool) (*Dataset, error) {
-	f, err := os.Open(filepath.Join(dir, "dict.txt"))
+	d, ds, files, err := readSchema(dir)
 	if err != nil {
 		return nil, err
 	}
-	dc, err := dict.Load(f)
-	f.Close()
-	if err != nil {
-		return nil, err
+	for _, f := range files {
+		tbl, err := d.LoadTable(f.table)
+		if err != nil {
+			return nil, err
+		}
+		rows := tbl.NumRows()
+		if f.bits {
+			bits, err := tableToBits(tbl, ds.VP[f.key.P1].NumRows())
+			if err != nil {
+				return nil, err
+			}
+			ds.ExtBits[f.key], rows = bits, bits.Count()
+		} else {
+			ds.ExtVP[f.key] = tbl
+		}
+		if want := ds.Info[f.key].Rows; rows != want {
+			return nil, corrupt("%s holds %d rows, meta.json says %d", f.table, rows, want)
+		}
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	if withPT {
+		ds.PT = buildPT(ds)
+	}
+	return ds, nil
+}
+
+// extFile is one ExtVP table file meta.json references.
+type extFile struct {
+	key   ExtKey
+	table string // the store table name
+	bits  bool   // a "#bits" table of a bit-vector reduction
+}
+
+// readSchema reads everything of dir but the ExtVP tables: the dictionary,
+// meta.json and TT. It returns the dataset over TT with every ExtVP
+// candidate's statistics in Info, and the ExtVP table files meta.json
+// references.
+func readSchema(dir string) (*store.Dir, *Dataset, []extFile, error) {
+	d := store.Open(dir)
+	var dc *dict.Dict
+	err := d.ReadFile(dictName, func(br *bufio.Reader) (err error) {
+		dc, err = dict.Load(br)
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	var meta metaFile
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		return nil, corrupt("meta.json: %v", err)
-	}
-	d, err := store.Open(dir)
+	err = d.ReadFile(metaName, func(br *bufio.Reader) error {
+		raw, err := io.ReadAll(br)
+		if err != nil {
+			return err
+		}
+		if err := json.Unmarshal(raw, &meta); err != nil {
+			return corrupt("%v", err)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-
 	tt, err := d.LoadTable("TT")
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	// buildVP decodes TT's predicates and the semi-join bitsets span the
-	// dictionary's IDs, so an ID past its end (a truncated dict.txt) must
-	// stop here as an error.
+	// dictionary's IDs, so an ID past its end must stop here as an error.
 	for _, col := range tt.Data {
 		for _, v := range col {
 			if int(v) >= dc.Len() {
-				return nil, corrupt("TT holds ID %d, dict.txt has %d terms", v, dc.Len())
+				return nil, nil, nil, corrupt("TT holds ID %d, %s has %d terms", v, dictName, dc.Len())
 			}
 		}
 	}
 	ds := newDataset(dc, tt, meta.Threshold)
 	if len(meta.Predicates) != len(ds.Predicates) {
-		return nil, corrupt("meta.json lists %d predicates, TT holds %d", len(meta.Predicates), len(ds.Predicates))
+		return nil, nil, nil, corrupt("meta.json lists %d predicates, TT holds %d", len(meta.Predicates), len(ds.Predicates))
 	}
 	for _, pterm := range meta.Predicates {
 		if ds.VP[dc.Lookup(rdf.Term(pterm))] == nil {
-			return nil, corrupt("predicate %q has no triples", pterm)
+			return nil, nil, nil, corrupt("predicate %q has no triples", pterm)
 		}
 	}
+	var files []extFile
 	for _, entry := range meta.Ext {
 		kind, err := corrFromString(entry.Kind)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		key := ExtKey{
 			Kind: kind,
@@ -193,36 +229,23 @@ func Load(dir string, withPT bool) (*Dataset, error) {
 		}
 		vp := ds.VP[key.P1]
 		if vp == nil || ds.VP[key.P2] == nil {
-			return nil, corrupt("ExtVP entry %s %q|%q references an unknown predicate", entry.Kind, entry.P1, entry.P2)
+			return nil, nil, nil, corrupt("ExtVP entry %s %q|%q references an unknown predicate", entry.Kind, entry.P1, entry.P2)
 		}
-		ds.Info[key] = TableInfo{Rows: entry.Rows, SF: entry.SF, Materialized: entry.Materialized}
-		rows := entry.Rows // an entry without a table has nothing to check
-		switch {
-		case entry.BitVec:
-			tbl, err := d.LoadTable(ExtVPName(dc, key) + "#bits")
-			if err != nil {
-				return nil, err
-			}
-			if ds.ExtBits[key], err = tableToBits(tbl, vp.NumRows()); err != nil {
-				return nil, err
-			}
-			rows = ds.ExtBits[key].Count()
-		case entry.Materialized:
-			tbl, err := d.LoadTable(ExtVPName(dc, key))
-			if err != nil {
-				return nil, err
-			}
-			ds.ExtVP[key] = tbl
-			rows = tbl.NumRows()
+		// Only reductions smaller than VP are recorded (SF < 1).
+		if entry.Rows < 0 || entry.Rows >= vp.NumRows() {
+			return nil, nil, nil, corrupt("%s has %d rows, VP has %d", ExtVPName(dc, key), entry.Rows, vp.NumRows())
 		}
-		if rows != entry.Rows {
-			return nil, corrupt("%s holds %d rows, meta.json says %d", ExtVPName(dc, key), rows, entry.Rows)
+		info := tableInfo(entry.Rows, vp.NumRows(), meta.Threshold)
+		ds.Info[key] = info
+		if info.Materialized {
+			name := ExtVPName(dc, key)
+			if entry.BitVec {
+				name += "#bits"
+			}
+			files = append(files, extFile{key: key, table: name, bits: entry.BitVec})
 		}
 	}
-	if withPT {
-		ds.PT = buildPT(ds)
-	}
-	return ds, nil
+	return d, ds, files, nil
 }
 
 // bitsToTable encodes a bitset as a two-column table of split uint64 words.
@@ -247,11 +270,24 @@ func tableToBits(t *store.Table, n int) (*bitvec.Bitset, error) {
 	return bitvec.FromWords(n, words), nil
 }
 
-// DiskBytes sums the persisted size of all tables in dir.
+// DiskBytes sums the on-disk size of the tables the store in dir
+// references: TT and the materialized ExtVP reductions meta.json lists.
+// Files left behind by an earlier store in the same directory do not count.
 func DiskBytes(dir string) (int64, error) {
-	d, err := store.Open(dir)
+	d, _, files, err := readSchema(dir)
 	if err != nil {
 		return 0, err
 	}
-	return d.TotalBytes(), nil
+	total, err := d.TableBytes("TT")
+	if err != nil {
+		return 0, err
+	}
+	for _, f := range files {
+		n, err := d.TableBytes(f.table)
+		if err != nil {
+			return 0, err
+		}
+		total += n
+	}
+	return total, nil
 }

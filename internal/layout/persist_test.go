@@ -1,9 +1,11 @@
 package layout
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -224,27 +226,22 @@ func TestLoadMetaMismatch(t *testing.T) {
 		edit func(t *testing.T, dir string, ds *Dataset, meta *metaFile)
 	}{
 		"edited rows": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
-			for i := range meta.Ext {
-				if meta.Ext[i].Materialized {
-					meta.Ext[i].Rows++
-					return
+			for key := range ds.ExtVP {
+				for i, e := range meta.Ext {
+					if e.Kind == key.Kind.String() && e.P1 == string(ds.Dict.Decode(key.P1)) && e.P2 == string(ds.Dict.Decode(key.P2)) {
+						meta.Ext[i].Rows++
+						return
+					}
 				}
 			}
 			t.Fatal("no materialized entry")
 		}},
 		"truncated bits": {Options{BuildExtVP: true, BitVectors: true}, func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
-			sd, err := store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for key := range ds.ExtBits {
-				if _, err := sd.SaveTable(store.NewTable(ExtVPName(ds.Dict, key)+"#bits", "lo", "hi"), 1); err != nil {
+				if err := store.Open(dir).SaveTable(store.NewTable(ExtVPName(ds.Dict, key)+"#bits", "lo", "hi")); err != nil {
 					t.Fatal(err)
 				}
 				break
-			}
-			if err := sd.Flush(); err != nil {
-				t.Fatal(err)
 			}
 		}},
 		"unknown predicate": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
@@ -252,16 +249,10 @@ func TestLoadMetaMismatch(t *testing.T) {
 			meta.Predicates[0] = string(rdf.NewIRI("A"))
 		}},
 		"truncated dictionary": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
-			path := filepath.Join(dir, "dict.txt")
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			raw := readFramed(t, dir, dictName)
 			// Drop the last term: TT still holds its ID.
 			last := bytes.LastIndexByte(raw[:len(raw)-1], '\n')
-			if err := os.WriteFile(path, raw[:last+1], 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writeFramed(t, dir, dictName, raw[:last+1])
 		}},
 	}
 	for name, c := range cases {
@@ -271,26 +262,150 @@ func TestLoadMetaMismatch(t *testing.T) {
 			if err := Save(ds, dir); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
 			var meta metaFile
-			if err := json.Unmarshal(raw, &meta); err != nil {
+			if err := json.Unmarshal(readFramed(t, dir, metaName), &meta); err != nil {
 				t.Fatal(err)
 			}
 			c.edit(t, dir, ds, &meta)
-			raw, err = json.Marshal(&meta)
+			raw, err := json.Marshal(&meta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, "meta.json"), raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writeFramed(t, dir, metaName, raw)
 			if _, err := Load(dir, false); !errors.Is(err, store.ErrCorrupt) {
 				t.Fatalf("Load error = %v, want store.ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// readFramed returns the payload of the framed file name in dir.
+func readFramed(t *testing.T, dir, name string) []byte {
+	t.Helper()
+	var raw []byte
+	err := store.Open(dir).ReadFile(name, func(br *bufio.Reader) (err error) {
+		raw, err = io.ReadAll(br)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// writeFramed replaces the framed file name in dir with payload.
+func writeFramed(t *testing.T, dir, name string, payload []byte) {
+	t.Helper()
+	err := store.Open(dir).WriteFile(name, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadCorruptMetaBitFlips and TestLoadCorruptDictBitFlips: a flipped
+// bit anywhere in meta.json or the dictionary fails Load with
+// store.ErrCorrupt and no dataset — never a store with wrong statistics or
+// wrong terms.
+func TestLoadCorruptMetaBitFlips(t *testing.T) { testLoadBitFlips(t, metaName) }
+
+func TestLoadCorruptDictBitFlips(t *testing.T) { testLoadBitFlips(t, dictName) }
+
+func testLoadBitFlips(t *testing.T, name string) {
+	bitVectors := DefaultOptions()
+	bitVectors.BitVectors = true
+	for _, opts := range []Options{DefaultOptions(), bitVectors} {
+		dir := t.TempDir()
+		if err := Save(Build(g1(), opts), dir); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range raw {
+			mut := bytes.Clone(raw)
+			mut[i] ^= 1 << (i % 8)
+			if err := os.WriteFile(path, mut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := Load(dir, false)
+			if !errors.Is(err, store.ErrCorrupt) || ds != nil {
+				t.Fatalf("BitVectors=%v, %s byte %d flipped: Load = %v, %v; want store.ErrCorrupt and no dataset",
+					opts.BitVectors, name, i, ds != nil, err)
+			}
+		}
+	}
+}
+
+// TestLoadCorruptUnframedMeta: a plain-JSON meta.json, as stores saved
+// before every file was framed wrote it, is corruption; re-save the store.
+func TestLoadCorruptUnframedMeta(t *testing.T) {
+	dir := t.TempDir()
+	ds := Build(g1(), DefaultOptions())
+	if err := Save(ds, dir); err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		Kind         string  `json:"kind"`
+		P1           string  `json:"p1"`
+		P2           string  `json:"p2"`
+		Rows         int     `json:"rows"`
+		SF           float64 `json:"sf"`
+		Materialized bool    `json:"materialized"`
+	}
+	old := struct {
+		Threshold  float64  `json:"threshold"`
+		Predicates []string `json:"predicates"`
+		Ext        []entry  `json:"ext"`
+	}{Threshold: ds.Threshold}
+	for _, p := range ds.Predicates {
+		old.Predicates = append(old.Predicates, string(ds.Dict.Decode(p)))
+	}
+	for key, info := range ds.Info {
+		old.Ext = append(old.Ext, entry{key.Kind.String(), string(ds.Dict.Decode(key.P1)),
+			string(ds.Dict.Decode(key.P2)), info.Rows, info.SF, info.Materialized})
+	}
+	raw, err := json.MarshalIndent(&old, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, metaName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Load(dir, false); !errors.Is(err, store.ErrCorrupt) || got != nil {
+		t.Fatalf("Load = %v, %v; want store.ErrCorrupt and no dataset", got != nil, err)
+	}
+}
+
+// TestDiskBytesIgnoresStaleTables: a store saved over an earlier one counts
+// only its own tables, as if saved into an empty directory.
+func TestDiskBytesIgnoresStaleTables(t *testing.T) {
+	vpOnly := Build(g1(), Options{})
+	fresh := t.TempDir()
+	if err := Save(vpOnly, fresh); err != nil {
+		t.Fatal(err)
+	}
+	want, err := DiskBytes(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := Save(Build(g1(), DefaultOptions()), dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(vpOnly, dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DiskBytes(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("DiskBytes over an earlier store = %d, want %d as in a fresh directory", got, want)
 	}
 }
 
@@ -327,14 +442,7 @@ func TestLoadIgnoresStaleVPFiles(t *testing.T) {
 	f := pid(ds, "follows")
 	stale := store.NewTable(VPName(ds.Dict, f), "s", "o")
 	stale.Append(pid(ds, "likes"), pid(ds, "likes"))
-	sd, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sd.SaveTable(stale, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := sd.Flush(); err != nil {
+	if err := store.Open(dir).SaveTable(stale); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(dir, false)
@@ -369,19 +477,19 @@ func TestLoadVPViewsTT(t *testing.T) {
 	}
 }
 
-// TestSaveWritesNoVPTables: the manifest of a saved store lists no VP table.
+// TestSaveWritesNoVPTables: a saved store's directory holds no VP table.
 func TestSaveWritesNoVPTables(t *testing.T) {
 	dir := t.TempDir()
 	if err := Save(Build(g1(), DefaultOptions()), dir); err != nil {
 		t.Fatal(err)
 	}
-	sd, err := store.Open(dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range sd.AllStats() {
-		if strings.HasPrefix(st.Name, "VP:") {
-			t.Errorf("saved VP table %s", st.Name)
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "VP-") {
+			t.Errorf("saved VP table %s", e.Name())
 		}
 	}
 }

@@ -167,105 +167,16 @@ func TestCorruptRejectsLegacyVersions(t *testing.T) {
 	}
 }
 
-// TestCorruptManifestChecksum: a bit flip inside the manifest's tables
-// payload is caught eagerly at Open.
-func TestCorruptManifestChecksum(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := testTable(t, 50)
-	if _, err := d.SaveTable(tbl, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(dir, "manifest.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a digit inside the stats payload ("rows": ... ) without breaking
-	// JSON syntax: corrupt statistics, valid document.
-	idx := bytes.Index(raw, []byte(`"rows":`))
-	if idx < 0 {
-		t.Fatalf("manifest has no rows field:\n%s", raw)
-	}
-	mut := make([]byte, len(raw))
-	copy(mut, raw)
-	mut[idx+len(`"rows":`)+1] = '9'
-	if bytes.Equal(mut, raw) {
-		mut[idx+len(`"rows":`)+1] = '8'
-	}
-	if err := os.WriteFile(path, mut, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open on doctored manifest: %v, want ErrCorrupt", err)
-	}
-}
-
-// TestCorruptManifestTruncation: a truncated manifest is invalid JSON and
-// reports ErrCorrupt.
-func TestCorruptManifestTruncation(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.SaveTable(testTable(t, 50), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "manifest.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open on truncated manifest: %v, want ErrCorrupt", err)
-	}
-}
-
-// TestCorruptLegacyManifestRejected: a pre-v3 bare-map manifest has no
-// checksum envelope, so Open rejects it as ErrCorrupt instead of loading
-// unverified statistics.
-func TestCorruptLegacyManifestRejected(t *testing.T) {
-	dir := t.TempDir()
-	legacy := `{"VP:follows": {"name": "VP:follows", "rows": 7, "sf": 1}}`
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := Open(dir)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open on legacy manifest: %v, want ErrCorrupt", err)
-	}
-	if d != nil {
-		t.Fatalf("Open returned a store alongside %v", err)
-	}
-}
-
 // TestCorruptTableFileOnDisk: corrupting the persisted .tbl file makes
 // LoadTable report ErrCorrupt — wrong bindings are impossible.
 func TestCorruptTableFileOnDisk(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Open(dir)
 	tbl := testTable(t, 1000)
-	if _, err := d.SaveTable(tbl, 1.0); err != nil {
+	if err := d.SaveTable(tbl); err != nil {
 		t.Fatal(err)
 	}
-	path := d.tablePath(tbl.Name)
+	path := filepath.Join(dir, tableFile(tbl.Name))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -283,25 +194,16 @@ func TestCorruptTableFileOnDisk(t *testing.T) {
 // pass through as an I/O error, not be misclassified as corruption.
 func TestFaultStoreIOErrorIsNotCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Open(dir)
 	tbl := testTable(t, 1000)
-	if _, err := d.SaveTable(tbl, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Flush(); err != nil {
+	if err := d.SaveTable(tbl); err != nil {
 		t.Fatal(err)
 	}
 
 	in := fault.NewInjector(fault.OS)
-	in.FailNthRead(2, nil) // manifest ReadFile is read 1; table read 2 fails
-	d2, err := OpenFS(dir, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = d2.LoadTable(tbl.Name)
+	in.FailNthRead(1, nil) // the table's first read fails
+	d2 := OpenFS(dir, in)
+	_, err := d2.LoadTable(tbl.Name)
 	if err == nil {
 		t.Fatal("expected injected read error")
 	}

@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -11,17 +10,30 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"s2rdf/internal/dict"
 	"s2rdf/internal/fault"
 )
 
-// File format ("parquet-lite"): a little-endian binary layout per table.
+// File format: every file of a store directory is framed the same way,
 //
-//	magic "S2TB" | version u32
-//	body: ncols u32 | nrows u64 | sortcol u32
+//	magic "S2TB" | version u32 | payload in checksummed chunks:
+//	chunk: payload-len u32 | crc32c u32 | payload   (≤ 64 KiB payload)
+//	terminator: 0 u32 | 0 u32
+//
+// so every persisted byte is covered by a CRC32C (Castagnoli) checksum and
+// bit rot, torn writes and truncation are detected on first read instead of
+// surfacing as garbage bindings or wrong statistics. Corruption — a
+// checksum mismatch, a bad magic or version, a structurally impossible
+// value, or a file that ends before its terminator chunk — is reported as
+// an error wrapping ErrCorrupt; genuine I/O errors from the underlying
+// reader pass through unwrapped so callers can tell a bad disk from bad
+// data. Only version 3 is readable; any other version is corruption.
+//
+// A table's payload ("parquet-lite") is a little-endian columnar body:
+//
+//	ncols u32 | nrows u64 | sortcol u32
 //	per column: name-len u32 | name | nruns u64 | runs (value uvarint, length uvarint)
 //	            distinct u64 | nzones u64 | zones (min uvarint, max uvarint)
 //
@@ -29,29 +41,16 @@ import (
 // the global term dictionary, so values are uint32 IDs. The body carries the
 // scan statistics Table.Finalize computes — the sort column, per-column
 // distinct counts and zone maps — so a loaded store prunes scans without
-// re-deriving them. The body (everything after the 8-byte header) is
-// wrapped in checksummed chunks:
-//
-//	chunk: payload-len u32 | crc32c u32 | payload   (≤ 64 KiB payload)
-//	terminator: 0 u32 | 0 u32
-//
-// so every byte of a persisted table is covered by a CRC32C (Castagnoli)
-// checksum and bit rot, torn writes and truncation are detected on first
-// read instead of surfacing as garbage bindings. Corruption — a checksum
-// mismatch, a bad magic or version, a structurally impossible value, or a
-// file that ends before its terminator chunk — is reported as an error
-// wrapping ErrCorrupt; genuine I/O errors from the underlying reader pass
-// through unwrapped so callers can tell a bad disk from bad data. Only
-// version 3 is readable; any other version is reported as corruption.
+// re-deriving them.
 const (
 	magic   = "S2TB"
 	version = 3
 	// noSortCol encodes Table.SortCol == -1.
 	noSortCol = ^uint32(0)
 
-	// chunkSize is the checksummed-chunk payload size WriteTable emits.
+	// chunkSize is the checksummed-chunk payload size writers emit.
 	chunkSize = 64 << 10
-	// maxChunkSize bounds the payload length ReadTable accepts; bigger
+	// maxChunkSize bounds the chunk payload length readers accept; bigger
 	// claims are corruption, not allocation requests.
 	maxChunkSize = 1 << 20
 
@@ -63,7 +62,7 @@ const (
 )
 
 // ErrCorrupt marks data-integrity failures: checksum mismatches, impossible
-// structure, or truncation in a persisted table or manifest. It is never
+// structure, or truncation in any persisted file of a store. It is never
 // used for ordinary I/O errors. Test with errors.Is.
 var ErrCorrupt = errors.New("data corruption detected")
 
@@ -86,59 +85,19 @@ func asCorrupt(err error, what string) error {
 	return err
 }
 
-// WriteTable serializes t to w in the current (v3, checksummed) format.
-// It returns the number of bytes written.
-func WriteTable(w io.Writer, t *Table) (int64, error) {
+// writeFramed writes the header to w and then fill's output in checksummed
+// chunks, ending with the terminator. It returns the number of bytes
+// written.
+func writeFramed(w io.Writer, fill func(io.Writer) error) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := &countingWriter{w: bw}
-
 	if _, err := cw.Write([]byte(magic)); err != nil {
 		return cw.n, err
 	}
 	writeU32(cw, version)
-
 	fw := &chunkWriter{w: cw}
-	buf := make([]byte, binary.MaxVarintLen64)
-	writeU32(fw, uint32(len(t.Cols)))
-	writeU64(fw, uint64(t.NumRows()))
-	if t.SortCol >= 0 {
-		writeU32(fw, uint32(t.SortCol))
-	} else {
-		writeU32(fw, noSortCol)
-	}
-	for c, name := range t.Cols {
-		writeU32(fw, uint32(len(name)))
-		if _, err := fw.Write([]byte(name)); err != nil {
-			return cw.n, err
-		}
-		runs := rleEncode(t.Data[c])
-		writeU64(fw, uint64(len(runs)))
-		for _, r := range runs {
-			n := binary.PutUvarint(buf, uint64(r.value))
-			if _, err := fw.Write(buf[:n]); err != nil {
-				return cw.n, err
-			}
-			n = binary.PutUvarint(buf, uint64(r.length))
-			if _, err := fw.Write(buf[:n]); err != nil {
-				return cw.n, err
-			}
-		}
-		var m ColMeta
-		if c < len(t.Meta) {
-			m = t.Meta[c]
-		}
-		writeU64(fw, uint64(m.Distinct))
-		writeU64(fw, uint64(len(m.ZoneMin)))
-		for z := range m.ZoneMin {
-			n := binary.PutUvarint(buf, uint64(m.ZoneMin[z]))
-			if _, err := fw.Write(buf[:n]); err != nil {
-				return cw.n, err
-			}
-			n = binary.PutUvarint(buf, uint64(m.ZoneMax[z]))
-			if _, err := fw.Write(buf[:n]); err != nil {
-				return cw.n, err
-			}
-		}
+	if err := fill(fw); err != nil {
+		return cw.n, err
 	}
 	if err := fw.Close(); err != nil {
 		return cw.n, err
@@ -149,106 +108,164 @@ func WriteTable(w io.Writer, t *Table) (int64, error) {
 	return cw.n, cw.err
 }
 
+// readFramed checks the header of r and hands parse the checksum-verified
+// payload, which parse must consume to its end. Corruption — and any
+// format version other than the current one — is reported as an error
+// wrapping ErrCorrupt.
+func readFramed(r io.Reader, parse func(*bufio.Reader) error) error {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var head [8]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return asCorrupt(err, "header")
+	}
+	if string(head[:4]) != magic {
+		return corruptf("bad magic %q", head[:4])
+	}
+	if ver := binary.LittleEndian.Uint32(head[4:]); ver != version {
+		return corruptf("unsupported version %d", ver)
+	}
+	body := bufio.NewReaderSize(&chunkReader{r: br}, 1<<16)
+	if err := parse(body); err != nil {
+		return err
+	}
+	// The payload must end exactly where the terminator chunk begins: a
+	// file truncated after its last data chunk, or one with stray payload
+	// after the body, is damaged even though every chunk it does have
+	// checksums clean.
+	if _, err := body.ReadByte(); err == nil {
+		return corruptf("trailing data after payload")
+	} else if !errors.Is(err, io.EOF) {
+		return asCorrupt(err, "terminator")
+	}
+	return nil
+}
+
+// WriteTable serializes t to w in the current (v3, checksummed) format.
+// It returns the number of bytes written.
+func WriteTable(w io.Writer, t *Table) (int64, error) {
+	return writeFramed(w, t.writeBody)
+}
+
+// writeBody writes the table body (everything the framing wraps) to w.
+func (t *Table) writeBody(w io.Writer) error {
+	buf := make([]byte, binary.MaxVarintLen64)
+	writeU32(w, uint32(len(t.Cols)))
+	writeU64(w, uint64(t.NumRows()))
+	if t.SortCol >= 0 {
+		writeU32(w, uint32(t.SortCol))
+	} else {
+		writeU32(w, noSortCol)
+	}
+	for c, name := range t.Cols {
+		writeU32(w, uint32(len(name)))
+		if _, err := w.Write([]byte(name)); err != nil {
+			return err
+		}
+		runs := rleEncode(t.Data[c])
+		writeU64(w, uint64(len(runs)))
+		for _, r := range runs {
+			n := binary.PutUvarint(buf, uint64(r.value))
+			if _, err := w.Write(buf[:n]); err != nil {
+				return err
+			}
+			n = binary.PutUvarint(buf, uint64(r.length))
+			if _, err := w.Write(buf[:n]); err != nil {
+				return err
+			}
+		}
+		var m ColMeta
+		if c < len(t.Meta) {
+			m = t.Meta[c]
+		}
+		writeU64(w, uint64(m.Distinct))
+		writeU64(w, uint64(len(m.ZoneMin)))
+		for z := range m.ZoneMin {
+			n := binary.PutUvarint(buf, uint64(m.ZoneMin[z]))
+			if _, err := w.Write(buf[:n]); err != nil {
+				return err
+			}
+			n = binary.PutUvarint(buf, uint64(m.ZoneMax[z]))
+			if _, err := w.Write(buf[:n]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // ReadTable deserializes a table written by WriteTable. Corruption — and any
 // format version other than the current one — is reported as an error
 // wrapping ErrCorrupt.
 func ReadTable(r io.Reader) (*Table, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, asCorrupt(fmt.Errorf("store: reading magic: %w", err), "header")
-	}
-	if string(head) != magic {
-		return nil, corruptf("bad magic %q", head)
-	}
-	ver, err := readU32(br)
-	if err != nil {
-		return nil, asCorrupt(err, "header")
-	}
-	if ver != version {
-		return nil, corruptf("unsupported version %d", ver)
-	}
-	// The body is chunk-framed: parse it through the checksum-verifying
-	// reader.
-	body := bufio.NewReaderSize(&chunkReader{r: br}, 1<<16)
-	t, err := readTableBody(body)
-	if err != nil {
+	t := &Table{}
+	if err := readFramed(r, t.readBody); err != nil {
 		return nil, err
-	}
-	// The body must end exactly where the terminator chunk begins: a file
-	// truncated after its last data chunk, or one with stray payload after
-	// the body, is damaged even though every chunk it does have checksums
-	// clean.
-	if _, err := body.ReadByte(); err == nil {
-		return nil, corruptf("trailing data after table body")
-	} else if !errors.Is(err, io.EOF) {
-		return nil, asCorrupt(err, "terminator")
 	}
 	return t, nil
 }
 
-// readTableBody parses the table body (everything after magic+version)
-// from br, which verifies the chunk checksums.
-func readTableBody(br *bufio.Reader) (*Table, error) {
+// readBody parses the table body (the framed payload) from br, which
+// verifies the chunk checksums, into t.
+func (t *Table) readBody(br *bufio.Reader) error {
 	ncols, err := readU32(br)
 	if err != nil {
-		return nil, asCorrupt(err, "column count")
+		return asCorrupt(err, "column count")
 	}
 	if ncols > maxCols {
-		return nil, corruptf("implausible column count %d", ncols)
+		return corruptf("implausible column count %d", ncols)
 	}
 	nrows, err := readU64(br)
 	if err != nil {
-		return nil, asCorrupt(err, "row count")
+		return asCorrupt(err, "row count")
 	}
-	t := &Table{SortCol: -1, Meta: make([]ColMeta, 0, ncols)}
+	t.SortCol, t.Meta = -1, make([]ColMeta, 0, ncols)
 	sc, err := readU32(br)
 	if err != nil {
-		return nil, asCorrupt(err, "sort column")
+		return asCorrupt(err, "sort column")
 	}
 	if sc != noSortCol {
 		if sc >= ncols {
-			return nil, corruptf("sort column %d out of range", sc)
+			return corruptf("sort column %d out of range", sc)
 		}
 		t.SortCol = int(sc)
 	}
 	for c := uint32(0); c < ncols; c++ {
 		nameLen, err := readU32(br)
 		if err != nil {
-			return nil, asCorrupt(err, "column name length")
+			return asCorrupt(err, "column name length")
 		}
 		if nameLen > maxNameLen {
-			return nil, corruptf("implausible column name length %d", nameLen)
+			return corruptf("implausible column name length %d", nameLen)
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, asCorrupt(err, "column name")
+			return asCorrupt(err, "column name")
 		}
 		t.Cols = append(t.Cols, string(name))
 		nruns, err := readU64(br)
 		if err != nil {
-			return nil, asCorrupt(err, "run count")
+			return asCorrupt(err, "run count")
 		}
 		if nruns > nrows {
-			return nil, corruptf("column %q has %d runs for %d rows",
+			return corruptf("column %q has %d runs for %d rows",
 				string(name), nruns, nrows)
 		}
 		col := make([]dict.ID, 0, min(nrows, maxPreAlloc))
 		for i := uint64(0); i < nruns; i++ {
 			v, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, asCorrupt(err, "run value")
+				return asCorrupt(err, "run value")
 			}
 			if v > math.MaxUint32 {
-				return nil, corruptf("column %q run value %d exceeds ID range",
+				return corruptf("column %q run value %d exceeds ID range",
 					string(name), v)
 			}
 			length, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, asCorrupt(err, "run length")
+				return asCorrupt(err, "run length")
 			}
 			if length > nrows-uint64(len(col)) {
-				return nil, corruptf("column %q runs exceed %d rows",
+				return corruptf("column %q runs exceed %d rows",
 					string(name), nrows)
 			}
 			for j := uint64(0); j < length; j++ {
@@ -256,27 +273,27 @@ func readTableBody(br *bufio.Reader) (*Table, error) {
 			}
 		}
 		if uint64(len(col)) != nrows {
-			return nil, corruptf("column %q has %d rows, want %d",
+			return corruptf("column %q has %d rows, want %d",
 				string(name), len(col), nrows)
 		}
 		t.Data = append(t.Data, col)
 		var m ColMeta
 		distinct, err := readU64(br)
 		if err != nil {
-			return nil, asCorrupt(err, "distinct count")
+			return asCorrupt(err, "distinct count")
 		}
 		if distinct > nrows {
-			return nil, corruptf("column %q distinct %d exceeds %d rows",
+			return corruptf("column %q distinct %d exceeds %d rows",
 				string(name), distinct, nrows)
 		}
 		m.Distinct = int(distinct)
 		nzones, err := readU64(br)
 		if err != nil {
-			return nil, asCorrupt(err, "zone count")
+			return asCorrupt(err, "zone count")
 		}
 		// nzones is 0 when the table was never finalized (no zone map).
 		if want := (nrows + ZoneSize - 1) / ZoneSize; nzones != 0 && nzones != want {
-			return nil, corruptf("column %q has %d zones, want %d",
+			return corruptf("column %q has %d zones, want %d",
 				string(name), nzones, want)
 		}
 		m.ZoneMin = make([]dict.ID, nzones)
@@ -284,21 +301,21 @@ func readTableBody(br *bufio.Reader) (*Table, error) {
 		for z := uint64(0); z < nzones; z++ {
 			lo, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, asCorrupt(err, "zone min")
+				return asCorrupt(err, "zone min")
 			}
 			hi, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, asCorrupt(err, "zone max")
+				return asCorrupt(err, "zone max")
 			}
 			if lo > math.MaxUint32 || hi > math.MaxUint32 || lo > hi {
-				return nil, corruptf("column %q zone %d bounds [%d,%d] invalid",
+				return corruptf("column %q zone %d bounds [%d,%d] invalid",
 					string(name), z, lo, hi)
 			}
 			m.ZoneMin[z], m.ZoneMax[z] = dict.ID(lo), dict.ID(hi)
 		}
 		t.Meta = append(t.Meta, m)
 	}
-	return t, nil
+	return nil
 }
 
 // chunkWriter frames its input into checksummed chunks:
@@ -477,164 +494,82 @@ func readU64(r io.Reader) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// Dir is an on-disk table store: one file per table plus a JSON manifest and
-// the serialized term dictionary. It corresponds to the HDFS directory that
-// holds the Parquet files in the paper's deployment.
+// Dir is an on-disk store directory: one file per table plus whatever
+// other files its user writes (the layout package keeps the term
+// dictionary and the schema there). It corresponds to the HDFS directory
+// that holds the Parquet files in the paper's deployment. Every file goes
+// through the same checksummed framing, so every persisted byte is
+// verified on read.
 type Dir struct {
-	path     string
-	fs       fault.FS
-	manifest map[string]Stats
+	path string
+	fs   fault.FS
 }
 
-// manifestVersion is the checksummed manifest envelope version.
-const manifestVersion = 3
-
-// manifestFile is the on-disk manifest envelope (since v3): the table
-// stats plus a CRC32C over their exact JSON encoding, so manifest bit rot
-// is detected at Open instead of steering the planner with garbage
-// statistics. Any other envelope — including a bare JSON object of stats
-// without one — is reported as ErrCorrupt.
-type manifestFile struct {
-	Version int             `json:"version"`
-	CRC32C  uint32          `json:"crc32c"`
-	Tables  json.RawMessage `json:"tables"`
-}
-
-// Open opens (or creates) a table store at path, validating the manifest's
-// checksum eagerly; a mismatch reports ErrCorrupt.
-func Open(path string) (*Dir, error) { return OpenFS(path, fault.OS) }
+// Open returns the store directory at path. It performs no I/O: a missing
+// directory surfaces on the first read, and writers create it themselves.
+func Open(path string) *Dir { return OpenFS(path, fault.OS) }
 
 // OpenFS is Open with all I/O routed through fs, which chaos tests use to
 // inject disk faults deterministically.
-func OpenFS(path string, fs fault.FS) (*Dir, error) {
-	if fs == nil {
-		fs = fault.OS
-	}
-	if err := fs.MkdirAll(path, 0o755); err != nil {
-		return nil, err
-	}
-	d := &Dir{path: path, fs: fs, manifest: make(map[string]Stats)}
-	raw, err := fs.ReadFile(filepath.Join(path, "manifest.json"))
+func OpenFS(path string, fs fault.FS) *Dir { return &Dir{path: path, fs: fs} }
+
+// WriteFile writes the file name of the directory in the framed format,
+// with fill's output as its payload.
+func (d *Dir) WriteFile(name string, fill func(io.Writer) error) error {
+	f, err := d.fs.Create(filepath.Join(d.path, name))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return d, nil
-		}
-		return nil, err
+		return err
 	}
-	var mf manifestFile
-	if err := json.Unmarshal(raw, &mf); err != nil {
-		return nil, corruptf("corrupt manifest: %v", err)
+	_, werr := writeFramed(f, fill)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
 	}
-	if mf.Version != manifestVersion {
-		return nil, corruptf("unsupported manifest version %d", mf.Version)
-	}
-	if got := crc32.Checksum(mf.Tables, castagnoli); got != mf.CRC32C {
-		return nil, corruptf("manifest checksum mismatch: %08x != %08x",
-			got, mf.CRC32C)
-	}
-	if err := json.Unmarshal(mf.Tables, &d.manifest); err != nil {
-		return nil, corruptf("corrupt manifest tables: %v", err)
-	}
-	return d, nil
+	return werr
 }
 
-// Path returns the directory path.
-func (d *Dir) Path() string { return d.path }
-
-// SaveTable persists t and records its stats. sf is the selectivity factor
-// relative to the base VP table (1 for base tables).
-func (d *Dir) SaveTable(t *Table, sf float64) (Stats, error) {
-	f, err := d.fs.Create(d.tablePath(t.Name))
+// ReadFile reads the framed file name of the directory and hands parse its
+// checksum-verified payload, which parse must consume to its end. A
+// checksum mismatch, truncation or a bad header reports an error wrapping
+// ErrCorrupt; I/O errors pass through, and parse's own errors are returned
+// as it made them, named after the file.
+func (d *Dir) ReadFile(name string, parse func(*bufio.Reader) error) error {
+	f, err := d.fs.Open(filepath.Join(d.path, name))
 	if err != nil {
-		return Stats{}, err
+		return err
 	}
-	n, werr := WriteTable(f, t)
-	cerr := f.Close()
-	if werr != nil {
-		return Stats{}, werr
+	defer f.Close()
+	if err := readFramed(f, parse); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
 	}
-	if cerr != nil {
-		return Stats{}, cerr
-	}
-	st := Stats{Name: t.Name, Rows: t.NumRows(), SF: sf, Bytes: n, SortCol: t.SortColName()}
-	if len(t.Meta) == len(t.Cols) && len(t.Cols) > 0 {
-		st.Distinct = make([]int, len(t.Meta))
-		for i := range t.Meta {
-			st.Distinct[i] = t.Meta[i].Distinct
-		}
-	}
-	d.manifest[t.Name] = st
-	return st, nil
+	return nil
 }
 
-// RecordStats records statistics for a table that is not materialized
-// (empty ExtVP tables, or tables filtered out by the SF threshold).
-func (d *Dir) RecordStats(name string, rows int, sf float64) {
-	d.manifest[name] = Stats{Name: name, Rows: rows, SF: sf}
+// SaveTable persists t.
+func (d *Dir) SaveTable(t *Table) error {
+	return d.WriteFile(tableFile(t.Name), t.writeBody)
 }
 
 // LoadTable reads a table back from disk, verifying its checksums. A
 // checksum mismatch or structural impossibility reports ErrCorrupt — a
 // corrupted file can error, never produce wrong bindings.
 func (d *Dir) LoadTable(name string) (*Table, error) {
-	f, err := d.fs.Open(d.tablePath(name))
-	if err != nil {
+	t := &Table{Name: name}
+	if err := d.ReadFile(tableFile(name), t.readBody); err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	t, err := ReadTable(f)
-	if err != nil {
-		return nil, fmt.Errorf("store: table %q: %w", name, err)
-	}
-	t.Name = name
 	return t, nil
 }
 
-// Stats returns the recorded stats for name.
-func (d *Dir) Stats(name string) (Stats, bool) {
-	st, ok := d.manifest[name]
-	return st, ok
-}
-
-// AllStats returns stats for every known table, sorted by name.
-func (d *Dir) AllStats() []Stats {
-	out := make([]Stats, 0, len(d.manifest))
-	for _, st := range d.manifest {
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// TotalBytes sums the on-disk bytes of all persisted tables.
-func (d *Dir) TotalBytes() int64 {
-	var n int64
-	for _, st := range d.manifest {
-		n += st.Bytes
-	}
-	return n
-}
-
-// Flush writes the checksummed manifest to disk.
-func (d *Dir) Flush() error {
-	tables, err := json.MarshalIndent(d.manifest, " ", " ")
+// TableBytes returns the on-disk size of the table name.
+func (d *Dir) TableBytes(name string) (int64, error) {
+	fi, err := os.Stat(filepath.Join(d.path, tableFile(name)))
 	if err != nil {
-		return err
+		return 0, err
 	}
-	mf := manifestFile{
-		Version: manifestVersion,
-		CRC32C:  crc32.Checksum(tables, castagnoli),
-		Tables:  tables,
-	}
-	raw, err := json.MarshalIndent(&mf, "", " ")
-	if err != nil {
-		return err
-	}
-	return d.fs.WriteFile(filepath.Join(d.path, "manifest.json"), raw, 0o644)
+	return fi.Size(), nil
 }
 
-// tablePath maps a table name to a file name, escaping separators.
-func (d *Dir) tablePath(name string) string {
-	enc := strings.NewReplacer("/", "_", ":", "-", "|", "+").Replace(name)
-	return filepath.Join(d.path, enc+".tbl")
+// tableFile maps a table name to a file name, escaping separators.
+func tableFile(name string) string {
+	return strings.NewReplacer("/", "_", ":", "-", "|", "+").Replace(name) + ".tbl"
 }

@@ -132,36 +132,3 @@ func TestFormatRoundTripsWithoutStatistics(t *testing.T) {
 		t.Errorf("Data mismatch after round trip")
 	}
 }
-
-// TestSaveTableRecordsStatistics asserts the manifest carries the sort
-// column and distinct counts.
-func TestSaveTableRecordsStatistics(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := buildMetaTable(t)
-	st, err := d.SaveTable(tbl, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SortCol != "s" {
-		t.Errorf("manifest SortCol = %q, want s", st.SortCol)
-	}
-	want := []int{tbl.Meta[0].Distinct, tbl.Meta[1].Distinct}
-	if !reflect.DeepEqual(st.Distinct, want) {
-		t.Errorf("manifest Distinct = %v, want %v", st.Distinct, want)
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, ok := d2.Stats(tbl.Name)
-	if !ok || st2.SortCol != "s" || !reflect.DeepEqual(st2.Distinct, want) {
-		t.Errorf("reloaded manifest stats = %+v", st2)
-	}
-}

@@ -1,8 +1,8 @@
 // Package store implements the columnar storage layer of the S2RDF
 // reproduction. It plays the role HDFS + Parquet play in the paper: tables
 // are stored column-major with dictionary-encoded values, compressed with
-// run-length encoding, and persisted to a directory with a manifest that
-// preserves each table's schema and statistics.
+// run-length encoding, and persisted to a directory of checksummed files,
+// each table's file carrying its schema and scan statistics.
 package store
 
 import (
@@ -204,22 +204,4 @@ func (t *Table) SortColName() string {
 		return ""
 	}
 	return t.Cols[t.SortCol]
-}
-
-// Stats summarizes a stored table; the query compiler uses these to pick
-// tables and order joins without touching the data.
-type Stats struct {
-	Name string `json:"name"`
-	Rows int    `json:"rows"`
-	// SF is the selectivity factor |table| / |base VP table|; 1 for VP
-	// tables themselves, 0 for empty (unmaterialized) tables.
-	SF float64 `json:"sf"`
-	// Bytes is the on-disk size after compression (0 if never persisted).
-	Bytes int64 `json:"bytes"`
-	// SortCol names the column the rows are sorted by ("" when unknown) and
-	// Distinct holds the per-column distinct-value counts, aligned with the
-	// table's column order (nil when the table was never finalized). Both
-	// come from Table.Finalize and round-trip through the manifest.
-	SortCol  string `json:"sortCol,omitempty"`
-	Distinct []int  `json:"distinct,omitempty"`
 }

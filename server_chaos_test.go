@@ -349,6 +349,67 @@ func TestCorruptStoreDirectoryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCorruptStoreServedUnavailable: one flipped bit in a saved store's
+// dictionary fails Open with store.ErrCorrupt; served the way the CLI
+// serves it, the store answers 503 + Retry-After naming the failure while a
+// healthy sibling in the same mux keeps answering.
+func TestCorruptStoreServedUnavailable(t *testing.T) {
+	dir := t.TempDir()
+	if err := Load(exampleTriples(), Options{}).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "dict.txt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, openErr := Open(dir, Options{})
+	if !errors.Is(openErr, store.ErrCorrupt) {
+		t.Fatalf("Open on a store with a flipped dictionary bit: %v, want store.ErrCorrupt", openErr)
+	}
+
+	h, err := NewMux(map[string]*Store{
+		"good": Load(exampleTriples(), Options{}),
+		"bad":  NewUnavailableStore(openErr.Error()),
+	}, "good", ServerOptions{MaxConcurrent: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, h)
+	resp, rerr := http.Get(srv.URL + "/sparql/bad?query=" + url.QueryEscape(followsQuery))
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	derr := json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("corrupt store status = %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 carries no Retry-After")
+	}
+	if derr != nil || !strings.Contains(body.Error, openErr.Error()) || !strings.Contains(body.Error, "data corruption detected") {
+		t.Fatalf("503 body %q (%v) does not carry the Open error %q", body.Error, derr, openErr)
+	}
+
+	resp2, rerr := http.Get(srv.URL + "/sparql/good?query=" + url.QueryEscape(followsQuery))
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	io.Copy(io.Discard, resp2.Body)
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("healthy sibling status = %d, want 200", resp2.StatusCode)
+	}
+}
+
 // spillJoinQuery is an object-object self-join with heavy fan-out: under a
 // 1-byte memory budget its hash-join build routes through the spill path.
 const spillJoinQuery = `SELECT * WHERE { ?a <urn:score> ?s . ?b <urn:score> ?s }`
