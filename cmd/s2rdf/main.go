@@ -220,8 +220,12 @@ func cmdQuery(args []string) {
 			res.Sched.QueueWait.Round(time.Microsecond), res.Sched.Yields)
 		fmt.Println("# plan:")
 		for _, p := range res.Plan {
-			fmt.Printf("#   %-40s -> %s (rows %d, est %d, SF %.2f; scanned %d, pruned %d)\n",
-				p.Pattern, p.Table, p.Rows, p.Est, p.SF, p.Scanned, p.Pruned)
+			keys := ""
+			if p.Keys > 0 {
+				keys = fmt.Sprintf(", keys=%d", p.Keys)
+			}
+			fmt.Printf("#   %-40s -> %s (rows %d, est %d, SF %.2f; scanned %d, pruned %d%s)\n",
+				p.Pattern, p.Table, p.Rows, p.Est, p.SF, p.Scanned, p.Pruned, keys)
 		}
 		if len(res.JoinOrder) > 0 {
 			order := make([]string, len(res.JoinOrder))

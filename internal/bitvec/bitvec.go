@@ -69,6 +69,36 @@ func (b *Bitset) CountRange(lo, hi int) int {
 	return n + bits.OnesCount64(b.words[whi]&(1<<(uint(hi-1)&63+1)-1))
 }
 
+// AppendSet appends the indices of the set bits in [lo, hi) to dst in
+// ascending order. It walks the range word by word and jumps from set bit to
+// set bit with TrailingZeros64, so a sparse selection costs one step per
+// word plus one per member rather than one Get per position.
+func (b *Bitset) AppendSet(dst []int32, lo, hi int) []int32 {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > b.n {
+		hi = b.n
+	}
+	if lo >= hi {
+		return dst
+	}
+	wlo, whi := lo>>6, (hi-1)>>6
+	for w := wlo; w <= whi; w++ {
+		word := b.words[w]
+		if w == wlo {
+			word &^= 1<<(uint(lo)&63) - 1
+		}
+		if w == whi {
+			word &= 1<<(uint(hi-1)&63+1) - 1
+		}
+		for base := int32(w << 6); word != 0; word &= word - 1 {
+			dst = append(dst, base+int32(bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
+
 // And returns a new bitset holding the intersection of b and other. The
 // lengths must match.
 func (b *Bitset) And(other *Bitset) *Bitset {

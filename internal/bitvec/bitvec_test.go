@@ -172,3 +172,35 @@ func TestCountRange(t *testing.T) {
 		t.Errorf("full range %d != Count %d", got, b.Count())
 	}
 }
+
+// TestAppendSetMatchesGet checks the word-wise member walk against Get over
+// random bitsets and ranges, including word boundaries and clamped ends.
+func TestAppendSetMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		b := New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				b.Set(i)
+			}
+		}
+		lo, hi := rng.Intn(n+10)-5, rng.Intn(n+10)-5
+		var want []int32
+		for i := max(lo, 0); i < min(hi, n); i++ {
+			if b.Get(i) {
+				want = append(want, int32(i))
+			}
+		}
+		prefix := []int32{-1}
+		got := b.AppendSet(prefix, lo, hi)
+		if got[0] != -1 || len(got)-1 != len(want) {
+			t.Fatalf("n=%d [%d,%d): got %v, want %v", n, lo, hi, got[1:], want)
+		}
+		for i, v := range want {
+			if got[i+1] != v {
+				t.Fatalf("n=%d [%d,%d): got %v, want %v", n, lo, hi, got[1:], want)
+			}
+		}
+	}
+}

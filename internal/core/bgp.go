@@ -203,12 +203,61 @@ func estimatePatternRows(sel selection, tp sparql.TriplePattern) int {
 	return est
 }
 
+// keyPushRatio gates the run-time semi-join (pushKeys): an intermediate
+// pushes its keys into a scan only when it holds at most NDV/keyPushRatio
+// rows, NDV being the distinct count of the scanned column in the selected
+// table. The check costs O(1) and bounds the keys to a sixteenth of the
+// column's values. In a sweep over WatDiv at scale 10, ratios 1 and 4 also
+// pushed into large-result templates, where nearly every row matches and
+// the key runs only add work; from 16 up none was pushed, and 16 kept the
+// most of the selective templates' gain.
+const keyPushRatio = 16
+
+// pushKeys adds to spec the run-time semi-join of a scan with from, the
+// intermediate its output will be joined to, and returns the number of keys
+// pushed. The paper cuts query input with semi-joins that ExtVP precomputes
+// for every binding; this applies the same cut with the query's own
+// bindings. A variable of the pattern bound in from and landing on the
+// selected table's sort column passes from's distinct keys as
+// ScanSpec.Keys, one binary-searched run each. On another column a lone key
+// becomes a constant condition, so zone maps apply. The triples table is
+// never pushed into, so ModeTT stays the unpushed reference.
+func pushKeys(spec *engine.ScanSpec, from *engine.Relation, tp sparql.TriplePattern, sel selection) int {
+	if from == nil || sel.tt {
+		return 0
+	}
+	rows := from.NumRows()
+	pushed := 0
+	for _, pos := range [...]struct {
+		col  string
+		node sparql.Node
+	}{{"s", tp.S}, {"o", tp.O}} {
+		if !pos.node.IsVar() || (pos.col == "o" && tp.S.IsVar() && tp.S.Var == pos.node.Var) {
+			continue // ?x p ?x: the subject's keys and the equal check cover o
+		}
+		ci := from.ColIndex(pos.node.Var)
+		if ci < 0 || rows > sel.table.DistinctOf(pos.col)/keyPushRatio {
+			continue
+		}
+		if pos.col == sel.table.SortColName() {
+			spec.Keys = from.DistinctKeys(ci)
+			pushed += len(spec.Keys)
+		} else if key, ok := from.SoleKey(ci); ok {
+			spec.Conds = append(spec.Conds, engine.ScanCondition{Col: pos.col, Value: key})
+			pushed++
+		}
+	}
+	return pushed
+}
+
 // compilePattern is the paper's Algorithm 2 (TP2SQL): turn one triple
 // pattern plus its selected table into an engine scan with projections for
 // variables and conditions for bound positions. pred, when non-nil, is a
-// pushed-down filter evaluated at the scan's materialization boundary. The
-// returned stats report the scan's metered and pruned input rows.
-func (e *Engine) compilePattern(ex *engine.Exec, tp sparql.TriplePattern, sel selection, pred func(engine.Row) bool) (*engine.Relation, engine.ScanStats, bool, error) {
+// pushed-down filter evaluated at the scan's materialization boundary.
+// from, when non-nil, is the intermediate the scan will be joined to; its
+// keys may be pushed into the scan (pushKeys). The returned stats report
+// the scan's metered and pruned input rows, keys the number pushed.
+func (e *Engine) compilePattern(ex *engine.Exec, tp sparql.TriplePattern, sel selection, pred func(engine.Row) bool, from *engine.Relation) (rel *engine.Relation, st engine.ScanStats, keys int, ok bool, err error) {
 	// At most three positions bind either way; exact capacities keep the
 	// per-pattern compile to two fixed allocations.
 	projs := make([]engine.ScanProjection, 0, 3)
@@ -228,26 +277,26 @@ func (e *Engine) compilePattern(ex *engine.Exec, tp sparql.TriplePattern, sel se
 	}
 
 	if !bindCol("s", tp.S) {
-		return nil, engine.ScanStats{}, false, nil
+		return nil, st, 0, false, nil
 	}
 	if sel.tt {
 		if !bindCol("p", tp.P) {
-			return nil, engine.ScanStats{}, false, nil
+			return nil, st, 0, false, nil
 		}
 	}
 	if !bindCol("o", tp.O) {
-		return nil, engine.ScanStats{}, false, nil
+		return nil, st, 0, false, nil
 	}
-	rel, st, err := ex.ScanTable(sel.table, engine.ScanSpec{
-		Projs: projs, Conds: conds, Sel: sel.bits, Pred: pred,
-	})
+	spec := engine.ScanSpec{Projs: projs, Conds: conds, Sel: sel.bits, SelRows: sel.rows, Pred: pred}
+	keys = pushKeys(&spec, from, tp, sel)
+	rel, st, err = ex.ScanTable(sel.table, spec)
 	if err != nil {
 		// The selected table cannot satisfy the compiled scan: a planner
 		// defect, not a property of the data — an internal error, never an
 		// empty result.
-		return nil, st, false, fmt.Errorf("%w: %v", ErrInternal, err)
+		return nil, st, keys, false, fmt.Errorf("%w: %v", ErrInternal, err)
 	}
-	return rel, st, true, nil
+	return rel, st, keys, true, nil
 }
 
 // evalBGP compiles and executes a basic graph pattern. Table selections
@@ -341,7 +390,7 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 			pred = preds[idx]
 		}
 		if rel == nil {
-			scan, st, ok, err := e.compilePattern(ex, tp, sel, pred)
+			scan, st, _, ok, err := e.compilePattern(ex, tp, sel, pred, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -364,7 +413,7 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 				if preds != nil {
 					rpred = preds[ridx]
 				}
-				scan, st, ok, err := e.compilePattern(ex, bgp[ridx], sels[ridx], rpred)
+				scan, st, _, ok, err := e.compilePattern(ex, bgp[ridx], sels[ridx], rpred, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -391,7 +440,7 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 			oi += len(run) - 1
 			continue
 		}
-		scan, st, ok, err := e.compilePattern(ex, tp, sel, pred)
+		scan, st, keys, ok, err := e.compilePattern(ex, tp, sel, pred, rel)
 		if err != nil {
 			return nil, err
 		}
@@ -399,7 +448,8 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 			res.StatsOnly = true
 			return e.emptyRelation(ex, bgp), nil
 		}
-		res.Plan[base+idx].Scanned, res.Plan[base+idx].Pruned = st.Scanned, st.Pruned
+		pp := &res.Plan[base+idx]
+		pp.Scanned, pp.Pruned, pp.Keys = st.Scanned, st.Pruned, keys
 		coPart := coPartitionedLeft(rel, tpVars[idx], parts)
 		strat := chooseJoinStrategy(est, sel.est, parts, coPart)
 		if !sharesVar(bound, tpVars[idx]) {

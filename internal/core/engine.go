@@ -151,6 +151,9 @@ type PatternPlan struct {
 	// skips without evaluating any condition. Both stay zero when the
 	// pattern was never executed (statistics-only answers).
 	Scanned, Pruned int64
+	// Keys is the number of join keys the intermediate pushed into this
+	// pattern's scan (the run-time semi-join; zero when none were).
+	Keys int
 }
 
 // Result is a solved query: variable names, decoded rows, the physical

@@ -183,7 +183,7 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 			res.StatsOnly = true
 			return e.emptyRelation(ex, bgp), nil
 		}
-		scan, st, ok, err := e.compilePattern(ex, tp, sel, nil)
+		scan, st, _, ok, err := e.compilePattern(ex, tp, sel, nil, nil)
 		addPlan(tp.String(), sel.name, sel.rows, st)
 		if err != nil {
 			return nil, err

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -540,6 +541,41 @@ func (r *Relation) PartitionKey() int { return r.keyCol }
 // already hash-partitioned by that column at that partition count.
 func (r *Relation) CoPartitionedBy(col, partitions int) bool {
 	return r.keyCol == col && col >= 0 && len(r.Parts) == partitions
+}
+
+// DistinctKeys returns the sorted distinct values of column col: the key
+// set an intermediate pushes into the scan it will be joined with
+// (ScanSpec.Keys). The result is non-nil even for an empty relation.
+func (r *Relation) DistinctKeys(col int) []dict.ID {
+	keys := make([]dict.ID, 0, r.NumRows())
+	for _, p := range r.Parts {
+		if p.Len() > 0 {
+			keys = append(keys, p.cols[col]...)
+		}
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// SoleKey reports the value every row of column col holds, if there is
+// exactly one. It stops at the first row that differs, so a many-valued
+// column costs a short walk instead of a sort.
+func (r *Relation) SoleKey(col int) (dict.ID, bool) {
+	var key dict.ID
+	seen := false
+	for _, p := range r.Parts {
+		if p.Len() == 0 {
+			continue
+		}
+		for _, v := range p.cols[col] {
+			if !seen {
+				key, seen = v, true
+			} else if v != key {
+				return 0, false
+			}
+		}
+	}
+	return key, seen
 }
 
 // Rows materializes all rows into one slice (coordinator-side collect),

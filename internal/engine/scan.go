@@ -17,6 +17,9 @@ import (
 //
 //  1. equality conditions on the table's sort column become one binary
 //     search, narrowing the scan to a contiguous run without touching rows;
+//     a key set (the run-time semi-join: the join keys of the intermediate
+//     the scan will be joined with) becomes one binary-searched run per key,
+//     and the key-run pass (keyRuns) replaces steps 2–3 for it;
 //  2. the surviving range is split across partitions; each partition walks
 //     it in ZoneSize chunks, skipping every chunk whose zone map proves a
 //     condition cannot hold inside it;
@@ -28,8 +31,9 @@ import (
 //     into the partition's output Block. An optional late predicate (a
 //     pushed-down SPARQL filter) vetoes rows at this boundary.
 //
-// Rows eliminated in steps 1–2 are metered as RowsPruned: input the scan
-// never had to evaluate. RowsScanned stays the logical input volume (table
+// Rows eliminated in steps 1–2 — outside the binary-searched run or the key
+// runs, or in a zone-skipped chunk — are metered as RowsPruned: input the
+// scan never had to evaluate. RowsScanned stays the logical input volume (table
 // rows, or selected rows under a bit-vector), the quantity the paper's
 // input-size argument is stated in.
 
@@ -47,20 +51,30 @@ type ScanProjection struct {
 
 // ScanSpec describes one table scan: projections for variables, constant
 // conditions for bound positions, an optional pre-selection bit vector
-// (bit-vector ExtVP reductions) and an optional predicate evaluated on the
-// projected row just before it is admitted to the output (pushed-down
-// filters).
+// (bit-vector ExtVP reductions), an optional key set for the sort column
+// and an optional predicate evaluated on the projected row just before it
+// is admitted to the output (pushed-down filters).
 type ScanSpec struct {
 	Projs []ScanProjection
 	Conds []ScanCondition
 	Sel   *bitvec.Bitset
-	Pred  func(Row) bool
+	// SelRows is Sel's population, required whenever Sel is set: table
+	// selection already knows it, and taking it from there spares the scan
+	// a popcount of the whole bitset.
+	SelRows int
+	// Keys, when non-nil, restricts the table's sort column to these
+	// values, sorted ascending and distinct: a semi-join with the
+	// intermediate the scan's output will be joined to. An empty non-nil
+	// set selects nothing. The table must have a sort column.
+	Keys []dict.ID
+	Pred func(Row) bool
 }
 
 // ScanStats reports one scan's work: Scanned is the metered input volume
 // (all table rows, or the selected rows under a bit-vector); Pruned counts
-// the table rows eliminated by the sort-column binary search and zone-map
-// chunk skips without evaluating any condition.
+// the table rows eliminated by the sort-column binary searches (the
+// constant's run, or the runs of the key set) and zone-map chunk skips
+// without evaluating any condition.
 type ScanStats struct {
 	Scanned int64
 	Pruned  int64
@@ -150,16 +164,19 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 	c := x.c
 	n := t.NumRows()
 	var st ScanStats
+	selRows := n
 	if spec.Sel != nil {
-		st.Scanned = int64(spec.Sel.Count())
-	} else {
-		st.Scanned = int64(n)
+		selRows = spec.SelRows
 	}
+	st.Scanned = int64(selRows)
 	x.AddRowsScanned(st.Scanned)
 
 	pl, err := planScan(t, spec.Projs, spec.Conds)
 	if err != nil {
 		return nil, st, err
+	}
+	if spec.Keys != nil && t.SortCol < 0 {
+		return nil, st, fmt.Errorf("engine: Scan keys on table %s, which has no sort column", t.Name)
 	}
 	rel := newRelation(pl.schema, c.partitions)
 	if n == 0 {
@@ -182,14 +199,33 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 		}
 		conds = kept
 	}
+	if spec.Keys != nil {
+		sel, inRuns := x.keyRuns(t, spec, conds, lo, hi)
+		// Every metered row outside the key runs is pruned.
+		st.Pruned = int64(selRows - inRuns)
+		x.addPruned(st.Pruned)
+		x.parallel(c.partitions, func(p int) {
+			slo, shi := splitRange(len(sel), c.partitions, p)
+			if slo < shi {
+				rel.Parts[p] = materialize(t, spec, pl, sel[slo:shi])
+			}
+		})
+		x.trackRelation(rel)
+		x.addOutput(int64(rel.NumRows()))
+		return rel, st, nil
+	}
 	// Rows outside the binary-searched run are pruned. Under a bit-vector
 	// pre-selection only the *selected* rows among them count, so RowsPruned
-	// stays a savings figure relative to the Sel.Count()-based RowsScanned
-	// (never exceeding it).
+	// stays a savings figure relative to the selection-based RowsScanned
+	// (never exceeding it). A scan the search did not narrow prunes nothing
+	// and counts no bits.
 	pruned := &x.scanPruned
-	if spec.Sel != nil {
-		pruned.Store(int64(spec.Sel.CountRange(0, lo) + spec.Sel.CountRange(hi, n)))
-	} else {
+	switch {
+	case lo == 0 && hi == n:
+		pruned.Store(0)
+	case spec.Sel != nil:
+		pruned.Store(int64(selRows - spec.Sel.CountRange(lo, hi)))
+	default:
 		pruned.Store(int64(n - (hi - lo)))
 	}
 
@@ -236,6 +272,60 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 	return rel, st, nil
 }
 
+// keyRuns is the key-set form of steps 1–3. Each key narrows [lo, hi) to
+// its binary-searched run on the sort column; the keys ascend, so every
+// search starts where the previous run ended. Inside the runs only, the
+// bit-vector pre-selection (walked word by word) and the remaining constant
+// conditions compact one selection vector. inRuns counts the metered rows
+// the runs held (selected rows under a bit-vector); everything else is
+// pruned.
+func (x *Exec) keyRuns(t *store.Table, spec ScanSpec, conds []scanCond, lo, hi int) (sel []int32, inRuns int) {
+	col := t.Data[t.SortCol]
+	walked, poll := 0, 0
+	for _, k := range spec.Keys {
+		if lo >= hi {
+			break // the remaining keys lie past the table's last row
+		}
+		// One cancellation poll per cancelBatch keys or rows walked.
+		if walked >= poll {
+			if x.Cancelled() {
+				break
+			}
+			poll = walked + cancelBatch
+		}
+		a, b := sortedRun(col, lo, hi, k)
+		lo = b
+		walked += 1 + b - a
+		base := len(sel)
+		if spec.Sel != nil {
+			sel = spec.Sel.AppendSet(sel, a, b)
+		} else {
+			for i := a; i < b; i++ {
+				sel = append(sel, int32(i))
+			}
+		}
+		inRuns += len(sel) - base
+		sel = filterConds(t, conds, sel, base)
+	}
+	return sel, inRuns
+}
+
+// filterConds compacts sel[base:] to the rows satisfying every condition.
+func filterConds(t *store.Table, conds []scanCond, sel []int32, base int) []int32 {
+	for _, cd := range conds {
+		col, v := t.Data[cd.col], cd.val
+		k := base
+		for _, ri := range sel[base:] {
+			if col[ri] == v {
+				sel[k] = ri
+				k++
+			}
+		}
+		sel = sel[:k]
+	}
+	return sel
+}
+
 // zoneSkips reports whether zone z of the table provably excludes any of the
 // condition values.
 func zoneSkips(t *store.Table, conds []scanCond, z int) bool {
@@ -255,12 +345,13 @@ func zoneSkips(t *store.Table, conds []scanCond, z int) bool {
 func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []scanCond, plo, phi int, pruned *atomic.Int64) *Block {
 	// Size the vector from the pre-selection's population when there is
 	// one (a sparse bit-vector reduction selects far fewer rows than the
-	// span); without one, grow from empty — conditioned scans are usually
-	// selective, and a span-sized buffer would cost 4 bytes per row of a
-	// possibly huge run.
+	// span), prorated to this partition's share of the table rather than
+	// popcounted; without one, grow from empty — conditioned scans are
+	// usually selective, and a span-sized buffer would cost 4 bytes per row
+	// of a possibly huge run.
 	cap0 := 0
 	if spec.Sel != nil {
-		cap0 = spec.Sel.CountRange(plo, phi)
+		cap0 = int(int64(spec.SelRows) * int64(phi-plo) / int64(t.NumRows()))
 	}
 	sel := make([]int32, 0, cap0)
 	zonePruned := 0
@@ -289,11 +380,7 @@ func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []sc
 		base := len(sel)
 		first := 0
 		if spec.Sel != nil {
-			for i := zlo; i < zhi; i++ {
-				if spec.Sel.Get(i) {
-					sel = append(sel, int32(i))
-				}
-			}
+			sel = spec.Sel.AppendSet(sel, zlo, zhi)
 		} else if len(conds) > 0 {
 			col, v := t.Data[conds[0].col], conds[0].val
 			for i := zlo; i < zhi; i++ {
@@ -307,19 +394,18 @@ func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []sc
 				sel = append(sel, int32(i))
 			}
 		}
-		for _, cd := range conds[first:] {
-			col, v := t.Data[cd.col], cd.val
-			k := base
-			for _, ri := range sel[base:] {
-				if col[ri] == v {
-					sel[k] = ri
-					k++
-				}
-			}
-			sel = sel[:k]
-		}
+		sel = filterConds(t, conds[first:], sel, base)
 		zlo = zhi
 	}
+	pruned.Add(int64(zonePruned))
+	return materialize(t, spec, pl, sel)
+}
+
+// materialize is step 4: it drops the rows of sel failing the
+// equal-variable check, then gathers the rest column-wise — or, under a
+// late predicate, row by row through a scratch row the predicate vetoes.
+// It compacts sel in place.
+func materialize(t *store.Table, spec ScanSpec, pl scanPlan, sel []int32) *Block {
 	for _, eq := range pl.equal {
 		a, b := t.Data[eq[0]], t.Data[eq[1]]
 		k := 0
@@ -331,8 +417,6 @@ func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []sc
 		}
 		sel = sel[:k]
 	}
-	pruned.Add(int64(zonePruned))
-
 	if spec.Pred == nil {
 		out := NewBlock(len(pl.srcs), len(sel))
 		out.AppendColumnsSelected(t.Data, pl.srcs, sel)

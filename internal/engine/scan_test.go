@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -99,10 +100,16 @@ func rowsMatch(t *testing.T, got *Relation, want []Row, desc string) {
 // randomTable builds a multi-zone table sorted by s with a skewed o column,
 // finalized so the scan sees a sort column and zone maps.
 func randomTable(rng *rand.Rand, n int) *store.Table {
+	return randomTableNDV(rng, n, n/4)
+}
+
+// randomTableNDV is randomTable with s drawn from ndv values: a small ndv
+// gives long runs of one subject.
+func randomTableNDV(rng *rand.Rand, n, ndv int) *store.Table {
 	tbl := store.NewTable("t", "s", "o")
 	ss := make([]dict.ID, n)
 	for i := range ss {
-		ss[i] = dict.ID(rng.Intn(n / 4))
+		ss[i] = dict.ID(rng.Intn(ndv))
 	}
 	sort.Slice(ss, func(i, j int) bool { return ss[i] < ss[j] })
 	for i := 0; i < n; i++ {
@@ -166,6 +173,9 @@ func TestScanRandomizedEquivalence(t *testing.T) {
 		}
 		for si, spec := range specs {
 			spec.Sel = bits
+			if bits != nil {
+				spec.SelRows = bits.Count()
+			}
 			rel, st, err := c.exec().ScanTable(tbl, spec)
 			if err != nil {
 				t.Fatal(err)
@@ -184,6 +194,123 @@ func TestScanRandomizedEquivalence(t *testing.T) {
 				t.Fatalf("%s: pruned %d > scanned %d", desc, st.Pruned, st.Scanned)
 			}
 		}
+	}
+}
+
+// TestScanKeysEquivalence cross-checks the key-run scan against the range
+// scan: ScanTable with Keys must return exactly the rows ScanTable without
+// Keys returns whose sort-column value is a key. The grid covers constant
+// conditions (on the sort column too), bit-vector pre-selections, ?x p ?x
+// and a late predicate; key sets with absent keys, keys at both table ends,
+// long duplicate runs and no keys at all; and 1, 3 and 8 partitions.
+// Scanned must not change, and Scanned−Pruned must be the metered rows
+// inside the key runs.
+func TestScanKeysEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := 64 + rng.Intn(4*store.ZoneSize)
+		ndv := n / 4
+		if trial%3 == 2 {
+			ndv = 1 + rng.Intn(6) // long duplicate runs
+		}
+		tbl := randomTableNDV(rng, n, ndv)
+		scol := tbl.Data[0]
+
+		var bits *bitvec.Bitset
+		selRows := 0
+		if trial%2 == 0 {
+			bits = bitvec.New(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) > 0 {
+					bits.Set(i)
+				}
+			}
+			selRows = bits.Count()
+		}
+
+		// Keys: a random share of the present subjects, both table ends
+		// now and then, and values absent from the table (inside the value
+		// range and past its end).
+		keys := []dict.ID{}
+		if trial%7 != 6 {
+			for v := 0; v < ndv+3; v++ {
+				if rng.Intn(4) == 0 {
+					keys = append(keys, dict.ID(v))
+				}
+			}
+			if rng.Intn(2) == 0 {
+				keys = append(keys, scol[0], scol[n-1])
+			}
+			keys = append(keys, dict.ID(ndv+10+rng.Intn(100)))
+			slices.Sort(keys)
+			keys = slices.Compact(keys)
+		}
+		inKeys := func(v dict.ID) bool {
+			_, ok := slices.BinarySearch(keys, v)
+			return ok
+		}
+		sConst := scol[rng.Intn(n)]
+		specs := []ScanSpec{
+			{Projs: []ScanProjection{{"s", "x"}, {"o", "y"}}},
+			{Projs: []ScanProjection{{"s", "x"}},
+				Conds: []ScanCondition{{Col: "o", Value: tbl.Data[1][rng.Intn(n)]}}},
+			{Projs: []ScanProjection{{"s", "x"}, {"o", "y"}},
+				Conds: []ScanCondition{{Col: "s", Value: sConst}}},
+			// ?x p ?x: both positions project the same variable.
+			{Projs: []ScanProjection{{"s", "x"}, {"o", "x"}}},
+			{Projs: []ScanProjection{{"s", "x"}, {"o", "y"}},
+				Pred: func(r Row) bool { return r[1]%2 == 0 }},
+		}
+		for si, spec := range specs {
+			spec.Sel, spec.SelRows = bits, selRows
+			// Metered rows inside the key runs.
+			inRuns := int64(0)
+			for i, v := range scol {
+				if inKeys(v) && (bits == nil || bits.Get(i)) && (si != 2 || v == sConst) {
+					inRuns++
+				}
+			}
+			for _, parts := range []int{1, 3, 8} {
+				c := NewCluster(parts)
+				full, fst, err := c.exec().ScanTable(tbl, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []Row
+				for _, r := range full.Rows() {
+					if inKeys(r[0]) {
+						want = append(want, r)
+					}
+				}
+				keyed := spec
+				keyed.Keys = keys
+				rel, st, err := c.exec().ScanTable(tbl, keyed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				desc := fmt.Sprintf("trial %d spec %d (n=%d ndv=%d keys=%d parts=%d bits=%v)",
+					trial, si, n, ndv, len(keys), parts, bits != nil)
+				rowsMatch(t, rel, want, desc)
+				if st.Scanned != fst.Scanned {
+					t.Fatalf("%s: scanned %d, %d without keys", desc, st.Scanned, fst.Scanned)
+				}
+				if got := st.Scanned - st.Pruned; got != inRuns {
+					t.Fatalf("%s: scanned−pruned = %d, want %d rows in the key runs", desc, got, inRuns)
+				}
+			}
+		}
+	}
+
+	// Keys name sort-column values, so a table without one cannot take them.
+	unsorted := store.NewTable("u", "s", "o")
+	unsorted.Append(2, 5)
+	unsorted.Append(1, 9)
+	unsorted.Append(3, 1)
+	unsorted.Finalize()
+	if _, _, err := NewCluster(1).exec().ScanTable(unsorted, ScanSpec{
+		Projs: []ScanProjection{{"o", "y"}}, Keys: []dict.ID{1},
+	}); err == nil {
+		t.Error("keys on a table without a sort column: no error")
 	}
 }
 

@@ -19,7 +19,7 @@ func TestScanSelFiltersRows(t *testing.T) {
 	sel.Set(2)
 	sel.Set(5)
 	sel.Set(9)
-	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}, {"o", "y"}}, Sel: sel})
+	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}, {"o", "y"}}, Sel: sel, SelRows: sel.Count()})
 	rowsEqual(t, rel, []Row{{2, 20}, {5, 50}, {9, 90}})
 	// Metered scan cost = selected rows only.
 	if got := c.Metrics.RowsScanned.Load(); got != 3 {
@@ -36,7 +36,7 @@ func TestScanSelWithConditions(t *testing.T) {
 	sel := bitvec.New(3)
 	sel.Set(0)
 	sel.Set(2)
-	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}}, Conds: []ScanCondition{{Col: "o", Value: 7}}, Sel: sel})
+	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}}, Conds: []ScanCondition{{Col: "o", Value: 7}}, Sel: sel, SelRows: sel.Count()})
 	rowsEqual(t, rel, []Row{{1}}) // row 1 (2,7) excluded by bitset
 }
 
@@ -58,7 +58,7 @@ func TestScanSelRepeatedVariable(t *testing.T) {
 	sel := bitvec.New(2)
 	sel.Set(0)
 	sel.Set(1)
-	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}, {"o", "x"}}, Sel: sel})
+	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}, {"o", "x"}}, Sel: sel, SelRows: sel.Count()})
 	if !reflect.DeepEqual(rel.Schema, []string{"x"}) {
 		t.Fatalf("schema = %v", rel.Schema)
 	}
