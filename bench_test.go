@@ -333,7 +333,7 @@ func BenchmarkThreshold(b *testing.B) {
 	for _, th := range []float64{0.1, 0.25, 0.5, 1.0} {
 		b.Run(fmtTH(th), func(b *testing.B) {
 			ds := layout.Build(f.data.Triples, layout.Options{BuildExtVP: true, Threshold: th})
-			st := newStore(ds, Options{Threshold: th}, nil)
+			st := newStore(ds, Options{Threshold: th})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

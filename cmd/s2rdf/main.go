@@ -3,7 +3,7 @@
 //
 // Subcommands:
 //
-//	s2rdf load  -in data.nt -store ./storedir [-threshold 0.25]
+//	s2rdf load  -in data.nt -store ./storedir [-threshold 0.25] [-bitvec]
 //	s2rdf query -store ./storedir [-mode ExtVP] [-explain] [-mem-budget N] 'SELECT ...'
 //	s2rdf serve -store ./storedir [-stores name=dir,...] [-addr :8080]
 //	            [-mode ExtVP] [-max-concurrent 8] [-queue-depth 32]
@@ -11,6 +11,9 @@
 //	            [-mem-budget N] [-stream-threshold 1024]
 //	            [-result-cache-bytes N] [-timeout 30s] [-drain 30s]
 //	s2rdf stats -store ./storedir
+//
+// load -bitvec keeps ExtVP reductions as bit vectors over the VP tables:
+// a faster build and a smaller store than row copies.
 //
 // query prints solutions as the engine delivers them (batch streaming);
 // -mem-budget bounds a query's intermediate state, spilling joins to disk
@@ -65,7 +68,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  s2rdf load  -in data.nt -store DIR [-threshold T] [-novp]
+  s2rdf load  -in data.nt -store DIR [-threshold T] [-novp] [-bitvec]
   s2rdf query -store DIR [-mode ExtVP|VP|TT|PT] [-explain]
               [-cheap-threshold N] [-mem-budget BYTES] 'SPARQL'
   s2rdf serve -store DIR [-stores NAME=DIR,...] [-addr :8080]
@@ -82,9 +85,9 @@ func cmdLoad(args []string) {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
 	in := fs.String("in", "", "input N-Triples file")
 	dir := fs.String("store", "", "store directory")
-	threshold := fs.Float64("threshold", 0, "SF threshold (0 = keep all useful tables)")
+	threshold := fs.Float64("threshold", 0, "SF threshold (outside (0,1) = keep all useful tables)")
 	noExt := fs.Bool("novp", false, "skip ExtVP preprocessing (plain VP store)")
-	bitvec := fs.Bool("bitvec", false, "store ExtVP reductions as bit vectors (paper Sec. 8)")
+	bitvec := fs.Bool("bitvec", false, "store ExtVP reductions as bit vectors (paper Sec. 8): faster to build, smaller to keep")
 	fs.Parse(args)
 	if *in == "" || *dir == "" {
 		fs.Usage()

@@ -5,10 +5,10 @@
 //
 // The design leans on two invariants the rest of the system already
 // maintains: a store's data and statistics are immutable once it is loaded
-// (lazy ExtVP defers only row materialization, never statistics), and the
-// serialized SPARQL-JSON body of a query is a pure function of (store,
-// mode, normalized query text). A cache entry is therefore keyed by exactly
-// that tuple and stays valid until LRU eviction.
+// (every ExtVP reduction is built at load), and the serialized SPARQL-JSON
+// body of a query is a pure function of (store, mode, normalized query
+// text). A cache entry is therefore keyed by exactly that tuple and stays
+// valid until LRU eviction.
 //
 // The cache is byte-accounted, not entry-counted: the budget is the sum of
 // body bytes plus per-entry bookkeeping, and the least recently used entry

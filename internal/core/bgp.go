@@ -37,7 +37,7 @@ type selection struct {
 // predicate and switch to the ExtVP table with the best (smallest)
 // selectivity factor among the pattern's SS/SO/OS correlations with the
 // other patterns of the BGP. Candidates are compared on statistics alone;
-// in lazy mode only the winning reduction is materialized.
+// only the winner is looked up and named.
 func (e *Engine) selectTable(i int, bgp []sparql.TriplePattern) selection {
 	tp := bgp[i]
 	// Unbound predicate: fall back to the triples table (paper Sec. 5.2).
@@ -54,72 +54,49 @@ func (e *Engine) selectTable(i int, bgp []sparql.TriplePattern) selection {
 	}
 
 	vp := e.DS.VP[p]
-	best := selection{table: vp, name: vp.Name, rows: vp.NumRows(), sf: 1}
+	vpSel := selection{table: vp, name: vp.Name, rows: vp.NumRows(), sf: 1}
 	if e.Mode != ModeExtVP {
-		return best
+		return vpSel
 	}
 
+	// best is the candidate with the smallest SF so far; while bestInfo.SF
+	// is 1, VP is the best choice.
+	var best layout.ExtKey
+	bestInfo := layout.TableInfo{Rows: vp.NumRows(), SF: 1}
 	// combined accumulates the intersection of every applicable bit-vector
 	// reduction when UnifyCorrelations is enabled (the paper's proposed
 	// unification strategy: consider the intersections of all correlations
 	// of a triple pattern).
 	var combined *bitvec.Bitset
 	nCombined := 0
-	// bestKey is set while best names a row-copy ExtVP candidate whose
-	// table has not been resolved yet; the winner is materialized (lazy
-	// mode) or looked up after all candidates have been compared on
-	// statistics, so losing reductions are never built.
-	var bestKey *layout.ExtKey
 	consider := func(key layout.ExtKey) {
 		info := e.DS.ExtInfo(key)
-		if info.SF == 0 {
-			// Statistics prove the whole BGP empty: the correlation does
-			// not exist in the dataset.
-			best = selection{empty: true, name: layout.ExtVPName(e.DS.Dict, key)}
+		// An empty reduction (SF 0) is kept as best too: it proves the
+		// whole BGP empty, since the correlation does not exist in the
+		// dataset.
+		if !info.Materialized && info.SF > 0 {
 			return
 		}
-		if !info.Materialized || best.empty {
-			return
+		if bits, ok := e.DS.ExtBits[key]; ok && e.UnifyCorrelations {
+			if combined == nil {
+				combined = bits.Clone()
+			} else {
+				combined.AndInPlace(bits)
+			}
+			nCombined++
 		}
-		if bits, ok := e.DS.ExtBits[key]; ok {
-			if e.UnifyCorrelations {
-				if combined == nil {
-					combined = bits.Clone()
-				} else {
-					combined.AndInPlace(bits)
-				}
-				nCombined++
-			}
-			if info.SF < best.sf {
-				best = selection{
-					table: vp,
-					name:  layout.ExtVPName(e.DS.Dict, key) + "[bits]",
-					rows:  info.Rows, sf: info.SF, bits: bits,
-				}
-				bestKey = nil
-			}
-			return
-		}
-		if info.SF < best.sf {
-			best = selection{
-				name: layout.ExtVPName(e.DS.Dict, key),
-				rows: info.Rows, sf: info.SF,
-			}
-			k := key
-			bestKey = &k
+		if info.SF < bestInfo.SF {
+			best, bestInfo = key, info
 		}
 	}
 
 	for j, other := range bgp {
-		if j == i || best.empty {
-			// Skip only the pattern's own position: a duplicate pattern
-			// elsewhere in the BGP still correlates like any other.
-			if best.empty {
-				break
-			}
-			continue
+		if bestInfo.SF == 0 {
+			break
 		}
-		if other.P.IsVar() {
+		// Skip only the pattern's own position: a duplicate pattern
+		// elsewhere in the BGP still correlates like any other.
+		if j == i || other.P.IsVar() {
 			continue
 		}
 		p2 := e.DS.Dict.Lookup(other.P.Term)
@@ -139,38 +116,36 @@ func (e *Engine) selectTable(i int, bgp []sparql.TriplePattern) selection {
 			consider(layout.ExtKey{Kind: layout.OS, P1: p, P2: p2})
 		}
 	}
-	if !best.empty && nCombined > 1 {
+	if bestInfo.SF == 0 {
+		return selection{empty: true, name: layout.ExtVPName(e.DS.Dict, best)}
+	}
+	if nCombined > 1 {
 		count := combined.Count()
+		name := fmt.Sprintf("ExtVP∩(%d tables)", nCombined)
 		if count == 0 {
 			// The intersection of the correlations is empty: the pattern
 			// (and hence the BGP) has no solutions.
-			return selection{empty: true, name: fmt.Sprintf("ExtVP∩(%d tables)", nCombined)}
+			return selection{empty: true, name: name}
 		}
-		if count < best.rows {
-			best = selection{
-				table: vp,
-				name:  fmt.Sprintf("ExtVP∩(%d tables)", nCombined),
-				rows:  count,
-				sf:    float64(count) / float64(vp.NumRows()),
-				bits:  combined,
+		if count < bestInfo.Rows {
+			return selection{
+				table: vp, name: name, rows: count,
+				sf: float64(count) / float64(vp.NumRows()), bits: combined,
 			}
-			bestKey = nil
 		}
 	}
-	if !best.empty && bestKey != nil {
-		// Resolve (and in lazy mode, build) the winning reduction only.
-		if e.Lazy != nil {
-			best.table = e.Lazy.EnsureTable(*bestKey)
-		} else {
-			best.table = e.DS.ExtVP[*bestKey]
+	if bestInfo.SF < 1 {
+		if bits, ok := e.DS.ExtBits[best]; ok {
+			return selection{
+				table: vp, name: layout.ExtVPName(e.DS.Dict, best) + "[bits]",
+				rows: bestInfo.Rows, sf: bestInfo.SF, bits: bits,
+			}
 		}
-		if best.table == nil {
-			// Defensive: statistics promised a table that is not there;
-			// fall back to the always-valid VP selection.
-			best = selection{table: vp, name: vp.Name, rows: vp.NumRows(), sf: 1}
+		if tbl := e.DS.ExtVP[best]; tbl != nil {
+			return selection{table: tbl, name: tbl.Name, rows: bestInfo.Rows, sf: bestInfo.SF}
 		}
 	}
-	return best
+	return vpSel
 }
 
 // estimatePatternRows scales a selection's row count by the bound-term

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"s2rdf/internal/layout"
 )
 
 // concurrentCases pairs every layout mode with a spread of query shapes so
@@ -80,53 +78,6 @@ func TestConcurrentQueriesExactMetrics(t *testing.T) {
 				if !reflect.DeepEqual(res.Metrics, want.metrics) {
 					errs <- fmt.Errorf("%s %q: metrics %+v, want %+v (interleaved accounting)",
 						tc.mode, tc.query, res.Metrics, want.metrics)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
-// TestConcurrentLazyExtVP exercises the on-demand reduction path under
-// concurrency: many goroutines racing to materialize and use the same
-// reductions must agree on results.
-func TestConcurrentLazyExtVP(t *testing.T) {
-	opts := layout.DefaultOptions()
-	opts.BuildExtVP = false
-	ds := layout.Build(g1(), opts)
-	e := New(ds, ModeExtVP)
-	e.Lazy = layout.NewLazyExtVP(ds)
-
-	baseline, err := e.Query(q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canon(baseline)
-
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; n < 10; n++ {
-				res, err := e.Query(q1)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got := canon(res); !reflect.DeepEqual(got, want) {
-					errs <- fmt.Errorf("lazy: bindings %v, want %v", got, want)
-					return
-				}
-				if !reflect.DeepEqual(res.Metrics, baseline.Metrics) {
-					errs <- fmt.Errorf("lazy: metrics %+v, want %+v", res.Metrics, baseline.Metrics)
 					return
 				}
 			}

@@ -77,11 +77,6 @@ type Engine struct {
 	// JoinOrderOpt enables the size-driven join ordering of Algorithm 4;
 	// disabled it falls back to Algorithm 3 (pattern order as written).
 	JoinOrderOpt bool
-	// Lazy, when set, builds a selected ExtVP reduction's rows the first
-	// time a query needs them and keeps them for later queries — the
-	// paper's "pay as you go" loading strategy (Sec. 7). The dataset must
-	// be built without ExtVP and wrapped by layout.NewLazyExtVP.
-	Lazy *layout.LazyExtVP
 	// UnifyCorrelations intersects all applicable bit-vector reductions of
 	// a triple pattern instead of picking the single best one — the
 	// unification strategy the paper sketches as future work (Sec. 8).

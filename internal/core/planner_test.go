@@ -127,6 +127,15 @@ func TestPlannerStarAcceptance(t *testing.T) {
 	if res.Len() != 1200 {
 		t.Errorf("rows = %d, want 1200", res.Len())
 	}
+	// Each common pattern takes its smallest reduction: SS c1|rare (40/44)
+	// beats SS c1|c2 (42/44), and SS c2|rare (30/32) is c2's only one.
+	rare := ds.Dict.Lookup(rdf.NewIRI("urn:rare"))
+	for i, p := range map[int]string{0: "urn:c1", 2: "urn:c2"} {
+		key := layout.ExtKey{Kind: layout.SS, P1: ds.Dict.Lookup(rdf.NewIRI(p)), P2: rare}
+		if want := layout.ExtVPName(ds.Dict, key); res.Plan[i].Table != want {
+			t.Errorf("plan[%d] table = %q, want %q", i, res.Plan[i].Table, want)
+		}
+	}
 	tt := New(ds, ModeTT)
 	ttRes, err := tt.Query(starQuery)
 	if err != nil {
@@ -210,45 +219,13 @@ func TestDuplicatePatternsKeepCorrelations(t *testing.T) {
 	}
 }
 
-// TestLazyMaterializesOnlyWinners is the regression for consider()'s old
-// materialize-before-compare ordering: in lazy mode every candidate
-// correlation used to be built just to read its statistics. Now statistics
-// are counted for every candidate but rows are built only for the
-// selections that win.
-func TestLazyMaterializesOnlyWinners(t *testing.T) {
-	ds := layout.Build(starTriples(), layout.Options{BuildExtVP: false})
-	lazy := layout.NewLazyExtVP(ds)
-	e := newPlannerEngine(ds, 4)
-	e.Lazy = lazy
-
-	res, err := e.Query(starQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Candidate reductions with SF < 1: SS c1|rare (40/44, winner for c1),
-	// SS c1|c2 (42/44, loser), SS c2|rare (30/32, winner for c2). The two
-	// winners are materialized; the loser is counted only.
-	if lazy.Computed != 2 {
-		t.Errorf("lazy.Computed = %d, want 2 (losing candidates must not be built)", lazy.Computed)
-	}
-	if res.Len() != 1200 {
-		t.Errorf("rows = %d, want 1200", res.Len())
-	}
-	for _, i := range []int{0, 2} {
-		if p := res.Plan[i]; !strings.Contains(p.Table, "ExtVP") {
-			t.Errorf("plan[%d] = %+v, want an ExtVP selection", i, p)
-		}
-	}
-}
-
-// TestLazyStatsImmutable: a lazy engine's statistics are final once it is
-// built. Star and path queries race to build rows while Sizes and Save read
-// the dataset; neither Info nor Sizes may move, and a repeated query's
+// TestStatsImmutableUnderQueries: a dataset's statistics are final once it
+// is built. Star and path queries run concurrently while Sizes and Save
+// read the dataset; neither Info nor Sizes may move, and a repeated query's
 // cached selection stays a hit.
-func TestLazyStatsImmutable(t *testing.T) {
-	ds := layout.Build(starTriples(), layout.Options{BuildExtVP: false})
+func TestStatsImmutableUnderQueries(t *testing.T) {
+	ds := layout.Build(starTriples(), layout.DefaultOptions())
 	e := newPlannerEngine(ds, 4)
-	e.Lazy = layout.NewLazyExtVP(ds)
 	info, sizes := maps.Clone(ds.Info), ds.Sizes()
 	if _, err := e.Query(starQuery); err != nil {
 		t.Fatal(err)

@@ -154,12 +154,16 @@ func Encode(triples []rdf.Triple, d *dict.Dict) *store.Table {
 
 // BuildEncoded constructs a dataset from an already-encoded triples table.
 func BuildEncoded(tt *store.Table, d *dict.Dict, opts Options) *Dataset {
-	if opts.Threshold <= 0 {
+	// A reduction qualifies only with fewer rows than its VP table, so
+	// every threshold above 1 keeps what 1 keeps. Folding those, and
+	// non-positive or NaN values, to 1 leaves a finite threshold that
+	// meta.json can record.
+	if !(opts.Threshold > 0 && opts.Threshold < 1) {
 		opts.Threshold = 1.0
 	}
 	ds := newDataset(d, tt, opts.Threshold)
 	if opts.BuildExtVP {
-		ds.buildExtVP(opts, true)
+		ds.buildExtVP(opts)
 	}
 	if opts.BuildPT {
 		ds.PT = buildPT(ds)
@@ -213,19 +217,15 @@ func (ds *Dataset) buildVP() {
 // VP[P1] ⋉ VP[P2]. One pair is reused for every P2 in turn, so set memory
 // is 2 × ⌈|dict|/64⌉ words per pair however many predicates there are.
 type semiSets struct {
-	p                 dict.ID // the predicate the sets hold; NoID when empty
 	subjects, objects *bitvec.Bitset
 }
 
 func newSemiSets(n int) *semiSets {
-	return &semiSets{p: dict.NoID, subjects: bitvec.New(n), objects: bitvec.New(n)}
+	return &semiSets{subjects: bitvec.New(n), objects: bitvec.New(n)}
 }
 
 // fill makes the sets hold VP[p]'s subjects and objects.
 func (s *semiSets) fill(ds *Dataset, p dict.ID) {
-	if s.p == p {
-		return
-	}
 	s.subjects.Reset()
 	s.objects.Reset()
 	vp := ds.VP[p]
@@ -235,7 +235,6 @@ func (s *semiSets) fill(ds *Dataset, p dict.ID) {
 	for _, v := range vp.Data[1] {
 		s.objects.Set(int(v))
 	}
-	s.p = p
 }
 
 // buildExtVP computes the semi-join reductions of every VP table pair for
@@ -244,8 +243,8 @@ func (s *semiSets) fill(ds *Dataset, p dict.ID) {
 // Work is split by P2: a worker fills its one set pair from VP[P2] and
 // reduces every VP[P1] against it, so every group scans all VP tables.
 // Every candidate's statistics land in Info; the qualifying reductions are
-// kept (as rows, or as bits with opts.BitVectors) only when retain is set.
-func (ds *Dataset) buildExtVP(opts Options, retain bool) {
+// kept as rows, or as bits with opts.BitVectors.
+func (ds *Dataset) buildExtVP(opts Options) {
 	kinds := []Correlation{SS, OS, SO}
 	if opts.BuildOO {
 		kinds = append(kinds, OO)
@@ -272,9 +271,8 @@ func (ds *Dataset) buildExtVP(opts Options, retain bool) {
 						}
 						key := ExtKey{kind, p1, p2}
 						sel, info := ds.reduce(key, sets, opts.Threshold)
-						keep := retain && info.Materialized
 						var tbl *store.Table
-						if keep && !opts.BitVectors {
+						if info.Materialized && !opts.BitVectors {
 							tbl = ds.materialize(key, sel, info.Rows)
 						}
 						mu.Lock()
@@ -283,7 +281,7 @@ func (ds *Dataset) buildExtVP(opts Options, retain bool) {
 						}
 						if tbl != nil {
 							ds.ExtVP[key] = tbl
-						} else if keep {
+						} else if info.Materialized {
 							ds.ExtBits[key] = sel
 						}
 						mu.Unlock()
@@ -343,14 +341,6 @@ func (ds *Dataset) materialize(key ExtKey, sel *bitvec.Bitset, rows int) *store.
 	return t
 }
 
-// rebuild builds the rows of the qualifying reduction key on its own,
-// refilling sets when they do not hold key.P2.
-func (ds *Dataset) rebuild(key ExtKey, sets *semiSets) *store.Table {
-	sets.fill(ds, key.P2)
-	sel, info := ds.reduce(key, sets, ds.Threshold)
-	return ds.materialize(key, sel, info.Rows)
-}
-
 // ExtInfo returns the statistics for an ExtVP candidate table. When the
 // table was never computed (reduction equals VP) it reports SF = 1.
 func (ds *Dataset) ExtInfo(key ExtKey) TableInfo {
@@ -394,8 +384,7 @@ type SizeSummary struct {
 	ExtBitBytes int
 }
 
-// Sizes computes the dataset's size summary from the statistics alone, so
-// a lazy store reports the sizes of its full layout.
+// Sizes computes the dataset's size summary from the statistics.
 func (ds *Dataset) Sizes() SizeSummary {
 	s := SizeSummary{
 		Triples:  ds.NumTriples(),

@@ -80,7 +80,6 @@ func Save(ds *Dataset, dir string) error {
 	slices.SortFunc(keys, func(a, b ExtKey) int {
 		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.P1, b.P1), cmp.Compare(a.P2, b.P2))
 	})
-	var unbuilt []ExtKey
 	for _, key := range keys {
 		entry := metaEntry{
 			Kind: key.Kind.String(),
@@ -97,23 +96,8 @@ func Save(ds *Dataset, dir string) error {
 			if err := d.SaveTable(tbl); err != nil {
 				return err
 			}
-		} else if ds.Info[key].Materialized {
-			unbuilt = append(unbuilt, key)
 		}
 		meta.Ext = append(meta.Ext, entry)
-	}
-	// A lazy store holds no rows in the dataset: build each qualifying
-	// reduction just to write it, grouped by P2 so the sets fill once per
-	// predicate, and keep none of them.
-	slices.SortStableFunc(unbuilt, func(a, b ExtKey) int { return cmp.Compare(a.P2, b.P2) })
-	var sets *semiSets
-	for _, key := range unbuilt {
-		if sets == nil {
-			sets = newSemiSets(ds.Dict.Len())
-		}
-		if err := d.SaveTable(ds.rebuild(key, sets)); err != nil {
-			return err
-		}
 	}
 	return d.WriteFile(metaName, func(w io.Writer) error {
 		raw, err := json.MarshalIndent(&meta, "", " ")

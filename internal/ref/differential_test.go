@@ -89,7 +89,8 @@ func canonResult(res *core.Result) []string {
 
 // TestDifferentialBGPAllModes cross-checks the four S2RDF modes and the
 // centralized store against the naive reference on hundreds of random
-// (graph, BGP) instances.
+// (graph, BGP) instances. Each mode runs the query twice: cold, then warm
+// with its table selection served from the selection cache.
 func TestDifferentialBGPAllModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20160127)) // the paper's arXiv date
 	for iter := 0; iter < 200; iter++ {
@@ -106,14 +107,16 @@ func TestDifferentialBGPAllModes(t *testing.T) {
 				continue // empty dataset has no PT subjects; still fine below
 			}
 			e := core.New(ds, mode)
-			res, err := e.Query(src)
-			if err != nil {
-				t.Fatalf("iter %d %v: %v\nquery:\n%s", iter, mode, err, src)
-			}
-			got := canonResult(res)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("iter %d %v: %d rows, reference %d\nquery:\n%s\ntriples: %v\ngot:  %v\nwant: %v",
-					iter, mode, len(got), len(want), src, triples, got, want)
+			for pass := range 2 {
+				res, err := e.Query(src)
+				if err != nil {
+					t.Fatalf("iter %d %v pass %d: %v\nquery:\n%s", iter, mode, pass, err, src)
+				}
+				got := canonResult(res)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("iter %d %v pass %d: %d rows, reference %d\nquery:\n%s\ntriples: %v\ngot:  %v\nwant: %v",
+						iter, mode, pass, len(got), len(want), src, triples, got, want)
+				}
 			}
 		}
 		if len(triples) > 0 {
@@ -310,33 +313,6 @@ func TestUnificationNeverScansMore(t *testing.T) {
 		if ru.Metrics.RowsScanned > rp.Metrics.RowsScanned {
 			t.Fatalf("iter %d: unified scanned %d > plain %d\nquery:\n%s",
 				iter, ru.Metrics.RowsScanned, rp.Metrics.RowsScanned, src)
-		}
-	}
-}
-
-// TestDifferentialLazy cross-checks the pay-as-you-go loading strategy:
-// lazily computed reductions must give the same answers as eager ExtVP,
-// including on repeated (warm) queries.
-func TestDifferentialLazy(t *testing.T) {
-	rng := rand.New(rand.NewSource(555))
-	for iter := 0; iter < 80; iter++ {
-		triples := randGraph(rng)
-		bgp := randBGP(rng)
-		src := bgpToQuery(bgp)
-		want := CanonAll(EvalBGP(triples, bgp))
-
-		ds := layout.Build(triples, layout.Options{BuildExtVP: false, Threshold: 1})
-		e := core.New(ds, core.ModeExtVP)
-		e.Lazy = layout.NewLazyExtVP(ds)
-		for pass := 0; pass < 2; pass++ { // cold then warm
-			res, err := e.Query(src)
-			if err != nil {
-				t.Fatalf("iter %d pass %d: %v", iter, pass, err)
-			}
-			if got := canonResult(res); !reflect.DeepEqual(got, want) {
-				t.Fatalf("iter %d pass %d:\nquery:\n%s\ntriples: %v\ngot:  %v\nwant: %v",
-					iter, pass, src, triples, got, want)
-			}
 		}
 	}
 }

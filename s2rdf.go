@@ -117,8 +117,9 @@ type Term = rdf.Term
 // Options configures loading.
 type Options struct {
 	// Threshold is the ExtVP selectivity-factor threshold: tables with
-	// SF >= Threshold are not materialized. 0 (or 1) keeps every useful
-	// table; the paper recommends 0.25 as the sweet spot (Sec. 7.4).
+	// SF >= Threshold are not materialized. Any value outside (0, 1),
+	// NaN included, keeps every useful table, as 1 does; the paper
+	// recommends 0.25 as the sweet spot (Sec. 7.4).
 	Threshold float64
 	// DisableExtVP skips the semi-join preprocessing (VP-only store).
 	DisableExtVP bool
@@ -137,12 +138,6 @@ type Options struct {
 	// per triple pattern (requires BitVectors) — the paper's proposed
 	// unification strategy, giving strictly better input selectivity.
 	UnifyCorrelations bool
-	// Lazy enables "pay as you go" loading (paper Sec. 7) in Load: every
-	// ExtVP candidate's statistics are counted at load, but a reduction's
-	// rows are built only the first time a query selects it, and kept for
-	// later queries. Open ignores it: a saved store carries its full
-	// layout.
-	Lazy bool
 }
 
 // Store is a loaded RDF dataset queryable in all supported modes.
@@ -161,16 +156,11 @@ type Store struct {
 func Load(triples []Triple, opts Options) *Store {
 	lopts := layout.Options{
 		Threshold:  opts.Threshold,
-		BuildExtVP: !opts.DisableExtVP && !opts.Lazy,
+		BuildExtVP: !opts.DisableExtVP,
 		BuildPT:    opts.BuildPropertyTable,
 		BitVectors: opts.BitVectors,
 	}
-	ds := layout.Build(triples, lopts)
-	var lazy *layout.LazyExtVP
-	if opts.Lazy && !opts.DisableExtVP {
-		lazy = layout.NewLazyExtVP(ds)
-	}
-	return newStore(ds, opts, lazy)
+	return newStore(layout.Build(triples, lopts), opts)
 }
 
 // LoadReader builds a store from N-Triples input with default options.
@@ -198,15 +188,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newStore(ds, opts, nil), nil
+	return newStore(ds, opts), nil
 }
 
 // Save persists the store (dictionary, tables and statistics) to dir.
 func (s *Store) Save(dir string) error { return layout.Save(s.ds, dir) }
 
-// newStore serves ds in every mode; lazy, when set, builds the ExtVP rows
-// the ExtVP-mode engine selects.
-func newStore(ds *layout.Dataset, opts Options, lazy *layout.LazyExtVP) *Store {
+// newStore serves ds in every mode.
+func newStore(ds *layout.Dataset, opts Options) *Store {
 	s := &Store{
 		ds:      ds,
 		opts:    opts,
@@ -217,9 +206,6 @@ func newStore(ds *layout.Dataset, opts Options, lazy *layout.LazyExtVP) *Store {
 		e := core.New(ds, m)
 		e.UnifyCorrelations = opts.UnifyCorrelations
 		e.Faults = s.health
-		if m == ModeExtVP {
-			e.Lazy = lazy
-		}
 		s.engines[m] = e
 	}
 	return s

@@ -1,17 +1,15 @@
 package s2rdf
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
-	"s2rdf/internal/layout"
 	"s2rdf/internal/mapreduce"
 	"s2rdf/internal/rdf"
 	"s2rdf/internal/triplestore"
@@ -108,9 +106,8 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(canonRows(r1), canonRows(r2)) {
 		t.Errorf("results differ after reload: %v vs %v", canonRows(r1), canonRows(r2))
 	}
-	if st2.Sizes().ExtTables != st.Sizes().ExtTables {
-		t.Errorf("ExtVP table count differs after reload: %d vs %d",
-			st2.Sizes().ExtTables, st.Sizes().ExtTables)
+	if st2.Sizes() != st.Sizes() {
+		t.Errorf("sizes differ after reload: %+v vs %+v", st2.Sizes(), st.Sizes())
 	}
 	// The plan (table selection) must survive persistence too.
 	if len(r2.Plan) != len(r1.Plan) {
@@ -148,6 +145,30 @@ func TestThresholdOption(t *testing.T) {
 	if cut.Sizes().ExtTuples >= full.Sizes().ExtTuples {
 		t.Errorf("threshold had no effect: %d vs %d",
 			cut.Sizes().ExtTuples, full.Sizes().ExtTuples)
+	}
+}
+
+// TestThresholdOutsideUnitIntervalSaves: a threshold of NaN, +Inf or
+// above 1 keeps what threshold 1 keeps, and the store saves and reopens.
+// NaN used to drop every ExtVP table and then fail Save's JSON encoding.
+func TestThresholdOutsideUnitIntervalSaves(t *testing.T) {
+	want := Load(exampleTriples(), Options{}).Sizes()
+	for _, th := range []float64{math.NaN(), math.Inf(1), 2} {
+		st := Load(exampleTriples(), Options{Threshold: th})
+		if got := st.Sizes(); got != want {
+			t.Errorf("threshold %v: sizes %+v, want %+v", th, got, want)
+		}
+		dir := t.TempDir()
+		if err := st.Save(dir); err != nil {
+			t.Fatalf("threshold %v: save: %v", th, err)
+		}
+		reopened, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("threshold %v: open: %v", th, err)
+		}
+		if got := reopened.Sizes(); got != want {
+			t.Errorf("threshold %v: reopened sizes %+v, want %+v", th, got, want)
+		}
 	}
 }
 
@@ -300,110 +321,5 @@ func TestSTQueriesEmptyByStats(t *testing.T) {
 		if !res.StatsOnly {
 			t.Errorf("%s: expected statistics-only empty answer", name)
 		}
-	}
-}
-
-func TestLazyPayAsYouGo(t *testing.T) {
-	data := exampleTriples()
-	eager := Load(data, Options{})
-	lazy := Load(data, Options{Lazy: true})
-	built := lazy.Engine(ModeExtVP).Lazy
-
-	// Lazy store starts with no reductions built.
-	if built.Computed != 0 {
-		t.Fatalf("lazy store pre-built %d tables", built.Computed)
-	}
-	q := `SELECT * WHERE {
-		?x <urn:likes> ?w . ?x <urn:follows> ?y .
-		?y <urn:follows> ?z . ?z <urn:likes> ?w
-	}`
-	re, err := eager.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The statistics are complete at load, so the cold plan and the warm
-	// plan both make the eager store's table choices.
-	for pass := range 2 {
-		rl, err := lazy.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(canonRows(re), canonRows(rl)) {
-			t.Fatalf("pass %d: lazy results differ: %v vs %v", pass, canonRows(rl), canonRows(re))
-		}
-		for i := range re.Plan {
-			if re.Plan[i].Table != rl.Plan[i].Table || re.Plan[i].Rows != rl.Plan[i].Rows {
-				t.Errorf("pass %d plan %d: lazy %q (%d rows) vs eager %q (%d rows)", pass, i,
-					rl.Plan[i].Table, rl.Plan[i].Rows, re.Plan[i].Table, re.Plan[i].Rows)
-			}
-		}
-		// The needed reductions are now built.
-		if built.Computed == 0 {
-			t.Errorf("pass %d: lazy store built nothing", pass)
-		}
-	}
-	// Stats-only empty answers work lazily too.
-	res, err := lazy.Query(`SELECT * WHERE { ?a <urn:likes> ?b . ?b <urn:likes> ?c }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 0 || !res.StatsOnly {
-		t.Errorf("lazy empty-correlation: rows=%d statsOnly=%v", res.Len(), res.StatsOnly)
-	}
-}
-
-// TestLazySaveMatchesEager: saving a lazy store writes every qualifying
-// reduction, including the ones no query has built, so its directory is
-// byte-identical to the eager store's and both reopen to the same layout.
-func TestLazySaveMatchesEager(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var data []Triple
-	for range 300 {
-		node := func() Term { return rdf.NewIRI(fmt.Sprintf("urn:n%d", rng.Intn(40))) }
-		data = append(data, Triple{S: node(), P: rdf.NewIRI(fmt.Sprintf("urn:p%d", rng.Intn(5))), O: node()})
-	}
-	eager := Load(data, Options{})
-	lazy := Load(data, Options{Lazy: true})
-	if _, err := lazy.Query(`SELECT * WHERE { ?x <urn:p0> ?y . ?y <urn:p1> ?z }`); err != nil {
-		t.Fatal(err)
-	}
-
-	dirs := [2]string{t.TempDir(), t.TempDir()}
-	for i, st := range []*Store{eager, lazy} {
-		if err := st.Save(dirs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	files, err := filepath.Glob(filepath.Join(dirs[0], "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lazyFiles, _ := filepath.Glob(filepath.Join(dirs[1], "*")); len(lazyFiles) != len(files) {
-		t.Fatalf("lazy store wrote %d files, eager %d", len(lazyFiles), len(files))
-	}
-	for _, f := range files {
-		want, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(dirs[1], filepath.Base(f)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs between the lazy and the eager save", filepath.Base(f))
-		}
-	}
-
-	var sizes [2]layout.SizeSummary
-	for i, dir := range dirs {
-		st, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes[i] = st.Sizes()
-	}
-	if sizes[0] != sizes[1] {
-		t.Errorf("reopened lazy Sizes = %+v, eager %+v", sizes[1], sizes[0])
 	}
 }
