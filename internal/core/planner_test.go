@@ -127,15 +127,6 @@ func TestPlannerStarAcceptance(t *testing.T) {
 	if res.Len() != 1200 {
 		t.Errorf("rows = %d, want 1200", res.Len())
 	}
-	// Each common pattern takes its smallest reduction: SS c1|rare (40/44)
-	// beats SS c1|c2 (42/44), and SS c2|rare (30/32) is c2's only one.
-	rare := ds.Dict.Lookup(rdf.NewIRI("urn:rare"))
-	for i, p := range map[int]string{0: "urn:c1", 2: "urn:c2"} {
-		key := layout.ExtKey{Kind: layout.SS, P1: ds.Dict.Lookup(rdf.NewIRI(p)), P2: rare}
-		if want := layout.ExtVPName(ds.Dict, key); res.Plan[i].Table != want {
-			t.Errorf("plan[%d] table = %q, want %q", i, res.Plan[i].Table, want)
-		}
-	}
 	tt := New(ds, ModeTT)
 	ttRes, err := tt.Query(starQuery)
 	if err != nil {
@@ -216,6 +207,32 @@ func TestDuplicatePatternsKeepCorrelations(t *testing.T) {
 	}
 	if got := res.Bindings()[0]["x"]; got != iri("urn:C") {
 		t.Errorf("x = %v, want urn:C", got)
+	}
+}
+
+// TestLazyMaterializesOnlyWinners: table selection compares candidate
+// reductions on statistics alone and resolves and names only the winner of
+// each pattern. (The name dates from the deferred ExtVP build, which built
+// rows only for winners; every reduction is now built at load.)
+func TestLazyMaterializesOnlyWinners(t *testing.T) {
+	ds := layout.Build(starTriples(), layout.DefaultOptions())
+	e := newPlannerEngine(ds, 4)
+
+	res, err := e.Query(starQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1200 {
+		t.Errorf("rows = %d, want 1200", res.Len())
+	}
+	// Candidate reductions with SF < 1: SS c1|rare (40/44, winner for c1),
+	// SS c1|c2 (42/44, loser), SS c2|rare (30/32, winner for c2).
+	rare := ds.Dict.Lookup(rdf.NewIRI("urn:rare"))
+	for i, p := range map[int]string{0: "urn:c1", 2: "urn:c2"} {
+		key := layout.ExtKey{Kind: layout.SS, P1: ds.Dict.Lookup(rdf.NewIRI(p)), P2: rare}
+		if want := layout.ExtVPName(ds.Dict, key); res.Plan[i].Table != want {
+			t.Errorf("plan[%d] table = %q, want %q", i, res.Plan[i].Table, want)
+		}
 	}
 }
 

@@ -89,8 +89,7 @@ func canonResult(res *core.Result) []string {
 
 // TestDifferentialBGPAllModes cross-checks the four S2RDF modes and the
 // centralized store against the naive reference on hundreds of random
-// (graph, BGP) instances. Each mode runs the query twice: cold, then warm
-// with its table selection served from the selection cache.
+// (graph, BGP) instances.
 func TestDifferentialBGPAllModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20160127)) // the paper's arXiv date
 	for iter := 0; iter < 200; iter++ {
@@ -107,16 +106,14 @@ func TestDifferentialBGPAllModes(t *testing.T) {
 				continue // empty dataset has no PT subjects; still fine below
 			}
 			e := core.New(ds, mode)
-			for pass := range 2 {
-				res, err := e.Query(src)
-				if err != nil {
-					t.Fatalf("iter %d %v pass %d: %v\nquery:\n%s", iter, mode, pass, err, src)
-				}
-				got := canonResult(res)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("iter %d %v pass %d: %d rows, reference %d\nquery:\n%s\ntriples: %v\ngot:  %v\nwant: %v",
-						iter, mode, pass, len(got), len(want), src, triples, got, want)
-				}
+			res, err := e.Query(src)
+			if err != nil {
+				t.Fatalf("iter %d %v: %v\nquery:\n%s", iter, mode, err, src)
+			}
+			got := canonResult(res)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d %v: %d rows, reference %d\nquery:\n%s\ntriples: %v\ngot:  %v\nwant: %v",
+					iter, mode, len(got), len(want), src, triples, got, want)
 			}
 		}
 		if len(triples) > 0 {
@@ -313,6 +310,34 @@ func TestUnificationNeverScansMore(t *testing.T) {
 		if ru.Metrics.RowsScanned > rp.Metrics.RowsScanned {
 			t.Fatalf("iter %d: unified scanned %d > plain %d\nquery:\n%s",
 				iter, ru.Metrics.RowsScanned, rp.Metrics.RowsScanned, src)
+		}
+	}
+}
+
+// TestDifferentialLazy cross-checks ExtVP at threshold 1 on repeated
+// queries: the cold run selects tables by Algorithm 1, the warm run takes
+// its selection from the selection cache, and both must match the
+// reference. (The name dates from the deferred ExtVP build this test
+// used to exercise; every reduction is now built at load.)
+func TestDifferentialLazy(t *testing.T) {
+	rng := rand.New(rand.NewSource(555))
+	for iter := 0; iter < 80; iter++ {
+		triples := randGraph(rng)
+		bgp := randBGP(rng)
+		src := bgpToQuery(bgp)
+		want := CanonAll(EvalBGP(triples, bgp))
+
+		ds := layout.Build(triples, layout.Options{BuildExtVP: true, Threshold: 1})
+		e := core.New(ds, core.ModeExtVP)
+		for pass := 0; pass < 2; pass++ { // cold then warm
+			res, err := e.Query(src)
+			if err != nil {
+				t.Fatalf("iter %d pass %d: %v", iter, pass, err)
+			}
+			if got := canonResult(res); !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d pass %d:\nquery:\n%s\ntriples: %v\ngot:  %v\nwant: %v",
+					iter, pass, src, triples, got, want)
+			}
 		}
 	}
 }

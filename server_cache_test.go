@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"s2rdf/internal/engine"
+	"s2rdf/internal/rdf"
 	"s2rdf/internal/watdiv"
 )
 
@@ -56,6 +57,73 @@ func fetchCached(srv *httptest.Server, query string) (body []byte, lane string, 
 	}
 	body, err = io.ReadAll(resp.Body)
 	return body, resp.Header.Get("X-S2RDF-Cache"), err
+}
+
+// rankedTriples builds n subjects where every subject has an urn:score,
+// every second an urn:rank and every fourth an urn:tag, so ExtVP over any
+// predicate pair finds a selective reduction (SF < 1).
+func rankedTriples(n int) []Triple {
+	score := rdf.NewIRI("urn:score")
+	rank := rdf.NewIRI("urn:rank")
+	tag := rdf.NewIRI("urn:tag")
+	var triples []Triple
+	for i := 0; i < n; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("urn:P%d", i))
+		triples = append(triples, Triple{S: s, P: score, O: rdf.NewInteger(int64(i % (n / 4)))})
+		if i%2 == 0 {
+			triples = append(triples, Triple{S: s, P: rank, O: rdf.NewInteger(int64(i))})
+		}
+		if i%4 == 0 {
+			triples = append(triples, Triple{S: s, P: tag, O: rdf.NewInteger(int64(i))})
+		}
+	}
+	return triples
+}
+
+// TestServerLazyCachesFirstResult: the first execution of a join that
+// selects ExtVP reductions is cached like any other, and a later join that
+// selects different ones leaves it valid. Every body equals an uncached
+// server's. (The name dates from the deferred ExtVP build, whose first
+// executions also built rows; every reduction is now built at load.)
+func TestServerLazyCachesFirstResult(t *testing.T) {
+	const q1 = `SELECT * WHERE { ?p <urn:score> ?s . ?p <urn:rank> ?r }`
+	const q2 = `SELECT * WHERE { ?p <urn:score> ?s . ?p <urn:tag> ?v }`
+	var execs atomic.Int64
+	opts := ServerOptions{
+		MaxConcurrent:    4,
+		CheapThreshold:   1, // everything non-trivial is Expensive, so it caches
+		ResultCacheBytes: 1 << 20,
+	}
+	opts.chaos = func(*http.Request) engine.Yielder { execs.Add(1); return nil }
+	srv := startServer(t, NewHandler(Load(rankedTriples(400), Options{}), opts))
+	uncached := startServer(t, NewHandler(Load(rankedTriples(400), Options{}), ServerOptions{}))
+
+	for i, step := range []struct{ query, lane string }{
+		{q1, "miss"}, {q1, "hit"}, {q2, "miss"}, {q1, "hit"},
+	} {
+		body, lane := getCached(t, srv, step.query)
+		if lane != step.lane {
+			t.Fatalf("request %d lane = %q, want %q", i, lane, step.lane)
+		}
+		if want, _ := getCached(t, uncached, step.query); !bytes.Equal(body, want) {
+			t.Fatalf("request %d body differs from the uncached server's", i)
+		}
+	}
+	if got := execs.Load(); got != 2 {
+		t.Fatalf("executions = %d, want 2 (one per distinct query)", got)
+	}
+	rc, plan, sel := healthzCaches(t, srv)
+	if rc.Hits != 2 || rc.Fills != 2 {
+		t.Fatalf("healthz result_cache = %+v, want 2 hits / 2 fills", rc)
+	}
+	// The plan- and selection-cache counters surface in healthz and have
+	// seen traffic by now.
+	if plan.Misses == 0 {
+		t.Fatalf("plan_cache = %+v, want non-zero misses", plan)
+	}
+	if sel.Hits+sel.Misses == 0 {
+		t.Fatalf("selection_cache = %+v, want some traffic", sel)
+	}
 }
 
 // TestServerResultCacheByteEquality replays randomized WatDiv basic-shape
@@ -139,8 +207,7 @@ func TestServerResultCacheByteEquality(t *testing.T) {
 // TestServerOnePlanCacheProbePerExecution: a request that executes looks its
 // query up in the plan cache exactly once — the parsed query then serves the
 // cost gate and the execution — and a result-cache hit not at all, so
-// healthz plan_cache hits+misses counts executed requests. The result- and
-// selection-cache counters surface in healthz too.
+// healthz plan_cache hits+misses counts executed requests.
 func TestServerOnePlanCacheProbePerExecution(t *testing.T) {
 	st := Load(scoreTriples(200), Options{})
 	srv := startServer(t, NewHandler(st, ServerOptions{
@@ -169,14 +236,6 @@ func TestServerOnePlanCacheProbePerExecution(t *testing.T) {
 		if got := probes() - before; got != step.probes {
 			t.Errorf("step %d (%s, %s): %d plan-cache probes, want %d", i, step.query, step.lane, got, step.probes)
 		}
-	}
-	// Only the expensive scan filled the result cache; its two repeats hit.
-	rc, _, sel := healthzCaches(t, srv)
-	if rc.Hits != 2 || rc.Fills != 1 {
-		t.Errorf("healthz result_cache = %+v, want 2 hits / 1 fill", rc)
-	}
-	if sel.Hits+sel.Misses == 0 {
-		t.Errorf("selection_cache = %+v, want some traffic", sel)
 	}
 }
 
