@@ -7,6 +7,7 @@
 //	BenchmarkIL*         -> Fig. 15 / Table 5 (Incremental Linear)
 //	BenchmarkThreshold*  -> Table 6 / Fig. 16 (SF threshold sweep)
 //	BenchmarkJoinOrder*  -> Sec. 6.2 / Fig. 12 (join-order ablation)
+//	BenchmarkAnalyticTopK -> Sec. 8 (ExtVP as bit vectors against row copies)
 //
 // The numbers' absolute values reflect this in-process reproduction, not
 // the authors' Hadoop cluster; the orderings and ratios are the claims
@@ -16,6 +17,7 @@ package s2rdf
 import (
 	"math/rand"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -399,4 +401,50 @@ func itoa(n int) string {
 		return string(rune('0' + n))
 	}
 	return "1" + string(rune('0'+n-10))
+}
+
+// --- Analytic top-k: the 12 large-result templates the serving benchmark's
+// analytic workloads use (1e4-4e5 rows each at scale 10), with ORDER BY
+// ?v0 LIMIT 10, so that scans, joins and top-k do the work and 10 rows
+// leave. One op runs all 12 once; -benchmem shows the engine's garbage per
+// sweep, under both ExtVP representations.
+
+var (
+	analyticOnce    sync.Once
+	analyticStores  map[string]*Store
+	analyticQueries []string
+)
+
+func BenchmarkAnalyticTopK(b *testing.B) {
+	analyticOnce.Do(func() {
+		data := watdiv.Generate(watdiv.Config{Scale: 10, Seed: 1})
+		analyticStores = map[string]*Store{
+			"bits":         Load(data.Triples, Options{}),
+			"materialized": Load(data.Triples, Options{MaterializeExtVP: true}),
+		}
+		byName := map[string]watdiv.Template{}
+		for _, tpl := range append(watdiv.BasicTemplates(), append(watdiv.STTemplates(), watdiv.ILTemplates()...)...) {
+			byName[tpl.Name] = tpl
+		}
+		rng := rand.New(rand.NewSource(7))
+		for _, name := range []string{
+			"C3", "ST-1-1", "ST-1-2", "ST-3-2", "ST-4-1", "ST-5-1", "ST-7-2",
+			"IL-3-5", "IL-3-6", "IL-3-7", "IL-3-9", "IL-3-10",
+		} {
+			analyticQueries = append(analyticQueries, strings.TrimSpace(byName[name].Instantiate(data, rng))+" ORDER BY ?v0 LIMIT 10")
+		}
+	})
+	for _, rep := range []string{"bits", "materialized"} {
+		b.Run(rep, func(b *testing.B) {
+			st := analyticStores[rep]
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, src := range analyticQueries {
+					if _, err := st.Query(src); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }

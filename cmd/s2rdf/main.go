@@ -3,7 +3,7 @@
 //
 // Subcommands:
 //
-//	s2rdf load  -in data.nt -store ./storedir [-threshold 0.25] [-bitvec]
+//	s2rdf load  -in data.nt -store ./storedir [-threshold 0.25] [-materialize]
 //	s2rdf query -store ./storedir [-mode ExtVP] [-explain] [-mem-budget N] 'SELECT ...'
 //	s2rdf serve -store ./storedir [-stores name=dir,...] [-addr :8080]
 //	            [-mode ExtVP] [-max-concurrent 8] [-queue-depth 32]
@@ -12,8 +12,10 @@
 //	            [-result-cache-bytes N] [-timeout 30s] [-drain 30s]
 //	s2rdf stats -store ./storedir
 //
-// load -bitvec keeps ExtVP reductions as bit vectors over the VP tables:
-// a faster build and a smaller store than row copies.
+// load keeps ExtVP reductions as bit vectors over the VP tables (paper
+// Sec. 8): a faster build and a smaller store than row copies. -materialize
+// keeps them as row copies instead, the representation of the paper's
+// evaluation. A saved store is served as it was saved.
 //
 // query prints solutions as the engine delivers them (batch streaming);
 // -mem-budget bounds a query's intermediate state, spilling joins to disk
@@ -68,7 +70,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  s2rdf load  -in data.nt -store DIR [-threshold T] [-novp] [-bitvec]
+  s2rdf load  -in data.nt -store DIR [-threshold T] [-novp] [-materialize]
   s2rdf query -store DIR [-mode ExtVP|VP|TT|PT] [-explain]
               [-cheap-threshold N] [-mem-budget BYTES] 'SPARQL'
   s2rdf serve -store DIR [-stores NAME=DIR,...] [-addr :8080]
@@ -87,7 +89,7 @@ func cmdLoad(args []string) {
 	dir := fs.String("store", "", "store directory")
 	threshold := fs.Float64("threshold", 0, "SF threshold (outside (0,1) = keep all useful tables)")
 	noExt := fs.Bool("novp", false, "skip ExtVP preprocessing (plain VP store)")
-	bitvec := fs.Bool("bitvec", false, "store ExtVP reductions as bit vectors (paper Sec. 8): faster to build, smaller to keep")
+	materialize := fs.Bool("materialize", false, "store ExtVP reductions as row copies (the paper's evaluation) instead of bit vectors (Sec. 8): slower to build, larger to keep")
 	fs.Parse(args)
 	if *in == "" || *dir == "" {
 		fs.Usage()
@@ -101,9 +103,9 @@ func cmdLoad(args []string) {
 	defer f.Close()
 	start := time.Now()
 	st, err := s2rdf.LoadReader(f, s2rdf.Options{
-		Threshold:    *threshold,
-		DisableExtVP: *noExt,
-		BitVectors:   *bitvec,
+		Threshold:        *threshold,
+		DisableExtVP:     *noExt,
+		MaterializeExtVP: *materialize,
 	})
 	if err != nil {
 		log.Fatal(err)

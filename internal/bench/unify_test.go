@@ -19,9 +19,7 @@ import (
 // best reduction scans, with equal answers. Counts only, no timing.
 func TestUnificationCutsBasicRowsScanned(t *testing.T) {
 	data := watdiv.Generate(watdiv.Config{Scale: 0.5, Seed: 1})
-	opts := layout.DefaultOptions()
-	opts.BitVectors = true
-	ds := layout.Build(data.Triples, opts)
+	ds := layout.Build(data.Triples, layout.DefaultOptions())
 	bits := core.New(ds, core.ModeExtVP)
 	unified := core.New(ds, core.ModeExtVP)
 	unified.UnifyCorrelations = true

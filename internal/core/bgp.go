@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"s2rdf/internal/bitvec"
 	"s2rdf/internal/dict"
@@ -26,10 +27,25 @@ type selection struct {
 	// tt is true when the triples table was selected (predicate must be
 	// constrained or projected during the scan).
 	tt bool
-	// bits is the selection vector over table when the dataset stores
-	// ExtVP reductions as bit vectors (paper Sec. 8 future work). With
+	// bits is the selection vector over table when the selected ExtVP
+	// reduction is stored as bit vectors (paper Sec. 8), the default. With
 	// Engine.UnifyCorrelations it may be the AND of several reductions.
 	bits *bitvec.Bitset
+	// reduction is the selected bit-vector reduction when bits is exactly
+	// one; its distinct counts stand in for table's, which are VP's.
+	reduction *layout.BitTable
+}
+
+// distinct returns the distinct-value count of col among the selected rows
+// (0 when unknown): a bit-vector reduction's own counts, so that planning
+// over bits reads the statistics a row copy of the same reduction has.
+// Under an intersection of reductions (UnifyCorrelations) it falls back to
+// the base table's count.
+func (sel selection) distinct(col string) int {
+	if sel.reduction != nil {
+		return sel.reduction.DistinctOf(col)
+	}
+	return sel.table.DistinctOf(col)
 }
 
 // selectTable implements the paper's Algorithm 1 (TableSelection) for the
@@ -77,11 +93,11 @@ func (e *Engine) selectTable(i int, bgp []sparql.TriplePattern) selection {
 		if !info.Materialized && info.SF > 0 {
 			return
 		}
-		if bits, ok := e.DS.ExtBits[key]; ok && e.UnifyCorrelations {
+		if bt, ok := e.DS.ExtBits[key]; ok && e.UnifyCorrelations {
 			if combined == nil {
-				combined = bits.Clone()
+				combined = bt.Bits.Clone()
 			} else {
-				combined.AndInPlace(bits)
+				combined.AndInPlace(bt.Bits)
 			}
 			nCombined++
 		}
@@ -135,10 +151,10 @@ func (e *Engine) selectTable(i int, bgp []sparql.TriplePattern) selection {
 		}
 	}
 	if bestInfo.SF < 1 {
-		if bits, ok := e.DS.ExtBits[best]; ok {
+		if bt, ok := e.DS.ExtBits[best]; ok {
 			return selection{
-				table: vp, name: layout.ExtVPName(e.DS.Dict, best) + "[bits]",
-				rows: bestInfo.Rows, sf: bestInfo.SF, bits: bits,
+				table: vp, name: bt.Name, rows: bestInfo.Rows, sf: bestInfo.SF,
+				bits: bt.Bits, reduction: bt,
 			}
 		}
 		if tbl := e.DS.ExtVP[best]; tbl != nil {
@@ -150,9 +166,9 @@ func (e *Engine) selectTable(i int, bgp []sparql.TriplePattern) selection {
 
 // estimatePatternRows scales a selection's row count by the bound-term
 // selectivity of the pattern: each bound position divides the estimate by
-// the distinct-value count of the corresponding column in the chosen table
-// (independence assumption), so `?x follows <alice>` is estimated at
-// |table| / NDV(o) rather than |table|. Columns without statistics leave
+// the distinct-value count of the corresponding column among the selected
+// rows (selection.distinct; independence assumption), so `?x follows
+// <alice>` is estimated at |table| / NDV(o) rather than |table|. Columns without statistics leave
 // the estimate unchanged.
 func estimatePatternRows(sel selection, tp sparql.TriplePattern) int {
 	est := sel.rows
@@ -163,7 +179,7 @@ func estimatePatternRows(sel selection, tp sparql.TriplePattern) int {
 		if n.IsVar() {
 			return
 		}
-		if ndv := sel.table.DistinctOf(col); ndv > 1 {
+		if ndv := sel.distinct(col); ndv > 1 {
 			est = (est + ndv - 1) / ndv
 		}
 	}
@@ -180,9 +196,9 @@ func estimatePatternRows(sel selection, tp sparql.TriplePattern) int {
 
 // keyPushRatio gates the run-time semi-join (pushKeys): an intermediate
 // pushes its keys into a scan only when it holds at most NDV/keyPushRatio
-// rows, NDV being the distinct count of the scanned column in the selected
-// table. The check costs O(1) and bounds the keys to a sixteenth of the
-// column's values. In a sweep over WatDiv at scale 10, ratios 1 and 4 also
+// rows, NDV being the distinct count of the scanned column among the
+// selected rows (selection.distinct). The check costs O(1) and bounds the
+// keys to a sixteenth of the column's values. In a sweep over WatDiv at scale 10, ratios 1 and 4 also
 // pushed into large-result templates, where nearly every row matches and
 // the key runs only add work; from 16 up none was pushed, and 16 kept the
 // most of the selective templates' gain.
@@ -211,7 +227,7 @@ func pushKeys(spec *engine.ScanSpec, from *engine.Relation, tp sparql.TriplePatt
 			continue // ?x p ?x: the subject's keys and the equal check cover o
 		}
 		ci := from.ColIndex(pos.node.Var)
-		if ci < 0 || rows > sel.table.DistinctOf(pos.col)/keyPushRatio {
+		if ci < 0 || rows > sel.distinct(pos.col)/keyPushRatio {
 			continue
 		}
 		if pos.col == sel.table.SortColName() {
@@ -281,9 +297,10 @@ func (e *Engine) compilePattern(ex *engine.Exec, tp sparql.TriplePattern, sel se
 // Algorithm 3 — otherwise) and picks a broadcast or shuffle strategy per
 // join from the estimated side sizes. Filters whose variables are covered
 // by a single pattern are compiled into that pattern's scan (the matching
-// consumed entry is set). ModePT routes to the property-table planner,
-// which consumes no filters.
-func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []sparql.Expression, consumed []bool, res *Result) (*engine.Relation, error) {
+// consumed entry is set). When top is non-nil and every filter went into a
+// scan, the final join also takes the query's ORDER BY … LIMIT (joinTopK).
+// ModePT routes to the property-table planner, which consumes no filters.
+func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []sparql.Expression, consumed []bool, res *Result, top *topKRequest) (*engine.Relation, error) {
 	if e.Mode == ModePT {
 		return e.evalBGPPT(ex, bgp, res)
 	}
@@ -433,7 +450,11 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 			strat = strategyCross
 		}
 		before := ex.MetricsSnapshot()
-		rel = ex.JoinWith(rel, scan, engineStrategy(strat))
+		if oi == len(order)-1 && strat != strategyCross && top != nil && !slices.Contains(consumed, false) {
+			rel = joinTopK(ex, rel, scan, engineStrategy(strat), top, e.sortKey)
+		} else {
+			rel = ex.JoinWith(rel, scan, engineStrategy(strat))
+		}
 		d := ex.MetricsSnapshot().Sub(before)
 		res.Joins = append(res.Joins, JoinPlan{
 			Right: tpStrs[idx], Strategy: strat, LeftRows: est, RightRows: sel.est,
@@ -451,6 +472,23 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 		rel = e.unitRelation(ex)
 	}
 	return rel, nil
+}
+
+// joinTopK joins left and right under strat and, when the engine applies
+// it, the query's ORDER BY … LIMIT with them (engine.JoinTopK), recording
+// that in top. A key the join's output does not bind leaves a plain join.
+func joinTopK(ex *engine.Exec, left, right *engine.Relation, strat engine.JoinStrategy, top *topKRequest, keyOf func(dict.ID) engine.SortKey) *engine.Relation {
+	schema := joinedSchema(left.Schema, right.Schema)
+	cols := make([]engine.SortCol, len(top.keys))
+	for i, k := range top.keys {
+		if cols[i].Col = indexOf(schema, k.Var); cols[i].Col < 0 {
+			return ex.JoinWith(left, right, strat)
+		}
+		cols[i].Desc = k.Desc
+	}
+	rel, applied := ex.JoinTopK(left, right, strat, top.window, cols, keyOf)
+	top.applied = applied
+	return rel
 }
 
 // starRun finds the maximal run of order members starting at oi that can

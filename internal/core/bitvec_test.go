@@ -11,13 +11,19 @@ import (
 
 func g1BitsDataset(t *testing.T) *layout.Dataset {
 	t.Helper()
+	return layout.Build(g1(), layout.DefaultOptions())
+}
+
+// materializedOptions is layout.DefaultOptions with the reductions kept as
+// row copies.
+func materializedOptions() layout.Options {
 	opts := layout.DefaultOptions()
-	opts.BitVectors = true
-	return layout.Build(g1(), opts)
+	opts.Materialize = true
+	return opts
 }
 
 func TestBitVectorModeMatchesMaterialized(t *testing.T) {
-	mat := layout.Build(g1(), layout.DefaultOptions())
+	mat := layout.Build(g1(), materializedOptions())
 	bits := g1BitsDataset(t)
 
 	queries := []string{
@@ -62,7 +68,7 @@ func TestBitVectorPlanUsesBits(t *testing.T) {
 func TestBitVectorScannedRowsMatchSF(t *testing.T) {
 	// The metered scan cost through a bit vector must equal the reduction
 	// size, not the base VP size.
-	mat := layout.Build(g1(), layout.DefaultOptions())
+	mat := layout.Build(g1(), materializedOptions())
 	bits := g1BitsDataset(t)
 	rm, err := New(mat, ModeExtVP).Query(q1)
 	if err != nil {
@@ -129,9 +135,7 @@ func TestUnifyCorrelationsEmptyIntersection(t *testing.T) {
 		{S: iri("urn:d"), P: iri("urn:s"), O: iri("urn:y")},
 		{S: iri("urn:b2"), P: iri("urn:s"), O: iri("urn:y2")},
 	}
-	opts := layout.DefaultOptions()
-	opts.BitVectors = true
-	ds := layout.Build(triples, opts)
+	ds := layout.Build(triples, layout.DefaultOptions())
 	e := New(ds, ModeExtVP)
 	e.UnifyCorrelations = true
 
@@ -164,10 +168,8 @@ func TestUnifyCorrelationsEmptyIntersection(t *testing.T) {
 }
 
 func TestBitVectorSizesSmaller(t *testing.T) {
-	mat := layout.Build(g1(), layout.DefaultOptions())
-	opts := layout.DefaultOptions()
-	opts.BitVectors = true
-	bv := layout.Build(g1(), opts)
+	mat := layout.Build(g1(), materializedOptions())
+	bv := layout.Build(g1(), layout.DefaultOptions())
 
 	sm, sb := mat.Sizes(), bv.Sizes()
 	if sb.ExtBitBytes == 0 {

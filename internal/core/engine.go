@@ -80,8 +80,8 @@ type Engine struct {
 	// UnifyCorrelations intersects all applicable bit-vector reductions of
 	// a triple pattern instead of picking the single best one — the
 	// unification strategy the paper sketches as future work (Sec. 8).
-	// Effective only when the dataset was built with layout
-	// Options.BitVectors.
+	// Effective only on bit-vector reductions, the default: a dataset built
+	// with layout Options.Materialize has none.
 	UnifyCorrelations bool
 	// Plans caches parsed queries by normalized text; nil disables caching.
 	Plans *PlanCache
@@ -331,8 +331,9 @@ func (e *Engine) unitRelation(ex *engine.Exec) *engine.Relation {
 }
 
 // evalGroup evaluates a group graph pattern: BGP, then UNION blocks, then
-// pushable filters, then OPTIONALs, then remaining filters.
-func (e *Engine) evalGroup(ex *engine.Exec, g *sparql.Group, res *Result) (*engine.Relation, error) {
+// pushable filters, then OPTIONALs, then remaining filters. top, when
+// non-nil, offers the query's ORDER BY … LIMIT to the BGP's final join.
+func (e *Engine) evalGroup(ex *engine.Exec, g *sparql.Group, res *Result, top *topKRequest) (*engine.Relation, error) {
 	var rel *engine.Relation
 	// Filters whose variables are covered by a single triple pattern are
 	// pushed into that pattern's scan, where they run at the scan's
@@ -340,7 +341,7 @@ func (e *Engine) evalGroup(ex *engine.Exec, g *sparql.Group, res *Result) (*engi
 	filters := g.Filters
 	if len(g.Triples) > 0 {
 		consumed := make([]bool, len(filters))
-		r, err := e.evalBGP(ex, g.Triples, filters, consumed, res)
+		r, err := e.evalBGP(ex, g.Triples, filters, consumed, res, top)
 		if err != nil {
 			return nil, err
 		}
@@ -443,13 +444,13 @@ func (e *Engine) evalOptionalBody(ex *engine.Exec, g *sparql.Group, res *Result)
 		Optionals: g.Optionals,
 		Unions:    g.Unions,
 	}
-	return e.evalGroup(ex, body, res)
+	return e.evalGroup(ex, body, res, nil)
 }
 
 func (e *Engine) evalUnion(ex *engine.Exec, u *sparql.Union, res *Result) (*engine.Relation, error) {
 	var rel *engine.Relation
 	for _, alt := range u.Alternatives {
-		r, err := e.evalGroup(ex, alt, res)
+		r, err := e.evalGroup(ex, alt, res, nil)
 		if err != nil {
 			return nil, err
 		}

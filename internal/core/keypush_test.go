@@ -20,10 +20,8 @@ import (
 // pushed into, and the naive evaluator's.
 func TestKeyPushdownWatDiv(t *testing.T) {
 	data := watdiv.Generate(watdiv.Config{Scale: 2, Seed: 1})
-	mat := layout.Build(data.Triples, layout.DefaultOptions())
-	bitOpts := layout.DefaultOptions()
-	bitOpts.BitVectors = true
-	bits := layout.Build(data.Triples, bitOpts)
+	mat := layout.Build(data.Triples, materializedOptions())
+	bits := layout.Build(data.Triples, layout.DefaultOptions())
 	engines := []struct {
 		name string
 		e    *Engine

@@ -230,7 +230,7 @@ func TestLazyMaterializesOnlyWinners(t *testing.T) {
 	rare := ds.Dict.Lookup(rdf.NewIRI("urn:rare"))
 	for i, p := range map[int]string{0: "urn:c1", 2: "urn:c2"} {
 		key := layout.ExtKey{Kind: layout.SS, P1: ds.Dict.Lookup(rdf.NewIRI(p)), P2: rare}
-		if want := layout.ExtVPName(ds.Dict, key); res.Plan[i].Table != want {
+		if want := layout.ExtVPName(ds.Dict, key) + "[bits]"; res.Plan[i].Table != want {
 			t.Errorf("plan[%d] table = %q, want %q", i, res.Plan[i].Table, want)
 		}
 	}

@@ -78,7 +78,8 @@ func (e *Engine) ExecStream(ctx context.Context, q *sparql.Query) (s *Stream, er
 	}
 
 	res := &Result{}
-	rel, err := e.evalGroup(ex, q.Where, res)
+	top := fusedTopK(q)
+	rel, err := e.evalGroup(ex, q.Where, res, top)
 	if err != nil {
 		return nil, err
 	}
@@ -103,23 +104,12 @@ func (e *Engine) ExecStream(ctx context.Context, q *sparql.Query) (s *Stream, er
 	if q.Distinct {
 		rel = ex.Distinct(rel)
 	}
-	if len(q.OrderBy) > 0 {
+	if len(q.OrderBy) > 0 && (top == nil || !top.applied) {
 		cols := sortCols(rel, q.OrderBy)
-		offset := q.Offset
-		if offset < 0 {
-			offset = 0
-		}
-		const maxInt = int(^uint(0) >> 1)
-		if q.Limit >= 0 && q.Limit <= maxInt-offset &&
-			offset+q.Limit <= rel.NumRows()/8 {
+		if window, ok := topKWindow(q); ok && engine.UseTopK(window, rel.NumRows()) {
 			// ORDER BY + LIMIT: top-k pushdown. Each partition holds at
 			// most offset+limit rows of sort state instead of the result.
-			// Only worthwhile when the window is a small fraction of the
-			// input: a heap pays log(window) per row kept, and on 2.4×10⁵
-			// rows it beats the full sort through a window of 1/8 of the
-			// input, draws at 1/6 and loses from 1/4 up
-			// (docs/perf-orderby.md).
-			rel = ex.TopK(rel, offset+q.Limit, cols, e.sortKey)
+			rel = ex.TopK(rel, window, cols, e.sortKey)
 		} else {
 			rel = ex.OrderBy(rel, cols, e.sortKey)
 		}
@@ -138,6 +128,46 @@ func (e *Engine) ExecStream(ctx context.Context, q *sparql.Query) (s *Stream, er
 	res.Vars = vars
 	s.it = rel.Batches(ex, 0)
 	return s, nil
+}
+
+// topKWindow returns the rows ORDER BY … LIMIT must keep — offset plus
+// limit — and false when the query has no LIMIT or the sum overflows.
+func topKWindow(q *sparql.Query) (int, bool) {
+	offset := max(q.Offset, 0)
+	const maxInt = int(^uint(0) >> 1)
+	if q.Limit < 0 || q.Limit > maxInt-offset {
+		return 0, false
+	}
+	return offset + q.Limit, true
+}
+
+// topKRequest asks evalBGP to take the query's ORDER BY … LIMIT into its
+// final join (engine.JoinTopK), so that the join's output is never
+// materialized; applied reports that it did.
+type topKRequest struct {
+	window  int
+	keys    []sparql.OrderKey
+	applied bool
+}
+
+// fusedTopK returns the top-k request for q, or nil when nothing but its
+// ORDER BY … LIMIT may follow the final join of its WHERE clause: q must be
+// a SELECT with a LIMIT and without DISTINCT or aggregates, its WHERE
+// clause a single BGP (evalBGP checks that every filter went into a scan),
+// and every ORDER BY key a projected variable.
+func fusedTopK(q *sparql.Query) *topKRequest {
+	window, ok := topKWindow(q)
+	if !ok || len(q.OrderBy) == 0 || q.Ask || q.Distinct || q.HasAggregates() ||
+		len(q.Where.Optionals) > 0 || len(q.Where.Unions) > 0 {
+		return nil
+	}
+	vars := q.SelectVars()
+	for _, k := range q.OrderBy {
+		if indexOf(vars, k.Var) < 0 {
+			return nil
+		}
+	}
+	return &topKRequest{window: window, keys: q.OrderBy}
 }
 
 // Vars returns the result's variable names, known before the first batch.

@@ -136,6 +136,35 @@ func TestTopKPushdownBoundsSortState(t *testing.T) {
 	}
 }
 
+// TestTopKFusedIntoFinalJoin: ORDER BY … LIMIT over a join is taken by the
+// final join (engine.JoinTopK), which gathers only each partition's window
+// instead of the join's output. The rows must be those of the full sort,
+// the sort state stays offset+limit rows, and the accounted intermediate
+// state falls below that of the same query under DISTINCT, which keeps the
+// plain join (every solution here is distinct, so the answer is the same).
+func TestTopKFusedIntoFinalJoin(t *testing.T) {
+	ds := chainDataset(t, 3000, 5)
+	e := New(ds, ModeVP)
+	const where = ` WHERE { ?p <urn:score> ?s . ?p <urn:inGroup> ?g } ORDER BY ?s ?p`
+	full := mustQuery(t, e, `SELECT *`+where)
+	fused := mustQuery(t, e, `SELECT *`+where+` LIMIT 7 OFFSET 3`)
+	plain := mustQuery(t, e, `SELECT DISTINCT *`+where+` LIMIT 7 OFFSET 3`)
+	if full.Len() != 3000 || len(fused.Joins) != 1 {
+		t.Fatalf("%d solutions over %d joins, want 3000 over 1", full.Len(), len(fused.Joins))
+	}
+	for name, r := range map[string]*Result{"fused": fused, "DISTINCT": plain} {
+		if !reflect.DeepEqual(r.Rows, full.Rows[3:10]) {
+			t.Fatalf("%s rows = %v, want %v", name, r.Rows, full.Rows[3:10])
+		}
+		if r.Metrics.RowsSorted != 10 {
+			t.Errorf("%s metered RowsSorted=%d, want 10", name, r.Metrics.RowsSorted)
+		}
+	}
+	if fused.PeakMemBytes >= plain.PeakMemBytes {
+		t.Errorf("fused top-k accounted %d B of intermediate state, the plain join %d B", fused.PeakMemBytes, plain.PeakMemBytes)
+	}
+}
+
 func TestTopKDescendingAndDuplicates(t *testing.T) {
 	ds := chainDataset(t, 500, 4)
 	e := New(ds, ModeVP)

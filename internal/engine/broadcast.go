@@ -12,8 +12,9 @@ package engine
 // at most once per execution (joinTable/gatherCached memoize, so a relation
 // broadcast into several joins is hashed once); every big-side partition
 // probes the shared read-only join table, emitting (small-row, big-row)
-// pair vectors materialized in one gather.
-func (x *Exec) broadcastJoin(left, right *Relation, lIdx, rIdx []int) *Relation {
+// pair vectors into pooled scratch, which place materializes in one gather
+// or, under keep, hands back unmaterialized (see pairJoin).
+func (x *Exec) broadcastJoin(left, right *Relation, lIdx, rIdx []int, keep bool) (*Relation, []joinPairs) {
 	leftSmall := left.NumRows() <= right.NumRows()
 	small, big := left, right
 	sIdx, bIdx := lIdx, rIdx
@@ -30,8 +31,12 @@ func (x *Exec) broadcastJoin(left, right *Relation, lIdx, rIdx []int) *Relation 
 	// Output partitioning follows the big side, whose rows stay in place;
 	// translate its key column into output-schema coordinates.
 	out.keyCol = broadcastKeyCol(big, small, bIdx, sIdx, leftSmall)
+	var pairs []joinPairs
+	if keep {
+		pairs = make([]joinPairs, len(out.Parts))
+	}
 	if sblk.Len() == 0 {
-		return out
+		return out, pairs
 	}
 
 	// With a memory budget set and no room left for the broadcast table,
@@ -50,7 +55,7 @@ func (x *Exec) broadcastJoin(left, right *Relation, lIdx, rIdx []int) *Relation 
 	if sr == nil {
 		ht = x.joinTable(sblk, sIdx[0])
 		if ht == nil {
-			return out // cancelled mid-build
+			return out, pairs // cancelled mid-build
 		}
 	}
 	// The output drops the right side's join columns: when the small side is
@@ -64,43 +69,41 @@ func (x *Exec) broadcastJoin(left, right *Relation, lIdx, rIdx []int) *Relation 
 	}
 	x.parallel(len(big.Parts), func(p int) {
 		src := big.Parts[p]
-		n := src.Len()
-		if n == 0 {
-			out.Parts[p] = newFixedBlock(len(outSchema), 0)
+		if src.Len() == 0 {
+			place(out, pairs, p, joinPairs{arity: len(outSchema)})
 			return
 		}
+		sc := getScratch()
 		var ssel, bsel []int32
 		spilled := false
 		if sr != nil {
 			ssel, bsel, spilled = x.spillProbePairs(sr, src, bIdx)
 		}
 		if !spilled {
-			ssel, bsel = x.broadcastProbePairs(sblk, src, sIdx, bIdx)
+			ssel, bsel = x.broadcastProbePairs(sblk, src, sIdx, bIdx, sc.a, sc.b)
+			sc.a, sc.b = ssel, bsel
 		}
+		jp := joinPairs{l: src, lsel: bsel, r: sblk, rKeep: sKeep, rsel: ssel, sc: sc, arity: len(outSchema)}
 		if leftSmall {
-			out.Parts[p] = gatherPairs(sblk, ssel, src, bKeep, bsel)
-		} else {
-			out.Parts[p] = gatherPairs(src, bsel, sblk, sKeep, ssel)
+			jp = joinPairs{l: sblk, lsel: ssel, r: src, rKeep: bKeep, rsel: bsel, sc: sc, arity: len(outSchema)}
 		}
+		place(out, pairs, p, jp)
 	})
-	x.trackRelation(out)
-	x.addOutput(int64(out.NumRows()))
-	return out
+	return out, pairs
 }
 
 // broadcastProbePairs probes the small side's in-memory join table with one
-// big-side partition, emitting (small row, big row) pair vectors. It is the
-// in-memory probe of broadcastJoin, also the fallback when a spilled
-// broadcast hits a disk error.
-func (x *Exec) broadcastProbePairs(sblk, src *Block, sIdx, bIdx []int) (ssel, bsel []int32) {
+// big-side partition, appending (small row, big row) pairs to ssel and bsel,
+// which grow only as far as the matches go. It is the in-memory probe of
+// broadcastJoin, also the fallback when a spilled broadcast hits a disk
+// error.
+func (x *Exec) broadcastProbePairs(sblk, src *Block, sIdx, bIdx []int, ssel, bsel []int32) ([]int32, []int32) {
 	ht := x.joinTable(sblk, sIdx[0])
 	if ht == nil {
-		return nil, nil // cancelled mid-build
+		return ssel, bsel // cancelled mid-build
 	}
 	n := src.Len()
 	bkey := src.cols[bIdx[0]]
-	ssel = make([]int32, 0, n)
-	bsel = make([]int32, 0, n)
 	var comparisons int64
 	for i := 0; i < n; i++ {
 		if x.stop(i) {

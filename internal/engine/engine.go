@@ -937,28 +937,83 @@ func (s JoinStrategy) String() string {
 // no shared columns it degenerates to a cross join (metered but
 // discouraged; the query planner avoids it).
 func (x *Exec) JoinWith(left, right *Relation, strat JoinStrategy) *Relation {
-	c := x.c
 	lIdx, rIdx := sharedCols(left.Schema, right.Schema)
 	if len(lIdx) == 0 {
 		return x.cross(left, right)
 	}
-	if strat == StrategyBroadcast {
-		return x.broadcastJoin(left, right, lIdx, rIdx)
-	}
-	// Shuffle both sides by the first join column; remaining join columns
-	// are checked during the probe.
-	l := x.shuffle(left, lIdx[0])
-	r := x.shuffle(right, rIdx[0])
-
-	outSchema := joinSchema(left.Schema, right.Schema, rIdx)
-	out := newRelation(outSchema, c.partitions)
-	out.keyCol = lIdx[0]
-	x.parallel(c.partitions, func(p int) {
-		out.Parts[p] = x.hashJoinPartition(l.Parts[p], r.Parts[p], lIdx, rIdx, len(outSchema))
-	})
+	out, _ := x.pairJoin(left, right, lIdx, rIdx, strat, false)
 	x.trackRelation(out)
 	x.addOutput(int64(out.NumRows()))
 	return out
+}
+
+// pairJoin runs the inner join of left and right on the columns lIdx/rIdx
+// under strat: broadcast the smaller side, or shuffle both sides by the
+// first join column and check the remaining ones during the probe. Every
+// partition's probe emits row pairs. Without keep, each partition is
+// gathered into out in the same task; with keep, out.Parts stay nil and
+// the pairs come back unmaterialized, one entry per partition, for the
+// caller to reduce before gathering (JoinTopK).
+func (x *Exec) pairJoin(left, right *Relation, lIdx, rIdx []int, strat JoinStrategy, keep bool) (*Relation, []joinPairs) {
+	if strat == StrategyBroadcast {
+		return x.broadcastJoin(left, right, lIdx, rIdx, keep)
+	}
+	l := x.shuffle(left, lIdx[0])
+	r := x.shuffle(right, rIdx[0])
+	out := newRelation(joinSchema(left.Schema, right.Schema, rIdx), x.c.partitions)
+	out.keyCol = lIdx[0]
+	var pairs []joinPairs
+	if keep {
+		pairs = make([]joinPairs, len(out.Parts))
+	}
+	x.parallel(len(out.Parts), func(p int) {
+		place(out, pairs, p, x.hashJoinPartition(l.Parts[p], r.Parts[p], lIdx, rIdx, len(out.Schema)))
+	})
+	return out, pairs
+}
+
+// joinPairs is one partition's inner-join output before materialization:
+// output row i is row lsel[i] of l followed by the rKeep columns of row
+// rsel[i] of r, arity columns in all. sc, when set, backs the pair vectors
+// and goes back to the pool once they are consumed.
+type joinPairs struct {
+	l, r       *Block
+	lsel, rsel []int32
+	rKeep      []int
+	sc         *scratch
+	arity      int
+}
+
+// gather materializes the pairs, one gather pass per output column, and
+// releases the scratch.
+func (jp *joinPairs) gather() *Block {
+	out := newFixedBlock(jp.arity, 0)
+	if len(jp.lsel) > 0 {
+		out = gatherPairs(jp.l, jp.lsel, jp.r, jp.rKeep, jp.rsel)
+	}
+	if jp.sc != nil {
+		jp.sc.put()
+		jp.sc = nil
+	}
+	return out
+}
+
+// column returns output column j read in place through its pair vector.
+func (jp *joinPairs) column(j int) sortColumn {
+	if nl := len(jp.l.cols); j >= nl {
+		return sortColumn{col: jp.r.cols[jp.rKeep[j-nl]], at: jp.rsel}
+	}
+	return sortColumn{col: jp.l.cols[j], at: jp.lsel}
+}
+
+// place stores partition p's join pairs: kept in pairs when the caller
+// asked for them, gathered into out otherwise.
+func place(out *Relation, pairs []joinPairs, p int, jp joinPairs) {
+	if pairs != nil {
+		pairs[p] = jp
+		return
+	}
+	out.Parts[p] = jp.gather()
 }
 
 // LeftJoinWith computes the left outer join (SPARQL OPTIONAL) under an
@@ -1000,12 +1055,12 @@ func (x *Exec) LeftJoinWith(left, right *Relation, pred func(Row) bool, strat Jo
 }
 
 // hashJoinPartition joins one co-partition pair. The probe pass emits
-// (build-row, probe-row) index pair vectors — no output row is assembled
-// during probing — and the pairs are materialized once at the end, one
+// (build-row, probe-row) index pair vectors into pooled scratch — no output
+// row is assembled during probing — for the caller to materialize once, one
 // gather per output column.
-func (x *Exec) hashJoinPartition(lblk, rblk *Block, lIdx, rIdx []int, outArity int) *Block {
+func (x *Exec) hashJoinPartition(lblk, rblk *Block, lIdx, rIdx []int, outArity int) joinPairs {
 	if lblk.Len() == 0 || rblk.Len() == 0 {
-		return newFixedBlock(outArity, 0)
+		return joinPairs{arity: outArity}
 	}
 	// Build on the smaller side.
 	build, probe := rblk, lblk
@@ -1016,24 +1071,29 @@ func (x *Exec) hashJoinPartition(lblk, rblk *Block, lIdx, rIdx []int, outArity i
 		bIdx, pIdx = lIdx, rIdx
 		swapped = true
 	}
+	jp := func(bsel, psel []int32, sc *scratch) joinPairs {
+		if swapped {
+			// build is the left input: its columns lead the output.
+			return joinPairs{l: build, lsel: bsel, r: probe, rKeep: keepCols(probe.Arity(), pIdx), rsel: psel, sc: sc, arity: outArity}
+		}
+		return joinPairs{l: probe, lsel: psel, r: build, rKeep: keepCols(build.Arity(), bIdx), rsel: bsel, sc: sc, arity: outArity}
+	}
 	// With a memory budget set and no room left for this build's table, run
 	// the external sort-merge join instead (see spill.go). A disk failure
 	// falls through to the in-memory path: the budget is best-effort, the
 	// result is not.
 	if x.overBudget(tableBytes(build.Len())) {
-		if out, ok := x.spillJoin(build, probe, bIdx, pIdx, outArity, swapped); ok {
-			return out
+		if bsel, psel, ok := x.spillJoin(build, probe, bIdx, pIdx); ok {
+			return jp(bsel, psel, nil)
 		}
 	}
 	ht := x.joinTable(build, bIdx[0])
 	if ht == nil {
-		return newFixedBlock(outArity, 0) // cancelled mid-build
+		return joinPairs{arity: outArity} // cancelled mid-build
 	}
 	pkey := probe.cols[pIdx[0]]
-	// Probe-size capacity is the exact fit for unique-key joins (the common
-	// case after ExtVP reduction); duplicate keys grow past it.
-	bsel := make([]int32, 0, probe.Len())
-	psel := make([]int32, 0, probe.Len())
+	sc := getScratch()
+	bsel, psel := sc.a, sc.b
 	var comparisons int64
 	for i, n := 0, probe.Len(); i < n; i++ {
 		if x.stop(i) {
@@ -1051,19 +1111,17 @@ func (x *Exec) hashJoinPartition(lblk, rblk *Block, lIdx, rIdx []int, outArity i
 			psel = append(psel, int32(i))
 		}
 	}
+	sc.a, sc.b = bsel, psel
 	x.addComparisons(comparisons)
-	if swapped {
-		// build is the left input: its columns lead the output.
-		return gatherPairs(build, bsel, probe, keepCols(probe.Arity(), pIdx), psel)
-	}
-	return gatherPairs(probe, psel, build, keepCols(build.Arity(), bIdx), bsel)
+	return jp(bsel, psel, sc)
 }
 
 // probeOuter probes a prebuilt right-side join table with the left rows of
-// one partition, producing left-outer output as pair vectors: matched pairs
-// (filtered by pred when set) plus rsel = -1 entries for Null-padded
-// survivors, materialized in one gather. It is safe to share one ht and
-// build block across concurrent partition probes — both are read-only here.
+// one partition, producing left-outer output as pair vectors in pooled
+// scratch: matched pairs (filtered by pred when set) plus rsel = -1 entries
+// for Null-padded survivors, materialized in one gather. It is safe to share
+// one ht and build block across concurrent partition probes — both are
+// read-only here.
 // A nil ht (cancelled build) matches nothing.
 func (x *Exec) probeOuter(lblk *Block, ht *indexTable, build *Block, lIdx, rIdx []int, outArity int, pred func(Row) bool) *Block {
 	n := lblk.Len()
@@ -1071,8 +1129,9 @@ func (x *Exec) probeOuter(lblk *Block, ht *indexTable, build *Block, lIdx, rIdx 
 	if n == 0 {
 		return newFixedBlock(outArity, 0)
 	}
-	lsel := make([]int32, 0, n)
-	rsel := make([]int32, 0, n)
+	sc := getScratch()
+	defer sc.put()
+	lsel, rsel := sc.a, sc.b
 	// scratch assembles the joined row when a predicate must inspect it
 	// before it is admitted; reused across rows, so predicates must not
 	// retain it.
@@ -1115,6 +1174,7 @@ func (x *Exec) probeOuter(lblk *Block, ht *indexTable, build *Block, lIdx, rIdx 
 			rsel = append(rsel, -1)
 		}
 	}
+	sc.a, sc.b = lsel, rsel
 	x.addComparisons(comparisons)
 	return gatherPairs(lblk, lsel, build, rKeep, rsel)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"s2rdf/internal/bitvec"
@@ -26,10 +27,14 @@ import (
 //  3. within a surviving chunk the remaining conditions, the optional
 //     bit-vector pre-selection (the ExtVP bit-vector representation) and
 //     the equal-variable check each run over one column, compacting a
-//     []int32 selection vector;
+//     []int32 selection vector (pooled scratch, see scratch.go);
 //  4. only then are the selected rows materialized — once, column-wise —
 //     into the partition's output Block. An optional late predicate (a
 //     pushed-down SPARQL filter) vetoes rows at this boundary.
+//
+// Two shapes skip the selection vector: a range with nothing left to check
+// is bulk-copied, and a bit-vector pre-selection with nothing else to check
+// is gathered straight from the bitset's words (gatherBits).
 //
 // Rows eliminated in steps 1–2 — outside the binary-searched run or the key
 // runs, or in a zone-skipped chunk — are metered as RowsPruned: input the
@@ -200,7 +205,10 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 		conds = kept
 	}
 	if spec.Keys != nil {
-		sel, inRuns := x.keyRuns(t, spec, conds, lo, hi)
+		sc := getScratch()
+		defer sc.put()
+		sel, inRuns := x.keyRuns(t, spec, conds, lo, hi, sc.a)
+		sc.a = sel
 		// Every metered row outside the key runs is pruned.
 		st.Pruned = int64(selRows - inRuns)
 		x.addPruned(st.Pruned)
@@ -229,9 +237,10 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 		pruned.Store(int64(n - (hi - lo)))
 	}
 
-	// Scans with no surviving conditions bulk-copy the whole range; every
-	// other shape compacts a selection vector and gathers once (scanVector).
-	simple := spec.Sel == nil && len(pl.equal) == 0 && spec.Pred == nil
+	// Scans with no surviving conditions bulk-copy the whole range, or
+	// gather a bit-vector pre-selection straight from its words; every other
+	// shape compacts a selection vector and gathers once (scanVector).
+	simple := len(conds) == 0 && len(pl.equal) == 0 && spec.Pred == nil
 	span := hi - lo
 	if span == 0 {
 		// The binary search proved the scan empty; all partitions stay nil.
@@ -245,7 +254,11 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 		if plo >= phi {
 			return // empty partition: nil entry, like a skipped task
 		}
-		if simple && len(conds) == 0 {
+		if simple && spec.Sel != nil {
+			rel.Parts[p] = x.gatherBits(t, pl.srcs, spec.Sel, plo, phi)
+			return
+		}
+		if simple {
 			// Every row in range survives: bulk column-wise copy, polling
 			// cancellation between batches so a huge unconditional scan
 			// still stops promptly.
@@ -278,8 +291,8 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 // bit-vector pre-selection (walked word by word) and the remaining constant
 // conditions compact one selection vector. inRuns counts the metered rows
 // the runs held (selected rows under a bit-vector); everything else is
-// pruned.
-func (x *Exec) keyRuns(t *store.Table, spec ScanSpec, conds []scanCond, lo, hi int) (sel []int32, inRuns int) {
+// pruned. The selected rows are appended to sel.
+func (x *Exec) keyRuns(t *store.Table, spec ScanSpec, conds []scanCond, lo, hi int, sel []int32) (_ []int32, inRuns int) {
 	col := t.Data[t.SortCol]
 	walked, poll := 0, 0
 	for _, k := range spec.Keys {
@@ -343,17 +356,9 @@ func zoneSkips(t *store.Table, conds []scanCond, z int) bool {
 // equal-variable check), step 4 materializes the selected rows exactly once
 // — a column-wise gather, or through the late predicate's scratch row.
 func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []scanCond, plo, phi int, pruned *atomic.Int64) *Block {
-	// Size the vector from the pre-selection's population when there is
-	// one (a sparse bit-vector reduction selects far fewer rows than the
-	// span), prorated to this partition's share of the table rather than
-	// popcounted; without one, grow from empty — conditioned scans are
-	// usually selective, and a span-sized buffer would cost 4 bytes per row
-	// of a possibly huge run.
-	cap0 := 0
-	if spec.Sel != nil {
-		cap0 = int(int64(spec.SelRows) * int64(phi-plo) / int64(t.NumRows()))
-	}
-	sel := make([]int32, 0, cap0)
+	sc := getScratch()
+	defer sc.put()
+	sel := sc.a
 	zonePruned := 0
 	// As in scanDirect, one cancellation poll per ≤ZoneSize-row chunk keeps
 	// the engine's row-batch granularity.
@@ -397,8 +402,51 @@ func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []sc
 		sel = filterConds(t, conds[first:], sel, base)
 		zlo = zhi
 	}
+	sc.a = sel
 	pruned.Add(int64(zonePruned))
 	return materialize(t, spec, pl, sel)
+}
+
+// gatherBits is steps 3–4 of a bit-vector scan with no condition,
+// equal-variable check or late predicate left: it copies the rows sel marks
+// in [lo, hi) straight from the bitset's words into an exactly sized block,
+// column by column — an all-ones word as one 64-row copy, any other word
+// set bit by set bit — with no selection vector in between. It polls
+// cancellation once per ZoneSize rows of range; a cancelled gather returns
+// an empty block.
+func (x *Exec) gatherBits(t *store.Table, srcs []int, sel *bitvec.Bitset, lo, hi int) *Block {
+	out := newFixedBlock(len(srcs), sel.CountRange(lo, hi))
+	if out.n == 0 {
+		return out
+	}
+	words := sel.Words()
+	wlo, whi := lo>>6, (hi-1)>>6
+	for j, src := range srcs {
+		col, dst := t.Data[src], out.cols[j]
+		k := 0
+		for w := wlo; w <= whi; w++ {
+			if (w-wlo)%(store.ZoneSize/64) == 0 && x.Cancelled() {
+				return newFixedBlock(len(srcs), 0)
+			}
+			word := words[w]
+			if w == wlo {
+				word &^= 1<<(uint(lo)&63) - 1
+			}
+			if w == whi {
+				word &= 1<<(uint(hi-1)&63+1) - 1
+			}
+			base := w << 6
+			if word == ^uint64(0) {
+				k += copy(dst[k:], col[base:base+64])
+				continue
+			}
+			for ; word != 0; word &= word - 1 {
+				dst[k] = col[base+bits.TrailingZeros64(word)]
+				k++
+			}
+		}
+	}
+	return out
 }
 
 // materialize is step 4: it drops the rows of sel failing the

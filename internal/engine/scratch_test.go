@@ -1,0 +1,124 @@
+package engine
+
+import (
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"s2rdf/internal/dict"
+)
+
+// TestScratchReuseConcurrentJoins runs broadcast and shuffle joins from
+// several goroutines at once, each on its own execution over shared inputs,
+// so pooled pair vectors pass from join to join. Only after every join has
+// finished are the outputs checked: each must still equal the reference
+// join, and no output block may share column storage with another. A block
+// that aliased a pooled vector would by then hold another join's pairs.
+func TestScratchReuseConcurrentJoins(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rows := func(n, keys int) []Row {
+		out := make([]Row, n)
+		for i := range out {
+			out[i] = Row{dict.ID(rng.Intn(keys)), dict.ID(i)}
+		}
+		return out
+	}
+	big, small := rows(3000, 400), rows(60, 400)
+	ref := NewCluster(4).exec()
+	want := sortedRows(ref.JoinWith(ref.FromRows([]string{"k", "a"}, big), ref.FromRows([]string{"k", "b"}, small), StrategyShuffle))
+
+	const workers, rounds = 8, 20
+	outs := make([][]*Relation, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				x := NewCluster(1 + (w+r)%4).exec()
+				l, s := x.FromRows([]string{"k", "a"}, big), x.FromRows([]string{"k", "b"}, small)
+				strat := StrategyBroadcast
+				if r%3 == 2 {
+					strat = StrategyShuffle
+				}
+				outs[w] = append(outs[w], x.JoinWith(l, s, strat))
+			}
+		}()
+	}
+	wg.Wait()
+
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	for _, rels := range outs {
+		for _, rel := range rels {
+			if got := sortedRows(rel); !reflect.DeepEqual(got, want) {
+				t.Fatalf("join output changed after the fact: %d rows, want %d", len(got), len(want))
+			}
+			for _, blk := range rel.Parts {
+				for _, col := range blk.cols {
+					if cap(col) > 0 {
+						lo := uintptr(unsafe.Pointer(unsafe.SliceData(col)))
+						spans = append(spans, span{lo, lo + uintptr(cap(col))*unsafe.Sizeof(col[0])})
+					}
+				}
+			}
+		}
+	}
+	for i := range spans {
+		for j := i + 1; j < len(spans); j++ {
+			if spans[i].lo < spans[j].hi && spans[j].lo < spans[i].hi {
+				t.Fatalf("two output columns share storage")
+			}
+		}
+	}
+}
+
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
+
+// TestBroadcastJoinAllocatesOnlyItsOutput pins a warmed broadcast join's
+// allocation. With the small side's gather and join table memoized on the
+// execution and the pair vectors pooled, a repeat join allocates its output
+// relation and blocks plus a few fixed-size headers, never a vector sized
+// by the probe side: 32 768 probe rows of which 64 match may cost the
+// output's bytes and 4 KiB, not the 256 KiB that probe-sized pair vectors
+// would take. The allocation count is not checked under the race detector,
+// which empties the pool at random; the byte bound still is.
+func TestBroadcastJoinAllocatesOnlyItsOutput(t *testing.T) {
+	x := NewCluster(4).exec()
+	big := make([]Row, 1<<15)
+	for i := range big {
+		big[i] = Row{dict.ID(i), dict.ID(i)}
+	}
+	var small []Row
+	for i := 0; i < len(big); i += len(big) / 64 {
+		small = append(small, Row{dict.ID(i), 7})
+	}
+	l, s := x.FromRows([]string{"k", "a"}, big), x.FromRows([]string{"k", "b"}, small)
+	out := x.JoinWith(l, s, StrategyBroadcast) // warm: memoize, fill the pool
+	if out.NumRows() != len(small) {
+		t.Fatalf("join returned %d rows, want %d", out.NumRows(), len(small))
+	}
+	outBytes := uint64(out.NumRows() * len(out.Schema) * idBytes)
+
+	allocs := testing.AllocsPerRun(20, func() { x.JoinWith(l, s, StrategyBroadcast) })
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for range runs {
+		x.JoinWith(l, s, StrategyBroadcast)
+	}
+	runtime.ReadMemStats(&after)
+	perJoin := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("warmed broadcast join: %.0f allocations, %d B (output %d B)", allocs, perJoin, outBytes)
+	if allocs > 40 && !raceDetector {
+		t.Errorf("warmed broadcast join made %.0f allocations, want at most 40", allocs)
+	}
+	if perJoin > outBytes+4<<10 {
+		t.Errorf("warmed broadcast join allocated %d B, want at most its %d B output + 4 KiB", perJoin, outBytes)
+	}
+}

@@ -195,6 +195,14 @@ func (x *Exec) OrderBy(r *Relation, cols []SortCol, keyOf func(dict.ID) SortKey)
 	return out
 }
 
+// UseTopK reports whether ORDER BY with a window of k rows (offset plus
+// limit) over rows input rows should run as TopK rather than a full
+// OrderBy. A heap pays log(k) per row kept, so TopK is only worthwhile when
+// the window is a small fraction of the input: on 2.4×10⁵ rows it beats
+// the full sort through a window of 1/8 of the input, draws at 1/6 and
+// loses from 1/4 up (docs/perf-orderby.md).
+func UseTopK(k, rows int) bool { return k <= rows/8 }
+
 // TopK returns the first k rows of r under cols, in order — the bounded
 // replacement for OrderBy+Limit whenever a LIMIT is present. Every
 // partition keeps a max-heap of its k best (keys, row number) entries,
@@ -216,7 +224,15 @@ func (x *Exec) TopK(r *Relation, k int, cols []SortCol, keyOf func(dict.ID) Sort
 	}
 	runs := make([]topRun, len(r.Parts))
 	x.parallel(len(r.Parts), func(p int) {
-		runs[p] = x.topKPartition(r.Parts[p], k, cols, keyOf)
+		blk := r.Parts[p]
+		if blk.Len() == 0 {
+			return
+		}
+		in := make([]sortColumn, len(cols))
+		for c, sc := range cols {
+			in[c].col = blk.cols[sc.Col]
+		}
+		runs[p] = x.topKPartition(blk.Len(), in, k, cols, keyOf)
 	})
 
 	// Each run is ascending, and listing the runs in partition order lists
@@ -249,6 +265,59 @@ func (x *Exec) TopK(r *Relation, k int, cols []SortCol, keyOf func(dict.ID) Sort
 	return out
 }
 
+// JoinTopK returns TopK(JoinWith(left, right, strat), k, cols, keyOf) — the
+// same rows in the same order — without materializing the join's output,
+// for a join whose output feeds nothing but the top-k: each partition's
+// probe pairs go straight into that partition's heap, read in place
+// through the pair vectors (cols index the join's output schema), and only
+// the k winners per partition are gathered. The join is metered as
+// JoinWith meters it. Whether to take the top-k at all follows UseTopK on
+// the join's output size, known only after probing: when it says no, and
+// for cross joins or under a memory budget, JoinTopK returns JoinWith's
+// output and false, for the caller to sort.
+func (x *Exec) JoinTopK(left, right *Relation, strat JoinStrategy, k int, cols []SortCol, keyOf func(dict.ID) SortKey) (*Relation, bool) {
+	lIdx, rIdx := sharedCols(left.Schema, right.Schema)
+	if len(lIdx) == 0 || x.memBudget > 0 {
+		return x.JoinWith(left, right, strat), false
+	}
+	out, pairs := x.pairJoin(left, right, lIdx, rIdx, strat, true)
+	total := 0
+	for _, jp := range pairs {
+		total += len(jp.lsel)
+	}
+	x.addOutput(int64(total))
+	topk := k > 0 && UseTopK(k, total)
+	x.parallel(len(pairs), func(p int) {
+		jp := &pairs[p]
+		if jp.arity == 0 {
+			return // never probed: the execution was cancelled
+		}
+		if n := len(jp.lsel); topk && n > k {
+			in := make([]sortColumn, len(cols))
+			for c, sc := range cols {
+				in[c] = jp.column(sc.Col)
+			}
+			run := x.topKPartition(n, in, k, cols, keyOf)
+			lsel, rsel := make([]int32, len(run.rows)), make([]int32, len(run.rows))
+			for i, row := range run.rows {
+				lsel[i], rsel[i] = jp.lsel[row], jp.rsel[row]
+			}
+			jp.lsel, jp.rsel = lsel, rsel
+		}
+		out.Parts[p] = jp.gather()
+	})
+	for i := range pairs {
+		if pairs[i].sc != nil { // a partition the cancelled gather skipped
+			pairs[i].sc.put()
+		}
+	}
+	x.trackRelation(out)
+	if !topk || x.Err() != nil {
+		return out, false
+	}
+	return x.TopK(out, k, cols, keyOf), true
+}
+
 // topRun is one partition's top-k candidates in ascending order: row
 // numbers within the partition and their keys (len(cols) per row).
 type topRun struct {
@@ -256,13 +325,28 @@ type topRun struct {
 	keys []SortKey
 }
 
-// topKPartition selects the k first rows of blk under cols. Entries live in
-// k+1 slots of keys and row numbers; the heap orders slot numbers, with the
-// entry that sorts last (later row on a tie) at heap[0], and the spare slot
-// takes each further row's keys while it is compared against that entry. A
-// cancelled execution returns an empty run.
-func (x *Exec) topKPartition(blk *Block, k int, cols []SortCol, keyOf func(dict.ID) SortKey) topRun {
-	n := blk.Len()
+// sortColumn is one sort column of a partition as topKPartition reads it:
+// row i's value is col[i], or col[at[i]] when at is set — a join output
+// column read in place through its pair vector.
+type sortColumn struct {
+	col []dict.ID
+	at  []int32
+}
+
+func (s sortColumn) id(i int) dict.ID {
+	if s.at != nil {
+		return s.col[s.at[i]]
+	}
+	return s.col[i]
+}
+
+// topKPartition selects the k first of n rows under cols, reading sort
+// column c's values from in[c]. Entries live in k+1 slots of keys and row
+// numbers; the heap orders slot numbers, with the entry that sorts last
+// (later row on a tie) at heap[0], and the spare slot takes each further
+// row's keys while it is compared against that entry. A cancelled execution
+// returns an empty run.
+func (x *Exec) topKPartition(n int, in []sortColumn, k int, cols []SortCol, keyOf func(dict.ID) SortKey) topRun {
 	if k > n {
 		k = n
 	}
@@ -297,7 +381,7 @@ func (x *Exec) topKPartition(blk *Block, k int, cols []SortCol, keyOf func(dict.
 	}
 	// setKey computes row i's key for sort column c into slot.
 	setKey := func(slot, i, c int) {
-		s.keys[slot*nc+c] = s.key(blk.cols[cols[c].Col][i])
+		s.keys[slot*nc+c] = s.key(in[c].id(i))
 	}
 
 	// lost remembers, direct-mapped on the ID's low bits, leading-column IDs
@@ -305,9 +389,9 @@ func (x *Exec) topKPartition(blk *Block, k int, cols []SortCol, keyOf func(dict.
 	// moves earlier, so such an ID has lost for good: the rows repeating it
 	// — join output repeats its keys, mostly in runs — are skipped without
 	// computing a key. -1 marks an empty entry (Null is a valid ID).
-	var lead []dict.ID
+	var lead sortColumn
 	if nc > 0 {
-		lead = blk.cols[cols[0].Col]
+		lead = in[0]
 	}
 	var lost [256]int64
 	for i := range lost {
@@ -335,8 +419,10 @@ func (x *Exec) topKPartition(blk *Block, k int, cols []SortCol, keyOf func(dict.
 			}
 			continue
 		}
-		if nc > 0 && int64(lead[i]) == lost[lead[i]&255] {
-			continue
+		if nc > 0 {
+			if id := lead.id(i); int64(id) == lost[id&255] {
+				continue
+			}
 		}
 		// Row i follows every kept row, so it displaces heap[0] only when it
 		// sorts strictly before it; most rows lose on the first column and
@@ -348,7 +434,8 @@ func (x *Exec) topKPartition(blk *Block, k int, cols []SortCol, keyOf func(dict.
 		}
 		if d >= 0 {
 			if d > 0 && c == 1 {
-				lost[lead[i]&255] = int64(lead[i])
+				id := lead.id(i)
+				lost[id&255] = int64(id)
 			}
 			continue
 		}

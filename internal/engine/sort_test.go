@@ -137,6 +137,81 @@ func TestTopKAndOrderByMatchReference(t *testing.T) {
 	}
 }
 
+// TestJoinTopKMatchesTopKOfJoin: JoinTopK must return exactly what TopK
+// returns over JoinWith's output, row for row, ties included, and meter the
+// same shuffled rows, comparisons, output rows and sorted rows — for
+// broadcast and shuffle joins on one or two columns, over random
+// partitionings with heavy duplicates. When UseTopK declines the window it
+// must return the join unsorted and say so.
+func TestJoinTopKMatchesTopKOfJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	taken := 0
+	for trial := 0; trial < 300; trial++ {
+		lschema, rschema := []string{"k", "a", "j"}, []string{"j", "b", "k"}
+		if trial%2 == 0 {
+			rschema = []string{"b", "k"}
+		}
+		domain := 1 + rng.Intn(12)
+		rows := func(arity int) []Row {
+			out := make([]Row, rng.Intn(300))
+			for i := range out {
+				out[i] = make(Row, arity)
+				for j := range out[i] {
+					out[i][j] = dict.ID(rng.Intn(domain))
+				}
+			}
+			return out
+		}
+		l := randomParts(rng, lschema, rows(len(lschema)))
+		r := randomParts(rng, rschema, rows(len(rschema)))
+		outArity := len(lschema) + len(rschema) - 1
+		if trial%2 != 0 {
+			outArity--
+		}
+		cols := make([]SortCol, 1+rng.Intn(3))
+		for i := range cols {
+			cols[i] = SortCol{Col: rng.Intn(outArity), Desc: rng.Intn(2) == 0}
+		}
+		strat := StrategyBroadcast
+		if trial%3 == 0 {
+			strat = StrategyShuffle
+		}
+		k := []int{0, 1, 3, 10, 40}[rng.Intn(5)]
+		parts := 1 + rng.Intn(4)
+
+		var mw, mg Metrics
+		xw := NewCluster(parts).NewExec(&mw)
+		joined := xw.JoinWith(l, r, strat)
+		applies := k > 0 && UseTopK(k, joined.NumRows())
+		var want []Row
+		if applies {
+			want = xw.TopK(joined, k, cols, mixedKey).Rows()
+		}
+		got, applied := NewCluster(parts).NewExec(&mg).JoinTopK(l, r, strat, k, cols, mixedKey)
+		if applied != applies {
+			t.Fatalf("trial %d: JoinTopK applied = %v over %d rows with k = %d", trial, applied, joined.NumRows(), k)
+		}
+		if !applied {
+			if !reflect.DeepEqual(sortedRows(got), sortedRows(joined)) {
+				t.Fatalf("trial %d: declined JoinTopK does not return the join", trial)
+			}
+			continue
+		}
+		taken++
+		if i := firstDiff(got.Rows(), want); i >= 0 {
+			t.Fatalf("trial %d: JoinTopK(%d, %v, %v) differs from TopK of the join at row %d", trial, k, cols, strat, i)
+		}
+		w, g := mw.Snapshot(), mg.Snapshot()
+		if w.RowsShuffled != g.RowsShuffled || w.JoinComparisons != g.JoinComparisons ||
+			w.RowsOutput != g.RowsOutput || w.RowsSorted != g.RowsSorted {
+			t.Fatalf("trial %d: metrics %+v, JoinWith+TopK %+v", trial, g, w)
+		}
+	}
+	if taken < 100 || taken > 250 {
+		t.Errorf("JoinTopK took the top-k in %d of 300 trials; the mix should exercise both outcomes", taken)
+	}
+}
+
 // cancelAfter is a Yielder that cancels its context on the n-th poll and
 // records how many keys the sort had computed by then.
 type cancelAfter struct {

@@ -340,22 +340,15 @@ func (x *Exec) spillProbePairs(sr *spillRuns, probe *Block, pIdx []int) (bsel, p
 }
 
 // spillJoin is the external inner join of one co-partition pair, used by
-// hashJoinPartition when the budget has tripped. ok=false on any file
-// error, in which case the caller falls back to the in-memory join
+// hashJoinPartition when the budget has tripped: it returns the same
+// (build row, probe row) pair vectors as the in-memory probe. ok=false on
+// any file error, in which case the caller falls back to the in-memory join
 // (correctness never depends on the disk).
-func (x *Exec) spillJoin(build, probe *Block, bIdx, pIdx []int, outArity int, swapped bool) (*Block, bool) {
+func (x *Exec) spillJoin(build, probe *Block, bIdx, pIdx []int) (bsel, psel []int32, ok bool) {
 	sr, ok := x.buildSpillRuns(build, bIdx)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	defer sr.close()
-	bsel, psel, ok := x.spillProbePairs(sr, probe, pIdx)
-	if !ok {
-		return nil, false
-	}
-	if swapped {
-		// build is the left input: its columns lead the output.
-		return gatherPairs(build, bsel, probe, keepCols(probe.Arity(), pIdx), psel), true
-	}
-	return gatherPairs(probe, psel, build, keepCols(build.Arity(), bIdx), bsel), true
+	return x.spillProbePairs(sr, probe, pIdx)
 }

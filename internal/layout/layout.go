@@ -7,6 +7,7 @@ package layout
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -73,12 +74,13 @@ type Options struct {
 	BuildOO bool
 	// BuildPT builds the Sempala-style property table.
 	BuildPT bool
-	// BitVectors stores ExtVP reductions as selection bit vectors over the
-	// VP tables instead of materialized row copies — the compact
-	// representation the paper proposes as future work (Sec. 8). One
-	// reduction then costs |VP_p1|/8 bytes, and several reductions of the
-	// same pattern can be intersected with a word-wise AND.
-	BitVectors bool
+	// Materialize stores ExtVP reductions as row copies of their VP rows,
+	// the representation of the paper's evaluation (Sec. 5.2). By default
+	// each reduction is a selection bit vector over its VP table instead —
+	// the compact representation the paper proposes (Sec. 8): one
+	// reduction costs |VP_p1|/8 bytes, and several reductions of the same
+	// pattern can be intersected with a word-wise AND.
+	Materialize bool
 }
 
 // DefaultOptions enables ExtVP with no SF threshold.
@@ -95,11 +97,11 @@ type Dataset struct {
 	// VP maps predicate ID to its two-column table (columns s, o), sorted
 	// by (s, o).
 	VP map[dict.ID]*store.Table
-	// ExtVP holds the materialized semi-join reductions (row copies).
+	// ExtVP holds the semi-join reductions as row copies, when the dataset
+	// was built with Options.Materialize.
 	ExtVP map[ExtKey]*store.Table
-	// ExtBits holds the reductions in bit-vector form when the dataset was
-	// built with Options.BitVectors: bit i marks row i of VP[key.P1].
-	ExtBits map[ExtKey]*bitvec.Bitset
+	// ExtBits holds the reductions in bit-vector form, the default.
+	ExtBits map[ExtKey]*BitTable
 	// Info holds statistics for every candidate ExtVP table (materialized
 	// or not). Missing entries mean the reduction equals VP (SF = 1).
 	Info map[ExtKey]TableInfo
@@ -179,7 +181,7 @@ func newDataset(d *dict.Dict, tt *store.Table, threshold float64) *Dataset {
 		TT:        tt,
 		VP:        make(map[dict.ID]*store.Table),
 		ExtVP:     make(map[ExtKey]*store.Table),
-		ExtBits:   make(map[ExtKey]*bitvec.Bitset),
+		ExtBits:   make(map[ExtKey]*BitTable),
 		Info:      make(map[ExtKey]TableInfo),
 		Threshold: threshold,
 	}
@@ -243,7 +245,7 @@ func (s *semiSets) fill(ds *Dataset, p dict.ID) {
 // Work is split by P2: a worker fills its one set pair from VP[P2] and
 // reduces every VP[P1] against it, so every group scans all VP tables.
 // Every candidate's statistics land in Info; the qualifying reductions are
-// kept as rows, or as bits with opts.BitVectors.
+// kept as bits, or as rows with opts.Materialize.
 func (ds *Dataset) buildExtVP(opts Options) {
 	kinds := []Correlation{SS, OS, SO}
 	if opts.BuildOO {
@@ -262,6 +264,7 @@ func (ds *Dataset) buildExtVP(opts Options) {
 		go func() {
 			defer wg.Done()
 			sets := newSemiSets(ds.Dict.Len())
+			seen := bitvec.New(ds.Dict.Len())
 			for p2 := range next {
 				sets.fill(ds, p2)
 				for _, p1 := range preds {
@@ -272,8 +275,13 @@ func (ds *Dataset) buildExtVP(opts Options) {
 						key := ExtKey{kind, p1, p2}
 						sel, info := ds.reduce(key, sets, opts.Threshold)
 						var tbl *store.Table
-						if info.Materialized && !opts.BitVectors {
+						var bt *BitTable
+						switch {
+						case !info.Materialized:
+						case opts.Materialize:
 							tbl = ds.materialize(key, sel, info.Rows)
+						default:
+							bt = ds.newBitTable(key, sel, seen)
 						}
 						mu.Lock()
 						if info.SF < 1 { // SF = 1 tables are not recorded: VP is used
@@ -281,8 +289,8 @@ func (ds *Dataset) buildExtVP(opts Options) {
 						}
 						if tbl != nil {
 							ds.ExtVP[key] = tbl
-						} else if info.Materialized {
-							ds.ExtBits[key] = sel
+						} else if bt != nil {
+							ds.ExtBits[key] = bt
 						}
 						mu.Unlock()
 					}
@@ -341,6 +349,61 @@ func (ds *Dataset) materialize(key ExtKey, sel *bitvec.Bitset, rows int) *store.
 	return t
 }
 
+// BitTable is one ExtVP reduction in bit-vector form: bit i of Bits marks
+// row i of VP[key.P1]. Beside the bits it carries what the planner reads of
+// a row copy beyond its row count (which Info holds) — its name and the
+// distinct counts of its s and o columns — computed once when the
+// reduction is built or loaded, so a plan over bits equals the plan over
+// the same reduction's rows.
+type BitTable struct {
+	// Name is the reduction's name as plans report it, ExtVPName plus
+	// "[bits]".
+	Name string
+	Bits *bitvec.Bitset
+	// DistinctS and DistinctO count the distinct subjects and objects of
+	// the selected rows.
+	DistinctS, DistinctO int
+}
+
+// DistinctOf returns the selected rows' distinct count of column "s" or
+// "o", and 0 (unknown) for any other name, like store.Table.DistinctOf.
+func (bt *BitTable) DistinctOf(col string) int {
+	switch col {
+	case "s":
+		return bt.DistinctS
+	case "o":
+		return bt.DistinctO
+	}
+	return 0
+}
+
+// newBitTable wraps sel, the reduction of VP[key.P1], into a BitTable. seen
+// is scratch over the dictionary's IDs; it must be clear on entry and is
+// clear again on return.
+func (ds *Dataset) newBitTable(key ExtKey, sel, seen *bitvec.Bitset) *BitTable {
+	vp := ds.VP[key.P1]
+	scol, ocol := vp.Data[0], vp.Data[1]
+	bt := &BitTable{Name: ExtVPName(ds.Dict, key) + "[bits]", Bits: sel}
+	// VP is sorted by s, so the selected rows' distinct subjects are their
+	// value runs; objects are collected in seen.
+	prev := -1
+	for w, word := range sel.Words() {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			if s := int(scol[i]); s != prev {
+				bt.DistinctS++
+				prev = s
+			}
+			if o := int(ocol[i]); !seen.Get(o) {
+				seen.Set(o)
+				bt.DistinctO++
+			}
+		}
+	}
+	seen.Reset()
+	return bt
+}
+
 // ExtInfo returns the statistics for an ExtVP candidate table. When the
 // table was never computed (reduction equals VP) it reports SF = 1.
 func (ds *Dataset) ExtInfo(key ExtKey) TableInfo {
@@ -380,7 +443,7 @@ type SizeSummary struct {
 	ExtTuples   int // total tuples across materialized ExtVP tables
 	TotalTuples int // VP + ExtVP tuples
 	// ExtBitBytes is the in-memory size of the bit-vector representation
-	// (0 unless built with Options.BitVectors).
+	// (0 when built with Options.Materialize).
 	ExtBitBytes int
 }
 
@@ -410,8 +473,8 @@ func (ds *Dataset) Sizes() SizeSummary {
 	}
 	s.ExtEqualVP = candidates - counted
 	s.TotalTuples = s.Triples + s.ExtTuples
-	for _, bits := range ds.ExtBits {
-		s.ExtBitBytes += bits.Bytes()
+	for _, bt := range ds.ExtBits {
+		s.ExtBitBytes += bt.Bits.Bytes()
 	}
 	return s
 }

@@ -22,6 +22,13 @@ func g1() []rdf.Triple {
 	}
 }
 
+// materialized is DefaultOptions with the reductions kept as row copies.
+func materialized() Options {
+	opts := DefaultOptions()
+	opts.Materialize = true
+	return opts
+}
+
 func buildG1(t *testing.T, opts Options) *Dataset {
 	t.Helper()
 	return Build(g1(), opts)
@@ -53,7 +60,7 @@ func TestBuildVPFromG1(t *testing.T) {
 // TestExtVPMatchesPaperFigure10 checks every table of the worked example in
 // Fig. 10 of the paper.
 func TestExtVPMatchesPaperFigure10(t *testing.T) {
-	ds := buildG1(t, DefaultOptions())
+	ds := buildG1(t, materialized())
 	f, l := pid(ds, "follows"), pid(ds, "likes")
 
 	cases := []struct {
@@ -117,7 +124,7 @@ func TestExtVPSelfSSNotBuilt(t *testing.T) {
 func TestExtVPThreshold(t *testing.T) {
 	// With threshold 0.5, tables with SF >= 0.5 must not be materialized
 	// but their stats must survive.
-	ds := buildG1(t, Options{BuildExtVP: true, Threshold: 0.5})
+	ds := buildG1(t, Options{BuildExtVP: true, Threshold: 0.5, Materialize: true})
 	f, l := pid(ds, "follows"), pid(ds, "likes")
 
 	if _, ok := ds.ExtVP[ExtKey{SO, f, f}]; ok { // SF = 0.75
@@ -268,7 +275,7 @@ func TestEncodeSortsByPredicate(t *testing.T) {
 // (paper Sec. 5.2): VP_p1 ⋈ VP_p2 = ExtVP_p1|p2 ⋈ ExtVP_p2|p1 for the
 // matching correlation pair.
 func TestExtVPJoinEquivalence(t *testing.T) {
-	ds := buildG1(t, DefaultOptions())
+	ds := buildG1(t, materialized())
 	f, l := pid(ds, "follows"), pid(ds, "likes")
 
 	// OS join: follows.o = likes.s.

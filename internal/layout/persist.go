@@ -37,8 +37,9 @@ type metaEntry struct {
 	P1   string `json:"p1"`
 	P2   string `json:"p2"`
 	Rows int    `json:"rows"`
-	// BitVec marks reductions stored as bit vectors (Options.BitVectors);
-	// the bits live in a companion "...#bits" table of split uint64 words.
+	// BitVec marks reductions stored as bit vectors (the default; see
+	// Options.Materialize); the bits live in a companion "...#bits" table
+	// of split uint64 words.
 	BitVec bool `json:"bitvec,omitempty"`
 }
 
@@ -87,9 +88,9 @@ func Save(ds *Dataset, dir string) error {
 			P2:   string(ds.Dict.Decode(key.P2)),
 			Rows: ds.Info[key].Rows,
 		}
-		if bits, ok := ds.ExtBits[key]; ok {
+		if bt, ok := ds.ExtBits[key]; ok {
 			entry.BitVec = true
-			if err := d.SaveTable(bitsToTable(ExtVPName(ds.Dict, key)+"#bits", bits)); err != nil {
+			if err := d.SaveTable(bitsToTable(ExtVPName(ds.Dict, key)+"#bits", bt.Bits)); err != nil {
 				return err
 			}
 		} else if tbl := ds.ExtVP[key]; tbl != nil {
@@ -110,14 +111,16 @@ func Save(ds *Dataset, dir string) error {
 }
 
 // Load reads a dataset previously written by Save, slicing VP out of TT
-// exactly as Build does. A damaged file, or statistics in meta.json that
-// disagree with the tables, report an error wrapping store.ErrCorrupt. The
-// property table is rebuilt from the VP tables when withPT is true.
+// exactly as Build does, and serves every reduction in the representation
+// it was saved in. A damaged file, or statistics in meta.json that disagree
+// with the tables, report an error wrapping store.ErrCorrupt. The property
+// table is rebuilt from the VP tables when withPT is true.
 func Load(dir string, withPT bool) (*Dataset, error) {
 	d, ds, files, err := readSchema(dir)
 	if err != nil {
 		return nil, err
 	}
+	seen := bitvec.New(ds.Dict.Len()) // newBitTable's scratch
 	for _, f := range files {
 		tbl, err := d.LoadTable(f.table)
 		if err != nil {
@@ -129,7 +132,7 @@ func Load(dir string, withPT bool) (*Dataset, error) {
 			if err != nil {
 				return nil, err
 			}
-			ds.ExtBits[f.key], rows = bits, bits.Count()
+			ds.ExtBits[f.key], rows = ds.newBitTable(f.key, bits, seen), bits.Count()
 		} else {
 			ds.ExtVP[f.key] = tbl
 		}
@@ -242,7 +245,9 @@ func bitsToTable(name string, bits *bitvec.Bitset) *store.Table {
 }
 
 // tableToBits reverses bitsToTable; n is the bitset length (the base VP
-// table's row count), which fixes the number of words.
+// table's row count), which fixes the number of words. A set bit at or past
+// n is corruption: Count would include it while scans, bounded by the VP
+// rows, never see it.
 func tableToBits(t *store.Table, n int) (*bitvec.Bitset, error) {
 	if t.NumRows() != (n+63)/64 {
 		return nil, corrupt("%s has %d words for %d rows", t.Name, t.NumRows(), n)
@@ -250,6 +255,9 @@ func tableToBits(t *store.Table, n int) (*bitvec.Bitset, error) {
 	words := make([]uint64, t.NumRows())
 	for i := range words {
 		words[i] = uint64(t.Data[0][i]) | uint64(t.Data[1][i])<<32
+	}
+	if tail := n & 63; tail != 0 && words[len(words)-1]>>tail != 0 {
+		return nil, corrupt("%s sets bits past its %d rows", t.Name, n)
 	}
 	return bitvec.FromWords(n, words), nil
 }

@@ -13,13 +13,14 @@ import (
 	"testing"
 
 	"s2rdf/internal/bitvec"
+	"s2rdf/internal/dict"
 	"s2rdf/internal/rdf"
 	"s2rdf/internal/store"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	ds := Build(g1(), DefaultOptions())
+	ds := Build(g1(), materialized())
 	if err := Save(ds, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // Save/Load round trip on every kind of table (TT, VP, ExtVP).
 func TestSaveLoadScanStatistics(t *testing.T) {
 	dir := t.TempDir()
-	ds := Build(g1(), DefaultOptions())
+	ds := Build(g1(), materialized())
 	if err := Save(ds, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +111,7 @@ func TestSaveLoadScanStatistics(t *testing.T) {
 
 func TestSaveLoadBitVectors(t *testing.T) {
 	dir := t.TempDir()
-	opts := DefaultOptions()
-	opts.BitVectors = true
-	ds := Build(g1(), opts)
+	ds := Build(g1(), DefaultOptions())
 	if len(ds.ExtBits) == 0 {
 		t.Fatal("no bitsets built")
 	}
@@ -126,9 +125,18 @@ func TestSaveLoadBitVectors(t *testing.T) {
 	if len(got.ExtBits) != len(ds.ExtBits) {
 		t.Fatalf("bitsets = %d, want %d", len(got.ExtBits), len(ds.ExtBits))
 	}
-	for key, bits := range ds.ExtBits {
-		g := got.ExtBits[key]
-		if g == nil || g.Len() != bits.Len() || g.Count() != bits.Count() {
+	for key, bt := range ds.ExtBits {
+		gt := got.ExtBits[key]
+		if gt == nil {
+			t.Fatalf("%v: bitset missing", key)
+		}
+		// Name and distinct counts are derived again at Load.
+		if gt.Name != bt.Name || gt.DistinctS != bt.DistinctS || gt.DistinctO != bt.DistinctO {
+			t.Fatalf("%v: loaded %s NDV %d/%d, built %s NDV %d/%d", key,
+				gt.Name, gt.DistinctS, gt.DistinctO, bt.Name, bt.DistinctS, bt.DistinctO)
+		}
+		g, bits := gt.Bits, bt.Bits
+		if g.Len() != bits.Len() || g.Count() != bits.Count() {
 			t.Fatalf("%v: bitset mismatch", key)
 		}
 		for i := 0; i < bits.Len(); i++ {
@@ -225,7 +233,7 @@ func TestLoadMetaMismatch(t *testing.T) {
 		opts Options
 		edit func(t *testing.T, dir string, ds *Dataset, meta *metaFile)
 	}{
-		"edited rows": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
+		"edited rows": {materialized(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
 			for key := range ds.ExtVP {
 				for i, e := range meta.Ext {
 					if e.Kind == key.Kind.String() && e.P1 == string(ds.Dict.Decode(key.P1)) && e.P2 == string(ds.Dict.Decode(key.P2)) {
@@ -236,13 +244,43 @@ func TestLoadMetaMismatch(t *testing.T) {
 			}
 			t.Fatal("no materialized entry")
 		}},
-		"truncated bits": {Options{BuildExtVP: true, BitVectors: true}, func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
+		"truncated bits": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
 			for key := range ds.ExtBits {
 				if err := store.Open(dir).SaveTable(store.NewTable(ExtVPName(ds.Dict, key)+"#bits", "lo", "hi")); err != nil {
 					t.Fatal(err)
 				}
 				break
 			}
+		}},
+		"stray bit past the rows": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
+			// Move one set bit of a reduction past its VP's last row: the
+			// popcount still matches meta.json, but a scan would see one
+			// row fewer than SelRows claims.
+			for key, bt := range ds.ExtBits {
+				n := bt.Bits.Len()
+				if n%64 == 0 {
+					continue
+				}
+				name := ExtVPName(ds.Dict, key) + "#bits"
+				d := store.Open(dir)
+				tbl, err := d.LoadTable(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				last := len(tbl.Data[0]) - 1
+				w := uint64(tbl.Data[0][last]) | uint64(tbl.Data[1][last])<<32
+				if w == 0 {
+					continue
+				}
+				w &= w - 1         // clear the lowest set bit
+				w |= 1 << (n % 64) // set the first bit past row n-1
+				tbl.Data[0][last], tbl.Data[1][last] = dict.ID(w), dict.ID(w>>32)
+				if err := d.SaveTable(tbl); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			t.Fatal("no reduction with a set bit in a partial last word")
 		}},
 		"unknown predicate": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
 			// A term of the dictionary that is no predicate: TT has no run.
@@ -314,9 +352,7 @@ func TestLoadCorruptMetaBitFlips(t *testing.T) { testLoadBitFlips(t, metaName) }
 func TestLoadCorruptDictBitFlips(t *testing.T) { testLoadBitFlips(t, dictName) }
 
 func testLoadBitFlips(t *testing.T, name string) {
-	bitVectors := DefaultOptions()
-	bitVectors.BitVectors = true
-	for _, opts := range []Options{DefaultOptions(), bitVectors} {
+	for _, opts := range []Options{materialized(), DefaultOptions()} {
 		dir := t.TempDir()
 		if err := Save(Build(g1(), opts), dir); err != nil {
 			t.Fatal(err)
@@ -334,8 +370,8 @@ func testLoadBitFlips(t *testing.T, name string) {
 			}
 			ds, err := Load(dir, false)
 			if !errors.Is(err, store.ErrCorrupt) || ds != nil {
-				t.Fatalf("BitVectors=%v, %s byte %d flipped: Load = %v, %v; want store.ErrCorrupt and no dataset",
-					opts.BitVectors, name, i, ds != nil, err)
+				t.Fatalf("Materialize=%v, %s byte %d flipped: Load = %v, %v; want store.ErrCorrupt and no dataset",
+					opts.Materialize, name, i, ds != nil, err)
 			}
 		}
 	}

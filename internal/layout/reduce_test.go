@@ -108,14 +108,15 @@ func vpRows(ds *Dataset, p dict.ID, rows []int) [][2]dict.ID {
 
 // TestReduceMatchesNaiveSemiJoin checks every candidate reduction of the
 // builds (materialized, bit vectors, threshold 0.5) against the map-based
-// reference, on random graphs.
+// reference, on random graphs. A bit-vector reduction's distinct counts must
+// equal those of the reference rows, as a row copy's Finalize counts them.
 func TestReduceMatchesNaiveSemiJoin(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := randomGraph(seed)
 		builds := map[string]Options{
-			"materialized": {BuildExtVP: true, BuildOO: true},
-			"bitvectors":   {BuildExtVP: true, BuildOO: true, BitVectors: true},
-			"threshold0.5": {BuildExtVP: true, BuildOO: true, Threshold: 0.5},
+			"materialized": {BuildExtVP: true, BuildOO: true, Materialize: true},
+			"bitvectors":   {BuildExtVP: true, BuildOO: true},
+			"threshold0.5": {BuildExtVP: true, BuildOO: true, Threshold: 0.5, Materialize: true},
 		}
 		for name, opts := range builds {
 			ds := Build(g, opts)
@@ -128,13 +129,14 @@ func TestReduceMatchesNaiveSemiJoin(t *testing.T) {
 				if got := ds.ExtInfo(key); got != want {
 					t.Fatalf("seed %d %s %v: info %+v, want %+v", seed, name, key, got, want)
 				}
-				tbl, bits := ds.ExtVP[key], ds.ExtBits[key]
+				tbl, bt := ds.ExtVP[key], ds.ExtBits[key]
 				switch {
 				case !want.Materialized:
-					if tbl != nil || bits != nil {
+					if tbl != nil || bt != nil {
 						t.Fatalf("seed %d %s %v: unqualified reduction stored", seed, name, key)
 					}
-				case opts.BitVectors:
+				case !opts.Materialize:
+					bits := bt.Bits
 					var got []int
 					for i := 0; i < bits.Len(); i++ {
 						if bits.Get(i) {
@@ -144,9 +146,18 @@ func TestReduceMatchesNaiveSemiJoin(t *testing.T) {
 					if bits.Len() != ds.VP[key.P1].NumRows() || !reflect.DeepEqual(got, rows) || tbl != nil {
 						t.Fatalf("seed %d %s %v: bits %v, want %v", seed, name, key, got, rows)
 					}
+					ref := store.NewTable("ref", "s", "o")
+					for _, r := range vpRows(ds, key.P1, rows) {
+						ref.Append(r[0], r[1])
+					}
+					ref.Finalize()
+					if bt.DistinctOf("s") != ref.DistinctOf("s") || bt.DistinctOf("o") != ref.DistinctOf("o") {
+						t.Fatalf("seed %d %s %v: NDV %d/%d, want %d/%d", seed, name, key,
+							bt.DistinctS, bt.DistinctO, ref.DistinctOf("s"), ref.DistinctOf("o"))
+					}
 				default:
 					got, want := tableRows(tbl), vpRows(ds, key.P1, rows)
-					if !reflect.DeepEqual(got, want) || bits != nil {
+					if !reflect.DeepEqual(got, want) || bt != nil {
 						t.Fatalf("seed %d %s %v: rows %v, want %v", seed, name, key, got, want)
 					}
 				}

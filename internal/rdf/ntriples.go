@@ -157,24 +157,26 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // Prefixes maps prefix labels to IRI namespace strings.
 type Prefixes map[string]string
 
-// CommonPrefixes returns the prefix table used by the WatDiv workloads and
-// examples in the paper.
-func CommonPrefixes() Prefixes {
-	return Prefixes{
-		"rdf":   "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
-		"rdfs":  "http://www.w3.org/2000/01/rdf-schema#",
-		"xsd":   "http://www.w3.org/2001/XMLSchema#",
-		"foaf":  "http://xmlns.com/foaf/",
-		"dc":    "http://purl.org/dc/terms/",
-		"gr":    "http://purl.org/goodrelations/",
-		"gn":    "http://www.geonames.org/ontology#",
-		"mo":    "http://purl.org/ontology/mo/",
-		"og":    "http://ogp.me/ns#",
-		"rev":   "http://purl.org/stuff/rev#",
-		"sorg":  "http://schema.org/",
-		"wsdbm": "http://db.uwaterloo.ca/~galuc/wsdbm/",
-	}
+// commonPrefixes is the one shared table CommonPrefixes returns, built once.
+var commonPrefixes = Prefixes{
+	"rdf":   "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
+	"rdfs":  "http://www.w3.org/2000/01/rdf-schema#",
+	"xsd":   "http://www.w3.org/2001/XMLSchema#",
+	"foaf":  "http://xmlns.com/foaf/",
+	"dc":    "http://purl.org/dc/terms/",
+	"gr":    "http://purl.org/goodrelations/",
+	"gn":    "http://www.geonames.org/ontology#",
+	"mo":    "http://purl.org/ontology/mo/",
+	"og":    "http://ogp.me/ns#",
+	"rev":   "http://purl.org/stuff/rev#",
+	"sorg":  "http://schema.org/",
+	"wsdbm": "http://db.uwaterloo.ca/~galuc/wsdbm/",
 }
+
+// CommonPrefixes returns the prefix table used by the WatDiv workloads and
+// examples in the paper. The table is shared and read-only: a caller that
+// needs to add prefixes clones it first (maps.Clone).
+func CommonPrefixes() Prefixes { return commonPrefixes }
 
 // Expand resolves a prefixed name like "wsdbm:follows" to a full IRI term.
 // It returns ok=false when the prefix is unknown.

@@ -263,9 +263,7 @@ func TestDifferentialBitVectors(t *testing.T) {
 		src := bgpToQuery(bgp)
 		want := CanonAll(EvalBGP(triples, bgp))
 
-		opts := layout.DefaultOptions()
-		opts.BitVectors = true
-		ds := layout.Build(triples, opts)
+		ds := layout.Build(triples, layout.DefaultOptions())
 
 		for _, unify := range []bool{false, true} {
 			e := core.New(ds, core.ModeExtVP)
@@ -292,9 +290,7 @@ func TestUnificationNeverScansMore(t *testing.T) {
 		bgp := randBGP(rng)
 		src := bgpToQuery(bgp)
 
-		opts := layout.DefaultOptions()
-		opts.BitVectors = true
-		ds := layout.Build(triples, opts)
+		ds := layout.Build(triples, layout.DefaultOptions())
 
 		plain := core.New(ds, core.ModeExtVP)
 		unified := core.New(ds, core.ModeExtVP)

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"maps"
 	"regexp"
 	"strings"
 
@@ -10,7 +11,8 @@ import (
 
 // Parse parses a SPARQL SELECT query. The common WatDiv prefixes (wsdbm,
 // sorg, gr, ...) are predeclared; PREFIX declarations in the query extend
-// or override them.
+// or override them in a copy of that shared table, made only for queries
+// that declare one.
 func Parse(src string) (*Query, error) {
 	p := &parser{lex: newLexer(src), src: src, prefixes: rdf.CommonPrefixes()}
 	if err := p.advance(); err != nil {
@@ -72,8 +74,10 @@ func (p *parser) expectPunct(s string) error {
 }
 
 func (p *parser) parseQuery() (*Query, error) {
-	q := &Query{Prefixes: p.prefixes, Limit: -1}
-	// Prologue.
+	q := &Query{Limit: -1}
+	// Prologue. The predeclared table is shared, so the first PREFIX
+	// declaration switches to a private copy.
+	cloned := false
 	for p.acceptIdent("PREFIX") {
 		if p.tok.kind != tokPName {
 			return nil, p.errorf("expected prefix name, got %s", p.tok)
@@ -85,11 +89,15 @@ func (p *parser) parseQuery() (*Query, error) {
 		if p.tok.kind != tokIRI {
 			return nil, p.errorf("expected IRI after PREFIX %s:", name)
 		}
+		if !cloned {
+			p.prefixes, cloned = maps.Clone(p.prefixes), true
+		}
 		p.prefixes[name] = p.tok.text
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 	}
+	q.Prefixes = p.prefixes
 	switch {
 	case p.acceptIdent("SELECT"):
 		if p.acceptIdent("DISTINCT") {

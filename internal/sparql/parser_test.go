@@ -50,6 +50,38 @@ func TestParsePrefixedNames(t *testing.T) {
 	}
 }
 
+// TestParsePrefixDoesNotLeak checks that a PREFIX declared by one query —
+// new or overriding a predeclared one — is invisible to the next parse,
+// while the first query keeps its declarations in Query.Prefixes.
+func TestParsePrefixDoesNotLeak(t *testing.T) {
+	first, err := Parse(`
+		PREFIX ex: <http://example.org/>
+		PREFIX wsdbm: <http://other.example/>
+		SELECT ?v0 WHERE { ?v0 ex:knows wsdbm:User3 . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(`SELECT ?v0 WHERE { ?v0 ex:knows ?v1 . }`); err == nil {
+		t.Error("ex: declared by an earlier query resolved in a later one")
+	}
+	next, err := Parse(`SELECT ?v0 WHERE { ?v0 wsdbm:follows wsdbm:User3 . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := next.Where.Triples[0].O.Term, rdf.NewIRI("http://db.uwaterloo.ca/~galuc/wsdbm/User3"); got != want {
+		t.Errorf("later query's wsdbm:User3 = %q, want the predeclared %q", got, want)
+	}
+	if got := rdf.CommonPrefixes()["wsdbm"]; got != "http://db.uwaterloo.ca/~galuc/wsdbm/" {
+		t.Errorf("shared table's wsdbm = %q after an overriding PREFIX", got)
+	}
+	if first.Prefixes["ex"] != "http://example.org/" || first.Prefixes["wsdbm"] != "http://other.example/" {
+		t.Errorf("first query's Prefixes lost its declarations: %v", first.Prefixes)
+	}
+	if next.Prefixes["ex"] != "" {
+		t.Errorf("later query's Prefixes holds ex: %q", next.Prefixes["ex"])
+	}
+}
+
 func TestParseWatDivS3(t *testing.T) {
 	// Real template from the paper's Appendix A (placeholder instantiated).
 	q, err := Parse(`SELECT ?v0 ?v2 ?v3 ?v4 WHERE {

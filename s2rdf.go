@@ -129,14 +129,18 @@ type Options struct {
 	// JoinOrderOptimization toggles the size-driven join ordering of the
 	// paper's Algorithm 4 (on by default via Load).
 	JoinOrderOptimization bool
-	// BitVectors stores ExtVP reductions as bit vectors over the VP tables
-	// instead of materialized copies — the compact representation the
-	// paper proposes as future work (Sec. 8). Cuts the ExtVP storage
-	// overhead from O(tuples) to |VP|/8 bytes per reduction.
-	BitVectors bool
+	// MaterializeExtVP stores each ExtVP reduction as a copy of its VP
+	// rows, the representation of the paper's evaluation (Sec. 5.2). By
+	// default a reduction is a bit vector over its VP table instead — the
+	// compact representation the paper proposes (Sec. 8), |VP|/8 bytes per
+	// reduction rather than 8 bytes per tuple. Both answer, plan and meter
+	// rows scanned alike. Open serves a saved store as it was saved and
+	// ignores this field.
+	MaterializeExtVP bool
 	// UnifyCorrelations additionally intersects all applicable reductions
-	// per triple pattern (requires BitVectors) — the paper's proposed
-	// unification strategy, giving strictly better input selectivity.
+	// per triple pattern — the paper's proposed unification strategy,
+	// giving strictly better input selectivity. It needs bit-vector
+	// reductions, so it has no effect with MaterializeExtVP.
 	UnifyCorrelations bool
 }
 
@@ -155,10 +159,10 @@ type Store struct {
 // Load builds a store from triples.
 func Load(triples []Triple, opts Options) *Store {
 	lopts := layout.Options{
-		Threshold:  opts.Threshold,
-		BuildExtVP: !opts.DisableExtVP,
-		BuildPT:    opts.BuildPropertyTable,
-		BitVectors: opts.BitVectors,
+		Threshold:   opts.Threshold,
+		BuildExtVP:  !opts.DisableExtVP,
+		BuildPT:     opts.BuildPropertyTable,
+		Materialize: opts.MaterializeExtVP,
 	}
 	return newStore(layout.Build(triples, lopts), opts)
 }
