@@ -71,6 +71,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   s2rdf load  -in data.nt -store DIR [-threshold T] [-novp] [-materialize]
+              (DIR gets dict.txt, TT.tbl and manifest.json; opening the
+              store rebuilds VP and ExtVP from them with these options)
   s2rdf query -store DIR [-mode ExtVP|VP|TT|PT] [-explain]
               [-cheap-threshold N] [-mem-budget BYTES] 'SPARQL'
   s2rdf serve -store DIR [-stores NAME=DIR,...] [-addr :8080]
@@ -89,7 +91,7 @@ func cmdLoad(args []string) {
 	dir := fs.String("store", "", "store directory")
 	threshold := fs.Float64("threshold", 0, "SF threshold (outside (0,1) = keep all useful tables)")
 	noExt := fs.Bool("novp", false, "skip ExtVP preprocessing (plain VP store)")
-	materialize := fs.Bool("materialize", false, "store ExtVP reductions as row copies (the paper's evaluation) instead of bit vectors (Sec. 8): slower to build, larger to keep")
+	materialize := fs.Bool("materialize", false, "store ExtVP reductions as row copies (the paper's evaluation) instead of bit vectors (Sec. 8): slower to build and open, larger in memory")
 	fs.Parse(args)
 	if *in == "" || *dir == "" {
 		fs.Usage()

@@ -6,9 +6,12 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,7 +37,7 @@ const (
 	OO
 )
 
-// correlationNames holds each correlation's name in table names and meta.json.
+// correlationNames holds each correlation's name as table names use it.
 var correlationNames = [...]string{SS: "SS", OS: "OS", SO: "SO", OO: "OO"}
 
 // String returns the correlation name as used in table names.
@@ -109,8 +112,9 @@ type Dataset struct {
 	PT *PropertyTable
 	// Predicates lists all predicate IDs, sorted.
 	Predicates []dict.ID
-	// Threshold is the SF threshold the ExtVP tables were built with.
-	Threshold float64
+	// Options are the options the dataset was built with, its threshold
+	// folded into (0, 1]. Save records them, and Load builds with them.
+	Options Options
 }
 
 // NumTriples returns the dataset size |G|.
@@ -154,38 +158,32 @@ func Encode(triples []rdf.Triple, d *dict.Dict) *store.Table {
 	return tt
 }
 
-// BuildEncoded constructs a dataset from an already-encoded triples table.
+// BuildEncoded constructs a dataset from an already-encoded triples table,
+// sorted by (p, s, o) and holding only IDs of d.
 func BuildEncoded(tt *store.Table, d *dict.Dict, opts Options) *Dataset {
 	// A reduction qualifies only with fewer rows than its VP table, so
 	// every threshold above 1 keeps what 1 keeps. Folding those, and
-	// non-positive or NaN values, to 1 leaves a finite threshold that
-	// meta.json can record.
+	// non-positive or NaN values, to 1 leaves a finite threshold that the
+	// manifest can record.
 	if !(opts.Threshold > 0 && opts.Threshold < 1) {
 		opts.Threshold = 1.0
 	}
-	ds := newDataset(d, tt, opts.Threshold)
+	ds := &Dataset{
+		Dict:    d,
+		TT:      tt,
+		VP:      make(map[dict.ID]*store.Table),
+		ExtVP:   make(map[ExtKey]*store.Table),
+		ExtBits: make(map[ExtKey]*BitTable),
+		Info:    make(map[ExtKey]TableInfo),
+		Options: opts,
+	}
+	ds.buildVP()
 	if opts.BuildExtVP {
-		ds.buildExtVP(opts)
+		ds.buildExtVP()
 	}
 	if opts.BuildPT {
 		ds.PT = buildPT(ds)
 	}
-	return ds
-}
-
-// newDataset returns a dataset over tt with VP sliced out of it and no
-// ExtVP reductions yet: the state Build and Load share.
-func newDataset(d *dict.Dict, tt *store.Table, threshold float64) *Dataset {
-	ds := &Dataset{
-		Dict:      d,
-		TT:        tt,
-		VP:        make(map[dict.ID]*store.Table),
-		ExtVP:     make(map[ExtKey]*store.Table),
-		ExtBits:   make(map[ExtKey]*BitTable),
-		Info:      make(map[ExtKey]TableInfo),
-		Threshold: threshold,
-	}
-	ds.buildVP()
 	return ds
 }
 
@@ -214,46 +212,109 @@ func (ds *Dataset) buildVP() {
 	sort.Slice(ds.Predicates, func(i, j int) bool { return ds.Predicates[i] < ds.Predicates[j] })
 }
 
-// semiSets holds the subject and object sets of one predicate P2 as bitsets
-// over the dictionary's dense ID range: the probe side of every semi-join
-// VP[P1] ⋉ VP[P2]. One pair is reused for every P2 in turn, so set memory
-// is 2 × ⌈|dict|/64⌉ words per pair however many predicates there are.
-type semiSets struct {
-	subjects, objects *bitvec.Bitset
+// termPreds indexes which predicates each term occurs with: for term v,
+// subj[subjOff[v]:subjOff[v+1]] lists, ascending, the positions in
+// Predicates of the predicates that have v as a subject, and obj those that
+// have it as an object. It holds at most 2|G| entries however many
+// predicates there are.
+type termPreds struct {
+	subjOff, objOff []int
+	subj, obj       []int32
 }
 
-func newSemiSets(n int) *semiSets {
-	return &semiSets{subjects: bitvec.New(n), objects: bitvec.New(n)}
+func newTermPreds(ds *Dataset) *termPreds {
+	tp := &termPreds{}
+	tp.subjOff, tp.subj = ds.postings(0)
+	tp.objOff, tp.obj = ds.postings(1)
+	return tp
 }
 
-// fill makes the sets hold VP[p]'s subjects and objects.
-func (s *semiSets) fill(ds *Dataset, p dict.ID) {
-	s.subjects.Reset()
-	s.objects.Reset()
-	vp := ds.VP[p]
-	for _, v := range vp.Data[0] {
-		s.subjects.Set(int(v))
+// postings returns the CSR over the dictionary's IDs of the predicates
+// whose VP column col holds each term, one entry per (term, predicate).
+func (ds *Dataset) postings(col int) (off []int, vals []int32) {
+	n := ds.Dict.Len()
+	off = make([]int, n+1)
+	last := make([]int32, n) // 1 + the position of the predicate v was last counted for
+	for j, p := range ds.Predicates {
+		for _, v := range ds.VP[p].Data[col] {
+			if last[v] != int32(j+1) {
+				last[v] = int32(j + 1)
+				off[v+1]++
+			}
+		}
 	}
-	for _, v := range vp.Data[1] {
-		s.objects.Set(int(v))
+	for v := range n {
+		off[v+1] += off[v]
 	}
+	vals = make([]int32, off[n])
+	clear(last)
+	// off[v] serves as v's fill cursor, which leaves it at v's end, the
+	// start of v+1: shifting by one restores the starts.
+	for j, p := range ds.Predicates {
+		for _, v := range ds.VP[p].Data[col] {
+			if last[v] != int32(j+1) {
+				last[v] = int32(j + 1)
+				vals[off[v]] = int32(j)
+				off[v]++
+			}
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return off, vals
 }
 
-// buildExtVP computes the semi-join reductions of every VP table pair for
-// the SS, OS and SO correlations (and OO when requested), in parallel.
-// This is the preprocessing the paper performs at load time (Sec. 5.2).
-// Work is split by P2: a worker fills its one set pair from VP[P2] and
-// reduces every VP[P1] against it, so every group scans all VP tables.
+// marks walks vp = VP[P1] once and returns its candidate selections: slot
+// k*len(Predicates)+j marks the rows of vp whose kinds[k] join value occurs
+// in the matching column of VP[Predicates[j]]. A nil slot marks no row.
+func (tp *termPreds) marks(vp *store.Table, kinds []Correlation, np int) []*bitvec.Bitset {
+	sels := make([]*bitvec.Bitset, len(kinds)*np)
+	n := vp.NumRows()
+	for i, s := range vp.Data[0] {
+		o := vp.Data[1][i]
+		for k, kind := range kinds {
+			v, off, list := s, tp.subjOff, tp.subj
+			if kind == OS || kind == OO {
+				v = o
+			}
+			if kind == SO || kind == OO {
+				off, list = tp.objOff, tp.obj
+			}
+			for _, j := range list[off[v]:off[v+1]] {
+				sel := &sels[k*np+int(j)]
+				if *sel == nil {
+					*sel = bitvec.New(n)
+				}
+				(*sel).Set(i)
+			}
+		}
+	}
+	return sels
+}
+
+// buildExtVP computes the semi-join reductions VP[P1] ⋉ VP[P2] of every
+// predicate pair for the SS, OS and SO correlations (and OO when
+// requested), in parallel. This is the preprocessing the paper performs at
+// load time (Sec. 5.2). One pass over TT indexes the predicates of every
+// term; a worker then takes one P1 and walks VP[P1] once, marking each row
+// in the candidates of the predicates its subject and object occur with.
 // Every candidate's statistics land in Info; the qualifying reductions are
-// kept as bits, or as rows with opts.Materialize.
-func (ds *Dataset) buildExtVP(opts Options) {
+// kept as bits, or as rows with Options.Materialize. The index and the
+// candidate scratch are dropped when buildExtVP returns.
+func (ds *Dataset) buildExtVP() {
 	kinds := []Correlation{SS, OS, SO}
-	if opts.BuildOO {
+	if ds.Options.BuildOO {
 		kinds = append(kinds, OO)
 	}
+	tp := newTermPreds(ds)
 	preds := ds.Predicates
-	next := make(chan dict.ID, len(preds))
-	for _, p := range preds {
+	// Largest VP first, so the last P1 a worker takes is a short one.
+	order := slices.Clone(preds)
+	slices.SortStableFunc(order, func(a, b dict.ID) int {
+		return cmp.Compare(ds.VP[b].NumRows(), ds.VP[a].NumRows())
+	})
+	next := make(chan dict.ID, len(order))
+	for _, p := range order {
 		next <- p
 	}
 	close(next)
@@ -263,63 +324,45 @@ func (ds *Dataset) buildExtVP(opts Options) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sets := newSemiSets(ds.Dict.Len())
-			seen := bitvec.New(ds.Dict.Len())
-			for p2 := range next {
-				sets.fill(ds, p2)
-				for _, p1 := range preds {
-					for _, kind := range kinds {
+			seen := bitvec.New(ds.Dict.Len()) // newBitTable's scratch
+			for p1 := range next {
+				n := ds.VP[p1].NumRows()
+				sels := tp.marks(ds.VP[p1], kinds, len(preds))
+				info := make(map[ExtKey]TableInfo)
+				tables := make(map[ExtKey]*store.Table)
+				bitTables := make(map[ExtKey]*BitTable)
+				for k, kind := range kinds {
+					for j, p2 := range preds {
 						if p1 == p2 && (kind == SS || kind == OO) {
 							continue // SS and OO of a predicate with itself reduce to VP
 						}
 						key := ExtKey{kind, p1, p2}
-						sel, info := ds.reduce(key, sets, opts.Threshold)
-						var tbl *store.Table
-						var bt *BitTable
+						sel, rows := sels[k*len(preds)+j], 0
+						if sel != nil {
+							rows = sel.Count()
+						}
+						ti := tableInfo(rows, n, ds.Options.Threshold)
 						switch {
-						case !info.Materialized:
-						case opts.Materialize:
-							tbl = ds.materialize(key, sel, info.Rows)
+						case ti.SF == 1: // not recorded: VP is used
+							continue
+						case !ti.Materialized:
+						case ds.Options.Materialize:
+							tables[key] = ds.materialize(key, sel, rows)
 						default:
-							bt = ds.newBitTable(key, sel, seen)
+							bitTables[key] = ds.newBitTable(key, sel, seen)
 						}
-						mu.Lock()
-						if info.SF < 1 { // SF = 1 tables are not recorded: VP is used
-							ds.Info[key] = info
-						}
-						if tbl != nil {
-							ds.ExtVP[key] = tbl
-						} else if bt != nil {
-							ds.ExtBits[key] = bt
-						}
-						mu.Unlock()
+						info[key] = ti
 					}
 				}
+				mu.Lock()
+				maps.Copy(ds.Info, info)
+				maps.Copy(ds.ExtVP, tables)
+				maps.Copy(ds.ExtBits, bitTables)
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// reduce runs the semi-join of VP[key.P1] against sets, which must hold
-// key.P2. It returns the selection — bit i marks row i of VP[key.P1] — and
-// the candidate's statistics under threshold.
-func (ds *Dataset) reduce(key ExtKey, sets *semiSets, threshold float64) (*bitvec.Bitset, TableInfo) {
-	vp := ds.VP[key.P1]
-	col, filter := vp.Data[0], sets.subjects
-	if key.Kind == OS || key.Kind == OO {
-		col = vp.Data[1]
-	}
-	if key.Kind == SO || key.Kind == OO {
-		filter = sets.objects
-	}
-	sel := bitvec.New(len(col))
-	for i, v := range col {
-		if filter.Get(int(v)) {
-			sel.Set(i)
-		}
-	}
-	return sel, tableInfo(sel.Count(), len(col), threshold)
 }
 
 // tableInfo returns the statistics of a reduction of rows out of the n rows

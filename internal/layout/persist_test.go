@@ -12,9 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"s2rdf/internal/bitvec"
-	"s2rdf/internal/dict"
-	"s2rdf/internal/rdf"
 	"s2rdf/internal/store"
 )
 
@@ -168,17 +165,19 @@ func TestLoadMissingDir(t *testing.T) {
 	}
 }
 
+// TestLoadCorruptMeta: a manifest overwritten with broken, unframed bytes
+// fails Load.
 func TestLoadCorruptMeta(t *testing.T) {
 	dir := t.TempDir()
 	ds := Build(g1(), DefaultOptions())
 	if err := Save(ds, dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := osWrite(filepath.Join(dir, "meta.json"), "{broken"); err != nil {
+	if err := osWrite(filepath.Join(dir, manifestName), "{broken"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir, false); err == nil {
-		t.Error("expected corrupt-meta error")
+	if _, err := Load(dir, false); !errors.Is(err, store.ErrCorrupt) {
+		t.Errorf("Load error = %v, want store.ErrCorrupt", err)
 	}
 }
 
@@ -197,119 +196,37 @@ func TestDiskBytesNonzero(t *testing.T) {
 	}
 }
 
-func TestBitsTableRoundTripUnit(t *testing.T) {
-	b := bitsFixture()
-	tbl := bitsToTable("x#bits", b)
-	got, err := tableToBits(tbl, b.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Count() != b.Count() {
-		t.Fatalf("count = %d, want %d", got.Count(), b.Count())
-	}
-	for i := 0; i < b.Len(); i++ {
-		if got.Get(i) != b.Get(i) {
-			t.Fatalf("bit %d differs", i)
-		}
-	}
-}
-
-func TestCorrFromString(t *testing.T) {
-	for _, s := range []string{"SS", "OS", "SO", "OO"} {
-		c, err := corrFromString(s)
-		if err != nil || c.String() != s {
-			t.Errorf("corrFromString(%q) = %v, %v", s, c, err)
-		}
-	}
-	if _, err := corrFromString("XX"); err == nil {
-		t.Error("expected error for unknown correlation")
-	}
-}
-
-// TestLoadMetaMismatch: meta.json statistics or a dictionary that disagree
-// with the tables beside them are corruption, reported as store.ErrCorrupt.
+// TestLoadMetaMismatch: a manifest of another format version, or a
+// dictionary that TT's IDs run past, is corruption, reported as
+// store.ErrCorrupt.
 func TestLoadMetaMismatch(t *testing.T) {
-	cases := map[string]struct {
-		opts Options
-		edit func(t *testing.T, dir string, ds *Dataset, meta *metaFile)
-	}{
-		"edited rows": {materialized(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
-			for key := range ds.ExtVP {
-				for i, e := range meta.Ext {
-					if e.Kind == key.Kind.String() && e.P1 == string(ds.Dict.Decode(key.P1)) && e.P2 == string(ds.Dict.Decode(key.P2)) {
-						meta.Ext[i].Rows++
-						return
-					}
-				}
-			}
-			t.Fatal("no materialized entry")
-		}},
-		"truncated bits": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
-			for key := range ds.ExtBits {
-				if err := store.Open(dir).SaveTable(store.NewTable(ExtVPName(ds.Dict, key)+"#bits", "lo", "hi")); err != nil {
-					t.Fatal(err)
-				}
-				break
-			}
-		}},
-		"stray bit past the rows": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
-			// Move one set bit of a reduction past its VP's last row: the
-			// popcount still matches meta.json, but a scan would see one
-			// row fewer than SelRows claims.
-			for key, bt := range ds.ExtBits {
-				n := bt.Bits.Len()
-				if n%64 == 0 {
-					continue
-				}
-				name := ExtVPName(ds.Dict, key) + "#bits"
-				d := store.Open(dir)
-				tbl, err := d.LoadTable(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				last := len(tbl.Data[0]) - 1
-				w := uint64(tbl.Data[0][last]) | uint64(tbl.Data[1][last])<<32
-				if w == 0 {
-					continue
-				}
-				w &= w - 1         // clear the lowest set bit
-				w |= 1 << (n % 64) // set the first bit past row n-1
-				tbl.Data[0][last], tbl.Data[1][last] = dict.ID(w), dict.ID(w>>32)
-				if err := d.SaveTable(tbl); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			t.Fatal("no reduction with a set bit in a partial last word")
-		}},
-		"unknown predicate": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
-			// A term of the dictionary that is no predicate: TT has no run.
-			meta.Predicates[0] = string(rdf.NewIRI("A"))
-		}},
-		"truncated dictionary": {DefaultOptions(), func(t *testing.T, dir string, ds *Dataset, meta *metaFile) {
+	cases := map[string]func(t *testing.T, dir string, m *manifest){
+		"unknown version": func(t *testing.T, dir string, m *manifest) {
+			m.Version++
+		},
+		"truncated dictionary": func(t *testing.T, dir string, m *manifest) {
 			raw := readFramed(t, dir, dictName)
 			// Drop the last term: TT still holds its ID.
 			last := bytes.LastIndexByte(raw[:len(raw)-1], '\n')
 			writeFramed(t, dir, dictName, raw[:last+1])
-		}},
+		},
 	}
-	for name, c := range cases {
+	for name, edit := range cases {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			ds := Build(g1(), c.opts)
-			if err := Save(ds, dir); err != nil {
+			if err := Save(Build(g1(), DefaultOptions()), dir); err != nil {
 				t.Fatal(err)
 			}
-			var meta metaFile
-			if err := json.Unmarshal(readFramed(t, dir, metaName), &meta); err != nil {
+			var m manifest
+			if err := json.Unmarshal(readFramed(t, dir, manifestName), &m); err != nil {
 				t.Fatal(err)
 			}
-			c.edit(t, dir, ds, &meta)
-			raw, err := json.Marshal(&meta)
+			edit(t, dir, &m)
+			raw, err := json.Marshal(&m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			writeFramed(t, dir, metaName, raw)
+			writeFramed(t, dir, manifestName, raw)
 			if _, err := Load(dir, false); !errors.Is(err, store.ErrCorrupt) {
 				t.Fatalf("Load error = %v, want store.ErrCorrupt", err)
 			}
@@ -343,13 +260,15 @@ func writeFramed(t *testing.T, dir, name string, payload []byte) {
 	}
 }
 
-// TestLoadCorruptMetaBitFlips and TestLoadCorruptDictBitFlips: a flipped
-// bit anywhere in meta.json or the dictionary fails Load with
-// store.ErrCorrupt and no dataset — never a store with wrong statistics or
-// wrong terms.
-func TestLoadCorruptMetaBitFlips(t *testing.T) { testLoadBitFlips(t, metaName) }
+// TestLoadCorruptMetaBitFlips, TestLoadCorruptDictBitFlips and
+// TestLoadCorruptTTBitFlips: a flipped bit anywhere in the manifest, the
+// dictionary or TT fails Load with store.ErrCorrupt and no dataset — never
+// a store built with other options, wrong terms or wrong triples.
+func TestLoadCorruptMetaBitFlips(t *testing.T) { testLoadBitFlips(t, manifestName) }
 
 func TestLoadCorruptDictBitFlips(t *testing.T) { testLoadBitFlips(t, dictName) }
+
+func TestLoadCorruptTTBitFlips(t *testing.T) { testLoadBitFlips(t, "TT.tbl") }
 
 func testLoadBitFlips(t *testing.T, name string) {
 	for _, opts := range []Options{materialized(), DefaultOptions()} {
@@ -377,39 +296,15 @@ func testLoadBitFlips(t *testing.T, name string) {
 	}
 }
 
-// TestLoadCorruptUnframedMeta: a plain-JSON meta.json, as stores saved
-// before every file was framed wrote it, is corruption; re-save the store.
+// TestLoadCorruptUnframedMeta: a plain-JSON manifest, without the framing
+// every store file carries, is corruption.
 func TestLoadCorruptUnframedMeta(t *testing.T) {
 	dir := t.TempDir()
-	ds := Build(g1(), DefaultOptions())
-	if err := Save(ds, dir); err != nil {
+	if err := Save(Build(g1(), DefaultOptions()), dir); err != nil {
 		t.Fatal(err)
 	}
-	type entry struct {
-		Kind         string  `json:"kind"`
-		P1           string  `json:"p1"`
-		P2           string  `json:"p2"`
-		Rows         int     `json:"rows"`
-		SF           float64 `json:"sf"`
-		Materialized bool    `json:"materialized"`
-	}
-	old := struct {
-		Threshold  float64  `json:"threshold"`
-		Predicates []string `json:"predicates"`
-		Ext        []entry  `json:"ext"`
-	}{Threshold: ds.Threshold}
-	for _, p := range ds.Predicates {
-		old.Predicates = append(old.Predicates, string(ds.Dict.Decode(p)))
-	}
-	for key, info := range ds.Info {
-		old.Ext = append(old.Ext, entry{key.Kind.String(), string(ds.Dict.Decode(key.P1)),
-			string(ds.Dict.Decode(key.P2)), info.Rows, info.SF, info.Materialized})
-	}
-	raw, err := json.MarshalIndent(&old, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, metaName), raw, 0o644); err != nil {
+	raw := readFramed(t, dir, manifestName)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := Load(dir, false); !errors.Is(err, store.ErrCorrupt) || got != nil {
@@ -417,8 +312,27 @@ func TestLoadCorruptUnframedMeta(t *testing.T) {
 	}
 }
 
+// TestLoadEarlierFormat: a directory of the earlier format, which holds
+// meta.json and no manifest, fails Load with store.ErrCorrupt and an error
+// that says how to re-save it, rather than opening with default options.
+func TestLoadEarlierFormat(t *testing.T) {
+	dir := t.TempDir()
+	if err := Save(Build(g1(), materialized()), dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	writeFramed(t, dir, oldMetaName, []byte(`{"threshold":1,"predicates":[],"ext":[]}`))
+	got, err := Load(dir, false)
+	if !errors.Is(err, store.ErrCorrupt) || got != nil || !strings.Contains(err.Error(), "s2rdf load") {
+		t.Fatalf("Load = %v, %v; want store.ErrCorrupt naming `s2rdf load` and no dataset", got != nil, err)
+	}
+}
+
 // TestDiskBytesIgnoresStaleTables: a store saved over an earlier one counts
-// only its own tables, as if saved into an empty directory.
+// only its own files, as if saved into an empty directory: not the ExtVP
+// tables an earlier format wrote beside them.
 func TestDiskBytesIgnoresStaleTables(t *testing.T) {
 	vpOnly := Build(g1(), Options{})
 	fresh := t.TempDir()
@@ -430,8 +344,10 @@ func TestDiskBytesIgnoresStaleTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := Save(Build(g1(), DefaultOptions()), dir); err != nil {
-		t.Fatal(err)
+	for _, tbl := range Build(g1(), materialized()).ExtVP {
+		if err := store.Open(dir).SaveTable(tbl); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := Save(vpOnly, dir); err != nil {
 		t.Fatal(err)
@@ -445,24 +361,28 @@ func TestDiskBytesIgnoresStaleTables(t *testing.T) {
 	}
 }
 
-// TestSaveMetaDeterministic: saving one dataset writes the same meta.json
-// bytes every time.
+// TestSaveMetaDeterministic: saving one dataset writes the same bytes
+// into every file of the store every time.
 func TestSaveMetaDeterministic(t *testing.T) {
 	ds := Build(randomGraph(1), Options{BuildExtVP: true, BuildOO: true})
-	var first []byte
+	var first map[string][]byte
 	for i := 0; i < 5; i++ {
 		dir := t.TempDir()
 		if err := Save(ds, dir); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
-		if err != nil {
-			t.Fatal(err)
+		files := map[string][]byte{}
+		for _, name := range []string{dictName, "TT.tbl", manifestName} {
+			raw, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[name] = raw
 		}
 		if first == nil {
-			first = raw
-		} else if !bytes.Equal(raw, first) {
-			t.Fatalf("save %d wrote different meta.json bytes", i)
+			first = files
+		} else if !reflect.DeepEqual(files, first) {
+			t.Fatalf("save %d wrote different bytes", i)
 		}
 	}
 }
@@ -513,33 +433,28 @@ func TestLoadVPViewsTT(t *testing.T) {
 	}
 }
 
-// TestSaveWritesNoVPTables: a saved store's directory holds no VP table.
+// TestSaveWritesNoVPTables: a saved store's directory holds the
+// dictionary, TT and the manifest, and no VP or ExtVP table.
 func TestSaveWritesNoVPTables(t *testing.T) {
-	dir := t.TempDir()
-	if err := Save(Build(g1(), DefaultOptions()), dir); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "VP-") {
-			t.Errorf("saved VP table %s", e.Name())
+	for _, opts := range []Options{DefaultOptions(), materialized(), {BuildExtVP: true, BuildOO: true, BuildPT: true}} {
+		dir := t.TempDir()
+		if err := Save(Build(g1(), opts), dir); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if want := []string{"TT.tbl", dictName, manifestName}; !reflect.DeepEqual(names, want) {
+			t.Errorf("%+v: saved %v, want %v", opts, names, want)
 		}
 	}
 }
 
 func osWrite(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-// bitsFixture builds a bitset spanning multiple words with high bits set,
-// exercising the uint64 split in bitsToTable.
-func bitsFixture() *bitvec.Bitset {
-	b := bitvec.New(150)
-	for _, i := range []int{0, 31, 32, 63, 64, 95, 96, 127, 128, 149} {
-		b.Set(i)
-	}
-	return b
 }

@@ -28,6 +28,8 @@ func FuzzParse(f *testing.F) {
 		"SELECT * WHERE { ?s a ?t }",
 		"\x00\xff\xfe",
 		"SELECT * WHERE { ?s ?p -0.5e+300 }",
+		nestedGroups(maxDepth + 1),
+		nestedBrackets(maxDepth),
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -39,7 +39,26 @@ type parser struct {
 	src      string
 	tok      token
 	prefixes rdf.Prefixes
+	depth    int // nesting levels entered, see enter
 }
+
+// maxDepth bounds how deeply a query nests groups, brackets and negations.
+// The parser recurses once per level, so without a bound only the query's
+// length would bound its stack: a 1 MiB query can nest half a million
+// levels, deep enough to exhaust the goroutine stack, which is fatal.
+const maxDepth = 256
+
+// enter opens one nesting level — a '{' group, a '(' bracket or function
+// call, or a '!' negation — failing past maxDepth; leave closes it.
+func (p *parser) enter() error {
+	if p.depth == maxDepth {
+		return p.errorf("query nests deeper than %d levels of groups, brackets and negations", maxDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) advance() error {
 	t, err := p.lex.next()
@@ -241,6 +260,10 @@ func (p *parser) parseInt() (int, error) {
 
 // parseGroup parses a { ... } group graph pattern.
 func (p *parser) parseGroup() (*Group, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
@@ -540,6 +563,10 @@ func (p *parser) parseMul() (evaluator, error) {
 
 func (p *parser) parseUnary() (evaluator, error) {
 	if p.tok.kind == tokOp && p.tok.text == "!" {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -562,6 +589,10 @@ func (p *parser) parsePrimary() (evaluator, error) {
 	switch tok.kind {
 	case tokPunct:
 		if tok.text == "(" {
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
+			defer p.leave()
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
@@ -618,6 +649,10 @@ func (p *parser) parsePrimary() (evaluator, error) {
 			return constEval{v: value{kind: vBool, b: false}}, nil
 		}
 		if nargs, ok := builtins[name]; ok {
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
+			defer p.leave()
 			if err := p.advance(); err != nil {
 				return nil, err
 			}

@@ -308,6 +308,43 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// nestedGroups returns a query whose pattern nests n groups.
+func nestedGroups(n int) string {
+	return "SELECT * WHERE " + strings.Repeat("{ ", n) + "?s ?p ?o " + strings.Repeat("} ", n)
+}
+
+// nestedBrackets returns a query whose filter nests n brackets inside its
+// one group.
+func nestedBrackets(n int) string {
+	return "SELECT * WHERE { ?s ?p ?o FILTER" + strings.Repeat("(", n) + "?o" + strings.Repeat(")", n) + " }"
+}
+
+// TestParseNestingDepth: groups and brackets nest up to maxDepth levels
+// together; one more is a parse error, not a deeper recursion.
+func TestParseNestingDepth(t *testing.T) {
+	cases := []struct {
+		name      string
+		src       string
+		wantError bool
+	}{
+		{"groups at the limit", nestedGroups(maxDepth), false},
+		{"groups past the limit", nestedGroups(maxDepth + 1), true},
+		{"brackets at the limit", nestedBrackets(maxDepth - 1), false},
+		{"brackets past the limit", nestedBrackets(maxDepth), true},
+		{"negations past the limit", "SELECT * WHERE { ?s ?p ?o FILTER(" + strings.Repeat("!", maxDepth) + "?o) }", true},
+		{"deep brackets", nestedBrackets(200_000), true},
+	}
+	for _, c := range cases {
+		q, err := Parse(c.src)
+		switch {
+		case c.wantError && (err == nil || !strings.Contains(err.Error(), "nests deeper")):
+			t.Errorf("%s: Parse = %v, want a nesting error", c.name, err)
+		case !c.wantError && (err != nil || len(q.Where.Triples) != 1):
+			t.Errorf("%s: Parse = %v, want one triple pattern", c.name, err)
+		}
+	}
+}
+
 func TestParseErrorMentionsLine(t *testing.T) {
 	_, err := Parse("SELECT ?x WHERE {\n ?x <p> }\n")
 	if err == nil || !strings.Contains(err.Error(), "line 2") {

@@ -496,10 +496,10 @@ func readU64(r io.Reader) (uint64, error) {
 
 // Dir is an on-disk store directory: one file per table plus whatever
 // other files its user writes (the layout package keeps the term
-// dictionary and the schema there). It corresponds to the HDFS directory
-// that holds the Parquet files in the paper's deployment. Every file goes
-// through the same checksummed framing, so every persisted byte is
-// verified on read.
+// dictionary and the store's manifest there). It corresponds to the HDFS
+// directory that holds the Parquet files in the paper's deployment. Every
+// file goes through the same checksummed framing, so every persisted byte
+// is verified on read.
 type Dir struct {
 	path string
 	fs   fault.FS
@@ -561,8 +561,11 @@ func (d *Dir) LoadTable(name string) (*Table, error) {
 }
 
 // TableBytes returns the on-disk size of the table name.
-func (d *Dir) TableBytes(name string) (int64, error) {
-	fi, err := os.Stat(filepath.Join(d.path, tableFile(name)))
+func (d *Dir) TableBytes(name string) (int64, error) { return d.FileBytes(tableFile(name)) }
+
+// FileBytes returns the on-disk size of the file name.
+func (d *Dir) FileBytes(name string) (int64, error) {
+	fi, err := os.Stat(filepath.Join(d.path, name))
 	if err != nil {
 		return 0, err
 	}

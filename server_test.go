@@ -330,6 +330,32 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
+// TestServeDeepNesting: a query nesting brackets far past the parser's
+// depth limit, yet within the length limit, is a 400, and the server
+// answers the next query as usual.
+func TestServeDeepNesting(t *testing.T) {
+	_, srv := serverFixture(t)
+	deep := "SELECT * WHERE { ?s ?p ?o FILTER" + strings.Repeat("(", 200_000) + "?o" +
+		strings.Repeat(")", 200_000) + " }"
+	resp, err := http.Post(srv.URL+"/sparql", "application/sparql-query", strings.NewReader(deep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "nests deeper") {
+		t.Fatalf("deep query: status %d, body %.200s; want 400 naming the nesting limit", resp.StatusCode, body)
+	}
+	resp, err = http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(followsQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after the deep one: status %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestServePlanCacheHeader(t *testing.T) {
 	_, srv := serverFixture(t)
 	get := func() string {
