@@ -14,10 +14,12 @@ import (
 // batch instead of as one materialized Result. The relational plan runs to
 // its final relation eagerly (joins need their inputs whole), but binding
 // decode — the dictionary lookups that dominate result delivery — and
-// everything downstream of it happen incrementally: each Next call decodes
-// one engine batch (1024 rows), doubling as a cancellation/yield point, so
-// a slow or disconnected consumer stops or paces the query mid-result and
-// the scheduler slot is held exactly as long as rows still flow.
+// everything downstream of it happen incrementally: each call hands out
+// one engine batch (1024 rows) — NextBlock as the engine's zero-copy column
+// block, NextRaw carved into ID rows, Next decoded into terms — doubling
+// as a cancellation/yield point, so a slow or disconnected consumer stops
+// or paces the query mid-result and the scheduler slot is held exactly as
+// long as rows still flow. A Stream is used by one goroutine at a time.
 type Stream struct {
 	e     *Engine
 	ex    *engine.Exec
@@ -182,7 +184,8 @@ func (s *Stream) Ask() bool { return s.res.Ask }
 // deadline or disconnect) and the rows delivered so far are a truncation —
 // the consumer must not present them as the complete result. Each call
 // polls the execution's cancellation point and yields to the scheduler, so
-// batch pacing is query pacing.
+// batch pacing is query pacing. The batch's rows share one backing array
+// of terms, filled straight from the block's columns.
 //
 // Next is the mid-stream panic-isolation boundary: a panic during batch
 // decode is recovered and returned as a *QueryPanicError wrapping
@@ -200,69 +203,83 @@ func (s *Stream) Next() (batch [][]rdf.Term, err error) {
 			recoverAsError(r, &err)
 		}
 	}()
-	rows, err := s.nextRows()
-	if rows == nil || err != nil {
+	b, err := s.nextBlock()
+	if b == nil || err != nil {
 		return nil, err
 	}
 	d := s.e.DS.Dict
-	out := make([][]rdf.Term, len(rows))
-	for i, row := range rows {
-		terms := make([]rdf.Term, len(row))
-		for j, id := range row {
+	n, arity := b.Len(), b.Arity()
+	terms := make([]rdf.Term, n*arity)
+	for j := 0; j < arity; j++ {
+		for i, id := range b.Col(j) {
 			if id != engine.Null {
-				terms[j] = d.Decode(id)
+				terms[i*arity+j] = d.Decode(id)
 			}
 		}
-		out[i] = terms
 	}
-	return out, nil
+	batch = make([][]rdf.Term, n)
+	for i := range batch {
+		batch[i] = terms[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	return batch, nil
 }
 
-// NextRaw is Next without binding decode: the next batch of solutions as
-// rows of dictionary IDs (engine.Null marks an unbound variable), or nil
-// when the stream is exhausted. Consumers that serialize terms through the
-// dictionary's memoized renderings (dict.TermJSON) skip the per-row Decode
-// round trip entirely. Error and panic-isolation semantics match Next.
-func (s *Stream) NextRaw() (batch []engine.Row, err error) {
+// NextBlock returns the next batch of solutions as a zero-copy column
+// block of dictionary IDs — column j binds Vars()[j], engine.Null marks an
+// unbound variable — or nil when the stream is exhausted. The block is a
+// read-only view of the final relation's storage: it stays valid for as
+// long as the caller keeps it, and may be read from any goroutine. Error
+// and panic-isolation semantics match Next.
+func (s *Stream) NextBlock() (b *engine.Block, err error) {
 	if s.done {
 		return nil, nil
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			s.done = true
-			batch = nil
+			b = nil
 			recoverAsError(r, &err)
 		}
 	}()
-	return s.nextRows()
+	return s.nextBlock()
 }
 
-// nextRows fetches and copies out the next engine batch, stamping
-// time-to-first-row. Callers own the recover boundary.
-func (s *Stream) nextRows() ([]engine.Row, error) {
-	b, ok := s.it.Next()
-	if !ok {
-		s.done = true
-		return nil, s.ex.Err()
+// NextRaw is NextBlock carved into rows: the next batch of solutions as
+// rows of dictionary IDs (engine.Null marks an unbound variable), or nil
+// when the stream is exhausted. The rows share one backing slice per batch
+// and stay valid after the next call. Error and panic-isolation semantics
+// match Next.
+func (s *Stream) NextRaw() ([]engine.Row, error) {
+	b, err := s.NextBlock()
+	if b == nil || err != nil {
+		return nil, err
 	}
-	// One backing slice per batch, filled column-wise: the rows handed out
-	// stay valid after the next call (servers buffer them).
-	n := b.Len()
-	arity := b.Arity()
-	out := make([]engine.Row, n)
+	n, arity := b.Len(), b.Arity()
 	buf := make([]dict.ID, n*arity)
 	for j := 0; j < arity; j++ {
 		for i, id := range b.Col(j) {
 			buf[i*arity+j] = id
 		}
 	}
-	for i := range out {
-		out[i] = buf[i*arity : (i+1)*arity : (i+1)*arity]
+	rows := make([]engine.Row, n)
+	for i := range rows {
+		rows[i] = buf[i*arity : (i+1)*arity : (i+1)*arity]
 	}
-	if s.ttfr == 0 && n > 0 {
+	return rows, nil
+}
+
+// nextBlock fetches the next engine batch, stamping time-to-first-row.
+// Callers own the recover boundary.
+func (s *Stream) nextBlock() (*engine.Block, error) {
+	b, ok := s.it.Next()
+	if !ok {
+		s.done = true
+		return nil, s.ex.Err()
+	}
+	if s.ttfr == 0 && b.Len() > 0 {
 		s.ttfr = time.Since(s.start)
 	}
-	return out, nil
+	return b, nil
 }
 
 // Result finalizes and returns the stream's Result: metrics, duration,

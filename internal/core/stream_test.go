@@ -79,6 +79,38 @@ func TestStreamDeliversAllRowsInBatches(t *testing.T) {
 	}
 }
 
+// TestStreamNextAllocsPerBatch: Next decodes a batch straight from the
+// engine's column block into one backing array of terms, so a 1024-row
+// batch costs a handful of allocations, not one per row.
+func TestStreamNextAllocsPerBatch(t *testing.T) {
+	ds := chainDataset(t, 20000, 4)
+	e := New(ds, ModeVP)
+	s, err := e.QueryStream(context.Background(), `SELECT * WHERE { ?p <urn:score> ?s }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	rows := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		batch, err := s.Next()
+		if err != nil || len(batch) == 0 {
+			t.Fatalf("batch of %d rows, err %v", len(batch), err)
+		}
+		for _, row := range batch {
+			if len(row) != 2 || row[0] == "" || row[1] == "" {
+				t.Fatalf("row %v is not two decoded terms", row)
+			}
+		}
+		rows += len(batch)
+	})
+	if perBatch := rows / (runs + 1); perBatch < 512 {
+		t.Fatalf("batches average %d rows; the bound below is meant per ~1024 rows", perBatch)
+	}
+	if allocs > 6 {
+		t.Fatalf("Next made %.0f allocations per batch, want at most 6", allocs)
+	}
+}
+
 func TestStreamCancelledMidway(t *testing.T) {
 	ds := chainDataset(t, 4000, 2)
 	e := New(ds, ModeVP)

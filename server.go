@@ -1,7 +1,6 @@
 package s2rdf
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,7 +18,6 @@ import (
 
 	"s2rdf/internal/cache"
 	"s2rdf/internal/core"
-	"s2rdf/internal/dict"
 	"s2rdf/internal/engine"
 	"s2rdf/internal/fault"
 	"s2rdf/internal/sched"
@@ -74,8 +72,9 @@ type ServerOptions struct {
 	// StreamThreshold is the row count above which a SELECT response
 	// switches from one buffered JSON document to incremental delivery:
 	// the head and the first rows are flushed as soon as the threshold
-	// trips, then every engine batch is flushed as it is decoded, so
-	// clients see first bytes while the engine is still producing.
+	// trips, then every engine batch is flushed as it is encoded (up to
+	// two batches encoded ahead of the write), so clients see first bytes
+	// while the engine is still producing.
 	// Results at or below the threshold (and ASK answers) are written as
 	// one document, exactly as before. <= 0 selects
 	// DefaultStreamThreshold.
@@ -262,6 +261,16 @@ func (t *trackingWriter) Flush() {
 	}
 }
 
+// FlushError is Flush reporting the connection's write error, so a
+// streamed response stops at the first failed write.
+func (t *trackingWriter) FlushError() error {
+	if f, ok := t.ResponseWriter.(interface{ FlushError() error }); ok {
+		return f.FlushError()
+	}
+	t.Flush()
+	return nil
+}
+
 // serveRecovered is the handler-level panic boundary, the last line behind
 // the per-query recovery in core: a panic that still escapes the handler
 // becomes a 500 when no byte has been written yet, and a closed (truncated)
@@ -368,10 +377,12 @@ type request struct {
 	norm string
 	// probeCache (zero when caching is off)
 	ckey cache.Key
-	// the handler: the request context under its deadline, and where a
+	// the handler: the request context under its deadline, its cancel
+	// (a response that fails mid-stream stops its own query), and where a
 	// context error struck ("while queued", …) for its message
-	ctx   context.Context
-	phase string
+	ctx    context.Context
+	cancel context.CancelFunc
+	phase  string
 	// parse
 	q          *sparql.Query
 	planCached bool
@@ -400,13 +411,15 @@ func (s *sparqlServer) handleSPARQL(w *trackingWriter, r *http.Request, storeNam
 		return
 	}
 	// The deadline covers the whole stay: queue wait plus execution. The
-	// context is also cancelled when the client disconnects, which aborts
-	// the plan mid-operator and frees the worker slot.
+	// context is also cancelled when the client disconnects, or when a
+	// streamed response fails to write, which aborts the plan mid-operator
+	// and frees the worker slot.
 	if req.timeout > 0 {
-		var cancel context.CancelFunc
-		req.ctx, cancel = context.WithTimeout(req.ctx, req.timeout)
-		defer cancel()
+		req.ctx, req.cancel = context.WithTimeout(req.ctx, req.timeout)
+	} else {
+		req.ctx, req.cancel = context.WithCancel(req.ctx)
 	}
+	defer req.cancel()
 	// A parse error is rejected here, so malformed queries never enter the
 	// queue; the gate classifies before the query occupies any slot.
 	if req.fail(req.parse()) {
@@ -691,80 +704,6 @@ func (c yieldChain) Yield() {
 	}
 }
 
-// respond delivers the executing query's answer through the one encoder.
-// It buffers up to StreamThreshold rows: a result that completes within the
-// buffer (and any ASK answer) is written as a single JSON document with
-// final metrics in the headers. Past the threshold it switches to
-// incremental delivery — head and buffered rows flushed immediately, then
-// one flush per decoded engine batch — so the client's first bytes do not
-// wait for the last row. Metric headers are then a snapshot as of the first
-// flush (headers cannot trail the body). Either way every chunk tees into
-// the cache fill, so a cached replay is byte-identical to direct execution.
-//
-// A query that dies before the first byte keeps the error contract (fail).
-// A query that dies mid-stream cannot change the status line anymore: the
-// response ends with a trailing "error" extension member after the bindings
-// array and the connection is closed without a clean terminator, so both
-// JSON-level and transport-level clients can tell the result is a
-// truncation.
-func (req *request) respond() {
-	threshold := req.s.opts.StreamThreshold
-	if threshold <= 0 {
-		threshold = DefaultStreamThreshold
-	}
-	var rows []engine.Row
-	done := false
-	for !done && len(rows) <= threshold {
-		batch, err := req.stream.NextRaw()
-		if req.fail(err) {
-			return
-		}
-		rows, done = append(rows, batch...), batch == nil
-	}
-
-	h := req.w.Header()
-	if !done {
-		req.sv.streaming.Add(1)
-		defer req.sv.streaming.Add(-1)
-		h.Set("X-S2RDF-Streaming", "true")
-	}
-	if req.sv.rcache != nil {
-		h.Set("X-S2RDF-Cache", "miss")
-	}
-	res := req.stream.Result()
-	req.setHeaders(res)
-
-	enc := req.newEncoder()
-	if req.q.Ask {
-		enc.ask(res.Ask)
-	} else {
-		enc.head(res.Vars)
-		enc.bindings(rows)
-		for !done {
-			enc.flush()
-			if req.s.opts.flushed != nil {
-				req.s.opts.flushed(enc.n)
-			}
-			batch, err := req.stream.NextRaw()
-			if err != nil {
-				// The trailer is deliberately not teed — the cache must
-				// never see one request's error text, and the fill is never
-				// inserted. Closing the connection without the terminating
-				// chunk marks the body as truncated at the transport level;
-				// the JSON document is still complete for lenient clients.
-				writeAbortTrailer(req.w, err)
-				panic(http.ErrAbortHandler)
-			}
-			enc.bindings(batch)
-			done = batch == nil
-		}
-		enc.end()
-	}
-	if f := enc.fill; f != nil && !f.over {
-		req.sv.rcache.Put(req.ckey, &cache.Entry{Body: f.body, Header: f.header, Rows: enc.n})
-	}
-}
-
 // setHeaders renders everything the request knows about itself so far: from
 // the cost gate on, the verdict and estimate; once admitted, the time spent
 // queued, how often the query yielded its slot and the lane's current queue
@@ -864,137 +803,6 @@ func copyCachedHeaders(dst http.Header, src map[string][]string) {
 	for k, vals := range src {
 		dst[k] = append([]string(nil), vals...)
 	}
-}
-
-// fillState accumulates the header snapshot and the serialized body for a
-// cache fill, abandoning the copy (and counting the rejection) as soon as
-// it outgrows the per-entry cap — the executing response keeps streaming
-// regardless.
-type fillState struct {
-	header map[string][]string
-	body   []byte
-	max    int64
-	over   bool
-	rc     *cache.ResultCache
-}
-
-func (fs *fillState) add(p []byte) {
-	if fs.over {
-		return
-	}
-	if int64(len(fs.body))+int64(len(p)) > fs.max {
-		fs.over = true
-		fs.body = nil
-		fs.rc.NoteRejected()
-		return
-	}
-	fs.body = append(fs.body, p...)
-}
-
-// streamEncoder writes the SPARQL 1.1 JSON results document — the ASK
-// document, or a SELECT head, bindings over raw dictionary-ID rows as they
-// arrive, and the tail, one Flush per engine batch. Terms render through
-// the dictionary's memoized SPARQL-JSON bytes (dict.TermJSON), so a term is
-// escaped once per store lifetime, not once per row. Every flushed chunk
-// tees into the request's cache fill (future hits replay it from memory);
-// because every executed response flows through here, a cached body is
-// byte-identical to an executed one.
-type streamEncoder struct {
-	w     *trackingWriter
-	d     *dict.Dict
-	names [][]byte // pre-marshaled JSON variable names, by column
-	buf   []byte   // pending bytes since the last flush
-	n     int      // bindings written
-	fill  *fillState
-}
-
-// newEncoder opens the response body once the handler has stamped every
-// header. The result is cached only when the cache is on and the cost gate
-// classified the query expensive (point lookups re-execute faster than they
-// churn the LRU — the admission policy of the result cache is the same gate
-// that splits the scheduler lanes); only then is the header snapshot taken,
-// for the fill.
-func (req *request) newEncoder() *streamEncoder {
-	e := &streamEncoder{w: req.w, d: req.sv.st.Dataset().Dict}
-	if rc := req.sv.rcache; rc != nil && req.class == sched.Expensive {
-		e.fill = &fillState{header: snapshotHeaders(req.w.Header()), max: rc.MaxEntry(), rc: rc}
-	}
-	return e
-}
-
-// ask writes the complete document of an ASK answer.
-func (e *streamEncoder) ask(answer bool) {
-	e.buf = fmt.Appendf(e.buf, "{\"head\":{},\"boolean\":%t}\n", answer)
-	e.flush()
-}
-
-// head opens a SELECT document.
-func (e *streamEncoder) head(vars []string) {
-	e.names = make([][]byte, len(vars))
-	for i, v := range vars {
-		e.names[i], _ = json.Marshal(v)
-	}
-	e.buf = append(e.buf, `{"head":{"vars":[`...)
-	e.buf = append(e.buf, bytes.Join(e.names, []byte{','})...)
-	e.buf = append(e.buf, `]},"results":{"bindings":[`...)
-}
-
-func (e *streamEncoder) bindings(rows []engine.Row) {
-	for _, row := range rows {
-		if e.n > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		e.buf = append(e.buf, '\n', '{')
-		first := true
-		for j, id := range row {
-			if id == engine.Null {
-				continue // unbound under OPTIONAL/UNION
-			}
-			if !first {
-				e.buf = append(e.buf, ',')
-			}
-			first = false
-			e.buf = append(e.buf, e.names[j]...)
-			e.buf = append(e.buf, ':')
-			e.buf = append(e.buf, e.d.TermJSON(id)...)
-		}
-		e.buf = append(e.buf, '}')
-		e.n++
-	}
-}
-
-// flush writes the pending chunk to the wire, tees it into the cache fill,
-// and flushes the connection.
-func (e *streamEncoder) flush() {
-	if len(e.buf) > 0 {
-		e.w.Write(e.buf)
-		if e.fill != nil {
-			e.fill.add(e.buf)
-		}
-		e.buf = e.buf[:0]
-	}
-	e.w.Flush()
-}
-
-// end closes a SELECT document after a complete stream.
-func (e *streamEncoder) end() {
-	e.buf = append(e.buf, "\n]}}\n"...)
-	e.flush()
-}
-
-// writeAbortTrailer appends the trailing "error" member that marks a
-// response body as truncated.
-func writeAbortTrailer(w *trackingWriter, err error) {
-	msg := err.Error()
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		msg = "query deadline exceeded mid-stream"
-	case errors.Is(err, context.Canceled):
-		msg = "request cancelled mid-stream"
-	}
-	quoted, _ := json.Marshal(msg)
-	fmt.Fprintf(w, "\n]},\"error\":%s}\n", quoted)
-	w.Flush()
 }
 
 // retryAfterSeconds renders a Retry-After duration as whole seconds,

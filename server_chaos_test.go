@@ -1,6 +1,7 @@
 package s2rdf
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +15,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"s2rdf/internal/core"
 	"s2rdf/internal/engine"
 	"s2rdf/internal/fault"
 	"s2rdf/internal/store"
@@ -155,6 +158,125 @@ func TestPanicMidStreamTruncates(t *testing.T) {
 		t.Fatalf("follow-up status = %d", resp2.StatusCode)
 	}
 	assertQuiescent(t, srv)
+}
+
+// TestPanicWithLookAheadInFlight: a panic at the producer's yield point
+// while two encoded batches wait ahead of the socket write ends the body
+// like any mid-stream failure — the batches before it, then the trailing
+// "error" member and a truncated connection — and leaves no goroutine of
+// the pipeline behind. The first flush arms the yielder to panic at the
+// producer's fourth block pull; the writer holds after writing the first
+// pipeline batch until the panic has struck, so the second and third are
+// in flight when it does.
+func TestPanicWithLookAheadInFlight(t *testing.T) {
+	st := Load(scoreTriples(12000), Options{})
+	var (
+		flushes  atomic.Int64
+		pulls    atomic.Int64
+		armed    atomic.Bool
+		panicked = make(chan struct{})
+	)
+	y := yielderFunc(func() {
+		if armed.Load() && pulls.Add(1) == 4 {
+			close(panicked)
+			panic("chaos: injected operator panic")
+		}
+	})
+	opts := ServerOptions{
+		StreamThreshold: 64,
+		CheapThreshold:  1 << 30, // keep the chaos hook the only yielder
+		flushed: func(int) {
+			switch flushes.Add(1) {
+			case 1:
+				armed.Store(true)
+			case 2:
+				select {
+				case <-panicked:
+				case <-time.After(10 * time.Second):
+					t.Error("the producer never reached its fourth pull")
+				}
+			}
+		},
+	}
+	srv := chaosServer(t, st, opts, func() engine.Yielder { return y })
+
+	req, _ := http.NewRequest(http.MethodGet,
+		srv.URL+"/sparql?query="+url.QueryEscape(scanQuery), nil)
+	req.Header.Set(panicHeader, "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, readErr := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || readErr == nil {
+		t.Fatalf("status %d, read error %v; want 200 and a truncated connection", resp.StatusCode, readErr)
+	}
+	var doc struct {
+		Results struct {
+			Bindings []map[string]map[string]string `json:"bindings"`
+		} `json:"results"`
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("truncated body is not a complete JSON document: %v; tail %q", err, body[max(0, len(body)-200):])
+	}
+	if !strings.Contains(doc.Error, "panic") {
+		t.Fatalf("trailing error member %q does not name the panic", doc.Error)
+	}
+	// Every batch pulled before the panic is delivered: the head's buffered
+	// ones (past the threshold of 64 rows) and the three in the pipeline.
+	s, err := st.Engine(ModeExtVP).QueryStream(context.Background(), scanQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, pipelined := 0, 0
+	for pipelined < 3 {
+		b, err := s.NextBlock()
+		if err != nil || b == nil {
+			t.Fatalf("in-process stream ended early: %v", err)
+		}
+		if want > 64 {
+			pipelined++
+		}
+		want += b.Len()
+	}
+	if n := len(doc.Results.Bindings); n != want {
+		t.Fatalf("%d bindings before the trailer, want %d", n, want)
+	}
+
+	resp2, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(scanQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := io.Copy(io.Discard, resp2.Body)
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusOK || err != nil || n == 0 {
+		t.Fatalf("follow-up: status %d, %d bytes, err %v", resp2.StatusCode, n, err)
+	}
+	assertQuiescent(t, srv)
+}
+
+// yielderFunc adapts a function to engine.Yielder.
+type yielderFunc func()
+
+func (f yielderFunc) Yield() { f() }
+
+// TestPanicInEncoderBecomesQueryError: an encoder goroutine of the
+// pipeline recovers its own panic into the batch's error — a panic off the
+// handler goroutine would take the process down.
+func TestPanicInEncoderBecomesQueryError(t *testing.T) {
+	p := &encodePipeline{enc: &streamEncoder{rest: [][]byte{[]byte(`,"x":`)}}} // no dictionary
+	b := engine.NewBlock(1, 1)
+	b.Append(engine.Row{0})
+	c := &encodedBatch{ready: make(chan struct{})}
+	p.wg.Add(1)
+	p.encode(c, nil, b)
+	<-c.ready
+	var pe *core.QueryPanicError
+	if !errors.As(c.err, &pe) || !errors.Is(c.err, core.ErrInternal) {
+		t.Fatalf("encoder panic surfaced as %v, want a *core.QueryPanicError", c.err)
+	}
 }
 
 // TestPanicCrashContinuity is the crash-continuity e2e: one request panics

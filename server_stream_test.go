@@ -1,6 +1,7 @@
 package s2rdf
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -305,5 +306,137 @@ func TestServerSmallResultNotStreamed(t *testing.T) {
 	doc := decodeResults(t, resp)
 	if len(doc.Results.Bindings) != 200 {
 		t.Fatalf("bindings = %d, want 200", len(doc.Results.Bindings))
+	}
+}
+
+// TestServerStreamBodiesByteIdentical: a result written as one buffered
+// document, streamed through the encode pipeline, and replayed from the
+// result cache is the same bytes. The ordered OPTIONAL query leaves its
+// first column unbound on three rows in four (the row's first binding then
+// sits in a later column) and arrives in an odd number of at least five
+// engine batches, so the look-ahead's last batch has no partner; the
+// unordered one crosses partition boundaries; the empty result has no row
+// separator at all.
+func TestServerStreamBodiesByteIdentical(t *testing.T) {
+	st := Load(rankedTriples(4500), Options{})
+	const optional = `SELECT ?t ?p ?s WHERE { ?p <urn:score> ?s OPTIONAL { ?p <urn:tag> ?t } }`
+	queries := []string{
+		optional + ` ORDER BY ?p`,
+		optional,
+		`SELECT * WHERE { ?p <urn:score> ?s FILTER(?s < 0) }`,
+	}
+
+	s, err := st.Engine(ModeExtVP).QueryStream(context.Background(), queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := 0
+	for {
+		b, err := s.NextBlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		batches++
+	}
+	if batches < 5 || batches%2 == 0 {
+		t.Fatalf("ordered query arrives in %d batches, want an odd count of at least 5", batches)
+	}
+
+	common := ServerOptions{MaxConcurrent: 4, CheapThreshold: 1, ResultCacheBytes: 64 << 20}
+	bufferedOpts, streamedOpts := common, common
+	bufferedOpts.StreamThreshold = 1 << 20
+	streamedOpts.StreamThreshold = 64
+	buffered := startServer(t, NewHandler(st, bufferedOpts))
+	streamed := startServer(t, NewHandler(st, streamedOpts))
+
+	get := func(srv *httptest.Server, q string) (body []byte, streaming, lane string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if body, err = io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v", q, resp.StatusCode, err)
+		}
+		return body, resp.Header.Get("X-S2RDF-Streaming"), resp.Header.Get("X-S2RDF-Cache")
+	}
+	for i, q := range queries {
+		want, streaming, _ := get(buffered, q)
+		if streaming != "" {
+			t.Fatalf("query %d: buffered server streamed", i)
+		}
+		got, streaming, lane := get(streamed, q)
+		if empty := i == 2; streaming != "true" && !empty || lane != "miss" {
+			t.Fatalf("query %d: streaming %q, cache %q on the first run", i, streaming, lane)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("query %d: streamed body (%d bytes) differs from buffered (%d bytes)", i, len(got), len(want))
+		}
+		replay, _, lane := get(streamed, q)
+		if lane != "hit" || !bytes.Equal(replay, want) {
+			t.Fatalf("query %d: cache %q, replayed body equal: %v", i, lane, bytes.Equal(replay, want))
+		}
+	}
+	var doc resultsDoc
+	body, _, _ := get(buffered, queries[0])
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	unbound := 0
+	for _, b := range doc.Results.Bindings {
+		if _, ok := b["t"]; !ok {
+			unbound++
+		}
+	}
+	if len(doc.Results.Bindings) != 4500 || unbound != 4500*3/4 {
+		t.Fatalf("%d bindings, %d without ?t; want 4500 and %d", len(doc.Results.Bindings), unbound, 4500*3/4)
+	}
+	if empty, _, _ := get(buffered, queries[2]); string(empty) != "{\"head\":{\"vars\":[\"p\",\"s\"]},\"results\":{\"bindings\":[\n]}}\n" {
+		t.Fatalf("empty result body %q", empty)
+	}
+}
+
+// TestServerStreamStopsAtFailedWrite: once a write to a departed client
+// fails, the response stops — no further batch is encoded or flushed —
+// even when nothing cancels the request's context (here the handler
+// strips it), the other signal a disconnect can give. At most the batches
+// already in the look-ahead window reach the socket after the client
+// closed; then every goroutine and gauge is back at rest.
+func TestServerStreamStopsAtFailedWrite(t *testing.T) {
+	st := Load(scoreTriples(20000), Options{})
+	pacer := newGatePacer()
+	var flushes atomic.Int64
+	h := NewHandler(st, ServerOptions{
+		MaxConcurrent:   4,
+		CheapThreshold:  1 << 30,
+		StreamThreshold: 64,
+		pacer:           pacer,
+		flushed: func(int) {
+			flushes.Add(1)
+			pacer.armed.Store(true)
+		},
+	})
+	srv := startServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r.WithContext(context.WithoutCancel(r.Context())))
+	}))
+
+	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(scanQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := resp.Body.Read(make([]byte, 64<<10)); err != nil || n == 0 {
+		t.Fatalf("first read: %d bytes, err %v", n, err)
+	}
+	pacer.awaitBlocked(t)
+	resp.Body.Close()
+	closedAt := flushes.Load()
+	close(pacer.release)
+	assertQuiescent(t, srv)
+	if after := flushes.Load() - closedAt; after > streamBuffers {
+		t.Fatalf("%d batches flushed after the client closed, want at most %d", after, streamBuffers)
 	}
 }
