@@ -8,7 +8,7 @@
 //	-exp threshold  Table 6 / Fig. 16 (SF threshold sweep)
 //	-exp joinorder  Sec. 6.2 ablation (Algorithm 4 vs Algorithm 3)
 //	-exp oo         Sec. 5.2 ablation (OO-correlation omission)
-//	-exp bitvec     Sec. 8 future work (bit-vector ExtVP + unification)
+//	-exp bitvec     Sec. 8 future work (bit-vector vs materialized ExtVP)
 //	-exp scaling    Table 4 scale axis (Basic means vs dataset size)
 //	-exp all        everything
 //

@@ -10,10 +10,9 @@ import (
 	"s2rdf/internal/watdiv"
 )
 
-// BitVecRow compares the three ExtVP representations on one workload
-// aggregate: materialized reductions (the paper's evaluation), bit-vector
-// reductions (paper Sec. 8; the default) and bit vectors with correlation
-// unification (per-pattern intersection of all reductions).
+// BitVecRow compares the two ExtVP representations on one workload
+// aggregate: materialized reductions (the paper's evaluation) and
+// bit-vector reductions (paper Sec. 8; the default).
 type BitVecRow struct {
 	Variant     string
 	ExtBytes    int64 // storage for the reductions
@@ -21,7 +20,7 @@ type BitVecRow struct {
 	RowsScanned int64
 }
 
-// RunBitVec runs the ST workload under all three ExtVP representations and
+// RunBitVec runs the ST workload under both ExtVP representations and
 // reports storage and execution cost.
 func RunBitVec(cfg Config) ([]BitVecRow, error) {
 	cfg.defaults()
@@ -40,13 +39,10 @@ func RunBitVec(cfg Config) ([]BitVecRow, error) {
 		engine *core.Engine
 		bytes  int64
 	}
-	unified := core.New(bvDS, core.ModeExtVP)
-	unified.UnifyCorrelations = true
 	variants := []variant{
 		// Two uint32 columns per materialized tuple.
 		{"materialized", core.New(matDS, core.ModeExtVP), int64(matSizes.ExtTuples) * 8},
 		{"bit vectors", core.New(bvDS, core.ModeExtVP), int64(bvSizes.ExtBitBytes)},
-		{"bit vectors + unification", unified, int64(bvSizes.ExtBitBytes)},
 	}
 
 	templates := watdiv.STTemplates()

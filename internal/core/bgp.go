@@ -28,19 +28,16 @@ type selection struct {
 	// constrained or projected during the scan).
 	tt bool
 	// bits is the selection vector over table when the selected ExtVP
-	// reduction is stored as bit vectors (paper Sec. 8), the default. With
-	// Engine.UnifyCorrelations it may be the AND of several reductions.
+	// reduction is stored as bit vectors (paper Sec. 8), the default.
 	bits *bitvec.Bitset
-	// reduction is the selected bit-vector reduction when bits is exactly
-	// one; its distinct counts stand in for table's, which are VP's.
+	// reduction is the bit-vector reduction bits comes from; its distinct
+	// counts stand in for table's, which are VP's.
 	reduction *layout.BitTable
 }
 
 // distinct returns the distinct-value count of col among the selected rows
 // (0 when unknown): a bit-vector reduction's own counts, so that planning
 // over bits reads the statistics a row copy of the same reduction has.
-// Under an intersection of reductions (UnifyCorrelations) it falls back to
-// the base table's count.
 func (sel selection) distinct(col string) int {
 	if sel.reduction != nil {
 		return sel.reduction.DistinctOf(col)
@@ -79,12 +76,6 @@ func (e *Engine) selectTable(i int, bgp []sparql.TriplePattern) selection {
 	// is 1, VP is the best choice.
 	var best layout.ExtKey
 	bestInfo := layout.TableInfo{Rows: vp.NumRows(), SF: 1}
-	// combined accumulates the intersection of every applicable bit-vector
-	// reduction when UnifyCorrelations is enabled (the paper's proposed
-	// unification strategy: consider the intersections of all correlations
-	// of a triple pattern).
-	var combined *bitvec.Bitset
-	nCombined := 0
 	consider := func(key layout.ExtKey) {
 		info := e.DS.ExtInfo(key)
 		// An empty reduction (SF 0) is kept as best too: it proves the
@@ -92,14 +83,6 @@ func (e *Engine) selectTable(i int, bgp []sparql.TriplePattern) selection {
 		// dataset.
 		if !info.Materialized && info.SF > 0 {
 			return
-		}
-		if bt, ok := e.DS.ExtBits[key]; ok && e.UnifyCorrelations {
-			if combined == nil {
-				combined = bt.Bits.Clone()
-			} else {
-				combined.AndInPlace(bt.Bits)
-			}
-			nCombined++
 		}
 		if info.SF < bestInfo.SF {
 			best, bestInfo = key, info
@@ -134,21 +117,6 @@ func (e *Engine) selectTable(i int, bgp []sparql.TriplePattern) selection {
 	}
 	if bestInfo.SF == 0 {
 		return selection{empty: true, name: layout.ExtVPName(e.DS.Dict, best)}
-	}
-	if nCombined > 1 {
-		count := combined.Count()
-		name := fmt.Sprintf("ExtVP∩(%d tables)", nCombined)
-		if count == 0 {
-			// The intersection of the correlations is empty: the pattern
-			// (and hence the BGP) has no solutions.
-			return selection{empty: true, name: name}
-		}
-		if count < bestInfo.Rows {
-			return selection{
-				table: vp, name: name, rows: count,
-				sf: float64(count) / float64(vp.NumRows()), bits: combined,
-			}
-		}
 	}
 	if bestInfo.SF < 1 {
 		if bt, ok := e.DS.ExtBits[best]; ok {
@@ -332,7 +300,7 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 	}
 
 	// Pattern variable lists are consulted all over the planning loop
-	// (ordering, star detection, schema accumulation); Vars() allocates, so
+	// (ordering, connectivity, schema accumulation); Vars() allocates, so
 	// compute each one exactly once.
 	tpVars := make([][]string, len(bgp))
 	for i, tp := range bgp {
@@ -369,8 +337,7 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 	var rel *engine.Relation
 	var bound []string
 	est := 0 // estimated cardinality of the accumulated intermediate
-	for oi := 0; oi < len(order); oi++ {
-		idx := order[oi]
+	for oi, idx := range order {
 		// A cancelled query stops between pattern joins; the row-batch
 		// checks inside each operator cover the stretch in between.
 		if err := ex.Err(); err != nil {
@@ -395,43 +362,6 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 			bound = joinedSchema(bound, tpVars[idx])
 			continue
 		}
-		// A run of ≥2 upcoming shuffle joins all hitting the same hub
-		// variable evaluates as one star join: the intermediate is hashed
-		// once and the star's output materialized once.
-		if run, hub := e.starRun(tpVars, sels, order, oi, bound, rel, est); len(run) >= 2 {
-			rights := make([]*engine.Relation, len(run))
-			for i, ridx := range run {
-				var rpred func(engine.Row) bool
-				if preds != nil {
-					rpred = preds[ridx]
-				}
-				scan, st, _, ok, err := e.compilePattern(ex, bgp[ridx], sels[ridx], rpred, nil)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					res.StatsOnly = true
-					return e.emptyRelation(ex, bgp), nil
-				}
-				res.Plan[base+ridx].Scanned, res.Plan[base+ridx].Pruned = st.Scanned, st.Pruned
-				rights[i] = scan
-			}
-			coPart := rel.CoPartitionedBy(rel.ColIndex(hub), parts)
-			joined, stats := ex.StarJoin(rel, rights)
-			for i, ridx := range run {
-				res.Joins = append(res.Joins, JoinPlan{
-					Right: tpStrs[ridx], Strategy: strategyStar,
-					LeftRows: est, RightRows: sels[ridx].est,
-					RowsShuffled: stats[i].RowsShuffled, Comparisons: stats[i].Comparisons,
-					CoPartitioned: coPart || i > 0,
-				})
-				est = estimateJoinRows(est, sels[ridx].est)
-				bound = joinedSchema(bound, tpVars[ridx])
-			}
-			rel = joined
-			oi += len(run) - 1
-			continue
-		}
 		scan, st, keys, ok, err := e.compilePattern(ex, tp, sel, pred, rel)
 		if err != nil {
 			return nil, err
@@ -444,7 +374,8 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 		pp.Scanned, pp.Pruned, pp.Keys = st.Scanned, st.Pruned, keys
 		coPart := coPartitionedLeft(rel, tpVars[idx], parts)
 		strat := chooseJoinStrategy(est, sel.est, parts, coPart)
-		if !sharesVar(bound, tpVars[idx]) {
+		connected := sharesVar(bound, tpVars[idx])
+		if !connected {
 			// Disconnected BGP: the cross join is unavoidable here (the
 			// planner already deferred it past every connected pattern).
 			strat = strategyCross
@@ -461,11 +392,7 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 			RowsShuffled: d.RowsShuffled, Comparisons: d.JoinComparisons,
 			CoPartitioned: coPart && strat == strategyShuffle,
 		})
-		if strat == strategyCross {
-			est = est * sel.est
-		} else {
-			est = estimateJoinRows(est, sel.est)
-		}
+		est = joinEstimate(est, sel.est, connected)
 		bound = joinedSchema(bound, tpVars[idx])
 	}
 	if rel == nil {
@@ -489,56 +416,6 @@ func joinTopK(ex *engine.Exec, left, right *engine.Relation, strat engine.JoinSt
 	rel, applied := ex.JoinTopK(left, right, strat, top.window, cols, keyOf)
 	top.applied = applied
 	return rel
-}
-
-// starRun finds the maximal run of order members starting at oi that can
-// evaluate as one engine StarJoin against the current intermediate: each
-// member shares exactly one variable — the same hub — with the bound
-// schema, members pairwise share no variable beyond the hub, and the
-// planner would pick a shuffle for every one of them (a broadcast-sized
-// side keeps the ordinary per-join path, which replicates it instead of
-// shuffling the intermediate). Runs shorter than two are not stars.
-func (e *Engine) starRun(tpVars [][]string, sels []selection, order []int, oi int, bound []string, rel *engine.Relation, est int) ([]int, string) {
-	parts := e.Cluster.Partitions()
-	hub := ""
-	var run []int
-	runningEst := est
-	for ; oi < len(order); oi++ {
-		idx := order[oi]
-		shared := ""
-		for _, v := range tpVars[idx] {
-			if indexOf(bound, v) < 0 {
-				continue
-			}
-			if shared != "" && shared != v {
-				return run, hub // two bound vars: not a star arm
-			}
-			shared = v
-		}
-		if shared == "" {
-			return run, hub
-		}
-		if hub == "" {
-			hub = shared
-		} else if shared != hub {
-			return run, hub
-		}
-		// Arms must be independent of each other beyond the hub.
-		for _, prev := range run {
-			for _, v := range tpVars[idx] {
-				if v != hub && indexOf(tpVars[prev], v) >= 0 {
-					return run, hub
-				}
-			}
-		}
-		coPart := len(run) > 0 || rel.CoPartitionedBy(rel.ColIndex(hub), parts)
-		if chooseJoinStrategy(runningEst, sels[idx].est, parts, coPart) != strategyShuffle {
-			return run, hub
-		}
-		run = append(run, idx)
-		runningEst = estimateJoinRows(runningEst, sels[idx].est)
-	}
-	return run, hub
 }
 
 // emptyRelation returns a zero-row relation over all the BGP's variables.

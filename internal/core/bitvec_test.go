@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"s2rdf/internal/layout"
-	"s2rdf/internal/rdf"
 )
 
 func g1BitsDataset(t *testing.T) *layout.Dataset {
@@ -81,89 +80,6 @@ func TestBitVectorScannedRowsMatchSF(t *testing.T) {
 	if rb.Metrics.RowsScanned != rm.Metrics.RowsScanned {
 		t.Errorf("bit-vector scanned %d rows, materialized %d",
 			rb.Metrics.RowsScanned, rm.Metrics.RowsScanned)
-	}
-}
-
-func TestUnifyCorrelationsImprovesSelectivity(t *testing.T) {
-	// tp3 of Q1 has an SO (0.75) and an OS (0.25) correlation. Their
-	// intersection has a single row (B,C), SF 0.25 — at worst equal to the
-	// best single table, and the result must not change.
-	ds := g1BitsDataset(t)
-	plain := New(ds, ModeExtVP)
-	unified := New(ds, ModeExtVP)
-	unified.UnifyCorrelations = true
-
-	rp, err := plain.Query(q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ru, err := unified.Query(q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(canon(rp), canon(ru)) {
-		t.Fatalf("unification changed the result")
-	}
-	if ru.Metrics.RowsScanned > rp.Metrics.RowsScanned {
-		t.Errorf("unified scanned %d rows > plain %d",
-			ru.Metrics.RowsScanned, rp.Metrics.RowsScanned)
-	}
-	foundIntersect := false
-	for _, p := range ru.Plan {
-		if strings.Contains(p.Table, "∩") {
-			foundIntersect = true
-			if p.SF > 0.25+1e-9 {
-				t.Errorf("intersection SF = %v, want <= 0.25", p.SF)
-			}
-		}
-	}
-	if !foundIntersect {
-		t.Errorf("no intersection table in plan: %+v", ru.Plan)
-	}
-}
-
-func TestUnifyCorrelationsEmptyIntersection(t *testing.T) {
-	// Build a graph where two correlations are individually non-empty but
-	// their intersection is empty: p-edges whose object has a q-edge, and
-	// p-edges whose object is a target of r — but never both.
-	iri := rdf.NewIRI
-	triples := []rdf.Triple{
-		{S: iri("urn:a"), P: iri("urn:p"), O: iri("urn:b")},
-		{S: iri("urn:b"), P: iri("urn:q"), O: iri("urn:x")},
-		{S: iri("urn:c"), P: iri("urn:p"), O: iri("urn:d")},
-		{S: iri("urn:e"), P: iri("urn:r"), O: iri("urn:d")},
-		{S: iri("urn:d"), P: iri("urn:s"), O: iri("urn:y")},
-		{S: iri("urn:b2"), P: iri("urn:s"), O: iri("urn:y2")},
-	}
-	ds := layout.Build(triples, layout.DefaultOptions())
-	e := New(ds, ModeExtVP)
-	e.UnifyCorrelations = true
-
-	// ?m p ?n requires ?n to have a q-edge (only b) AND be an r-target
-	// (only d): intersection empty although each reduction alone is not.
-	res, err := e.Query(`SELECT * WHERE {
-		?m <urn:p> ?n . ?n <urn:q> ?o . ?w <urn:r> ?n
-	}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 0 {
-		t.Fatalf("rows = %d, want 0", res.Len())
-	}
-	if !res.StatsOnly {
-		t.Error("empty intersection should be detected before execution")
-	}
-	// Sanity: without unification the same query executes and still
-	// returns empty.
-	plain := New(ds, ModeExtVP)
-	rp, err := plain.Query(`SELECT * WHERE {
-		?m <urn:p> ?n . ?n <urn:q> ?o . ?w <urn:r> ?n
-	}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Len() != 0 {
-		t.Fatalf("plain rows = %d, want 0", rp.Len())
 	}
 }
 

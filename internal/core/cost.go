@@ -101,9 +101,8 @@ func (e *Engine) estimateGroup(g *sparql.Group, c *CostEstimate) {
 }
 
 // estimateBGP folds one BGP into the estimate: per-pattern scan estimates
-// into ScanRows, and the planner's join-order estimate accumulation —
-// min(left, right) for connected joins, the product for cross joins (the
-// same arithmetic evalBGP tracks while executing) — into PeakRows.
+// into ScanRows, and the planner's join-order estimate accumulation
+// (joinEstimate, which evalBGP runs too while executing) into PeakRows.
 func (e *Engine) estimateBGP(bgp []sparql.TriplePattern, c *CostEstimate) {
 	c.Patterns += len(bgp)
 	tpStrs := make([]string, len(bgp))
@@ -132,13 +131,10 @@ func (e *Engine) estimateBGP(bgp []sparql.TriplePattern, c *CostEstimate) {
 	est := 0
 	var bound []string
 	for oi, idx := range order {
-		switch {
-		case oi == 0:
+		if oi == 0 {
 			est = sels[idx].est
-		case sharesVar(bound, tpVars[idx]):
-			est = estimateJoinRows(est, sels[idx].est)
-		default:
-			est = mulCapped(est, sels[idx].est)
+		} else {
+			est = joinEstimate(est, sels[idx].est, sharesVar(bound, tpVars[idx]))
 		}
 		if est > c.PeakRows {
 			c.PeakRows = est

@@ -77,12 +77,6 @@ type Engine struct {
 	// JoinOrderOpt enables the size-driven join ordering of Algorithm 4;
 	// disabled it falls back to Algorithm 3 (pattern order as written).
 	JoinOrderOpt bool
-	// UnifyCorrelations intersects all applicable bit-vector reductions of
-	// a triple pattern instead of picking the single best one — the
-	// unification strategy the paper sketches as future work (Sec. 8).
-	// Effective only on bit-vector reductions, the default: a dataset built
-	// with layout Options.Materialize has none.
-	UnifyCorrelations bool
 	// Plans caches parsed queries by normalized text; nil disables caching.
 	Plans *PlanCache
 	// Selections caches per-BGP table selections (Algorithm 1 output) by

@@ -31,7 +31,7 @@ type JoinPlan struct {
 	// Right describes the right input: a triple pattern, or "UNION" /
 	// "OPTIONAL" for group-level joins.
 	Right string
-	// Strategy is "shuffle", "broadcast", "cross" or "star".
+	// Strategy is "shuffle", "broadcast" or "cross".
 	Strategy string
 	// LeftRows and RightRows are the estimated (BGP joins) or exact
 	// (group-level joins) input cardinalities the decision used.
@@ -49,7 +49,6 @@ const (
 	strategyShuffle   = "shuffle"
 	strategyBroadcast = "broadcast"
 	strategyCross     = "cross"
-	strategyStar      = "star"
 )
 
 // chooseJoinStrategy picks the physical join from estimated side sizes. A
@@ -106,15 +105,18 @@ func engineStrategy(s string) engine.JoinStrategy {
 	return engine.StrategyShuffle
 }
 
-// estimateJoinRows estimates the output cardinality of joining relations of
-// the given sizes. With no per-value statistics the smaller input is the
-// best available bound: ExtVP reductions make the joined tables highly
-// selective, so joins tend to shrink toward the small side.
-func estimateJoinRows(left, right int) int {
-	if left < right {
-		return left
+// joinEstimate estimates the output cardinality of joining a pattern
+// estimated at right rows into an intermediate estimated at left rows —
+// the one accumulation evalBGP and estimateBGP both run. With no per-value
+// statistics the smaller input is the best available bound for a connected
+// join: ExtVP reductions make the joined tables highly selective, so joins
+// tend to shrink toward the small side. A cross join (connected false)
+// multiplies, capped at costCap so a chain of them cannot overflow.
+func joinEstimate(left, right int, connected bool) int {
+	if !connected {
+		return mulCapped(left, right)
 	}
-	return right
+	return min(left, right)
 }
 
 // planJoinOrder returns the execution order of the BGP's patterns as

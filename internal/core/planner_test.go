@@ -173,6 +173,56 @@ func TestPlannerDefersCrossJoin(t *testing.T) {
 	}
 }
 
+// TestCrossJoinEstimateCapped: a chain of cross joins multiplies its
+// estimates, and the product must saturate at costCap rather than wrap.
+// Seven disconnected self-loop patterns over a 20,000-row VP table match
+// nothing, yet each estimates 20,000 rows, so an unchecked product
+// overflows at the fifth join and reads negative at the sixth; the explain
+// surface and the strategy choice both read those figures.
+func TestCrossJoinEstimateCapped(t *testing.T) {
+	var ts []rdf.Triple
+	for i := 0; i < 20000; i++ {
+		ts = append(ts, rdf.Triple{
+			S: rdf.NewIRI(fmt.Sprintf("urn:s%d", i)), P: rdf.NewIRI("urn:p1"), O: rdf.NewIRI(fmt.Sprintf("urn:o%d", i)),
+		})
+	}
+	ds := layout.Build(ts, layout.Options{BuildExtVP: false})
+	e := New(ds, ModeVP)
+	var q strings.Builder
+	q.WriteString("SELECT * WHERE {")
+	for k := 0; k < 7; k++ {
+		fmt.Fprintf(&q, " ?x%d <urn:p1> ?x%d .", k, k)
+	}
+	q.WriteString(" }")
+	res, err := e.Query(q.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 0 {
+		t.Fatalf("rows = %d, want 0", res.Len())
+	}
+	if len(res.Joins) != 6 {
+		t.Fatalf("Joins = %+v, want 6 cross joins", res.Joins)
+	}
+	prev := 0
+	for i, j := range res.Joins {
+		if j.Strategy != "cross" {
+			t.Errorf("join %d strategy = %q, want cross", i, j.Strategy)
+		}
+		if j.LeftRows < prev || j.LeftRows > costCap {
+			t.Errorf("join %d LeftRows = %d after %d; want non-decreasing and <= %d", i, j.LeftRows, prev, costCap)
+		}
+		prev = j.LeftRows
+	}
+	c, err := e.EstimateCost(q.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.PeakRows != costCap {
+		t.Errorf("PeakRows = %d, want %d", c.PeakRows, costCap)
+	}
+}
+
 // TestDuplicatePatternsKeepCorrelations is the regression for the old
 // `other == tp` struct-equality skip in selectTable: a BGP holding two
 // copies of the same pattern used to skip *both* copies when scanning for

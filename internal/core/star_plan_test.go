@@ -38,12 +38,13 @@ const bigStarQuery = `SELECT * WHERE {
 	?x <urn:p1> ?a . ?x <urn:p2> ?b . ?x <urn:p3> ?c
 }`
 
-// TestPlannerEvaluatesShuffleStarAsStarJoin: when every arm of a star BGP
-// is big enough that the pairwise choice would shuffle, the run evaluates
-// as one engine StarJoin — each step reports strategy "star", the actually
-// shuffled rows, and co-partitioning for every stage after the first (the
-// center is hashed once). Plan-cache re-runs must report identical numbers.
-func TestPlannerEvaluatesShuffleStarAsStarJoin(t *testing.T) {
+// TestPlannerChainsShuffleJoinsOnStar: when every arm of a star BGP is big
+// enough that the pairwise choice shuffles, the star runs as a chain of
+// shuffle joins on the hub. The first join hashes both inputs; its output
+// arrives partitioned on the hub, so the second join moves only the new
+// arm and reports itself co-partitioned. Plan-cache re-runs must report
+// identical numbers.
+func TestPlannerChainsShuffleJoinsOnStar(t *testing.T) {
 	ds := layout.Build(bigStarTriples(), layout.Options{BuildExtVP: false})
 	e := &Engine{
 		DS: ds, Cluster: engine.NewCluster(4), Mode: ModeVP, JoinOrderOpt: true,
@@ -58,19 +59,18 @@ func TestPlannerEvaluatesShuffleStarAsStarJoin(t *testing.T) {
 		t.Fatalf("JoinOrder = %v, want [2 1 0]", res.JoinOrder)
 	}
 	if len(res.Joins) != 2 {
-		t.Fatalf("Joins = %+v, want 2 star steps", res.Joins)
+		t.Fatalf("Joins = %+v, want 2 steps", res.Joins)
 	}
 	for i, j := range res.Joins {
-		if j.Strategy != "star" {
-			t.Errorf("join %d strategy = %q, want star", i, j.Strategy)
+		if j.Strategy != "shuffle" {
+			t.Errorf("join %d strategy = %q, want shuffle", i, j.Strategy)
 		}
 		if j.Comparisons == 0 {
 			t.Errorf("join %d reports no comparisons", i)
 		}
 	}
-	// Stage 0 moves the center (30 rows, fresh scan) plus p2's 36 rows;
-	// stage 1 moves only p1's 40 — the center is already hashed, which the
-	// explain surface reports as a co-partitioned step.
+	// Join 0 moves p3's 30 rows and p2's 36; join 1 moves only p1's 40 —
+	// the intermediate is already hashed on ?x.
 	if res.Joins[0].RowsShuffled != 66 || res.Joins[1].RowsShuffled != 40 {
 		t.Errorf("RowsShuffled = %d, %d; want 66, 40",
 			res.Joins[0].RowsShuffled, res.Joins[1].RowsShuffled)
@@ -83,8 +83,8 @@ func TestPlannerEvaluatesShuffleStarAsStarJoin(t *testing.T) {
 		t.Errorf("rows = %d, want 30", res.Len())
 	}
 
-	// The plan-cache re-run executes the same star and must report the same
-	// explain numbers (they feed headers and -explain output).
+	// The plan-cache re-run executes the same chain and must report the
+	// same explain numbers (they feed headers and -explain output).
 	res2, err := e.Query(bigStarQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -96,50 +96,12 @@ func TestPlannerEvaluatesShuffleStarAsStarJoin(t *testing.T) {
 		t.Errorf("cached-run Joins = %+v, want %+v", res2.Joins, res.Joins)
 	}
 
-	// Ground truth: TT mode computes the same bindings without the star
-	// operator (its chain of pairwise joins).
 	tt := New(ds, ModeTT)
 	ttRes, err := tt.Query(bigStarQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(canon(res), canon(ttRes)) {
-		t.Error("star-join result differs from TT ground truth")
-	}
-}
-
-// TestStarRunStopsAtBroadcastArm: a tiny arm inside a star run must break
-// the run — broadcasting it is cheaper than shuffling it, so it keeps the
-// ordinary per-join path and only the shuffle-priced arms fuse.
-func TestStarRunStopsAtBroadcastArm(t *testing.T) {
-	iri := rdf.NewIRI
-	ts := bigStarTriples()
-	// One rare predicate on a single hub subject: estimated at 1 row, it
-	// must be joined first and broadcast, leaving the three big arms to
-	// fuse into a star against the 1-row intermediate... which would then
-	// be broadcast-priced too. So query only the big arms plus the rare
-	// one and check the rare join is not labeled "star".
-	ts = append(ts, rdf.Triple{S: iri("urn:s0"), P: iri("urn:rare"), O: iri("urn:v")})
-	ds := layout.Build(ts, layout.Options{BuildExtVP: false})
-	e := &Engine{DS: ds, Cluster: engine.NewCluster(4), Mode: ModeVP, JoinOrderOpt: true}
-	res, err := e.Query(`SELECT * WHERE {
-		?x <urn:p1> ?a . ?x <urn:p2> ?b . ?x <urn:rare> ?r
-	}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Joins) != 2 {
-		t.Fatalf("Joins = %+v, want 2", res.Joins)
-	}
-	for i, j := range res.Joins {
-		if j.Strategy == "star" {
-			t.Errorf("join %d fused into a star despite a broadcast-priced arm: %+v", i, j)
-		}
-		if j.Strategy != "broadcast" {
-			t.Errorf("join %d strategy = %q, want broadcast (1-row intermediate)", i, j.Strategy)
-		}
-	}
-	if res.Len() != 1 {
-		t.Errorf("rows = %d, want 1", res.Len())
+		t.Error("shuffle-chain result differs from TT ground truth")
 	}
 }

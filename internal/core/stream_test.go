@@ -217,8 +217,7 @@ func TestMemBudgetSpillEquivalenceSPARQL(t *testing.T) {
 	// A join query under a 1-byte budget must spill its builds and still
 	// agree with the unbounded run — the ISSUE's acceptance criterion at
 	// the SPARQL level. The object-object shape (same-score pairs) keeps
-	// the join on the shuffle hash-join path, the one that spills; a
-	// subject star would fuse into StarJoin, which stays in memory.
+	// the join on the shuffle hash-join path, the one that spills.
 	ds := chainDataset(t, 2000, 5)
 	const q = `SELECT * WHERE { ?a <urn:score> ?s . ?b <urn:score> ?s }`
 

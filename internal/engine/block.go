@@ -342,9 +342,9 @@ type tableKey struct {
 
 // joinTable returns the join table over (b, key), building it at most once
 // per execution: join stages that share a build side — co-partitioned
-// re-joins on the same key, a relation broadcast into several joins, the
-// star join's hub — reuse one table instead of rehashing the block. Safe
-// under concurrent partition tasks; a cancelled build is not cached.
+// re-joins on the same key, a relation broadcast into several joins —
+// reuse one table instead of rehashing the block. Safe under concurrent
+// partition tasks; a cancelled build is not cached.
 func (x *Exec) joinTable(b *Block, key int) *indexTable {
 	k := tableKey{b, key}
 	x.mu.Lock()

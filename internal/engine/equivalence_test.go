@@ -214,44 +214,3 @@ func TestOperatorEquivalenceRandomized(t *testing.T) {
 		}
 	}
 }
-
-// TestStarJoinEquivalenceRandomized checks the star operator against the
-// same result computed as a chain of reference joins, over random centers
-// and 2–4 arms (including key-only arms, which multiply cardinality).
-func TestStarJoinEquivalenceRandomized(t *testing.T) {
-	for _, parts := range []int{1, 3, 4} {
-		c := NewCluster(parts)
-		for seed := int64(0); seed < 12; seed++ {
-			rnd := rand.New(rand.NewSource(seed))
-			centerSchema := []string{"x", "c0"}
-			crows := randRows(rnd, 2, 40, 8)
-			center := c.exec().FromRows(centerSchema, crows)
-			k := 2 + rnd.Intn(3)
-			rights := make([]*Relation, k)
-			wantSchema := centerSchema
-			want := crows
-			for i := 0; i < k; i++ {
-				var rs []string
-				if rnd.Intn(4) == 0 {
-					rs = []string{"x"} // key-only arm
-				} else {
-					rs = []string{fmt.Sprintf("a%d", i), "x"}
-				}
-				rrows := randRows(rnd, len(rs), 30, 8)
-				rights[i] = c.exec().FromRows(rs, rrows)
-				want = refJoin(wantSchema, rs, want, rrows)
-				_, rIdx := sharedCols(wantSchema, rs)
-				wantSchema = joinSchema(wantSchema, rs, rIdx)
-			}
-			x := c.NewExec(nil)
-			got, stats := x.StarJoin(center, rights)
-			if len(stats) != k {
-				t.Fatalf("parts=%d seed=%d: %d stage stats, want %d", parts, seed, len(stats), k)
-			}
-			if len(got.Schema) != len(wantSchema) {
-				t.Fatalf("parts=%d seed=%d: schema %v, want %v", parts, seed, got.Schema, wantSchema)
-			}
-			checkRows(t, fmt.Sprintf("parts=%d seed=%d StarJoin k=%d", parts, seed, k), got, want)
-		}
-	}
-}

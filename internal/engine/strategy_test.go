@@ -136,3 +136,33 @@ func TestJoinStrategyString(t *testing.T) {
 		}
 	}
 }
+
+// TestCoPartitionedJoinShufflesNothing is the satellite acceptance check at
+// the engine level: joining two relations that both arrived hash-partitioned
+// on the join key (outputs of prior joins on the same variable) moves zero
+// rows — the engine skips both shuffles and the metered delta is nil.
+func TestCoPartitionedJoinShufflesNothing(t *testing.T) {
+	c := NewCluster(4)
+	mk := func(col2 string, base int) *Relation {
+		var rows []Row
+		for i := 0; i < 40; i++ {
+			rows = append(rows, Row{dict.ID(i), dict.ID(base + i)})
+		}
+		return c.exec().FromRows([]string{"x", col2}, rows)
+	}
+	var m Metrics
+	x := c.NewExec(&m)
+	left := x.JoinWith(mk("y", 100), mk("z", 200), StrategyShuffle)
+	right := x.JoinWith(mk("v", 300), mk("w", 400), StrategyShuffle)
+	if !left.CoPartitionedBy(0, c.Partitions()) || !right.CoPartitionedBy(0, c.Partitions()) {
+		t.Fatal("join outputs not co-partitioned by x")
+	}
+	before := m.RowsShuffled.Load()
+	out := x.JoinWith(left, right, StrategyShuffle)
+	if d := m.RowsShuffled.Load() - before; d != 0 {
+		t.Errorf("co-partitioned join shuffled %d rows, want 0", d)
+	}
+	if out.NumRows() != 40 {
+		t.Errorf("join produced %d rows, want 40", out.NumRows())
+	}
+}

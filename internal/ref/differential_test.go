@@ -253,8 +253,7 @@ func TestCanon(t *testing.T) {
 }
 
 // TestDifferentialBitVectors cross-checks the bit-vector ExtVP
-// representation (with and without correlation unification) against the
-// reference on random instances.
+// representation against the reference on random instances.
 func TestDifferentialBitVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	for iter := 0; iter < 150; iter++ {
@@ -265,47 +264,13 @@ func TestDifferentialBitVectors(t *testing.T) {
 
 		ds := layout.Build(triples, layout.DefaultOptions())
 
-		for _, unify := range []bool{false, true} {
-			e := core.New(ds, core.ModeExtVP)
-			e.UnifyCorrelations = unify
-			res, err := e.Query(src)
-			if err != nil {
-				t.Fatalf("iter %d unify=%v: %v", iter, unify, err)
-			}
-			if got := canonResult(res); !reflect.DeepEqual(got, want) {
-				t.Fatalf("iter %d unify=%v:\nquery:\n%s\ntriples: %v\ngot:  %v\nwant: %v",
-					iter, unify, src, triples, got, want)
-			}
-		}
-	}
-}
-
-// TestUnificationNeverScansMore asserts the future-work claim: the
-// intersection strategy's metered input is never larger than single-table
-// selection on the same dataset.
-func TestUnificationNeverScansMore(t *testing.T) {
-	rng := rand.New(rand.NewSource(31337))
-	for iter := 0; iter < 80; iter++ {
-		triples := randGraph(rng)
-		bgp := randBGP(rng)
-		src := bgpToQuery(bgp)
-
-		ds := layout.Build(triples, layout.DefaultOptions())
-
-		plain := core.New(ds, core.ModeExtVP)
-		unified := core.New(ds, core.ModeExtVP)
-		unified.UnifyCorrelations = true
-		rp, err := plain.Query(src)
+		res, err := core.New(ds, core.ModeExtVP).Query(src)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("iter %d: %v", iter, err)
 		}
-		ru, err := unified.Query(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ru.Metrics.RowsScanned > rp.Metrics.RowsScanned {
-			t.Fatalf("iter %d: unified scanned %d > plain %d\nquery:\n%s",
-				iter, ru.Metrics.RowsScanned, rp.Metrics.RowsScanned, src)
+		if got := canonResult(res); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d:\nquery:\n%s\ntriples: %v\ngot:  %v\nwant: %v",
+				iter, src, triples, got, want)
 		}
 	}
 }

@@ -137,11 +137,6 @@ type Options struct {
 	// rows scanned alike. Open serves a saved store as it was saved and
 	// ignores this field.
 	MaterializeExtVP bool
-	// UnifyCorrelations additionally intersects all applicable reductions
-	// per triple pattern — the paper's proposed unification strategy,
-	// giving strictly better input selectivity. It needs bit-vector
-	// reductions, so it has no effect with MaterializeExtVP.
-	UnifyCorrelations bool
 }
 
 // Store is a loaded RDF dataset queryable in all supported modes.
@@ -208,7 +203,6 @@ func newStore(ds *layout.Dataset, opts Options) *Store {
 	}
 	for _, m := range []Mode{ModeExtVP, ModeVP, ModeTT, ModePT} {
 		e := core.New(ds, m)
-		e.UnifyCorrelations = opts.UnifyCorrelations
 		e.Faults = s.health
 		s.engines[m] = e
 	}

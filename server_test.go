@@ -494,7 +494,7 @@ func TestServePlanningHeaders(t *testing.T) {
 		t.Error("missing X-S2RDF-Join-Strategies header")
 	}
 	for _, s := range strings.Split(strategies, ",") {
-		if s != "shuffle" && s != "broadcast" && s != "cross" && s != "star" {
+		if s != "shuffle" && s != "broadcast" && s != "cross" {
 			t.Errorf("unknown strategy %q in header %q", s, strategies)
 		}
 	}
