@@ -11,7 +11,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -455,14 +454,4 @@ func ShapeMeans(cells []Cell) map[string]map[string]time.Duration {
 		}
 	}
 	return out
-}
-
-// sortedKeys returns map keys sorted.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -3,8 +3,7 @@
 // names as future work (Sec. 8): instead of materializing a semi-join
 // reduction as a copy of the VP rows, store one bit per VP row marking
 // membership in the reduction. A reduction then costs |VP|/8 bytes instead
-// of 8·|reduction| bytes, and the intersection of several reductions is a
-// word-wise AND.
+// of 8·|reduction| bytes.
 package bitvec
 
 import "math/bits"
@@ -25,9 +24,6 @@ func (b *Bitset) Len() int { return b.n }
 
 // Set sets bit i.
 func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
-
-// Clear clears bit i.
-func (b *Bitset) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
 
 // Reset clears every bit, keeping the length and the storage.
 func (b *Bitset) Reset() { clear(b.words) }
@@ -99,45 +95,8 @@ func (b *Bitset) AppendSet(dst []int32, lo, hi int) []int32 {
 	return dst
 }
 
-// And returns a new bitset holding the intersection of b and other. The
-// lengths must match.
-func (b *Bitset) And(other *Bitset) *Bitset {
-	if other.n != b.n {
-		panic("bitvec: length mismatch")
-	}
-	out := New(b.n)
-	for i := range b.words {
-		out.words[i] = b.words[i] & other.words[i]
-	}
-	return out
-}
-
-// AndInPlace intersects other into b.
-func (b *Bitset) AndInPlace(other *Bitset) {
-	if other.n != b.n {
-		panic("bitvec: length mismatch")
-	}
-	for i := range b.words {
-		b.words[i] &= other.words[i]
-	}
-}
-
-// Clone returns a copy.
-func (b *Bitset) Clone() *Bitset {
-	out := New(b.n)
-	copy(out.words, b.words)
-	return out
-}
-
 // Bytes returns the in-memory size of the bit data.
 func (b *Bitset) Bytes() int { return len(b.words) * 8 }
 
 // Words exposes the raw words for serialization.
 func (b *Bitset) Words() []uint64 { return b.words }
-
-// FromWords reconstructs a bitset from serialized words.
-func FromWords(n int, words []uint64) *Bitset {
-	b := New(n)
-	copy(b.words, words)
-	return b
-}

@@ -7,8 +7,8 @@ import "s2rdf/internal/dict"
 // previous flat row-major buffer, operators now touch only the columns they
 // need — key hashing runs over one contiguous slice, joins gather output
 // columns once from (row-index) pair vectors, and column-copying operators
-// (Project, padRight, Union alignment) can share column slices outright
-// instead of copying rows.
+// (Project, Union alignment) can share column slices outright instead of
+// copying rows.
 //
 // Invariants:
 //   - len(cols[j]) == n for every column j;
@@ -319,8 +319,9 @@ func (t *indexTable) first(k dict.ID) int32 {
 }
 
 // buildJoinTable indexes block rows by their key column — one pass over the
-// contiguous column. Rows are inserted in reverse so each chain iterates in
-// build order. Returns nil when the execution is cancelled mid-build.
+// contiguous column — and accounts the table against the memory budget.
+// Rows are inserted in reverse so each chain iterates in build order.
+// Returns nil when the execution is cancelled mid-build.
 func (x *Exec) buildJoinTable(b *Block, key int) *indexTable {
 	n := b.Len()
 	t := newIndexTable(n)
@@ -331,39 +332,7 @@ func (x *Exec) buildJoinTable(b *Block, key int) *indexTable {
 		}
 		t.insert(uint64(col[i]), int32(i))
 	}
-	return t
-}
-
-// tableKey identifies a cached join table: the build block and key column.
-type tableKey struct {
-	b   *Block
-	col int
-}
-
-// joinTable returns the join table over (b, key), building it at most once
-// per execution: join stages that share a build side — co-partitioned
-// re-joins on the same key, a relation broadcast into several joins —
-// reuse one table instead of rehashing the block. Safe under concurrent
-// partition tasks; a cancelled build is not cached.
-func (x *Exec) joinTable(b *Block, key int) *indexTable {
-	k := tableKey{b, key}
-	x.mu.Lock()
-	t, ok := x.tables[k]
-	x.mu.Unlock()
-	if ok {
-		return t
-	}
-	t = x.buildJoinTable(b, key)
-	if t == nil {
-		return nil
-	}
-	x.trackBytes(tableBytes(b.Len()))
-	x.mu.Lock()
-	if x.tables == nil {
-		x.tables = make(map[tableKey]*indexTable)
-	}
-	x.tables[k] = t
-	x.mu.Unlock()
+	x.trackBytes(tableBytes(n))
 	return t
 }
 

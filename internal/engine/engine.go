@@ -6,10 +6,12 @@
 // []dict.ID per column — see block.go), so operators run column-at-a-time:
 // key hashing streams over one contiguous column, joins emit (build-row,
 // probe-row) index pair vectors and gather output columns exactly once, and
-// shuffles scatter columns instead of re-serializing rows. Joins repartition
-// ("shuffle") both inputs by the hash of the join key and then run
-// per-partition hash joins — open-addressing index tables over the build
-// block — on a pool of worker goroutines. The engine meters the quantities
+// shuffles scatter columns instead of re-serializing rows. Every equi-join
+// is one hash join, build then probe (see joinBuild): a shuffle join
+// repartitions both inputs by the hash of the join key and builds per
+// co-partition on the smaller side, a broadcast join builds once over the
+// gathered small side, and in both the partition tasks probe the build
+// read-only on a pool of worker goroutines. The engine meters the quantities
 // the paper's argument rests on: rows scanned, rows shuffled and join
 // comparisons. Input-size reduction (what ExtVP buys) therefore translates
 // directly into lower metered cost and lower wall time, just as on Spark.
@@ -194,13 +196,6 @@ type Exec struct {
 	// write-once and reclaimed only by GC, so accounting is monotonic and
 	// memUsed doubles as the execution's peak (high-water) figure.
 	memUsed atomic.Int64
-	// mu guards the execution-scoped caches below. tables memoizes join
-	// tables per (build block, key column) so join stages sharing a build
-	// side hash it once (see joinTable); gathers memoizes coordinator-side
-	// gathers of relations that are broadcast or crossed more than once.
-	mu      sync.Mutex
-	tables  map[tableKey]*indexTable
-	gathers map[*Relation]*Block
 }
 
 // Yielder is a cooperative-scheduling hook. An execution whose context
@@ -301,7 +296,7 @@ const idBytes = 4
 
 // trackRelation accounts every partition block of a freshly materialized
 // relation. Operators that share their input's column slices (Project,
-// Union, padRight) do not call it — sharing allocates nothing new.
+// Union) do not call it — sharing allocates nothing new.
 func (x *Exec) trackRelation(r *Relation) {
 	var n int64
 	for _, p := range r.Parts {
@@ -531,11 +526,6 @@ func (r *Relation) ColIndex(name string) int {
 	return -1
 }
 
-// PartitionKey returns the column index the relation is hash-partitioned
-// by, or -1 when the partitioning is arbitrary. Planners consult it to
-// recognize joins whose left side will not move.
-func (r *Relation) PartitionKey() int { return r.keyCol }
-
 // CoPartitionedBy reports whether a shuffle of the relation by column col
 // across partitions target partitions would be skipped: the relation is
 // already hash-partitioned by that column at that partition count.
@@ -649,34 +639,15 @@ func (r *Relation) gather() *Block {
 	return out
 }
 
-// gatherCached is gather memoized on the execution: a relation that is
-// broadcast or crossed into several joins is collected once.
-func (x *Exec) gatherCached(r *Relation) *Block {
-	x.mu.Lock()
-	b, ok := x.gathers[r]
-	x.mu.Unlock()
-	if ok {
-		return b
-	}
-	b = r.gather()
-	// A gather that had to concatenate allocated a fresh block; a lone
-	// populated partition is shared as-is and was already accounted for.
-	fresh := true
-	for _, p := range r.Parts {
-		if p == b {
-			fresh = false
-			break
-		}
-	}
-	if fresh {
+// gatherSide gathers the side of a join that every partition of the other
+// side reads whole (a broadcast or crossed relation), accounting the block
+// when the gather had to concatenate: a lone populated partition is shared
+// as-is and was accounted when it was made.
+func (x *Exec) gatherSide(r *Relation) *Block {
+	b := r.gather()
+	if !slices.Contains(r.Parts, b) {
 		x.trackBytes(blockBytes(b))
 	}
-	x.mu.Lock()
-	if x.gathers == nil {
-		x.gathers = make(map[*Relation]*Block)
-	}
-	x.gathers[r] = b
-	x.mu.Unlock()
 	return b
 }
 
@@ -939,7 +910,7 @@ func (s JoinStrategy) String() string {
 func (x *Exec) JoinWith(left, right *Relation, strat JoinStrategy) *Relation {
 	lIdx, rIdx := sharedCols(left.Schema, right.Schema)
 	if len(lIdx) == 0 {
-		return x.cross(left, right)
+		return x.cross(left, right, nil, false)
 	}
 	out, _ := x.pairJoin(left, right, lIdx, rIdx, strat, false)
 	x.trackRelation(out)
@@ -949,11 +920,12 @@ func (x *Exec) JoinWith(left, right *Relation, strat JoinStrategy) *Relation {
 
 // pairJoin runs the inner join of left and right on the columns lIdx/rIdx
 // under strat: broadcast the smaller side, or shuffle both sides by the
-// first join column and check the remaining ones during the probe. Every
-// partition's probe emits row pairs. Without keep, each partition is
-// gathered into out in the same task; with keep, out.Parts stay nil and
-// the pairs come back unmaterialized, one entry per partition, for the
-// caller to reduce before gathering (JoinTopK).
+// first join column and, per co-partition, build on the smaller side and
+// probe with the other, checking the remaining join columns during the
+// probe. Every partition's probe emits row pairs. Without keep, each
+// partition is gathered into out in the same task; with keep, out.Parts
+// stay nil and the pairs come back unmaterialized, one entry per
+// partition, for the caller to reduce before gathering (JoinTopK).
 func (x *Exec) pairJoin(left, right *Relation, lIdx, rIdx []int, strat JoinStrategy, keep bool) (*Relation, []joinPairs) {
 	if strat == StrategyBroadcast {
 		return x.broadcastJoin(left, right, lIdx, rIdx, keep)
@@ -966,8 +938,21 @@ func (x *Exec) pairJoin(left, right *Relation, lIdx, rIdx []int, strat JoinStrat
 	if keep {
 		pairs = make([]joinPairs, len(out.Parts))
 	}
+	rKeep := keepCols(len(right.Schema), rIdx)
 	x.parallel(len(out.Parts), func(p int) {
-		place(out, pairs, p, x.hashJoinPartition(l.Parts[p], r.Parts[p], lIdx, rIdx, len(out.Schema)))
+		lblk, rblk := l.Parts[p], r.Parts[p]
+		if lblk.Len() == 0 || rblk.Len() == 0 {
+			place(out, pairs, p, joinPairs{arity: len(out.Schema)})
+			return
+		}
+		buildLeft := lblk.Len() < rblk.Len()
+		bblk, bIdx, src, pIdx := rblk, rIdx, lblk, lIdx
+		if buildLeft {
+			bblk, bIdx, src, pIdx = lblk, lIdx, rblk, rIdx
+		}
+		b := x.build(bblk, bIdx)
+		defer b.close()
+		place(out, pairs, p, x.probePairs(b, src, pIdx, buildLeft, rKeep, len(out.Schema)))
 	})
 	return out, pairs
 }
@@ -1023,87 +1008,120 @@ func place(out *Relation, pairs []joinPairs, p int, jp joinPairs) {
 // outer join can be broadcast (every left row must appear exactly once, so
 // left rows stay partitioned in place).
 func (x *Exec) LeftJoinWith(left, right *Relation, pred func(Row) bool, strat JoinStrategy) *Relation {
-	c := x.c
 	lIdx, rIdx := sharedCols(left.Schema, right.Schema)
-	outSchema := joinSchema(left.Schema, right.Schema, rIdx)
 	if len(lIdx) == 0 {
 		// Cross-style OPTIONAL: every left row pairs with every right row
 		// that satisfies pred; a left row none of whose pairs survive is
 		// padded — per row, as SPARQL semantics require (an all-or-nothing
 		// fallback would drop unmatched left rows whenever any other left
 		// row matched).
-		return x.crossOuter(left, right, outSchema, pred)
+		return x.cross(left, right, pred, true)
 	}
+	outSchema := joinSchema(left.Schema, right.Schema, rIdx)
+	rKeep := keepCols(len(right.Schema), rIdx)
+	var out *Relation
 	if strat == StrategyBroadcast {
-		return x.leftJoinBroadcast(left, right, lIdx, rIdx, outSchema, pred)
+		// The right side is gathered and built once, and every left
+		// partition probes it in place: left rows never move, so the output
+		// keeps the left partitioning. Replicating the right side to every
+		// left partition is the broadcast cost, as in the inner join.
+		rblk := x.gatherSide(right)
+		x.addShuffled(int64(rblk.Len()) * int64(len(left.Parts)))
+		b := x.build(rblk, rIdx)
+		defer b.close()
+		out = newRelation(outSchema, len(left.Parts))
+		out.keyCol = left.keyCol
+		x.parallel(len(out.Parts), func(p int) {
+			out.Parts[p] = x.probeOuter(left.Parts[p], b, lIdx, rKeep, len(outSchema), pred)
+		})
+	} else {
+		l := x.shuffle(left, lIdx[0])
+		r := x.shuffle(right, rIdx[0])
+		out = newRelation(outSchema, x.c.partitions)
+		out.keyCol = lIdx[0]
+		x.parallel(len(out.Parts), func(p int) {
+			rblk := r.Parts[p]
+			if rblk == nil {
+				rblk = NewBlock(len(right.Schema), 0)
+			}
+			b := x.build(rblk, rIdx)
+			defer b.close()
+			out.Parts[p] = x.probeOuter(l.Parts[p], b, lIdx, rKeep, len(outSchema), pred)
+		})
 	}
-	l := x.shuffle(left, lIdx[0])
-	r := x.shuffle(right, rIdx[0])
-	out := newRelation(outSchema, c.partitions)
-	out.keyCol = lIdx[0]
-	x.parallel(c.partitions, func(p int) {
-		rblk := r.Parts[p]
-		if rblk == nil {
-			rblk = NewBlock(len(right.Schema), 0)
-		}
-		ht := x.joinTable(rblk, rIdx[0])
-		out.Parts[p] = x.probeOuter(l.Parts[p], ht, rblk, lIdx, rIdx, len(outSchema), pred)
-	})
 	x.trackRelation(out)
 	x.addOutput(int64(out.NumRows()))
 	return out
 }
 
-// hashJoinPartition joins one co-partition pair. The probe pass emits
-// (build-row, probe-row) index pair vectors into pooled scratch — no output
-// row is assembled during probing — for the caller to materialize once, one
-// gather per output column.
-func (x *Exec) hashJoinPartition(lblk, rblk *Block, lIdx, rIdx []int, outArity int) joinPairs {
-	if lblk.Len() == 0 || rblk.Len() == 0 {
-		return joinPairs{arity: outArity}
-	}
-	// Build on the smaller side.
-	build, probe := rblk, lblk
-	bIdx, pIdx := rIdx, lIdx
-	swapped := false
-	if lblk.Len() < rblk.Len() {
-		build, probe = lblk, rblk
-		bIdx, pIdx = lIdx, rIdx
-		swapped = true
-	}
-	jp := func(bsel, psel []int32, sc *scratch) joinPairs {
-		if swapped {
-			// build is the left input: its columns lead the output.
-			return joinPairs{l: build, lsel: bsel, r: probe, rKeep: keepCols(probe.Arity(), pIdx), rsel: psel, sc: sc, arity: outArity}
-		}
-		return joinPairs{l: probe, lsel: psel, r: build, rKeep: keepCols(build.Arity(), bIdx), rsel: bsel, sc: sc, arity: outArity}
-	}
-	// With a memory budget set and no room left for this build's table, run
-	// the external sort-merge join instead (see spill.go). A disk failure
-	// falls through to the in-memory path: the budget is best-effort, the
-	// result is not.
-	if x.overBudget(tableBytes(build.Len())) {
-		if bsel, psel, ok := x.spillJoin(build, probe, bIdx, pIdx); ok {
-			return jp(bsel, psel, nil)
+// joinBuild is one side of a hash join made ready to probe: an in-memory
+// index table over its first key column or, once the execution's memory
+// budget has tripped, its (key tuple, row) entries spilled to sorted runs
+// (see spill.go). A join builds once — over the gathered small side of a
+// broadcast, over the smaller side of each co-partition of a shuffle — and
+// its partition tasks probe the build read-only, concurrently.
+type joinBuild struct {
+	blk *Block
+	idx []int
+	// ht is the in-memory table; nil when the build spilled or was
+	// cancelled mid-way.
+	ht   *indexTable
+	runs *spillRuns
+	// fallback builds a spilled build's in-memory table once, for the
+	// probes whose run reads fail, however many fail at once.
+	fallback func() *indexTable
+}
+
+// build prepares blk, keyed by its columns idx, for probing. A disk
+// failure while spilling leaves the build in memory: the budget is
+// best-effort, the result is not.
+func (x *Exec) build(blk *Block, idx []int) *joinBuild {
+	b := &joinBuild{blk: blk, idx: idx}
+	if x.overBudget(tableBytes(blk.Len())) {
+		if b.runs, _ = x.buildSpillRuns(blk, idx); b.runs != nil {
+			b.fallback = sync.OnceValue(func() *indexTable { return x.buildJoinTable(blk, idx[0]) })
+			return b
 		}
 	}
-	ht := x.joinTable(build, bIdx[0])
+	b.ht = x.buildJoinTable(blk, idx[0])
+	return b
+}
+
+// close releases the spilled runs, if any.
+func (b *joinBuild) close() {
+	if b.runs != nil {
+		b.runs.close()
+	}
+}
+
+// probe matches every row of src, keyed by its columns pIdx, against b,
+// appending the (build row, probe row) pairs to bsel and psel, which grow
+// only as far as the matches go, and metering the comparisons. Pairs come
+// in probe-row order, each row's matches in build order, whichever kind
+// the build is. A spilled build whose runs fail to read is probed through
+// the in-memory table instead; a build cancelled mid-way matches nothing.
+func (x *Exec) probe(b *joinBuild, src *Block, pIdx []int, bsel, psel []int32) ([]int32, []int32) {
+	ht := b.ht
+	if b.runs != nil {
+		if bs, ps, ok := x.spillProbePairs(b.runs, src, pIdx, bsel, psel); ok {
+			return bs, ps
+		}
+		ht = b.fallback()
+	}
 	if ht == nil {
-		return joinPairs{arity: outArity} // cancelled mid-build
+		return bsel, psel
 	}
-	pkey := probe.cols[pIdx[0]]
-	sc := getScratch()
-	bsel, psel := sc.a, sc.b
+	key := src.cols[pIdx[0]]
 	var comparisons int64
-	for i, n := 0, probe.Len(); i < n; i++ {
+	for i, n := 0, src.Len(); i < n; i++ {
 		if x.stop(i) {
 			break
 		}
 	cand:
-		for bi := ht.first(pkey[i]); bi >= 0; bi = ht.next[bi] {
+		for bi := ht.first(key[i]); bi >= 0; bi = ht.next[bi] {
 			comparisons++
 			for k := 1; k < len(pIdx); k++ {
-				if probe.cols[pIdx[k]][i] != build.cols[bIdx[k]][bi] {
+				if src.cols[pIdx[k]][i] != b.blk.cols[b.idx[k]][bi] {
 					continue cand
 				}
 			}
@@ -1111,72 +1129,67 @@ func (x *Exec) hashJoinPartition(lblk, rblk *Block, lIdx, rIdx []int, outArity i
 			psel = append(psel, int32(i))
 		}
 	}
-	sc.a, sc.b = bsel, psel
 	x.addComparisons(comparisons)
-	return jp(bsel, psel, sc)
+	return bsel, psel
 }
 
-// probeOuter probes a prebuilt right-side join table with the left rows of
-// one partition, producing left-outer output as pair vectors in pooled
-// scratch: matched pairs (filtered by pred when set) plus rsel = -1 entries
-// for Null-padded survivors, materialized in one gather. It is safe to share
-// one ht and build block across concurrent partition probes — both are
-// read-only here.
-// A nil ht (cancelled build) matches nothing.
-func (x *Exec) probeOuter(lblk *Block, ht *indexTable, build *Block, lIdx, rIdx []int, outArity int, pred func(Row) bool) *Block {
+// probePairs probes b with src into pooled scratch and returns the matches
+// as inner-join output pairs. The build side's columns lead the output
+// when it is the join's left input; rKeep are the right input's output
+// columns.
+func (x *Exec) probePairs(b *joinBuild, src *Block, pIdx []int, buildLeft bool, rKeep []int, arity int) joinPairs {
+	sc := getScratch()
+	bsel, psel := x.probe(b, src, pIdx, sc.a, sc.b)
+	sc.a, sc.b = bsel, psel
+	if buildLeft {
+		return joinPairs{l: b.blk, lsel: bsel, r: src, rKeep: rKeep, rsel: psel, sc: sc, arity: arity}
+	}
+	return joinPairs{l: src, lsel: psel, r: b.blk, rKeep: rKeep, rsel: bsel, sc: sc, arity: arity}
+}
+
+// probeOuter left-outer-joins one left partition to the right side's build:
+// the probe's pairs, filtered by pred when set, plus an rsel = -1 entry for
+// each left row none of whose pairs survive, materialized in one gather
+// (the -1 entries become Nulls in the rKeep columns).
+func (x *Exec) probeOuter(lblk *Block, b *joinBuild, lIdx, rKeep []int, outArity int, pred func(Row) bool) *Block {
 	n := lblk.Len()
-	rKeep := keepCols(build.Arity(), rIdx)
 	if n == 0 {
 		return newFixedBlock(outArity, 0)
 	}
-	sc := getScratch()
+	sc, out := getScratch(), getScratch()
 	defer sc.put()
-	lsel, rsel := sc.a, sc.b
-	// scratch assembles the joined row when a predicate must inspect it
-	// before it is admitted; reused across rows, so predicates must not
-	// retain it.
-	var scratch Row
+	defer out.put()
+	rsel, lsel := x.probe(b, lblk, lIdx, sc.a, sc.b)
+	sc.a, sc.b = rsel, lsel
+	// row assembles a matched pair for pred; it is reused across pairs, so
+	// pred must not retain it.
+	var row Row
 	if pred != nil {
-		scratch = make(Row, outArity)
+		row = make(Row, outArity)
 	}
-	lkey := lblk.cols[lIdx[0]]
-	var comparisons int64
-	for i := 0; i < n; i++ {
-		if x.stop(i) {
-			break
-		}
+	outL, outR := out.a, out.b
+	j := 0
+	for i := int32(0); int(i) < n; i++ {
 		matched := false
-		if ht != nil {
-		cand:
-			for bi := ht.first(lkey[i]); bi >= 0; bi = ht.next[bi] {
-				comparisons++
-				for k := 1; k < len(lIdx); k++ {
-					if lblk.cols[lIdx[k]][i] != build.cols[rIdx[k]][bi] {
-						continue cand
-					}
+		for ; j < len(lsel) && lsel[j] == i; j++ {
+			if pred != nil {
+				lblk.CopyRow(row, int(i))
+				for k, rc := range rKeep {
+					row[lblk.Arity()+k] = b.blk.cols[rc][rsel[j]]
 				}
-				if pred != nil {
-					lblk.CopyRow(scratch, i)
-					for k, rc := range rKeep {
-						scratch[lblk.Arity()+k] = build.cols[rc][bi]
-					}
-					if !pred(scratch) {
-						continue cand
-					}
+				if !pred(row) {
+					continue
 				}
-				lsel = append(lsel, int32(i))
-				rsel = append(rsel, bi)
-				matched = true
 			}
+			outL, outR = append(outL, i), append(outR, rsel[j])
+			matched = true
 		}
 		if !matched {
-			lsel = append(lsel, int32(i))
-			rsel = append(rsel, -1)
+			outL, outR = append(outL, i), append(outR, -1)
 		}
 	}
-	sc.a, sc.b = lsel, rsel
-	x.addComparisons(comparisons)
-	return gatherPairs(lblk, lsel, build, rKeep, rsel)
+	out.a, out.b = outL, outR
+	return gatherPairs(lblk, outL, b.blk, rKeep, outR)
 }
 
 // dupMask marks the right-side columns that also appear in the join key
@@ -1211,59 +1224,17 @@ func joinSchema(left, right []string, rIdx []int) []string {
 	return out
 }
 
-// cross computes the cartesian product, column-at-a-time: per left row, the
-// left values are run-length extended and the gathered right block's columns
-// are appended wholesale. Cancellation is polled between left rows at
-// cancelBatch output granularity, truncating the block consistently.
-func (x *Exec) cross(left, right *Relation) *Relation {
+// cross is the nested-loop join of two relations with no shared column:
+// every left row pairs with every row of the gathered right block that
+// passes pred (nil passes all). Under outer, a left row none of whose
+// pairs survive is kept once, padded with Nulls. Output is built
+// column-at-a-time: the left values are run-length extended and, with no
+// predicate, the right block's columns are appended wholesale.
+// Cancellation is polled between left rows at cancelBatch output
+// granularity, truncating the block consistently.
+func (x *Exec) cross(left, right *Relation, pred func(Row) bool, outer bool) *Relation {
 	outSchema := append(append([]string{}, left.Schema...), right.Schema...)
-	rblk := x.gatherCached(right)
-	rn := rblk.Len()
-	x.addShuffled(int64(rn) * int64(len(left.Parts)))
-	out := newRelation(outSchema, len(left.Parts))
-	x.parallel(len(left.Parts), func(p int) {
-		src := left.Parts[p]
-		ln := src.Len()
-		rows := NewBlock(len(outSchema), 0)
-		out.Parts[p] = rows
-		if ln == 0 || rn == 0 {
-			return
-		}
-		lA := src.Arity()
-		produced, next := 0, 0
-		for i := 0; i < ln; i++ {
-			if produced >= next {
-				if x.Cancelled() {
-					return
-				}
-				next = produced + cancelBatch
-			}
-			for j := 0; j < lA; j++ {
-				v := src.cols[j][i]
-				col := rows.cols[j]
-				for k := 0; k < rn; k++ {
-					col = append(col, v)
-				}
-				rows.cols[j] = col
-			}
-			for j, rc := range rblk.cols {
-				rows.cols[lA+j] = append(rows.cols[lA+j], rc...)
-			}
-			rows.n += rn
-			produced += rn
-		}
-	})
-	x.trackRelation(out)
-	x.addComparisons(int64(left.NumRows()) * int64(rn))
-	x.addOutput(int64(out.NumRows()))
-	return out
-}
-
-// crossOuter is the left outer join with no shared columns (cross-style
-// OPTIONAL): each left row pairs with every right row passing pred, and
-// left rows with no surviving pair are padded with Nulls.
-func (x *Exec) crossOuter(left, right *Relation, outSchema []string, pred func(Row) bool) *Relation {
-	rblk := x.gatherCached(right)
+	rblk := x.gatherSide(right)
 	rn := rblk.Len()
 	x.addShuffled(int64(rn) * int64(len(left.Parts)))
 	out := newRelation(outSchema, len(left.Parts))
@@ -1273,11 +1244,15 @@ func (x *Exec) crossOuter(left, right *Relation, outSchema []string, pred func(R
 		ln := src.Len()
 		rows := NewBlock(len(outSchema), 0)
 		out.Parts[p] = rows
-		if ln == 0 {
+		if ln == 0 || rn == 0 && !outer {
 			return
 		}
-		scratch := make(Row, len(outSchema))
-		rsel := make([]int32, 0, rn)
+		var row Row
+		var rsel []int32
+		if pred != nil {
+			row = make(Row, len(outSchema))
+			rsel = make([]int32, 0, rn)
+		}
 		produced, next := 0, 0
 		for i := 0; i < ln; i++ {
 			if produced >= next {
@@ -1286,80 +1261,51 @@ func (x *Exec) crossOuter(left, right *Relation, outSchema []string, pred func(R
 				}
 				next = produced + cancelBatch
 			}
-			// Collect the surviving right rows for this left row, then emit
-			// them in one column-wise pass.
-			rsel = rsel[:0]
-			if pred == nil {
+			produced += rn
+			// m right rows pair with left row i: all of them, or those
+			// collected in rsel that pass pred.
+			m := rn
+			if pred != nil {
+				rsel = rsel[:0]
+				src.CopyRow(row[:lA], i)
 				for j := 0; j < rn; j++ {
-					rsel = append(rsel, int32(j))
-				}
-			} else {
-				src.CopyRow(scratch[:lA], i)
-				for j := 0; j < rn; j++ {
-					rblk.CopyRow(scratch[lA:], j)
-					if pred(scratch) {
+					rblk.CopyRow(row[lA:], j)
+					if pred(row) {
 						rsel = append(rsel, int32(j))
 					}
 				}
+				m = len(rsel)
 			}
-			produced += rn
-			if len(rsel) == 0 {
-				for j := 0; j < lA; j++ {
-					rows.cols[j] = append(rows.cols[j], src.cols[j][i])
-				}
-				for j := lA; j < len(outSchema); j++ {
-					rows.cols[j] = append(rows.cols[j], Null)
-				}
-				rows.n++
+			if m == 0 && !outer {
 				continue
 			}
 			for j := 0; j < lA; j++ {
 				v := src.cols[j][i]
 				col := rows.cols[j]
-				for range rsel {
+				for k := 0; k < max(m, 1); k++ {
 					col = append(col, v)
 				}
 				rows.cols[j] = col
 			}
 			for j, rc := range rblk.cols {
 				col := rows.cols[lA+j]
-				for _, rj := range rsel {
-					col = append(col, rc[rj])
+				switch {
+				case m == 0:
+					col = append(col, Null)
+				case pred == nil:
+					col = append(col, rc...)
+				default:
+					for _, rj := range rsel {
+						col = append(col, rc[rj])
+					}
 				}
 				rows.cols[lA+j] = col
 			}
-			rows.n += len(rsel)
+			rows.n += max(m, 1)
 		}
 	})
 	x.trackRelation(out)
 	x.addComparisons(int64(left.NumRows()) * int64(rn))
-	x.addOutput(int64(out.NumRows()))
-	return out
-}
-
-// padRight extends every left row with Nulls to match outSchema. The left
-// columns are shared, not copied, and the pad columns share one Null
-// column per partition; rows do not move, so the partitioning survives.
-func (x *Exec) padRight(left *Relation, outSchema []string) *Relation {
-	out := newRelation(outSchema, len(left.Parts))
-	out.keyCol = left.keyCol
-	x.parallel(len(left.Parts), func(p int) {
-		src := left.Parts[p]
-		n := src.Len()
-		if n == 0 {
-			out.Parts[p] = NewBlock(len(outSchema), 0)
-			return
-		}
-		blk := &Block{cols: make([][]dict.ID, len(outSchema)), n: n}
-		for j := range src.cols {
-			blk.cols[j] = src.cols[j][:n:n]
-		}
-		nulls := nullColumn(n)
-		for j := len(src.cols); j < len(outSchema); j++ {
-			blk.cols[j] = nulls
-		}
-		out.Parts[p] = blk
-	})
 	x.addOutput(int64(out.NumRows()))
 	return out
 }
@@ -1391,7 +1337,7 @@ func (x *Exec) Union(a, b *Relation) *Relation {
 	return out
 }
 
-// fnv1a constants shared by the row-hash passes (Distinct and tests).
+// fnv1a constants of Distinct's row-hash pass.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -1447,17 +1393,6 @@ func (x *Exec) Distinct(r *Relation) *Relation {
 	x.trackRelation(out)
 	x.addOutput(int64(out.NumRows()))
 	return out
-}
-
-// hashRow returns a 64-bit FNV-1a hash over the row's IDs, folding each
-// 32-bit ID in one step instead of byte-at-a-time. It is the row-wise twin
-// of Distinct's column-wise hash pass.
-func hashRow(row Row) uint64 {
-	h := uint64(fnvOffset64)
-	for _, v := range row {
-		h = (h ^ uint64(v)) * fnvPrime64
-	}
-	return h
 }
 
 // Limit returns at most n rows after skipping offset rows, copied out

@@ -156,8 +156,12 @@ func checkRows(t *testing.T, desc string, got *Relation, want []Row) {
 }
 
 // TestOperatorEquivalenceRandomized cross-checks Join/LeftJoin/Union/
-// Distinct against the reference implementations on random inputs,
-// for several partition counts and both physical join strategies.
+// Distinct against the reference implementations on random inputs, for
+// several partition counts, both physical join strategies and a memory
+// budget of one byte, which makes every hash-join build spill. A spilled
+// join must return the in-memory join's rows in the same order. The schema
+// pair with no shared column runs the cross join and the cross-style
+// OPTIONAL.
 func TestOperatorEquivalenceRandomized(t *testing.T) {
 	schemas := [][2][]string{
 		{{"x", "y"}, {"x", "z"}},           // one join column
@@ -165,13 +169,15 @@ func TestOperatorEquivalenceRandomized(t *testing.T) {
 		{{"a", "x", "y"}, {"x", "b"}},      // join column not first on left
 		{{"x"}, {"x", "z", "w"}},           // key-only left side
 		{{"x", "y"}, {"z", "x", "y", "w"}}, // two join columns mid-schema
+		{{"x", "y"}, {"z", "w"}},           // no shared column: cross join
 	}
 	pred := func(r Row) bool { return uint64(r[len(r)-1])%3 != 0 }
-	for _, parts := range []int{1, 3, 4} {
+	spillDir := t.TempDir()
+	for _, parts := range []int{1, 3, 4, 8} {
 		c := NewCluster(parts)
 		for seed := int64(0); seed < 12; seed++ {
 			rnd := rand.New(rand.NewSource(seed))
-			sc := schemas[rnd.Intn(len(schemas))]
+			sc := schemas[int(seed)%len(schemas)]
 			lS, rS := sc[0], sc[1]
 			lrows := randRows(rnd, len(lS), 60, 8)
 			rrows := randRows(rnd, len(rS), 60, 8)
@@ -180,21 +186,44 @@ func TestOperatorEquivalenceRandomized(t *testing.T) {
 			tag := func(op string) string {
 				return fmt.Sprintf("parts=%d seed=%d %s(%v⋈%v)", parts, seed, op, lS, rS)
 			}
+			// Under the budget, a join whose inner part matches anything
+			// must have spilled some build.
+			lIdx, _ := sharedCols(lS, rS)
+			spills := len(lIdx) > 0 && len(refJoin(lS, rS, lrows, rrows)) > 0
+			// join runs op in memory and under the one-byte budget, checks
+			// the first against want and the second against the first.
+			join := func(desc string, want []Row, op func(x *Exec) *Relation) {
+				got := op(c.NewExec(nil))
+				checkRows(t, desc, got, want)
+				var m Metrics
+				x := c.NewExec(&m)
+				x.SetMemBudget(1, spillDir)
+				spilled, inMemory := op(x).Rows(), got.Rows()
+				if spills && m.BytesSpilled.Load() == 0 {
+					t.Fatalf("%s under a 1-byte budget spilled nothing", desc)
+				}
+				if len(spilled) != len(inMemory) {
+					t.Fatalf("%s under a 1-byte budget: %d rows, want %d", desc, len(spilled), len(inMemory))
+				}
+				for i := range inMemory {
+					if !rowsEqualIDs(spilled[i], inMemory[i]) {
+						t.Fatalf("%s under a 1-byte budget: row %d = %v, in memory %v", desc, i, spilled[i], inMemory[i])
+					}
+				}
+			}
 
 			for _, strat := range []JoinStrategy{StrategyShuffle, StrategyBroadcast} {
-				x := c.NewExec(nil)
-				got := x.JoinWith(left, right, strat)
-				checkRows(t, tag("Join/"+strat.String()), got, refJoin(lS, rS, lrows, rrows))
-			}
-			for _, strat := range []JoinStrategy{StrategyShuffle, StrategyBroadcast} {
+				join(tag("Join/"+strat.String()), refJoin(lS, rS, lrows, rrows), func(x *Exec) *Relation {
+					return x.JoinWith(left, right, strat)
+				})
 				for _, p := range []func(Row) bool{nil, pred} {
-					x := c.NewExec(nil)
-					got := x.LeftJoinWith(left, right, p, strat)
 					desc := tag("LeftJoin/" + strat.String())
 					if p != nil {
 						desc += "+pred"
 					}
-					checkRows(t, desc, got, refLeftJoin(lS, rS, lrows, rrows, p))
+					join(desc, refLeftJoin(lS, rS, lrows, rrows, p), func(x *Exec) *Relation {
+						return x.LeftJoinWith(left, right, p, strat)
+					})
 				}
 			}
 			{

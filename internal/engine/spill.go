@@ -15,20 +15,17 @@ import (
 
 // External (spilling) hash-join builds. When a per-query memory budget is
 // set (Exec.SetMemBudget) and the accounted intermediate state plus the
-// would-be join table exceeds it, the inner shuffle join and the inner
-// broadcast join route their build side through sorted temp-file runs
-// instead of an in-memory index table: the build's (key tuple, row index)
-// entries are sorted in bounded chunks, written as run files, then k-way
-// merged and merge-joined against the probe side's key-sorted selection
-// vector. The build and probe *blocks* stay in memory (they already exist —
-// the budget bounds what the join adds), so the savings are the table's 12
-// bytes per slot plus 4 per row, replaced by one 4-byte selection entry per
-// probe row and spillRunRows entries of transient sort state. Spilled bytes
-// are metered as BytesSpilled.
-//
-// Semi joins and the outer-join probe keep their in-memory tables (their
-// build sides are the ExtVP-reduced small sides in practice). Disk failures
-// never fail the query: every caller falls back to the in-memory join.
+// would-be join table exceeds it, a join build (joinBuild: inner or outer,
+// shuffled or broadcast) goes to sorted temp-file runs instead of an
+// in-memory index table: the build's (key tuple, row index) entries are
+// sorted in bounded chunks, written as run files, then k-way merged and
+// merge-joined against each probe block's key-sorted selection vector. The
+// build and probe *blocks* stay in memory (they already exist — the budget
+// bounds what the join adds), so the savings are the table's 12 bytes per
+// slot plus 4 per row, replaced by one 4-byte selection entry per probe row
+// and spillRunRows entries of transient sort state. Spilled bytes are
+// metered as BytesSpilled. Disk failures never fail the query: the build
+// falls back to its in-memory table.
 
 // spillRunRows bounds the entries sorted in memory per run: the transient
 // sort state is spillRunRows*(keyWidth+1)*4 bytes regardless of build size.
@@ -248,11 +245,13 @@ func (rr *runReader) advance() error {
 }
 
 // spillProbePairs merge-joins one probe block against the spilled build
-// runs, emitting the same (build row, probe row) pair vectors an in-memory
-// probe would. The probe side's row indices are key-sorted in memory (4
-// bytes per probe row, accounted — the state this path does keep).
-// ok=false means a read error; fall back to the in-memory join.
-func (x *Exec) spillProbePairs(sr *spillRuns, probe *Block, pIdx []int) (bsel, psel []int32, ok bool) {
+// runs, appending to bsel and psel the same (build row, probe row) pairs,
+// in the same order, as an in-memory probe: the merge emits them in key
+// order and a final in-place sort restores probe-row order. The probe
+// side's row indices are key-sorted in memory (4 bytes per probe row,
+// accounted — the state this path does keep). ok=false means a read error;
+// fall back to the in-memory join.
+func (x *Exec) spillProbePairs(sr *spillRuns, probe *Block, pIdx []int, bsel, psel []int32) ([]int32, []int32, bool) {
 	keyWidth := sr.keyWidth
 	runs := sr.readers()
 	for _, rr := range runs {
@@ -291,8 +290,7 @@ func (x *Exec) spillProbePairs(sr *spillRuns, probe *Block, pIdx []int) (bsel, p
 		return 0
 	}
 
-	bsel = make([]int32, 0, pn)
-	psel = make([]int32, 0, pn)
+	n0 := len(bsel)
 	var comparisons int64
 	pp := 0
 	emitted := 0
@@ -336,19 +334,19 @@ func (x *Exec) spillProbePairs(sr *spillRuns, probe *Block, pIdx []int) (bsel, p
 		}
 	}
 	x.addComparisons(comparisons)
+	sort.Sort(pairOrder{bsel[n0:], psel[n0:]})
 	return bsel, psel, true
 }
 
-// spillJoin is the external inner join of one co-partition pair, used by
-// hashJoinPartition when the budget has tripped: it returns the same
-// (build row, probe row) pair vectors as the in-memory probe. ok=false on
-// any file error, in which case the caller falls back to the in-memory join
-// (correctness never depends on the disk).
-func (x *Exec) spillJoin(build, probe *Block, bIdx, pIdx []int) (bsel, psel []int32, ok bool) {
-	sr, ok := x.buildSpillRuns(build, bIdx)
-	if !ok {
-		return nil, nil, false
-	}
-	defer sr.close()
-	return x.spillProbePairs(sr, probe, pIdx)
+// pairOrder sorts (build row, probe row) pairs by probe row, then build
+// row: the order an in-memory probe emits them in.
+type pairOrder struct{ b, p []int32 }
+
+func (o pairOrder) Len() int { return len(o.p) }
+func (o pairOrder) Less(i, j int) bool {
+	return o.p[i] < o.p[j] || o.p[i] == o.p[j] && o.b[i] < o.b[j]
+}
+func (o pairOrder) Swap(i, j int) {
+	o.b[i], o.b[j] = o.b[j], o.b[i]
+	o.p[i], o.p[j] = o.p[j], o.p[i]
 }
