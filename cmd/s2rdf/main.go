@@ -242,12 +242,8 @@ func cmdQuery(args []string) {
 			fmt.Printf("# join order: %s\n", strings.Join(order, ", "))
 		}
 		for _, j := range res.Joins {
-			co := ""
-			if j.CoPartitioned {
-				co = ", co-partitioned"
-			}
-			fmt.Printf("#   join %-38s %s (left ~%d rows, right ~%d rows; shuffled %d, comparisons %d%s)\n",
-				j.Right, j.Strategy, j.LeftRows, j.RightRows, j.RowsShuffled, j.Comparisons, co)
+			fmt.Printf("#   join %-38s %s (left ~%d rows, right ~%d rows; shuffled %d, comparisons %d)\n",
+				j.Right, j.Strategy, j.LeftRows, j.RightRows, j.RowsShuffled, j.Comparisons)
 		}
 		switch {
 		case res.SelectionCacheHits+res.SelectionCacheMisses == 0:

@@ -258,53 +258,35 @@ func (e *Engine) compilePattern(ex *engine.Exec, tp sparql.TriplePattern, sel se
 	return rel, st, keys, true, nil
 }
 
-// evalBGP compiles and executes a basic graph pattern. Table selections
-// (Algorithm 1) come from the selection cache on repeat queries; the
-// planner then fixes the join order (greedy smallest-estimate-first,
-// connectivity-preserving, when JoinOrderOpt; textual order — the paper's
-// Algorithm 3 — otherwise) and picks a broadcast or shuffle strategy per
-// join from the estimated side sizes. Filters whose variables are covered
-// by a single pattern are compiled into that pattern's scan (the matching
-// consumed entry is set). When top is non-nil and every filter went into a
-// scan, the final join also takes the query's ORDER BY … LIMIT (joinTopK).
-// ModePT routes to the property-table planner, which consumes no filters.
+// evalBGP executes a basic graph pattern as planBGP plans it: table
+// selections (Algorithm 1, from the selection cache on repeat queries), a
+// join order, and a broadcast, shuffle or cross strategy per join. Filters
+// whose variables are covered by a single pattern are compiled into that
+// pattern's scan (the matching consumed entry is set). When top is non-nil
+// and every filter went into a scan, the final join also takes the query's
+// ORDER BY … LIMIT (joinTopK). ModePT routes to the property-table planner,
+// which consumes no filters.
 func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []sparql.Expression, consumed []bool, res *Result, top *topKRequest) (*engine.Relation, error) {
 	if e.Mode == ModePT {
 		return e.evalBGPPT(ex, bgp, res)
 	}
 
-	// Pattern strings feed the selection-cache key, the plan rows and the
-	// per-join explain entries; String() allocates, so render each exactly
-	// once per evaluation.
-	tpStrs := make([]string, len(bgp))
-	for i, tp := range bgp {
-		tpStrs[i] = tp.String()
-	}
-
-	sels, empty, cached := e.bgpSelections(bgp, tpStrs)
-	if cached {
+	p := e.planBGP(bgp)
+	if p.cached {
 		res.SelectionCacheHits++
 	} else {
 		res.SelectionCacheMisses++
 	}
 	base := len(res.Plan)
-	for i, sel := range sels {
+	for i, sel := range p.sels {
 		res.Plan = append(res.Plan, PatternPlan{
-			Pattern: tpStrs[i], Table: sel.name, Rows: sel.rows, SF: sel.sf, Est: sel.est,
+			Pattern: p.tpStrs[i], Table: sel.name, Rows: sel.rows, SF: sel.sf, Est: sel.est,
 		})
 	}
-	if empty {
+	if p.empty {
 		// Statistics-only answer (paper Sec. 6.1): no execution at all.
 		res.StatsOnly = true
 		return e.emptyRelation(ex, bgp), nil
-	}
-
-	// Pattern variable lists are consulted all over the planning loop
-	// (ordering, connectivity, schema accumulation); Vars() allocates, so
-	// compute each one exactly once.
-	tpVars := make([][]string, len(bgp))
-	for i, tp := range bgp {
-		tpVars[i] = tp.Vars()
 	}
 
 	// Assign each filter covered by a single pattern to the first such
@@ -317,52 +299,33 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 		for i := range bgp {
 			var exprs []sparql.Expression
 			for fi, f := range filters {
-				if !consumed[fi] && varsSubset(f.Vars(), tpVars[i]) {
+				if !consumed[fi] && varsSubset(f.Vars(), p.tpVars[i]) {
 					exprs = append(exprs, f)
 					consumed[fi] = true
 				}
 			}
 			if len(exprs) > 0 {
-				preds[i] = e.filterPred(tpVars[i], exprs)
+				preds[i] = e.filterPred(p.tpVars[i], exprs)
 			}
 		}
 	}
 
-	order := e.planJoinOrder(bgp, tpVars, sels)
-	for _, idx := range order {
-		res.JoinOrder = append(res.JoinOrder, base+idx)
+	for _, s := range p.steps {
+		res.JoinOrder = append(res.JoinOrder, base+s.idx)
 	}
-
-	parts := e.Cluster.Partitions()
 	var rel *engine.Relation
-	var bound []string
-	est := 0 // estimated cardinality of the accumulated intermediate
-	for oi, idx := range order {
+	for si, s := range p.steps {
 		// A cancelled query stops between pattern joins; the row-batch
 		// checks inside each operator cover the stretch in between.
 		if err := ex.Err(); err != nil {
 			return nil, err
 		}
-		tp, sel := bgp[idx], sels[idx]
+		sel := p.sels[s.idx]
 		var pred func(engine.Row) bool
 		if preds != nil {
-			pred = preds[idx]
+			pred = preds[s.idx]
 		}
-		if rel == nil {
-			scan, st, _, ok, err := e.compilePattern(ex, tp, sel, pred, nil)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				res.StatsOnly = true
-				return e.emptyRelation(ex, bgp), nil
-			}
-			res.Plan[base+idx].Scanned, res.Plan[base+idx].Pruned = st.Scanned, st.Pruned
-			rel, est = scan, sel.est
-			bound = joinedSchema(bound, tpVars[idx])
-			continue
-		}
-		scan, st, keys, ok, err := e.compilePattern(ex, tp, sel, pred, rel)
+		scan, st, keys, ok, err := e.compilePattern(ex, bgp[s.idx], sel, pred, rel)
 		if err != nil {
 			return nil, err
 		}
@@ -370,30 +333,21 @@ func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []
 			res.StatsOnly = true
 			return e.emptyRelation(ex, bgp), nil
 		}
-		pp := &res.Plan[base+idx]
+		pp := &res.Plan[base+s.idx]
 		pp.Scanned, pp.Pruned, pp.Keys = st.Scanned, st.Pruned, keys
-		coPart := coPartitionedLeft(rel, tpVars[idx], parts)
-		strat := chooseJoinStrategy(est, sel.est, parts, coPart)
-		connected := sharesVar(bound, tpVars[idx])
-		if !connected {
-			// Disconnected BGP: the cross join is unavoidable here (the
-			// planner already deferred it past every connected pattern).
-			strat = strategyCross
+		if rel == nil {
+			rel = scan
+			continue
 		}
-		before := ex.MetricsSnapshot()
-		if oi == len(order)-1 && strat != strategyCross && top != nil && !slices.Contains(consumed, false) {
-			rel = joinTopK(ex, rel, scan, engineStrategy(strat), top, e.sortKey)
-		} else {
-			rel = ex.JoinWith(rel, scan, engineStrategy(strat))
-		}
-		d := ex.MetricsSnapshot().Sub(before)
-		res.Joins = append(res.Joins, JoinPlan{
-			Right: tpStrs[idx], Strategy: strat, LeftRows: est, RightRows: sel.est,
-			RowsShuffled: d.RowsShuffled, Comparisons: d.JoinComparisons,
-			CoPartitioned: coPart && strat == strategyShuffle,
+		left := rel
+		topK := si == len(p.steps)-1 && s.strategy != strategyCross && top != nil && !slices.Contains(consumed, false)
+		jp := JoinPlan{Right: p.tpStrs[s.idx], Strategy: s.strategy, LeftRows: p.steps[si-1].est, RightRows: sel.est}
+		rel = joinStep(ex, res, jp, func(strat engine.JoinStrategy) *engine.Relation {
+			if topK {
+				return joinTopK(ex, left, scan, strat, top, e.sortKey)
+			}
+			return ex.JoinWith(left, scan, strat)
 		})
-		est = joinEstimate(est, sel.est, connected)
-		bound = joinedSchema(bound, tpVars[idx])
 	}
 	if rel == nil {
 		rel = e.unitRelation(ex)

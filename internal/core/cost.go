@@ -9,9 +9,9 @@ import (
 // exactly the statistics the join planner runs on — Algorithm 1 table
 // selections with bound-term selectivity scaling (selection.est) — without
 // touching any data: EstimateQuery walks the query the way evalGroup /
-// evalBGP will, replays the planner's join-order estimate accumulation,
-// and reports the totals. Estimating therefore also warms the plan and
-// selection caches the real execution will hit.
+// evalBGP will, sums the plan planBGP makes for each BGP — the plan
+// evalBGP then executes — and reports the totals. Estimating therefore
+// also warms the plan and selection caches the real execution will hit.
 
 // costCap bounds the estimate accumulation so disconnected-pattern cross
 // joins (whose estimates multiply) cannot overflow int; any value at the
@@ -28,7 +28,7 @@ type CostEstimate struct {
 	// to feed into the plan.
 	ScanRows int
 	// PeakRows is the largest estimated intermediate-result cardinality
-	// reached while replaying the planner's join-order accumulation; cross
+	// reached along the planned join order (planStep.est); cross
 	// joins multiply estimates, so a disconnected BGP classifies as
 	// expensive even when its individual tables are small.
 	PeakRows int
@@ -100,46 +100,23 @@ func (e *Engine) estimateGroup(g *sparql.Group, c *CostEstimate) {
 	}
 }
 
-// estimateBGP folds one BGP into the estimate: per-pattern scan estimates
-// into ScanRows, and the planner's join-order estimate accumulation
-// (joinEstimate, which evalBGP runs too while executing) into PeakRows.
+// estimateBGP folds one BGP's plan (planBGP, the plan evalBGP executes)
+// into the estimate: its per-pattern scan estimates into ScanRows, and its
+// largest step estimate into PeakRows. A BGP the statistics prove empty
+// has no steps: execution will answer it without scanning.
 func (e *Engine) estimateBGP(bgp []sparql.TriplePattern, c *CostEstimate) {
 	c.Patterns += len(bgp)
-	tpStrs := make([]string, len(bgp))
-	for i, tp := range bgp {
-		tpStrs[i] = tp.String()
-	}
-	sels, empty, cached := e.bgpSelections(bgp, tpStrs)
-	if cached {
+	p := e.planBGP(bgp)
+	if p.cached {
 		c.SelectionCacheHits++
 	} else {
 		c.SelectionCacheMisses++
 	}
-	for _, sel := range sels {
+	for _, sel := range p.sels {
 		c.ScanRows = addCapped(c.ScanRows, sel.est)
 	}
-	if empty || len(sels) < len(bgp) {
-		// Statistics prove the BGP empty: execution will answer without
-		// scanning, so the patterns contribute nothing further.
-		return
-	}
-	tpVars := make([][]string, len(bgp))
-	for i, tp := range bgp {
-		tpVars[i] = tp.Vars()
-	}
-	order := e.planJoinOrder(bgp, tpVars, sels)
-	est := 0
-	var bound []string
-	for oi, idx := range order {
-		if oi == 0 {
-			est = sels[idx].est
-		} else {
-			est = joinEstimate(est, sels[idx].est, sharesVar(bound, tpVars[idx]))
-		}
-		if est > c.PeakRows {
-			c.PeakRows = est
-		}
-		bound = joinedSchema(bound, tpVars[idx])
+	for _, s := range p.steps {
+		c.PeakRows = max(c.PeakRows, s.est)
 	}
 }
 

@@ -359,23 +359,7 @@ func (e *Engine) evalGroup(ex *engine.Exec, g *sparql.Group, res *Result, top *t
 		if rel == nil {
 			rel = ur
 		} else {
-			// Group-level joins see materialized inputs, so the strategy
-			// choice runs on exact cardinalities.
-			coPart := coPartitionedLeft(rel, ur.Schema, e.Cluster.Partitions())
-			strat := chooseJoinStrategy(rel.NumRows(), ur.NumRows(), e.Cluster.Partitions(), coPart)
-			if !overlap(rel.Schema, ur.Schema) {
-				strat = strategyCross
-			}
-			leftRows := rel.NumRows()
-			before := ex.MetricsSnapshot()
-			rel = ex.JoinWith(rel, ur, engineStrategy(strat))
-			d := ex.MetricsSnapshot().Sub(before)
-			res.Joins = append(res.Joins, JoinPlan{
-				Right: "UNION", Strategy: strat,
-				LeftRows: leftRows, RightRows: ur.NumRows(),
-				RowsShuffled: d.RowsShuffled, Comparisons: d.JoinComparisons,
-				CoPartitioned: coPart && strat == strategyShuffle,
-			})
+			rel = e.joinRelations(ex, res, "UNION", rel, ur, false, nil)
 		}
 	}
 	if rel == nil {
@@ -403,25 +387,7 @@ func (e *Engine) evalGroup(ex *engine.Exec, g *sparql.Group, res *Result, top *t
 			return nil, err
 		}
 		pred := e.filterPred(joinedSchema(rel.Schema, right.Schema), opt.Filters)
-		// OPTIONAL never broadcast before this planner existed; now the
-		// right side is replicated whenever that moves fewer rows than
-		// shuffling both sides (only the right side of an outer join can
-		// be broadcast — unmatched left rows must survive exactly once).
-		strat := chooseLeftJoinStrategy(rel.NumRows(), right.NumRows(), e.Cluster.Partitions())
-		if !overlap(rel.Schema, right.Schema) {
-			strat = strategyCross
-		}
-		coPart := coPartitionedLeft(rel, right.Schema, e.Cluster.Partitions())
-		leftRows := rel.NumRows()
-		before := ex.MetricsSnapshot()
-		rel = ex.LeftJoinWith(rel, right, pred, engineStrategy(strat))
-		d := ex.MetricsSnapshot().Sub(before)
-		res.Joins = append(res.Joins, JoinPlan{
-			Right: "OPTIONAL", Strategy: strat,
-			LeftRows: leftRows, RightRows: right.NumRows(),
-			RowsShuffled: d.RowsShuffled, Comparisons: d.JoinComparisons,
-			CoPartitioned: coPart && strat == strategyShuffle,
-		})
+		rel = e.joinRelations(ex, res, "OPTIONAL", rel, right, true, pred)
 	}
 
 	for _, f := range deferred {

@@ -20,7 +20,9 @@ import (
 //     it to every partition moves fewer rows than shuffling both sides;
 //
 // and memoizes the table selections themselves per normalized BGP (the
-// SelectionCache), so repeat queries skip Algorithm 1 entirely.
+// SelectionCache), so repeat queries skip Algorithm 1 entirely. planBGP
+// is the one place a BGP is planned: the cost gate (estimateBGP) prices its
+// output and evalBGP executes it.
 
 // JoinPlan records one executed join step for EXPLAIN-style inspection: the
 // right-hand input joined in, the physical strategy chosen, the input size
@@ -39,9 +41,6 @@ type JoinPlan struct {
 	// RowsShuffled and Comparisons are the rows this step moved and the
 	// hash-chain comparisons it performed, measured by the engine.
 	RowsShuffled, Comparisons int64
-	// CoPartitioned reports that the left input arrived already hash-
-	// partitioned on the join key, making its half of the shuffle free.
-	CoPartitioned bool
 }
 
 // Join strategy names as reported in JoinPlan and the HTTP headers.
@@ -51,47 +50,23 @@ const (
 	strategyCross     = "cross"
 )
 
-// chooseJoinStrategy picks the physical join from estimated side sizes. A
-// broadcast replicates the smaller side to every partition (≈ small ×
-// partitions rows moved) while a shuffle repartitions both sides (≈ left +
+// chooseJoinStrategy picks the physical join from the sides' sizes. Sides
+// that share no variable (connected false) can only cross join. Otherwise
+// a broadcast replicates one side to every partition (≈ its rows ×
+// partitions moved) while a shuffle repartitions both sides (≈ left +
 // right rows moved); broadcast wins when its replication cost is lower.
-// When the left side is already co-partitioned on the join key its half of
-// the shuffle is free, so only the right side counts against broadcast.
-func chooseJoinStrategy(leftRows, rightRows, partitions int, coPart bool) string {
-	small := leftRows
-	if rightRows < small {
-		small = rightRows
+// An inner join broadcasts the smaller side; an outer join only its right
+// side (left rows must stay in place so unmatched ones survive exactly
+// once).
+func chooseJoinStrategy(leftRows, rightRows, partitions int, outer, connected bool) string {
+	if !connected {
+		return strategyCross
 	}
-	shuffleCost := leftRows + rightRows
-	if coPart {
-		shuffleCost = rightRows
+	small := rightRows
+	if !outer && leftRows < small {
+		small = leftRows
 	}
-	if small*partitions < shuffleCost {
-		return strategyBroadcast
-	}
-	return strategyShuffle
-}
-
-// coPartitionedLeft reports whether the left relation is already hash-
-// partitioned on the column a natural join with rightVars would shuffle by
-// (the first left-schema column both sides share), at the cluster's
-// partition count — i.e. whether the engine would skip the left shuffle.
-func coPartitionedLeft(left *engine.Relation, rightVars []string, partitions int) bool {
-	for i, name := range left.Schema {
-		for _, rv := range rightVars {
-			if name == rv {
-				return left.CoPartitionedBy(i, partitions)
-			}
-		}
-	}
-	return false
-}
-
-// chooseLeftJoinStrategy is chooseJoinStrategy for a left outer join, where
-// only the right side can be broadcast (left rows must stay in place so
-// unmatched ones survive exactly once).
-func chooseLeftJoinStrategy(leftRows, rightRows, partitions int) string {
-	if rightRows*partitions < leftRows+rightRows {
+	if small*partitions < leftRows+rightRows {
 		return strategyBroadcast
 	}
 	return strategyShuffle
@@ -105,13 +80,40 @@ func engineStrategy(s string) engine.JoinStrategy {
 	return engine.StrategyShuffle
 }
 
+// joinStep runs one join and records it: run executes the join under
+// jp.Strategy, and jp, completed with the rows the join shuffled and the
+// comparisons it made, is appended to res.Joins. Every join site — BGP,
+// UNION, OPTIONAL and PT — goes through it.
+func joinStep(ex *engine.Exec, res *Result, jp JoinPlan, run func(engine.JoinStrategy) *engine.Relation) *engine.Relation {
+	before := ex.MetricsSnapshot()
+	rel := run(engineStrategy(jp.Strategy))
+	d := ex.MetricsSnapshot().Sub(before)
+	jp.RowsShuffled, jp.Comparisons = d.RowsShuffled, d.JoinComparisons
+	res.Joins = append(res.Joins, jp)
+	return rel
+}
+
+// joinRelations joins two materialized relations — a group's UNION and
+// OPTIONAL blocks, PT's units — so the strategy is picked on exact
+// cardinalities. outer makes it a left outer join filtered by pred.
+func (e *Engine) joinRelations(ex *engine.Exec, res *Result, name string, left, right *engine.Relation, outer bool, pred func(engine.Row) bool) *engine.Relation {
+	l, r := left.NumRows(), right.NumRows()
+	strat := chooseJoinStrategy(l, r, e.Cluster.Partitions(), outer, sharesVar(left.Schema, right.Schema))
+	return joinStep(ex, res, JoinPlan{Right: name, Strategy: strat, LeftRows: l, RightRows: r}, func(s engine.JoinStrategy) *engine.Relation {
+		if outer {
+			return ex.LeftJoinWith(left, right, pred, s)
+		}
+		return ex.JoinWith(left, right, s)
+	})
+}
+
 // joinEstimate estimates the output cardinality of joining a pattern
-// estimated at right rows into an intermediate estimated at left rows —
-// the one accumulation evalBGP and estimateBGP both run. With no per-value
-// statistics the smaller input is the best available bound for a connected
-// join: ExtVP reductions make the joined tables highly selective, so joins
-// tend to shrink toward the small side. A cross join (connected false)
-// multiplies, capped at costCap so a chain of them cannot overflow.
+// estimated at right rows into an intermediate estimated at left rows.
+// With no per-value statistics the smaller input is the best available
+// bound for a connected join: ExtVP reductions make the joined tables
+// highly selective, so joins tend to shrink toward the small side. A cross
+// join (connected false) multiplies, capped at costCap so a chain of them
+// cannot overflow.
 func joinEstimate(left, right int, connected bool) int {
 	if !connected {
 		return mulCapped(left, right)
@@ -119,39 +121,23 @@ func joinEstimate(left, right int, connected bool) int {
 	return min(left, right)
 }
 
-// planJoinOrder returns the execution order of the BGP's patterns as
-// indices into bgp: greedy smallest-estimated-cardinality first, always
-// preferring a pattern connected (sharing a variable) to what is already
-// joined, so cross joins happen only when the BGP itself is disconnected.
-// Ties break toward more bound positions, then textual order. With
-// JoinOrderOpt off it is the identity (the paper's Algorithm 3).
-func (e *Engine) planJoinOrder(bgp []sparql.TriplePattern, tpVars [][]string, sels []selection) []int {
-	n := len(bgp)
+// greedyOrder returns an execution order over inputs with the given
+// variable lists: best first by better, always preferring an input
+// connected (sharing a variable) to what is already joined, so cross joins
+// happen only when the inputs themselves are disconnected. Ties go to the
+// earlier input. It orders a BGP's patterns and PT mode's units.
+func greedyOrder(vars [][]string, better func(i, j int) bool) []int {
+	n := len(vars)
 	order := make([]int, 0, n)
-	if !e.JoinOrderOpt {
-		for i := 0; i < n; i++ {
-			order = append(order, i)
-		}
-		return order
-	}
 	used := make([]bool, n)
 	var bound []string
-	better := func(i, j int) bool { // prefer i over j among equal connectivity
-		if sels[i].est != sels[j].est {
-			return sels[i].est < sels[j].est
-		}
-		if sels[i].rows != sels[j].rows {
-			return sels[i].rows < sels[j].rows
-		}
-		return bgp[i].BoundCount() > bgp[j].BoundCount()
-	}
 	for len(order) < n {
 		next, nextConn := -1, false
 		for i := 0; i < n; i++ {
 			if used[i] {
 				continue
 			}
-			conn := len(order) == 0 || sharesVar(bound, tpVars[i])
+			conn := len(order) == 0 || sharesVar(bound, vars[i])
 			switch {
 			case next < 0, conn && !nextConn:
 				next, nextConn = i, conn
@@ -161,9 +147,88 @@ func (e *Engine) planJoinOrder(bgp []sparql.TriplePattern, tpVars [][]string, se
 		}
 		used[next] = true
 		order = append(order, next)
-		bound = joinedSchema(bound, tpVars[next])
+		bound = joinedSchema(bound, vars[next])
 	}
 	return order
+}
+
+// bgpPlan is a BGP planned once, before any data is touched: the cost gate
+// sums it and evalBGP runs it.
+type bgpPlan struct {
+	// tpStrs and tpVars are each pattern's rendered form and variables,
+	// computed once: String and Vars allocate.
+	tpStrs []string
+	tpVars [][]string
+	// sels are the table selections (Algorithm 1), truncated after the
+	// first statistics-empty pattern; empty records that one was, and
+	// leaves tpVars and steps nil. cached reports a selection-cache hit.
+	sels          []selection
+	empty, cached bool
+	// steps is the join order.
+	steps []planStep
+}
+
+// planStep is one pattern of a BGP's join order.
+type planStep struct {
+	idx int // the pattern's index in the BGP
+	// est is the estimated cardinality of the intermediate once the
+	// pattern is joined in (joinEstimate).
+	est int
+	// strategy is how the pattern joins the intermediate; empty for the
+	// first pattern, which is only scanned.
+	strategy string
+}
+
+// planBGP plans a BGP: table selections (through the selection cache),
+// then the join order — greedy by estimate, then table rows, then more
+// bound positions, when JoinOrderOpt; textual order (the paper's Algorithm
+// 3) otherwise — with each step's output estimate and join strategy.
+func (e *Engine) planBGP(bgp []sparql.TriplePattern) bgpPlan {
+	p := bgpPlan{tpStrs: make([]string, len(bgp))}
+	for i, tp := range bgp {
+		p.tpStrs[i] = tp.String()
+	}
+	p.sels, p.empty, p.cached = e.bgpSelections(bgp, p.tpStrs)
+	if p.empty {
+		return p
+	}
+	p.tpVars = make([][]string, len(bgp))
+	for i, tp := range bgp {
+		p.tpVars[i] = tp.Vars()
+	}
+	var order []int
+	if e.JoinOrderOpt {
+		sels := p.sels
+		order = greedyOrder(p.tpVars, func(i, j int) bool {
+			if sels[i].est != sels[j].est {
+				return sels[i].est < sels[j].est
+			}
+			if sels[i].rows != sels[j].rows {
+				return sels[i].rows < sels[j].rows
+			}
+			return bgp[i].BoundCount() > bgp[j].BoundCount()
+		})
+	} else {
+		order = make([]int, len(bgp))
+		for i := range order {
+			order[i] = i
+		}
+	}
+	parts := e.Cluster.Partitions()
+	p.steps = make([]planStep, len(order))
+	var bound []string
+	for oi, idx := range order {
+		s := planStep{idx: idx, est: p.sels[idx].est}
+		if oi > 0 {
+			prev := p.steps[oi-1].est
+			connected := sharesVar(bound, p.tpVars[idx])
+			s.strategy = chooseJoinStrategy(prev, s.est, parts, false, connected)
+			s.est = joinEstimate(prev, s.est, connected)
+		}
+		p.steps[oi] = s
+		bound = joinedSchema(bound, p.tpVars[idx])
+	}
+	return p
 }
 
 // bgpKey canonicalizes a BGP for selection-cache lookup: the parsed

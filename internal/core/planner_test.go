@@ -180,21 +180,9 @@ func TestPlannerDefersCrossJoin(t *testing.T) {
 // overflows at the fifth join and reads negative at the sixth; the explain
 // surface and the strategy choice both read those figures.
 func TestCrossJoinEstimateCapped(t *testing.T) {
-	var ts []rdf.Triple
-	for i := 0; i < 20000; i++ {
-		ts = append(ts, rdf.Triple{
-			S: rdf.NewIRI(fmt.Sprintf("urn:s%d", i)), P: rdf.NewIRI("urn:p1"), O: rdf.NewIRI(fmt.Sprintf("urn:o%d", i)),
-		})
-	}
-	ds := layout.Build(ts, layout.Options{BuildExtVP: false})
+	ds, q := crossJoinCase()
 	e := New(ds, ModeVP)
-	var q strings.Builder
-	q.WriteString("SELECT * WHERE {")
-	for k := 0; k < 7; k++ {
-		fmt.Fprintf(&q, " ?x%d <urn:p1> ?x%d .", k, k)
-	}
-	q.WriteString(" }")
-	res, err := e.Query(q.String())
+	res, err := e.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +202,32 @@ func TestCrossJoinEstimateCapped(t *testing.T) {
 		}
 		prev = j.LeftRows
 	}
-	c, err := e.EstimateCost(q.String())
+	c, err := e.EstimateCost(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.PeakRows != costCap {
 		t.Errorf("PeakRows = %d, want %d", c.PeakRows, costCap)
 	}
+}
+
+// crossJoinCase is TestCrossJoinEstimateCapped's store and query: seven
+// disconnected self-loop patterns over a 20,000-row VP table, six cross
+// joins whose estimates saturate at costCap.
+func crossJoinCase() (*layout.Dataset, string) {
+	var ts []rdf.Triple
+	for i := 0; i < 20000; i++ {
+		ts = append(ts, rdf.Triple{
+			S: rdf.NewIRI(fmt.Sprintf("urn:s%d", i)), P: rdf.NewIRI("urn:p1"), O: rdf.NewIRI(fmt.Sprintf("urn:o%d", i)),
+		})
+	}
+	var q strings.Builder
+	q.WriteString("SELECT * WHERE {")
+	for k := 0; k < 7; k++ {
+		fmt.Fprintf(&q, " ?x%d <urn:p1> ?x%d .", k, k)
+	}
+	q.WriteString(" }")
+	return layout.Build(ts, layout.Options{BuildExtVP: false}), q.String()
 }
 
 // TestDuplicatePatternsKeepCorrelations is the regression for the old

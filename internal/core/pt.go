@@ -68,8 +68,6 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 
 	type unit struct {
 		rel  *engine.Relation
-		vars []string
-		rows int
 		desc string
 	}
 	var units []unit
@@ -83,8 +81,8 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 	// Group PT-answerable patterns by subject node.
 	groups := make(map[string][]sparql.TriplePattern)
 	var order []string
-	var fallback []sparql.TriplePattern
-	for _, tp := range bgp {
+	var fallback []int // indices into bgp
+	for i, tp := range bgp {
 		ok := false
 		if !tp.P.IsVar() {
 			p := e.DS.Dict.Lookup(tp.P.Term)
@@ -93,7 +91,7 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 			}
 		}
 		if !ok {
-			fallback = append(fallback, tp)
+			fallback = append(fallback, i)
 			continue
 		}
 		key := tp.S.String()
@@ -112,11 +110,9 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 		var projs []engine.ScanProjection
 		var conds []engine.ScanCondition
 		var nullChecks []string
-		var vars []string
 		subj := star[0].S
 		if subj.IsVar() {
 			projs = append(projs, engine.ScanProjection{Col: "s", As: subj.Var})
-			vars = append(vars, subj.Var)
 		} else {
 			id := e.DS.Dict.Lookup(subj.Term)
 			if id == dict.NoID {
@@ -132,7 +128,6 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 			if tp.O.IsVar() {
 				projs = append(projs, engine.ScanProjection{Col: col, As: tp.O.Var})
 				nullChecks = append(nullChecks, tp.O.Var)
-				vars = joinedSchema(vars, []string{tp.O.Var})
 			} else {
 				id := e.DS.Dict.Lookup(tp.O.Term)
 				if id == dict.NoID {
@@ -172,12 +167,15 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 			})
 		}
 		addPlan(desc, "PT", pt.NumRows(), st)
-		units = append(units, unit{rel: rel, vars: vars, rows: rel.NumRows(), desc: desc})
+		units = append(units, unit{rel: rel, desc: desc})
 	}
 
-	// Compile fallback patterns over VP/TT (auxiliary tables).
-	for _, tp := range fallback {
-		sel := e.selectTableVP(tp)
+	// Compile fallback patterns over VP/TT (auxiliary tables): under
+	// ModePT, selectTable picks the predicate's VP table, or TT for an
+	// unbound predicate.
+	for _, i := range fallback {
+		tp := bgp[i]
+		sel := e.selectTable(i, bgp)
 		if sel.empty {
 			addPlan(tp.String(), sel.name, sel.rows, engine.ScanStats{})
 			res.StatsOnly = true
@@ -192,77 +190,27 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 			res.StatsOnly = true
 			return e.emptyRelation(ex, bgp), nil
 		}
-		units = append(units, unit{rel: scan, vars: tp.Vars(), rows: scan.NumRows(), desc: tp.String()})
+		units = append(units, unit{rel: scan, desc: tp.String()})
 	}
 
 	if len(units) == 0 {
 		return e.unitRelation(ex), nil
 	}
 
-	// Join the units smallest-first, avoiding cross joins.
-	sort.SliceStable(units, func(i, j int) bool { return units[i].rows < units[j].rows })
-	rel := units[0].rel
-	bound := units[0].vars
-	remaining := units[1:]
-	for len(remaining) > 0 {
+	// Join the units smallest-first, avoiding cross joins. PT units are
+	// already materialized, so the order and the strategies run on exact
+	// cardinalities.
+	vars := make([][]string, len(units))
+	for i, u := range units {
+		vars[i] = u.rel.Schema
+	}
+	seq := greedyOrder(vars, func(i, j int) bool { return units[i].rel.NumRows() < units[j].rel.NumRows() })
+	rel := units[seq[0]].rel
+	for _, i := range seq[1:] {
 		if err := ex.Err(); err != nil {
 			return nil, err
 		}
-		next := -1
-		for i, u := range remaining {
-			if !overlap(bound, u.vars) {
-				continue
-			}
-			if next < 0 || u.rows < remaining[next].rows {
-				next = i
-			}
-		}
-		cross := next < 0
-		if cross {
-			next = 0
-		}
-		u := remaining[next]
-		remaining = append(remaining[:next:next], remaining[next+1:]...)
-		// PT units are already materialized, so the broadcast-vs-shuffle
-		// choice runs on exact cardinalities.
-		coPart := coPartitionedLeft(rel, u.vars, e.Cluster.Partitions())
-		strat := chooseJoinStrategy(rel.NumRows(), u.rel.NumRows(), e.Cluster.Partitions(), coPart)
-		if cross {
-			strat = strategyCross
-		}
-		leftRows := rel.NumRows()
-		before := ex.MetricsSnapshot()
-		rel = ex.JoinWith(rel, u.rel, engineStrategy(strat))
-		d := ex.MetricsSnapshot().Sub(before)
-		res.Joins = append(res.Joins, JoinPlan{
-			Right: u.desc, Strategy: strat,
-			LeftRows: leftRows, RightRows: u.rel.NumRows(),
-			RowsShuffled: d.RowsShuffled, Comparisons: d.JoinComparisons,
-			CoPartitioned: coPart && strat == strategyShuffle,
-		})
-		bound = joinedSchema(bound, u.vars)
+		rel = e.joinRelations(ex, res, units[i].desc, rel, units[i].rel, false, nil)
 	}
 	return rel, nil
-}
-
-// selectTableVP is table selection restricted to VP/TT (for PT fallbacks).
-func (e *Engine) selectTableVP(tp sparql.TriplePattern) selection {
-	if tp.P.IsVar() {
-		return selection{table: e.DS.TT, name: "TT", rows: e.DS.TT.NumRows(), sf: 1, tt: true}
-	}
-	p := e.DS.Dict.Lookup(tp.P.Term)
-	if p == dict.NoID || e.DS.VP[p] == nil {
-		return selection{empty: true, name: "∅(unknown predicate)"}
-	}
-	vp := e.DS.VP[p]
-	return selection{table: vp, name: vp.Name, rows: vp.NumRows(), sf: 1}
-}
-
-func overlap(a, b []string) bool {
-	for _, v := range b {
-		if indexOf(a, v) >= 0 {
-			return true
-		}
-	}
-	return false
 }

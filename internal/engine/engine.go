@@ -526,13 +526,6 @@ func (r *Relation) ColIndex(name string) int {
 	return -1
 }
 
-// CoPartitionedBy reports whether a shuffle of the relation by column col
-// across partitions target partitions would be skipped: the relation is
-// already hash-partitioned by that column at that partition count.
-func (r *Relation) CoPartitionedBy(col, partitions int) bool {
-	return r.keyCol == col && col >= 0 && len(r.Parts) == partitions
-}
-
 // DistinctKeys returns the sorted distinct values of column col: the key
 // set an intermediate pushes into the scan it will be joined with
 // (ScanSpec.Keys). The result is non-nil even for an empty relation.
@@ -1040,6 +1033,12 @@ func (x *Exec) LeftJoinWith(left, right *Relation, pred func(Row) bool, strat Jo
 		out = newRelation(outSchema, x.c.partitions)
 		out.keyCol = lIdx[0]
 		x.parallel(len(out.Parts), func(p int) {
+			// A co-partition with no left rows has nothing to pad or match:
+			// its right side is never built.
+			if l.Parts[p].Len() == 0 {
+				out.Parts[p] = newFixedBlock(len(outSchema), 0)
+				return
+			}
 			rblk := r.Parts[p]
 			if rblk == nil {
 				rblk = NewBlock(len(right.Schema), 0)

@@ -156,6 +156,31 @@ func TestLeftJoinOptionalSemantics(t *testing.T) {
 	emails := c.exec().FromRows([]string{"p", "e"}, []Row{{1, 100}, {3, 300}})
 	res := c.exec().LeftJoinWith(people, emails, nil, StrategyShuffle)
 	rowsEqual(t, res, []Row{{1, 100}, {2, Null}, {3, 300}})
+
+	// At 8 partitions a left side on one key hashes into one co-partition.
+	// Only that co-partition builds its right rows; the seven with no left
+	// rows build nothing, so the accounted state is the two shuffled
+	// inputs, one join table and the output.
+	c8 := NewCluster(8)
+	part := func(k dict.ID) uint64 { return (hashID64(uint64(k)) >> 32) % 8 }
+	var rrows []Row
+	built := 0
+	for k := dict.ID(1); k <= 16; k++ {
+		rrows = append(rrows, Row{k, 100 + k})
+		if part(k) == part(1) {
+			built++
+		}
+	}
+	x := c8.exec()
+	left := x.FromRows([]string{"p"}, []Row{{1}, {1}})
+	right := x.FromRows([]string{"p", "e"}, rrows)
+	base := x.PeakMemBytes()
+	res = x.LeftJoinWith(left, right, nil, StrategyShuffle)
+	rowsEqual(t, res, []Row{{1, 101}, {1, 101}})
+	want := int64(2*1+16*2+2*2)*idBytes + tableBytes(built)
+	if got := x.PeakMemBytes() - base; got != want {
+		t.Errorf("LeftJoinWith accounted %d bytes, want %d (one build of %d right rows)", got, want, built)
+	}
 }
 
 func TestLeftJoinWithPredicate(t *testing.T) {

@@ -126,9 +126,6 @@ type Options struct {
 	// BuildPropertyTable additionally builds the Sempala-style layout so
 	// ModePT queries work.
 	BuildPropertyTable bool
-	// JoinOrderOptimization toggles the size-driven join ordering of the
-	// paper's Algorithm 4 (on by default via Load).
-	JoinOrderOptimization bool
 	// MaterializeExtVP stores each ExtVP reduction as a copy of its VP
 	// rows, the representation of the paper's evaluation (Sec. 5.2). By
 	// default a reduction is a bit vector over its VP table instead — the
