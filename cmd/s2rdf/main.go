@@ -43,9 +43,8 @@ import (
 	"time"
 
 	"s2rdf"
-	"s2rdf/internal/core"
-	"s2rdf/internal/engine"
 	"s2rdf/internal/sched"
+	"s2rdf/internal/sparql"
 )
 
 func main() {
@@ -147,22 +146,17 @@ func cmdQuery(args []string) {
 	if *memBudget > 0 {
 		st.SetMemBudget(*memBudget, "")
 	}
-	// Run through a one-off scheduler exactly like the server would, so
-	// -explain reports the cost-gate verdict and scheduling record of the
-	// query.
-	cost, err := st.Engine(m).EstimateCost(fs.Arg(0))
+	q, err := sparql.Parse(fs.Arg(0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	class := sched.Classify(cost.Cost(), *cheapThreshold)
-	sc := sched.New(sched.Options{})
-	ticket, err := sc.Admit(context.Background(), class)
+	// The query is planned once: -explain prices that plan as the server's
+	// cost gate would, and the same plan executes.
+	eng := st.Engine(m)
+	plan := eng.PlanQuery(q)
+	stream, err := eng.ExecPlan(context.Background(), plan)
 	if err != nil {
 		log.Fatal(err)
-	}
-	ctx := context.Background()
-	if class == sched.Expensive {
-		ctx = engine.WithYielder(ctx, ticket)
 	}
 	printRow := func(row []s2rdf.Term) {
 		parts := make([]string, len(row))
@@ -171,60 +165,36 @@ func cmdQuery(args []string) {
 		}
 		fmt.Println(strings.Join(parts, "\t"))
 	}
-	summary := func(res *core.Result, n int) {
-		fmt.Fprintf(os.Stderr, "%d solutions in %v (first row %v; scanned %d rows, pruned %d, shuffled %d; peak mem %d B, spilled %d B)\n",
-			n, res.Duration.Round(time.Microsecond), res.TimeToFirstRow.Round(time.Microsecond),
-			res.Metrics.RowsScanned, res.Metrics.RowsPruned, res.Metrics.RowsShuffled,
-			res.PeakMemBytes, res.Metrics.BytesSpilled)
-	}
-
+	// Solutions print as the engine delivers them, batch by batch — first
+	// rows appear while the result is still being produced. -explain
+	// reports final metrics, so it holds the rows until the report is out.
 	if !*explain {
-		// Solutions print as the engine delivers them, batch by batch —
-		// first rows appear while the result is still being produced.
-		stream, err := st.Engine(m).QueryStream(ctx, fs.Arg(0))
+		fmt.Println(strings.Join(stream.Vars(), "\t"))
+	}
+	var rows [][]s2rdf.Term
+	n := 0
+	for {
+		batch, err := stream.Next()
 		if err != nil {
-			ticket.Release()
 			log.Fatal(err)
 		}
-		fmt.Println(strings.Join(stream.Vars(), "\t"))
-		n := 0
-		for {
-			batch, err := stream.Next()
-			if err != nil {
-				ticket.Release()
-				log.Fatal(err)
-			}
-			if batch == nil {
-				break
-			}
-			for _, row := range batch {
-				printRow(row)
-			}
-			n += len(batch)
+		if batch == nil {
+			break
 		}
-		ticket.Release()
-		summary(stream.Result(), n)
-		return
+		n += len(batch)
+		if *explain {
+			rows = append(rows, batch...)
+			continue
+		}
+		for _, row := range batch {
+			printRow(row)
+		}
 	}
-
-	// -explain reports final metrics, so it materializes the result before
-	// printing (the report precedes the rows).
-	res, err := st.QueryModeContext(ctx, m, fs.Arg(0))
-	ticket.Release()
-	if err != nil {
-		log.Fatal(err)
-	}
-	res.Sched = &core.SchedInfo{
-		Class:     class.String(),
-		Cost:      cost,
-		QueueWait: ticket.QueueWait(),
-		Yields:    ticket.Yields(),
-	}
+	res := stream.Result()
 	if *explain {
+		cost := plan.Cost()
 		fmt.Printf("# cost gate: %s (cost %d = max(scan %d, peak %d); %d patterns)\n",
-			res.Sched.Class, cost.Cost(), cost.ScanRows, cost.PeakRows, cost.Patterns)
-		fmt.Printf("# sched: queue wait %v, yields %d\n",
-			res.Sched.QueueWait.Round(time.Microsecond), res.Sched.Yields)
+			sched.Classify(cost.Cost(), *cheapThreshold), cost.Cost(), cost.ScanRows, cost.PeakRows, cost.Patterns)
 		fmt.Println("# plan:")
 		for _, p := range res.Plan {
 			keys := ""
@@ -258,12 +228,15 @@ func cmdQuery(args []string) {
 		fmt.Printf("# streaming: first row after %v; sort state %d rows; peak accounted memory %d B, spilled %d B\n",
 			res.TimeToFirstRow.Round(time.Microsecond), res.Metrics.RowsSorted,
 			res.PeakMemBytes, res.Metrics.BytesSpilled)
+		fmt.Println(strings.Join(stream.Vars(), "\t"))
+		for _, row := range rows {
+			printRow(row)
+		}
 	}
-	fmt.Println(strings.Join(res.Vars, "\t"))
-	for _, row := range res.Rows {
-		printRow(row)
-	}
-	summary(res, res.Len())
+	fmt.Fprintf(os.Stderr, "%d solutions in %v (first row %v; scanned %d rows, pruned %d, shuffled %d; peak mem %d B, spilled %d B)\n",
+		n, res.Duration.Round(time.Microsecond), res.TimeToFirstRow.Round(time.Microsecond),
+		res.Metrics.RowsScanned, res.Metrics.RowsPruned, res.Metrics.RowsShuffled,
+		res.PeakMemBytes, res.Metrics.BytesSpilled)
 }
 
 func cmdServe(args []string) {

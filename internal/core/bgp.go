@@ -258,20 +258,19 @@ func (e *Engine) compilePattern(ex *engine.Exec, tp sparql.TriplePattern, sel se
 	return rel, st, keys, true, nil
 }
 
-// evalBGP executes a basic graph pattern as planBGP plans it: table
+// evalBGP executes a basic graph pattern's plan (planBGP): table
 // selections (Algorithm 1, from the selection cache on repeat queries), a
 // join order, and a broadcast, shuffle or cross strategy per join. Filters
 // whose variables are covered by a single pattern are compiled into that
 // pattern's scan (the matching consumed entry is set). When top is non-nil
 // and every filter went into a scan, the final join also takes the query's
-// ORDER BY … LIMIT (joinTopK). ModePT routes to the property-table planner,
-// which consumes no filters.
-func (e *Engine) evalBGP(ex *engine.Exec, bgp []sparql.TriplePattern, filters []sparql.Expression, consumed []bool, res *Result, top *topKRequest) (*engine.Relation, error) {
+// ORDER BY … LIMIT (joinTopK). ModePT runs the property-table plan, which
+// consumes no filters.
+func (e *Engine) evalBGP(ex *engine.Exec, p *bgpPlan, filters []sparql.Expression, consumed []bool, res *Result, top *topKRequest) (*engine.Relation, error) {
 	if e.Mode == ModePT {
-		return e.evalBGPPT(ex, bgp, res)
+		return e.evalBGPPT(ex, p, res)
 	}
-
-	p := e.planBGP(bgp)
+	bgp := p.bgp
 	if p.cached {
 		res.SelectionCacheHits++
 	} else {

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"s2rdf/internal/sparql"
 )
 
 // lru is a concurrency-safe LRU map from string keys to values, counting
@@ -84,20 +82,11 @@ func (c *lru[V]) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// PlanCache is an LRU of parsed queries keyed on normalized query text.
-// Execution never mutates a parsed query, so one cached entry may back any
-// number of concurrent executions.
-type PlanCache = lru[*sparql.Query]
-
-// NewPlanCache returns a cache holding at most capacity plans; capacity <= 0
-// returns nil (caching disabled).
-func NewPlanCache(capacity int) *PlanCache { return newLRU[*sparql.Query](capacity) }
-
-// NormalizeQuery canonicalizes a query string for cache lookup: runs of
-// whitespace outside quoted literals collapse to one space, '#' comments
-// are dropped (they end at the newline, like the lexer's skipSpace), and
-// the ends are trimmed, so reformatted copies of one query share a cache
-// entry. Quoted literals (including escapes) and <IRI> references — where
+// NormalizeQuery canonicalizes a query string for the result-cache key:
+// runs of whitespace outside quoted literals collapse to one space, '#'
+// comments are dropped (they end at the newline, like the lexer's
+// skipSpace), and the ends are trimmed, so reformatted copies of one query
+// share a cache entry. Quoted literals (including escapes) and <IRI> references — where
 // '#' is an ordinary character — are preserved byte-for-byte.
 func NormalizeQuery(src string) string {
 	var b strings.Builder

@@ -98,29 +98,3 @@ func TestNormalizeQueryQuoteKindCollision(t *testing.T) {
 		t.Error("escaped and raw newline literals share a cache key")
 	}
 }
-
-// TestPlanCacheDistinctLiteralKeys runs the collision check end to end:
-// two queries that differ only inside a literal must occupy two cache
-// entries and return their own results.
-func TestPlanCacheDistinctLiteralKeys(t *testing.T) {
-	ds := g1Dataset(t)
-	e := New(ds, ModeExtVP)
-	q1 := `SELECT ?x WHERE { ?x <urn:follows> ?y . FILTER(?y != "a b") }`
-	q2 := `SELECT ?x WHERE { ?x <urn:follows> ?y . FILTER(?y != "a  b") }`
-	if _, err := e.Query(q1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Query(q2); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Plans.Len(); got != 2 {
-		t.Errorf("plan cache entries = %d, want 2 (no key collision)", got)
-	}
-	res, err := e.Query(q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.PlanCached {
-		t.Error("repeat of q1 missed the plan cache")
-	}
-}

@@ -129,45 +129,17 @@ func TestClusterAggregateSums(t *testing.T) {
 	}
 }
 
-func TestPlanCache(t *testing.T) {
-	ds := g1Dataset(t)
-	e := New(ds, ModeExtVP)
-
-	res1, err := e.Query(q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.PlanCached {
-		t.Error("first execution reported a plan-cache hit")
-	}
-	res2, err := e.Query(q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.PlanCached {
-		t.Error("second execution missed the plan cache")
-	}
-	if !reflect.DeepEqual(canon(res1), canon(res2)) {
-		t.Error("cached plan produced different bindings")
-	}
-	if !reflect.DeepEqual(res1.Metrics, res2.Metrics) {
-		t.Errorf("cached plan metrics %+v != %+v", res2.Metrics, res1.Metrics)
-	}
-	hits, misses := e.Plans.Stats()
-	if hits < 1 || misses < 1 {
-		t.Errorf("stats hits=%d misses=%d, want both >= 1", hits, misses)
-	}
-}
-
-func TestPlanCacheEviction(t *testing.T) {
-	pc := NewPlanCache(2)
+// TestSelectionCacheEviction: the selection cache is an LRU over BGPs. At
+// capacity 2, a third BGP evicts the least recently used one, whose next
+// planning runs Algorithm 1 again, while the most recent still hits.
+func TestSelectionCacheEviction(t *testing.T) {
 	ds := g1Dataset(t)
 	e := New(ds, ModeVP)
-	e.Plans = pc
+	e.Selections = NewSelectionCache(2)
 
 	queries := []string{
 		`SELECT ?s WHERE { ?s <urn:follows> ?o }`,
-		`SELECT ?o WHERE { ?s <urn:follows> ?o }`,
+		`SELECT ?o WHERE { ?o <urn:follows> ?s }`,
 		`SELECT ?s WHERE { ?s <urn:likes> ?o }`,
 	}
 	for _, q := range queries {
@@ -175,23 +147,23 @@ func TestPlanCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pc.Len() != 2 {
-		t.Errorf("cache len = %d, want 2 (LRU eviction)", pc.Len())
+	if got := e.Selections.Len(); got != 2 {
+		t.Errorf("cache len = %d, want 2 (LRU eviction)", got)
 	}
-	// The first (evicted) query misses; the most recent hits.
+	// The first (evicted) BGP misses; the most recent hits.
 	res, err := e.Query(queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PlanCached {
-		t.Error("evicted query reported a cache hit")
+	if res.SelectionCacheMisses != 1 {
+		t.Errorf("evicted BGP: %d hits / %d misses, want a miss", res.SelectionCacheHits, res.SelectionCacheMisses)
 	}
 	res, err = e.Query(queries[2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.PlanCached {
-		t.Error("recent query missed the cache")
+	if res.SelectionCacheHits != 1 {
+		t.Errorf("recent BGP: %d hits / %d misses, want a hit", res.SelectionCacheHits, res.SelectionCacheMisses)
 	}
 }
 

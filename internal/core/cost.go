@@ -4,14 +4,12 @@ import (
 	"s2rdf/internal/sparql"
 )
 
-// Pre-execution cost estimation for the admission cost gate. The scheduler
-// must decide cheap-vs-expensive before a query runs, so this reuses
-// exactly the statistics the join planner runs on — Algorithm 1 table
-// selections with bound-term selectivity scaling (selection.est) — without
-// touching any data: EstimateQuery walks the query the way evalGroup /
-// evalBGP will, sums the plan planBGP makes for each BGP — the plan
-// evalBGP then executes — and reports the totals. Estimating therefore
-// also warms the plan and selection caches the real execution will hit.
+// A query is planned once, before any data is touched: PlanQuery walks its
+// groups the way evalGroup will and plans each BGP with planBGP (planBGPPT
+// in ModePT) — Algorithm 1 table selections with bound-term selectivity
+// scaling (selection.est), the join order and the join strategies. The
+// admission cost gate prices that plan (QueryPlan.Cost), so the scheduler
+// decides cheap-vs-expensive on exactly the plan ExecPlan then runs.
 
 // costCap bounds the estimate accumulation so disconnected-pattern cross
 // joins (whose estimates multiply) cannot overflow int; any value at the
@@ -24,24 +22,14 @@ type CostEstimate struct {
 	// UNION branches).
 	Patterns int
 	// ScanRows sums the per-pattern row estimates (table cardinality
-	// scaled by bound-term selectivity): the work the scans are expected
-	// to feed into the plan.
+	// scaled by bound-term selectivity; in ModePT, a star's scan weight):
+	// the work the scans are expected to feed into the plan.
 	ScanRows int
 	// PeakRows is the largest estimated intermediate-result cardinality
 	// reached along the planned join order (planStep.est); cross
 	// joins multiply estimates, so a disconnected BGP classifies as
 	// expensive even when its individual tables are small.
 	PeakRows int
-	// PlanCached reports whether the parsed query was already in the plan
-	// cache when the estimate ran. Estimation warms the caches the
-	// execution then hits, so the serving layer uses these fields (not the
-	// execution's own counters) for the cache headers: they record whether
-	// the server had seen the query before this request.
-	PlanCached bool
-	// SelectionCacheHits / SelectionCacheMisses count the BGPs whose table
-	// selections were served from / computed into the selection cache
-	// during estimation.
-	SelectionCacheHits, SelectionCacheMisses int
 }
 
 // Cost is the scalar the cost gate classifies on: the larger of the total
@@ -53,71 +41,84 @@ func (c CostEstimate) Cost() int {
 	return c.ScanRows
 }
 
-// EstimateCost parses src (through the plan cache) and returns its cost
-// estimate without executing anything. A parse error is returned as-is, so
-// the serving layer rejects malformed queries before they ever occupy a
-// queue slot.
-func (e *Engine) EstimateCost(src string) (CostEstimate, error) {
-	return e.EstimateCostNorm(src, "")
+// QueryPlan is a parsed query with each of its BGPs planned, in the order
+// evalGroup reaches them. It is never modified, so it may be executed more
+// than once, by the engine that planned it.
+type QueryPlan struct {
+	q    *sparql.Query
+	bgps []bgpPlan
 }
 
-// EstimateCostNorm is EstimateCost with the normalized query text
-// precomputed by the caller (empty means compute it here).
-func (e *Engine) EstimateCostNorm(src, norm string) (CostEstimate, error) {
-	if norm == "" {
-		norm = NormalizeQuery(src)
-	}
-	q, cached, err := e.ParseCached(src, norm)
-	if err != nil {
-		return CostEstimate{}, err
-	}
-	c := e.EstimateQuery(q)
-	c.PlanCached = cached
-	return c, nil
+// PlanQuery plans q without executing anything.
+func (e *Engine) PlanQuery(q *sparql.Query) *QueryPlan {
+	p := &QueryPlan{q: q}
+	e.planGroup(p, q.Where)
+	return p
 }
 
-// EstimateQuery returns the cost estimate of a parsed query.
-func (e *Engine) EstimateQuery(q *sparql.Query) CostEstimate {
-	var c CostEstimate
-	e.estimateGroup(q.Where, &c)
-	return c
-}
-
-func (e *Engine) estimateGroup(g *sparql.Group, c *CostEstimate) {
-	if g == nil {
-		return
-	}
+// planGroup plans g's BGP, then its UNION alternatives, then its OPTIONALs:
+// the order evalGroup executes them in.
+func (e *Engine) planGroup(p *QueryPlan, g *sparql.Group) {
 	if len(g.Triples) > 0 {
-		e.estimateBGP(g.Triples, c)
+		if e.Mode == ModePT {
+			p.bgps = append(p.bgps, e.planBGPPT(g.Triples))
+		} else {
+			p.bgps = append(p.bgps, e.planBGP(g.Triples))
+		}
 	}
 	for _, u := range g.Unions {
 		for _, alt := range u.Alternatives {
-			e.estimateGroup(alt, c)
+			e.planGroup(p, alt)
 		}
 	}
 	for _, opt := range g.Optionals {
-		e.estimateGroup(opt, c)
+		e.planGroup(p, opt)
 	}
 }
 
-// estimateBGP folds one BGP's plan (planBGP, the plan evalBGP executes)
-// into the estimate: its per-pattern scan estimates into ScanRows, and its
-// largest step estimate into PeakRows. A BGP the statistics prove empty
-// has no steps: execution will answer it without scanning.
-func (e *Engine) estimateBGP(bgp []sparql.TriplePattern, c *CostEstimate) {
-	c.Patterns += len(bgp)
-	p := e.planBGP(bgp)
-	if p.cached {
-		c.SelectionCacheHits++
-	} else {
-		c.SelectionCacheMisses++
+// Cost sums the plan for the cost gate: each BGP's pattern scan estimates
+// into ScanRows, and its largest step estimate into PeakRows. A BGP the
+// statistics prove empty has no steps: execution answers it without
+// scanning. A PT plan has no steps either: it joins its units on their
+// exact sizes once they are scanned.
+func (p *QueryPlan) Cost() CostEstimate {
+	var c CostEstimate
+	for _, b := range p.bgps {
+		c.Patterns += len(b.bgp)
+		for _, sel := range b.sels {
+			c.ScanRows = addCapped(c.ScanRows, sel.est)
+		}
+		for _, s := range b.steps {
+			c.PeakRows = max(c.PeakRows, s.est)
+		}
+		if b.pt != nil {
+			c.ScanRows = addCapped(c.ScanRows, b.pt.scan)
+		}
 	}
-	for _, sel := range p.sels {
-		c.ScanRows = addCapped(c.ScanRows, sel.est)
+	return c
+}
+
+// EstimateCostNorm parses src and returns the cost of its plan without
+// executing anything; a parse error is returned as-is. norm is unused: it
+// keyed the parsed-query cache, which is gone. The signature stays because
+// benchmark/trace.go times this call as its cost-gate layer.
+func (e *Engine) EstimateCostNorm(src, norm string) (CostEstimate, error) {
+	q, err := sparql.Parse(src)
+	if err != nil {
+		return CostEstimate{}, err
 	}
-	for _, s := range p.steps {
-		c.PeakRows = max(c.PeakRows, s.est)
-	}
+	return e.PlanQuery(q).Cost(), nil
+}
+
+// bgpQueue holds the plans of the BGPs an execution has yet to reach, in
+// the order PlanQuery planned them: the order evalGroup reaches them in.
+type bgpQueue []bgpPlan
+
+// next pops the plan of the BGP evalGroup reached.
+func (q *bgpQueue) next() *bgpPlan {
+	p := &(*q)[0]
+	*q = (*q)[1:]
+	return p
 }
 
 func addCapped(a, b int) int {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"strings"
@@ -8,11 +9,13 @@ import (
 
 	"s2rdf/internal/engine"
 	"s2rdf/internal/layout"
+	"s2rdf/internal/sched"
+	"s2rdf/internal/sparql"
 	"s2rdf/internal/watdiv"
 )
 
 // TestCostGateAgreesWithExecution holds the cost gate to the plan that
-// runs: for each query, EstimateQuery's ScanRows must be the sum of the
+// runs: for each query, the plan's ScanRows must be the sum of the
 // executed patterns' estimates (Result.Plan[i].Est), and its PeakRows the
 // largest intermediate estimate along the executed join order, recomputed
 // from the first pattern's estimate and each join's LeftRows, RightRows and
@@ -49,19 +52,41 @@ func TestCostGateAgreesWithExecution(t *testing.T) {
 	}
 }
 
-// checkGate estimates and then executes the one-BGP query src on e and
-// compares the estimate with the figures recomputed from the execution.
-func checkGate(t *testing.T, e *Engine, name, src string) {
+// mustPlan parses src and plans it on e.
+func mustPlan(t *testing.T, e *Engine, src string) *QueryPlan {
 	t.Helper()
-	q, _, err := e.ParseCached(src, NormalizeQuery(src))
+	q, err := sparql.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := e.EstimateQuery(q)
-	res, err := e.Exec(q)
+	return e.PlanQuery(q)
+}
+
+// execPlan executes p to completion and returns its Result.
+func execPlan(t *testing.T, e *Engine, name string, p *QueryPlan) *Result {
+	t.Helper()
+	s, err := e.ExecPlan(context.Background(), p)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	for {
+		batch, err := s.Next()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if batch == nil {
+			return s.Result()
+		}
+	}
+}
+
+// checkGate plans the one-BGP query src on e, executes that plan, and
+// compares the plan's cost with the figures recomputed from the execution.
+func checkGate(t *testing.T, e *Engine, name, src string) {
+	t.Helper()
+	p := mustPlan(t, e, src)
+	c := p.Cost()
+	res := execPlan(t, e, name, p)
 	scan := 0
 	for _, p := range res.Plan {
 		scan = addCapped(scan, p.Est)
@@ -81,5 +106,27 @@ func checkGate(t *testing.T, e *Engine, name, src string) {
 	if c.ScanRows != scan || c.PeakRows != peak {
 		t.Errorf("%s at %d partitions: gate ScanRows %d, PeakRows %d; execution %d, %d",
 			name, e.Cluster.Partitions(), c.ScanRows, c.PeakRows, scan, peak)
+	}
+}
+
+// TestCostGatePricesPTScans: in ModePT the gate prices the plan that runs
+// over the property table, each star at the cells its scan is metered at.
+// A two-pattern star over WatDiv's functional caption and text predicates
+// scans every cell of the unified table; priced as if it ran over VP tables
+// it read 381 rows and went to the cheap lane.
+func TestCostGatePricesPTScans(t *testing.T) {
+	data := watdiv.Generate(watdiv.Config{Scale: 2, Seed: 1})
+	opts := layout.DefaultOptions()
+	opts.BuildPT = true
+	e := New(layout.Build(data.Triples, opts), ModePT)
+	const src = `SELECT * WHERE { ?v0 <http://schema.org/caption> ?v1 . ?v0 <http://schema.org/text> ?v2 }`
+	p := mustPlan(t, e, src)
+	c := p.Cost()
+	res := execPlan(t, e, "PT star", p)
+	if c.ScanRows != 233103 || res.Metrics.RowsScanned != 233103 {
+		t.Errorf("ScanRows = %d, executed RowsScanned = %d, want both 233103", c.ScanRows, res.Metrics.RowsScanned)
+	}
+	if class := sched.Classify(c.Cost(), sched.DefaultCheapThreshold); class != sched.Expensive {
+		t.Errorf("cost %d classifies %v, want expensive", c.Cost(), class)
 	}
 }

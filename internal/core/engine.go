@@ -8,11 +8,13 @@
 // paper's baselines (S2RDF VP, a plain triples-table store, and the
 // Sempala-style property-table layout).
 //
+// A query is parsed and planned once: PlanQuery plans every BGP without
+// touching data, the serving layer's cost gate prices that plan, and
+// ExecPlan runs it.
+//
 // An Engine is safe for concurrent use: every Exec call runs with its own
 // engine.Exec handle, so per-query metrics are exact even when many queries
 // are in flight, while Cluster.Metrics keeps the cluster-wide aggregate.
-// Parsed queries are cached in an LRU keyed on whitespace-normalized query
-// text, so repeated query strings skip the parser.
 //
 // Execution is cancellable: QueryContext and ExecContext bind a
 // context.Context to the run, and every relational operator observes it at
@@ -66,9 +68,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// DefaultPlanCacheSize is the parsed-plan LRU capacity New configures.
-const DefaultPlanCacheSize = 128
-
 // Engine executes SPARQL queries over a dataset in one layout mode.
 type Engine struct {
 	DS      *layout.Dataset
@@ -77,8 +76,6 @@ type Engine struct {
 	// JoinOrderOpt enables the size-driven join ordering of Algorithm 4;
 	// disabled it falls back to Algorithm 3 (pattern order as written).
 	JoinOrderOpt bool
-	// Plans caches parsed queries by normalized text; nil disables caching.
-	Plans *PlanCache
 	// Selections caches per-BGP table selections (Algorithm 1 output) by
 	// normalized BGP; nil disables caching.
 	Selections *SelectionCache
@@ -112,14 +109,13 @@ type Engine struct {
 func (e *Engine) Algorithm1Runs() int64 { return e.algorithm1Runs.Load() }
 
 // New returns an engine in the given mode with join-order optimization and
-// default-sized plan and selection caches.
+// a default-sized selection cache.
 func New(ds *layout.Dataset, mode Mode) *Engine {
 	return &Engine{
 		DS:           ds,
 		Cluster:      engine.NewCluster(0),
 		Mode:         mode,
 		JoinOrderOpt: true,
-		Plans:        NewPlanCache(DefaultPlanCacheSize),
 		Selections:   NewSelectionCache(DefaultSelectionCacheSize),
 	}
 }
@@ -160,8 +156,9 @@ type Result struct {
 	// strategy and the size estimates it was based on.
 	Joins []JoinPlan
 	// SelectionCacheHits / SelectionCacheMisses count the query's BGPs
-	// served from / computed into the selection cache (Algorithm 1 skipped
-	// on a hit). Both zero when no BGP was planned (e.g. PT mode).
+	// whose table selections its planning served from / computed into the
+	// selection cache (Algorithm 1 skipped on a hit). Both zero when no BGP
+	// was planned through the cache (no BGP, or PT mode).
 	SelectionCacheHits, SelectionCacheMisses int
 	// Metrics holds exactly the work this query performed, independent of
 	// any other queries in flight on the same engine.
@@ -180,27 +177,6 @@ type Result struct {
 	StatsOnly bool
 	// Ask holds the boolean answer of an ASK query (Rows is empty then).
 	Ask bool
-	// PlanCached is true when the parsed query came from the plan cache.
-	PlanCached bool
-	// Sched, when the query ran through an admission scheduler, records the
-	// cost-gate verdict and the scheduling delay the query experienced. Nil
-	// for directly-executed queries.
-	Sched *SchedInfo
-}
-
-// SchedInfo is the scheduling record attached to a Result by the serving
-// layer: what the cost gate decided and what it cost the query in queueing
-// terms. Fields mirror the X-S2RDF-* scheduling headers.
-type SchedInfo struct {
-	// Class is the cost-gate verdict: "cheap" or "expensive".
-	Class string
-	// Cost is the pre-execution estimate the classification used.
-	Cost CostEstimate
-	// QueueWait is the total time spent waiting for a worker slot,
-	// including re-queues after yields.
-	QueueWait time.Duration
-	// Yields counts how many times the query gave up its slot mid-run.
-	Yields int
 }
 
 // Len returns the number of solution mappings.
@@ -222,48 +198,20 @@ func (r *Result) Bindings() []map[string]rdf.Term {
 	return out
 }
 
-// Query parses and executes a SPARQL query string. Parsed queries are
-// memoized in the plan cache under their normalized text.
+// Query parses and executes a SPARQL query string.
 func (e *Engine) Query(src string) (*Result, error) {
 	return e.QueryContext(context.Background(), src)
 }
 
 // QueryContext is Query bound to a context: when ctx is cancelled or its
 // deadline passes, execution stops within one row batch and the call
-// returns ctx.Err(). Parsed queries are memoized in the plan cache under
-// their normalized text.
+// returns ctx.Err().
 func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) {
-	q, cached, err := e.ParseCached(src, NormalizeQuery(src))
+	q, err := sparql.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.ExecContext(ctx, q)
-	if res != nil {
-		res.PlanCached = cached
-	}
-	return res, err
-}
-
-// ParseCached parses src through the plan cache (when configured) under
-// norm, which must be NormalizeQuery(src), reporting whether the parsed
-// query was served from the cache. It is the one plan-cache probe of a
-// query: QueryContext, QueryStream and EstimateCost call it with the text
-// they normalize themselves; the serving layer — which already normalized
-// the request for its result-cache key — calls it once
-// and hands the parsed query to EstimateQuery and ExecStream.
-func (e *Engine) ParseCached(src, norm string) (q *sparql.Query, cached bool, err error) {
-	if e.Plans != nil {
-		if q, cached = e.Plans.get(norm); cached {
-			return q, true, nil
-		}
-	}
-	if q, err = sparql.Parse(src); err != nil {
-		return nil, false, err
-	}
-	if e.Plans != nil {
-		e.Plans.put(norm, q)
-	}
-	return q, false, nil
+	return e.ExecContext(ctx, q)
 }
 
 // Exec executes a parsed query. The query value is not modified, so one
@@ -325,9 +273,10 @@ func (e *Engine) unitRelation(ex *engine.Exec) *engine.Relation {
 }
 
 // evalGroup evaluates a group graph pattern: BGP, then UNION blocks, then
-// pushable filters, then OPTIONALs, then remaining filters. top, when
-// non-nil, offers the query's ORDER BY … LIMIT to the BGP's final join.
-func (e *Engine) evalGroup(ex *engine.Exec, g *sparql.Group, res *Result, top *topKRequest) (*engine.Relation, error) {
+// pushable filters, then OPTIONALs, then remaining filters. Each BGP runs
+// the next plan of plans. top, when non-nil, offers the query's ORDER BY …
+// LIMIT to the BGP's final join.
+func (e *Engine) evalGroup(ex *engine.Exec, g *sparql.Group, plans *bgpQueue, res *Result, top *topKRequest) (*engine.Relation, error) {
 	var rel *engine.Relation
 	// Filters whose variables are covered by a single triple pattern are
 	// pushed into that pattern's scan, where they run at the scan's
@@ -335,7 +284,7 @@ func (e *Engine) evalGroup(ex *engine.Exec, g *sparql.Group, res *Result, top *t
 	filters := g.Filters
 	if len(g.Triples) > 0 {
 		consumed := make([]bool, len(filters))
-		r, err := e.evalBGP(ex, g.Triples, filters, consumed, res, top)
+		r, err := e.evalBGP(ex, plans.next(), filters, consumed, res, top)
 		if err != nil {
 			return nil, err
 		}
@@ -352,7 +301,7 @@ func (e *Engine) evalGroup(ex *engine.Exec, g *sparql.Group, res *Result, top *t
 		if err := ex.Err(); err != nil {
 			return nil, err
 		}
-		ur, err := e.evalUnion(ex, u, res)
+		ur, err := e.evalUnion(ex, u, plans, res)
 		if err != nil {
 			return nil, err
 		}
@@ -382,7 +331,7 @@ func (e *Engine) evalGroup(ex *engine.Exec, g *sparql.Group, res *Result, top *t
 		if err := ex.Err(); err != nil {
 			return nil, err
 		}
-		right, err := e.evalOptionalBody(ex, opt, res)
+		right, err := e.evalOptionalBody(ex, opt, plans, res)
 		if err != nil {
 			return nil, err
 		}
@@ -398,19 +347,19 @@ func (e *Engine) evalGroup(ex *engine.Exec, g *sparql.Group, res *Result, top *t
 
 // evalOptionalBody evaluates an OPTIONAL group without its top-level
 // filters (those join the LeftJoin as its predicate, per SPARQL semantics).
-func (e *Engine) evalOptionalBody(ex *engine.Exec, g *sparql.Group, res *Result) (*engine.Relation, error) {
+func (e *Engine) evalOptionalBody(ex *engine.Exec, g *sparql.Group, plans *bgpQueue, res *Result) (*engine.Relation, error) {
 	body := &sparql.Group{
 		Triples:   g.Triples,
 		Optionals: g.Optionals,
 		Unions:    g.Unions,
 	}
-	return e.evalGroup(ex, body, res, nil)
+	return e.evalGroup(ex, body, plans, res, nil)
 }
 
-func (e *Engine) evalUnion(ex *engine.Exec, u *sparql.Union, res *Result) (*engine.Relation, error) {
+func (e *Engine) evalUnion(ex *engine.Exec, u *sparql.Union, plans *bgpQueue, res *Result) (*engine.Relation, error) {
 	var rel *engine.Relation
 	for _, alt := range u.Alternatives {
-		r, err := e.evalGroup(ex, alt, res, nil)
+		r, err := e.evalGroup(ex, alt, plans, res, nil)
 		if err != nil {
 			return nil, err
 		}

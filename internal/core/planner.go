@@ -21,14 +21,14 @@ import (
 //
 // and memoizes the table selections themselves per normalized BGP (the
 // SelectionCache), so repeat queries skip Algorithm 1 entirely. planBGP
-// is the one place a BGP is planned: the cost gate (estimateBGP) prices its
-// output and evalBGP executes it.
+// is the one place a BGP is planned, once per query (PlanQuery): the cost
+// gate prices its output and evalBGP executes it.
 
 // JoinPlan records one executed join step for EXPLAIN-style inspection: the
 // right-hand input joined in, the physical strategy chosen, the input size
 // estimates the choice was based on, and the work the step actually
 // performed. The executed-work fields are deterministic for a given dataset
-// and cluster, so a plan-cache re-run reports identical JoinPlans.
+// and cluster, so a re-run of the same query reports identical JoinPlans.
 type JoinPlan struct {
 	// Right describes the right input: a triple pattern, or "UNION" /
 	// "OPTIONAL" for group-level joins.
@@ -155,6 +155,7 @@ func greedyOrder(vars [][]string, better func(i, j int) bool) []int {
 // bgpPlan is a BGP planned once, before any data is touched: the cost gate
 // sums it and evalBGP runs it.
 type bgpPlan struct {
+	bgp []sparql.TriplePattern
 	// tpStrs and tpVars are each pattern's rendered form and variables,
 	// computed once: String and Vars allocate.
 	tpStrs []string
@@ -166,6 +167,18 @@ type bgpPlan struct {
 	empty, cached bool
 	// steps is the join order.
 	steps []planStep
+	// pt replaces sels and steps in ModePT (planBGPPT); nil when the store
+	// has no property table.
+	pt *ptPlan
+}
+
+// newBGPPlan starts a BGP's plan, rendering each pattern once.
+func newBGPPlan(bgp []sparql.TriplePattern) bgpPlan {
+	p := bgpPlan{bgp: bgp, tpStrs: make([]string, len(bgp))}
+	for i, tp := range bgp {
+		p.tpStrs[i] = tp.String()
+	}
+	return p
 }
 
 // planStep is one pattern of a BGP's join order.
@@ -184,10 +197,7 @@ type planStep struct {
 // bound positions, when JoinOrderOpt; textual order (the paper's Algorithm
 // 3) otherwise — with each step's output estimate and join strategy.
 func (e *Engine) planBGP(bgp []sparql.TriplePattern) bgpPlan {
-	p := bgpPlan{tpStrs: make([]string, len(bgp))}
-	for i, tp := range bgp {
-		p.tpStrs[i] = tp.String()
-	}
+	p := newBGPPlan(bgp)
 	p.sels, p.empty, p.cached = e.bgpSelections(bgp, p.tpStrs)
 	if p.empty {
 		return p

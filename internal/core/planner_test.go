@@ -50,7 +50,6 @@ func newPlannerEngine(ds *layout.Dataset, parts int) *Engine {
 		Cluster:      engine.NewCluster(parts),
 		Mode:         ModeExtVP,
 		JoinOrderOpt: true,
-		Plans:        NewPlanCache(16),
 		Selections:   NewSelectionCache(16),
 	}
 }
@@ -202,11 +201,7 @@ func TestCrossJoinEstimateCapped(t *testing.T) {
 		}
 		prev = j.LeftRows
 	}
-	c, err := e.EstimateCost(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.PeakRows != costCap {
+	if c := mustPlan(t, e, q).Cost(); c.PeakRows != costCap {
 		t.Errorf("PeakRows = %d, want %d", c.PeakRows, costCap)
 	}
 }

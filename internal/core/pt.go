@@ -54,17 +54,66 @@ func (e *Engine) ptTable() *ptView {
 	return e.pt
 }
 
-// evalBGPPT plans a BGP the way Sempala does (paper Sec. 3.2): patterns
-// whose predicate is stored as a property-table column are grouped by
-// subject and answered with a single scan of the unified table (no joins
-// within a star); multi-valued and unbound-predicate patterns fall back to
-// the auxiliary (VP) tables and are joined in.
-func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Result) (*engine.Relation, error) {
-	pt := e.DS.PT
-	if pt == nil {
+// ptPlan is a BGP planned the way Sempala plans it (paper Sec. 3.2):
+// patterns whose predicate is stored as a property-table column are grouped
+// by subject into stars, each answered with a single scan of the unified
+// table (no joins within a star); multi-valued and unbound-predicate
+// patterns fall back to the auxiliary (VP) tables and are joined in.
+type ptPlan struct {
+	// stars lists each star's pattern indices, stars in order of their
+	// subject's first appearance.
+	stars [][]int
+	// fallback lists the other patterns' indices and sels their tables:
+	// under ModePT, selectTable picks the predicate's VP table, or TT for
+	// an unbound predicate.
+	fallback []int
+	sels     []selection
+	// scan is the plan's scan estimate: each star at the weight its scan
+	// is metered at (ptView.triple), each fallback at its selection's.
+	scan int
+}
+
+// planBGPPT plans a BGP over the property table without touching any data.
+// It leaves pt nil when the store has no property table.
+func (e *Engine) planBGPPT(bgp []sparql.TriplePattern) bgpPlan {
+	p := newBGPPlan(bgp)
+	if e.DS.PT == nil {
+		return p
+	}
+	pp := &ptPlan{}
+	star := make(map[string]int) // subject node -> index into stars
+	for i, tp := range bgp {
+		if tp.P.IsVar() || !e.DS.PT.IsFunctional(e.DS.Dict.Lookup(tp.P.Term)) {
+			sel := e.selectTable(i, bgp)
+			sel.est = estimatePatternRows(sel, tp)
+			pp.fallback = append(pp.fallback, i)
+			pp.sels = append(pp.sels, sel)
+			pp.scan = addCapped(pp.scan, sel.est)
+			continue
+		}
+		key := tp.S.String()
+		si, seen := star[key]
+		if !seen {
+			si = len(pp.stars)
+			star[key] = si
+			pp.stars = append(pp.stars, nil)
+			pp.scan = addCapped(pp.scan, e.ptTable().triple)
+		}
+		pp.stars[si] = append(pp.stars[si], i)
+	}
+	p.pt = pp
+	return p
+}
+
+// evalBGPPT executes a property-table plan: one wide-table scan per star,
+// one VP/TT scan per fallback pattern, then joins of the units.
+func (e *Engine) evalBGPPT(ex *engine.Exec, p *bgpPlan, res *Result) (*engine.Relation, error) {
+	if p.pt == nil {
 		return nil, fmt.Errorf("core: property table not built (layout.Options.BuildPT)")
 	}
+	pt := e.DS.PT
 	view := e.ptTable()
+	bgp := p.bgp
 
 	type unit struct {
 		rel  *engine.Relation
@@ -78,39 +127,15 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 		})
 	}
 
-	// Group PT-answerable patterns by subject node.
-	groups := make(map[string][]sparql.TriplePattern)
-	var order []string
-	var fallback []int // indices into bgp
-	for i, tp := range bgp {
-		ok := false
-		if !tp.P.IsVar() {
-			p := e.DS.Dict.Lookup(tp.P.Term)
-			if p != dict.NoID && pt.IsFunctional(p) {
-				ok = true
-			}
-		}
-		if !ok {
-			fallback = append(fallback, i)
-			continue
-		}
-		key := tp.S.String()
-		if _, seen := groups[key]; !seen {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], tp)
-	}
-
 	// Compile each star group as one wide-table scan.
-	for _, key := range order {
+	for _, star := range p.pt.stars {
 		if err := ex.Err(); err != nil {
 			return nil, err
 		}
-		star := groups[key]
 		var projs []engine.ScanProjection
 		var conds []engine.ScanCondition
 		var nullChecks []string
-		subj := star[0].S
+		subj := bgp[star[0]].S
 		if subj.IsVar() {
 			projs = append(projs, engine.ScanProjection{Col: "s", As: subj.Var})
 		} else {
@@ -122,9 +147,9 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 			conds = append(conds, engine.ScanCondition{Col: "s", Value: id})
 		}
 		desc := ""
-		for _, tp := range star {
-			p := e.DS.Dict.Lookup(tp.P.Term)
-			col := view.colOf[p]
+		for _, i := range star {
+			tp := bgp[i]
+			col := view.colOf[e.DS.Dict.Lookup(tp.P.Term)]
 			if tp.O.IsVar() {
 				projs = append(projs, engine.ScanProjection{Col: col, As: tp.O.Var})
 				nullChecks = append(nullChecks, tp.O.Var)
@@ -136,7 +161,7 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 				}
 				conds = append(conds, engine.ScanCondition{Col: col, Value: id})
 			}
-			desc += tp.String() + "; "
+			desc += p.tpStrs[i] + "; "
 		}
 		rel, st, err := ex.ScanTable(view.table, engine.ScanSpec{Projs: projs, Conds: conds})
 		if err != nil {
@@ -170,19 +195,16 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 		units = append(units, unit{rel: rel, desc: desc})
 	}
 
-	// Compile fallback patterns over VP/TT (auxiliary tables): under
-	// ModePT, selectTable picks the predicate's VP table, or TT for an
-	// unbound predicate.
-	for _, i := range fallback {
-		tp := bgp[i]
-		sel := e.selectTable(i, bgp)
+	// Compile fallback patterns over their VP/TT (auxiliary) tables.
+	for fi, i := range p.pt.fallback {
+		sel, desc := p.pt.sels[fi], p.tpStrs[i]
 		if sel.empty {
-			addPlan(tp.String(), sel.name, sel.rows, engine.ScanStats{})
+			addPlan(desc, sel.name, sel.rows, engine.ScanStats{})
 			res.StatsOnly = true
 			return e.emptyRelation(ex, bgp), nil
 		}
-		scan, st, _, ok, err := e.compilePattern(ex, tp, sel, nil, nil)
-		addPlan(tp.String(), sel.name, sel.rows, st)
+		scan, st, _, ok, err := e.compilePattern(ex, bgp[i], sel, nil, nil)
+		addPlan(desc, sel.name, sel.rows, st)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +212,7 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, bgp []sparql.TriplePattern, res *Res
 			res.StatsOnly = true
 			return e.emptyRelation(ex, bgp), nil
 		}
-		units = append(units, unit{rel: scan, desc: tp.String()})
+		units = append(units, unit{rel: scan, desc: desc})
 	}
 
 	if len(units) == 0 {

@@ -42,13 +42,13 @@ const bigStarQuery = `SELECT * WHERE {
 // enough that the pairwise choice shuffles, the star runs as a chain of
 // shuffle joins on the hub. The first join hashes both inputs; its output
 // arrives partitioned on the hub, so the engine skips its shuffle and the
-// second join moves only the new arm. Plan-cache re-runs must report
-// identical numbers.
+// second join moves only the new arm. A re-run, whose selections come from
+// the selection cache, must report identical numbers.
 func TestPlannerChainsShuffleJoinsOnStar(t *testing.T) {
 	ds := layout.Build(bigStarTriples(), layout.Options{BuildExtVP: false})
 	e := &Engine{
 		DS: ds, Cluster: engine.NewCluster(4), Mode: ModeVP, JoinOrderOpt: true,
-		Plans: NewPlanCache(16), Selections: NewSelectionCache(16),
+		Selections: NewSelectionCache(16),
 	}
 	res, err := e.Query(bigStarQuery)
 	if err != nil {
@@ -79,14 +79,14 @@ func TestPlannerChainsShuffleJoinsOnStar(t *testing.T) {
 		t.Errorf("rows = %d, want 30", res.Len())
 	}
 
-	// The plan-cache re-run executes the same chain and must report the
-	// same explain numbers (they feed headers and -explain output).
+	// The re-run executes the same chain and must report the same explain
+	// numbers (they feed headers and -explain output).
 	res2, err := e.Query(bigStarQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.PlanCached {
-		t.Error("second run did not hit the plan cache")
+	if res2.SelectionCacheHits != 1 {
+		t.Error("second run did not hit the selection cache")
 	}
 	if !reflect.DeepEqual(res2.Joins, res.Joins) {
 		t.Errorf("cached-run Joins = %+v, want %+v", res2.Joins, res.Joins)

@@ -31,23 +31,26 @@ type Stream struct {
 	done  bool
 }
 
-// QueryStream parses src (through the plan cache) and starts executing it,
-// returning the stream of its solutions. See ExecStream.
+// QueryStream parses src and starts executing it, returning the stream of
+// its solutions. See ExecPlan.
 func (e *Engine) QueryStream(ctx context.Context, src string) (*Stream, error) {
-	q, cached, err := e.ParseCached(src, NormalizeQuery(src))
+	q, err := sparql.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	s, err := e.ExecStream(ctx, q)
-	if err == nil {
-		s.res.PlanCached = cached
-	}
-	return s, err
+	return e.ExecStream(ctx, q)
 }
 
-// ExecStream executes a parsed query up to its final relation and returns
-// a Stream over the undecoded solutions. The plan — including aggregation,
-// DISTINCT, ORDER BY and LIMIT — has fully run when ExecStream returns;
+// ExecStream plans a parsed query and executes the plan: ExecPlan of
+// PlanQuery(q).
+func (e *Engine) ExecStream(ctx context.Context, q *sparql.Query) (*Stream, error) {
+	return e.ExecPlan(ctx, e.PlanQuery(q))
+}
+
+// ExecPlan executes a query planned by e.PlanQuery up to its final relation
+// and returns a Stream over the undecoded solutions; every BGP runs the
+// plan PlanQuery made for it. The query — including aggregation, DISTINCT,
+// ORDER BY and LIMIT — has fully run when ExecPlan returns;
 // with ORDER BY and a LIMIT window small relative to the input the sort is
 // a bounded top-k (per-partition heaps of offset+limit rows), so such
 // queries reach their first batch having held only the rows they will
@@ -57,12 +60,12 @@ func (e *Engine) QueryStream(ctx context.Context, src string) (*Stream, error) {
 // The caller must drain the stream (Next until nil) or abandon it by
 // cancelling ctx; Result finalizes metrics and timings.
 //
-// ExecStream is a panic-isolation boundary: an operator panic anywhere in
+// ExecPlan is a panic-isolation boundary: an operator panic anywhere in
 // the plan (including on a parallel worker, re-raised by the engine as a
 // typed *engine.PanicError) is recovered here and returned as a
 // *QueryPanicError wrapping ErrInternal — the query fails, the process and
 // every other in-flight query keep running.
-func (e *Engine) ExecStream(ctx context.Context, q *sparql.Query) (s *Stream, err error) {
+func (e *Engine) ExecPlan(ctx context.Context, p *QueryPlan) (s *Stream, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			recoverAsError(r, &err)
@@ -79,9 +82,11 @@ func (e *Engine) ExecStream(ctx context.Context, q *sparql.Query) (s *Stream, er
 		ex.SetFaultPolicy(e.FS, e.Faults)
 	}
 
+	q := p.q
 	res := &Result{}
 	top := fusedTopK(q)
-	rel, err := e.evalGroup(ex, q.Where, res, top)
+	plans := bgpQueue(p.bgps)
+	rel, err := e.evalGroup(ex, q.Where, &plans, res, top)
 	if err != nil {
 		return nil, err
 	}

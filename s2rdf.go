@@ -50,16 +50,15 @@
 // executes with its own metrics context (engine.Exec), so Result.Metrics is
 // exactly the work that query performed no matter how many queries are in
 // flight; the shared engine.Cluster.Metrics keeps the cluster-wide running
-// aggregate (the sum over all queries). Parsed query plans are memoized in
-// a per-engine LRU keyed on whitespace-normalized query text, so repeated
-// query strings — the common case behind an endpoint — skip the parser;
-// Result.PlanCached reports whether a given execution hit that cache.
+// aggregate (the sum over all queries).
 //
 // # Query planning
 //
-// Queries are planned from the ExtVP statistics: table selection (the
-// paper's Algorithm 1) picks the most selective reduction per pattern, the
-// planner joins patterns greedy smallest-estimate-first without
+// A query is parsed and planned once, before it touches any data, and the
+// plan is what runs: over HTTP, the cost gate that admits a query prices
+// the same plan. Queries are planned from the ExtVP statistics: table
+// selection (the paper's Algorithm 1) picks the most selective reduction
+// per pattern, the planner joins patterns greedy smallest-estimate-first without
 // introducing cross joins, and each join broadcasts the estimated smaller
 // side when replicating it to every partition moves fewer rows than
 // shuffling both sides. Table selections are themselves memoized per BGP
@@ -302,24 +301,20 @@ type CacheCounters struct {
 	Misses int64 `json:"misses"`
 }
 
-// CacheCounters reports the store's plan-cache and selection-cache totals
-// across every mode engine. The per-query X-S2RDF-Plan-Cache and
-// X-S2RDF-Selection-Cache headers carry the same information one request
+// CacheCounters reports the store's selection-cache totals across every
+// mode engine: one lookup per BGP each query plans. The per-query
+// X-S2RDF-Selection-Cache header carries the same information one request
 // at a time; these are the running sums an operator watches.
-func (s *Store) CacheCounters() (plan, sel CacheCounters) {
+func (s *Store) CacheCounters() CacheCounters {
+	var sel CacheCounters
 	for _, e := range s.engines {
-		if e.Plans != nil {
-			h, m := e.Plans.Stats()
-			plan.Hits += h
-			plan.Misses += m
-		}
 		if e.Selections != nil {
 			h, m := e.Selections.Stats()
 			sel.Hits += h
 			sel.Misses += m
 		}
 	}
-	return plan, sel
+	return sel
 }
 
 // Dataset exposes the loaded layouts and statistics.

@@ -177,7 +177,7 @@ func NewHandler(st *Store, opts ServerOptions) http.Handler {
 //
 // defaultStore must name an entry of stores; it may be empty when stores
 // has exactly one entry, which then serves as the default. Each store keeps
-// its own engines, plan caches and admission scheduler (MaxConcurrent
+// its own engines, selection caches and admission scheduler (MaxConcurrent
 // worker slots split between the cheap and expensive lanes), so one
 // tenant's analytics cannot exhaust another tenant's budget.
 func NewMux(stores map[string]*Store, defaultStore string, opts ServerOptions) (http.Handler, error) {
@@ -319,10 +319,8 @@ func (s *sparqlServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// ResultCache is the store's full-result cache record — the cached
 		// lane. Omitted when serving without -result-cache-bytes.
 		ResultCache *cache.Stats `json:"result_cache,omitempty"`
-		// PlanCache and SelectionCache surface the engines' memo counters,
-		// summed across the store's mode engines (previously visible only
-		// as per-query X-S2RDF-*-Cache headers).
-		PlanCache      CacheCounters `json:"plan_cache"`
+		// SelectionCache surfaces the selection cache's counters, summed
+		// across the store's mode engines.
 		SelectionCache CacheCounters `json:"selection_cache"`
 	}
 	doc := struct {
@@ -332,7 +330,6 @@ func (s *sparqlServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}{Status: "ok", Stores: make(map[string]storeInfo, len(s.stores))}
 	for name, sv := range s.stores {
 		health := sv.st.Health()
-		plan, sel := sv.st.CacheCounters()
 		info := storeInfo{
 			Triples:        sv.st.NumTriples(),
 			Default:        name == s.def,
@@ -340,8 +337,7 @@ func (s *sparqlServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			Streaming:      sv.streaming.Load(),
 			SpilledBytes:   sv.st.SpilledBytes(),
 			Health:         health,
-			PlanCache:      plan,
-			SelectionCache: sel,
+			SelectionCache: sv.st.CacheCounters(),
 		}
 		if sv.rcache != nil {
 			cs := sv.rcache.Stats()
@@ -373,8 +369,6 @@ type request struct {
 	src     string
 	mode    Mode
 	timeout time.Duration // 0 = no deadline
-	// normalize: the one key text of the plan cache and the result cache
-	norm string
 	// probeCache (zero when caching is off)
 	ckey cache.Key
 	// the handler: the request context under its deadline, its cancel
@@ -384,9 +378,9 @@ type request struct {
 	cancel context.CancelFunc
 	phase  string
 	// parse
-	q          *sparql.Query
-	planCached bool
-	// gate
+	q *sparql.Query
+	// gate: the query's one plan, and its price
+	plan  *core.QueryPlan
 	cost  core.CostEstimate
 	class sched.Class
 	// admit
@@ -396,15 +390,14 @@ type request struct {
 }
 
 // handleSPARQL runs one request through the stages, in order: route, parse
-// protocol, normalize, result-cache probe, parse (once, through the plan
-// cache), cost gate, admit, execute, respond. A stage that fails ends the
+// protocol, result-cache probe, parse, plan and cost gate, admit, execute
+// the plan, respond. A stage that fails ends the
 // request through fail, the one place errors become statuses.
 func (s *sparqlServer) handleSPARQL(w *trackingWriter, r *http.Request, storeName string) {
 	req := &request{s: s, w: w, r: r, ctx: r.Context()}
 	if req.fail(req.route(storeName)) || req.fail(req.parseProtocol()) {
 		return
 	}
-	req.norm = core.NormalizeQuery(req.src)
 	// A result-cache hit is served before the cost gate and admission: no
 	// queueing, no execution, exempt from 429.
 	if req.probeCache() {
@@ -616,7 +609,8 @@ func (s *sparqlServer) requestTimeout(raw string) (time.Duration, error) {
 
 // probeCache answers the request from the result cache when it can: the
 // snapshotted explain headers, X-S2RDF-Cache: hit, and the pre-serialized
-// body.
+// body. The key holds the normalized query text, so reformatted copies of a
+// query share an entry.
 func (req *request) probeCache() bool {
 	rc := req.sv.rcache
 	if rc == nil {
@@ -625,7 +619,7 @@ func (req *request) probeCache() bool {
 	req.ckey = cache.Key{
 		Store: req.sv.name,
 		Mode:  req.mode.String(),
-		Query: req.norm,
+		Query: core.NormalizeQuery(req.src),
 	}
 	ent, ok := rc.Get(req.ckey)
 	if !ok {
@@ -641,16 +635,17 @@ func (req *request) probeCache() bool {
 
 func (req *request) engine() *core.Engine { return req.sv.st.Engine(req.mode) }
 
-// parse is the request's one plan-cache probe; gate and execute reuse the
-// parsed query.
+// parse parses the query text, once.
 func (req *request) parse() (err error) {
-	req.q, req.planCached, err = req.engine().ParseCached(req.src, req.norm)
+	req.q, err = sparql.Parse(req.src)
 	return err
 }
 
-// gate classifies the query from the planner's estimates.
+// gate plans the query, once, and classifies it on that plan's estimates:
+// the plan execute then runs.
 func (req *request) gate() {
-	req.cost = req.engine().EstimateQuery(req.q)
+	req.plan = req.engine().PlanQuery(req.q)
+	req.cost = req.plan.Cost()
 	req.class = sched.Classify(req.cost.Cost(), req.s.opts.CheapThreshold)
 }
 
@@ -690,7 +685,7 @@ func (req *request) execute() (err error) {
 	default:
 		ctx = engine.WithYielder(ctx, yielders)
 	}
-	req.stream, err = req.engine().ExecStream(ctx, req.q)
+	req.stream, err = req.engine().ExecPlan(ctx, req.plan)
 	return err
 }
 
@@ -708,14 +703,12 @@ func (c yieldChain) Yield() {
 // the cost gate on, the verdict and estimate; once admitted, the time spent
 // queued, how often the query yielded its slot and the lane's current queue
 // depth; and with res, the per-query engine metrics (on the streaming path
-// a snapshot as of the first flush, not the final totals). The plan- and
-// selection-cache status is the one the parse and the gate observed —
-// whether the server had seen the query before this request — not that of
-// the execution they warmed the caches for.
+// a snapshot as of the first flush, not the final totals), including the
+// selection-cache status of the query's one planning.
 func (req *request) setHeaders(res *Result) {
 	h := req.w.Header()
 	itoa := func(n int64) string { return strconv.FormatInt(n, 10) }
-	if req.q != nil {
+	if req.plan != nil {
 		h.Set("X-S2RDF-Query-Class", req.class.String())
 		h.Set("X-S2RDF-Cost-Estimate", strconv.Itoa(req.cost.Cost()))
 	}
@@ -732,12 +725,6 @@ func (req *request) setHeaders(res *Result) {
 	if res == nil {
 		return
 	}
-	hitOrMiss := func(hit bool) string {
-		if hit {
-			return "hit"
-		}
-		return "miss"
-	}
 	h.Set("Content-Type", "application/sparql-results+json")
 	h.Set("X-S2RDF-Mode", req.mode.String())
 	h.Set("X-S2RDF-Duration", res.Duration.String())
@@ -751,9 +738,11 @@ func (req *request) setHeaders(res *Result) {
 	h.Set("X-S2RDF-Join-Comparisons", itoa(res.Metrics.JoinComparisons))
 	h.Set("X-S2RDF-Rows-Output", itoa(res.Metrics.RowsOutput))
 	h.Set("X-S2RDF-Tasks", itoa(res.Metrics.Tasks))
-	h.Set("X-S2RDF-Plan-Cache", hitOrMiss(req.planCached))
-	if res.SelectionCacheHits+res.SelectionCacheMisses > 0 {
-		h.Set("X-S2RDF-Selection-Cache", hitOrMiss(req.cost.SelectionCacheMisses == 0))
+	switch {
+	case res.SelectionCacheMisses > 0:
+		h.Set("X-S2RDF-Selection-Cache", "miss")
+	case res.SelectionCacheHits > 0:
+		h.Set("X-S2RDF-Selection-Cache", "hit")
 	}
 	if len(res.JoinOrder) > 0 {
 		order := make([]string, len(res.JoinOrder))

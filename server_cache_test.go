@@ -19,7 +19,7 @@ import (
 	"s2rdf/internal/watdiv"
 )
 
-// cacheStats reads one store's result_cache record (plus the plan- and
+// cacheStats reads one store's result_cache record (plus the
 // selection-cache counters) out of /healthz.
 type cacheStats struct {
 	Hits    int64 `json:"hits"`
@@ -28,10 +28,10 @@ type cacheStats struct {
 	Entries int   `json:"entries"`
 }
 
-func healthzCaches(t *testing.T, srv *httptest.Server) (rc cacheStats, plan, sel CacheCounters) {
+func healthzCaches(t *testing.T, srv *httptest.Server) (rc cacheStats, sel CacheCounters) {
 	t.Helper()
 	s := readHealthz(t, srv).Stores[DefaultStoreName]
-	return s.ResultCache, s.PlanCache, s.SelectionCache
+	return s.ResultCache, s.SelectionCache
 }
 
 // getCached issues one query and returns the body plus the X-S2RDF-Cache
@@ -112,15 +112,12 @@ func TestServerLazyCachesFirstResult(t *testing.T) {
 	if got := execs.Load(); got != 2 {
 		t.Fatalf("executions = %d, want 2 (one per distinct query)", got)
 	}
-	rc, plan, sel := healthzCaches(t, srv)
+	rc, sel := healthzCaches(t, srv)
 	if rc.Hits != 2 || rc.Fills != 2 {
 		t.Fatalf("healthz result_cache = %+v, want 2 hits / 2 fills", rc)
 	}
-	// The plan- and selection-cache counters surface in healthz and have
-	// seen traffic by now.
-	if plan.Misses == 0 {
-		t.Fatalf("plan_cache = %+v, want non-zero misses", plan)
-	}
+	// The selection-cache counters surface in healthz and have seen
+	// traffic by now.
 	if sel.Hits+sel.Misses == 0 {
 		t.Fatalf("selection_cache = %+v, want some traffic", sel)
 	}
@@ -204,19 +201,58 @@ func TestServerResultCacheByteEquality(t *testing.T) {
 	}
 }
 
-// TestServerOnePlanCacheProbePerExecution: a request that executes looks its
-// query up in the plan cache exactly once — the parsed query then serves the
-// cost gate and the execution — and a result-cache hit not at all, so
-// healthz plan_cache hits+misses counts executed requests.
-func TestServerOnePlanCacheProbePerExecution(t *testing.T) {
+// TestServerResultCacheDistinctLiteralKeys: the result-cache key is the
+// normalized query text, and normalizing keeps literals byte-for-byte. Two
+// queries that differ only by a space inside a literal fill two entries,
+// and each replays its own body.
+func TestServerResultCacheDistinctLiteralKeys(t *testing.T) {
+	name := rdf.NewIRI("urn:name")
+	st := Load([]Triple{
+		{S: rdf.NewIRI("urn:A"), P: name, O: rdf.NewLiteral("a b")},
+		{S: rdf.NewIRI("urn:B"), P: name, O: rdf.NewLiteral("a  b")},
+	}, Options{})
+	srv := startServer(t, NewHandler(st, ServerOptions{
+		CheapThreshold:   1, // the two-row scan is expensive, so it caches
+		ResultCacheBytes: 1 << 20,
+	}))
+	queries := []string{
+		`SELECT ?p WHERE { ?p <urn:name> ?n . FILTER(?n = "a b") }`,
+		`SELECT ?p WHERE { ?p <urn:name> ?n . FILTER(?n = "a  b") }`,
+	}
+	var bodies [2][]byte
+	for i, q := range queries {
+		var lane string
+		if bodies[i], lane = getCached(t, srv, q); lane != "miss" {
+			t.Fatalf("query %d: first lane %q, want miss", i, lane)
+		}
+	}
+	if bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("the two queries answered alike: %s", bodies[0])
+	}
+	if rc, _ := healthzCaches(t, srv); rc.Entries != 2 {
+		t.Fatalf("result_cache entries = %d, want 2 (no key collision)", rc.Entries)
+	}
+	for i, q := range queries {
+		if body, lane := getCached(t, srv, q); lane != "hit" || !bytes.Equal(body, bodies[i]) {
+			t.Fatalf("query %d: repeat lane %q, body %s; want a hit replaying %s", i, lane, body, bodies[i])
+		}
+	}
+}
+
+// TestServerOneSelectionProbePerExecution: a request that executes plans
+// its query exactly once — the cost gate prices that plan and the execution
+// runs it — so a one-BGP query looks its BGP up in the selection cache
+// exactly once, and a result-cache hit not at all: healthz selection_cache
+// hits+misses counts executed one-BGP requests.
+func TestServerOneSelectionProbePerExecution(t *testing.T) {
 	st := Load(scoreTriples(200), Options{})
 	srv := startServer(t, NewHandler(st, ServerOptions{
 		CheapThreshold:   100, // the scan caches, the point lookup never does
 		ResultCacheBytes: 1 << 20,
 	}))
 	probes := func() int64 {
-		_, plan, _ := healthzCaches(t, srv)
-		return plan.Hits + plan.Misses
+		_, sel := healthzCaches(t, srv)
+		return sel.Hits + sel.Misses
 	}
 	const point = `SELECT ?s WHERE { <urn:P1> <urn:score> ?s }`
 	for i, step := range []struct {
@@ -234,7 +270,7 @@ func TestServerOnePlanCacheProbePerExecution(t *testing.T) {
 			t.Fatalf("step %d: lane %q, want %q", i, lane, step.lane)
 		}
 		if got := probes() - before; got != step.probes {
-			t.Errorf("step %d (%s, %s): %d plan-cache probes, want %d", i, step.query, step.lane, got, step.probes)
+			t.Errorf("step %d (%s, %s): %d selection-cache probes, want %d", i, step.query, step.lane, got, step.probes)
 		}
 	}
 }
@@ -317,7 +353,7 @@ func TestServerCacheStampede(t *testing.T) {
 		t.Fatalf("follow-up lane %q with %d executions (same bytes: %v), want a hit on the stampede's bytes without executing",
 			lane, execs.Load()-before, bytes.Equal(again, body))
 	}
-	if rc, _, _ := healthzCaches(t, srv); rc.Entries != 1 {
+	if rc, _ := healthzCaches(t, srv); rc.Entries != 1 {
 		t.Fatalf("healthz result_cache entries = %d after the stampede, want 1", rc.Entries)
 	}
 

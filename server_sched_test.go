@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"s2rdf/internal/sched"
+	"s2rdf/internal/sparql"
 	"s2rdf/internal/watdiv"
 )
 
@@ -368,10 +369,11 @@ func TestSchedCostGateWatDiv(t *testing.T) {
 
 	classify := func(q string, threshold int) (sched.Class, int) {
 		t.Helper()
-		cost, err := eng.EstimateCost(q)
+		parsed, err := sparql.Parse(q)
 		if err != nil {
-			t.Fatalf("estimate %q: %v", q, err)
+			t.Fatalf("parse %q: %v", q, err)
 		}
+		cost := eng.PlanQuery(parsed).Cost()
 		return sched.Classify(cost.Cost(), threshold), cost.Cost()
 	}
 

@@ -95,7 +95,6 @@ type healthzReport struct {
 		SpilledBytes   int64                `json:"spilled_bytes"`
 		Health         fault.HealthSnapshot `json:"health"`
 		ResultCache    cacheStats           `json:"result_cache"` // zero when caching is off
-		PlanCache      CacheCounters        `json:"plan_cache"`
 		SelectionCache CacheCounters        `json:"selection_cache"`
 	} `json:"stores"`
 }
@@ -356,34 +355,6 @@ func TestServeDeepNesting(t *testing.T) {
 	}
 }
 
-func TestServePlanCacheHeader(t *testing.T) {
-	_, srv := serverFixture(t)
-	get := func() string {
-		resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(followsQuery))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.Header.Get("X-S2RDF-Plan-Cache")
-	}
-	if got := get(); got != "miss" {
-		t.Fatalf("first request plan cache = %q, want miss", got)
-	}
-	if got := get(); got != "hit" {
-		t.Fatalf("second request plan cache = %q, want hit", got)
-	}
-	// A differently-formatted copy of the same query shares the entry.
-	reformatted := "SELECT  ?who\nWHERE {\n  ?who <urn:follows> <urn:B>\n}"
-	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(reformatted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-S2RDF-Plan-Cache"); got != "hit" {
-		t.Fatalf("reformatted query plan cache = %q, want hit", got)
-	}
-}
-
 // TestServeConcurrent hammers the endpoint from many goroutines and checks
 // every response is exact — results and per-query metrics alike.
 func TestServeConcurrent(t *testing.T) {
@@ -513,9 +484,6 @@ func TestServePlanningHeaders(t *testing.T) {
 	second := get()
 	if got := second.Header.Get("X-S2RDF-Selection-Cache"); got != "hit" {
 		t.Errorf("second selection-cache header = %q, want hit", got)
-	}
-	if got := second.Header.Get("X-S2RDF-Plan-Cache"); got != "hit" {
-		t.Errorf("second plan-cache header = %q, want hit", got)
 	}
 	if got := second.Header.Get("X-S2RDF-Join-Order"); got != order {
 		t.Errorf("cached join order %q differs from first %q", got, order)
