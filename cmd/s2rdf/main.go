@@ -165,11 +165,21 @@ func cmdQuery(args []string) {
 		}
 		fmt.Println(strings.Join(parts, "\t"))
 	}
+	// The head line names the variables. An ASK stream has no variables
+	// and no rows: its head is the answer, true or false, as the server's
+	// boolean document reports it.
+	printHead := func() {
+		if q.Ask {
+			fmt.Println(stream.Ask())
+			return
+		}
+		fmt.Println(strings.Join(stream.Vars(), "\t"))
+	}
 	// Solutions print as the engine delivers them, batch by batch — first
 	// rows appear while the result is still being produced. -explain
 	// reports final metrics, so it holds the rows until the report is out.
 	if !*explain {
-		fmt.Println(strings.Join(stream.Vars(), "\t"))
+		printHead()
 	}
 	var rows [][]s2rdf.Term
 	n := 0
@@ -228,7 +238,7 @@ func cmdQuery(args []string) {
 		fmt.Printf("# streaming: first row after %v; sort state %d rows; peak accounted memory %d B, spilled %d B\n",
 			res.TimeToFirstRow.Round(time.Microsecond), res.Metrics.RowsSorted,
 			res.PeakMemBytes, res.Metrics.BytesSpilled)
-		fmt.Println(strings.Join(stream.Vars(), "\t"))
+		printHead()
 		for _, row := range rows {
 			printRow(row)
 		}

@@ -9,7 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -26,8 +26,9 @@ const NoID = ^uint32(0)
 // side is read without locks: Decode, Len and the TermJSON hit path are
 // atomic loads only, so query workers decoding concurrently never contend
 // on a shared cache line (a read lock is an atomic read-modify-write per
-// call). Writers — Encode of a new term, at load time and when a query
-// encodes an aggregate result — serialize on mu and publish as below.
+// call). Writers — EncodeTriples at load time, a batch at a time, and
+// Encode of a new term when a query encodes an aggregate result — serialize
+// on mu and publish as below.
 type Dict struct {
 	// mu guards ids and the writer-side view of terms.
 	mu    sync.RWMutex
@@ -69,14 +70,42 @@ func (d *Dict) Encode(term rdf.Term) ID {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	c := cap(d.terms)
+	id = d.assign(term, false)
+	d.publish(cap(d.terms) != c)
+	return id
+}
+
+// EncodeTriples encodes the subject, predicate and object of each triple of
+// batch into s[i], p[i] and o[i]. New terms get IDs in the order Encode on
+// each term in turn would give them, but the batch takes the write lock once
+// and publishes its new terms to readers once, at the end. With clone, a new
+// term is copied before the dictionary keeps it, so it does not pin the
+// larger string it may be a slice of, such as its input line.
+func (d *Dict) EncodeTriples(batch []rdf.Triple, s, p, o []ID, clone bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	c := cap(d.terms)
+	for i, t := range batch {
+		s[i] = d.assign(t.S, clone)
+		p[i] = d.assign(t.P, clone)
+		o[i] = d.assign(t.O, clone)
+	}
+	d.publish(cap(d.terms) != c)
+}
+
+// assign returns term's ID, appending term unpublished if it is new (a copy
+// of it with clone). Callers hold mu for writing.
+func (d *Dict) assign(term rdf.Term, clone bool) ID {
 	if id, ok := d.ids[term]; ok {
 		return id
 	}
-	id = ID(len(d.terms))
+	if clone {
+		term = rdf.Term(strings.Clone(string(term)))
+	}
+	id := ID(len(d.terms))
 	d.ids[term] = id
-	moved := len(d.terms) == cap(d.terms)
 	d.terms = append(d.terms, term)
-	d.publish(moved)
 	return id
 }
 
@@ -226,14 +255,4 @@ func RenderTermJSON(t rdf.Term) []byte {
 		}
 	}
 	return append(b, '}')
-}
-
-// SortedIDs returns the given IDs sorted by their decoded term text. Used to
-// produce deterministic ORDER BY output for terms.
-func (d *Dict) SortedIDs(ids []ID) []ID {
-	out := make([]ID, len(ids))
-	copy(out, ids)
-	terms := d.published()
-	sort.Slice(out, func(i, j int) bool { return terms[out[i]] < terms[out[j]] })
-	return out
 }

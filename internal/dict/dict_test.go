@@ -115,17 +115,3 @@ func TestSaveLoad(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedIDs(t *testing.T) {
-	d := New()
-	c := d.Encode(rdf.NewIRI("c"))
-	a := d.Encode(rdf.NewIRI("a"))
-	b := d.Encode(rdf.NewIRI("b"))
-	got := d.SortedIDs([]ID{c, a, b})
-	want := []ID{a, b, c}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedIDs = %v, want %v", got, want)
-		}
-	}
-}

@@ -8,11 +8,11 @@ package layout
 import (
 	"cmp"
 	"fmt"
+	"io"
 	"maps"
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"s2rdf/internal/bitvec"
@@ -127,35 +127,121 @@ func Build(triples []rdf.Triple, opts Options) *Dataset {
 }
 
 // Encode dictionary-encodes triples into a TT table sorted by (p, s, o).
+// The whole slice is encoded under one take of d's write lock.
 func Encode(triples []rdf.Triple, d *dict.Dict) *store.Table {
-	type enc struct{ s, p, o dict.ID }
-	rows := make([]enc, len(triples))
-	for i, t := range triples {
-		s, p, o := d.EncodeTriple(t)
-		rows[i] = enc{s, p, o}
+	s := make([]dict.ID, len(triples))
+	p := make([]dict.ID, len(triples))
+	o := make([]dict.ID, len(triples))
+	d.EncodeTriples(triples, s, p, o, false)
+	return newTT(s, p, o)
+}
+
+// readBatch is the number of triples EncodeReader parses before it encodes
+// them under one take of the dictionary's write lock, which is never held
+// while r is read.
+const readBatch = 4096
+
+// EncodeReader is Encode over N-Triples input. It parses r a batch at a time
+// and encodes each batch straight into TT's columns, so the input is never
+// held as triples, and each new term is copied out of its line. A parse
+// error names its line. It gives the TT and the dictionary IDs Encode gives
+// the same triples.
+func EncodeReader(r io.Reader, d *dict.Dict) (*store.Table, error) {
+	rd := rdf.NewReader(r)
+	var s, p, o []dict.ID
+	batch := make([]rdf.Triple, 0, readBatch)
+	for {
+		t, err := rd.Read()
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		if err == nil {
+			batch = append(batch, t)
+		}
+		if len(batch) == cap(batch) || err == io.EOF {
+			n, m := len(s), len(s)+len(batch)
+			s = slices.Grow(s, len(batch))[:m]
+			p = slices.Grow(p, len(batch))[:m]
+			o = slices.Grow(o, len(batch))[:m]
+			d.EncodeTriples(batch, s[n:], p[n:], o[n:], true)
+			batch = batch[:0]
+		}
+		if err == io.EOF {
+			return newTT(s, p, o), nil
+		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].p != rows[j].p {
-			return rows[i].p < rows[j].p
+}
+
+// newTT sorts the encoded rows (s[i], p[i], o[i]) by (p, s, o) in place and
+// returns them as TT. Predicate IDs are dense, so a counting sort buckets the
+// rows by p; each bucket then radix-sorts its rows as packed s<<32|o keys.
+func newTT(s, p, o []dict.ID) *store.Table {
+	var maxP, top dict.ID
+	for i, v := range p {
+		maxP = max(maxP, v)
+		top |= s[i] | o[i]
+	}
+	// start[v] is where predicate v's bucket begins, start[v+1] its end.
+	start := make([]int, int(maxP)+2)
+	for _, v := range p {
+		start[v+1]++
+	}
+	longest := 0
+	for v := range maxP + 1 {
+		longest = max(longest, start[v+1])
+		start[v+1] += start[v]
+	}
+	next := slices.Clone(start[:maxP+1])
+	keys := make([]uint64, len(p))
+	for i, v := range p {
+		keys[next[v]] = uint64(s[i])<<32 | uint64(o[i])
+		next[v]++
+	}
+	buf := make([]uint64, longest)
+	for v := range maxP + 1 {
+		lo, hi := start[v], start[v+1]
+		if hi-lo > 1 {
+			radixSort(keys[lo:hi], buf, bits.Len32(top))
 		}
-		if rows[i].s != rows[j].s {
-			return rows[i].s < rows[j].s
+		for i := lo; i < hi; i++ {
+			s[i], p[i], o[i] = dict.ID(keys[i]>>32), v, dict.ID(keys[i])
 		}
-		return rows[i].o < rows[j].o
-	})
+	}
 	tt := store.NewTable("TT", "s", "p", "o")
-	tt.Data[0] = make([]dict.ID, len(rows))
-	tt.Data[1] = make([]dict.ID, len(rows))
-	tt.Data[2] = make([]dict.ID, len(rows))
-	for i, r := range rows {
-		tt.Data[0][i] = r.s
-		tt.Data[1][i] = r.p
-		tt.Data[2][i] = r.o
-	}
+	tt.Data[0], tt.Data[1], tt.Data[2] = s, p, o
 	// The (p,s,o) sort makes p the detected sort column: TT-mode scans
 	// binary search the predicate run instead of reading the whole table.
 	tt.Finalize()
 	return tt
+}
+
+// radixSort sorts keys, each s<<32|o with s and o below 1<<width, by a
+// stable LSD radix sort on 11-bit digits: those of o, then those of s. buf
+// is scratch at least as long as keys.
+func radixSort(keys, buf []uint64, width int) {
+	const digit = 11
+	var count [1 << digit]int
+	src, dst := keys, buf[:len(keys)]
+	for _, base := range [2]int{0, 32} {
+		for shift := base; shift < base+width; shift += digit {
+			clear(count[:])
+			for _, k := range src {
+				count[k>>shift&(1<<digit-1)]++
+			}
+			sum := 0
+			for i, c := range count {
+				count[i], sum = sum, sum+c
+			}
+			for _, k := range src {
+				d := k >> shift & (1<<digit - 1)
+				dst[count[d]] = k
+				count[d]++
+			}
+			src, dst = dst, src
+		}
+	}
+	// Both halves take the same number of passes, an even total, so the
+	// last pass wrote into keys.
 }
 
 // BuildEncoded constructs a dataset from an already-encoded triples table,
@@ -206,10 +292,10 @@ func (ds *Dataset) buildVP() {
 		// records s as the sort column plus zone maps and distinct counts.
 		t.Finalize()
 		ds.VP[p] = t
+		// TT's p order appends the predicates ascending.
 		ds.Predicates = append(ds.Predicates, p)
 		i = j
 	}
-	sort.Slice(ds.Predicates, func(i, j int) bool { return ds.Predicates[i] < ds.Predicates[j] })
 }
 
 // termPreds indexes which predicates each term occurs with: for term v,

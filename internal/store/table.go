@@ -7,6 +7,8 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"s2rdf/internal/dict"
 )
@@ -118,10 +120,11 @@ func (t *Table) Row(i int) []dict.ID {
 func (t *Table) Finalize() { t.finalize(true) }
 
 // FinalizeZones computes the sort column and zone maps but skips the exact
-// distinct-value counts of unsorted columns (they cost a hash set per
-// column). Use it for wide derived tables whose NDV nothing consults, like
-// the property-table scan view; columns the pass proves sorted still get
-// their (free) run-count NDV, all others report 0 (unknown).
+// distinct-value counts of unsorted columns (they cost a bitset or a
+// sorted copy per column). Use it for wide derived tables whose NDV nothing
+// consults, like the property-table scan view; columns the pass proves
+// sorted still get their (free) run-count NDV, all others report 0
+// (unknown).
 func (t *Table) FinalizeZones() { t.finalize(false) }
 
 func (t *Table) finalize(withNDV bool) {
@@ -135,6 +138,8 @@ func (t *Table) finalize(withNDV bool) {
 		m.ZoneMax = make([]dict.ID, nz)
 		sorted := true
 		runs := 0 // value runs; equals NDV when the column is sorted
+		// The column's value range, which sizes the NDV bitset.
+		cmin, cmax := dict.NoID, dict.ID(0)
 		for z := 0; z < nz; z++ {
 			lo := z * ZoneSize
 			hi := lo + ZoneSize
@@ -163,6 +168,7 @@ func (t *Table) finalize(withNDV bool) {
 				}
 			}
 			m.ZoneMin[z], m.ZoneMax[z] = zmin, zmax
+			cmin, cmax = min(cmin, zmin), max(cmax, zmax)
 		}
 		if sorted {
 			m.Distinct = runs
@@ -170,13 +176,32 @@ func (t *Table) finalize(withNDV bool) {
 				t.SortCol = c
 			}
 		} else if withNDV {
-			seen := make(map[dict.ID]struct{}, runs)
-			for _, v := range col {
-				seen[v] = struct{}{}
-			}
-			m.Distinct = len(seen)
+			m.Distinct = distinct(col, cmin, cmax)
 		}
 	}
+}
+
+// distinct counts the distinct values of col, which all lie in [lo, hi].
+// When that range spans at most 64 values per row, one pass marks them in a
+// bitset of at most 8 bytes per row; a wider range, such as a column
+// holding NoID beside small IDs, counts the runs of a sorted copy instead.
+func distinct(col []dict.ID, lo, hi dict.ID) int {
+	span := uint64(hi-lo) + 1
+	if span/64 > uint64(len(col)) {
+		c := slices.Clone(col)
+		slices.Sort(c)
+		return len(slices.Compact(c))
+	}
+	seen := make([]uint64, (span+63)/64)
+	for _, v := range col {
+		v -= lo
+		seen[v>>6] |= 1 << (v & 63)
+	}
+	n := 0
+	for _, w := range seen {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // ColMetaOf returns the statistics of the named column, or nil when the

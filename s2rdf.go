@@ -83,6 +83,7 @@ import (
 	"os"
 
 	"s2rdf/internal/core"
+	"s2rdf/internal/dict"
 	"s2rdf/internal/fault"
 	"s2rdf/internal/layout"
 	"s2rdf/internal/rdf"
@@ -149,22 +150,29 @@ type Store struct {
 
 // Load builds a store from triples.
 func Load(triples []Triple, opts Options) *Store {
-	lopts := layout.Options{
+	return newStore(layout.Build(triples, opts.layout()), opts)
+}
+
+// LoadReader builds a store from N-Triples input. It encodes the input a
+// batch of triples at a time as it reads it, so the whole input is never
+// held as triples; the store equals Load's over the same triples.
+func LoadReader(r io.Reader, opts Options) (*Store, error) {
+	d := dict.New()
+	tt, err := layout.EncodeReader(r, d)
+	if err != nil {
+		return nil, err
+	}
+	return newStore(layout.BuildEncoded(tt, d, opts.layout()), opts), nil
+}
+
+// layout returns the layout build options opts asks for.
+func (opts Options) layout() layout.Options {
+	return layout.Options{
 		Threshold:   opts.Threshold,
 		BuildExtVP:  !opts.DisableExtVP,
 		BuildPT:     opts.BuildPropertyTable,
 		Materialize: opts.MaterializeExtVP,
 	}
-	return newStore(layout.Build(triples, lopts), opts)
-}
-
-// LoadReader builds a store from N-Triples input with default options.
-func LoadReader(r io.Reader, opts Options) (*Store, error) {
-	triples, err := rdf.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Load(triples, opts), nil
 }
 
 // LoadFile builds a store from an N-Triples file with default options.

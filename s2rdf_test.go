@@ -84,6 +84,55 @@ func TestLoadReaderAndFile(t *testing.T) {
 	}
 }
 
+// TestLoadReaderSavesLikeLoad pins the streaming loader to the slice one:
+// over the same WatDiv file both save byte-identical store files, and a
+// malformed line mid-file still fails with its line number.
+func TestLoadReaderSavesLikeLoad(t *testing.T) {
+	var nt bytes.Buffer
+	w := rdf.NewWriter(&nt)
+	for _, tr := range watdiv.Generate(watdiv.Config{Scale: 0.05, Seed: 1}).Triples {
+		if err := w.Write(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	triples, err := rdf.ReadAll(bytes.NewReader(nt.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := LoadReader(bytes.NewReader(nt.Bytes()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	for i, st := range []*Store{Load(triples, Options{}), streamed} {
+		if err := st.Save(dirs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"dict.txt", "TT.tbl", "manifest.json"} {
+		var files [2][]byte
+		for i, dir := range dirs {
+			if files[i], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(files[0], files[1]) {
+			t.Errorf("%s: LoadReader saved %d bytes that differ from Load's %d", name, len(files[1]), len(files[0]))
+		}
+	}
+
+	lines := strings.SplitAfter(nt.String(), "\n")
+	bad := len(lines) / 2
+	lines[bad-1] = "<urn:a> <urn:b> oops .\n"
+	_, err = LoadReader(strings.NewReader(strings.Join(lines, "")), Options{})
+	if want := fmt.Sprintf("line %d:", bad); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("malformed line %d: err = %v, want it to name %q", bad, err, want)
+	}
+}
+
 func TestSaveOpenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := Load(exampleTriples(), Options{})
