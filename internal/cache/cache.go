@@ -29,31 +29,19 @@ type Key struct {
 	Query string // normalized query text (core.NormalizeQuery)
 }
 
-// Entry is one cached result: the pre-serialized SPARQL-JSON body and the
-// header snapshot (join order, metrics, row count) taken when the body was
-// produced, replayed verbatim on every hit.
+// Entry is one cached result: the pre-serialized SPARQL-JSON body. A hit
+// replays the body only; the headers describing the work that produced it
+// belong to that request, not to the hit.
 type Entry struct {
 	// Body is the complete serialized response body. Hit paths write it to
 	// the wire without touching the engine; it must never be mutated.
 	Body []byte
-	// Header is the response-header snapshot as of the producing query's
-	// first flush (the explain and metrics headers). Replayed on hits.
-	Header map[string][]string
-	// Rows is the solution count of the cached result.
-	Rows int
 }
 
-// size is the entry's byte account: body, header snapshot, and the lookup
-// key's query text (the dominant key component).
+// size is the entry's byte account: body and the lookup key's query text
+// (the dominant key component).
 func (e *Entry) size(k Key) int64 {
-	n := int64(len(e.Body)) + int64(len(k.Query)) + entryOverhead
-	for name, vals := range e.Header {
-		n += int64(len(name))
-		for _, v := range vals {
-			n += int64(len(v))
-		}
-	}
-	return n
+	return int64(len(e.Body)) + int64(len(k.Query)) + entryOverhead
 }
 
 // entryOverhead approximates the fixed per-entry bookkeeping cost (map and

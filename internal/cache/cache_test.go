@@ -10,7 +10,7 @@ func key(q string) Key {
 }
 
 func entry(body string) *Entry {
-	return &Entry{Body: []byte(body), Rows: 1}
+	return &Entry{Body: []byte(body)}
 }
 
 // TestCacheLRUByteAccounting checks that the byte budget evicts least

@@ -90,45 +90,6 @@ func TestConcurrentQueriesExactMetrics(t *testing.T) {
 	}
 }
 
-// TestClusterAggregateSums checks the cluster-wide aggregate equals the sum
-// of per-query metrics when queries run concurrently.
-func TestClusterAggregateSums(t *testing.T) {
-	ds := g1Dataset(t)
-	e := New(ds, ModeExtVP)
-	e.Cluster.Metrics.Reset()
-
-	const workers = 8
-	var mu sync.Mutex
-	var totalScanned, totalTasks int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; n < 10; n++ {
-				res, err := e.Query(q1)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				totalScanned += res.Metrics.RowsScanned
-				totalTasks += res.Metrics.Tasks
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	agg := e.Cluster.Metrics.Snapshot()
-	if agg.RowsScanned != totalScanned {
-		t.Errorf("aggregate RowsScanned = %d, sum of per-query = %d", agg.RowsScanned, totalScanned)
-	}
-	if agg.Tasks != totalTasks {
-		t.Errorf("aggregate Tasks = %d, sum of per-query = %d", agg.Tasks, totalTasks)
-	}
-}
-
 // TestSelectionCacheEviction: the selection cache is an LRU over BGPs. At
 // capacity 2, a third BGP evicts the least recently used one, whose next
 // planning runs Algorithm 1 again, while the most recent still hits.

@@ -14,7 +14,7 @@
 //
 // An Engine is safe for concurrent use: every Exec call runs with its own
 // engine.Exec handle, so per-query metrics are exact even when many queries
-// are in flight, while Cluster.Metrics keeps the cluster-wide aggregate.
+// are in flight. The one running total an Engine keeps is SpilledBytes.
 //
 // Execution is cancellable: QueryContext and ExecContext bind a
 // context.Context to the run, and every relational operator observes it at
@@ -95,18 +95,18 @@ type Engine struct {
 	// machine. Typically a *fault.Health shared with the serving layer.
 	Faults engine.FaultReporter
 
-	// algorithm1Runs counts how many times table selection actually ran
-	// (selection-cache misses); tests use it to prove hits skip it.
-	algorithm1Runs atomic.Int64
+	// spilled totals the bytes every query run by ExecPlan wrote to spill
+	// runs (SpilledBytes).
+	spilled atomic.Int64
 
 	// pt caches the property-table view built on first use in ModePT.
 	ptOnce sync.Once
 	pt     *ptView
 }
 
-// Algorithm1Runs reports how many BGPs were planned by running table
-// selection, as opposed to served from the selection cache.
-func (e *Engine) Algorithm1Runs() int64 { return e.algorithm1Runs.Load() }
+// SpilledBytes reports the bytes the engine's queries have written to spill
+// runs, failed and cancelled queries included.
+func (e *Engine) SpilledBytes() int64 { return e.spilled.Load() }
 
 // New returns an engine in the given mode with join-order optimization and
 // a default-sized selection cache.

@@ -292,7 +292,6 @@ func (e *Engine) bgpSelections(bgp []sparql.TriplePattern, tpStrs []string) (sel
 			return ent.sels, ent.empty, true
 		}
 	}
-	e.algorithm1Runs.Add(1)
 	sels = make([]selection, 0, len(bgp))
 	for i := range bgp {
 		sel := e.selectTable(i, bgp)

@@ -74,6 +74,9 @@ func (e *Engine) ExecPlan(ctx context.Context, p *QueryPlan) (s *Stream, err err
 	}()
 	start := time.Now()
 	qm := &engine.Metrics{}
+	// Joins spill only inside ExecPlan, so the query's spill total is final
+	// when it returns, whether it succeeded, failed or was cancelled.
+	defer func() { e.spilled.Add(qm.BytesSpilled.Load()) }()
 	ex := e.Cluster.NewExecContext(ctx, qm)
 	if e.MemBudget > 0 {
 		ex.SetMemBudget(e.MemBudget, e.SpillDir)

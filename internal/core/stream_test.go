@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -245,6 +246,41 @@ func TestMemBudgetSpillEquivalenceSPARQL(t *testing.T) {
 	}
 	if !reflect.DeepEqual(canon(got), canon(want)) {
 		t.Fatal("spilled join disagrees with unbounded execution")
+	}
+}
+
+// cancelOnSpill cancels its query once the first spill run is on disk.
+type cancelOnSpill struct{ cancel context.CancelFunc }
+
+func (c cancelOnSpill) ReportIOSuccess()      { c.cancel() }
+func (c cancelOnSpill) ReportIOFailure(error) {}
+
+// TestSpilledBytesCountsEveryQuery checks the engine's running spill total
+// takes each query's BytesSpilled once: a query cancelled after it spilled
+// still counts, and a completed one adds exactly its own figure.
+func TestSpilledBytesCountsEveryQuery(t *testing.T) {
+	ds := chainDataset(t, 2000, 5)
+	const q = `SELECT * WHERE { ?a <urn:score> ?s . ?b <urn:score> ?s }`
+	e := New(ds, ModeVP)
+	e.MemBudget = 1
+	e.SpillDir = t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.Faults = cancelOnSpill{cancel}
+	if _, err := e.QueryContext(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	cancelled := e.SpilledBytes()
+	if cancelled <= 0 {
+		t.Fatalf("SpilledBytes after a query cancelled mid-spill = %d, want positive", cancelled)
+	}
+	e.Faults = nil
+	res, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.SpilledBytes(), cancelled+res.Metrics.BytesSpilled; got != want || res.Metrics.BytesSpilled == 0 {
+		t.Fatalf("SpilledBytes = %d, want %d + %d", got, cancelled, res.Metrics.BytesSpilled)
 	}
 }
 

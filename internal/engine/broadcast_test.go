@@ -45,9 +45,9 @@ func TestBroadcastJoinSmallRightSide(t *testing.T) {
 	bigRel := x.FromRows([]string{"x", "y"}, big)
 	small := x.FromRows([]string{"x", "z"}, []Row{{3, 100}, {7, 200}})
 
-	before := c.Metrics.RowsShuffled.Load()
+	before := x.MetricsSnapshot().RowsShuffled
 	res := x.JoinWith(bigRel, small, StrategyBroadcast)
-	shuffled := c.Metrics.RowsShuffled.Load() - before
+	shuffled := x.MetricsSnapshot().RowsShuffled - before
 	// Broadcast cost: 2 small rows × 4 partitions = 8, not 102.
 	if shuffled != 8 {
 		t.Errorf("shuffled %d rows, want 8 (broadcast)", shuffled)
@@ -97,11 +97,11 @@ func TestBroadcastDisabledByDefault(t *testing.T) {
 	x := c.exec()
 	a := x.FromRows([]string{"x"}, []Row{{1}})
 	b := x.FromRows([]string{"x", "y"}, []Row{{1, 2}, {3, 4}})
-	before := c.Metrics.RowsShuffled.Load()
+	before := x.MetricsSnapshot().RowsShuffled
 	var zero JoinStrategy
 	x.JoinWith(a, b, zero)
 	// Both sides shuffled (1 + 2 rows), not broadcast (1×4).
-	if got := c.Metrics.RowsShuffled.Load() - before; got != 3 {
+	if got := x.MetricsSnapshot().RowsShuffled - before; got != 3 {
 		t.Errorf("shuffled %d rows, want 3 (shuffle join)", got)
 	}
 }

@@ -18,10 +18,9 @@
 //
 // A Cluster is safe for concurrent use: any number of queries may run
 // operators on it simultaneously. Each query obtains an Exec handle
-// (Cluster.NewExec) carrying its own Metrics; operators invoked through an
-// Exec meter into both the per-query counters and the cluster-wide
-// aggregate, so concurrent queries account their work independently while
-// the aggregate remains a faithful total.
+// (Cluster.NewExec) carrying its own Metrics, and operators invoked through
+// an Exec meter into those counters only, so concurrent queries account
+// their work independently.
 //
 // An Exec may also carry a context.Context (Cluster.NewExecContext). Every
 // operator observes cancellation at row-batch granularity: once the context
@@ -51,8 +50,8 @@ const Null = dict.NoID
 // Row is one tuple of dictionary IDs.
 type Row []dict.ID
 
-// Metrics counts the work performed by a cluster or a single query. All
-// fields are updated atomically and may be read concurrently.
+// Metrics counts the work performed by a single query. All fields are
+// updated atomically and may be read concurrently.
 type Metrics struct {
 	RowsScanned atomic.Int64
 	// RowsPruned counts input rows a scan eliminated without evaluating any
@@ -86,18 +85,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		RowsSorted:      m.RowsSorted.Load(),
 		BytesSpilled:    m.BytesSpilled.Load(),
 	}
-}
-
-// Reset zeroes all counters.
-func (m *Metrics) Reset() {
-	m.RowsScanned.Store(0)
-	m.RowsPruned.Store(0)
-	m.RowsShuffled.Store(0)
-	m.JoinComparisons.Store(0)
-	m.RowsOutput.Store(0)
-	m.Tasks.Store(0)
-	m.RowsSorted.Store(0)
-	m.BytesSpilled.Store(0)
 }
 
 // MetricsSnapshot is a point-in-time copy of Metrics.
@@ -141,12 +128,10 @@ func (s MetricsSnapshot) Add(other MetricsSnapshot) MetricsSnapshot {
 }
 
 // Cluster models the executor pool: a number of partitions (parallel tasks
-// per stage) and a worker limit. Metrics is the cluster-wide aggregate over
-// every query ever run; per-query accounting goes through NewExec.
+// per stage) and a worker limit. Work is metered per query, through NewExec.
 type Cluster struct {
 	partitions int
 	workers    int
-	Metrics    Metrics
 }
 
 // NewCluster returns a cluster with the given number of partitions per
@@ -162,8 +147,8 @@ func NewCluster(partitions int) *Cluster {
 func (c *Cluster) Partitions() int { return c.partitions }
 
 // Exec is a query-scoped execution handle on a Cluster. Operators invoked
-// through an Exec meter into its per-query Metrics (when non-nil) as well as
-// the cluster aggregate. Exec values are cheap; create one per query.
+// through an Exec meter into its per-query Metrics. Exec values are cheap;
+// create one per query.
 type Exec struct {
 	c   *Cluster
 	m   *Metrics
@@ -220,10 +205,15 @@ func WithYielder(ctx context.Context, y Yielder) context.Context {
 	return context.WithValue(ctx, yielderKey{}, y)
 }
 
-// NewExec returns an execution handle metering into m (which may be nil for
-// aggregate-only accounting) in addition to the cluster's Metrics. The
-// execution is not cancellable; use NewExecContext to bind a context.
-func (c *Cluster) NewExec(m *Metrics) *Exec { return &Exec{c: c, m: m} }
+// NewExec returns an execution handle metering into m; a nil m gets a
+// private one (read it back with MetricsSnapshot). The execution is not
+// cancellable; use NewExecContext to bind a context.
+func (c *Cluster) NewExec(m *Metrics) *Exec {
+	if m == nil {
+		m = &Metrics{}
+	}
+	return &Exec{c: c, m: m}
+}
 
 // NewExecContext returns an execution handle like NewExec whose operators
 // additionally observe ctx: when ctx is cancelled or its deadline passes,
@@ -233,7 +223,8 @@ func (c *Cluster) NewExecContext(ctx context.Context, m *Metrics) *Exec {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	x := &Exec{c: c, m: m, ctx: ctx, done: ctx.Done()}
+	x := c.NewExec(m)
+	x.ctx, x.done = ctx, ctx.Done()
 	if y, ok := ctx.Value(yielderKey{}).(Yielder); ok {
 		x.yield = y
 	}
@@ -243,15 +234,10 @@ func (c *Cluster) NewExecContext(ctx context.Context, m *Metrics) *Exec {
 // Cluster returns the underlying cluster.
 func (x *Exec) Cluster() *Cluster { return x.c }
 
-// MetricsSnapshot returns the execution's per-query counters (or, for an
-// aggregate-only handle, the cluster-wide counters). Planners snapshot it
-// around a join to attribute shuffled rows and comparisons to that step.
-func (x *Exec) MetricsSnapshot() MetricsSnapshot {
-	if x.m != nil {
-		return x.m.Snapshot()
-	}
-	return x.c.Metrics.Snapshot()
-}
+// MetricsSnapshot returns the execution's per-query counters. Planners
+// snapshot it around a join to attribute shuffled rows and comparisons to
+// that step.
+func (x *Exec) MetricsSnapshot() MetricsSnapshot { return x.m.Snapshot() }
 
 // SetMemBudget bounds the execution's accounted intermediate state to
 // budget bytes (0 disables the budget). Block materializations and join
@@ -371,61 +357,16 @@ func (x *Exec) StopAt(rows int) bool { return x.stop(rows) }
 
 // AddRowsScanned meters n extra scanned rows (used by wide-table scans that
 // account for columns the narrow Scan projection did not touch).
-func (x *Exec) AddRowsScanned(n int64) {
-	x.c.Metrics.RowsScanned.Add(n)
-	if x.m != nil {
-		x.m.RowsScanned.Add(n)
-	}
-}
+func (x *Exec) AddRowsScanned(n int64) { x.m.RowsScanned.Add(n) }
 
-func (x *Exec) addPruned(n int64) {
-	x.c.Metrics.RowsPruned.Add(n)
-	if x.m != nil {
-		x.m.RowsPruned.Add(n)
-	}
-}
-
-func (x *Exec) addShuffled(n int64) {
-	x.c.Metrics.RowsShuffled.Add(n)
-	if x.m != nil {
-		x.m.RowsShuffled.Add(n)
-	}
-}
-
-func (x *Exec) addComparisons(n int64) {
-	x.c.Metrics.JoinComparisons.Add(n)
-	if x.m != nil {
-		x.m.JoinComparisons.Add(n)
-	}
-}
-
-func (x *Exec) addOutput(n int64) {
-	x.c.Metrics.RowsOutput.Add(n)
-	if x.m != nil {
-		x.m.RowsOutput.Add(n)
-	}
-}
-
-func (x *Exec) addTasks(n int64) {
-	x.c.Metrics.Tasks.Add(n)
-	if x.m != nil {
-		x.m.Tasks.Add(n)
-	}
-}
-
-func (x *Exec) addRowsSorted(n int64) {
-	x.c.Metrics.RowsSorted.Add(n)
-	if x.m != nil {
-		x.m.RowsSorted.Add(n)
-	}
-}
-
-func (x *Exec) addBytesSpilled(n int64) {
-	x.c.Metrics.BytesSpilled.Add(n)
-	if x.m != nil {
-		x.m.BytesSpilled.Add(n)
-	}
-}
+// The operators' meters, one per Metrics field.
+func (x *Exec) addPruned(n int64)       { x.m.RowsPruned.Add(n) }
+func (x *Exec) addShuffled(n int64)     { x.m.RowsShuffled.Add(n) }
+func (x *Exec) addComparisons(n int64)  { x.m.JoinComparisons.Add(n) }
+func (x *Exec) addOutput(n int64)       { x.m.RowsOutput.Add(n) }
+func (x *Exec) addTasks(n int64)        { x.m.Tasks.Add(n) }
+func (x *Exec) addRowsSorted(n int64)   { x.m.RowsSorted.Add(n) }
+func (x *Exec) addBytesSpilled(n int64) { x.m.BytesSpilled.Add(n) }
 
 // parallel runs fn(p) for p in [0, n) on the worker pool, metering one task
 // per invocation, and waits. Once the execution's context is done, queued

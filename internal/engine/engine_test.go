@@ -36,8 +36,8 @@ func rowsEqual(t *testing.T, got *Relation, want []Row) {
 	}
 }
 
-// exec returns an aggregate-only execution handle on c, for tests that run
-// single operators without per-query accounting.
+// exec returns an execution handle on c with its own counters, for tests
+// that run single operators.
 func (c *Cluster) exec() *Exec { return c.NewExec(nil) }
 
 // mustScan runs ScanTable and panics on a spec the table rejects: tests
@@ -66,19 +66,19 @@ func g1VP() (follows, likes *store.Table) {
 }
 
 func TestScanProjectsAndFilters(t *testing.T) {
-	c := NewCluster(4)
+	x := NewCluster(4).exec()
 	follows, _ := g1VP()
-	rel := mustScan(c.exec(), follows, ScanSpec{Projs: []ScanProjection{{Col: "s", As: "x"}, {Col: "o", As: "y"}}})
+	rel := mustScan(x, follows, ScanSpec{Projs: []ScanProjection{{Col: "s", As: "x"}, {Col: "o", As: "y"}}})
 	if !reflect.DeepEqual(rel.Schema, []string{"x", "y"}) {
 		t.Fatalf("schema = %v", rel.Schema)
 	}
 	rowsEqual(t, rel, []Row{{0, 1}, {1, 2}, {1, 3}, {2, 3}})
 
 	// Bound subject: (B follows ?y).
-	rel = mustScan(c.exec(), follows, ScanSpec{Projs: []ScanProjection{{Col: "o", As: "y"}}, Conds: []ScanCondition{{Col: "s", Value: 1}}})
+	rel = mustScan(x, follows, ScanSpec{Projs: []ScanProjection{{Col: "o", As: "y"}}, Conds: []ScanCondition{{Col: "s", Value: 1}}})
 	rowsEqual(t, rel, []Row{{2}, {3}})
-	if c.Metrics.RowsScanned.Load() != 8 {
-		t.Errorf("RowsScanned = %d, want 8", c.Metrics.RowsScanned.Load())
+	if got := x.MetricsSnapshot().RowsScanned; got != 8 {
+		t.Errorf("RowsScanned = %d, want 8", got)
 	}
 }
 
@@ -255,33 +255,32 @@ func TestProjectMissingColumnIsNull(t *testing.T) {
 }
 
 func TestShuffleSkippedWhenCoPartitioned(t *testing.T) {
-	c := NewCluster(4)
-	a := c.exec().FromRows([]string{"x", "y"}, []Row{{1, 2}, {2, 3}, {3, 4}, {4, 5}})
-	b := c.exec().FromRows([]string{"x", "z"}, []Row{{1, 9}, {2, 8}})
-	first := c.exec().JoinWith(a, b, StrategyShuffle) // shuffles both sides by x
-	afterFirst := c.Metrics.RowsShuffled.Load()
-	cpart := c.exec().FromRows([]string{"x", "w"}, []Row{{1, 7}})
+	x := NewCluster(4).exec()
+	a := x.FromRows([]string{"x", "y"}, []Row{{1, 2}, {2, 3}, {3, 4}, {4, 5}})
+	b := x.FromRows([]string{"x", "z"}, []Row{{1, 9}, {2, 8}})
+	first := x.JoinWith(a, b, StrategyShuffle) // shuffles both sides by x
+	afterFirst := x.MetricsSnapshot().RowsShuffled
+	cpart := x.FromRows([]string{"x", "w"}, []Row{{1, 7}})
 	// Joining the (already x-partitioned) result again shuffles only the
 	// new small side plus zero rows for the co-partitioned side.
-	_ = c.exec().JoinWith(first, cpart, StrategyShuffle)
-	delta := c.Metrics.RowsShuffled.Load() - afterFirst
+	_ = x.JoinWith(first, cpart, StrategyShuffle)
+	delta := x.MetricsSnapshot().RowsShuffled - afterFirst
 	if delta != 1 {
 		t.Errorf("second join shuffled %d rows, want 1 (co-partitioning not exploited)", delta)
 	}
 }
 
 func TestMetricsSnapshotSub(t *testing.T) {
-	c := NewCluster(2)
-	before := c.Metrics.Snapshot()
-	r := c.exec().FromRows([]string{"x"}, []Row{{1}, {2}})
-	_ = c.exec().JoinWith(r, c.exec().FromRows([]string{"x"}, []Row{{1}}), StrategyShuffle)
-	delta := c.Metrics.Snapshot().Sub(before)
+	x := NewCluster(2).exec()
+	r := x.FromRows([]string{"x"}, []Row{{1}, {2}})
+	before := x.MetricsSnapshot()
+	_ = x.JoinWith(r, x.FromRows([]string{"x"}, []Row{{1}}), StrategyShuffle)
+	delta := x.MetricsSnapshot().Sub(before)
 	if delta.RowsShuffled == 0 {
 		t.Error("expected shuffled rows in delta")
 	}
-	c.Metrics.Reset()
-	if c.Metrics.Snapshot().RowsShuffled != 0 {
-		t.Error("Reset did not zero counters")
+	if delta.Add(before) != x.MetricsSnapshot() {
+		t.Error("Add does not undo Sub")
 	}
 }
 

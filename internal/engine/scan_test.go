@@ -325,8 +325,8 @@ func TestScanSortPruning(t *testing.T) {
 	if tbl.SortCol != 0 {
 		t.Fatalf("SortCol = %d, want 0", tbl.SortCol)
 	}
-	c := NewCluster(4)
-	rel, st, err := c.exec().ScanTable(tbl, ScanSpec{
+	x := NewCluster(4).exec()
+	rel, st, err := x.ScanTable(tbl, ScanSpec{
 		Projs: []ScanProjection{{"o", "y"}},
 		Conds: []ScanCondition{{Col: "s", Value: 42}},
 	})
@@ -339,7 +339,7 @@ func TestScanSortPruning(t *testing.T) {
 	if want := int64(3*store.ZoneSize - 1); st.Pruned != want {
 		t.Errorf("pruned = %d, want %d", st.Pruned, want)
 	}
-	if got := c.Metrics.RowsPruned.Load(); got != st.Pruned {
+	if got := x.MetricsSnapshot().RowsPruned; got != st.Pruned {
 		t.Errorf("metered pruned = %d, want %d", got, st.Pruned)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestScanSelFiltersRows(t *testing.T) {
-	c := NewCluster(3)
+	x := NewCluster(3).exec()
 	tbl := store.NewTable("t", "s", "o")
 	for i := 0; i < 10; i++ {
 		tbl.Append(dict.ID(i), dict.ID(i*10))
@@ -19,10 +19,10 @@ func TestScanSelFiltersRows(t *testing.T) {
 	sel.Set(2)
 	sel.Set(5)
 	sel.Set(9)
-	rel := mustScan(c.exec(), tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}, {"o", "y"}}, Sel: sel, SelRows: sel.Count()})
+	rel := mustScan(x, tbl, ScanSpec{Projs: []ScanProjection{{"s", "x"}, {"o", "y"}}, Sel: sel, SelRows: sel.Count()})
 	rowsEqual(t, rel, []Row{{2, 20}, {5, 50}, {9, 90}})
 	// Metered scan cost = selected rows only.
-	if got := c.Metrics.RowsScanned.Load(); got != 3 {
+	if got := x.MetricsSnapshot().RowsScanned; got != 3 {
 		t.Errorf("RowsScanned = %d, want 3", got)
 	}
 }

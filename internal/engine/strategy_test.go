@@ -36,16 +36,16 @@ func TestJoinWithExplicitStrategies(t *testing.T) {
 // StrategyBroadcast broadcasts (metered as small×partitions replicated rows,
 // not a both-sides shuffle).
 func TestJoinWithBroadcastOverridesThreshold(t *testing.T) {
-	c := NewCluster(4)
+	x := NewCluster(4).exec()
 	var big []Row
 	for i := 0; i < 100; i++ {
 		big = append(big, Row{dict.ID(i % 10), dict.ID(i)})
 	}
-	bigRel := c.exec().FromRows([]string{"x", "y"}, big)
-	small := c.exec().FromRows([]string{"x", "z"}, []Row{{3, 100}})
-	before := c.Metrics.RowsShuffled.Load()
-	res := c.exec().JoinWith(bigRel, small, StrategyBroadcast)
-	if got := c.Metrics.RowsShuffled.Load() - before; got != 4 {
+	bigRel := x.FromRows([]string{"x", "y"}, big)
+	small := x.FromRows([]string{"x", "z"}, []Row{{3, 100}})
+	before := x.MetricsSnapshot().RowsShuffled
+	res := x.JoinWith(bigRel, small, StrategyBroadcast)
+	if got := x.MetricsSnapshot().RowsShuffled - before; got != 4 {
 		t.Errorf("shuffled %d rows, want 4 (1 small row × 4 partitions)", got)
 	}
 	if res.NumRows() != 10 {

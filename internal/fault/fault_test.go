@@ -144,8 +144,8 @@ func TestHealthTransitions(t *testing.T) {
 		t.Fatalf("want healed Healthy, got %v %q", h.State(), h.Reason())
 	}
 
-	// Corruption is sticky.
-	h.ReportCorruption(errors.New("crc mismatch"))
+	// Failed is sticky.
+	h.Fail("crc mismatch")
 	if h.State() != Failed {
 		t.Fatalf("want Failed, got %v", h.State())
 	}
@@ -155,7 +155,7 @@ func TestHealthTransitions(t *testing.T) {
 	}
 
 	snap := h.Snapshot()
-	if snap.State != "failed" || snap.Corruptions != 1 {
+	if snap.State != "failed" || snap.Reason != "crc mismatch" {
 		t.Fatalf("snapshot: %+v", snap)
 	}
 }

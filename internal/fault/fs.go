@@ -1,8 +1,8 @@
 // Package fault provides the fault-tolerance primitives the serving path
 // is built on: a small filesystem abstraction that store reads and spill
 // I/O are routed through (so tests can inject disk faults
-// deterministically), and a per-store health state machine fed by
-// corruption and I/O-failure signals.
+// deterministically), and a per-store health state machine fed by the
+// store's open and by spill I/O outcomes.
 //
 // The FS interface is intentionally tiny — exactly the operations the
 // store and the spill path perform — so a fault-injecting implementation

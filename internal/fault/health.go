@@ -35,19 +35,18 @@ func (s State) String() string {
 // store from Healthy to Degraded.
 const DegradeAfter = 3
 
-// Health is a per-store health state machine fed by corruption and
-// I/O-failure signals from the store and engine layers. It is safe for
-// concurrent use.
+// Health is a per-store health state machine fed by the store's open and
+// the engine's spill I/O. It is safe for concurrent use.
 //
-// Transitions: corruption → Failed (sticky). DegradeAfter consecutive
-// I/O failures → Degraded; any I/O success heals Degraded → Healthy.
-// Failed is terminal — integrity errors cannot be waited out.
+// Transitions: Fail (a store that could not be opened, corrupt data
+// included) → Failed (sticky). DegradeAfter consecutive I/O failures →
+// Degraded; any I/O success heals Degraded → Healthy. Failed is terminal —
+// integrity errors cannot be waited out.
 type Health struct {
 	mu          sync.Mutex
 	state       State
 	reason      string
 	consecutive int
-	corruptions int64
 	ioFailures  int64
 }
 
@@ -67,21 +66,6 @@ func (h *Health) Reason() string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.reason
-}
-
-// ReportCorruption transitions to Failed (sticky) with err as reason.
-func (h *Health) ReportCorruption(err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.corruptions++
-	if h.state != Failed {
-		h.state = Failed
-		if err != nil {
-			h.reason = err.Error()
-		} else {
-			h.reason = "corruption detected"
-		}
-	}
 }
 
 // Fail transitions to Failed (sticky) with an operator-readable reason;
@@ -130,7 +114,6 @@ type HealthSnapshot struct {
 	State       string `json:"state"`
 	Reason      string `json:"reason,omitempty"`
 	Consecutive int    `json:"consecutive_io_failures,omitempty"`
-	Corruptions int64  `json:"corruptions,omitempty"`
 	IOFailures  int64  `json:"io_failures,omitempty"`
 }
 
@@ -142,7 +125,6 @@ func (h *Health) Snapshot() HealthSnapshot {
 		State:       h.state.String(),
 		Reason:      h.reason,
 		Consecutive: h.consecutive,
-		Corruptions: h.corruptions,
 		IOFailures:  h.ioFailures,
 	}
 }

@@ -49,8 +49,8 @@
 // A Store and its per-mode engines are safe for concurrent use. Each query
 // executes with its own metrics context (engine.Exec), so Result.Metrics is
 // exactly the work that query performed no matter how many queries are in
-// flight; the shared engine.Cluster.Metrics keeps the cluster-wide running
-// aggregate (the sum over all queries).
+// flight. Work is counted once, per query: the store keeps no cluster-wide
+// aggregate, only the running spill total healthz reports (SpilledBytes).
 //
 // # Query planning
 //
@@ -141,9 +141,9 @@ type Store struct {
 	ds      *layout.Dataset
 	opts    Options
 	engines map[Mode]*core.Engine
-	// health is the store's fault-health state machine: detected data
-	// corruption fails the store permanently, repeated spill-I/O failures
-	// degrade it, successes heal it. Every mode engine reports its spill
+	// health is the store's fault-health state machine: a store that could
+	// not be opened (detected data corruption included) fails permanently,
+	// repeated spill-I/O failures degrade it, successes heal it. Every mode engine reports its spill
 	// outcomes here; the serving layer gates admission on it.
 	health *fault.Health
 }
@@ -229,9 +229,8 @@ func NewUnavailableStore(reason string) *Store {
 // The serving layer refuses queries against failed stores with 503.
 func (s *Store) Health() fault.HealthSnapshot { return s.health.Snapshot() }
 
-// Faults exposes the store's health state machine, so integrity checks
-// outside the query path (store loading, background scrubbing) can feed
-// corruption and I/O signals into the same admission gate.
+// Faults exposes the store's health state machine, the admission gate the
+// serving layer reads.
 func (s *Store) Faults() *fault.Health { return s.health }
 
 // SetFaultFS routes every mode engine's spill-file I/O through fs — the
@@ -292,12 +291,11 @@ func (s *Store) SetMemBudget(budget int64, dir string) {
 }
 
 // SpilledBytes reports the total bytes the store's queries have written to
-// spill runs since load, across every mode engine (each keeps its own
-// cluster, so the sum counts every query exactly once).
+// spill runs since load, summed over the mode engines.
 func (s *Store) SpilledBytes() int64 {
 	var n int64
 	for _, e := range s.engines {
-		n += e.Cluster.Metrics.BytesSpilled.Load()
+		n += e.SpilledBytes()
 	}
 	return n
 }

@@ -89,9 +89,10 @@ type ServerOptions struct {
 	SpillDir string
 	// ResultCacheBytes enables the full-result cache: each store keeps a
 	// byte-accounted LRU of this capacity mapping (mode, normalized query)
-	// to the pre-serialized response body plus its header snapshot. Hits
-	// are served before the cost gate — no admission, no queueing, no
-	// execution — with X-S2RDF-Cache: hit; a miss executes like any other
+	// to the pre-serialized response body. Hits are served before the
+	// cost gate — no admission, no queueing, no execution — with
+	// X-S2RDF-Cache: hit and no plan or metrics headers (a hit did none of
+	// that work); a miss executes like any other
 	// request. Only expensive-class results whose body fits the per-entry
 	// cap (an eighth of the budget) are cached, so point lookups don't
 	// churn the LRU. 0 (the default) disables the cache.
@@ -608,9 +609,10 @@ func (s *sparqlServer) requestTimeout(raw string) (time.Duration, error) {
 }
 
 // probeCache answers the request from the result cache when it can: the
-// snapshotted explain headers, X-S2RDF-Cache: hit, and the pre-serialized
-// body. The key holds the normalized query text, so reformatted copies of a
-// query share an entry.
+// pre-serialized body, its type and length, the mode and X-S2RDF-Cache: hit
+// (route has already stamped the store's health). A hit did no work of its
+// own, so it reports no plan, metrics or queueing. The key holds the
+// normalized query text, so reformatted copies of a query share an entry.
 func (req *request) probeCache() bool {
 	rc := req.sv.rcache
 	if rc == nil {
@@ -626,9 +628,10 @@ func (req *request) probeCache() bool {
 		return false
 	}
 	h := req.w.Header()
-	copyCachedHeaders(h, ent.Header)
-	h.Set("X-S2RDF-Cache", "hit")
+	h.Set("Content-Type", "application/sparql-results+json")
 	h.Set("Content-Length", strconv.Itoa(len(ent.Body)))
+	h.Set("X-S2RDF-Mode", req.mode.String())
+	h.Set("X-S2RDF-Cache", "hit")
 	req.w.Write(ent.Body)
 	return true
 }
@@ -763,34 +766,6 @@ func (req *request) setHeaders(res *Result) {
 	}
 	if res.StatsOnly {
 		h.Set("X-S2RDF-Stats-Only", "true")
-	}
-}
-
-// cacheSnapshotSkip lists response headers never included in a cache
-// header snapshot: each request stamps its own cache status, and a
-// replayed body is not an in-progress stream.
-var cacheSnapshotSkip = map[string]bool{
-	http.CanonicalHeaderKey("X-S2RDF-Cache"):     true,
-	http.CanonicalHeaderKey("X-S2RDF-Streaming"): true,
-}
-
-// snapshotHeaders deep-copies h for replay on cache hits.
-func snapshotHeaders(h http.Header) map[string][]string {
-	snap := make(map[string][]string, len(h))
-	for k, vals := range h {
-		if cacheSnapshotSkip[k] {
-			continue
-		}
-		snap[k] = append([]string(nil), vals...)
-	}
-	return snap
-}
-
-// copyCachedHeaders replays a snapshot into a response's headers. Values
-// are copied: the snapshot is shared by every future hit.
-func copyCachedHeaders(dst http.Header, src map[string][]string) {
-	for k, vals := range src {
-		dst[k] = append([]string(nil), vals...)
 	}
 }
 

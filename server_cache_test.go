@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -271,6 +273,68 @@ func TestServerOneSelectionProbePerExecution(t *testing.T) {
 		}
 		if got := probes() - before; got != step.probes {
 			t.Errorf("step %d (%s, %s): %d selection-cache probes, want %d", i, step.query, step.lane, got, step.probes)
+		}
+	}
+}
+
+// TestServerCacheHitHeaders: a result-cache hit answers with the executed
+// response's body, byte for byte, and with exactly five headers besides
+// Date — the body's type and length, the mode, the store's health and the
+// cache lane. It replays none of the headers that described the work of
+// the request that filled the entry. Both a buffered and a streamed result
+// are checked, in two modes.
+func TestServerCacheHitHeaders(t *testing.T) {
+	st := Load(scoreTriples(3000), Options{})
+	srv := startServer(t, NewHandler(st, ServerOptions{
+		CheapThreshold:   1, // everything non-trivial is expensive, so it caches
+		StreamThreshold:  64,
+		ResultCacheBytes: 16 << 20,
+	}))
+	get := func(path string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return resp, body
+	}
+	for _, c := range []struct{ query, mode string }{
+		{`SELECT ?s WHERE { ?p <urn:score> ?s } LIMIT 10`, "ExtVP"},
+		{scanQuery, "ExtVP"}, // streamed: over the 64-row threshold
+		{scanQuery, "VP"},
+	} {
+		path := "/sparql?mode=" + c.mode + "&query=" + url.QueryEscape(c.query)
+		miss, missBody := get(path)
+		if lane := miss.Header.Get("X-S2RDF-Cache"); lane != "miss" {
+			t.Fatalf("%s: first lane %q, want miss", path, lane)
+		}
+		if miss.Header.Get("X-S2RDF-Rows-Scanned") == "" {
+			t.Fatalf("%s: the executed response reports no metrics", path)
+		}
+		hit, hitBody := get(path)
+		if !bytes.Equal(hitBody, missBody) {
+			t.Fatalf("%s: hit body differs from the executed body", path)
+		}
+		want := map[string]string{
+			"Content-Type":         miss.Header.Get("Content-Type"),
+			"Content-Length":       strconv.Itoa(len(missBody)),
+			"X-S2rdf-Mode":         c.mode,
+			"X-S2rdf-Store-Health": miss.Header.Get("X-S2RDF-Store-Health"),
+			"X-S2rdf-Cache":        "hit",
+		}
+		got := map[string]string{}
+		for k, v := range hit.Header {
+			if k != "Date" {
+				got[k] = strings.Join(v, ",")
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: hit headers %v, want exactly %v", path, got, want)
 		}
 	}
 }

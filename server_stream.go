@@ -82,7 +82,7 @@ func (req *request) respond() {
 		abortOn(enc.end())
 	}
 	if f := enc.fill; f != nil && !f.over {
-		req.sv.rcache.Put(req.ckey, &cache.Entry{Body: f.body, Header: f.header, Rows: enc.n})
+		req.sv.rcache.Put(req.ckey, &cache.Entry{Body: f.body})
 	}
 }
 
@@ -271,16 +271,14 @@ func panicError(r any) error {
 	return &core.QueryPanicError{Value: r, Stack: debug.Stack()}
 }
 
-// fillState accumulates the header snapshot and the serialized body for a
-// cache fill, abandoning the copy (and counting the rejection) as soon as
-// it outgrows the per-entry cap — the executing response keeps streaming
-// regardless.
+// fillState accumulates the serialized body for a cache fill, abandoning
+// the copy (and counting the rejection) as soon as it outgrows the
+// per-entry cap — the executing response keeps streaming regardless.
 type fillState struct {
-	header map[string][]string
-	body   []byte
-	max    int64
-	over   bool
-	rc     *cache.ResultCache
+	body []byte
+	max  int64
+	over bool
+	rc   *cache.ResultCache
 }
 
 func (fs *fillState) add(p []byte) {
@@ -322,12 +320,11 @@ type streamEncoder struct {
 // header. The result is cached only when the cache is on and the cost gate
 // classified the query expensive (point lookups re-execute faster than they
 // churn the LRU — the admission policy of the result cache is the same gate
-// that splits the scheduler lanes); only then is the header snapshot taken,
-// for the fill.
+// that splits the scheduler lanes).
 func (req *request) newEncoder() *streamEncoder {
 	e := &streamEncoder{w: req.w, d: req.sv.st.Dataset().Dict}
 	if rc := req.sv.rcache; rc != nil && req.class == sched.Expensive {
-		e.fill = &fillState{header: snapshotHeaders(req.w.Header()), max: rc.MaxEntry(), rc: rc}
+		e.fill = &fillState{max: rc.MaxEntry(), rc: rc}
 	}
 	return e
 }
