@@ -113,7 +113,8 @@ func checkGate(t *testing.T, e *Engine, name, src string) {
 // over the property table, each star at the cells its scan is metered at.
 // A two-pattern star over WatDiv's functional caption and text predicates
 // scans every cell of the unified table; priced as if it ran over VP tables
-// it read 381 rows and went to the cheap lane.
+// it read 381 rows and went to the cheap lane. The same star with a bound
+// subject reads one row's cells, and is priced and metered at that.
 func TestCostGatePricesPTScans(t *testing.T) {
 	data := watdiv.Generate(watdiv.Config{Scale: 2, Seed: 1})
 	opts := layout.DefaultOptions()
@@ -128,5 +129,19 @@ func TestCostGatePricesPTScans(t *testing.T) {
 	}
 	if class := sched.Classify(c.Cost(), sched.DefaultCheapThreshold); class != sched.Expensive {
 		t.Errorf("cost %d classifies %v, want expensive", c.Cost(), class)
+	}
+
+	// A bound subject binary-searches its one row: the star reads that
+	// row's cells, not the table's, and is priced the same.
+	const lookup = `SELECT * WHERE { <http://db.uwaterloo.ca/~galuc/wsdbm/Product29> <http://schema.org/caption> ?v1 . <http://db.uwaterloo.ca/~galuc/wsdbm/Product29> <http://schema.org/text> ?v2 }`
+	p = mustPlan(t, e, lookup)
+	c = p.Cost()
+	res = execPlan(t, e, "bound PT star", p)
+	if width := e.ptTable().width; c.ScanRows != width || res.Metrics.RowsScanned != int64(width) {
+		t.Errorf("bound star: ScanRows = %d, executed RowsScanned = %d, want both %d (one row)",
+			c.ScanRows, res.Metrics.RowsScanned, width)
+	}
+	if class := sched.Classify(c.Cost(), sched.DefaultCheapThreshold); class != sched.Cheap {
+		t.Errorf("bound star: cost %d classifies %v, want cheap", c.Cost(), class)
 	}
 }

@@ -14,9 +14,9 @@ import (
 // Scan operator can read it: column "s" plus one column per functional
 // predicate (named "p<ID>").
 type ptView struct {
-	table  *store.Table
-	colOf  map[dict.ID]string
-	triple int // rows * width, the scan weight of the unified table
+	table *store.Table
+	colOf map[dict.ID]string
+	width int // predicate columns: the cells one row's scan reads
 }
 
 func ptCol(p dict.ID) string { return fmt.Sprintf("p%d", p) }
@@ -48,10 +48,30 @@ func (e *Engine) ptTable() *ptView {
 		// planner never consults NDV, so the exact distinct counts (a hash
 		// set per wide column) are skipped.
 		v.table.FinalizeZones()
-		v.triple = pt.NumRows() * (len(cols) - 1)
+		v.width = len(cols) - 1
 		e.pt = v
 	})
 	return e.pt
+}
+
+// starCells is a star's scan weight, the cells its scan reads: the rows in
+// its subject's binary-searched run of the sorted subject column — every
+// row for an unbound subject, at most one for a bound one, none for a term
+// the dictionary lacks — times the table's width. The planner prices a
+// star with it and evalBGPPT meters the same figure.
+func (e *Engine) starCells(subj sparql.Node) int {
+	subjects := e.DS.PT.Subjects
+	rows := len(subjects)
+	if !subj.IsVar() {
+		id := e.DS.Dict.Lookup(subj.Term)
+		lo := sort.Search(rows, func(i int) bool { return subjects[i] >= id })
+		hi := sort.Search(rows, func(i int) bool { return subjects[i] > id })
+		rows = 0
+		if id != dict.NoID {
+			rows = hi - lo
+		}
+	}
+	return rows * e.ptTable().width
 }
 
 // ptPlan is a BGP planned the way Sempala plans it (paper Sec. 3.2):
@@ -69,7 +89,7 @@ type ptPlan struct {
 	fallback []int
 	sels     []selection
 	// scan is the plan's scan estimate: each star at the weight its scan
-	// is metered at (ptView.triple), each fallback at its selection's.
+	// is metered at (starCells), each fallback at its selection's.
 	scan int
 }
 
@@ -97,7 +117,7 @@ func (e *Engine) planBGPPT(bgp []sparql.TriplePattern) bgpPlan {
 			si = len(pp.stars)
 			star[key] = si
 			pp.stars = append(pp.stars, nil)
-			pp.scan = addCapped(pp.scan, e.ptTable().triple)
+			pp.scan = addCapped(pp.scan, e.starCells(tp.S))
 		}
 		pp.stars[si] = append(pp.stars[si], i)
 	}
@@ -167,12 +187,13 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, p *bgpPlan, res *Result) (*engine.Re
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInternal, err)
 		}
-		// A property-table scan touches the full width of the unified
-		// table; meter the extra cells the narrow Scan did not count.
-		extra := int64(view.triple - pt.NumRows())
-		if extra > 0 {
-			ex.AddRowsScanned(extra)
-			st.Scanned += extra
+		// A property-table scan reads the full width of the unified table
+		// over its subject's run; the narrow Scan counted one cell per
+		// table row, so meter the difference (negative for a bound
+		// subject, whose run is at most one row).
+		if cells := int64(e.starCells(subj)); cells != st.Scanned {
+			ex.AddRowsScanned(cells - st.Scanned)
+			st.Scanned = cells
 		}
 		// Required patterns must have a value: drop Null cells.
 		if len(nullChecks) > 0 {
