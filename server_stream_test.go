@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -424,7 +425,20 @@ func TestServerStreamStopsAtFailedWrite(t *testing.T) {
 		h.ServeHTTP(w, r.WithContext(context.WithoutCancel(r.Context())))
 	}))
 
-	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(scanQuery))
+	// The client closes the socket itself: an early resp.Body.Close returns
+	// before the transport's read loop closes the connection, so the
+	// server's writes could keep succeeding after closedAt is read.
+	conns := make(chan net.Conn, 1)
+	client := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			if err == nil {
+				conns <- c
+			}
+			return c, err
+		},
+	}}
+	resp, err := client.Get(srv.URL + "/sparql?query=" + url.QueryEscape(scanQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,8 +446,12 @@ func TestServerStreamStopsAtFailedWrite(t *testing.T) {
 		t.Fatalf("first read: %d bytes, err %v", n, err)
 	}
 	pacer.awaitBlocked(t)
-	resp.Body.Close()
+	if err := (<-conns).Close(); err != nil {
+		t.Fatal(err)
+	}
 	closedAt := flushes.Load()
+	resp.Body.Close()
+	client.CloseIdleConnections()
 	close(pacer.release)
 	assertQuiescent(t, srv)
 	if after := flushes.Load() - closedAt; after > streamBuffers {
