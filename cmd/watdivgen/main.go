@@ -25,8 +25,6 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	data := watdiv.Generate(watdiv.Config{Scale: *scale, Seed: *seed})
-
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -36,15 +34,23 @@ func main() {
 		defer f.Close()
 		w = f
 	}
+	// Each triple is written as it is made, so memory stays at the entity
+	// pools whatever the scale. After a failed write the rest are dropped.
 	nt := rdf.NewWriter(w)
-	for _, t := range data.Triples {
-		if err := nt.Write(t); err != nil {
-			log.Fatal(err)
+	var n int
+	var werr error
+	watdiv.GenerateTo(watdiv.Config{Scale: *scale, Seed: *seed}, func(t rdf.Triple) {
+		if werr == nil {
+			werr = nt.Write(t)
+			n++
 		}
+	})
+	if werr == nil {
+		werr = nt.Flush()
 	}
-	if err := nt.Flush(); err != nil {
-		log.Fatal(err)
+	if werr != nil {
+		log.Fatal(werr)
 	}
 	fmt.Fprintf(os.Stderr, "watdivgen: wrote %d triples (scale %g, seed %d)\n",
-		len(data.Triples), *scale, *seed)
+		n, *scale, *seed)
 }

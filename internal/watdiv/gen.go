@@ -125,8 +125,20 @@ func scaled(base float64, scale float64, minimum int) int {
 	return n
 }
 
-// Generate produces a dataset at the configured scale.
+// Generate produces a dataset at the configured scale, its triples
+// collected in Data.Triples.
 func Generate(cfg Config) *Data {
+	var triples []rdf.Triple
+	d := GenerateTo(cfg, func(t rdf.Triple) { triples = append(triples, t) })
+	d.Triples = triples
+	return d
+}
+
+// GenerateTo produces the dataset Generate does, handing each triple to
+// emit as it is made instead of holding the graph; the returned Data
+// carries the entity pools only. The same Config emits the same triples in
+// the same order.
+func GenerateTo(cfg Config, emit func(rdf.Triple)) *Data {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 0.1
 	}
@@ -193,9 +205,7 @@ func Generate(cfg Config) *Data {
 	roles := d.Pools["Role"]
 	languages := d.Pools["Language"]
 
-	add := func(s, pr, o rdf.Term) {
-		d.Triples = append(d.Triples, rdf.Triple{S: s, P: pr, O: o})
-	}
+	add := func(s, pr, o rdf.Term) { emit(rdf.Triple{S: s, P: pr, O: o}) }
 	pick := func(pool []rdf.Term) rdf.Term { return pool[rng.Intn(len(pool))] }
 	chance := func(pct int) bool { return rng.Intn(100) < pct }
 	lit := func(format string, args ...any) rdf.Term {

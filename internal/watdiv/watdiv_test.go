@@ -2,6 +2,7 @@ package watdiv
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -32,6 +33,21 @@ func TestGenerateDeterministic(t *testing.T) {
 		if same {
 			t.Error("different seeds produced identical data")
 		}
+	}
+}
+
+// TestGenerateToMatchesGenerate: the streaming form emits exactly the
+// triples Generate collects, in the same order, with the same pools.
+func TestGenerateToMatchesGenerate(t *testing.T) {
+	cfg := Config{Scale: 0.05, Seed: 7}
+	want := Generate(cfg)
+	var got []rdf.Triple
+	d := GenerateTo(cfg, func(tr rdf.Triple) { got = append(got, tr) })
+	if !reflect.DeepEqual(got, want.Triples) {
+		t.Fatalf("GenerateTo emitted %d triples, Generate collected %d (or their order differs)", len(got), len(want.Triples))
+	}
+	if d.Triples != nil || !reflect.DeepEqual(d.Pools, want.Pools) {
+		t.Fatal("GenerateTo's Data must carry Generate's pools and no triples")
 	}
 }
 
