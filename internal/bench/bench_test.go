@@ -193,22 +193,6 @@ func TestWorkbenchTimeout(t *testing.T) {
 	}
 }
 
-func TestShapeMeans(t *testing.T) {
-	cells := []Cell{
-		{Query: "L1", Shape: "L", Engine: "A", Reported: 10 * time.Millisecond},
-		{Query: "L2", Shape: "L", Engine: "A", Reported: 30 * time.Millisecond},
-		{Query: "S1", Shape: "S", Engine: "A", Reported: 5 * time.Millisecond},
-		{Query: "L1", Shape: "L", Engine: "B", Failed: true},
-	}
-	m := ShapeMeans(cells)
-	if m["A"]["L"] != 20*time.Millisecond {
-		t.Errorf("mean = %v", m["A"]["L"])
-	}
-	if _, ok := m["B"]["L"]; ok {
-		t.Error("failed cells must not contribute")
-	}
-}
-
 func TestFmtDur(t *testing.T) {
 	cases := map[time.Duration]string{
 		2 * time.Second:         "2.00s",

@@ -429,29 +429,3 @@ func fmtDur(d time.Duration) string {
 		return fmt.Sprintf("%dµs", d.Microseconds())
 	}
 }
-
-// ShapeMeans aggregates the cells into engine -> shape -> mean reported
-// time; used by tests to assert the paper's orderings.
-func ShapeMeans(cells []Cell) map[string]map[string]time.Duration {
-	sum := map[string]map[string]time.Duration{}
-	count := map[string]map[string]int{}
-	for _, c := range cells {
-		if c.Failed {
-			continue
-		}
-		if sum[c.Engine] == nil {
-			sum[c.Engine] = map[string]time.Duration{}
-			count[c.Engine] = map[string]int{}
-		}
-		sum[c.Engine][c.Shape] += c.Reported
-		count[c.Engine][c.Shape]++
-	}
-	out := map[string]map[string]time.Duration{}
-	for e, shapes := range sum {
-		out[e] = map[string]time.Duration{}
-		for s, total := range shapes {
-			out[e][s] = total / time.Duration(count[e][s])
-		}
-	}
-	return out
-}

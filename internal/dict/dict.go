@@ -154,11 +154,6 @@ func (d *Dict) EncodeTriple(t rdf.Triple) (s, p, o ID) {
 	return d.Encode(t.S), d.Encode(t.P), d.Encode(t.O)
 }
 
-// DecodeTriple reverses EncodeTriple.
-func (d *Dict) DecodeTriple(s, p, o ID) rdf.Triple {
-	return rdf.Triple{S: d.Decode(s), P: d.Decode(p), O: d.Decode(o)}
-}
-
 // Save writes the dictionary (one term per line, in ID order).
 func (d *Dict) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)

@@ -57,7 +57,7 @@ func TestEncodeTripleDecodeTriple(t *testing.T) {
 	d := New()
 	tr := rdf.Triple{S: rdf.NewIRI("a"), P: rdf.NewIRI("p"), O: rdf.NewLiteral("v")}
 	s, p, o := d.EncodeTriple(tr)
-	if got := d.DecodeTriple(s, p, o); got != tr {
+	if got := (rdf.Triple{S: d.Decode(s), P: d.Decode(p), O: d.Decode(o)}); got != tr {
 		t.Errorf("round trip = %v, want %v", got, tr)
 	}
 }

@@ -232,8 +232,8 @@ func TestPropertyTable(t *testing.T) {
 	if _, ok := pt.Value(ds.Dict.Lookup(iri("C")), age); ok {
 		t.Error("C has no age but PT returned one")
 	}
-	if pt.Width() != 1 {
-		t.Errorf("Width = %d, want 1", pt.Width())
+	if len(pt.Columns) != 1 {
+		t.Errorf("%d columns, want 1", len(pt.Columns))
 	}
 	if pt.NumRows() != 2 {
 		t.Errorf("NumRows = %d, want 2 (A and B)", pt.NumRows())

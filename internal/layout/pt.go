@@ -40,9 +40,6 @@ func (pt *PropertyTable) IsFunctional(p dict.ID) bool {
 // NumRows returns the number of subjects.
 func (pt *PropertyTable) NumRows() int { return len(pt.Subjects) }
 
-// Width returns the number of stored columns (excluding the subject).
-func (pt *PropertyTable) Width() int { return len(pt.Columns) }
-
 // Value returns the value of column p for subject s; ok is false when the
 // subject is unknown or has no value.
 func (pt *PropertyTable) Value(s, p dict.ID) (dict.ID, bool) {

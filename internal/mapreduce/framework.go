@@ -71,13 +71,6 @@ func (f *Framework) Stats() Stats {
 	return f.stats
 }
 
-// SimulatedOverhead returns jobs × JobOverhead for the jobs run so far.
-func (f *Framework) SimulatedOverhead() time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return time.Duration(f.stats.Jobs) * f.JobOverhead
-}
-
 // Run executes a job and returns the path of its output file.
 func (f *Framework) Run(job Job) (string, error) {
 	if job.Reducers <= 0 {

@@ -66,9 +66,6 @@ func TestFrameworkWordCount(t *testing.T) {
 	if st.Jobs != 1 || st.LinesRead != 2 || st.LinesWritten != 3 {
 		t.Errorf("stats = %+v", st)
 	}
-	if fw.SimulatedOverhead() != fw.JobOverhead {
-		t.Errorf("overhead = %v", fw.SimulatedOverhead())
-	}
 }
 
 func TestBindingCodecRoundTrip(t *testing.T) {

@@ -174,41 +174,6 @@ func (t Triple) String() string {
 	return string(t.S) + " " + string(t.P) + " " + string(t.O)
 }
 
-// Graph is a set of triples. It preserves insertion order and deduplicates.
-type Graph struct {
-	triples []Triple
-	seen    map[Triple]struct{}
-}
-
-// NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{seen: make(map[Triple]struct{})}
-}
-
-// Add inserts a triple; duplicates are ignored. It reports whether the
-// triple was newly added.
-func (g *Graph) Add(t Triple) bool {
-	if _, ok := g.seen[t]; ok {
-		return false
-	}
-	g.seen[t] = struct{}{}
-	g.triples = append(g.triples, t)
-	return true
-}
-
-// Len returns the number of distinct triples.
-func (g *Graph) Len() int { return len(g.triples) }
-
-// Triples returns the triples in insertion order. The slice must not be
-// modified.
-func (g *Graph) Triples() []Triple { return g.triples }
-
-// Contains reports whether the graph holds the triple.
-func (g *Graph) Contains(t Triple) bool {
-	_, ok := g.seen[t]
-	return ok
-}
-
 func escapeLiteral(s string) string {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
 		return s

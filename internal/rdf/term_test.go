@@ -84,26 +84,6 @@ func TestTermNumeric(t *testing.T) {
 	}
 }
 
-func TestGraphAddDedup(t *testing.T) {
-	g := NewGraph()
-	tr := Triple{NewIRI("a"), NewIRI("p"), NewIRI("b")}
-	if !g.Add(tr) {
-		t.Error("first Add returned false")
-	}
-	if g.Add(tr) {
-		t.Error("duplicate Add returned true")
-	}
-	if g.Len() != 1 {
-		t.Errorf("Len = %d, want 1", g.Len())
-	}
-	if !g.Contains(tr) {
-		t.Error("Contains = false")
-	}
-	if g.Contains(Triple{NewIRI("a"), NewIRI("p"), NewIRI("c")}) {
-		t.Error("Contains on absent triple = true")
-	}
-}
-
 func TestLiteralEscapeRoundTrip(t *testing.T) {
 	f := func(s string) bool {
 		term := NewLiteral(s)
@@ -130,17 +110,5 @@ func TestIsHelpers(t *testing.T) {
 	}
 	if !NewLiteral("x").IsLiteral() || NewBlank("b").IsLiteral() {
 		t.Error("IsLiteral wrong")
-	}
-}
-
-func TestGraphTriplesOrder(t *testing.T) {
-	g := NewGraph()
-	a := Triple{NewIRI("a"), NewIRI("p"), NewIRI("1")}
-	b := Triple{NewIRI("b"), NewIRI("p"), NewIRI("2")}
-	g.Add(a)
-	g.Add(b)
-	ts := g.Triples()
-	if len(ts) != 2 || ts[0] != a || ts[1] != b {
-		t.Errorf("Triples = %v", ts)
 	}
 }

@@ -319,16 +319,3 @@ func collectVars(evs ...evaluator) []string {
 func newExpr(ev evaluator, repr string) Expression {
 	return &exprNode{ev: ev, vars: collectVars(ev), repr: repr}
 }
-
-// Equal builds the expression ?v = term, used programmatically by tests and
-// examples.
-func Equal(varName string, t rdf.Term) Expression {
-	ev := cmpEval{op: "=", l: varEval{name: varName}, r: constEval{v: termValue(t)}}
-	return newExpr(ev, fmt.Sprintf("?%s = %s", varName, t))
-}
-
-// BoundExpr builds bound(?v).
-func BoundExpr(varName string) Expression {
-	ev := funcEval{name: "bound", args: []evaluator{varEval{name: varName}}}
-	return &exprNode{ev: ev, vars: []string{varName}, repr: "bound(?" + varName + ")"}
-}

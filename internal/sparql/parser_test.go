@@ -427,8 +427,10 @@ func TestFilterArithmetic(t *testing.T) {
 	}
 }
 
+// TestEqualHelper checks a parsed ?x = <iri> filter. (The name dates from
+// the sparql.Equal constructor; the parser builds the expression now.)
 func TestEqualHelper(t *testing.T) {
-	e := Equal("x", rdf.NewIRI("http://a"))
+	e := MustParse(`SELECT * WHERE { ?x <p> ?y . FILTER (?x = <http://a>) }`).Where.Filters[0]
 	if !e.Eval(Binding{"x": rdf.NewIRI("http://a")}) {
 		t.Error("Equal should match")
 	}
@@ -440,8 +442,10 @@ func TestEqualHelper(t *testing.T) {
 	}
 }
 
+// TestBoundExprHelper checks a parsed bound(?x) filter. (The name dates
+// from the sparql.BoundExpr constructor; the parser builds it now.)
 func TestBoundExprHelper(t *testing.T) {
-	e := BoundExpr("x")
+	e := MustParse(`SELECT * WHERE { ?x <p> ?y . FILTER (bound(?x)) }`).Where.Filters[0]
 	if !e.Eval(Binding{"x": rdf.NewLiteral("v")}) || e.Eval(Binding{}) {
 		t.Error("BoundExpr wrong")
 	}

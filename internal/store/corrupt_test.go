@@ -37,7 +37,7 @@ func encodeTable(t *testing.T, tbl *Table) []byte {
 }
 
 func sameTable(a, b *Table) bool {
-	if a.NumRows() != b.NumRows() || a.NumCols() != b.NumCols() {
+	if a.NumRows() != b.NumRows() || len(a.Cols) != len(b.Cols) {
 		return false
 	}
 	for c := range a.Data {

@@ -13,8 +13,8 @@ func TestTableAppendAndAccess(t *testing.T) {
 	tbl := NewTable("t", "s", "o")
 	tbl.Append(1, 2)
 	tbl.Append(3, 4)
-	if tbl.NumRows() != 2 || tbl.NumCols() != 2 {
-		t.Fatalf("dims = %dx%d", tbl.NumRows(), tbl.NumCols())
+	if tbl.NumRows() != 2 || len(tbl.Cols) != 2 {
+		t.Fatalf("dims = %dx%d", tbl.NumRows(), len(tbl.Cols))
 	}
 	if got := tbl.Col("o"); got[1] != 4 {
 		t.Errorf("Col(o)[1] = %d", got[1])
@@ -65,8 +65,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumRows() != tbl.NumRows() || got.NumCols() != tbl.NumCols() {
-		t.Fatalf("dims %dx%d, want %dx%d", got.NumRows(), got.NumCols(), tbl.NumRows(), tbl.NumCols())
+	if got.NumRows() != tbl.NumRows() || len(got.Cols) != len(tbl.Cols) {
+		t.Fatalf("dims %dx%d, want %dx%d", got.NumRows(), len(got.Cols), tbl.NumRows(), len(tbl.Cols))
 	}
 	for c := range tbl.Data {
 		for r := range tbl.Data[c] {

@@ -66,9 +66,6 @@ func (t *Table) NumRows() int {
 	return len(t.Data[0])
 }
 
-// NumCols returns the column count.
-func (t *Table) NumCols() int { return len(t.Cols) }
-
 // Append adds one row. The number of values must match the schema. New rows
 // invalidate any statistics a previous Finalize computed.
 func (t *Table) Append(row ...dict.ID) {
