@@ -70,13 +70,6 @@ func (c *lru[V]) put(key string, val V) {
 	}
 }
 
-// Len returns the number of cached entries.
-func (c *lru[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // Stats returns the cumulative hit and miss counts.
 func (c *lru[V]) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()

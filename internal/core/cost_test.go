@@ -137,7 +137,7 @@ func TestCostGatePricesPTScans(t *testing.T) {
 	p = mustPlan(t, e, lookup)
 	c = p.Cost()
 	res = execPlan(t, e, "bound PT star", p)
-	if width := e.ptTable().width; c.ScanRows != width || res.Metrics.RowsScanned != int64(width) {
+	if width := len(e.DS.PT.Columns); c.ScanRows != width || res.Metrics.RowsScanned != int64(width) {
 		t.Errorf("bound star: ScanRows = %d, executed RowsScanned = %d, want both %d (one row)",
 			c.ScanRows, res.Metrics.RowsScanned, width)
 	}

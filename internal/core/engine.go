@@ -214,12 +214,6 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) 
 	return e.ExecContext(ctx, q)
 }
 
-// Exec executes a parsed query. The query value is not modified, so one
-// parsed query may be executed repeatedly and concurrently.
-func (e *Engine) Exec(q *sparql.Query) (*Result, error) {
-	return e.ExecContext(context.Background(), q)
-}
-
 // ExecContext executes a parsed query under ctx and materializes the full
 // result. Every operator in the plan observes the context at row-batch
 // granularity; once it is done the partially-built relations are discarded

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"s2rdf/internal/dict"
@@ -16,7 +17,6 @@ import (
 type ptView struct {
 	table *store.Table
 	colOf map[dict.ID]string
-	width int // predicate columns: the cells one row's scan reads
 }
 
 func ptCol(p dict.ID) string { return fmt.Sprintf("p%d", p) }
@@ -48,30 +48,25 @@ func (e *Engine) ptTable() *ptView {
 		// planner never consults NDV, so the exact distinct counts (a hash
 		// set per wide column) are skipped.
 		v.table.FinalizeZones()
-		v.width = len(cols) - 1
 		e.pt = v
 	})
 	return e.pt
 }
 
 // starCells is a star's scan weight, the cells its scan reads: the rows in
-// its subject's binary-searched run of the sorted subject column — every
-// row for an unbound subject, at most one for a bound one, none for a term
-// the dictionary lacks — times the table's width. The planner prices a
-// star with it and evalBGPPT meters the same figure.
+// its subject's binary-searched run of the sorted, distinct subject column
+// — every row for an unbound subject, at most one for a bound one — times
+// the table's width. The planner prices a star with it and evalBGPPT
+// meters the same figure.
 func (e *Engine) starCells(subj sparql.Node) int {
-	subjects := e.DS.PT.Subjects
-	rows := len(subjects)
-	if !subj.IsVar() {
-		id := e.DS.Dict.Lookup(subj.Term)
-		lo := sort.Search(rows, func(i int) bool { return subjects[i] >= id })
-		hi := sort.Search(rows, func(i int) bool { return subjects[i] > id })
-		rows = 0
-		if id != dict.NoID {
-			rows = hi - lo
-		}
+	pt := e.DS.PT
+	if subj.IsVar() {
+		return pt.NumRows() * len(pt.Columns)
 	}
-	return rows * e.ptTable().width
+	if _, ok := slices.BinarySearch(pt.Subjects, e.DS.Dict.Lookup(subj.Term)); ok {
+		return len(pt.Columns)
+	}
+	return 0
 }
 
 // ptPlan is a BGP planned the way Sempala plans it (paper Sec. 3.2):
@@ -191,10 +186,9 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, p *bgpPlan, res *Result) (*engine.Re
 		// over its subject's run; the narrow Scan counted one cell per
 		// table row, so meter the difference (negative for a bound
 		// subject, whose run is at most one row).
-		if cells := int64(e.starCells(subj)); cells != st.Scanned {
-			ex.AddRowsScanned(cells - st.Scanned)
-			st.Scanned = cells
-		}
+		cells := int64(e.starCells(subj))
+		ex.AddRowsScanned(cells - st.Scanned)
+		st.Scanned = cells
 		// Required patterns must have a value: drop Null cells.
 		if len(nullChecks) > 0 {
 			idxs := make([]int, 0, len(nullChecks))

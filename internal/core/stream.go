@@ -23,7 +23,6 @@ import (
 type Stream struct {
 	e     *Engine
 	ex    *engine.Exec
-	qm    *engine.Metrics
 	res   *Result
 	it    *engine.BatchIter
 	start time.Time
@@ -73,11 +72,10 @@ func (e *Engine) ExecPlan(ctx context.Context, p *QueryPlan) (s *Stream, err err
 		}
 	}()
 	start := time.Now()
-	qm := &engine.Metrics{}
+	ex := e.Cluster.NewExecContext(ctx, nil)
 	// Joins spill only inside ExecPlan, so the query's spill total is final
 	// when it returns, whether it succeeded, failed or was cancelled.
-	defer func() { e.spilled.Add(qm.BytesSpilled.Load()) }()
-	ex := e.Cluster.NewExecContext(ctx, qm)
+	defer func() { e.spilled.Add(ex.MetricsSnapshot().BytesSpilled) }()
 	if e.MemBudget > 0 {
 		ex.SetMemBudget(e.MemBudget, e.SpillDir)
 	}
@@ -94,7 +92,7 @@ func (e *Engine) ExecPlan(ctx context.Context, p *QueryPlan) (s *Stream, err err
 		return nil, err
 	}
 
-	s = &Stream{e: e, ex: ex, qm: qm, res: res, start: start}
+	s = &Stream{e: e, ex: ex, res: res, start: start}
 
 	if q.Ask {
 		if err := ex.Err(); err != nil {
@@ -296,7 +294,7 @@ func (s *Stream) nextBlock() (*engine.Block, error) {
 // servers leave it empty). Call it after Next returned nil, or after
 // abandoning the stream, not before.
 func (s *Stream) Result() *Result {
-	s.res.Metrics = s.qm.Snapshot()
+	s.res.Metrics = s.ex.MetricsSnapshot()
 	s.res.Duration = time.Since(s.start)
 	s.res.TimeToFirstRow = s.ttfr
 	s.res.PeakMemBytes = s.ex.PeakMemBytes()

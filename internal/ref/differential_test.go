@@ -1,6 +1,7 @@
 package ref
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -212,7 +213,7 @@ func TestDifferentialGroups(t *testing.T) {
 		ds := layout.Build(triples, layout.DefaultOptions())
 		for _, mode := range []core.Mode{core.ModeExtVP, core.ModeVP, core.ModeTT} {
 			e := core.New(ds, mode)
-			res, err := e.Exec(q)
+			res, err := e.ExecContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("iter %d %v: %v\n%s", iter, mode, err, src)
 			}
@@ -334,7 +335,7 @@ func TestDifferentialAggregates(t *testing.T) {
 		ds := layout.Build(triples, layout.DefaultOptions())
 		for _, mode := range []core.Mode{core.ModeExtVP, core.ModeVP, core.ModeTT} {
 			e := core.New(ds, mode)
-			res, err := e.Exec(q)
+			res, err := e.ExecContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("iter %d %v: %v\n%s", iter, mode, err, src)
 			}
