@@ -31,7 +31,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
 		w = f
 	}
 	// Each triple is written as it is made, so memory stays at the entity
@@ -47,6 +46,9 @@ func main() {
 	})
 	if werr == nil {
 		werr = nt.Flush()
+	}
+	if werr == nil && w != os.Stdout {
+		werr = w.Close()
 	}
 	if werr != nil {
 		log.Fatal(werr)
