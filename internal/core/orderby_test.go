@@ -87,7 +87,7 @@ func TestOrderByMixedColumnIgnoresInputOrder(t *testing.T) {
 		for i, id := range perm {
 			rows[i] = engine.Row{id, dict.ID(i)}
 		}
-		ex := e.Cluster.NewExec(nil)
+		ex := e.Cluster.NewExec()
 		rel := ex.FromRows([]string{"v", "pos"}, rows)
 		for _, c := range []struct {
 			desc bool

@@ -72,7 +72,7 @@ func (e *Engine) ExecPlan(ctx context.Context, p *QueryPlan) (s *Stream, err err
 		}
 	}()
 	start := time.Now()
-	ex := e.Cluster.NewExecContext(ctx, nil)
+	ex := e.Cluster.NewExecContext(ctx)
 	// Joins spill only inside ExecPlan, so the query's spill total is final
 	// when it returns, whether it succeeded, failed or was cancelled.
 	defer func() { e.spilled.Add(ex.MetricsSnapshot().BytesSpilled) }()

@@ -189,31 +189,30 @@ func TestUnionEmptySide(t *testing.T) {
 // every operator uniformly.
 func TestOperatorsMeterRowsOutput(t *testing.T) {
 	c := NewCluster(2)
-	var m Metrics
-	x := c.NewExec(&m)
+	x := c.NewExec()
 
 	rel := x.FromRows([]string{"x", "y"},
 		[]Row{{1, 2}, {1, 2}, {2, 3}, {3, 4}}) // FromRows does not meter
-	if got := m.RowsOutput.Load(); got != 0 {
+	if got := x.MetricsSnapshot().RowsOutput; got != 0 {
 		t.Fatalf("RowsOutput after FromRows = %d, want 0", got)
 	}
 
 	total := int64(0)
 	filtered := x.Filter(rel, func(r Row) bool { return r[0] < 3 }) // 3 rows
 	total += int64(filtered.NumRows())
-	if got := m.RowsOutput.Load(); got != total {
+	if got := x.MetricsSnapshot().RowsOutput; got != total {
 		t.Errorf("after Filter: RowsOutput = %d, want %d", got, total)
 	}
 
 	projected := x.Project(filtered, []string{"x"}) // 3 rows
 	total += int64(projected.NumRows())
-	if got := m.RowsOutput.Load(); got != total {
+	if got := x.MetricsSnapshot().RowsOutput; got != total {
 		t.Errorf("after Project: RowsOutput = %d, want %d", got, total)
 	}
 
 	unioned := x.Union(projected, x.FromRows([]string{"x"}, []Row{{9}})) // 4 rows
 	total += int64(unioned.NumRows())
-	if got := m.RowsOutput.Load(); got != total {
+	if got := x.MetricsSnapshot().RowsOutput; got != total {
 		t.Errorf("after Union: RowsOutput = %d, want %d", got, total)
 	}
 
@@ -222,7 +221,7 @@ func TestOperatorsMeterRowsOutput(t *testing.T) {
 	if distinct.NumRows() != 3 {
 		t.Fatalf("Distinct = %d rows, want 3", distinct.NumRows())
 	}
-	if got := m.RowsOutput.Load(); got != total {
+	if got := x.MetricsSnapshot().RowsOutput; got != total {
 		t.Errorf("after Distinct: RowsOutput = %d, want %d", got, total)
 	}
 }

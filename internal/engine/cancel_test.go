@@ -13,7 +13,7 @@ func TestCancelledExecSkipsOperators(t *testing.T) {
 	c := NewCluster(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	x := c.NewExecContext(ctx, nil)
+	x := c.NewExecContext(ctx)
 
 	if err := x.Err(); err != context.Canceled {
 		t.Fatalf("Err = %v, want context.Canceled", err)
@@ -34,7 +34,7 @@ func TestCancelledExecSkipsOperators(t *testing.T) {
 func TestExecWithoutContextNeverCancels(t *testing.T) {
 	follows, _ := g1VP()
 	c := NewCluster(2)
-	x := c.NewExec(nil)
+	x := c.NewExec()
 	if x.Err() != nil || x.Cancelled() {
 		t.Fatal("context-free Exec reports cancellation")
 	}
@@ -60,7 +60,7 @@ func TestCancelMidJoinReturnsPromptly(t *testing.T) {
 	left, right := mk("a", 0), mk("b", 1<<20)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	x := c.NewExecContext(ctx, nil)
+	x := c.NewExecContext(ctx)
 	time.AfterFunc(5*time.Millisecond, cancel)
 
 	start := time.Now()
@@ -86,7 +86,7 @@ func TestDeadlineExceededSurfacesInErr(t *testing.T) {
 	c := NewCluster(2)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	x := c.NewExecContext(ctx, nil)
+	x := c.NewExecContext(ctx)
 	if err := x.Err(); err != context.DeadlineExceeded {
 		t.Fatalf("Err = %v, want context.DeadlineExceeded", err)
 	}

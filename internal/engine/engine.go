@@ -147,11 +147,11 @@ func NewCluster(partitions int) *Cluster {
 func (c *Cluster) Partitions() int { return c.partitions }
 
 // Exec is a query-scoped execution handle on a Cluster. Operators invoked
-// through an Exec meter into its per-query Metrics. Exec values are cheap;
-// create one per query.
+// through an Exec meter into its own Metrics (MetricsSnapshot). Exec values
+// are cheap; create one per query.
 type Exec struct {
 	c   *Cluster
-	m   *Metrics
+	m   Metrics
 	ctx context.Context
 	// done caches ctx.Done(); nil means the context can never be cancelled
 	// and all cancellation checks compile down to a nil comparison.
@@ -205,26 +205,19 @@ func WithYielder(ctx context.Context, y Yielder) context.Context {
 	return context.WithValue(ctx, yielderKey{}, y)
 }
 
-// NewExec returns an execution handle metering into m; a nil m gets a
-// private one (read it back with MetricsSnapshot). The execution is not
-// cancellable; use NewExecContext to bind a context.
-func (c *Cluster) NewExec(m *Metrics) *Exec {
-	if m == nil {
-		m = &Metrics{}
-	}
-	return &Exec{c: c, m: m}
-}
+// NewExec returns an execution handle with its own zeroed Metrics. The
+// execution is not cancellable; use NewExecContext to bind a context.
+func (c *Cluster) NewExec() *Exec { return &Exec{c: c} }
 
 // NewExecContext returns an execution handle like NewExec whose operators
 // additionally observe ctx: when ctx is cancelled or its deadline passes,
 // running operators stop within one row batch and return truncated output,
 // and Err reports why. Callers must check Err before trusting results.
-func (c *Cluster) NewExecContext(ctx context.Context, m *Metrics) *Exec {
+func (c *Cluster) NewExecContext(ctx context.Context) *Exec {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	x := c.NewExec(m)
-	x.ctx, x.done = ctx, ctx.Done()
+	x := &Exec{c: c, ctx: ctx, done: ctx.Done()}
 	if y, ok := ctx.Value(yielderKey{}).(Yielder); ok {
 		x.yield = y
 	}
@@ -355,8 +348,9 @@ func (x *Exec) stop(rows int) bool {
 // hot path and the granularity in one place.
 func (x *Exec) StopAt(rows int) bool { return x.stop(rows) }
 
-// AddRowsScanned meters n extra scanned rows (used by wide-table scans that
-// account for columns the narrow Scan projection did not touch).
+// AddRowsScanned adds n, which may be negative, to the scanned-row meter:
+// a wide-table scan re-weights what the narrow Scan counted to the cells
+// it read.
 func (x *Exec) AddRowsScanned(n int64) { x.m.RowsScanned.Add(n) }
 
 // The operators' meters, one per Metrics field.

@@ -38,7 +38,7 @@ func rowsEqual(t *testing.T, got *Relation, want []Row) {
 
 // exec returns an execution handle on c with its own counters, for tests
 // that run single operators.
-func (c *Cluster) exec() *Exec { return c.NewExec(nil) }
+func (c *Cluster) exec() *Exec { return c.NewExec() }
 
 // mustScan runs ScanTable and panics on a spec the table rejects: tests
 // build both table and spec, so a rejection is a bug in the test itself.

@@ -193,13 +193,12 @@ func TestOperatorEquivalenceRandomized(t *testing.T) {
 			// join runs op in memory and under the one-byte budget, checks
 			// the first against want and the second against the first.
 			join := func(desc string, want []Row, op func(x *Exec) *Relation) {
-				got := op(c.NewExec(nil))
+				got := op(c.NewExec())
 				checkRows(t, desc, got, want)
-				var m Metrics
-				x := c.NewExec(&m)
+				x := c.NewExec()
 				x.SetMemBudget(1, spillDir)
 				spilled, inMemory := op(x).Rows(), got.Rows()
-				if spills && m.BytesSpilled.Load() == 0 {
+				if spills && x.MetricsSnapshot().BytesSpilled == 0 {
 					t.Fatalf("%s under a 1-byte budget spilled nothing", desc)
 				}
 				if len(spilled) != len(inMemory) {
@@ -227,7 +226,7 @@ func TestOperatorEquivalenceRandomized(t *testing.T) {
 				}
 			}
 			{
-				x := c.NewExec(nil)
+				x := c.NewExec()
 				got := x.Union(left, right)
 				wantSchema, want := refUnion(lS, rS, lrows, rrows)
 				if len(got.Schema) != len(wantSchema) {
@@ -236,7 +235,7 @@ func TestOperatorEquivalenceRandomized(t *testing.T) {
 				checkRows(t, tag("Union"), got, want)
 			}
 			{
-				x := c.NewExec(nil)
+				x := c.NewExec()
 				got := x.Distinct(left)
 				checkRows(t, tag("Distinct"), got, refDistinct(lrows))
 			}

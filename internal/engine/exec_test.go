@@ -21,9 +21,9 @@ func TestExecPerQueryMetrics(t *testing.T) {
 
 	// Isolated baseline.
 	base := NewCluster(4)
-	var baseM Metrics
-	baseRel := plan(base.NewExec(&baseM))
-	want := baseM.Snapshot()
+	bx := base.NewExec()
+	baseRel := plan(bx)
+	want := bx.MetricsSnapshot()
 	wantRows := sortedRows(baseRel)
 
 	c := NewCluster(4)
@@ -36,9 +36,9 @@ func TestExecPerQueryMetrics(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				var m Metrics
-				rel := plan(c.NewExec(&m))
-				if got := m.Snapshot(); got != want {
+				x := c.NewExec()
+				rel := plan(x)
+				if got := x.MetricsSnapshot(); got != want {
 					errs <- fmt.Errorf("per-query metrics %+v, want %+v", got, want)
 					return
 				}
@@ -56,12 +56,13 @@ func TestExecPerQueryMetrics(t *testing.T) {
 	}
 }
 
-// TestExecNilMetrics checks a handle made with NewExec(nil) meters into
-// counters of its own, and only its own.
+// TestExecNilMetrics checks each handle meters into counters of its own,
+// and only its own. (The name dates from NewExec's former *Metrics
+// argument, where nil asked for a private set.)
 func TestExecNilMetrics(t *testing.T) {
 	follows, _ := g1VP()
 	c := NewCluster(2)
-	x, other := c.NewExec(nil), c.NewExec(nil)
+	x, other := c.NewExec(), c.NewExec()
 	mustScan(x, follows, ScanSpec{Projs: []ScanProjection{{"s", "x"}}})
 	if got := x.MetricsSnapshot().RowsScanned; got != int64(follows.NumRows()) {
 		t.Errorf("RowsScanned = %d, want %d", got, follows.NumRows())

@@ -31,18 +31,17 @@ func spillWorkload() (left, right []Row) {
 
 // joinUnderInjector runs the budgeted (spilling) shuffle join with fs
 // injected, returning the sorted rows and the per-query metrics.
-func joinUnderInjector(t *testing.T, fs fault.FS, rep FaultReporter) ([]Row, *Metrics) {
+func joinUnderInjector(t *testing.T, fs fault.FS, rep FaultReporter) ([]Row, MetricsSnapshot) {
 	t.Helper()
 	left, right := spillWorkload()
 	c := NewCluster(2)
-	var m Metrics
-	x := c.NewExecContext(context.Background(), &m)
+	x := c.NewExecContext(context.Background())
 	x.SetMemBudget(1, t.TempDir())
 	x.SetFaultPolicy(fs, rep)
 	got := sortedRows(x.JoinWith(
 		x.FromRows([]string{"k", "l"}, left),
 		x.FromRows([]string{"k", "r"}, right), StrategyShuffle))
-	return got, &m
+	return got, x.MetricsSnapshot()
 }
 
 // joinInMemory is the reference: same join, no budget, no faults.
@@ -50,7 +49,7 @@ func joinInMemory(t *testing.T) []Row {
 	t.Helper()
 	left, right := spillWorkload()
 	c := NewCluster(2)
-	x := c.NewExec(nil)
+	x := c.NewExec()
 	return sortedRows(x.JoinWith(
 		x.FromRows([]string{"k", "l"}, left),
 		x.FromRows([]string{"k", "r"}, right), StrategyShuffle))
@@ -78,7 +77,7 @@ func TestFaultSpillTransientRetry(t *testing.T) {
 	h := fault.NewHealth()
 	got, m := joinUnderInjector(t, in, h)
 	assertRowsEqual(t, got, want, "transient-fault spilled join")
-	if m.BytesSpilled.Load() == 0 {
+	if m.BytesSpilled == 0 {
 		t.Fatal("join did not spill after transient fault: retry did not engage")
 	}
 	snap := h.Snapshot()
@@ -100,8 +99,8 @@ func TestFaultSpillPersistentFallback(t *testing.T) {
 	h := fault.NewHealth()
 	got, m := joinUnderInjector(t, in, h)
 	assertRowsEqual(t, got, want, "persistent-fault fallback join")
-	if m.BytesSpilled.Load() != 0 {
-		t.Fatalf("BytesSpilled = %d with every write failing", m.BytesSpilled.Load())
+	if m.BytesSpilled != 0 {
+		t.Fatalf("BytesSpilled = %d with every write failing", m.BytesSpilled)
 	}
 	snap := h.Snapshot()
 	if snap.IOFailures < spillRetries {
@@ -167,7 +166,7 @@ func TestPanicInParallelWorkerContained(t *testing.T) {
 	if c.workers < 2 {
 		c.workers = 2
 	}
-	x := c.NewExecContext(context.Background(), nil)
+	x := c.NewExecContext(context.Background())
 
 	defer func() {
 		r := recover()
@@ -200,7 +199,7 @@ func TestPanicSequentialPathPropagates(t *testing.T) {
 
 	c := NewCluster(1)
 	c.workers = 1
-	x := c.NewExec(nil)
+	x := c.NewExec()
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("sequential-path panic was swallowed")

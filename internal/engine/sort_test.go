@@ -123,7 +123,7 @@ func TestTopKAndOrderByMatchReference(t *testing.T) {
 		}
 		want := refSort(rows, cols)
 
-		x := NewCluster(1 + rng.Intn(3)).NewExec(nil)
+		x := NewCluster(1 + rng.Intn(3)).NewExec()
 		sorted := x.OrderBy(r, cols, mixedKey)
 		if i := firstDiff(sorted.Rows(), want); i >= 0 {
 			t.Fatalf("trial %d: OrderBy(%v) over %d rows differs from the reference at row %d", trial, cols, n, i)
@@ -179,15 +179,15 @@ func TestJoinTopKMatchesTopKOfJoin(t *testing.T) {
 		k := []int{0, 1, 3, 10, 40}[rng.Intn(5)]
 		parts := 1 + rng.Intn(4)
 
-		var mw, mg Metrics
-		xw := NewCluster(parts).NewExec(&mw)
+		xw := NewCluster(parts).NewExec()
 		joined := xw.JoinWith(l, r, strat)
 		applies := k > 0 && UseTopK(k, joined.NumRows())
 		var want []Row
 		if applies {
 			want = xw.TopK(joined, k, cols, mixedKey).Rows()
 		}
-		got, applied := NewCluster(parts).NewExec(&mg).JoinTopK(l, r, strat, k, cols, mixedKey)
+		xg := NewCluster(parts).NewExec()
+		got, applied := xg.JoinTopK(l, r, strat, k, cols, mixedKey)
 		if applied != applies {
 			t.Fatalf("trial %d: JoinTopK applied = %v over %d rows with k = %d", trial, applied, joined.NumRows(), k)
 		}
@@ -201,7 +201,7 @@ func TestJoinTopKMatchesTopKOfJoin(t *testing.T) {
 		if i := firstDiff(got.Rows(), want); i >= 0 {
 			t.Fatalf("trial %d: JoinTopK(%d, %v, %v) differs from TopK of the join at row %d", trial, k, cols, strat, i)
 		}
-		w, g := mw.Snapshot(), mg.Snapshot()
+		w, g := xw.MetricsSnapshot(), xg.MetricsSnapshot()
 		if w.RowsShuffled != g.RowsShuffled || w.JoinComparisons != g.JoinComparisons ||
 			w.RowsOutput != g.RowsOutput || w.RowsSorted != g.RowsSorted {
 			t.Fatalf("trial %d: metrics %+v, JoinWith+TopK %+v", trial, g, w)
@@ -246,7 +246,7 @@ func TestOrderByAndTopKStopWithinABatch(t *testing.T) {
 	for name, op := range ops {
 		ctx, cancel := context.WithCancel(context.Background())
 		y := &cancelAfter{n: 7, cancel: cancel}
-		x := c.NewExecContext(WithYielder(ctx, y), nil)
+		x := c.NewExecContext(WithYielder(ctx, y))
 		out := op(x, func(id dict.ID) SortKey {
 			y.keys.Add(1)
 			return idKey(id)
@@ -260,7 +260,7 @@ func TestOrderByAndTopKStopWithinABatch(t *testing.T) {
 		}
 
 		var polls countingYielder
-		x = c.NewExecContext(WithYielder(context.Background(), &polls), nil)
+		x = c.NewExecContext(WithYielder(context.Background(), &polls))
 		out = op(x, idKey)
 		if got := out.Parts[0].Col(0)[0]; got != parts*perPart {
 			t.Errorf("%s: yielding run's first row = %d, want %d", name, got, parts*perPart)
@@ -315,7 +315,7 @@ func BenchmarkTopK(b *testing.B) {
 	r := benchSortInput()
 	for _, bk := range benchKeys() {
 		b.Run(bk.name, func(b *testing.B) {
-			x := NewCluster(3).NewExec(nil)
+			x := NewCluster(3).NewExec()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				benchSink = x.TopK(r, 10, ascCols(0), bk.keyOf)
@@ -328,7 +328,7 @@ func BenchmarkOrderBy(b *testing.B) {
 	r := benchSortInput()
 	for _, bk := range benchKeys() {
 		b.Run(bk.name, func(b *testing.B) {
-			x := NewCluster(3).NewExec(nil)
+			x := NewCluster(3).NewExec()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				benchSink = x.OrderBy(r, ascCols(0), bk.keyOf)

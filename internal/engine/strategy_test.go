@@ -150,16 +150,15 @@ func TestCoPartitionedJoinShufflesNothing(t *testing.T) {
 		}
 		return c.exec().FromRows([]string{"x", col2}, rows)
 	}
-	var m Metrics
-	x := c.NewExec(&m)
+	x := c.NewExec()
 	left := x.JoinWith(mk("y", 100), mk("z", 200), StrategyShuffle)
 	right := x.JoinWith(mk("v", 300), mk("w", 400), StrategyShuffle)
-	before := m.RowsShuffled.Load()
+	before := x.MetricsSnapshot().RowsShuffled
 	if before != 160 {
 		t.Fatalf("the two input joins shuffled %d rows, want 160", before)
 	}
 	out := x.JoinWith(left, right, StrategyShuffle)
-	if d := m.RowsShuffled.Load() - before; d != 0 {
+	if d := x.MetricsSnapshot().RowsShuffled - before; d != 0 {
 		t.Errorf("co-partitioned join shuffled %d rows, want 0", d)
 	}
 	if out.NumRows() != 40 {

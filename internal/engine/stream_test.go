@@ -60,7 +60,7 @@ func TestStreamBatchesCoverAllRows(t *testing.T) {
 		rows = append(rows, Row{dict.ID(i), dict.ID(i * 2)})
 	}
 	r := relOfRows(c, []string{"a", "b"}, rows)
-	x := c.NewExec(nil)
+	x := c.NewExec()
 
 	for _, batch := range []int{0, 1, 7, 1024, 100000} {
 		it := r.Batches(x, batch)
@@ -100,7 +100,7 @@ func TestStreamBatchesShareStorage(t *testing.T) {
 		rows = append(rows, Row{dict.ID(i)})
 	}
 	r := relOfRows(c, []string{"a"}, rows)
-	x := c.NewExec(nil)
+	x := c.NewExec()
 	b, ok := r.Batches(x, 10).Next()
 	if !ok || b.Len() != 10 {
 		t.Fatalf("first batch: ok=%v len=%d", ok, b.Len())
@@ -118,7 +118,7 @@ func TestStreamBatchesStopOnCancel(t *testing.T) {
 	}
 	r := relOfRows(c, []string{"a"}, rows)
 	ctx, cancel := context.WithCancel(context.Background())
-	x := c.NewExecContext(ctx, nil)
+	x := c.NewExecContext(ctx)
 	it := r.Batches(x, 512)
 	if _, ok := it.Next(); !ok {
 		t.Fatal("first batch should arrive before cancellation")
@@ -154,17 +154,15 @@ func TestTopKBoundsRowsSorted(t *testing.T) {
 		rows = append(rows, Row{dict.ID(i % 977)})
 	}
 	r := relOfRows(c, []string{"a"}, rows)
-	var m Metrics
-	x := c.NewExec(&m)
+	x := c.NewExec()
 	x.TopK(r, 25, ascCols(0), idKey)
-	if got := m.RowsSorted.Load(); got != 25 {
+	if got := x.MetricsSnapshot().RowsSorted; got != 25 {
 		t.Fatalf("TopK(25) metered RowsSorted=%d, want 25", got)
 	}
 
-	var m2 Metrics
-	x2 := c.NewExec(&m2)
+	x2 := c.NewExec()
 	x2.OrderBy(r, ascCols(0), idKey)
-	if got := m2.RowsSorted.Load(); got != 10000 {
+	if got := x2.MetricsSnapshot().RowsSorted; got != 10000 {
 		t.Fatalf("OrderBy metered RowsSorted=%d, want 10000", got)
 	}
 }
@@ -172,7 +170,7 @@ func TestTopKBoundsRowsSorted(t *testing.T) {
 func TestTopKZeroAndOversized(t *testing.T) {
 	c := NewCluster(2)
 	r := relOfRows(c, []string{"a"}, []Row{{3}, {1}, {2}})
-	x := c.NewExec(nil)
+	x := c.NewExec()
 	if got := x.TopK(r, 0, ascCols(0), idKey); got.NumRows() != 0 || len(got.Schema) != 1 {
 		t.Fatalf("TopK(0) = %d rows, schema %v", got.NumRows(), got.Schema)
 	}
@@ -189,7 +187,7 @@ func TestMemBudgetPeakAccounting(t *testing.T) {
 	for i := 0; i < 2048; i++ {
 		rows = append(rows, Row{dict.ID(i), dict.ID(i % 13)})
 	}
-	x := c.NewExec(nil)
+	x := c.NewExec()
 	r := x.FromRows([]string{"a", "b"}, rows)
 	if got, min := x.PeakMemBytes(), int64(2048*2*idBytes); got < min {
 		t.Fatalf("PeakMemBytes = %d after materializing %d bytes", got, min)
@@ -216,14 +214,13 @@ func TestSpillJoinEquivalence(t *testing.T) {
 		}
 
 		// Unbounded execution: in-memory hash join.
-		xu := c.NewExec(nil)
+		xu := c.NewExec()
 		lu := xu.FromRows([]string{"k", "l"}, left)
 		ru := xu.FromRows([]string{"k", "r"}, right)
 		want := sortedRows(xu.JoinWith(lu, ru, StrategyShuffle))
 
 		// Budgeted execution: 1 byte forces every build to spill.
-		var m Metrics
-		xb := c.NewExecContext(context.Background(), &m)
+		xb := c.NewExecContext(context.Background())
 		xb.SetMemBudget(1, t.TempDir())
 		lb := xb.FromRows([]string{"k", "l"}, left)
 		rb := xb.FromRows([]string{"k", "r"}, right)
@@ -238,7 +235,7 @@ func TestSpillJoinEquivalence(t *testing.T) {
 				t.Fatalf("trial %d: row %d = %v, want %v", trial, i, got[i], want[i])
 			}
 		}
-		if nl > 0 && nr > 0 && m.BytesSpilled.Load() == 0 {
+		if nl > 0 && nr > 0 && xb.MetricsSnapshot().BytesSpilled == 0 {
 			t.Fatalf("trial %d: join under 1-byte budget spilled nothing", trial)
 		}
 	}
@@ -251,12 +248,12 @@ func TestSpillJoinMultiColumnKeys(t *testing.T) {
 	left := []Row{{1, 1, 10}, {1, 2, 11}, {2, 1, 12}}
 	right := []Row{{1, 1, 20}, {1, 9, 21}, {2, 1, 22}, {2, 1, 23}}
 
-	xu := c.NewExec(nil)
+	xu := c.NewExec()
 	want := sortedRows(xu.JoinWith(
 		xu.FromRows([]string{"k", "k2", "l"}, left),
 		xu.FromRows([]string{"k", "k2", "r"}, right), StrategyShuffle))
 
-	xb := c.NewExec(nil)
+	xb := c.NewExec()
 	xb.SetMemBudget(1, t.TempDir())
 	got := sortedRows(xb.JoinWith(
 		xb.FromRows([]string{"k", "k2", "l"}, left),
@@ -281,13 +278,12 @@ func TestSpillBroadcastJoinEquivalence(t *testing.T) {
 			right[i] = Row{dict.ID(rng.Intn(150)), dict.ID(rng.Intn(40))}
 		}
 
-		xu := c.NewExec(nil)
+		xu := c.NewExec()
 		want := sortedRows(xu.JoinWith(
 			xu.FromRows([]string{"k", "l"}, left),
 			xu.FromRows([]string{"k", "r"}, right), StrategyBroadcast))
 
-		var m Metrics
-		xb := c.NewExec(&m)
+		xb := c.NewExec()
 		xb.SetMemBudget(1, t.TempDir())
 		got := sortedRows(xb.JoinWith(
 			xb.FromRows([]string{"k", "l"}, left),
@@ -301,7 +297,7 @@ func TestSpillBroadcastJoinEquivalence(t *testing.T) {
 				t.Fatalf("trial %d: row %d = %v, want %v", trial, i, got[i], want[i])
 			}
 		}
-		if m.BytesSpilled.Load() == 0 {
+		if xb.MetricsSnapshot().BytesSpilled == 0 {
 			t.Fatalf("trial %d: broadcast under 1-byte budget spilled nothing", trial)
 		}
 	}
@@ -318,13 +314,12 @@ func TestSpillJoinManyRuns(t *testing.T) {
 	}
 	right := []Row{{17, 100000}, {4000, 100001}}
 
-	xu := c.NewExec(nil)
+	xu := c.NewExec()
 	want := sortedRows(xu.JoinWith(
 		xu.FromRows([]string{"k", "l"}, left),
 		xu.FromRows([]string{"k", "r"}, right), StrategyShuffle))
 
-	var m Metrics
-	xb := c.NewExec(&m)
+	xb := c.NewExec()
 	xb.SetMemBudget(1, t.TempDir())
 	got := sortedRows(xb.JoinWith(
 		xb.FromRows([]string{"k", "l"}, left),
@@ -333,7 +328,7 @@ func TestSpillJoinManyRuns(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("multi-run spilled join: got %d rows, want %d", len(got), len(want))
 	}
-	if m.BytesSpilled.Load() == 0 {
+	if xb.MetricsSnapshot().BytesSpilled == 0 {
 		t.Fatal("BytesSpilled = 0 for a forced spill")
 	}
 }

@@ -30,7 +30,7 @@ func yieldRows(n int) []Row {
 func TestSchedYieldHookInvoked(t *testing.T) {
 	c := NewCluster(2)
 	var y countingYielder
-	x := c.NewExecContext(WithYielder(context.Background(), &y), nil)
+	x := c.NewExecContext(WithYielder(context.Background(), &y))
 
 	const n = 8 * cancelBatch
 	rel := x.FromRows([]string{"v"}, yieldRows(n))
@@ -45,7 +45,7 @@ func TestSchedYieldHookInvoked(t *testing.T) {
 	// A plain execution (no yielder on the context) must not pay any
 	// pacing cost paths: same work, hook untouched.
 	before := y.calls.Load()
-	x2 := c.NewExecContext(context.Background(), nil)
+	x2 := c.NewExecContext(context.Background())
 	out2 := x2.Filter(x2.FromRows([]string{"v"}, yieldRows(n)), func(r Row) bool { return r[0]%2 == 0 })
 	if got := out2.NumRows(); got != n/2 {
 		t.Fatalf("plain exec filtered rows = %d, want %d", got, n/2)
@@ -59,12 +59,12 @@ func TestSchedYieldHookInvoked(t *testing.T) {
 // Exec with neither context nor yielder still short-circuits stop().
 func TestSchedYieldHookWithoutContext(t *testing.T) {
 	c := NewCluster(2)
-	x := c.NewExec(nil)
+	x := c.NewExec()
 	if x.stop(cancelBatch) {
 		t.Fatal("uncancellable exec reported stop")
 	}
 	var y countingYielder
-	x3 := c.NewExecContext(WithYielder(context.Background(), &y), nil)
+	x3 := c.NewExecContext(WithYielder(context.Background(), &y))
 	if x3.stop(cancelBatch) {
 		t.Fatal("yield-only exec reported stop")
 	}
