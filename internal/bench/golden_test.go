@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,15 +53,37 @@ type goldenRecord struct {
 	GateCost  int                    `json:"gate_cost"`
 }
 
-// goldenSets are the workloads, each written to <name>.counters.json.
+// goldenSets are the workloads, each written to <name>.counters.json. A
+// set's suffix is appended to every query text.
 var goldenSets = []struct {
 	name      string
 	templates []watdiv.Template
+	suffix    string
 	modes     []core.Mode
 }{
-	{"basic", watdiv.BasicTemplates(), []core.Mode{core.ModeExtVP, core.ModeVP, core.ModePT}},
-	{"st", watdiv.STTemplates(), []core.Mode{core.ModeExtVP, core.ModeVP}},
-	{"il", watdiv.ILTemplates(), []core.Mode{core.ModeExtVP, core.ModeVP}},
+	{"basic", watdiv.BasicTemplates(), "", []core.Mode{core.ModeExtVP, core.ModeVP, core.ModePT, core.ModeTT}},
+	{"st", watdiv.STTemplates(), "", []core.Mode{core.ModeExtVP, core.ModeVP}},
+	{"il", watdiv.ILTemplates(), "", []core.Mode{core.ModeExtVP, core.ModeVP}},
+	{"analytic_reduce", analyticTemplates(), " ORDER BY ?v0 LIMIT 10", []core.Mode{core.ModeExtVP, core.ModeVP}},
+}
+
+// analyticTemplates are the 12 large-result templates of the benchmark's
+// analytic workloads (1e4-4e5 rows at scale 10).
+func analyticTemplates() []watdiv.Template {
+	names := []string{
+		"C3", "ST-1-1", "ST-1-2", "ST-3-2", "ST-4-1", "ST-5-1", "ST-7-2",
+		"IL-3-5", "IL-3-6", "IL-3-7", "IL-3-9", "IL-3-10",
+	}
+	all := slices.Concat(watdiv.BasicTemplates(), watdiv.STTemplates(), watdiv.ILTemplates())
+	out := make([]watdiv.Template, len(names))
+	for i, n := range names {
+		j := slices.IndexFunc(all, func(t watdiv.Template) bool { return t.Name == n })
+		if j < 0 {
+			panic("golden: unknown WatDiv template " + n)
+		}
+		out[i] = all[j]
+	}
+	return out
 }
 
 func TestGoldenCounters(t *testing.T) {
@@ -74,7 +97,7 @@ func TestGoldenCounters(t *testing.T) {
 		// partition count stays pinned.
 		runtime.GOMAXPROCS(procs)
 		engines := map[core.Mode]*core.Engine{}
-		for _, m := range []core.Mode{core.ModeExtVP, core.ModeVP, core.ModePT} {
+		for _, m := range []core.Mode{core.ModeExtVP, core.ModeVP, core.ModePT, core.ModeTT} {
 			e := core.New(ds, m)
 			e.Cluster = engine.NewCluster(goldenPartitions)
 			engines[m] = e
@@ -82,7 +105,7 @@ func TestGoldenCounters(t *testing.T) {
 		for _, set := range goldenSets {
 			var recs []goldenRecord
 			for _, tmpl := range set.templates {
-				text := tmpl.Instantiate(data, rand.New(rand.NewSource(goldenInstSeed)))
+				text := tmpl.Instantiate(data, rand.New(rand.NewSource(goldenInstSeed))) + set.suffix
 				for _, m := range set.modes {
 					recs = append(recs, goldenRun(t, engines[m], tmpl.Name, text))
 				}
@@ -93,29 +116,38 @@ func TestGoldenCounters(t *testing.T) {
 				}
 				return recs[i].Mode < recs[j].Mode
 			})
-			got, err := json.MarshalIndent(recs, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
-			path := filepath.Join("testdata", "golden", set.name+".counters.json")
-			if *update && procs == 1 {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create it)", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s at GOMAXPROCS %d: counters differ from %s:\n%s",
-					set.name, procs, path, firstLineDiff(want, got))
-			}
+			goldenCompare(t, set.name+".counters.json", procs, recs)
 		}
+	}
+	// The layout summary: tables, tuples, empty and cut ExtVP candidates.
+	goldenCompare(t, "layout.json", 1, ds.Sizes())
+}
+
+// goldenCompare diffs v, as indented JSON, against testdata/golden/name,
+// which -update rewrites from the GOMAXPROCS 1 run.
+func goldenCompare(t *testing.T, name string, procs int, v any) {
+	t.Helper()
+	got, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "golden", name)
+	if *update && procs == 1 {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s at GOMAXPROCS %d: counters differ from %s:\n%s",
+			name, procs, path, firstLineDiff(want, got))
 	}
 }
 
