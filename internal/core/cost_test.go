@@ -130,6 +130,8 @@ func TestCostGatePricesPTScans(t *testing.T) {
 	if class := sched.Classify(c.Cost(), sched.DefaultCheapThreshold); class != sched.Expensive {
 		t.Errorf("cost %d classifies %v, want expensive", c.Cost(), class)
 	}
+	cells := e.DS.PT.NumRows() * len(e.DS.PT.Columns)
+	checkStarCells(t, "PT star", res, cells, 233103)
 
 	// A bound subject binary-searches its one row: the star reads that
 	// row's cells, not the table's, and is priced the same.
@@ -143,5 +145,25 @@ func TestCostGatePricesPTScans(t *testing.T) {
 	}
 	if class := sched.Classify(c.Cost(), sched.DefaultCheapThreshold); class != sched.Cheap {
 		t.Errorf("bound star: cost %d classifies %v, want cheap", c.Cost(), class)
+	}
+	checkStarCells(t, "bound PT star", res, cells, len(e.DS.PT.Columns))
+}
+
+// checkStarCells checks that a one-star PT query reports its star in cells:
+// the plan's Est is the scanned cells the gate priced, and the scanned and
+// pruned cells, planned and metered, sum to the table's.
+func checkStarCells(t *testing.T, name string, res *Result, tableCells, scanned int) {
+	t.Helper()
+	if len(res.Plan) != 1 {
+		t.Fatalf("%s: %d plan entries, want 1 star", name, len(res.Plan))
+	}
+	pp := res.Plan[0]
+	pruned := int64(tableCells - scanned)
+	if pp.Est != scanned || pp.Scanned != int64(scanned) || pp.Pruned != pruned {
+		t.Errorf("%s: est %d, scanned %d, pruned %d; want est = scanned = %d, pruned %d",
+			name, pp.Est, pp.Scanned, pp.Pruned, scanned, pruned)
+	}
+	if res.Metrics.RowsPruned != pruned {
+		t.Errorf("%s: metered RowsPruned = %d, want %d", name, res.Metrics.RowsPruned, pruned)
 	}
 }

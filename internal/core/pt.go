@@ -135,9 +135,9 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, p *bgpPlan, res *Result) (*engine.Re
 		desc string
 	}
 	var units []unit
-	addPlan := func(pattern, table string, rows int, st engine.ScanStats) {
+	addPlan := func(pattern, table string, rows, est int, st engine.ScanStats) {
 		res.Plan = append(res.Plan, PatternPlan{
-			Pattern: pattern, Table: table, Rows: rows, SF: 1, Est: rows,
+			Pattern: pattern, Table: table, Rows: rows, SF: 1, Est: est,
 			Scanned: st.Scanned, Pruned: st.Pruned,
 		})
 	}
@@ -183,12 +183,14 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, p *bgpPlan, res *Result) (*engine.Re
 			return nil, fmt.Errorf("%w: %v", ErrInternal, err)
 		}
 		// A property-table scan reads the full width of the unified table
-		// over its subject's run; the narrow Scan counted one cell per
-		// table row, so meter the difference (negative for a bound
-		// subject, whose run is at most one row).
-		cells := int64(e.starCells(subj))
-		ex.AddRowsScanned(cells - st.Scanned)
-		st.Scanned = cells
+		// over its subject's run, and the rows outside the run are pruned
+		// at the same width, so scanned and pruned cells sum to the table's.
+		// The narrow Scan counted rows; meter the difference.
+		cells := e.starCells(subj)
+		pruned := int64(pt.NumRows()*len(pt.Columns) - cells)
+		ex.AddRowsScanned(int64(cells) - st.Scanned)
+		ex.AddRowsPruned(pruned - st.Pruned)
+		st.Scanned, st.Pruned = int64(cells), pruned
 		// Required patterns must have a value: drop Null cells.
 		if len(nullChecks) > 0 {
 			idxs := make([]int, 0, len(nullChecks))
@@ -206,7 +208,7 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, p *bgpPlan, res *Result) (*engine.Re
 				return true
 			})
 		}
-		addPlan(desc, "PT", pt.NumRows(), st)
+		addPlan(desc, "PT", pt.NumRows(), cells, st)
 		units = append(units, unit{rel: rel, desc: desc})
 	}
 
@@ -214,12 +216,12 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, p *bgpPlan, res *Result) (*engine.Re
 	for fi, i := range p.pt.fallback {
 		sel, desc := p.pt.sels[fi], p.tpStrs[i]
 		if sel.empty {
-			addPlan(desc, sel.name, sel.rows, engine.ScanStats{})
+			addPlan(desc, sel.name, sel.rows, sel.rows, engine.ScanStats{})
 			res.StatsOnly = true
 			return e.emptyRelation(ex, bgp), nil
 		}
 		scan, st, _, ok, err := e.compilePattern(ex, bgp[i], sel, nil, nil)
-		addPlan(desc, sel.name, sel.rows, st)
+		addPlan(desc, sel.name, sel.rows, sel.rows, st)
 		if err != nil {
 			return nil, err
 		}

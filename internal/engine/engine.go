@@ -353,8 +353,11 @@ func (x *Exec) StopAt(rows int) bool { return x.stop(rows) }
 // it read.
 func (x *Exec) AddRowsScanned(n int64) { x.m.RowsScanned.Add(n) }
 
+// AddRowsPruned adds n, which may be negative, to the pruned-row meter,
+// re-weighted the same way.
+func (x *Exec) AddRowsPruned(n int64) { x.m.RowsPruned.Add(n) }
+
 // The operators' meters, one per Metrics field.
-func (x *Exec) addPruned(n int64)       { x.m.RowsPruned.Add(n) }
 func (x *Exec) addShuffled(n int64)     { x.m.RowsShuffled.Add(n) }
 func (x *Exec) addComparisons(n int64)  { x.m.JoinComparisons.Add(n) }
 func (x *Exec) addOutput(n int64)       { x.m.RowsOutput.Add(n) }

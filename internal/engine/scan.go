@@ -211,7 +211,7 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 		sc.a = sel
 		// Every metered row outside the key runs is pruned.
 		st.Pruned = int64(selRows - inRuns)
-		x.addPruned(st.Pruned)
+		x.AddRowsPruned(st.Pruned)
 		x.parallel(c.partitions, func(p int) {
 			slo, shi := splitRange(len(sel), c.partitions, p)
 			if slo < shi {
@@ -245,7 +245,7 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 	if span == 0 {
 		// The binary search proved the scan empty; all partitions stay nil.
 		st.Pruned = pruned.Load()
-		x.addPruned(st.Pruned)
+		x.AddRowsPruned(st.Pruned)
 		return rel, st, nil
 	}
 	x.parallel(c.partitions, func(p int) {
@@ -279,7 +279,7 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 		rel.Parts[p] = x.scanVector(t, spec, pl, conds, plo, phi, pruned)
 	})
 	st.Pruned = pruned.Load()
-	x.addPruned(st.Pruned)
+	x.AddRowsPruned(st.Pruned)
 	x.trackRelation(rel)
 	x.addOutput(int64(rel.NumRows()))
 	return rel, st, nil
