@@ -64,8 +64,8 @@ type RunStats struct {
 	// (simulated for the MapReduce systems, equal to Wall otherwise).
 	Wall, Reported time.Duration
 	// Scanned and Pruned are the engine's metered scan input and the rows
-	// its scans skipped via sort order and zone maps (0 for systems that do
-	// not meter them).
+	// its scans skipped via sort order (0 for systems that do not meter
+	// them).
 	Scanned, Pruned int64
 	// TTFR is the time to first row — the streaming pipeline's latency
 	// metric, the wait before the first solution could be delivered
@@ -254,8 +254,8 @@ type Cell struct {
 	AllocBytes uint64 `json:"AllocBytesPerOp"`
 	Allocs     uint64 `json:"AllocsPerOp"`
 	// RowsScanned and RowsPruned are the engine's mean metered scan input
-	// and the mean rows its scans skipped via sort order and zone maps per
-	// query (0 for systems that do not meter them), so scan volume — and
+	// and the mean rows its scans skipped via sort order per query (0 for
+	// systems that do not meter them), so scan volume — and
 	// pruning effectiveness — are reported per cell.
 	RowsScanned int64 `json:"RowsScanned"`
 	RowsPruned  int64 `json:"RowsPruned"`

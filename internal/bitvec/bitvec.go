@@ -41,7 +41,8 @@ func (b *Bitset) Count() int {
 }
 
 // CountRange returns the number of set bits in [lo, hi), word-wise: the
-// scan pipeline uses it to express zone-map pruning in selected rows.
+// scan pipeline uses it to express a binary-searched run, and a partition
+// of it, in selected rows.
 func (b *Bitset) CountRange(lo, hi int) int {
 	if lo < 0 {
 		lo = 0

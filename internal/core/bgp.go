@@ -179,8 +179,9 @@ const keyPushRatio = 16
 // bindings. A variable of the pattern bound in from and landing on the
 // selected table's sort column passes from's distinct keys as
 // ScanSpec.Keys, one binary-searched run each. On another column a lone key
-// becomes a constant condition, so zone maps apply. The triples table is
-// never pushed into, so ModeTT stays the unpushed reference.
+// becomes a constant condition, checked before any row is materialized. The
+// triples table is never pushed into, so ModeTT stays the unpushed
+// reference.
 func pushKeys(spec *engine.ScanSpec, from *engine.Relation, tp sparql.TriplePattern, sel selection) int {
 	if from == nil || sel.tt {
 		return 0

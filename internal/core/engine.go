@@ -132,9 +132,9 @@ type PatternPlan struct {
 	// column); equal to Rows when no statistics apply.
 	Est int
 	// Scanned and Pruned report the executed scan's work: metered input
-	// rows, and rows eliminated by sort-order binary search or zone-map
-	// skips without evaluating any condition. Both stay zero when the
-	// pattern was never executed (statistics-only answers).
+	// rows, and rows eliminated by sort-order binary search without
+	// evaluating any condition (cells for a property-table star). Both stay
+	// zero when the pattern was never executed (statistics-only answers).
 	Scanned, Pruned int64
 	// Keys is the number of join keys the intermediate pushed into this
 	// pattern's scan (the run-time semi-join; zero when none were).

@@ -42,12 +42,11 @@ func (e *Engine) ptTable() *ptView {
 			data = append(data, pt.Columns[p])
 		}
 		v.table = &store.Table{Name: "PT", Cols: cols, Data: data, SortCol: -1}
-		// Subjects are sorted, so the zone pass records "s" as the sort
-		// column and per-column zone maps; star scans with a bound subject
-		// then binary search instead of reading the wide table. The PT
-		// planner never consults NDV, so the exact distinct counts (a hash
-		// set per wide column) are skipped.
-		v.table.FinalizeZones()
+		// Subjects are sorted, so the pass records "s" as the sort column;
+		// star scans with a bound subject then binary search instead of
+		// reading the wide table. The PT planner never consults NDV, so the
+		// exact distinct counts of the wide columns are skipped.
+		v.table.FinalizeWithoutNDV()
 		e.pt = v
 	})
 	return e.pt

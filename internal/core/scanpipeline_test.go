@@ -32,7 +32,7 @@ func chainTriples() []rdf.Triple {
 }
 
 // TestResultReportsRowsPruned: a bound-subject pattern over a sorted
-// multi-zone VP table must report pruning both per scan (Plan) and in the
+// VP table must report pruning both per scan (Plan) and in the
 // query metrics, and still return the right rows.
 func TestResultReportsRowsPruned(t *testing.T) {
 	ds := layout.Build(chainTriples(), layout.Options{BuildExtVP: false})

@@ -56,8 +56,8 @@ type Metrics struct {
 	RowsScanned atomic.Int64
 	// RowsPruned counts input rows a scan eliminated without evaluating any
 	// condition on them: rows outside the sort-column binary-search range
-	// plus rows in chunks a zone map excluded. It reports savings relative
-	// to RowsScanned (the logical input volume), never extra work.
+	// or the key runs. It reports savings relative to RowsScanned (the
+	// logical input volume), never extra work.
 	RowsPruned      atomic.Int64
 	RowsShuffled    atomic.Int64
 	JoinComparisons atomic.Int64
@@ -156,11 +156,6 @@ type Exec struct {
 	// done caches ctx.Done(); nil means the context can never be cancelled
 	// and all cancellation checks compile down to a nil comparison.
 	done <-chan struct{}
-	// scanPruned is ScanTable's scratch pruning counter. Operators on one
-	// Exec run sequentially (only a single operator's partition tasks run
-	// concurrently), so reusing one counter avoids a per-scan heap
-	// allocation for a variable the partition closures must share.
-	scanPruned atomic.Int64
 	// yield, when non-nil, is the scheduler's pacing hook (see Yielder):
 	// it is invoked at every row-batch cancellation point so a time-sliced
 	// query can give up its worker slot between batches.

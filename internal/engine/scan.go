@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"s2rdf/internal/bitvec"
 	"s2rdf/internal/dict"
@@ -20,15 +19,13 @@ import (
 //     search, narrowing the scan to a contiguous run without touching rows;
 //     a key set (the run-time semi-join: the join keys of the intermediate
 //     the scan will be joined with) becomes one binary-searched run per key,
-//     and the key-run pass (keyRuns) replaces steps 2–3 for it;
-//  2. the surviving range is split across partitions; each partition walks
-//     it in ZoneSize chunks, skipping every chunk whose zone map proves a
-//     condition cannot hold inside it;
-//  3. within a surviving chunk the remaining conditions, the optional
-//     bit-vector pre-selection (the ExtVP bit-vector representation) and
-//     the equal-variable check each run over one column, compacting a
-//     []int32 selection vector (pooled scratch, see scratch.go);
-//  4. only then are the selected rows materialized — once, column-wise —
+//     and the key-run pass (keyRuns) replaces step 2 for it;
+//  2. the surviving range is split across partitions; in each, the
+//     remaining conditions, the optional bit-vector pre-selection (the
+//     ExtVP bit-vector representation) and the equal-variable check each
+//     run over one column, compacting a []int32 selection vector (pooled
+//     scratch, see scratch.go);
+//  3. only then are the selected rows materialized — once, column-wise —
 //     into the partition's output Block. An optional late predicate (a
 //     pushed-down SPARQL filter) vetoes rows at this boundary.
 //
@@ -36,11 +33,11 @@ import (
 // is bulk-copied, and a bit-vector pre-selection with nothing else to check
 // is gathered straight from the bitset's words (gatherBits).
 //
-// Rows eliminated in steps 1–2 — outside the binary-searched run or the key
-// runs, or in a zone-skipped chunk — are metered as RowsPruned: input the
-// scan never had to evaluate. RowsScanned stays the logical input volume (table
-// rows, or selected rows under a bit-vector), the quantity the paper's
-// input-size argument is stated in.
+// Rows eliminated in step 1 — outside the binary-searched run or the key
+// runs — are metered as RowsPruned: input the scan never had to evaluate.
+// RowsScanned stays the logical input volume (table rows, or selected rows
+// under a bit-vector), the quantity the paper's input-size argument is
+// stated in.
 
 // ScanCondition restricts a scanned column to a constant.
 type ScanCondition struct {
@@ -78,8 +75,8 @@ type ScanSpec struct {
 // ScanStats reports one scan's work: Scanned is the metered input volume
 // (all table rows, or the selected rows under a bit-vector); Pruned counts
 // the table rows eliminated by the sort-column binary searches (the
-// constant's run, or the runs of the key set) and zone-map chunk skips
-// without evaluating any condition.
+// constant's run, or the runs of the key set) without evaluating any
+// condition.
 type ScanStats struct {
 	Scanned int64
 	Pruned  int64
@@ -227,15 +224,14 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 	// stays a savings figure relative to the selection-based RowsScanned
 	// (never exceeding it). A scan the search did not narrow prunes nothing
 	// and counts no bits.
-	pruned := &x.scanPruned
 	switch {
 	case lo == 0 && hi == n:
-		pruned.Store(0)
 	case spec.Sel != nil:
-		pruned.Store(int64(selRows - spec.Sel.CountRange(lo, hi)))
+		st.Pruned = int64(selRows - spec.Sel.CountRange(lo, hi))
 	default:
-		pruned.Store(int64(n - (hi - lo)))
+		st.Pruned = int64(n - (hi - lo))
 	}
+	x.AddRowsPruned(st.Pruned)
 
 	// Scans with no surviving conditions bulk-copy the whole range, or
 	// gather a bit-vector pre-selection straight from its words; every other
@@ -244,8 +240,6 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 	span := hi - lo
 	if span == 0 {
 		// The binary search proved the scan empty; all partitions stay nil.
-		st.Pruned = pruned.Load()
-		x.AddRowsPruned(st.Pruned)
 		return rel, st, nil
 	}
 	x.parallel(c.partitions, func(p int) {
@@ -276,16 +270,14 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 			rel.Parts[p] = out
 			return
 		}
-		rel.Parts[p] = x.scanVector(t, spec, pl, conds, plo, phi, pruned)
+		rel.Parts[p] = x.scanVector(t, spec, pl, conds, plo, phi)
 	})
-	st.Pruned = pruned.Load()
-	x.AddRowsPruned(st.Pruned)
 	x.trackRelation(rel)
 	x.addOutput(int64(rel.NumRows()))
 	return rel, st, nil
 }
 
-// keyRuns is the key-set form of steps 1–3. Each key narrows [lo, hi) to
+// keyRuns is the key-set form of steps 1–2. Each key narrows [lo, hi) to
 // its binary-searched run on the sort column; the keys ascend, so every
 // search starts where the previous run ended. Inside the runs only, the
 // bit-vector pre-selection (walked word by word) and the remaining constant
@@ -339,81 +331,52 @@ func filterConds(t *store.Table, conds []scanCond, sel []int32, base int) []int3
 	return sel
 }
 
-// zoneSkips reports whether zone z of the table provably excludes any of the
-// condition values.
-func zoneSkips(t *store.Table, conds []scanCond, z int) bool {
-	for _, cd := range conds {
-		if cd.col < len(t.Meta) && t.Meta[cd.col].ZoneSkips(z, cd.val) {
-			return true
-		}
-	}
-	return false
-}
-
-// scanVector is the single conditioned-scan pass: steps 2+3 compact a
-// []int32 selection vector column-at-a-time over the surviving zones
-// (constant conditions, the optional bit-vector pre-selection, the
-// equal-variable check), step 4 materializes the selected rows exactly once
-// — a column-wise gather, or through the late predicate's scratch row.
-func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []scanCond, plo, phi int, pruned *atomic.Int64) *Block {
+// scanVector is the single conditioned-scan pass: step 2 compacts a
+// []int32 selection vector column-at-a-time over [plo, phi) (constant
+// conditions, the optional bit-vector pre-selection, the equal-variable
+// check), step 3 materializes the selected rows exactly once — a
+// column-wise gather, or through the late predicate's scratch row.
+func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []scanCond, plo, phi int) *Block {
 	sc := getScratch()
 	defer sc.put()
 	sel := sc.a
-	zonePruned := 0
-	// As in scanDirect, one cancellation poll per ≤ZoneSize-row chunk keeps
-	// the engine's row-batch granularity.
-	for zlo := plo; zlo < phi; {
-		zhi := (zlo/store.ZoneSize + 1) * store.ZoneSize
-		if zhi > phi {
-			zhi = phi
-		}
+	// One cancellation poll per cancelBatch rows of range, the engine's
+	// row-batch granularity.
+	for lo := plo; lo < phi; lo += cancelBatch {
 		if x.Cancelled() {
 			break
 		}
-		if zoneSkips(t, conds, zlo/store.ZoneSize) {
-			if spec.Sel != nil {
-				// Under a bit-vector pre-selection, only selected rows
-				// count as pruned: RowsPruned must stay comparable to the
-				// Sel.Count()-based RowsScanned.
-				zonePruned += spec.Sel.CountRange(zlo, zhi)
-			} else {
-				zonePruned += zhi - zlo
-			}
-			zlo = zhi
-			continue
-		}
+		hi := min(lo+cancelBatch, phi)
 		base := len(sel)
 		first := 0
 		if spec.Sel != nil {
-			sel = spec.Sel.AppendSet(sel, zlo, zhi)
+			sel = spec.Sel.AppendSet(sel, lo, hi)
 		} else if len(conds) > 0 {
 			col, v := t.Data[conds[0].col], conds[0].val
-			for i := zlo; i < zhi; i++ {
+			for i := lo; i < hi; i++ {
 				if col[i] == v {
 					sel = append(sel, int32(i))
 				}
 			}
 			first = 1
 		} else {
-			for i := zlo; i < zhi; i++ {
+			for i := lo; i < hi; i++ {
 				sel = append(sel, int32(i))
 			}
 		}
 		sel = filterConds(t, conds[first:], sel, base)
-		zlo = zhi
 	}
 	sc.a = sel
-	pruned.Add(int64(zonePruned))
 	return materialize(t, spec, pl, sel)
 }
 
-// gatherBits is steps 3–4 of a bit-vector scan with no condition,
+// gatherBits is steps 2–3 of a bit-vector scan with no condition,
 // equal-variable check or late predicate left: it copies the rows sel marks
 // in [lo, hi) straight from the bitset's words into an exactly sized block,
 // column by column — an all-ones word as one 64-row copy, any other word
 // set bit by set bit — with no selection vector in between. It polls
-// cancellation once per ZoneSize rows of range; a cancelled gather returns
-// an empty block.
+// cancellation once per cancelBatch rows of range; a cancelled gather
+// returns an empty block.
 func (x *Exec) gatherBits(t *store.Table, srcs []int, sel *bitvec.Bitset, lo, hi int) *Block {
 	out := newFixedBlock(len(srcs), sel.CountRange(lo, hi))
 	if out.n == 0 {
@@ -425,7 +388,7 @@ func (x *Exec) gatherBits(t *store.Table, srcs []int, sel *bitvec.Bitset, lo, hi
 		col, dst := t.Data[src], out.cols[j]
 		k := 0
 		for w := wlo; w <= whi; w++ {
-			if (w-wlo)%(store.ZoneSize/64) == 0 && x.Cancelled() {
+			if (w-wlo)%(cancelBatch/64) == 0 && x.Cancelled() {
 				return newFixedBlock(len(srcs), 0)
 			}
 			word := words[w]
@@ -449,7 +412,7 @@ func (x *Exec) gatherBits(t *store.Table, srcs []int, sel *bitvec.Bitset, lo, hi
 	return out
 }
 
-// materialize is step 4: it drops the rows of sel failing the
+// materialize is step 3: it drops the rows of sel failing the
 // equal-variable check, then gathers the rest column-wise — or, under a
 // late predicate, row by row through a scratch row the predicate vetoes.
 // It compacts sel in place.

@@ -97,8 +97,8 @@ func rowsMatch(t *testing.T, got *Relation, want []Row, desc string) {
 	}
 }
 
-// randomTable builds a multi-zone table sorted by s with a skewed o column,
-// finalized so the scan sees a sort column and zone maps.
+// randomTable builds a table of several cancellation batches, sorted by s
+// with a skewed o column, finalized so the scan sees a sort column.
 func randomTable(rng *rand.Rand, n int) *store.Table {
 	return randomTableNDV(rng, n, n/4)
 }
@@ -118,9 +118,9 @@ func randomTableNDV(rng *rand.Rand, n, ndv int) *store.Table {
 		case 0:
 			o = ss[i] // correlates with s, so some rows satisfy ?x p ?x
 		case 1:
-			o = dict.ID(rng.Intn(8)) // dense band: zone maps rarely help
+			o = dict.ID(rng.Intn(8)) // dense band: many matches
 		default:
-			o = dict.ID(1000 + i) // locally increasing: zone maps prune
+			o = dict.ID(1000 + i) // locally increasing: at most one match
 		}
 		tbl.Append(ss[i], o)
 	}
@@ -130,13 +130,13 @@ func randomTableNDV(rng *rand.Rand, n, ndv int) *store.Table {
 
 // TestScanRandomizedEquivalence cross-checks the vectorized scan against the
 // row-at-a-time reference on random sorted tables, over a grid of condition
-// shapes: none, sort-column, zone-column, both, with and without a
+// shapes: none, sort-column, other-column, both, with and without a
 // bit-vector pre-selection, an equal-variable projection (?x p ?x) and a
 // late predicate.
 func TestScanRandomizedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
-		n := 64 + rng.Intn(4*store.ZoneSize)
+		n := 64 + rng.Intn(4*cancelBatch)
 		tbl := randomTable(rng, n)
 		c := NewCluster(1 + rng.Intn(8))
 
@@ -208,7 +208,7 @@ func TestScanRandomizedEquivalence(t *testing.T) {
 func TestScanKeysEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
-		n := 64 + rng.Intn(4*store.ZoneSize)
+		n := 64 + rng.Intn(4*cancelBatch)
 		ndv := n / 4
 		if trial%3 == 2 {
 			ndv = 1 + rng.Intn(6) // long duplicate runs
@@ -318,7 +318,8 @@ func TestScanKeysEquivalence(t *testing.T) {
 // changing results, and that the pruned count is exact.
 func TestScanSortPruning(t *testing.T) {
 	tbl := store.NewTable("t", "s", "o")
-	for i := 0; i < 3*store.ZoneSize; i++ {
+	const n = 3072
+	for i := 0; i < n; i++ {
 		tbl.Append(dict.ID(i), dict.ID(i%7))
 	}
 	tbl.Finalize()
@@ -336,43 +337,11 @@ func TestScanSortPruning(t *testing.T) {
 	if rel.NumRows() != 1 {
 		t.Fatalf("rows = %d, want 1", rel.NumRows())
 	}
-	if want := int64(3*store.ZoneSize - 1); st.Pruned != want {
+	if want := int64(n - 1); st.Pruned != want {
 		t.Errorf("pruned = %d, want %d", st.Pruned, want)
 	}
 	if got := x.MetricsSnapshot().RowsPruned; got != st.Pruned {
 		t.Errorf("metered pruned = %d, want %d", got, st.Pruned)
-	}
-}
-
-// TestScanZonePruning asserts a chunk whose zone map excludes the wanted
-// value is skipped wholesale: the o column is not sorted overall (so no
-// binary search applies) but each zone covers a disjoint value band.
-func TestScanZonePruning(t *testing.T) {
-	tbl := store.NewTable("t", "s", "o")
-	n := 4 * store.ZoneSize
-	for i := 0; i < n; i++ {
-		z := i / store.ZoneSize
-		// Zone z holds o values in [1000*(z+1), 1000*(z+1)+499]; the first
-		// row of each zone breaks global sortedness on o.
-		o := dict.ID(1000*(z+1) + (499 - i%500))
-		tbl.Append(dict.ID(i), o)
-	}
-	tbl.Finalize()
-	c := NewCluster(2)
-	rel, st, err := c.exec().ScanTable(tbl, ScanSpec{
-		Projs: []ScanProjection{{"s", "x"}},
-		Conds: []ScanCondition{{Col: "o", Value: 3000}}, // only zone 2 qualifies
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refScan(tbl, ScanSpec{
-		Projs: []ScanProjection{{"s", "x"}},
-		Conds: []ScanCondition{{Col: "o", Value: 3000}},
-	})
-	rowsMatch(t, rel, want, "zone-pruned scan")
-	if st.Pruned < int64(2*store.ZoneSize) {
-		t.Errorf("pruned = %d, want at least two full zones (%d)", st.Pruned, 2*store.ZoneSize)
 	}
 }
 

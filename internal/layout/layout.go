@@ -289,7 +289,7 @@ func (ds *Dataset) buildVP() {
 		t.Data[0] = ds.TT.Data[0][i:j:j]
 		t.Data[1] = ds.TT.Data[2][i:j:j]
 		// The TT (p,s,o) sort leaves each slice sorted by (s,o): Finalize
-		// records s as the sort column plus zone maps and distinct counts.
+		// records s as the sort column plus the distinct counts.
 		t.Finalize()
 		ds.VP[p] = t
 		// TT's p order appends the predicates ascending.

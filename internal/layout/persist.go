@@ -28,8 +28,10 @@ const (
 	oldMetaName = "meta.json"
 )
 
-// manifestVersion is the version of the saved store format.
-const manifestVersion = 1
+// manifestVersion is the version of the saved store format. Version 1
+// stores hold a TT table of the previous table format, which Load no longer
+// reads.
+const manifestVersion = 2
 
 // manifest records the build options of a saved dataset.
 type manifest struct {
@@ -93,7 +95,7 @@ func Load(dir string, withPT bool) (*Dataset, error) {
 		return nil, err
 	}
 	if m.Version != manifestVersion {
-		return nil, corrupt("%s has version %d, want %d", manifestName, m.Version, manifestVersion)
+		return nil, corrupt("%s has version %d, want %d; re-save the store with `s2rdf load`", manifestName, m.Version, manifestVersion)
 	}
 	var dc *dict.Dict
 	err = d.ReadFile(dictName, func(br *bufio.Reader) (err error) {

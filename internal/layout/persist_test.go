@@ -3,6 +3,7 @@ package layout
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -56,7 +57,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestSaveLoadScanStatistics asserts the scan statistics the layout
-// builders compute — sort column, zone maps, distinct counts — survive a
+// builders compute — sort column, distinct counts — survive a
 // Save/Load round trip on every kind of table (TT, VP, ExtVP).
 func TestSaveLoadScanStatistics(t *testing.T) {
 	dir := t.TempDir()
@@ -73,7 +74,7 @@ func TestSaveLoadScanStatistics(t *testing.T) {
 		if g.SortCol != want.SortCol {
 			t.Errorf("%s: SortCol = %d, want %d", name, g.SortCol, want.SortCol)
 		}
-		if !reflect.DeepEqual(g.Meta, want.Meta) {
+		if !reflect.DeepEqual(g.Distinct, want.Distinct) {
 			t.Errorf("%s: column statistics differ after round trip", name)
 		}
 	}
@@ -326,6 +327,30 @@ func TestLoadEarlierFormat(t *testing.T) {
 	writeFramed(t, dir, oldMetaName, []byte(`{"threshold":1,"predicates":[],"ext":[]}`))
 	got, err := Load(dir, false)
 	if !errors.Is(err, store.ErrCorrupt) || got != nil || !strings.Contains(err.Error(), "s2rdf load") {
+		t.Fatalf("Load = %v, %v; want store.ErrCorrupt naming `s2rdf load` and no dataset", got != nil, err)
+	}
+}
+
+// TestLoadPreviousVersion: a directory saved in the previous format, with a
+// version 1 manifest and a version 3 TT table, fails Load with
+// store.ErrCorrupt and an error that says how to re-save it.
+func TestLoadPreviousVersion(t *testing.T) {
+	dir := t.TempDir()
+	if err := Save(Build(g1(), DefaultOptions()), dir); err != nil {
+		t.Fatal(err)
+	}
+	writeFramed(t, dir, manifestName, []byte(`{"version":1,"threshold":1,"extvp":true,"oo":false,"materialize":false}`+"\n"))
+	tt := filepath.Join(dir, "TT.tbl")
+	raw, err := os.ReadFile(tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[4:], 3) // the header's version, after the magic
+	if err := os.WriteFile(tt, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(dir, false)
+	if !errors.Is(err, store.ErrCorrupt) || got != nil || !strings.Contains(err.Error(), "re-save the store with `s2rdf load`") {
 		t.Fatalf("Load = %v, %v; want store.ErrCorrupt naming `s2rdf load` and no dataset", got != nil, err)
 	}
 }

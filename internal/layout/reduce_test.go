@@ -235,7 +235,7 @@ func checkSameDataset(t *testing.T, label string, got, want *Dataset) {
 		t.Fatalf("%s: %d row copies, want %d", label, len(got.ExtVP), len(want.ExtVP))
 	}
 	for key, tbl := range want.ExtVP {
-		if g := got.ExtVP[key]; g == nil || !reflect.DeepEqual(tableRows(g), tableRows(tbl)) || !reflect.DeepEqual(g.Meta, tbl.Meta) {
+		if g := got.ExtVP[key]; g == nil || !reflect.DeepEqual(tableRows(g), tableRows(tbl)) || !reflect.DeepEqual(g.Distinct, tbl.Distinct) {
 			t.Fatalf("%s %v: row copy differs", label, key)
 		}
 	}

@@ -1,21 +1,23 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"s2rdf/internal/dict"
 	"s2rdf/internal/fault"
 )
 
-// testTable builds a finalized table whose encoding spans several runs,
-// zone maps and both column kinds (sorted and unsorted).
+// testTable builds a finalized table whose encoding spans several runs and
+// both column kinds (sorted and unsorted).
 func testTable(t *testing.T, rows int) *Table {
 	t.Helper()
 	tbl := NewTable("VP:follows", "s", "o")
@@ -109,57 +111,19 @@ func TestCorruptTableIgnoresTrailingBytes(t *testing.T) {
 	}
 }
 
-// writeLegacyTable emits the unchecksummed encoding of format version 1
-// (no sort column, no statistics) or 2 (with them), which earlier releases
-// wrote and ReadTable no longer accepts.
-func writeLegacyTable(t *Table, ver uint32) []byte {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	vbuf := make([]byte, binary.MaxVarintLen64)
-	w.WriteString(magic)
-	writeU32(w, ver)
-	writeU32(w, uint32(len(t.Cols)))
-	writeU64(w, uint64(t.NumRows()))
-	if ver >= 2 {
-		writeU32(w, uint32(t.SortCol))
-	}
-	for c, name := range t.Cols {
-		writeU32(w, uint32(len(name)))
-		w.WriteString(name)
-		runs := rleEncode(t.Data[c])
-		writeU64(w, uint64(len(runs)))
-		for _, r := range runs {
-			n := binary.PutUvarint(vbuf, uint64(r.value))
-			w.Write(vbuf[:n])
-			n = binary.PutUvarint(vbuf, uint64(r.length))
-			w.Write(vbuf[:n])
-		}
-		if ver < 2 {
-			continue
-		}
-		m := t.Meta[c]
-		writeU64(w, uint64(m.Distinct))
-		writeU64(w, uint64(len(m.ZoneMin)))
-		for z := range m.ZoneMin {
-			n := binary.PutUvarint(vbuf, uint64(m.ZoneMin[z]))
-			w.Write(vbuf[:n])
-			n = binary.PutUvarint(vbuf, uint64(m.ZoneMax[z]))
-			w.Write(vbuf[:n])
-		}
-	}
-	w.Flush()
-	return buf.Bytes()
-}
-
-// TestCorruptRejectsLegacyVersions: complete, well-formed v1 and v2 files
-// carry no checksums, so they are rejected as ErrCorrupt ("unsupported
-// version") and never decoded, not even partially.
+// TestCorruptRejectsLegacyVersions: a table file of an earlier format
+// version (1 and 2 carried no checksums, 3 per-chunk min/max bounds) is
+// rejected as ErrCorrupt ("unsupported version") by its header and never
+// decoded, not even partially. The files are well-formed current ones whose
+// header names the legacy version: the reader must not look past it.
 func TestCorruptRejectsLegacyVersions(t *testing.T) {
-	tbl := testTable(t, 500)
-	for _, ver := range []uint32{1, 2} {
-		got, err := ReadTable(bytes.NewReader(writeLegacyTable(tbl, ver)))
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("v%d: err = %v, want ErrCorrupt", ver, err)
+	enc := encodeTable(t, testTable(t, 500))
+	for _, ver := range []uint32{1, 2, 3} {
+		legacy := slices.Clone(enc)
+		binary.LittleEndian.PutUint32(legacy[len(magic):], ver)
+		got, err := ReadTable(bytes.NewReader(legacy))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", ver)) {
+			t.Fatalf("v%d: err = %v, want ErrCorrupt naming the version", ver, err)
 		}
 		if got != nil {
 			t.Fatalf("v%d: returned a table alongside %v", ver, err)

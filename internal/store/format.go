@@ -29,22 +29,28 @@ import (
 // value, or a file that ends before its terminator chunk — is reported as
 // an error wrapping ErrCorrupt; genuine I/O errors from the underlying
 // reader pass through unwrapped so callers can tell a bad disk from bad
-// data. Only version 3 is readable; any other version is corruption.
+// data. A table file carries tableVersion, every other file version; any
+// other version is corruption.
 //
 // A table's payload ("parquet-lite") is a little-endian columnar body:
 //
 //	ncols u32 | nrows u64 | sortcol u32
 //	per column: name-len u32 | name | nruns u64 | runs (value uvarint, length uvarint)
-//	            distinct u64 | nzones u64 | zones (min uvarint, max uvarint)
+//	            distinct u64
 //
 // Columns are run-length encoded; dictionary encoding already happened via
 // the global term dictionary, so values are uint32 IDs. The body carries the
-// scan statistics Table.Finalize computes — the sort column, per-column
-// distinct counts and zone maps — so a loaded store prunes scans without
-// re-deriving them.
+// statistics Table.Finalize computes — the sort column and per-column
+// distinct counts — so a loaded store binary searches its scans and prices
+// bound terms without re-deriving them.
 const (
-	magic   = "S2TB"
+	magic = "S2TB"
+	// version frames every file but a table: the dictionary and the
+	// manifest.
 	version = 3
+	// tableVersion frames a table file. Version 3 tables also carried each
+	// column's minimum and maximum per 1024-row chunk.
+	tableVersion = 4
 	// noSortCol encodes Table.SortCol == -1.
 	noSortCol = ^uint32(0)
 
@@ -88,13 +94,13 @@ func asCorrupt(err error, what string) error {
 // writeFramed writes the header to w and then fill's output in checksummed
 // chunks, ending with the terminator. It returns the number of bytes
 // written.
-func writeFramed(w io.Writer, fill func(io.Writer) error) (int64, error) {
+func writeFramed(w io.Writer, ver uint32, fill func(io.Writer) error) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := &countingWriter{w: bw}
 	if _, err := cw.Write([]byte(magic)); err != nil {
 		return cw.n, err
 	}
-	writeU32(cw, version)
+	writeU32(cw, ver)
 	fw := &chunkWriter{w: cw}
 	if err := fill(fw); err != nil {
 		return cw.n, err
@@ -110,9 +116,9 @@ func writeFramed(w io.Writer, fill func(io.Writer) error) (int64, error) {
 
 // readFramed checks the header of r and hands parse the checksum-verified
 // payload, which parse must consume to its end. Corruption — and any
-// format version other than the current one — is reported as an error
-// wrapping ErrCorrupt.
-func readFramed(r io.Reader, parse func(*bufio.Reader) error) error {
+// format version other than ver — is reported as an error wrapping
+// ErrCorrupt.
+func readFramed(r io.Reader, ver uint32, parse func(*bufio.Reader) error) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var head [8]byte
 	if _, err := io.ReadFull(br, head[:]); err != nil {
@@ -121,8 +127,8 @@ func readFramed(r io.Reader, parse func(*bufio.Reader) error) error {
 	if string(head[:4]) != magic {
 		return corruptf("bad magic %q", head[:4])
 	}
-	if ver := binary.LittleEndian.Uint32(head[4:]); ver != version {
-		return corruptf("unsupported version %d", ver)
+	if got := binary.LittleEndian.Uint32(head[4:]); got != ver {
+		return corruptf("unsupported version %d", got)
 	}
 	body := bufio.NewReaderSize(&chunkReader{r: br}, 1<<16)
 	if err := parse(body); err != nil {
@@ -140,10 +146,10 @@ func readFramed(r io.Reader, parse func(*bufio.Reader) error) error {
 	return nil
 }
 
-// WriteTable serializes t to w in the current (v3, checksummed) format.
+// WriteTable serializes t to w in the current (checksummed) table format.
 // It returns the number of bytes written.
 func WriteTable(w io.Writer, t *Table) (int64, error) {
-	return writeFramed(w, t.writeBody)
+	return writeFramed(w, tableVersion, t.writeBody)
 }
 
 // writeBody writes the table body (everything the framing wraps) to w.
@@ -173,22 +179,11 @@ func (t *Table) writeBody(w io.Writer) error {
 				return err
 			}
 		}
-		var m ColMeta
-		if c < len(t.Meta) {
-			m = t.Meta[c]
+		distinct := 0
+		if c < len(t.Distinct) {
+			distinct = t.Distinct[c]
 		}
-		writeU64(w, uint64(m.Distinct))
-		writeU64(w, uint64(len(m.ZoneMin)))
-		for z := range m.ZoneMin {
-			n := binary.PutUvarint(buf, uint64(m.ZoneMin[z]))
-			if _, err := w.Write(buf[:n]); err != nil {
-				return err
-			}
-			n = binary.PutUvarint(buf, uint64(m.ZoneMax[z]))
-			if _, err := w.Write(buf[:n]); err != nil {
-				return err
-			}
-		}
+		writeU64(w, uint64(distinct))
 	}
 	return nil
 }
@@ -198,7 +193,7 @@ func (t *Table) writeBody(w io.Writer) error {
 // wrapping ErrCorrupt.
 func ReadTable(r io.Reader) (*Table, error) {
 	t := &Table{}
-	if err := readFramed(r, t.readBody); err != nil {
+	if err := readFramed(r, tableVersion, t.readBody); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -218,7 +213,7 @@ func (t *Table) readBody(br *bufio.Reader) error {
 	if err != nil {
 		return asCorrupt(err, "row count")
 	}
-	t.SortCol, t.Meta = -1, make([]ColMeta, 0, ncols)
+	t.SortCol, t.Distinct = -1, make([]int, 0, ncols)
 	sc, err := readU32(br)
 	if err != nil {
 		return asCorrupt(err, "sort column")
@@ -277,7 +272,6 @@ func (t *Table) readBody(br *bufio.Reader) error {
 				string(name), len(col), nrows)
 		}
 		t.Data = append(t.Data, col)
-		var m ColMeta
 		distinct, err := readU64(br)
 		if err != nil {
 			return asCorrupt(err, "distinct count")
@@ -286,34 +280,7 @@ func (t *Table) readBody(br *bufio.Reader) error {
 			return corruptf("column %q distinct %d exceeds %d rows",
 				string(name), distinct, nrows)
 		}
-		m.Distinct = int(distinct)
-		nzones, err := readU64(br)
-		if err != nil {
-			return asCorrupt(err, "zone count")
-		}
-		// nzones is 0 when the table was never finalized (no zone map).
-		if want := (nrows + ZoneSize - 1) / ZoneSize; nzones != 0 && nzones != want {
-			return corruptf("column %q has %d zones, want %d",
-				string(name), nzones, want)
-		}
-		m.ZoneMin = make([]dict.ID, nzones)
-		m.ZoneMax = make([]dict.ID, nzones)
-		for z := uint64(0); z < nzones; z++ {
-			lo, err := binary.ReadUvarint(br)
-			if err != nil {
-				return asCorrupt(err, "zone min")
-			}
-			hi, err := binary.ReadUvarint(br)
-			if err != nil {
-				return asCorrupt(err, "zone max")
-			}
-			if lo > math.MaxUint32 || hi > math.MaxUint32 || lo > hi {
-				return corruptf("column %q zone %d bounds [%d,%d] invalid",
-					string(name), z, lo, hi)
-			}
-			m.ZoneMin[z], m.ZoneMax[z] = dict.ID(lo), dict.ID(hi)
-		}
-		t.Meta = append(t.Meta, m)
+		t.Distinct = append(t.Distinct, int(distinct))
 	}
 	return nil
 }
@@ -516,11 +483,15 @@ func OpenFS(path string, fs fault.FS) *Dir { return &Dir{path: path, fs: fs} }
 // WriteFile writes the file name of the directory in the framed format,
 // with fill's output as its payload.
 func (d *Dir) WriteFile(name string, fill func(io.Writer) error) error {
+	return d.writeFile(name, version, fill)
+}
+
+func (d *Dir) writeFile(name string, ver uint32, fill func(io.Writer) error) error {
 	f, err := d.fs.Create(filepath.Join(d.path, name))
 	if err != nil {
 		return err
 	}
-	_, werr := writeFramed(f, fill)
+	_, werr := writeFramed(f, ver, fill)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
@@ -533,12 +504,16 @@ func (d *Dir) WriteFile(name string, fill func(io.Writer) error) error {
 // ErrCorrupt; I/O errors pass through, and parse's own errors are returned
 // as it made them, named after the file.
 func (d *Dir) ReadFile(name string, parse func(*bufio.Reader) error) error {
+	return d.readFile(name, version, parse)
+}
+
+func (d *Dir) readFile(name string, ver uint32, parse func(*bufio.Reader) error) error {
 	f, err := d.fs.Open(filepath.Join(d.path, name))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := readFramed(f, parse); err != nil {
+	if err := readFramed(f, ver, parse); err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
 	return nil
@@ -546,7 +521,7 @@ func (d *Dir) ReadFile(name string, parse func(*bufio.Reader) error) error {
 
 // SaveTable persists t.
 func (d *Dir) SaveTable(t *Table) error {
-	return d.WriteFile(tableFile(t.Name), t.writeBody)
+	return d.writeFile(tableFile(t.Name), tableVersion, t.writeBody)
 }
 
 // LoadTable reads a table back from disk, verifying its checksums. A
@@ -554,7 +529,7 @@ func (d *Dir) SaveTable(t *Table) error {
 // corrupted file can error, never produce wrong bindings.
 func (d *Dir) LoadTable(name string) (*Table, error) {
 	t := &Table{Name: name}
-	if err := d.ReadFile(tableFile(name), t.readBody); err != nil {
+	if err := d.readFile(tableFile(name), tableVersion, t.readBody); err != nil {
 		return nil, err
 	}
 	return t, nil

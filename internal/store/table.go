@@ -13,27 +13,6 @@ import (
 	"s2rdf/internal/dict"
 )
 
-// ZoneSize is the number of rows covered by one zone-map entry: the chunk
-// granularity at which scans can skip data from min/max statistics alone,
-// playing the role of Parquet's row-group statistics in the paper's setup.
-const ZoneSize = 1024
-
-// ColMeta holds the per-column statistics Finalize computes: the exact
-// distinct-value count (the planner's NDV for bound-term selectivity) and a
-// zone map — the minimum and maximum ID of every ZoneSize-row chunk, which
-// scans consult to skip whole chunks that cannot contain a wanted constant.
-type ColMeta struct {
-	Distinct int
-	ZoneMin  []dict.ID
-	ZoneMax  []dict.ID
-}
-
-// ZoneSkips reports whether the chunk starting at row z*ZoneSize provably
-// excludes v.
-func (m *ColMeta) ZoneSkips(z int, v dict.ID) bool {
-	return z < len(m.ZoneMin) && (v < m.ZoneMin[z] || v > m.ZoneMax[z])
-}
-
 // Table is an in-memory columnar table of dictionary IDs.
 type Table struct {
 	// Name identifies the table (e.g. "VP:follows", "ExtVP:OS:follows|likes").
@@ -46,10 +25,10 @@ type Table struct {
 	// (non-decreasing), or -1 when no sort order is known. Scans binary
 	// search equality conditions on this column instead of reading rows.
 	SortCol int
-	// Meta holds per-column statistics (zone maps, distinct counts), one
-	// entry per column; nil until Finalize runs. Appending rows invalidates
-	// it.
-	Meta []ColMeta
+	// Distinct holds each column's exact distinct-value count (the
+	// planner's NDV for bound-term selectivity), 0 when unknown; nil until
+	// Finalize runs. Appending rows invalidates it.
+	Distinct []int
 }
 
 // NewTable returns an empty table with the given schema.
@@ -73,7 +52,7 @@ func (t *Table) Append(row ...dict.ID) {
 		panic(fmt.Sprintf("store: table %s has %d columns, got %d values",
 			t.Name, len(t.Cols), len(row)))
 	}
-	t.SortCol, t.Meta = -1, nil
+	t.SortCol, t.Distinct = -1, nil
 	for c, v := range row {
 		t.Data[c] = append(t.Data[c], v)
 	}
@@ -108,72 +87,50 @@ func (t *Table) Row(i int) []dict.ID {
 	return row
 }
 
-// Finalize computes the table's statistics in one pass per column: the zone
-// map (min/max per ZoneSize-row chunk), the exact distinct-value count, and
-// the sort column — the first column whose values are non-decreasing, which
-// is how the layout builders emit rows (VP/ExtVP/PT sorted by subject, TT by
-// predicate). Call it once a table's rows are complete; Append invalidates
-// the result.
+// Finalize computes the table's statistics in one pass per column: the
+// exact distinct-value count and the sort column — the first column whose
+// values are non-decreasing, which is how the layout builders emit rows
+// (VP/ExtVP/PT sorted by subject, TT by predicate). Call it once a table's
+// rows are complete; Append invalidates the result.
 func (t *Table) Finalize() { t.finalize(true) }
 
-// FinalizeZones computes the sort column and zone maps but skips the exact
+// FinalizeWithoutNDV computes the sort column but skips the exact
 // distinct-value counts of unsorted columns (they cost a bitset or a
 // sorted copy per column). Use it for wide derived tables whose NDV nothing
 // consults, like the property-table scan view; columns the pass proves
 // sorted still get their (free) run-count NDV, all others report 0
 // (unknown).
-func (t *Table) FinalizeZones() { t.finalize(false) }
+func (t *Table) FinalizeWithoutNDV() { t.finalize(false) }
 
 func (t *Table) finalize(withNDV bool) {
 	t.SortCol = -1
-	t.Meta = make([]ColMeta, len(t.Data))
+	t.Distinct = make([]int, len(t.Data))
 	for c, col := range t.Data {
-		m := &t.Meta[c]
-		n := len(col)
-		nz := (n + ZoneSize - 1) / ZoneSize
-		m.ZoneMin = make([]dict.ID, nz)
-		m.ZoneMax = make([]dict.ID, nz)
-		sorted := true
-		runs := 0 // value runs; equals NDV when the column is sorted
-		// The column's value range, which sizes the NDV bitset.
-		cmin, cmax := dict.NoID, dict.ID(0)
-		for z := 0; z < nz; z++ {
-			lo := z * ZoneSize
-			hi := lo + ZoneSize
-			if hi > n {
-				hi = n
-			}
-			lo2 := lo
-			if lo2 == 0 {
-				runs++
-				lo2 = 1
-			}
-			zmin, zmax := col[lo], col[lo]
-			for i := lo2; i < hi; i++ {
-				v := col[i]
-				if v < zmin {
-					zmin = v
-				}
-				if v > zmax {
-					zmax = v
-				}
-				if v < col[i-1] {
-					sorted = false
-				}
-				if v != col[i-1] {
-					runs++
-				}
-			}
-			m.ZoneMin[z], m.ZoneMax[z] = zmin, zmax
-			cmin, cmax = min(cmin, zmin), max(cmax, zmax)
+		if len(col) == 0 {
+			continue
 		}
-		if sorted {
-			m.Distinct = runs
-			if t.SortCol < 0 && n > 0 {
+		sorted := true
+		runs := 1 // value runs; equals NDV when the column is sorted
+		// The column's value range, which sizes the NDV bitset.
+		lo, hi := col[0], col[0]
+		for i := 1; i < len(col); i++ {
+			v := col[i]
+			lo, hi = min(lo, v), max(hi, v)
+			if v < col[i-1] {
+				sorted = false
+			}
+			if v != col[i-1] {
+				runs++
+			}
+		}
+		switch {
+		case sorted:
+			t.Distinct[c] = runs
+			if t.SortCol < 0 {
 				t.SortCol = c
 			}
-		} else if withNDV {
-			m.Distinct = distinct(col, cmin, cmax)
+		case withNDV:
+			t.Distinct[c] = distinct(col, lo, hi)
 		}
 	}
 }
@@ -201,21 +158,11 @@ func distinct(col []dict.ID, lo, hi dict.ID) int {
 	return n
 }
 
-// ColMetaOf returns the statistics of the named column, or nil when the
-// table has no statistics or no such column.
-func (t *Table) ColMetaOf(name string) *ColMeta {
-	i := t.ColIndex(name)
-	if i < 0 || i >= len(t.Meta) {
-		return nil
-	}
-	return &t.Meta[i]
-}
-
 // DistinctOf returns the distinct-value count of the named column, or 0 when
 // unknown.
 func (t *Table) DistinctOf(name string) int {
-	if m := t.ColMetaOf(name); m != nil {
-		return m.Distinct
+	if i := t.ColIndex(name); i >= 0 && i < len(t.Distinct) {
+		return t.Distinct[i]
 	}
 	return 0
 }
