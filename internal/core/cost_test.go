@@ -147,6 +147,22 @@ func TestCostGatePricesPTScans(t *testing.T) {
 		t.Errorf("bound star: cost %d classifies %v, want cheap", c.Cost(), class)
 	}
 	checkStarCells(t, "bound PT star", res, cells, len(e.DS.PT.Columns))
+
+	// A multi-valued predicate falls back to its VP table. The gate's scan
+	// estimate is the sum of the estimates the plan reports, the star's
+	// and the fallback's bound-subject one alike.
+	const mixed = `SELECT * WHERE { <http://db.uwaterloo.ca/~galuc/wsdbm/Product29> <http://purl.org/stuff/rev#hasReview> ?r . ?r <http://purl.org/stuff/rev#title> ?t }`
+	p = mustPlan(t, e, mixed)
+	c = p.Cost()
+	res = execPlan(t, e, "star and fallback", p)
+	scan := 0
+	for _, pp := range res.Plan {
+		scan += pp.Est
+	}
+	if len(res.Plan) != 2 || c.ScanRows != scan {
+		t.Errorf("star and fallback: %d plan entries with estimates summing to %d, gate ScanRows %d; want 2 and equal",
+			len(res.Plan), scan, c.ScanRows)
+	}
 }
 
 // checkStarCells checks that a one-star PT query reports its star in cells:

@@ -215,12 +215,12 @@ func (e *Engine) evalBGPPT(ex *engine.Exec, p *bgpPlan, res *Result) (*engine.Re
 	for fi, i := range p.pt.fallback {
 		sel, desc := p.pt.sels[fi], p.tpStrs[i]
 		if sel.empty {
-			addPlan(desc, sel.name, sel.rows, sel.rows, engine.ScanStats{})
+			addPlan(desc, sel.name, sel.rows, sel.est, engine.ScanStats{})
 			res.StatsOnly = true
 			return e.emptyRelation(ex, bgp), nil
 		}
 		scan, st, _, ok, err := e.compilePattern(ex, bgp[i], sel, nil, nil)
-		addPlan(desc, sel.name, sel.rows, sel.rows, st)
+		addPlan(desc, sel.name, sel.rows, sel.est, st)
 		if err != nil {
 			return nil, err
 		}
