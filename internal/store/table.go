@@ -109,37 +109,35 @@ func (t *Table) finalize(withNDV bool) {
 		if len(col) == 0 {
 			continue
 		}
-		sorted := true
-		runs := 1 // value runs; equals NDV when the column is sorted
-		// The column's value range, which sizes the NDV bitset.
-		lo, hi := col[0], col[0]
-		for i := 1; i < len(col); i++ {
-			v := col[i]
-			lo, hi = min(lo, v), max(hi, v)
-			if v < col[i-1] {
-				sorted = false
-			}
-			if v != col[i-1] {
+		// Count value runs while the column is non-decreasing; a sorted
+		// column's NDV is its run count.
+		runs, i := 1, 1
+		for ; i < len(col) && col[i] >= col[i-1]; i++ {
+			if col[i] != col[i-1] {
 				runs++
 			}
 		}
 		switch {
-		case sorted:
+		case i == len(col):
 			t.Distinct[c] = runs
 			if t.SortCol < 0 {
 				t.SortCol = c
 			}
 		case withNDV:
-			t.Distinct[c] = distinct(col, lo, hi)
+			t.Distinct[c] = distinct(col)
 		}
 	}
 }
 
-// distinct counts the distinct values of col, which all lie in [lo, hi].
-// When that range spans at most 64 values per row, one pass marks them in a
-// bitset of at most 8 bytes per row; a wider range, such as a column
-// holding NoID beside small IDs, counts the runs of a sorted copy instead.
-func distinct(col []dict.ID, lo, hi dict.ID) int {
+// distinct counts the distinct values of a non-empty col. When its value
+// range spans at most 64 values per row, one pass marks them in a bitset
+// of at most 8 bytes per row; a wider range, such as a column holding NoID
+// beside small IDs, counts the runs of a sorted copy instead.
+func distinct(col []dict.ID) int {
+	lo, hi := col[0], col[0]
+	for _, v := range col {
+		lo, hi = min(lo, v), max(hi, v)
+	}
 	span := uint64(hi-lo) + 1
 	if span/64 > uint64(len(col)) {
 		c := slices.Clone(col)
