@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,15 +63,21 @@ func TestTermJSONMemo(t *testing.T) {
 }
 
 // TestDictReadersRaceEncodeGrowth reads through every lock-free entry point
-// while a writer grows the dictionary across many moves of its term array
-// and of the render memo: a reader must find every ID below the Len it
-// observed, whole and rendered, and nothing else.
+// while a writer grows the dictionary across many moves of its position
+// array and of the render memo, and across new arena pages: a reader must
+// find every ID below the Len it observed, whole and rendered, and nothing
+// else.
 func TestDictReadersRaceEncodeGrowth(t *testing.T) {
 	const terms = 20000
 	want := make([]rdf.Term, terms)
 	for i := range want {
-		want[i] = rdf.NewIRI(fmt.Sprintf("http://grow/%d", i))
+		// 63 bytes after a one-byte length: every page holds a whole number
+		// of terms and is filled exactly.
+		want[i] = rdf.NewIRI(fmt.Sprintf("http://grow/%049d", i))
 	}
+	// A term longer than a page gets a page of its own.
+	const long = terms / 2
+	want[long] = rdf.NewIRI("http://grow/long/" + strings.Repeat("x", maxPage))
 	d := New()
 	var done atomic.Bool
 	var wg sync.WaitGroup
@@ -105,6 +112,15 @@ func TestDictReadersRaceEncodeGrowth(t *testing.T) {
 	wg.Wait()
 	if d.Len() != terms {
 		t.Fatalf("Len = %d, want %d", d.Len(), terms)
+	}
+	// The first page ends exactly at a term's end, and the next term starts
+	// the next page; the long term sits alone at the start of a page of its
+	// own size.
+	if last, next := d.arena.pos[maxPage/64-1], d.arena.pos[maxPage/64]; last != maxPage-64 || next != 1<<offsetBits {
+		t.Fatalf("positions around the first page's end: %#x, %#x", last, next)
+	}
+	if p := d.arena.pos[long]; p&(maxPage-1) != 0 || len(d.arena.pages[p>>offsetBits]) != 3+len(want[long]) {
+		t.Fatalf("long term at %#x on a page of %d bytes", p, len(d.arena.pages[p>>offsetBits]))
 	}
 	for i := range want {
 		if !bytes.Equal(d.TermJSON(ID(i)), RenderTermJSON(want[i])) {

@@ -132,7 +132,7 @@ func Encode(triples []rdf.Triple, d *dict.Dict) *store.Table {
 	s := make([]dict.ID, len(triples))
 	p := make([]dict.ID, len(triples))
 	o := make([]dict.ID, len(triples))
-	d.EncodeTriples(triples, s, p, o, false)
+	d.EncodeTriples(triples, s, p, o)
 	return newTT(s, p, o)
 }
 
@@ -163,7 +163,7 @@ func EncodeReader(r io.Reader, d *dict.Dict) (*store.Table, error) {
 			s = slices.Grow(s, len(batch))[:m]
 			p = slices.Grow(p, len(batch))[:m]
 			o = slices.Grow(o, len(batch))[:m]
-			d.EncodeTriples(batch, s[n:], p[n:], o[n:], true)
+			d.EncodeTriples(batch, s[n:], p[n:], o[n:])
 			batch = batch[:0]
 		}
 		if err == io.EOF {
@@ -172,9 +172,10 @@ func EncodeReader(r io.Reader, d *dict.Dict) (*store.Table, error) {
 	}
 }
 
-// newTT sorts the encoded rows (s[i], p[i], o[i]) by (p, s, o) in place and
-// returns them as TT. Predicate IDs are dense, so a counting sort buckets the
-// rows by p; each bucket then radix-sorts its rows as packed s<<32|o keys.
+// newTT sorts the encoded rows (s[i], p[i], o[i]) by (p, s, o), in place
+// when the columns have no spare capacity, and returns them as TT. Predicate
+// IDs are dense, so a counting sort buckets the rows by p; each bucket then
+// radix-sorts its rows as packed s<<32|o keys.
 func newTT(s, p, o []dict.ID) *store.Table {
 	var maxP, top dict.ID
 	for i, v := range p {
@@ -198,6 +199,11 @@ func newTT(s, p, o []dict.ID) *store.Table {
 		next[v]++
 	}
 	buf := make([]uint64, longest)
+	// EncodeReader's columns grew by appends: the sorted rows go into exactly
+	// sized ones instead, so the store does not keep the spare capacity.
+	if cap(s) > len(s) || cap(p) > len(p) || cap(o) > len(o) {
+		s, p, o = make([]dict.ID, len(s)), make([]dict.ID, len(p)), make([]dict.ID, len(o))
+	}
 	for v := range maxP + 1 {
 		lo, hi := start[v], start[v+1]
 		if hi-lo > 1 {

@@ -84,10 +84,8 @@ func TestLoadReaderAndFile(t *testing.T) {
 	}
 }
 
-// TestLoadReaderSavesLikeLoad pins the streaming loader to the slice one:
-// over the same WatDiv file both save byte-identical store files, and a
-// malformed line mid-file still fails with its line number.
-func TestLoadReaderSavesLikeLoad(t *testing.T) {
+// watdivNTriples writes the WatDiv scale-0.05 graph as N-Triples.
+func watdivNTriples(t *testing.T) *bytes.Buffer {
 	var nt bytes.Buffer
 	w := rdf.NewWriter(&nt)
 	for _, tr := range watdiv.Generate(watdiv.Config{Scale: 0.05, Seed: 1}).Triples {
@@ -98,6 +96,28 @@ func TestLoadReaderSavesLikeLoad(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	return &nt
+}
+
+// TestLoadReaderColumnsExact: LoadReader grows TT's columns a batch at a
+// time, but the store keeps them with no spare capacity.
+func TestLoadReaderColumnsExact(t *testing.T) {
+	st, err := LoadReader(watdivNTriples(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, col := range st.Dataset().TT.Data {
+		if len(col) != st.NumTriples() || cap(col) != len(col) {
+			t.Errorf("TT column %d: len %d, cap %d, want both %d", i, len(col), cap(col), st.NumTriples())
+		}
+	}
+}
+
+// TestLoadReaderSavesLikeLoad pins the streaming loader to the slice one:
+// over the same WatDiv file both save byte-identical store files, and a
+// malformed line mid-file still fails with its line number.
+func TestLoadReaderSavesLikeLoad(t *testing.T) {
+	nt := watdivNTriples(t)
 	triples, err := rdf.ReadAll(bytes.NewReader(nt.Bytes()))
 	if err != nil {
 		t.Fatal(err)
