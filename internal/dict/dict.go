@@ -60,7 +60,8 @@ type Dict struct {
 	mu    sync.RWMutex
 	arena arena
 	// fill is the number of bytes used in arena.pages[cur], the page new
-	// terms go to.
+	// terms go to; maxPage until the first such page is opened, and a term
+	// longer than a page, which gets one of its own, leaves both as they are.
 	fill, cur int
 	table     []uint64 // hash<<32 | id+1 per used slot, 0 when empty
 	seed      maphash.Seed
@@ -103,7 +104,8 @@ func (a *arena) term(id ID) rdf.Term {
 
 // New returns an empty dictionary.
 func New() *Dict {
-	d := &Dict{table: make([]uint64, minTable), seed: maphash.MakeSeed()}
+	// No page is open: the first term that fits a page opens one.
+	d := &Dict{fill: maxPage, table: make([]uint64, minTable), seed: maphash.MakeSeed()}
 	d.view.Store(&arena{})
 	return d
 }
@@ -156,19 +158,8 @@ func (d *Dict) EncodeTriples(batch []rdf.Triple, s, p, o []ID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i, t := range batch {
-		// A subject's triples usually come together, often several with one
-		// predicate: a term equal to the previous triple's reuses its ID
-		// without a probe.
-		if i > 0 && t.S == batch[i-1].S {
-			s[i] = s[i-1]
-		} else {
-			s[i] = d.assign(string(t.S))
-		}
-		if i > 0 && t.P == batch[i-1].P {
-			p[i] = p[i-1]
-		} else {
-			p[i] = d.assign(string(t.P))
-		}
+		s[i] = d.assign(string(t.S))
+		p[i] = d.assign(string(t.P))
 		o[i] = d.assign(string(t.O))
 	}
 	d.publish()
@@ -204,7 +195,7 @@ func (d *Dict) store(term string) uint32 {
 	switch {
 	case need > maxPage:
 		d.addPage(need)
-	case page == 0 || d.fill+need > len(d.arena.pages[d.cur]):
+	case d.fill+need > maxPage:
 		d.addPage(maxPage)
 		d.cur, d.fill = page, need
 	default:

@@ -75,8 +75,10 @@ func TestDictReadersRaceEncodeGrowth(t *testing.T) {
 		// of terms and is filled exactly.
 		want[i] = rdf.NewIRI(fmt.Sprintf("http://grow/%049d", i))
 	}
-	// A term longer than a page gets a page of its own.
+	// A term longer than a page gets a page of its own, also as the first
+	// term, before any page of short terms is open.
 	const long = terms / 2
+	want[0] = rdf.NewIRI("http://grow/first/" + strings.Repeat("x", maxPage))
 	want[long] = rdf.NewIRI("http://grow/long/" + strings.Repeat("x", maxPage))
 	d := New()
 	var done atomic.Bool
@@ -113,16 +115,24 @@ func TestDictReadersRaceEncodeGrowth(t *testing.T) {
 	if d.Len() != terms {
 		t.Fatalf("Len = %d, want %d", d.Len(), terms)
 	}
-	// The first page ends exactly at a term's end, and the next term starts
-	// the next page; the long term sits alone at the start of a page of its
-	// own size.
-	if last, next := d.arena.pos[maxPage/64-1], d.arena.pos[maxPage/64]; last != maxPage-64 || next != 1<<offsetBits {
-		t.Fatalf("positions around the first page's end: %#x, %#x", last, next)
+	// The first long term fills page 0; the short terms after it start page
+	// 1, which ends exactly at a term's end, and the next term starts page 2.
+	// Each long term sits alone at the start of a page of its own size.
+	if last, next := d.arena.pos[maxPage/64], d.arena.pos[maxPage/64+1]; last != 1<<offsetBits|(maxPage-64) || next != 2<<offsetBits {
+		t.Fatalf("positions around the first short page's end: %#x, %#x", last, next)
 	}
-	if p := d.arena.pos[long]; p&(maxPage-1) != 0 || len(d.arena.pages[p>>offsetBits]) != 3+len(want[long]) {
-		t.Fatalf("long term at %#x on a page of %d bytes", p, len(d.arena.pages[p>>offsetBits]))
+	for _, id := range []ID{0, long} {
+		if p := d.arena.pos[id]; p&(maxPage-1) != 0 || len(d.arena.pages[p>>offsetBits]) != 3+len(want[id]) {
+			t.Fatalf("long term %d at %#x on a page of %d bytes", id, p, len(d.arena.pages[p>>offsetBits]))
+		}
+	}
+	if d.arena.pos[1] != 1<<offsetBits {
+		t.Fatalf("first short term at %#x, want the start of page 1", d.arena.pos[1])
 	}
 	for i := range want {
+		if got := d.Decode(ID(i)); got != want[i] {
+			t.Fatalf("Decode(%d) = %.40q after growth, want %.40q", i, got, want[i])
+		}
 		if !bytes.Equal(d.TermJSON(ID(i)), RenderTermJSON(want[i])) {
 			t.Fatalf("TermJSON(%d) wrong after growth", i)
 		}

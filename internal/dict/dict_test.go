@@ -3,6 +3,7 @@ package dict
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,40 +98,52 @@ func TestConcurrentEncode(t *testing.T) {
 
 // TestSaveLoad pins dict.txt: a saved dictionary loads to the same IDs and
 // saves the same bytes, over terms that fill pages exactly, straddle them,
-// and outgrow them.
+// and outgrow them, the first term among them.
 func TestSaveLoad(t *testing.T) {
-	d := New()
-	var terms []rdf.Term
+	long := rdf.NewLiteral(strings.Repeat("long ", maxPage))
+	var grow []rdf.Term
 	for i := 0; i < 3000; i++ {
-		terms = append(terms,
+		grow = append(grow,
 			rdf.NewIRI(fmt.Sprintf("http://grow/%049d", i)),
 			rdf.NewLangLiteral(fmt.Sprint(i, strings.Repeat("é", i%300)), "fr"))
 	}
-	terms = append(terms, rdf.NewLiteral(strings.Repeat("long ", maxPage)), rdf.NewBlank("b0"))
-	for _, term := range terms {
-		d.Encode(term)
-	}
-	var first, second bytes.Buffer
-	if err := d.Save(&first); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Load(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.Save(&second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("Save after Load wrote %d bytes that differ from the first Save's %d", second.Len(), first.Len())
-	}
-	if d2.Len() != d.Len() {
-		t.Fatalf("loaded Len = %d, want %d", d2.Len(), d.Len())
-	}
-	for _, term := range terms {
-		if id := d.Lookup(term); d2.Lookup(term) != id || d2.Decode(id) != term {
-			t.Fatalf("term %.40q: id %d, after reload Lookup %d", term, id, d2.Lookup(term))
-		}
+	for name, terms := range map[string][]rdf.Term{
+		"long last":  append(slices.Clone(grow), long, rdf.NewBlank("b0")),
+		"long first": append([]rdf.Term{long}, grow...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := New()
+			for _, term := range terms {
+				d.Encode(term)
+			}
+			for id, term := range terms {
+				if got := d.Decode(ID(id)); got != term {
+					t.Fatalf("Decode(%d) = %.40q, want %.40q", id, got, term)
+				}
+			}
+			var first, second bytes.Buffer
+			if err := d.Save(&first); err != nil {
+				t.Fatal(err)
+			}
+			d2, err := Load(bytes.NewReader(first.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d2.Save(&second); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatalf("Save after Load wrote %d bytes that differ from the first Save's %d", second.Len(), first.Len())
+			}
+			if d2.Len() != len(terms) {
+				t.Fatalf("loaded Len = %d, want %d", d2.Len(), len(terms))
+			}
+			for id, term := range terms {
+				if d2.Lookup(term) != ID(id) || d2.Decode(ID(id)) != term {
+					t.Fatalf("term %.40q: id %d, after reload Lookup %d", term, id, d2.Lookup(term))
+				}
+			}
+		})
 	}
 }
 
