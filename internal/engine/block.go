@@ -245,13 +245,18 @@ func blockOfRows(arity int, rows []Row) *Block {
 	return b
 }
 
-// indexTable is an open-addressing hash index over one block: Fibonacci-
-// hashed uint64 keys (widened join-column dict.IDs, or 64-bit row hashes
-// for DISTINCT) map to chains of row *indices* into the block (head per
-// slot, next per row). Three flat arrays serve any number of key groups —
-// no per-key allocation — and candidate iteration walks int32 indices. A
-// slot is occupied iff its head is >= 0, so dict.NoID (Null) is an ordinary
-// key.
+// indexTable indexes one block's rows by a uint64 key (a widened join-column
+// dict.ID, or a 64-bit row hash for DISTINCT): chains of row *indices* into
+// the block, one head per slot and one next link per row. Three flat arrays
+// serve any number of key groups, with no per-key allocation, and candidate
+// iteration walks int32 indices. It comes in two kinds:
+//   - hashed: an open-addressing table of Fibonacci-hashed keys with linear
+//     probing; a slot is occupied iff its head is >= 0, so dict.NoID (Null)
+//     is an ordinary key;
+//   - direct (keys nil): a join build whose keys lie in a narrow span, as
+//     dense dictionary IDs do, indexes head by key-min, with no hashing and
+//     no stored keys. newJoinTable picks it only when the span fits in the
+//     bytes the hashed table would take, so tableBytes bounds both kinds.
 //
 // Row indices are int32: a single partition holding more than 2^31 rows is
 // beyond this engine's in-memory scale.
@@ -260,6 +265,8 @@ type indexTable struct {
 	head  []int32
 	next  []int32
 	shift uint
+	// min is a direct table's smallest key: key k heads slot k-min.
+	min uint64
 }
 
 // fibonacci is the 64-bit golden-ratio multiplier behind hashID64: the one
@@ -272,12 +279,19 @@ const fibonacci = 0x9E3779B97F4A7C15
 // widths, so dense IDs spread evenly everywhere.
 func hashID64(k uint64) uint64 { return k * fibonacci }
 
-// newIndexTable sizes a table for n rows at load factor <= 0.5.
-func newIndexTable(n int) *indexTable {
+// slotBits returns log2 of a hashed table's slot count for n rows: the
+// smallest power of two, at least 2, that keeps the load factor <= 0.5.
+func slotBits(n int) uint {
 	bits := uint(1)
 	for 1<<bits < 2*n {
 		bits++
 	}
+	return bits
+}
+
+// newIndexTable returns an empty hashed table sized for n rows.
+func newIndexTable(n int) *indexTable {
+	bits := slotBits(n)
 	t := &indexTable{
 		keys:  make([]uint64, 1<<bits),
 		head:  make([]int32, 1<<bits),
@@ -290,8 +304,36 @@ func newIndexTable(n int) *indexTable {
 	return t
 }
 
-// slot returns the slot holding key k, or the first empty slot of its probe
-// sequence.
+// newJoinTable returns an empty table for the rows of key column col: direct
+// when the keys' span is at most three times the slot count a hashed table
+// would get (a direct head costs 4 B per key in the span, a hashed slot
+// 12 B), hashed otherwise. A Null key, or the sparse keys of a shuffled
+// co-partition, widen the span past that.
+func newJoinTable(col []dict.ID) *indexTable {
+	n := len(col)
+	if n == 0 {
+		return newIndexTable(0)
+	}
+	lo, hi := col[0], col[0]
+	for _, k := range col[1:] {
+		lo = min(lo, k)
+		hi = max(hi, k)
+	}
+	if uint64(hi-lo) >= 3<<slotBits(n) {
+		return newIndexTable(n)
+	}
+	t := &indexTable{head: make([]int32, int(hi-lo)+1), next: make([]int32, n), min: uint64(lo)}
+	for i := range t.head {
+		t.head[i] = -1
+	}
+	return t
+}
+
+// direct reports whether t is indexed by key-min rather than hashed.
+func (t *indexTable) direct() bool { return t.keys == nil }
+
+// slot returns the hashed-table slot holding key k, or the first empty slot
+// of its probe sequence.
 func (t *indexTable) slot(k uint64) int {
 	s := int(hashID64(k) >> t.shift)
 	for t.head[s] >= 0 && t.keys[s] != k {
@@ -303,29 +345,45 @@ func (t *indexTable) slot(k uint64) int {
 	return s
 }
 
-// insert prepends row to key k's chain.
+// insert prepends row to key k's chain. In a direct table k must lie in
+// the span the table was made for.
 func (t *indexTable) insert(k uint64, row int32) {
-	s := t.slot(k)
-	t.keys[s] = k
+	var s int
+	if t.direct() {
+		s = int(k - t.min)
+	} else {
+		s = t.slot(k)
+		t.keys[s] = k
+	}
 	t.next[row] = t.head[s]
 	t.head[s] = row
 }
 
 // first returns the first row index of key k's chain, or -1. Iterate with
 // t.next[i]. Lookups are read-only, so one table may be probed by any
-// number of goroutines concurrently.
+// number of goroutines concurrently. The probe calls it per row, so it is
+// kept small enough to inline (hence keys != nil, not !t.direct()).
 func (t *indexTable) first(k dict.ID) int32 {
-	return t.head[t.slot(uint64(k))]
+	if t.keys != nil {
+		return t.head[t.slot(uint64(k))]
+	}
+	// A direct table: keys below min wrap around to a large offset and miss
+	// as keys above the span do.
+	if d := uint64(k) - t.min; d < uint64(len(t.head)) {
+		return t.head[d]
+	}
+	return -1
 }
 
-// buildJoinTable indexes block rows by their key column — one pass over the
-// contiguous column — and accounts the table against the memory budget.
-// Rows are inserted in reverse so each chain iterates in build order.
-// Returns nil when the execution is cancelled mid-build.
+// buildJoinTable indexes block rows by their key column — a min/max pass
+// to pick the table's kind, then one insert pass — and accounts the table
+// against the memory budget. Rows are inserted in reverse so each chain
+// iterates in build order. Returns nil when the execution is cancelled
+// mid-build.
 func (x *Exec) buildJoinTable(b *Block, key int) *indexTable {
 	n := b.Len()
-	t := newIndexTable(n)
 	col := b.cols[key]
+	t := newJoinTable(col)
 	for i := n - 1; i >= 0; i-- {
 		if x.stop(n - 1 - i) {
 			return nil

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -85,40 +87,175 @@ func TestBlockZeroArity(t *testing.T) {
 	}
 }
 
-// TestJoinTableChains checks insertion order, duplicate keys, collisions
-// and the Null key against a reference map implementation.
-func TestJoinTableChains(t *testing.T) {
-	x := NewCluster(1).exec()
-	f := func(keys []uint32) bool {
-		b := NewBlock(1, len(keys))
-		ref := map[dict.ID][]int32{}
-		for i, k := range keys {
-			k := dict.ID(k % 17) // force duplicates and collisions
-			if i%13 == 0 {
-				k = Null // Null must behave as an ordinary key
-			}
-			b.Append(Row{k})
-			ref[k] = append(ref[k], int32(i))
+// chainsMatch builds a join table over keys and checks that it is of the
+// expected kind, that every key's chain lists exactly its rows in build
+// order (against a reference map), and that each absent key misses.
+func chainsMatch(t *testing.T, x *Exec, keys []dict.ID, direct bool, absent ...dict.ID) bool {
+	t.Helper()
+	b := NewBlock(1, len(keys))
+	ref := map[dict.ID][]int32{}
+	for i, k := range keys {
+		b.Append(Row{k})
+		ref[k] = append(ref[k], int32(i))
+	}
+	ht := x.buildJoinTable(b, 0)
+	if ht.direct() != direct {
+		t.Logf("%d keys from %d to %d: direct = %v, want %v", len(keys), slices.Min(keys), slices.Max(keys), ht.direct(), direct)
+		return false
+	}
+	for k, want := range ref {
+		var got []int32
+		for i := ht.first(k); i >= 0; i = ht.next[i] {
+			got = append(got, i)
 		}
-		ht := x.buildJoinTable(b, 0)
-		for k, want := range ref {
-			var got []int32
-			for i := ht.first(k); i >= 0; i = ht.next[i] {
-				got = append(got, i)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Logf("key %d: chain %v, want %v", k, got, want)
-				return false
-			}
-		}
-		// A key that was never inserted must miss.
-		if ht.first(dict.ID(1<<30)) >= 0 {
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("key %d: chain %v, want %v", k, got, want)
 			return false
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	for _, k := range absent {
+		if _, ok := ref[k]; ok {
+			t.Fatalf("absent key %d was inserted", k)
+		}
+		if i := ht.first(k); i >= 0 {
+			t.Logf("never-inserted key %d found row %d", k, i)
+			return false
+		}
+	}
+	return true
+}
+
+// TestJoinTableChains checks insertion order, duplicate keys and misses
+// against a reference map on both kinds of table: Null-free keys in a
+// narrow span build a direct table; a Null key, or keys spread wide, build
+// a hashed one, where collisions chain and Null is an ordinary key.
+func TestJoinTableChains(t *testing.T) {
+	x := NewCluster(1).exec()
+	// dense maps quick's values onto 0..16 without 7, so 7 is a key inside
+	// the span that is never inserted. Keys 16, 0 and 8 always lead, so the
+	// span is the full 17 and at least 3 rows size the table (8 slots).
+	dense := func(vals []uint32) []dict.ID {
+		keys := []dict.ID{16, 0, 8}
+		for _, v := range vals {
+			k := dict.ID(v % 17)
+			if k == 7 {
+				k = 8
+			}
+			keys = append(keys, k)
+		}
+		return keys
+	}
+	for _, tc := range []struct {
+		name   string
+		keys   func([]uint32) []dict.ID
+		direct bool
+		absent []dict.ID
+	}{
+		{"direct", dense, true, []dict.ID{7, 17, 1 << 30, Null}},
+		{"hashed/null", func(vals []uint32) []dict.ID {
+			keys := dense(vals)
+			for i := range keys {
+				if i%13 == 2 {
+					keys[i] = Null
+				}
+			}
+			return keys
+		}, false, []dict.ID{7, 17, 1 << 30}},
+		{"hashed/wide", func(vals []uint32) []dict.ID {
+			keys := dense(vals)
+			for i := range keys {
+				keys[i] <<= 20
+			}
+			return keys
+		}, false, []dict.ID{7, 7 << 20, 17 << 20, Null}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := func(vals []uint32) bool {
+				return chainsMatch(t, x, tc.keys(vals), tc.direct, tc.absent...)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestJoinTableKindBoundary pins the choice between the kinds: a key span
+// of up to 3 hashed slots builds direct, one more builds hashed, and a
+// direct table never takes more bytes than tableBytes accounts.
+func TestJoinTableKindBoundary(t *testing.T) {
+	x := NewCluster(1).exec()
+	for _, n := range []int{2, 5, 300} {
+		slots := len(newIndexTable(n).head)
+		for _, base := range []dict.ID{0, 1000} {
+			for _, span := range []int{3 * slots, 3*slots + 1} {
+				keys := make([]dict.ID, n)
+				for i := range keys {
+					keys[i] = base + dict.ID(i*(span-1)/(n-1))
+				}
+				// Keys spread evenly from base to base+span-1; one inside
+				// the span, one above it and, from base 1000, key 0 and one
+				// just below it were never inserted.
+				absent := []dict.ID{base + dict.ID(span-2), base + dict.ID(span)}
+				if base > 0 {
+					absent = append(absent, base-1, 0)
+				}
+				if !chainsMatch(t, x, keys, span <= 3*slots, absent...) {
+					t.Errorf("n=%d base=%d span=%d: chains or kind wrong", n, base, span)
+				}
+				if ht := newJoinTable(keys); ht.direct() {
+					if got := int64(len(ht.head)+len(ht.next)) * 4; got > tableBytes(n) {
+						t.Errorf("n=%d span=%d: direct table holds %d B, tableBytes %d", n, span, got, tableBytes(n))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoinTableKindsJoinAlike runs one two-column-key join over a direct
+// build and over a hashed one and requires the same rows in the same
+// order, and the nested-loop answer. The hashed build differs only by a
+// Null-keyed row that matches nothing. Under broadcast every partition
+// probes the one build concurrently.
+func TestJoinTableKindsJoinAlike(t *testing.T) {
+	c := NewCluster(4)
+	rng := rand.New(rand.NewSource(3))
+	var lrows, rrows []Row
+	for i := 0; i < 4000; i++ {
+		lrows = append(lrows, Row{dict.ID(rng.Intn(64)), dict.ID(rng.Intn(4)), dict.ID(i)})
+	}
+	for i := 0; i < 500; i++ {
+		rrows = append(rrows, Row{dict.ID(rng.Intn(64)), dict.ID(rng.Intn(4)), dict.ID(i)})
+	}
+	var want []Row
+	for _, l := range lrows {
+		for _, r := range rrows {
+			if l[0] == r[0] && l[1] == r[1] {
+				want = append(want, Row{l[0], l[1], l[2], r[2]})
+			}
+		}
+	}
+	sortRows(want)
+	schemaL, schemaR := []string{"a", "b", "l"}, []string{"a", "b", "r"}
+	withNull := append(append([]Row(nil), rrows...), Row{Null, 0, 999})
+	for _, strat := range []JoinStrategy{StrategyBroadcast, StrategyShuffle} {
+		t.Run(strat.String(), func(t *testing.T) {
+			x := c.exec()
+			left := x.FromRows(schemaL, lrows)
+			direct := x.FromRows(schemaR, rrows)
+			hashed := x.FromRows(schemaR, withNull)
+			if strat == StrategyBroadcast {
+				if !newJoinTable(direct.gather().cols[0]).direct() || newJoinTable(hashed.gather().cols[0]).direct() {
+					t.Fatal("builds are not one direct and one hashed table")
+				}
+			}
+			got := x.JoinWith(left, direct, strat)
+			rowsEqual(t, got, want)
+			if other := x.JoinWith(left, hashed, strat).Rows(); !reflect.DeepEqual(other, got.Rows()) {
+				t.Errorf("hashed build joined %d rows, direct %d, or in another order", len(other), got.NumRows())
+			}
+		})
 	}
 }
 

@@ -7,11 +7,13 @@
 // key hashing streams over one contiguous column, joins emit (build-row,
 // probe-row) index pair vectors and gather output columns exactly once, and
 // shuffles scatter columns instead of re-serializing rows. Every equi-join
-// is one hash join, build then probe (see joinBuild): a shuffle join
-// repartitions both inputs by the hash of the join key and builds per
-// co-partition on the smaller side, a broadcast join builds once over the
-// gathered small side, and in both the partition tasks probe the build
-// read-only on a pool of worker goroutines. The engine meters the quantities
+// is one build then probe (see joinBuild): a shuffle join repartitions both
+// inputs by the hash of the join key and builds per co-partition on the
+// smaller side, a broadcast join builds once over the gathered small side,
+// and in both the partition tasks probe the build read-only on a pool of
+// worker goroutines. A build indexes its key column directly by ID when
+// the keys lie in a narrow span, as dense dictionary IDs do, and hashes
+// them otherwise (see indexTable). The engine meters the quantities
 // the paper's argument rests on: rows scanned, rows shuffled and join
 // comparisons. Input-size reduction (what ExtVP buys) therefore translates
 // directly into lower metered cost and lower wall time, just as on Spark.
@@ -279,15 +281,13 @@ func (x *Exec) trackRelation(r *Relation) {
 	x.trackBytes(n)
 }
 
-// tableBytes is the accounted size of an in-memory join table over n rows:
-// keys (8 B) and heads (4 B) for the power-of-two slot array at load factor
-// <= 0.5, plus one 4 B chain link per row.
+// tableBytes is the accounted size of an in-memory join table over n rows,
+// of either kind: a hashed table's keys (8 B) and heads (4 B) for its
+// power-of-two slot array at load factor <= 0.5, plus one 4 B chain link
+// per row. A direct table is built only when its heads (4 B per key in its
+// span) fit in those 12 B per slot, so this bounds it too.
 func tableBytes(n int) int64 {
-	slots := 2
-	for slots < 2*n {
-		slots *= 2
-	}
-	return int64(slots)*12 + int64(n)*4
+	return int64(12)<<slotBits(n) + int64(n)*4
 }
 
 // Err returns the error of the execution's context (context.Canceled or
@@ -1045,20 +1045,35 @@ func (x *Exec) probe(b *joinBuild, src *Block, pIdx []int, bsel, psel []int32) (
 	}
 	key := src.cols[pIdx[0]]
 	var comparisons int64
-	for i, n := 0, src.Len(); i < n; i++ {
-		if x.stop(i) {
+	// The probe walks src in cancelBatch-row batches, polling once per
+	// batch. A single-column key needs no compare beyond the chain.
+	for lo, n := 0, src.Len(); lo < n; lo += cancelBatch {
+		if x.stop(lo) {
 			break
 		}
-	cand:
-		for bi := ht.first(key[i]); bi >= 0; bi = ht.next[bi] {
-			comparisons++
-			for k := 1; k < len(pIdx); k++ {
-				if src.cols[pIdx[k]][i] != b.blk.cols[b.idx[k]][bi] {
-					continue cand
+		hi := min(lo+cancelBatch, n)
+		if len(pIdx) == 1 {
+			for i := lo; i < hi; i++ {
+				for bi := ht.first(key[i]); bi >= 0; bi = ht.next[bi] {
+					comparisons++
+					bsel = append(bsel, bi)
+					psel = append(psel, int32(i))
 				}
 			}
-			bsel = append(bsel, bi)
-			psel = append(psel, int32(i))
+			continue
+		}
+		for i := lo; i < hi; i++ {
+		cand:
+			for bi := ht.first(key[i]); bi >= 0; bi = ht.next[bi] {
+				comparisons++
+				for k := 1; k < len(pIdx); k++ {
+					if src.cols[pIdx[k]][i] != b.blk.cols[b.idx[k]][bi] {
+						continue cand
+					}
+				}
+				bsel = append(bsel, bi)
+				psel = append(psel, int32(i))
+			}
 		}
 	}
 	x.addComparisons(comparisons)

@@ -22,9 +22,12 @@ func TestHashID64DistributionDenseIDs(t *testing.T) {
 			}
 		}
 	}
-	// Index-table slots: dense keys in a table sized for them must keep
-	// probe chains short. Average displacement beyond the home slot should
-	// stay near the open-addressing ideal at load 0.5 (< 1 extra probe).
+	// Hashed index-table slots: dense keys in a table sized for them must
+	// keep probe chains short. A join build over dense keys alone is direct
+	// (newJoinTable); dense keys reach the hashed fallback once a Null key
+	// widens the span, so they are what this table must still spread.
+	// Average displacement beyond the home slot should stay near the
+	// open-addressing ideal at load 0.5 (< 1 extra probe).
 	const keys = 1 << 14
 	tbl := newIndexTable(keys)
 	extra := 0
