@@ -1046,23 +1046,12 @@ func (x *Exec) probe(b *joinBuild, src *Block, pIdx []int, bsel, psel []int32) (
 	key := src.cols[pIdx[0]]
 	var comparisons int64
 	// The probe walks src in cancelBatch-row batches, polling once per
-	// batch. A single-column key needs no compare beyond the chain.
+	// batch.
 	for lo, n := 0, src.Len(); lo < n; lo += cancelBatch {
 		if x.stop(lo) {
 			break
 		}
-		hi := min(lo+cancelBatch, n)
-		if len(pIdx) == 1 {
-			for i := lo; i < hi; i++ {
-				for bi := ht.first(key[i]); bi >= 0; bi = ht.next[bi] {
-					comparisons++
-					bsel = append(bsel, bi)
-					psel = append(psel, int32(i))
-				}
-			}
-			continue
-		}
-		for i := lo; i < hi; i++ {
+		for i, hi := lo, min(lo+cancelBatch, n); i < hi; i++ {
 		cand:
 			for bi := ht.first(key[i]); bi >= 0; bi = ht.next[bi] {
 				comparisons++

@@ -398,56 +398,53 @@ func (x *Exec) topKPartition(n int, in []sortColumn, k int, cols []SortCol, keyO
 		lost[i] = -1
 	}
 	spare := k
-	// The row loop polls for cancellation once per cancelBatch rows.
-	for lo := 0; lo < n; lo += cancelBatch {
-		if x.stop(lo) {
+	for i := 0; i < n; i++ {
+		if x.stop(i) {
 			return topRun{}
 		}
-		for i, hi := lo, min(lo+cancelBatch, n); i < hi; i++ {
-			if len(heap) < k {
-				slot := len(heap)
-				for c := 0; c < nc; c++ {
-					setKey(slot, i, c)
+		if len(heap) < k {
+			slot := len(heap)
+			for c := 0; c < nc; c++ {
+				setKey(slot, i, c)
+			}
+			rows[slot] = int32(i)
+			heap = append(heap, int32(slot))
+			for c := slot; c > 0; {
+				parent := (c - 1) / 2
+				if !after(heap[c], heap[parent]) {
+					break
 				}
-				rows[slot] = int32(i)
-				heap = append(heap, int32(slot))
-				for c := slot; c > 0; {
-					parent := (c - 1) / 2
-					if !after(heap[c], heap[parent]) {
-						break
-					}
-					heap[c], heap[parent] = heap[parent], heap[c]
-					c = parent
-				}
-				continue
+				heap[c], heap[parent] = heap[parent], heap[c]
+				c = parent
 			}
-			if nc > 0 {
-				if id := lead.id(i); int64(id) == lost[id&255] {
-					continue
-				}
-			}
-			// Row i follows every kept row, so it displaces heap[0] only
-			// when it sorts strictly before it; most rows lose on the first
-			// column and never have the rest of their keys computed.
-			root, c, d := int(heap[0]), 0, 0
-			for ; c < nc && d == 0; c++ {
-				setKey(spare, i, c)
-				d = s.compareCol(c, spare, root)
-			}
-			if d >= 0 {
-				if d > 0 && c == 1 {
-					id := lead.id(i)
-					lost[id&255] = int64(id)
-				}
-				continue
-			}
-			for ; c < nc; c++ {
-				setKey(spare, i, c)
-			}
-			rows[spare] = int32(i)
-			heap[0], spare = int32(spare), root
-			siftDown(0, k)
+			continue
 		}
+		if nc > 0 {
+			if id := lead.id(i); int64(id) == lost[id&255] {
+				continue
+			}
+		}
+		// Row i follows every kept row, so it displaces heap[0] only when it
+		// sorts strictly before it; most rows lose on the first column and
+		// never have the rest of their keys computed.
+		root, c, d := int(heap[0]), 0, 0
+		for ; c < nc && d == 0; c++ {
+			setKey(spare, i, c)
+			d = s.compareCol(c, spare, root)
+		}
+		if d >= 0 {
+			if d > 0 && c == 1 {
+				id := lead.id(i)
+				lost[id&255] = int64(id)
+			}
+			continue
+		}
+		for ; c < nc; c++ {
+			setKey(spare, i, c)
+		}
+		rows[spare] = int32(i)
+		heap[0], spare = int32(spare), root
+		siftDown(0, k)
 	}
 
 	// Heapsort the slots into ascending order and emit the run.
