@@ -64,6 +64,7 @@ var goldenSets = []struct {
 	{"basic", watdiv.BasicTemplates(), "", []core.Mode{core.ModeExtVP, core.ModeVP, core.ModePT, core.ModeTT}},
 	{"st", watdiv.STTemplates(), "", []core.Mode{core.ModeExtVP, core.ModeVP}},
 	{"il", watdiv.ILTemplates(), "", []core.Mode{core.ModeExtVP, core.ModeVP}},
+	{"analytic_stream", analyticTemplates(), "", []core.Mode{core.ModeExtVP, core.ModeVP}},
 	{"analytic_reduce", analyticTemplates(), " ORDER BY ?v0 LIMIT 10", []core.Mode{core.ModeExtVP, core.ModeVP}},
 }
 
