@@ -75,6 +75,13 @@ func TestKeyPushdownWatDiv(t *testing.T) {
 // BGP's solutions do not depend on pattern order).
 func refAnswer(t *testing.T, triples []rdf.Triple, src string, order []int) []string {
 	t.Helper()
+	return ref.CanonAll(refSolutions(t, triples, src, order))
+}
+
+// refSolutions is refAnswer's evaluation, its solutions in the order the
+// query's modifiers leave them.
+func refSolutions(t *testing.T, triples []rdf.Triple, src string, order []int) []ref.Binding {
+	t.Helper()
 	q, err := sparql.Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -95,5 +102,5 @@ func refAnswer(t *testing.T, triples []rdf.Triple, src string, order []int) []st
 		ordered[i] = bgp[idx]
 	}
 	q.Where.Triples = ordered
-	return ref.CanonAll(ref.EvalQuery(used, q))
+	return ref.EvalQuery(used, q)
 }

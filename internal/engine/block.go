@@ -1,26 +1,49 @@
 package engine
 
-import "s2rdf/internal/dict"
+import (
+	"slices"
 
-// Block is one partition of a relation stored column-major: one contiguous
-// []dict.ID per column, every column the same length. Compared to the
-// previous flat row-major buffer, operators now touch only the columns they
-// need — key hashing runs over one contiguous slice, joins gather output
-// columns once from (row-index) pair vectors, and column-copying operators
-// (Project, Union alignment) can share column slices outright instead of
-// copying rows.
+	"s2rdf/internal/dict"
+)
+
+// Block is one partition of a relation stored column-major. A block is
+// dense or lazy:
+//   - a dense block holds one contiguous []dict.ID per column, every column
+//     n long, so operators touch only the columns they need and key hashing
+//     runs over one contiguous slice;
+//   - a lazy block holds row ids instead of values (see lazyCols): a join's
+//     output is its pair vectors over its two inputs, and a bit-vector or
+//     conditioned scan's output is its selected row numbers over the stored
+//     table. Values are read through the row ids, and a column is gathered
+//     contiguous only where an operator needs it so (a join key, a filter,
+//     a shuffle, a stream batch), once, from the dense blocks at the bottom.
 //
-// Invariants:
-//   - len(cols[j]) == n for every column j;
-//   - blocks are write-once: an operator appends only to the block it is
-//     producing and only reads its inputs' blocks, so completed blocks are
-//     immutable and their columns may be shared between blocks freely.
+// Blocks are write-once: an operator appends only to the block it is
+// producing and only reads its inputs' blocks, so completed blocks are
+// immutable and their columns and row-id vectors may be shared freely.
 //
 // A nil *Block behaves as an empty block for Len.
 type Block struct {
 	cols [][]dict.ID
 	n    int
+	// lz, when set, makes the block lazy; cols is then nil.
+	lz *lazyCols
 }
+
+// lazyCols is a lazy block's columns: row i of column j is row
+// sel[k][i] of column src[j].col of input in[k], k = src[j].in, or row i
+// when sel[k] is nil (input k's rows, in order). A negative src[j].in is an
+// all-Null column (a projection of a column the input lacks). The row-id
+// vectors hold no negative entry, and once the block leaves the operator
+// that made it they are its own, never pooled scratch.
+type lazyCols struct {
+	in  [2]*Block
+	sel [2][]int32
+	src []colSrc
+}
+
+// colSrc locates one column of a lazy block in its inputs.
+type colSrc struct{ in, col int }
 
 // NewBlock returns an empty block for rows of the given arity, with one
 // backing buffer preallocated for capRows rows (sliced per column, so a
@@ -53,6 +76,43 @@ func newFixedBlock(arity, n int) *Block {
 	return b
 }
 
+// lazyBlock returns a lazy block of n rows over in through sel, allocated
+// with its lazyCols in one piece.
+func lazyBlock(n int, in [2]*Block, sel [2][]int32, src []colSrc) *Block {
+	v := &struct {
+		b  Block
+		lz lazyCols
+	}{Block{n: n}, lazyCols{in: in, sel: sel, src: src}}
+	v.b.lz = &v.lz
+	return &v.b
+}
+
+// joinBlock is a join's output as row ids: row i is row lsel[i] of l
+// followed by the rKeep columns of row rsel[i] of r. The block keeps both
+// vectors; at most one may be nil (the identity).
+func joinBlock(l *Block, lsel []int32, r *Block, rKeep []int, rsel []int32) *Block {
+	src := make([]colSrc, 0, l.Arity()+len(rKeep))
+	for j := range l.Arity() {
+		src = append(src, colSrc{0, j})
+	}
+	for _, rc := range rKeep {
+		src = append(src, colSrc{1, rc})
+	}
+	// A nil vector lists its input's rows in order; the other holds one
+	// entry per output row.
+	return lazyBlock(max(len(lsel), len(rsel)), [2]*Block{l, r}, [2][]int32{lsel, rsel}, src)
+}
+
+// ownPairs copies a join's lazy output's pair vectors out of the pooled
+// scratch the probe filled, in place (the block has not been handed on
+// yet), so that the scratch can go back, and returns the block.
+func (b *Block) ownPairs() *Block {
+	for k, sel := range b.lz.sel {
+		b.lz.sel[k] = slices.Clone(sel)
+	}
+	return b
+}
+
 // Len returns the number of rows. A nil block is empty.
 func (b *Block) Len() int {
 	if b == nil {
@@ -62,24 +122,224 @@ func (b *Block) Len() int {
 }
 
 // Arity returns the number of IDs per row.
-func (b *Block) Arity() int { return len(b.cols) }
+func (b *Block) Arity() int {
+	if b.lz != nil {
+		return len(b.lz.src)
+	}
+	return len(b.cols)
+}
 
-// Col returns column j: a read-only view callers must not modify.
-func (b *Block) Col(j int) []dict.ID { return b.cols[j] }
+// Col returns column j: a read-only view callers must not modify. A lazy
+// block's column is gathered into a fresh slice.
+func (b *Block) Col(j int) []dict.ID {
+	if b.lz == nil {
+		return b.cols[j]
+	}
+	return b.columns([]int{j})[0]
+}
 
 // Row materializes row i into a fresh slice. It allocates; hot paths read
 // columns directly or reuse a buffer via CopyRow.
 func (b *Block) Row(i int) Row {
-	row := make(Row, len(b.cols))
+	row := make(Row, b.Arity())
 	b.CopyRow(row, i)
 	return row
 }
 
 // CopyRow copies row i into dst (len(dst) >= Arity()).
 func (b *Block) CopyRow(dst Row, i int) {
+	if b.lz != nil {
+		for j := range b.lz.src {
+			dst[j] = b.id(j, i)
+		}
+		return
+	}
 	for j, col := range b.cols {
 		dst[j] = col[i]
 	}
+}
+
+// id returns row i of column j, following a lazy block's row ids down to
+// the dense block the value lives in.
+func (b *Block) id(j, i int) dict.ID {
+	for b.lz != nil {
+		c := b.lz.src[j]
+		if c.in < 0 {
+			return Null
+		}
+		if s := b.lz.sel[c.in]; s != nil {
+			i = int(s[i])
+		}
+		b, j = b.lz.in[c.in], c.col
+	}
+	return b.cols[j][i]
+}
+
+// colBuf is the scratch of batch reads: the row ids and values of one
+// batch of up to cancelBatch rows.
+type colBuf struct {
+	ids  [cancelBatch]int32
+	vals [cancelBatch]dict.ID
+}
+
+// batch returns rows [lo, hi) of column j contiguous, hi-lo <= cancelBatch:
+// a dense block's own slice, or a lazy block's values read through its row
+// ids, composed level by level in buf, so a read at any depth allocates
+// nothing. The result is valid until buf's next use.
+func (b *Block) batch(j, lo, hi int, buf *colBuf) []dict.ID {
+	var at []int32 // nil: rows [lo, hi) of b, in order
+	for b.lz != nil {
+		c := b.lz.src[j]
+		if c.in < 0 {
+			vals := buf.vals[:hi-lo]
+			for i := range vals {
+				vals[i] = Null
+			}
+			return vals
+		}
+		if s := b.lz.sel[c.in]; s != nil {
+			if at == nil {
+				at = s[lo:hi]
+			} else {
+				ids := buf.ids[:len(at)]
+				for i, r := range at {
+					ids[i] = s[r]
+				}
+				at = ids
+			}
+		}
+		b, j = b.lz.in[c.in], c.col
+	}
+	col := b.cols[j]
+	if at == nil {
+		return col[lo:hi]
+	}
+	vals := buf.vals[:len(at)]
+	for i, r := range at {
+		vals[i] = col[r]
+	}
+	return vals
+}
+
+// identity reports whether sel lists the rows [0, n) in order.
+func identity(sel []int32, n int) bool {
+	if len(sel) != n {
+		return false
+	}
+	for i, r := range sel {
+		if r != int32(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// compose returns the row ids sel picks out of ids: either one itself when
+// the other is nil (the identity), else a fresh vector holding ids[sel[i]],
+// or -1 where sel[i] is negative.
+func compose(ids, sel []int32) []int32 {
+	if ids == nil {
+		return sel
+	}
+	if sel == nil {
+		return ids
+	}
+	out := make([]int32, len(sel))
+	for i, r := range sel {
+		if r < 0 {
+			out[i] = -1
+		} else {
+			out[i] = ids[r]
+		}
+	}
+	return out
+}
+
+// gatherCols writes the values of columns js at rows sel — every row in
+// order when sel is nil, Null where an entry is negative — into dst[k] for
+// js[k], each as long as sel (or the block). A lazy block composes sel with
+// the row ids of each input it reads, once per input, and gathers at the
+// dense blocks at the bottom, so every value is copied once however deep
+// the block is.
+func (b *Block) gatherCols(dst [][]dict.ID, js []int, sel []int32) {
+	if b.lz == nil {
+		for k, j := range js {
+			gatherCol(dst[k], b.cols[j], sel)
+		}
+		return
+	}
+	lz := b.lz
+	var sub []int
+	var subDst [][]dict.ID
+	for in, blk := range lz.in {
+		sub, subDst = sub[:0], subDst[:0]
+		for k, j := range js {
+			if lz.src[j].in == in {
+				sub = append(sub, lz.src[j].col)
+				subDst = append(subDst, dst[k])
+			}
+		}
+		if len(sub) > 0 {
+			blk.gatherCols(subDst, sub, compose(lz.sel[in], sel))
+		}
+	}
+	for k, j := range js {
+		if lz.src[j].in < 0 {
+			for i := range dst[k] {
+				dst[k][i] = Null
+			}
+		}
+	}
+}
+
+// gatherCol writes col's values at rows sel into dst (see gatherCols).
+func gatherCol(dst, col []dict.ID, sel []int32) {
+	if sel == nil {
+		copy(dst, col)
+		return
+	}
+	for i, r := range sel {
+		if r < 0 {
+			dst[i] = Null
+		} else {
+			dst[i] = col[r]
+		}
+	}
+}
+
+// allCols lists the column indices [0, n).
+func allCols(n int) []int {
+	js := make([]int, n)
+	for j := range js {
+		js[j] = j
+	}
+	return js
+}
+
+// columns returns columns js contiguous: a dense block's own slices, or a
+// lazy block's gathered into fresh ones.
+func (b *Block) columns(js []int) [][]dict.ID {
+	out := make([][]dict.ID, len(js))
+	if b.lz == nil {
+		for k, j := range js {
+			out[k] = b.cols[j]
+		}
+		return out
+	}
+	for k := range out {
+		out[k] = make([]dict.ID, b.n)
+	}
+	b.gatherCols(out, js, nil)
+	return out
+}
+
+// dense returns b with every column contiguous: b itself when it is dense,
+// its rows gathered into a fresh block when it is lazy.
+func (b *Block) dense() *Block {
+	if b.lz == nil {
+		return b
+	}
+	return b.gatherSel(nil)
 }
 
 // rowsEqualIDs reports whether two rows hold identical IDs.
@@ -95,7 +355,8 @@ func rowsEqualIDs(a, b Row) bool {
 	return true
 }
 
-// rowsEqual reports whether rows i and j hold identical IDs.
+// rowsEqual reports whether rows i and j of a dense block hold identical
+// IDs.
 func (b *Block) rowsEqual(i, j int) bool {
 	for _, col := range b.cols {
 		if col[i] != col[j] {
@@ -116,96 +377,53 @@ func (b *Block) Append(row Row) {
 // AppendBlock bulk-copies every row of src (same arity) into b: one copy per
 // column instead of a per-row loop.
 func (b *Block) AppendBlock(src *Block) {
-	if src.Len() == 0 {
-		return
-	}
-	for j := range b.cols {
-		b.cols[j] = append(b.cols[j], src.cols[j]...)
-	}
-	b.n += src.n
+	b.AppendRange(src, 0, src.Len())
 }
 
-// AppendRange bulk-copies rows [lo, hi) of src (same arity) into b.
+// AppendRange bulk-copies rows [lo, hi) of src (same arity) into b,
+// gathering them when src is lazy.
 func (b *Block) AppendRange(src *Block, lo, hi int) {
 	if hi <= lo {
 		return
 	}
-	for j := range b.cols {
-		b.cols[j] = append(b.cols[j], src.cols[j][lo:hi]...)
-	}
-	b.n += hi - lo
-}
-
-// AppendColumnsRange appends rows [lo, hi) of a column-major source, taking
-// source column srcs[j] for output position j: one contiguous copy per
-// column, which is how the late-materializing scan fills its output.
-func (b *Block) AppendColumnsRange(cols [][]dict.ID, srcs []int, lo, hi int) {
-	if hi <= lo {
-		return
-	}
-	for j, src := range srcs {
-		b.cols[j] = append(b.cols[j], cols[src][lo:hi]...)
-	}
-	b.n += hi - lo
-}
-
-// AppendColumnsSelected appends the rows at the selected indices of a
-// column-major source, like AppendColumnsRange but gathering through a
-// selection vector — one gather pass per column.
-func (b *Block) AppendColumnsSelected(cols [][]dict.ID, srcs []int, sel []int32) {
-	if len(sel) == 0 {
-		return
-	}
-	for j, src := range srcs {
-		col := cols[src]
-		dst := b.cols[j]
-		for _, ri := range sel {
-			dst = append(dst, col[ri])
+	if src.lz == nil {
+		for j := range b.cols {
+			b.cols[j] = append(b.cols[j], src.cols[j][lo:hi]...)
 		}
-		b.cols[j] = dst
+		b.n += hi - lo
+		return
 	}
-	b.n += len(sel)
-}
-
-// gatherSel materializes the rows at the selected indices of b into a fresh
-// exactly-sized block, one gather pass per column. It is the single
-// materialization point of every selection-vector operator (Filter, Distinct,
-// semi joins).
-func (b *Block) gatherSel(sel []int32) *Block {
-	out := newFixedBlock(len(b.cols), len(sel))
+	tails := make([][]dict.ID, len(b.cols))
 	for j, col := range b.cols {
-		dst := out.cols[j]
-		for i, ri := range sel {
-			dst[i] = col[ri]
-		}
+		col = slices.Grow(col, hi-lo)[:len(col)+hi-lo]
+		b.cols[j], tails[j] = col, col[len(col)-(hi-lo):]
 	}
+	src.view(lo, hi).gatherCols(tails, allCols(len(tails)), nil)
+	b.n += hi - lo
+}
+
+// gatherSel materializes the rows at the selected indices of b (every row
+// when sel is nil) into a fresh exactly-sized dense block, one gather pass
+// per column. It is the single materialization point of every
+// selection-vector operator (Filter, Distinct, OrderBy, top-k winners).
+func (b *Block) gatherSel(sel []int32) *Block {
+	n := len(sel)
+	if sel == nil {
+		n = b.n
+	}
+	out := newFixedBlock(b.Arity(), n)
+	b.gatherCols(out.cols, allCols(len(out.cols)), sel)
 	return out
 }
 
-// gatherPairs materializes join output from pair vectors: row lsel[i] of l
-// concatenated with the rKeep columns of row rsel[i] of r. rsel[i] < 0 emits
-// Nulls in the right columns (the unmatched-left rows of an outer join).
-// Each output column is filled in one gather pass — the pipeline's single
-// materialization of the join, however many probe steps produced the pairs.
+// gatherPairs materializes outer-join output from pair vectors: row lsel[i]
+// of l concatenated with the rKeep columns of row rsel[i] of r. rsel[i] < 0
+// emits Nulls in the right columns (the unmatched-left rows).
 func gatherPairs(l *Block, lsel []int32, r *Block, rKeep []int, rsel []int32) *Block {
-	out := newFixedBlock(len(l.cols)+len(rKeep), len(lsel))
-	for j, col := range l.cols {
-		dst := out.cols[j]
-		for i, ri := range lsel {
-			dst[i] = col[ri]
-		}
-	}
-	for k, rc := range rKeep {
-		col := r.cols[rc]
-		dst := out.cols[len(l.cols)+k]
-		for i, ri := range rsel {
-			if ri < 0 {
-				dst[i] = Null
-			} else {
-				dst[i] = col[ri]
-			}
-		}
-	}
+	la := l.Arity()
+	out := newFixedBlock(la+len(rKeep), len(lsel))
+	l.gatherCols(out.cols[:la], allCols(la), lsel)
+	r.gatherCols(out.cols[la:], rKeep, rsel)
 	return out
 }
 
@@ -375,14 +593,13 @@ func (t *indexTable) first(k dict.ID) int32 {
 	return -1
 }
 
-// buildJoinTable indexes block rows by their key column — a min/max pass
-// to pick the table's kind, then one insert pass — and accounts the table
+// buildJoinTable indexes rows by their key column — a min/max pass to
+// pick the table's kind, then one insert pass — and accounts the table
 // against the memory budget. Rows are inserted in reverse so each chain
 // iterates in build order. Returns nil when the execution is cancelled
 // mid-build.
-func (x *Exec) buildJoinTable(b *Block, key int) *indexTable {
-	n := b.Len()
-	col := b.cols[key]
+func (x *Exec) buildJoinTable(col []dict.ID) *indexTable {
+	n := len(col)
 	t := newJoinTable(col)
 	for i := n - 1; i >= 0; i-- {
 		if x.stop(n - 1 - i) {
@@ -394,10 +611,10 @@ func (x *Exec) buildJoinTable(b *Block, key int) *indexTable {
 	return t
 }
 
-// seen is the DISTINCT use of the table: it reports whether row i of blk
-// (hashing to h) duplicates a previously admitted row — chains hold the
-// admitted rows with that hash, collision-checked column-wise against the
-// block — admitting it otherwise.
+// seen is the DISTINCT use of the table: it reports whether row i of the
+// dense block blk (hashing to h) duplicates a previously admitted row —
+// chains hold the admitted rows with that hash, collision-checked
+// column-wise against the block — admitting it otherwise.
 func (t *indexTable) seen(blk *Block, i int, h uint64) bool {
 	s := t.slot(h)
 	for j := t.head[s]; j >= 0; j = t.next[j] {

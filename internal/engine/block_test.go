@@ -92,13 +92,11 @@ func TestBlockZeroArity(t *testing.T) {
 // order (against a reference map), and that each absent key misses.
 func chainsMatch(t *testing.T, x *Exec, keys []dict.ID, direct bool, absent ...dict.ID) bool {
 	t.Helper()
-	b := NewBlock(1, len(keys))
 	ref := map[dict.ID][]int32{}
 	for i, k := range keys {
-		b.Append(Row{k})
 		ref[k] = append(ref[k], int32(i))
 	}
-	ht := x.buildJoinTable(b, 0)
+	ht := x.buildJoinTable(keys)
 	if ht.direct() != direct {
 		t.Logf("%d keys from %d to %d: direct = %v, want %v", len(keys), slices.Min(keys), slices.Max(keys), ht.direct(), direct)
 		return false

@@ -11,11 +11,10 @@ package engine
 
 // broadcastJoin joins left and right by replicating the smaller side to
 // every partition of the bigger one. The small side is gathered and built
-// once; every big-side partition probes the shared read-only build,
-// emitting (small-row, big-row) pair vectors into pooled scratch, which
-// place materializes in one gather or, under keep, hands back
-// unmaterialized (see pairJoin).
-func (x *Exec) broadcastJoin(left, right *Relation, lIdx, rIdx []int, keep bool) (*Relation, []joinPairs) {
+// once; every big-side partition probes the shared read-only build, its
+// output the (small-row, big-row) pair vectors over the two, in pooled
+// scratch the caller owns (see innerJoin).
+func (x *Exec) broadcastJoin(left, right *Relation, lIdx, rIdx []int) (*Relation, []*scratch) {
 	leftSmall := left.NumRows() <= right.NumRows()
 	small, big := left, right
 	sIdx, bIdx := lIdx, rIdx
@@ -32,10 +31,7 @@ func (x *Exec) broadcastJoin(left, right *Relation, lIdx, rIdx []int, keep bool)
 	// Output partitioning follows the big side, whose rows stay in place;
 	// translate its key column into output-schema coordinates.
 	out.keyCol = broadcastKeyCol(big, small, bIdx, sIdx, leftSmall)
-	var pairs []joinPairs
-	if keep {
-		pairs = make([]joinPairs, len(out.Parts))
-	}
+	pairs := make([]*scratch, len(out.Parts))
 	if sblk.Len() == 0 {
 		return out, pairs
 	}
@@ -45,10 +41,10 @@ func (x *Exec) broadcastJoin(left, right *Relation, lIdx, rIdx []int, keep bool)
 	x.parallel(len(big.Parts), func(p int) {
 		src := big.Parts[p]
 		if src.Len() == 0 {
-			place(out, pairs, p, joinPairs{arity: len(outSchema)})
+			out.Parts[p] = newFixedBlock(len(outSchema), 0)
 			return
 		}
-		place(out, pairs, p, x.probePairs(b, src, bIdx, leftSmall, rKeep, len(outSchema)))
+		out.Parts[p], pairs[p] = x.probeJoin(b, src, bIdx, leftSmall, rKeep)
 	})
 	return out, pairs
 }

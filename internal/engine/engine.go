@@ -4,19 +4,24 @@
 // Relations are horizontally partitioned collections of fixed-width rows of
 // dictionary IDs; each partition is a column-major Block (one contiguous
 // []dict.ID per column — see block.go), so operators run column-at-a-time:
-// key hashing streams over one contiguous column, joins emit (build-row,
-// probe-row) index pair vectors and gather output columns exactly once, and
-// shuffles scatter columns instead of re-serializing rows. Every equi-join
-// is one build then probe (see joinBuild): a shuffle join repartitions both
-// inputs by the hash of the join key and builds per co-partition on the
-// smaller side, a broadcast join builds once over the gathered small side,
-// and in both the partition tasks probe the build read-only on a pool of
-// worker goroutines. A build indexes its key column directly by ID when
-// the keys lie in a narrow span, as dense dictionary IDs do, and hashes
-// them otherwise (see indexTable). The engine meters the quantities
-// the paper's argument rests on: rows scanned, rows shuffled and join
-// comparisons. Input-size reduction (what ExtVP buys) therefore translates
-// directly into lower metered cost and lower wall time, just as on Spark.
+// key hashing streams over one contiguous column, and shuffles scatter
+// columns instead of re-serializing rows. Materialization is late: a join
+// hands on its (build-row, probe-row) pair vectors over its two inputs, and
+// a bit-vector or conditioned scan its selected row numbers over the stored
+// table, as a lazy block; a column is gathered only where an operator needs
+// it contiguous (a filter, a shuffle, a sort's winners, a stream batch),
+// and then once; a join's key is read through the row ids in batches.
+// Every equi-join is one build then probe (see joinBuild): a shuffle join
+// repartitions both inputs by the hash of the join key and builds per
+// co-partition on the smaller side, a broadcast join builds once over the
+// gathered small side, and in both the partition tasks probe the build
+// read-only on a pool of worker goroutines. A build indexes its key column
+// directly by ID when the keys lie in a narrow span, as dense dictionary
+// IDs do, and hashes them otherwise (see indexTable). The engine meters the
+// quantities the paper's argument rests on: rows scanned, rows shuffled
+// and join comparisons. Input-size reduction (what ExtVP buys) therefore
+// translates directly into lower metered cost and lower wall time, just as
+// on Spark.
 //
 // A Cluster is safe for concurrent use: any number of queries may run
 // operators on it simultaneously. Each query obtains an Exec handle
@@ -259,15 +264,25 @@ func (x *Exec) overBudget(extra int64) bool {
 	return x.memBudget > 0 && x.memUsed.Load()+extra > x.memBudget
 }
 
-// blockBytes is the accounted size of one block: its column storage.
+// blockBytes is the accounted size of one block: its column storage, or a
+// lazy block's row-id vectors.
 func blockBytes(b *Block) int64 {
 	if b == nil {
 		return 0
 	}
-	return int64(b.Len()) * int64(b.Arity()) * int64(idBytes)
+	width := b.Arity()
+	if b.lz != nil {
+		width = 0
+		for _, s := range b.lz.sel {
+			if s != nil {
+				width++
+			}
+		}
+	}
+	return int64(b.Len()) * int64(width) * int64(idBytes)
 }
 
-// idBytes is the storage width of one dict.ID.
+// idBytes is the storage width of one dict.ID, and of one int32 row id.
 const idBytes = 4
 
 // trackRelation accounts every partition block of a freshly materialized
@@ -466,7 +481,7 @@ func (r *Relation) DistinctKeys(col int) []dict.ID {
 	keys := make([]dict.ID, 0, r.NumRows())
 	for _, p := range r.Parts {
 		if p.Len() > 0 {
-			keys = append(keys, p.cols[col]...)
+			keys = append(keys, p.Col(col)...)
 		}
 	}
 	slices.Sort(keys)
@@ -483,8 +498,8 @@ func (r *Relation) SoleKey(col int) (dict.ID, bool) {
 		if p.Len() == 0 {
 			continue
 		}
-		for _, v := range p.cols[col] {
-			if !seen {
+		for i := range p.Len() {
+			if v := p.id(col, i); !seen {
 				key, seen = v, true
 			} else if v != key {
 				return 0, false
@@ -508,7 +523,7 @@ func (r *Relation) Rows() []Row {
 		if pn == 0 {
 			continue
 		}
-		for j, col := range p.cols {
+		for j, col := range p.dense().cols {
 			for i, v := range col {
 				buf[(base+i)*arity+j] = v
 			}
@@ -530,6 +545,9 @@ func (r *Relation) EachRow(fn func(i int, row Row) bool) {
 	scratch := make(Row, len(r.Schema))
 	i := 0
 	for _, p := range r.Parts {
+		if p.Len() > 0 {
+			p = p.dense()
+		}
 		for j, n := 0, p.Len(); j < n; j++ {
 			p.CopyRow(scratch, j)
 			if !fn(i, scratch) {
@@ -542,8 +560,9 @@ func (r *Relation) EachRow(fn func(i int, row Row) bool) {
 
 // gather concatenates all partitions into one block (coordinator-side
 // collect for operators that need the whole relation in place). When a
-// single partition holds every row it is shared as-is: blocks are
-// write-once, so no copy is needed.
+// single partition holds every row it is shared as-is, dense or lazy:
+// blocks are write-once, so no copy is needed. Otherwise the rows are
+// gathered into one dense block.
 func (r *Relation) gather() *Block {
 	var only *Block
 	populated := 0
@@ -623,8 +642,9 @@ func (x *Exec) FromRows(schema []string, rows []Row) *Relation {
 }
 
 // Filter keeps the rows satisfying pred. The predicate receives a reused
-// scratch row and must not retain or modify it. Survivors are tracked in a
-// selection vector and materialized once, column-wise.
+// scratch row and must not retain or modify it. A lazy partition is
+// gathered first; survivors are tracked in a selection vector and
+// materialized once, column-wise.
 func (x *Exec) Filter(r *Relation, pred func(Row) bool) *Relation {
 	out := newRelation(r.Schema, len(r.Parts))
 	out.keyCol = r.keyCol
@@ -636,6 +656,7 @@ func (x *Exec) Filter(r *Relation, pred func(Row) bool) *Relation {
 			out.Parts[p] = NewBlock(arity, 0)
 			return
 		}
+		src = src.dense()
 		sel := make([]int32, 0, n)
 		scratch := make(Row, arity)
 		for i := 0; i < n; i++ {
@@ -655,9 +676,10 @@ func (x *Exec) Filter(r *Relation, pred func(Row) bool) *Relation {
 }
 
 // Project keeps the named columns, in order. Blocks are write-once, so the
-// output shares the input's column slices outright — a projection moves no
-// data; columns absent from the input become one shared Null column. The
-// partitioning column survives projection when it is kept.
+// output shares the input's column slices, or a lazy block's row ids,
+// outright — a projection moves no data; columns absent from the input
+// become one shared Null column. The partitioning column survives
+// projection when it is kept.
 func (x *Exec) Project(r *Relation, cols []string) *Relation {
 	idx := make([]int, len(cols))
 	for i, name := range cols {
@@ -679,6 +701,17 @@ func (x *Exec) Project(r *Relation, cols []string) *Relation {
 			out.Parts[p] = NewBlock(len(idx), 0)
 			return
 		}
+		if lz := src.lz; lz != nil {
+			cs := make([]colSrc, len(idx))
+			for j, ci := range idx {
+				cs[j] = colSrc{in: -1}
+				if ci >= 0 {
+					cs[j] = lz.src[ci]
+				}
+			}
+			out.Parts[p] = lazyBlock(n, lz.in, lz.sel, cs)
+			return
+		}
 		blk := &Block{cols: make([][]dict.ID, len(idx)), n: n}
 		var nulls []dict.ID
 		for j, ci := range idx {
@@ -698,9 +731,10 @@ func (x *Exec) Project(r *Relation, cols []string) *Relation {
 }
 
 // shuffle repartitions r by the hash of column key, column-at-a-time: one
-// pass over the contiguous key column tags every row with its target and
-// counts bucket sizes, then each column is scattered into exactly-sized
-// bucket blocks. It meters every moved row. When the relation is already
+// pass over the key column tags every row with its target and counts
+// bucket sizes, then each column is scattered into exactly-sized dense
+// bucket blocks, a lazy block's read in batches through its row ids
+// (Block.batch). It meters every moved row. When the relation is already
 // partitioned by that column the shuffle is skipped (mirroring Spark's
 // co-partitioning optimization).
 func (x *Exec) shuffle(r *Relation, key int) *Relation {
@@ -718,21 +752,23 @@ func (x *Exec) shuffle(r *Relation, key int) *Relation {
 		if rows == 0 {
 			return
 		}
-		keyCol := src.cols[key]
-		// Pass 1: hash the key column, tagging each row with its target
-		// partition and counting bucket sizes. m tracks how many rows were
-		// tagged before a cancellation cut the pass short.
+		// Pass 1: hash the key column, batch by batch, tagging each row
+		// with its target partition and counting bucket sizes. m tracks how
+		// many rows were tagged before a cancellation cut the pass short.
+		buf := new(colBuf)
 		tags := make([]int32, rows)
 		counts := make([]int32, c.partitions)
 		m := 0
-		for i := 0; i < rows; i++ {
-			if x.stop(i) {
+		for lo := 0; lo < rows; lo += cancelBatch {
+			if x.stop(lo) {
 				break
 			}
-			t := int32((hashID64(uint64(keyCol[i])) >> 32) % parts)
-			tags[i] = t
-			counts[t]++
-			m++
+			for i, k := range src.batch(key, lo, min(lo+cancelBatch, rows), buf) {
+				t := int32((hashID64(uint64(k)) >> 32) % parts)
+				tags[lo+i] = t
+				counts[t]++
+			}
+			m = min(lo+cancelBatch, rows)
 		}
 		// Pass 2: scatter each column into exactly-sized bucket blocks.
 		// cursor[i] is row i's position within its bucket, precomputed so
@@ -751,9 +787,10 @@ func (x *Exec) shuffle(r *Relation, key int) *Relation {
 			cursor[t]++
 		}
 		for j := 0; j < arity; j++ {
-			col := src.cols[j]
-			for i := 0; i < m; i++ {
-				local[tags[i]].cols[j][pos[i]] = col[i]
+			for lo := 0; lo < m; lo += cancelBatch {
+				for i, v := range src.batch(j, lo, min(lo+cancelBatch, m), buf) {
+					local[tags[lo+i]].cols[j][pos[lo+i]] = v
+				}
 			}
 		}
 		if arity == 0 {
@@ -830,45 +867,49 @@ func (s JoinStrategy) String() string {
 
 // JoinWith computes the natural join of left and right on all shared
 // columns under an explicit physical strategy: StrategyBroadcast replicates
-// whichever side is smaller, StrategyShuffle repartitions both sides. With
-// no shared columns it degenerates to a cross join (metered but
+// whichever side is smaller, StrategyShuffle repartitions both sides. Its
+// partitions are lazy: each holds its pair vectors over its two inputs.
+// With no shared columns it degenerates to a cross join (metered but
 // discouraged; the query planner avoids it).
 func (x *Exec) JoinWith(left, right *Relation, strat JoinStrategy) *Relation {
 	lIdx, rIdx := sharedCols(left.Schema, right.Schema)
 	if len(lIdx) == 0 {
 		return x.cross(left, right, nil, false)
 	}
-	out, _ := x.pairJoin(left, right, lIdx, rIdx, strat, false)
+	out, pairs := x.innerJoin(left, right, lIdx, rIdx, strat)
+	for p, sc := range pairs {
+		if sc != nil {
+			out.Parts[p] = out.Parts[p].ownPairs()
+			sc.put()
+		}
+	}
 	x.trackRelation(out)
 	x.addOutput(int64(out.NumRows()))
 	return out
 }
 
-// pairJoin runs the inner join of left and right on the columns lIdx/rIdx
+// innerJoin runs the inner join of left and right on the columns lIdx/rIdx
 // under strat: broadcast the smaller side, or shuffle both sides by the
 // first join column and, per co-partition, build on the smaller side and
 // probe with the other, checking the remaining join columns during the
-// probe. Every partition's probe emits row pairs. Without keep, each
-// partition is gathered into out in the same task; with keep, out.Parts
-// stay nil and the pairs come back unmaterialized, one entry per
-// partition, for the caller to reduce before gathering (JoinTopK).
-func (x *Exec) pairJoin(left, right *Relation, lIdx, rIdx []int, strat JoinStrategy, keep bool) (*Relation, []joinPairs) {
+// probe. Partition p's output is a lazy block whose pair vectors are the
+// pooled scratch pairs[p] (nil where the partition is empty): the caller
+// owns them, and copies them out (ownPairs) before the block leaves it or
+// reduces the block and puts them back (JoinTopK).
+func (x *Exec) innerJoin(left, right *Relation, lIdx, rIdx []int, strat JoinStrategy) (*Relation, []*scratch) {
 	if strat == StrategyBroadcast {
-		return x.broadcastJoin(left, right, lIdx, rIdx, keep)
+		return x.broadcastJoin(left, right, lIdx, rIdx)
 	}
 	l := x.shuffle(left, lIdx[0])
 	r := x.shuffle(right, rIdx[0])
 	out := newRelation(joinSchema(left.Schema, right.Schema, rIdx), x.c.partitions)
 	out.keyCol = lIdx[0]
-	var pairs []joinPairs
-	if keep {
-		pairs = make([]joinPairs, len(out.Parts))
-	}
+	pairs := make([]*scratch, len(out.Parts))
 	rKeep := keepCols(len(right.Schema), rIdx)
 	x.parallel(len(out.Parts), func(p int) {
 		lblk, rblk := l.Parts[p], r.Parts[p]
 		if lblk.Len() == 0 || rblk.Len() == 0 {
-			place(out, pairs, p, joinPairs{arity: len(out.Schema)})
+			out.Parts[p] = newFixedBlock(len(out.Schema), 0)
 			return
 		}
 		buildLeft := lblk.Len() < rblk.Len()
@@ -878,53 +919,9 @@ func (x *Exec) pairJoin(left, right *Relation, lIdx, rIdx []int, strat JoinStrat
 		}
 		b := x.build(bblk, bIdx)
 		defer b.close()
-		place(out, pairs, p, x.probePairs(b, src, pIdx, buildLeft, rKeep, len(out.Schema)))
+		out.Parts[p], pairs[p] = x.probeJoin(b, src, pIdx, buildLeft, rKeep)
 	})
 	return out, pairs
-}
-
-// joinPairs is one partition's inner-join output before materialization:
-// output row i is row lsel[i] of l followed by the rKeep columns of row
-// rsel[i] of r, arity columns in all. sc, when set, backs the pair vectors
-// and goes back to the pool once they are consumed.
-type joinPairs struct {
-	l, r       *Block
-	lsel, rsel []int32
-	rKeep      []int
-	sc         *scratch
-	arity      int
-}
-
-// gather materializes the pairs, one gather pass per output column, and
-// releases the scratch.
-func (jp *joinPairs) gather() *Block {
-	out := newFixedBlock(jp.arity, 0)
-	if len(jp.lsel) > 0 {
-		out = gatherPairs(jp.l, jp.lsel, jp.r, jp.rKeep, jp.rsel)
-	}
-	if jp.sc != nil {
-		jp.sc.put()
-		jp.sc = nil
-	}
-	return out
-}
-
-// column returns output column j read in place through its pair vector.
-func (jp *joinPairs) column(j int) sortColumn {
-	if nl := len(jp.l.cols); j >= nl {
-		return sortColumn{col: jp.r.cols[jp.rKeep[j-nl]], at: jp.rsel}
-	}
-	return sortColumn{col: jp.l.cols[j], at: jp.lsel}
-}
-
-// place stores partition p's join pairs: kept in pairs when the caller
-// asked for them, gathered into out otherwise.
-func place(out *Relation, pairs []joinPairs, p int, jp joinPairs) {
-	if pairs != nil {
-		pairs[p] = jp
-		return
-	}
-	out.Parts[p] = jp.gather()
 }
 
 // LeftJoinWith computes the left outer join (SPARQL OPTIONAL) under an
@@ -994,7 +991,8 @@ func (x *Exec) LeftJoinWith(left, right *Relation, pred func(Row) bool, strat Jo
 // its partition tasks probe the build read-only, concurrently.
 type joinBuild struct {
 	blk *Block
-	idx []int
+	// keys are blk's key columns, contiguous (gathered when blk is lazy).
+	keys [][]dict.ID
 	// ht is the in-memory table; nil when the build spilled or was
 	// cancelled mid-way.
 	ht   *indexTable
@@ -1008,14 +1006,14 @@ type joinBuild struct {
 // failure while spilling leaves the build in memory: the budget is
 // best-effort, the result is not.
 func (x *Exec) build(blk *Block, idx []int) *joinBuild {
-	b := &joinBuild{blk: blk, idx: idx}
+	b := &joinBuild{blk: blk, keys: blk.columns(idx)}
 	if x.overBudget(tableBytes(blk.Len())) {
-		if b.runs, _ = x.buildSpillRuns(blk, idx); b.runs != nil {
-			b.fallback = sync.OnceValue(func() *indexTable { return x.buildJoinTable(blk, idx[0]) })
+		if b.runs, _ = x.buildSpillRuns(b.keys); b.runs != nil {
+			b.fallback = sync.OnceValue(func() *indexTable { return x.buildJoinTable(b.keys[0]) })
 			return b
 		}
 	}
-	b.ht = x.buildJoinTable(blk, idx[0])
+	b.ht = x.buildJoinTable(b.keys[0])
 	return b
 }
 
@@ -1035,7 +1033,7 @@ func (b *joinBuild) close() {
 func (x *Exec) probe(b *joinBuild, src *Block, pIdx []int, bsel, psel []int32) ([]int32, []int32) {
 	ht := b.ht
 	if b.runs != nil {
-		if bs, ps, ok := x.spillProbePairs(b.runs, src, pIdx, bsel, psel); ok {
+		if bs, ps, ok := x.spillProbePairs(b.runs, src.columns(pIdx), bsel, psel); ok {
 			return bs, ps
 		}
 		ht = b.fallback()
@@ -1043,39 +1041,40 @@ func (x *Exec) probe(b *joinBuild, src *Block, pIdx []int, bsel, psel []int32) (
 	if ht == nil {
 		return bsel, psel
 	}
-	key := src.cols[pIdx[0]]
 	var comparisons int64
 	// The probe walks src in cancelBatch-row batches, polling once per
-	// batch. A single-column key, as almost every join has, takes a loop
-	// of its own without the compare over further key columns: the
-	// general loop emits the same pairs for it, but BenchmarkAnalyticTopK
-	// sweeps about 9% slower through it (docs/reproduction.md, table 7).
+	// batch, with the batch's first key column contiguous (Block.batch). A
+	// single-column key, as almost every join has, takes a loop of its own
+	// without the compare over further key columns: the general loop emits
+	// the same pairs for it, but BenchmarkAnalyticTopK sweeps about 9%
+	// slower through it (docs/reproduction.md, table 7).
+	buf := new(colBuf)
 	for lo, n := 0, src.Len(); lo < n; lo += cancelBatch {
 		if x.stop(lo) {
 			break
 		}
-		hi := min(lo+cancelBatch, n)
+		key := src.batch(pIdx[0], lo, min(lo+cancelBatch, n), buf)
 		if len(pIdx) == 1 {
-			for i := lo; i < hi; i++ {
-				for bi := ht.first(key[i]); bi >= 0; bi = ht.next[bi] {
+			for i, k := range key {
+				for bi := ht.first(k); bi >= 0; bi = ht.next[bi] {
 					comparisons++
 					bsel = append(bsel, bi)
-					psel = append(psel, int32(i))
+					psel = append(psel, int32(lo+i))
 				}
 			}
 			continue
 		}
-		for i := lo; i < hi; i++ {
+		for i, k := range key {
 		cand:
-			for bi := ht.first(key[i]); bi >= 0; bi = ht.next[bi] {
+			for bi := ht.first(k); bi >= 0; bi = ht.next[bi] {
 				comparisons++
-				for k := 1; k < len(pIdx); k++ {
-					if src.cols[pIdx[k]][i] != b.blk.cols[b.idx[k]][bi] {
+				for c := 1; c < len(pIdx); c++ {
+					if src.id(pIdx[c], lo+i) != b.keys[c][bi] {
 						continue cand
 					}
 				}
 				bsel = append(bsel, bi)
-				psel = append(psel, int32(i))
+				psel = append(psel, int32(lo+i))
 			}
 		}
 	}
@@ -1083,18 +1082,26 @@ func (x *Exec) probe(b *joinBuild, src *Block, pIdx []int, bsel, psel []int32) (
 	return bsel, psel
 }
 
-// probePairs probes b with src into pooled scratch and returns the matches
-// as inner-join output pairs. The build side's columns lead the output
-// when it is the join's left input; rKeep are the right input's output
-// columns.
-func (x *Exec) probePairs(b *joinBuild, src *Block, pIdx []int, buildLeft bool, rKeep []int, arity int) joinPairs {
+// probeJoin probes b with src, keyed by its columns pIdx, and returns the
+// matches as an inner join's lazy output: its pair vectors, in the pooled
+// scratch it also returns (nil when nothing matched), over the two inputs.
+// The build side leads the output when it is the join's left input; rKeep
+// are the right input's output columns.
+func (x *Exec) probeJoin(b *joinBuild, src *Block, pIdx []int, buildLeft bool, rKeep []int) (*Block, *scratch) {
 	sc := getScratch()
 	bsel, psel := x.probe(b, src, pIdx, sc.a, sc.b)
 	sc.a, sc.b = bsel, psel
-	if buildLeft {
-		return joinPairs{l: b.blk, lsel: bsel, r: src, rKeep: rKeep, rsel: psel, sc: sc, arity: arity}
+	if len(psel) == 0 {
+		sc.put()
+		return newFixedBlock(src.Arity()+b.blk.Arity()-len(pIdx), 0), nil
 	}
-	return joinPairs{l: src, lsel: psel, r: b.blk, rKeep: rKeep, rsel: bsel, sc: sc, arity: arity}
+	if identity(psel, src.Len()) {
+		psel = nil // every probe row matched once: src's rows, in order
+	}
+	if buildLeft {
+		return joinBlock(b.blk, bsel, src, rKeep, psel), sc
+	}
+	return joinBlock(src, psel, b.blk, rKeep, bsel), sc
 }
 
 // probeOuter left-outer-joins one left partition to the right side's build:
@@ -1117,6 +1124,7 @@ func (x *Exec) probeOuter(lblk *Block, b *joinBuild, lIdx, rKeep []int, outArity
 	if pred != nil {
 		row = make(Row, outArity)
 	}
+	la := lblk.Arity()
 	outL, outR := out.a, out.b
 	j := 0
 	for i := int32(0); int(i) < n; i++ {
@@ -1125,7 +1133,7 @@ func (x *Exec) probeOuter(lblk *Block, b *joinBuild, lIdx, rKeep []int, outArity
 			if pred != nil {
 				lblk.CopyRow(row, int(i))
 				for k, rc := range rKeep {
-					row[lblk.Arity()+k] = b.blk.cols[rc][rsel[j]]
+					row[la+k] = b.blk.id(rc, int(rsel[j]))
 				}
 				if !pred(row) {
 					continue
@@ -1184,7 +1192,7 @@ func joinSchema(left, right []string, rIdx []int) []string {
 // granularity, truncating the block consistently.
 func (x *Exec) cross(left, right *Relation, pred func(Row) bool, outer bool) *Relation {
 	outSchema := append(append([]string{}, left.Schema...), right.Schema...)
-	rblk := x.gatherSide(right)
+	rblk := x.gatherSide(right).dense()
 	rn := rblk.Len()
 	x.addShuffled(int64(rn) * int64(len(left.Parts)))
 	out := newRelation(outSchema, len(left.Parts))
@@ -1197,6 +1205,7 @@ func (x *Exec) cross(left, right *Relation, pred func(Row) bool, outer bool) *Re
 		if ln == 0 || rn == 0 && !outer {
 			return
 		}
+		src = src.dense()
 		var row Row
 		var rsel []int32
 		if pred != nil {
@@ -1319,6 +1328,7 @@ func (x *Exec) Distinct(r *Relation) *Relation {
 			out.Parts[p] = NewBlock(len(r.Schema), 0)
 			return
 		}
+		src = src.dense()
 		hashes := make([]uint64, n)
 		for i := range hashes {
 			hashes[i] = fnvOffset64

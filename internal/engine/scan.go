@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 
 	"s2rdf/internal/bitvec"
 	"s2rdf/internal/dict"
@@ -25,13 +25,16 @@ import (
 //     ExtVP bit-vector representation) and the equal-variable check each
 //     run over one column, compacting a []int32 selection vector (pooled
 //     scratch, see scratch.go);
-//  3. only then are the selected rows materialized — once, column-wise —
-//     into the partition's output Block. An optional late predicate (a
-//     pushed-down SPARQL filter) vetoes rows at this boundary.
+//  3. the selection vector is the partition's output: a lazy block over
+//     the table's columns (tableView), whose values later operators read
+//     through the row numbers and gather only where they need them
+//     contiguous. An optional late predicate (a pushed-down SPARQL filter)
+//     vetoes rows at this boundary instead, and those that pass are copied.
 //
-// Two shapes skip the selection vector: a range with nothing left to check
-// is bulk-copied, and a bit-vector pre-selection with nothing else to check
-// is gathered straight from the bitset's words (gatherBits).
+// Two shapes skip the checks: a range with nothing left to check shares the
+// table's column slices outright, with no copy, and a bit-vector
+// pre-selection with nothing else to check lists its set bits' row numbers
+// straight from the bitset's words.
 //
 // Rows eliminated in step 1 — outside the binary-searched run or the key
 // runs — are metered as RowsPruned: input the scan never had to evaluate.
@@ -209,10 +212,13 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 		// Every metered row outside the key runs is pruned.
 		st.Pruned = int64(selRows - inRuns)
 		x.AddRowsPruned(st.Pruned)
+		if spec.Pred == nil {
+			sel = slices.Clone(sel) // the views keep it
+		}
 		x.parallel(c.partitions, func(p int) {
 			slo, shi := splitRange(len(sel), c.partitions, p)
 			if slo < shi {
-				rel.Parts[p] = materialize(t, spec, pl, sel[slo:shi])
+				rel.Parts[p] = materialize(t, spec, pl, sel[slo:shi:shi])
 			}
 		})
 		x.trackRelation(rel)
@@ -233,9 +239,9 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 	}
 	x.AddRowsPruned(st.Pruned)
 
-	// Scans with no surviving conditions bulk-copy the whole range, or
-	// gather a bit-vector pre-selection straight from its words; every other
-	// shape compacts a selection vector and gathers once (scanVector).
+	// Scans with no surviving conditions share the range's column slices,
+	// or list a bit-vector pre-selection's row numbers straight from its
+	// words; every other shape compacts a selection vector (scanVector).
 	simple := len(conds) == 0 && len(pl.equal) == 0 && spec.Pred == nil
 	span := hi - lo
 	if span == 0 {
@@ -248,30 +254,23 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 		if plo >= phi {
 			return // empty partition: nil entry, like a skipped task
 		}
-		if simple && spec.Sel != nil {
-			rel.Parts[p] = x.gatherBits(t, pl.srcs, spec.Sel, plo, phi)
-			return
-		}
-		if simple {
-			// Every row in range survives: bulk column-wise copy, polling
-			// cancellation between batches so a huge unconditional scan
-			// still stops promptly.
-			out := NewBlock(len(pl.srcs), phi-plo)
-			for b := plo; b < phi; b += cancelBatch {
-				if x.Cancelled() {
-					break
-				}
-				bh := b + cancelBatch
-				if bh > phi {
-					bh = phi
-				}
-				out.AppendColumnsRange(t.Data, pl.srcs, b, bh)
+		switch {
+		case simple && spec.Sel != nil:
+			rel.Parts[p] = x.bitsView(t, pl.srcs, spec.Sel, plo, phi)
+		case simple:
+			// Every row in range survives: the block is the table's own
+			// column slices, capped so that nothing can append into them.
+			blk := &Block{cols: make([][]dict.ID, len(pl.srcs)), n: phi - plo}
+			for j, src := range pl.srcs {
+				blk.cols[j] = t.Data[src][plo:phi:phi]
 			}
-			rel.Parts[p] = out
-			return
+			rel.Parts[p] = blk
+		default:
+			rel.Parts[p] = x.scanVector(t, spec, pl, conds, plo, phi)
 		}
-		rel.Parts[p] = x.scanVector(t, spec, pl, conds, plo, phi)
 	})
+	// A range's shared slices are accounted at their size too: the budget
+	// bounds the blocks a query holds, wherever their storage lives.
 	x.trackRelation(rel)
 	x.addOutput(int64(rel.NumRows()))
 	return rel, st, nil
@@ -334,8 +333,7 @@ func filterConds(t *store.Table, conds []scanCond, sel []int32, base int) []int3
 // scanVector is the single conditioned-scan pass: step 2 compacts a
 // []int32 selection vector column-at-a-time over [plo, phi) (constant
 // conditions, the optional bit-vector pre-selection, the equal-variable
-// check), step 3 materializes the selected rows exactly once — a
-// column-wise gather, or through the late predicate's scratch row.
+// check), step 3 hands it on (materialize).
 func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []scanCond, plo, phi int) *Block {
 	sc := getScratch()
 	defer sc.put()
@@ -367,55 +365,48 @@ func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []sc
 		sel = filterConds(t, conds[first:], sel, base)
 	}
 	sc.a = sel
+	if spec.Pred == nil {
+		sel = slices.Clone(sel) // the view keeps it
+	}
 	return materialize(t, spec, pl, sel)
 }
 
-// gatherBits is steps 2–3 of a bit-vector scan with no condition,
-// equal-variable check or late predicate left: it copies the rows sel marks
-// in [lo, hi) straight from the bitset's words into an exactly sized block,
-// column by column — an all-ones word as one 64-row copy, any other word
-// set bit by set bit — with no selection vector in between. It polls
-// cancellation once per cancelBatch rows of range; a cancelled gather
-// returns an empty block.
-func (x *Exec) gatherBits(t *store.Table, srcs []int, sel *bitvec.Bitset, lo, hi int) *Block {
-	out := newFixedBlock(len(srcs), sel.CountRange(lo, hi))
-	if out.n == 0 {
-		return out
-	}
-	words := sel.Words()
-	wlo, whi := lo>>6, (hi-1)>>6
-	for j, src := range srcs {
-		col, dst := t.Data[src], out.cols[j]
-		k := 0
-		for w := wlo; w <= whi; w++ {
-			if (w-wlo)%(cancelBatch/64) == 0 && x.Cancelled() {
-				return newFixedBlock(len(srcs), 0)
-			}
-			word := words[w]
-			if w == wlo {
-				word &^= 1<<(uint(lo)&63) - 1
-			}
-			if w == whi {
-				word &= 1<<(uint(hi-1)&63+1) - 1
-			}
-			base := w << 6
-			if word == ^uint64(0) {
-				k += copy(dst[k:], col[base:base+64])
-				continue
-			}
-			for ; word != 0; word &= word - 1 {
-				dst[k] = col[base+bits.TrailingZeros64(word)]
-				k++
-			}
+// bitsView is steps 2–3 of a bit-vector scan with no condition,
+// equal-variable check or late predicate left: it lists the row numbers sel
+// marks in [lo, hi) straight from the bitset's words into an exactly sized
+// vector, one batch of cancelBatch rows of range at a time, and returns
+// them as a view over the table (tableView). A cancelled scan returns an
+// empty block.
+func (x *Exec) bitsView(t *store.Table, srcs []int, sel *bitvec.Bitset, lo, hi int) *Block {
+	rows := make([]int32, 0, sel.CountRange(lo, hi))
+	for b := lo; b < hi; b += cancelBatch {
+		if x.Cancelled() {
+			return newFixedBlock(len(srcs), 0)
 		}
+		rows = sel.AppendSet(rows, b, min(b+cancelBatch, hi))
 	}
-	return out
+	return tableView(t, srcs, rows)
+}
+
+// tableView is a scan's output as row ids: the table rows listed in rows,
+// of the source columns srcs. The view keeps rows.
+func tableView(t *store.Table, srcs []int, rows []int32) *Block {
+	if len(rows) == 0 {
+		return newFixedBlock(len(srcs), 0)
+	}
+	src := make([]colSrc, len(srcs))
+	for j, c := range srcs {
+		src[j] = colSrc{0, c}
+	}
+	table := &Block{cols: t.Data, n: t.NumRows()}
+	return lazyBlock(len(rows), [2]*Block{table}, [2][]int32{rows}, src)
 }
 
 // materialize is step 3: it drops the rows of sel failing the
-// equal-variable check, then gathers the rest column-wise — or, under a
-// late predicate, row by row through a scratch row the predicate vetoes.
-// It compacts sel in place.
+// equal-variable check, then hands the rest on as a view over the table —
+// or, under a late predicate, copies them row by row through a scratch row
+// the predicate vetoes. It compacts sel in place, and without a predicate
+// the view keeps it, so sel must then be no pooled scratch.
 func materialize(t *store.Table, spec ScanSpec, pl scanPlan, sel []int32) *Block {
 	for _, eq := range pl.equal {
 		a, b := t.Data[eq[0]], t.Data[eq[1]]
@@ -429,9 +420,7 @@ func materialize(t *store.Table, spec ScanSpec, pl scanPlan, sel []int32) *Block
 		sel = sel[:k]
 	}
 	if spec.Pred == nil {
-		out := NewBlock(len(pl.srcs), len(sel))
-		out.AppendColumnsSelected(t.Data, pl.srcs, sel)
-		return out
+		return tableView(t, pl.srcs, sel)
 	}
 	out := NewBlock(len(pl.srcs), 0)
 	scratch := make(Row, len(pl.srcs))

@@ -4,10 +4,18 @@ import "sync"
 
 // scratch is a pooled pair of int32 vectors: the (build row, probe row)
 // pairs a join probe emits, or a scan's selection vector (a alone). An
-// operator takes one, fills it, materializes its output block from it and
-// puts it back, so a warmed join or conditioned scan allocates only its
-// output block. Nothing an operator returns may alias a scratch vector:
-// the output is always a copy (gatherPairs, AppendColumnsSelected).
+// operator takes one, fills it and puts it back once nothing reads it, so
+// a warmed join or conditioned scan allocates only what it hands on.
+//
+// Lazy blocks hold row-id vectors (block.go), and a vector a relation
+// still holds must never go back to the pool: another query's probe would
+// overwrite it under the relation. So what an operator returns never
+// aliases a scratch vector: a join's pair vectors are copied out of the
+// scratch (ownPairs) before its output leaves the operator, or reduced to
+// each partition's top-k winners and gathered first (JoinTopK); a scan's
+// view keeps a copy of its selection vector; an outer join gathers its
+// output (gatherPairs). A partition that a cancelled execution leaves
+// holding scratch keeps it: its scratch is never put back.
 type scratch struct{ a, b []int32 }
 
 // maxPooledScratch caps the vector length a scratch keeps across uses: one

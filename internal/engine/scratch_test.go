@@ -14,10 +14,14 @@ import (
 
 // TestScratchReuseConcurrentJoins runs broadcast and shuffle joins from
 // several goroutines at once, each on its own execution over shared inputs,
-// so pooled pair vectors pass from join to join. Only after every join has
-// finished are the outputs checked: each must still equal the reference
-// join, and no output block may share column storage with another. A block
-// that aliased a pooled vector would by then hold another join's pairs.
+// so pooled pair vectors pass from join to join: a join's lazy output holds
+// its own copy of its pair vectors, and a top-k join puts its pooled ones
+// back once its winners are gathered, while other queries' lazy outputs are
+// still alive. Only after every join has finished are the outputs checked:
+// each must still equal the reference, and no output block's storage (a
+// dense block's columns, a lazy block's row-id vectors) may overlap
+// another's. A block that aliased a pooled vector would by then hold
+// another join's pairs.
 func TestScratchReuseConcurrentJoins(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rows := func(n, keys int) []Row {
@@ -29,10 +33,14 @@ func TestScratchReuseConcurrentJoins(t *testing.T) {
 	}
 	big, small := rows(3000, 400), rows(60, 400)
 	ref := NewCluster(4).exec()
-	want := sortedRows(ref.JoinWith(ref.FromRows([]string{"k", "a"}, big), ref.FromRows([]string{"k", "b"}, small), StrategyShuffle))
+	refJoin := ref.JoinWith(ref.FromRows([]string{"k", "a"}, big), ref.FromRows([]string{"k", "b"}, small), StrategyShuffle)
+	want := sortedRows(refJoin)
+	byB := []SortCol{{Col: 2, Desc: true}, {Col: 1}}
+	wantTop := ref.TopK(refJoin, 5, byB, idKey).Rows()
 
 	const workers, rounds = 8, 20
 	outs := make([][]*Relation, workers)
+	tops := make([][]*Relation, workers)
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
@@ -46,6 +54,8 @@ func TestScratchReuseConcurrentJoins(t *testing.T) {
 					strat = StrategyShuffle
 				}
 				outs[w] = append(outs[w], x.JoinWith(l, s, strat))
+				top, _ := x.JoinTopK(l, s, strat, 5, byB, idKey)
+				tops[w] = append(tops[w], top)
 			}
 		}()
 	}
@@ -53,16 +63,30 @@ func TestScratchReuseConcurrentJoins(t *testing.T) {
 
 	type span struct{ lo, hi uintptr }
 	var spans []span
-	for _, rels := range outs {
-		for _, rel := range rels {
+	add := func(data unsafe.Pointer, n int, size uintptr) {
+		if n > 0 {
+			lo := uintptr(data)
+			spans = append(spans, span{lo, lo + uintptr(n)*size})
+		}
+	}
+	for w, rels := range outs {
+		for i, rel := range rels {
 			if got := sortedRows(rel); !reflect.DeepEqual(got, want) {
 				t.Fatalf("join output changed after the fact: %d rows, want %d", len(got), len(want))
 			}
+			if got := tops[w][i].Rows(); !reflect.DeepEqual(got, wantTop) {
+				t.Fatalf("top-k join returned %v, want %v", got, wantTop)
+			}
 			for _, blk := range rel.Parts {
+				if blk == nil {
+					continue
+				}
 				for _, col := range blk.cols {
-					if cap(col) > 0 {
-						lo := uintptr(unsafe.Pointer(unsafe.SliceData(col)))
-						spans = append(spans, span{lo, lo + uintptr(cap(col))*unsafe.Sizeof(col[0])})
+					add(unsafe.Pointer(unsafe.SliceData(col)), cap(col), unsafe.Sizeof(col[0]))
+				}
+				if blk.lz != nil {
+					for _, sel := range blk.lz.sel {
+						add(unsafe.Pointer(unsafe.SliceData(sel)), cap(sel), unsafe.Sizeof(sel[0]))
 					}
 				}
 			}
@@ -71,7 +95,7 @@ func TestScratchReuseConcurrentJoins(t *testing.T) {
 	for i := range spans {
 		for j := i + 1; j < len(spans); j++ {
 			if spans[i].lo < spans[j].hi && spans[j].lo < spans[i].hi {
-				t.Fatalf("two output columns share storage")
+				t.Fatalf("two output blocks share storage")
 			}
 		}
 	}

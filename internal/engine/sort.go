@@ -175,12 +175,16 @@ func (x *Exec) OrderBy(r *Relation, cols []SortCol, keyOf func(dict.ID) SortKey)
 			return
 		}
 		dst := s.keys[bases[p]*nc:]
+		buf := new(colBuf)
 		for c, sc := range cols {
-			for i, id := range blk.cols[sc.Col] {
-				if x.stop(i) {
+			for lo := 0; lo < blk.Len(); lo += cancelBatch {
+				if x.stop(lo) {
 					return
 				}
-				dst[i*nc+c] = s.key(id)
+				hi := min(lo+cancelBatch, blk.Len())
+				for i, id := range blk.batch(sc.Col, lo, hi, buf) {
+					dst[(lo+i)*nc+c] = s.key(id)
+				}
 			}
 		}
 	})
@@ -228,11 +232,7 @@ func (x *Exec) TopK(r *Relation, k int, cols []SortCol, keyOf func(dict.ID) Sort
 		if blk.Len() == 0 {
 			return
 		}
-		in := make([]sortColumn, len(cols))
-		for c, sc := range cols {
-			in[c].col = blk.cols[sc.Col]
-		}
-		runs[p] = x.topKPartition(blk.Len(), in, k, cols, keyOf)
+		runs[p] = x.topKPartition(blk, k, cols, keyOf)
 	})
 
 	// Each run is ascending, and listing the runs in partition order lists
@@ -256,7 +256,7 @@ func (x *Exec) TopK(r *Relation, k int, cols []SortCol, keyOf func(dict.ID) Sort
 	blk := newFixedBlock(len(r.Schema), k)
 	for j, dst := range blk.cols {
 		for i, e := range perm[:k] {
-			dst[i] = r.Parts[parts[e]].cols[j][rows[e]]
+			dst[i] = r.Parts[parts[e]].id(j, int(rows[e]))
 		}
 	}
 	out.Parts[0] = blk
@@ -266,53 +266,37 @@ func (x *Exec) TopK(r *Relation, k int, cols []SortCol, keyOf func(dict.ID) Sort
 }
 
 // JoinTopK returns TopK(JoinWith(left, right, strat), k, cols, keyOf) — the
-// same rows in the same order — without materializing the join's output,
-// for a join whose output feeds nothing but the top-k: each partition's
-// probe pairs go straight into that partition's heap, read in place
-// through the pair vectors (cols index the join's output schema), and only
-// the k winners per partition are gathered. The join is metered as
-// JoinWith meters it. Whether to take the top-k at all follows UseTopK on
-// the join's output size, known only after probing: when it says no, and
-// for cross joins or under a memory budget, JoinTopK returns JoinWith's
-// output and false, for the caller to sort.
+// same rows in the same order — for a join whose output feeds nothing but
+// the top-k (cols index the join's output schema). The join's partitions
+// are lazy, so each partition's heap reads its sort columns in place
+// through the pair vectors, and only its k winners are gathered, before
+// TopK merges them. The join is metered as JoinWith meters it. Whether to
+// take the top-k at all follows UseTopK on the join's output size, known
+// only after probing: when it says no, and for cross joins, JoinTopK
+// returns JoinWith's output and false, for the caller to sort.
 func (x *Exec) JoinTopK(left, right *Relation, strat JoinStrategy, k int, cols []SortCol, keyOf func(dict.ID) SortKey) (*Relation, bool) {
 	lIdx, rIdx := sharedCols(left.Schema, right.Schema)
-	if len(lIdx) == 0 || x.memBudget > 0 {
+	if len(lIdx) == 0 {
 		return x.JoinWith(left, right, strat), false
 	}
-	out, pairs := x.pairJoin(left, right, lIdx, rIdx, strat, true)
-	total := 0
-	for _, jp := range pairs {
-		total += len(jp.lsel)
-	}
-	x.addOutput(int64(total))
-	topk := k > 0 && UseTopK(k, total)
-	x.parallel(len(pairs), func(p int) {
-		jp := &pairs[p]
-		if jp.arity == 0 {
-			return // never probed: the execution was cancelled
+	out, pairs := x.innerJoin(left, right, lIdx, rIdx, strat)
+	x.addOutput(int64(out.NumRows()))
+	topk := k > 0 && UseTopK(k, out.NumRows())
+	x.parallel(len(out.Parts), func(p int) {
+		if pairs[p] == nil {
+			return
 		}
-		if n := len(jp.lsel); topk && n > k {
-			in := make([]sortColumn, len(cols))
-			for c, sc := range cols {
-				in[c] = jp.column(sc.Col)
-			}
-			run := x.topKPartition(n, in, k, cols, keyOf)
-			lsel, rsel := make([]int32, len(run.rows)), make([]int32, len(run.rows))
-			for i, row := range run.rows {
-				lsel[i], rsel[i] = jp.lsel[row], jp.rsel[row]
-			}
-			jp.lsel, jp.rsel = lsel, rsel
+		if blk := out.Parts[p]; topk && blk.Len() > k {
+			out.Parts[p] = blk.gatherSel(x.topKPartition(blk, k, cols, keyOf).rows)
+		} else {
+			out.Parts[p] = blk.ownPairs()
 		}
-		out.Parts[p] = jp.gather()
+		pairs[p].put()
 	})
-	for i := range pairs {
-		if pairs[i].sc != nil { // a partition the cancelled gather skipped
-			pairs[i].sc.put()
-		}
-	}
 	x.trackRelation(out)
 	if !topk || x.Err() != nil {
+		// A partition the cancelled pass skipped still holds its scratch;
+		// it is garbage, and its scratch is never put back.
 		return out, false
 	}
 	return x.TopK(out, k, cols, keyOf), true
@@ -325,28 +309,15 @@ type topRun struct {
 	keys []SortKey
 }
 
-// sortColumn is one sort column of a partition as topKPartition reads it:
-// row i's value is col[i], or col[at[i]] when at is set — a join output
-// column read in place through its pair vector.
-type sortColumn struct {
-	col []dict.ID
-	at  []int32
-}
-
-func (s sortColumn) id(i int) dict.ID {
-	if s.at != nil {
-		return s.col[s.at[i]]
-	}
-	return s.col[i]
-}
-
-// topKPartition selects the k first of n rows under cols, reading sort
-// column c's values from in[c]. Entries live in k+1 slots of keys and row
-// numbers; the heap orders slot numbers, with the entry that sorts last
-// (later row on a tie) at heap[0], and the spare slot takes each further
-// row's keys while it is compared against that entry. A cancelled execution
-// returns an empty run.
-func (x *Exec) topKPartition(n int, in []sortColumn, k int, cols []SortCol, keyOf func(dict.ID) SortKey) topRun {
+// topKPartition selects the k first rows of blk under cols, reading the
+// sort columns in place (a lazy block's through its row ids: the leading
+// column batch by batch, the others row by row, for the rare rows that
+// need them). Entries live in k+1 slots of keys and row numbers; the heap
+// orders slot numbers, with the entry that sorts last (later row on a tie)
+// at heap[0], and the spare slot takes each further row's keys while it is
+// compared against that entry. A cancelled execution returns an empty run.
+func (x *Exec) topKPartition(blk *Block, k int, cols []SortCol, keyOf func(dict.ID) SortKey) topRun {
+	n := blk.Len()
 	if k > n {
 		k = n
 	}
@@ -379,9 +350,17 @@ func (x *Exec) topKPartition(n int, in []sortColumn, k int, cols []SortCol, keyO
 			i = big
 		}
 	}
+	// lead holds the leading sort column's rows from row lo on, a batch
+	// at a time.
+	var lead []dict.ID
+	lo, buf := 0, new(colBuf)
 	// setKey computes row i's key for sort column c into slot.
 	setKey := func(slot, i, c int) {
-		s.keys[slot*nc+c] = s.key(in[c].id(i))
+		id := lead[i-lo]
+		if c > 0 {
+			id = blk.id(cols[c].Col, i)
+		}
+		s.keys[slot*nc+c] = s.key(id)
 	}
 
 	// lost remembers, direct-mapped on the ID's low bits, leading-column IDs
@@ -389,10 +368,6 @@ func (x *Exec) topKPartition(n int, in []sortColumn, k int, cols []SortCol, keyO
 	// moves earlier, so such an ID has lost for good: the rows repeating it
 	// — join output repeats its keys, mostly in runs — are skipped without
 	// computing a key. -1 marks an empty entry (Null is a valid ID).
-	var lead sortColumn
-	if nc > 0 {
-		lead = in[0]
-	}
 	var lost [256]int64
 	for i := range lost {
 		lost[i] = -1
@@ -401,6 +376,9 @@ func (x *Exec) topKPartition(n int, in []sortColumn, k int, cols []SortCol, keyO
 	for i := 0; i < n; i++ {
 		if x.stop(i) {
 			return topRun{}
+		}
+		if nc > 0 && i%cancelBatch == 0 {
+			lo, lead = i, blk.batch(cols[0].Col, i, min(i+cancelBatch, n), buf)
 		}
 		if len(heap) < k {
 			slot := len(heap)
@@ -420,7 +398,7 @@ func (x *Exec) topKPartition(n int, in []sortColumn, k int, cols []SortCol, keyO
 			continue
 		}
 		if nc > 0 {
-			if id := lead.id(i); int64(id) == lost[id&255] {
+			if id := lead[i-lo]; int64(id) == lost[id&255] {
 				continue
 			}
 		}
@@ -434,7 +412,7 @@ func (x *Exec) topKPartition(n int, in []sortColumn, k int, cols []SortCol, keyO
 		}
 		if d >= 0 {
 			if d > 0 && c == 1 {
-				id := lead.id(i)
+				id := lead[i-lo]
 				lost[id&255] = int64(id)
 			}
 			continue

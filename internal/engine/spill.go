@@ -131,19 +131,20 @@ func (x *Exec) writeRun(dir string, entries []spillEntry, keyWidth int) (fault.F
 	return nil, 0, err
 }
 
-// buildSpillRuns sorts the build side's (key tuple, row) entries in chunks
-// of spillRunRows and spills each as one run file, metering BytesSpilled.
+// buildSpillRuns sorts the build side's (key tuple, row) entries, read from
+// its contiguous key columns, in chunks of spillRunRows and spills each as
+// one run file, metering BytesSpilled.
 // ok=false means a file error; the caller must fall back to the in-memory
 // join. A cancelled execution returns the runs written so far (truncated
 // output under cancellation, as with every operator).
-func (x *Exec) buildSpillRuns(build *Block, bIdx []int) (sr *spillRuns, ok bool) {
-	keyWidth := len(bIdx)
+func (x *Exec) buildSpillRuns(keys [][]dict.ID) (sr *spillRuns, ok bool) {
+	keyWidth := len(keys)
 	dir := x.spillDir
 	if dir == "" {
 		dir = os.TempDir()
 	}
 	sr = &spillRuns{keyWidth: keyWidth}
-	bn := build.Len()
+	bn := len(keys[0])
 	chunk := min(bn, spillRunRows)
 	entries := make([]spillEntry, 0, chunk)
 	keyBuf := make([]dict.ID, 0, chunk*keyWidth)
@@ -170,8 +171,8 @@ func (x *Exec) buildSpillRuns(build *Block, bIdx []int) (sr *spillRuns, ok bool)
 			break
 		}
 		lo := len(keyBuf)
-		for _, c := range bIdx {
-			keyBuf = append(keyBuf, build.cols[c][i])
+		for _, col := range keys {
+			keyBuf = append(keyBuf, col[i])
 		}
 		entries = append(entries, spillEntry{key: keyBuf[lo : lo+keyWidth], row: int32(i)})
 		if len(entries) == spillRunRows {
@@ -244,14 +245,14 @@ func (rr *runReader) advance() error {
 	return nil
 }
 
-// spillProbePairs merge-joins one probe block against the spilled build
-// runs, appending to bsel and psel the same (build row, probe row) pairs,
+// spillProbePairs merge-joins one probe side, given by its contiguous key
+// columns, against the spilled build runs, appending to bsel and psel the same (build row, probe row) pairs,
 // in the same order, as an in-memory probe: the merge emits them in key
 // order and a final in-place sort restores probe-row order. The probe
 // side's row indices are key-sorted in memory (4 bytes per probe row,
 // accounted — the state this path does keep). ok=false means a read error;
 // fall back to the in-memory join.
-func (x *Exec) spillProbePairs(sr *spillRuns, probe *Block, pIdx []int, bsel, psel []int32) ([]int32, []int32, bool) {
+func (x *Exec) spillProbePairs(sr *spillRuns, keys [][]dict.ID, bsel, psel []int32) ([]int32, []int32, bool) {
 	keyWidth := sr.keyWidth
 	runs := sr.readers()
 	for _, rr := range runs {
@@ -261,12 +262,12 @@ func (x *Exec) spillProbePairs(sr *spillRuns, probe *Block, pIdx []int, bsel, ps
 		}
 	}
 
-	pn := probe.Len()
+	pn := len(keys[0])
 	psorted := identityPerm(pn)
 	sort.Slice(psorted, func(a, b int) bool {
 		ia, ib := psorted[a], psorted[b]
 		for k := 0; k < keyWidth; k++ {
-			va, vb := probe.cols[pIdx[k]][ia], probe.cols[pIdx[k]][ib]
+			va, vb := keys[k][ia], keys[k][ib]
 			if va != vb {
 				return va < vb
 			}
@@ -279,7 +280,7 @@ func (x *Exec) spillProbePairs(sr *spillRuns, probe *Block, pIdx []int, bsel, ps
 	probeCmp := func(pos int, key []dict.ID) int {
 		i := psorted[pos]
 		for k := 0; k < keyWidth; k++ {
-			v := probe.cols[pIdx[k]][i]
+			v := keys[k][i]
 			if v != key[k] {
 				if v < key[k] {
 					return -1

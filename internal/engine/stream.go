@@ -2,12 +2,23 @@ package engine
 
 import "s2rdf/internal/dict"
 
-// view returns a zero-copy block over rows [lo, hi) of b: the columns are
-// re-sliced, not copied. Blocks are write-once, so a view stays valid for
-// as long as its parent.
+// view returns a zero-copy block over rows [lo, hi) of b: the columns, or
+// a lazy block's row ids, are re-sliced, not copied. Blocks are write-once,
+// so a view stays valid for as long as its parent.
 func (b *Block) view(lo, hi int) *Block {
 	if lo == 0 && hi == b.n {
 		return b
+	}
+	if lz := b.lz; lz != nil {
+		in, sel := lz.in, lz.sel
+		for k, s := range sel {
+			if s != nil {
+				sel[k] = s[lo:hi:hi]
+			} else if in[k] != nil {
+				in[k] = in[k].view(lo, hi) // read in order: view the input
+			}
+		}
+		return lazyBlock(hi-lo, in, sel, lz.src)
 	}
 	out := &Block{cols: make([][]dict.ID, len(b.cols)), n: hi - lo}
 	for j, col := range b.cols {
@@ -16,7 +27,7 @@ func (b *Block) view(lo, hi int) *Block {
 	return out
 }
 
-// BatchIter yields a relation's rows as zero-copy column blocks of bounded
+// BatchIter yields a relation's rows as dense column blocks of bounded
 // size, in partition order. It is the pull side of the streaming result
 // pipeline: the consumer (binding decode, JSON encoding) asks for one batch
 // at a time instead of collecting the whole relation, and every Next call
@@ -33,9 +44,10 @@ type BatchIter struct {
 // Batches returns an iterator over the relation's rows in blocks of at most
 // batch rows. batch <= 0 selects the engine's row-batch cancellation
 // granularity (cancelBatch, 1024 rows), aligning stream batch boundaries
-// with the points where a time-sliced query yields its worker slot. The
-// blocks are views sharing the relation's column storage — iterating
-// allocates a few slice headers per batch and copies nothing.
+// with the points where a time-sliced query yields its worker slot. A
+// dense partition's batches are views sharing its column storage; a lazy
+// partition's are gathered batch by batch, so a join's output is copied
+// once, as it leaves.
 func (r *Relation) Batches(x *Exec, batch int) *BatchIter {
 	if batch <= 0 {
 		batch = cancelBatch
@@ -64,7 +76,7 @@ func (it *BatchIter) Next() (*Block, bool) {
 		if hi > n {
 			hi = n
 		}
-		b := p.view(it.off, hi)
+		b := p.view(it.off, hi).dense()
 		it.off = hi
 		return b, true
 	}

@@ -33,6 +33,9 @@ func EvalBGP(triples []rdf.Triple, bgp []sparql.TriplePattern) []Binding {
 		}
 		tp := bgp[i]
 		for _, t := range triples {
+			if !tp.P.IsVar() && tp.P.Term != t.P {
+				continue // cannot match: skip it before binding anything
+			}
 			var added []string
 			ok := true
 			bind := func(n sparql.Node, v rdf.Term) {
