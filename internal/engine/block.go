@@ -176,22 +176,23 @@ func (b *Block) id(j, i int) dict.ID {
 }
 
 // colBuf is the scratch of batch reads: the row ids and values of one
-// batch of up to cancelBatch rows.
+// batch, grown on the first read that needs them (a dense block's never
+// does) to that batch's size, at most cancelBatch rows.
 type colBuf struct {
-	ids  [cancelBatch]int32
-	vals [cancelBatch]dict.ID
+	ids  []int32
+	vals []dict.ID
 }
 
 // batch returns rows [lo, hi) of column j contiguous, hi-lo <= cancelBatch:
 // a dense block's own slice, or a lazy block's values read through its row
 // ids, composed level by level in buf, so a read at any depth allocates
-// nothing. The result is valid until buf's next use.
+// nothing once buf has grown. The result is valid until buf's next use.
 func (b *Block) batch(j, lo, hi int, buf *colBuf) []dict.ID {
 	var at []int32 // nil: rows [lo, hi) of b, in order
 	for b.lz != nil {
 		c := b.lz.src[j]
 		if c.in < 0 {
-			vals := buf.vals[:hi-lo]
+			vals := buf.valsFor(hi - lo)
 			for i := range vals {
 				vals[i] = Null
 			}
@@ -201,6 +202,9 @@ func (b *Block) batch(j, lo, hi int, buf *colBuf) []dict.ID {
 			if at == nil {
 				at = s[lo:hi]
 			} else {
+				if cap(buf.ids) < len(at) {
+					buf.ids = make([]int32, len(at))
+				}
 				ids := buf.ids[:len(at)]
 				for i, r := range at {
 					ids[i] = s[r]
@@ -214,11 +218,19 @@ func (b *Block) batch(j, lo, hi int, buf *colBuf) []dict.ID {
 	if at == nil {
 		return col[lo:hi]
 	}
-	vals := buf.vals[:len(at)]
+	vals := buf.valsFor(len(at))
 	for i, r := range at {
 		vals[i] = col[r]
 	}
 	return vals
+}
+
+// valsFor returns buf's value scratch, n long.
+func (buf *colBuf) valsFor(n int) []dict.ID {
+	if cap(buf.vals) < n {
+		buf.vals = make([]dict.ID, n)
+	}
+	return buf.vals[:n]
 }
 
 // identity reports whether sel lists the rows [0, n) in order.
@@ -405,7 +417,8 @@ func (b *Block) AppendRange(src *Block, lo, hi int) {
 // gatherSel materializes the rows at the selected indices of b (every row
 // when sel is nil) into a fresh exactly-sized dense block, one gather pass
 // per column. It is the single materialization point of every
-// selection-vector operator (Filter, Distinct, OrderBy, top-k winners).
+// selection-vector operator (Filter, Distinct, OrderBy, top-k winners) and
+// of each stream batch.
 func (b *Block) gatherSel(sel []int32) *Block {
 	n := len(sel)
 	if sel == nil {

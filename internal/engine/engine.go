@@ -755,7 +755,7 @@ func (x *Exec) shuffle(r *Relation, key int) *Relation {
 		// Pass 1: hash the key column, batch by batch, tagging each row
 		// with its target partition and counting bucket sizes. m tracks how
 		// many rows were tagged before a cancellation cut the pass short.
-		buf := new(colBuf)
+		var buf colBuf
 		tags := make([]int32, rows)
 		counts := make([]int32, c.partitions)
 		m := 0
@@ -763,7 +763,7 @@ func (x *Exec) shuffle(r *Relation, key int) *Relation {
 			if x.stop(lo) {
 				break
 			}
-			for i, k := range src.batch(key, lo, min(lo+cancelBatch, rows), buf) {
+			for i, k := range src.batch(key, lo, min(lo+cancelBatch, rows), &buf) {
 				t := int32((hashID64(uint64(k)) >> 32) % parts)
 				tags[lo+i] = t
 				counts[t]++
@@ -788,7 +788,7 @@ func (x *Exec) shuffle(r *Relation, key int) *Relation {
 		}
 		for j := 0; j < arity; j++ {
 			for lo := 0; lo < m; lo += cancelBatch {
-				for i, v := range src.batch(j, lo, min(lo+cancelBatch, m), buf) {
+				for i, v := range src.batch(j, lo, min(lo+cancelBatch, m), &buf) {
 					local[tags[lo+i]].cols[j][pos[lo+i]] = v
 				}
 			}
@@ -1048,12 +1048,12 @@ func (x *Exec) probe(b *joinBuild, src *Block, pIdx []int, bsel, psel []int32) (
 	// without the compare over further key columns: the general loop emits
 	// the same pairs for it, but BenchmarkAnalyticTopK sweeps about 9%
 	// slower through it (docs/reproduction.md, table 7).
-	buf := new(colBuf)
+	var buf colBuf
 	for lo, n := 0, src.Len(); lo < n; lo += cancelBatch {
 		if x.stop(lo) {
 			break
 		}
-		key := src.batch(pIdx[0], lo, min(lo+cancelBatch, n), buf)
+		key := src.batch(pIdx[0], lo, min(lo+cancelBatch, n), &buf)
 		if len(pIdx) == 1 {
 			for i, k := range key {
 				for bi := ht.first(k); bi >= 0; bi = ht.next[bi] {

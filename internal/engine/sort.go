@@ -175,14 +175,14 @@ func (x *Exec) OrderBy(r *Relation, cols []SortCol, keyOf func(dict.ID) SortKey)
 			return
 		}
 		dst := s.keys[bases[p]*nc:]
-		buf := new(colBuf)
+		var buf colBuf
 		for c, sc := range cols {
 			for lo := 0; lo < blk.Len(); lo += cancelBatch {
 				if x.stop(lo) {
 					return
 				}
 				hi := min(lo+cancelBatch, blk.Len())
-				for i, id := range blk.batch(sc.Col, lo, hi, buf) {
+				for i, id := range blk.batch(sc.Col, lo, hi, &buf) {
 					dst[(lo+i)*nc+c] = s.key(id)
 				}
 			}
@@ -353,7 +353,7 @@ func (x *Exec) topKPartition(blk *Block, k int, cols []SortCol, keyOf func(dict.
 	// lead holds the leading sort column's rows from row lo on, a batch
 	// at a time.
 	var lead []dict.ID
-	lo, buf := 0, new(colBuf)
+	lo, buf := 0, colBuf{}
 	// setKey computes row i's key for sort column c into slot.
 	setKey := func(slot, i, c int) {
 		id := lead[i-lo]
@@ -378,7 +378,7 @@ func (x *Exec) topKPartition(blk *Block, k int, cols []SortCol, keyOf func(dict.
 			return topRun{}
 		}
 		if nc > 0 && i%cancelBatch == 0 {
-			lo, lead = i, blk.batch(cols[0].Col, i, min(i+cancelBatch, n), buf)
+			lo, lead = i, blk.batch(cols[0].Col, i, min(i+cancelBatch, n), &buf)
 		}
 		if len(heap) < k {
 			slot := len(heap)
