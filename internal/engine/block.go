@@ -87,20 +87,26 @@ func lazyBlock(n int, in [2]*Block, sel [2][]int32, src []colSrc) *Block {
 	return &v.b
 }
 
-// joinBlock is a join's output as row ids: row i is row lsel[i] of l
-// followed by the rKeep columns of row rsel[i] of r. The block keeps both
-// vectors; at most one may be nil (the identity).
-func joinBlock(l *Block, lsel []int32, r *Block, rKeep []int, rsel []int32) *Block {
-	src := make([]colSrc, 0, l.Arity()+len(rKeep))
-	for j := range l.Arity() {
+// joinCols locates a join's output columns in its inputs: the left
+// input's la columns, then the right input's rKeep columns. A join's
+// partitions share the slice.
+func joinCols(la int, rKeep []int) []colSrc {
+	src := make([]colSrc, 0, la+len(rKeep))
+	for j := range la {
 		src = append(src, colSrc{0, j})
 	}
 	for _, rc := range rKeep {
 		src = append(src, colSrc{1, rc})
 	}
-	// A nil vector lists its input's rows in order; the other holds one
-	// entry per output row.
-	return lazyBlock(max(len(lsel), len(rsel)), [2]*Block{l, r}, [2][]int32{lsel, rsel}, src)
+	return src
+}
+
+// joinBlock is a join's output as row ids: row i is row lsel[i] of l
+// followed by the right columns of row rsel[i] of r, the columns located
+// by cols (joinCols). The block keeps both vectors; at most one may be nil
+// (the identity): the other holds one entry per output row.
+func joinBlock(l *Block, lsel []int32, r *Block, rsel []int32, cols []colSrc) *Block {
+	return lazyBlock(max(len(lsel), len(rsel)), [2]*Block{l, r}, [2][]int32{lsel, rsel}, cols)
 }
 
 // ownPairs copies a join's lazy output's pair vectors out of the pooled
@@ -176,23 +182,22 @@ func (b *Block) id(j, i int) dict.ID {
 }
 
 // colBuf is the scratch of batch reads: the row ids and values of one
-// batch, grown on the first read that needs them (a dense block's never
-// does) to that batch's size, at most cancelBatch rows.
+// batch of up to cancelBatch rows. Callers keep it in their own frame.
 type colBuf struct {
-	ids  []int32
-	vals []dict.ID
+	ids  [cancelBatch]int32
+	vals [cancelBatch]dict.ID
 }
 
 // batch returns rows [lo, hi) of column j contiguous, hi-lo <= cancelBatch:
 // a dense block's own slice, or a lazy block's values read through its row
 // ids, composed level by level in buf, so a read at any depth allocates
-// nothing once buf has grown. The result is valid until buf's next use.
+// nothing. The result is valid until buf's next use.
 func (b *Block) batch(j, lo, hi int, buf *colBuf) []dict.ID {
 	var at []int32 // nil: rows [lo, hi) of b, in order
 	for b.lz != nil {
 		c := b.lz.src[j]
 		if c.in < 0 {
-			vals := buf.valsFor(hi - lo)
+			vals := buf.vals[:hi-lo]
 			for i := range vals {
 				vals[i] = Null
 			}
@@ -202,9 +207,6 @@ func (b *Block) batch(j, lo, hi int, buf *colBuf) []dict.ID {
 			if at == nil {
 				at = s[lo:hi]
 			} else {
-				if cap(buf.ids) < len(at) {
-					buf.ids = make([]int32, len(at))
-				}
 				ids := buf.ids[:len(at)]
 				for i, r := range at {
 					ids[i] = s[r]
@@ -218,19 +220,11 @@ func (b *Block) batch(j, lo, hi int, buf *colBuf) []dict.ID {
 	if at == nil {
 		return col[lo:hi]
 	}
-	vals := buf.valsFor(len(at))
+	vals := buf.vals[:len(at)]
 	for i, r := range at {
 		vals[i] = col[r]
 	}
 	return vals
-}
-
-// valsFor returns buf's value scratch, n long.
-func (buf *colBuf) valsFor(n int) []dict.ID {
-	if cap(buf.vals) < n {
-		buf.vals = make([]dict.ID, n)
-	}
-	return buf.vals[:n]
 }
 
 // identity reports whether sel lists the rows [0, n) in order.
@@ -281,8 +275,7 @@ func (b *Block) gatherCols(dst [][]dict.ID, js []int, sel []int32) {
 		return
 	}
 	lz := b.lz
-	var sub []int
-	var subDst [][]dict.ID
+	sub, subDst := make([]int, 0, len(js)), make([][]dict.ID, 0, len(js))
 	for in, blk := range lz.in {
 		sub, subDst = sub[:0], subDst[:0]
 		for k, j := range js {

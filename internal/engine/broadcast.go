@@ -37,14 +37,14 @@ func (x *Exec) broadcastJoin(left, right *Relation, lIdx, rIdx []int) (*Relation
 	}
 	b := x.build(sblk, sIdx)
 	defer b.close()
-	rKeep := keepCols(len(right.Schema), rIdx)
+	cols := joinCols(len(left.Schema), keepCols(len(right.Schema), rIdx))
 	x.parallel(len(big.Parts), func(p int) {
 		src := big.Parts[p]
 		if src.Len() == 0 {
 			out.Parts[p] = newFixedBlock(len(outSchema), 0)
 			return
 		}
-		out.Parts[p], pairs[p] = x.probeJoin(b, src, bIdx, leftSmall, rKeep)
+		out.Parts[p], pairs[p] = x.probeJoin(b, src, bIdx, leftSmall, cols)
 	})
 	return out, pairs
 }

@@ -905,7 +905,7 @@ func (x *Exec) innerJoin(left, right *Relation, lIdx, rIdx []int, strat JoinStra
 	out := newRelation(joinSchema(left.Schema, right.Schema, rIdx), x.c.partitions)
 	out.keyCol = lIdx[0]
 	pairs := make([]*scratch, len(out.Parts))
-	rKeep := keepCols(len(right.Schema), rIdx)
+	cols := joinCols(len(left.Schema), keepCols(len(right.Schema), rIdx))
 	x.parallel(len(out.Parts), func(p int) {
 		lblk, rblk := l.Parts[p], r.Parts[p]
 		if lblk.Len() == 0 || rblk.Len() == 0 {
@@ -919,7 +919,7 @@ func (x *Exec) innerJoin(left, right *Relation, lIdx, rIdx []int, strat JoinStra
 		}
 		b := x.build(bblk, bIdx)
 		defer b.close()
-		out.Parts[p], pairs[p] = x.probeJoin(b, src, pIdx, buildLeft, rKeep)
+		out.Parts[p], pairs[p] = x.probeJoin(b, src, pIdx, buildLeft, cols)
 	})
 	return out, pairs
 }
@@ -1085,23 +1085,23 @@ func (x *Exec) probe(b *joinBuild, src *Block, pIdx []int, bsel, psel []int32) (
 // probeJoin probes b with src, keyed by its columns pIdx, and returns the
 // matches as an inner join's lazy output: its pair vectors, in the pooled
 // scratch it also returns (nil when nothing matched), over the two inputs.
-// The build side leads the output when it is the join's left input; rKeep
-// are the right input's output columns.
-func (x *Exec) probeJoin(b *joinBuild, src *Block, pIdx []int, buildLeft bool, rKeep []int) (*Block, *scratch) {
+// The build side leads the output when it is the join's left input; cols
+// locate the output's columns (joinCols).
+func (x *Exec) probeJoin(b *joinBuild, src *Block, pIdx []int, buildLeft bool, cols []colSrc) (*Block, *scratch) {
 	sc := getScratch()
 	bsel, psel := x.probe(b, src, pIdx, sc.a, sc.b)
 	sc.a, sc.b = bsel, psel
 	if len(psel) == 0 {
 		sc.put()
-		return newFixedBlock(src.Arity()+b.blk.Arity()-len(pIdx), 0), nil
+		return newFixedBlock(len(cols), 0), nil
 	}
 	if identity(psel, src.Len()) {
 		psel = nil // every probe row matched once: src's rows, in order
 	}
 	if buildLeft {
-		return joinBlock(b.blk, bsel, src, rKeep, psel), sc
+		return joinBlock(b.blk, bsel, src, psel, cols), sc
 	}
-	return joinBlock(src, psel, b.blk, rKeep, bsel), sc
+	return joinBlock(src, psel, b.blk, bsel, cols), sc
 }
 
 // probeOuter left-outer-joins one left partition to the right side's build:

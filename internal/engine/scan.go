@@ -100,6 +100,10 @@ type scanPlan struct {
 	srcs   []int
 	conds  []scanCond
 	equal  [][2]int // pairs of source columns that must be equal
+	// table and view are what every partition's view shares: the stored
+	// table as a block, and the projected columns located in it.
+	table *Block
+	view  []colSrc
 }
 
 func planScan(t *store.Table, projs []ScanProjection, conds []ScanCondition) (scanPlan, error) {
@@ -126,6 +130,11 @@ func planScan(t *store.Table, projs []ScanProjection, conds []ScanCondition) (sc
 		}
 		pl.schema = append(pl.schema, pr.As)
 		pl.srcs = append(pl.srcs, src)
+	}
+	pl.table = &Block{cols: t.Data, n: t.NumRows()}
+	pl.view = make([]colSrc, len(pl.srcs))
+	for j, src := range pl.srcs {
+		pl.view[j] = colSrc{0, src}
 	}
 	return pl, nil
 }
@@ -256,7 +265,7 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 		}
 		switch {
 		case simple && spec.Sel != nil:
-			rel.Parts[p] = x.bitsView(t, pl.srcs, spec.Sel, plo, phi)
+			rel.Parts[p] = x.bitsView(pl, spec.Sel, plo, phi)
 		case simple:
 			// Every row in range survives: the block is the table's own
 			// column slices, capped so that nothing can append into them.
@@ -377,29 +386,24 @@ func (x *Exec) scanVector(t *store.Table, spec ScanSpec, pl scanPlan, conds []sc
 // vector, one batch of cancelBatch rows of range at a time, and returns
 // them as a view over the table (tableView). A cancelled scan returns an
 // empty block.
-func (x *Exec) bitsView(t *store.Table, srcs []int, sel *bitvec.Bitset, lo, hi int) *Block {
+func (x *Exec) bitsView(pl scanPlan, sel *bitvec.Bitset, lo, hi int) *Block {
 	rows := make([]int32, 0, sel.CountRange(lo, hi))
 	for b := lo; b < hi; b += cancelBatch {
 		if x.Cancelled() {
-			return newFixedBlock(len(srcs), 0)
+			return newFixedBlock(len(pl.srcs), 0)
 		}
 		rows = sel.AppendSet(rows, b, min(b+cancelBatch, hi))
 	}
-	return tableView(t, srcs, rows)
+	return tableView(pl, rows)
 }
 
 // tableView is a scan's output as row ids: the table rows listed in rows,
-// of the source columns srcs. The view keeps rows.
-func tableView(t *store.Table, srcs []int, rows []int32) *Block {
+// of the scan's projected columns. The view keeps rows.
+func tableView(pl scanPlan, rows []int32) *Block {
 	if len(rows) == 0 {
-		return newFixedBlock(len(srcs), 0)
+		return newFixedBlock(len(pl.srcs), 0)
 	}
-	src := make([]colSrc, len(srcs))
-	for j, c := range srcs {
-		src[j] = colSrc{0, c}
-	}
-	table := &Block{cols: t.Data, n: t.NumRows()}
-	return lazyBlock(len(rows), [2]*Block{table}, [2][]int32{rows}, src)
+	return lazyBlock(len(rows), [2]*Block{pl.table}, [2][]int32{rows}, pl.view)
 }
 
 // materialize is step 3: it drops the rows of sel failing the
@@ -420,7 +424,7 @@ func materialize(t *store.Table, spec ScanSpec, pl scanPlan, sel []int32) *Block
 		sel = sel[:k]
 	}
 	if spec.Pred == nil {
-		return tableView(t, pl.srcs, sel)
+		return tableView(pl, sel)
 	}
 	out := NewBlock(len(pl.srcs), 0)
 	scratch := make(Row, len(pl.srcs))
