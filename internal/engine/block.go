@@ -275,7 +275,9 @@ func (b *Block) gatherCols(dst [][]dict.ID, js []int, sel []int32) {
 		return
 	}
 	lz := b.lz
-	sub, subDst := make([]int, 0, len(js)), make([][]dict.ID, 0, len(js))
+	var subBuf [8]int
+	var dstBuf [8][]dict.ID
+	sub, subDst := subBuf[:0], dstBuf[:0]
 	for in, blk := range lz.in {
 		sub, subDst = sub[:0], subDst[:0]
 		for k, j := range js {

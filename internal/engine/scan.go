@@ -100,8 +100,8 @@ type scanPlan struct {
 	srcs   []int
 	conds  []scanCond
 	equal  [][2]int // pairs of source columns that must be equal
-	// table and view are what every partition's view shares: the stored
-	// table as a block, and the projected columns located in it.
+	// table and view are what every partition's view shares (viewOf): the
+	// stored table as a block, and the projected columns located in it.
 	table *Block
 	view  []colSrc
 }
@@ -131,12 +131,17 @@ func planScan(t *store.Table, projs []ScanProjection, conds []ScanCondition) (sc
 		pl.schema = append(pl.schema, pr.As)
 		pl.srcs = append(pl.srcs, src)
 	}
+	return pl, nil
+}
+
+// viewOf sets pl's view fields for table t, before a scan that hands on
+// row ids (tableView).
+func (pl *scanPlan) viewOf(t *store.Table) {
 	pl.table = &Block{cols: t.Data, n: t.NumRows()}
 	pl.view = make([]colSrc, len(pl.srcs))
 	for j, src := range pl.srcs {
 		pl.view[j] = colSrc{0, src}
 	}
-	return pl, nil
 }
 
 // sortedRun narrows [lo, hi) to the run where col equals v, by binary
@@ -191,6 +196,11 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 	}
 	if spec.Keys != nil && t.SortCol < 0 {
 		return nil, st, fmt.Errorf("engine: Scan keys on table %s, which has no sort column", t.Name)
+	}
+	// Every shape but an unconditioned range and a late predicate hands on
+	// row ids over the table.
+	if spec.Pred == nil && (spec.Keys != nil || spec.Sel != nil || len(pl.conds) > 0 || len(pl.equal) > 0) {
+		pl.viewOf(t)
 	}
 	rel := newRelation(pl.schema, c.partitions)
 	if n == 0 {
