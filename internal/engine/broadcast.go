@@ -38,7 +38,7 @@ func (x *Exec) broadcastJoin(left, right *Relation, lIdx, rIdx []int) (*Relation
 	b := x.build(sblk, sIdx)
 	defer b.close()
 	cols := joinCols(len(left.Schema), keepCols(len(right.Schema), rIdx))
-	x.parallel(len(big.Parts), func(p int) {
+	x.parallel(len(big.Parts), big.NumRows(), func(p int) {
 		src := big.Parts[p]
 		if src.Len() == 0 {
 			out.Parts[p] = newFixedBlock(len(outSchema), 0)

@@ -15,13 +15,16 @@
 // repartitions both inputs by the hash of the join key and builds per
 // co-partition on the smaller side, a broadcast join builds once over the
 // gathered small side, and in both the partition tasks probe the build
-// read-only on a pool of worker goroutines. A build indexes its key column
-// directly by ID when the keys lie in a narrow span, as dense dictionary
-// IDs do, and hashes them otherwise (see indexTable). The engine meters the
-// quantities the paper's argument rests on: rows scanned, rows shuffled
-// and join comparisons. Input-size reduction (what ExtVP buys) therefore
-// translates directly into lower metered cost and lower wall time, just as
-// on Spark.
+// read-only. A build indexes its key column directly by ID when the keys
+// lie in a narrow span, as dense dictionary IDs do, and hashes them
+// otherwise (see indexTable). Every operator runs one task per partition
+// (Exec.parallel): on a pool of worker goroutines when its input is
+// inlineRows rows or more, in order on the query's own goroutine below
+// that, where starting the workers would cost more than the work they
+// share. The engine meters the quantities the paper's argument rests on:
+// rows scanned, rows shuffled and join comparisons. Input-size reduction
+// (what ExtVP buys) therefore translates directly into lower metered cost
+// and lower wall time, just as on Spark.
 //
 // A Cluster is safe for concurrent use: any number of queries may run
 // operators on it simultaneously. Each query obtains an Exec handle
@@ -139,7 +142,20 @@ func (s MetricsSnapshot) Add(other MetricsSnapshot) MetricsSnapshot {
 type Cluster struct {
 	partitions int
 	workers    int
+	// inline is the operator input size, in rows, below which Exec.parallel
+	// runs the partition tasks on the calling goroutine. NewCluster sets it
+	// to inlineRows; in-package tests lower it to drive small inputs
+	// through the workers.
+	inline int
 }
+
+// inlineRows is the input size below which an operator's partition tasks
+// run in order on the query's own goroutine instead of on fresh worker
+// goroutines: under it, starting and joining the workers costs more than
+// the work they would share. Measured by a sweep of 1 Ki to 64 Ki rows and
+// no fan-out at all, in process and end to end (docs/reproduction.md,
+// table 9).
+const inlineRows = 16384
 
 // NewCluster returns a cluster with the given number of partitions per
 // relation. partitions <= 0 selects GOMAXPROCS.
@@ -147,7 +163,7 @@ func NewCluster(partitions int) *Cluster {
 	if partitions <= 0 {
 		partitions = runtime.GOMAXPROCS(0)
 	}
-	return &Cluster{partitions: partitions, workers: runtime.GOMAXPROCS(0)}
+	return &Cluster{partitions: partitions, workers: runtime.GOMAXPROCS(0), inline: inlineRows}
 }
 
 // Partitions returns the partition count.
@@ -375,30 +391,32 @@ func (x *Exec) addTasks(n int64)        { x.m.Tasks.Add(n) }
 func (x *Exec) addRowsSorted(n int64)   { x.m.RowsSorted.Add(n) }
 func (x *Exec) addBytesSpilled(n int64) { x.m.BytesSpilled.Add(n) }
 
-// parallel runs fn(p) for p in [0, n) on the worker pool, metering one task
-// per invocation, and waits. Once the execution's context is done, queued
-// partition tasks are skipped (running ones stop on their own row-batch
-// checks), so a cancelled query releases its workers promptly.
+// parallel runs fn(p) for p in [0, n), metering one task per invocation,
+// and waits. rows is the operator's input size, the rows its tasks will
+// touch together: below the cluster's inline threshold (inlineRows), or
+// with a single worker, the tasks run in order on the calling goroutine;
+// otherwise on a pool of worker goroutines. Either way the partitioning,
+// the tasks and every counter are the same; only the goroutine differs.
+// Once the execution's context is done, queued partition tasks are
+// skipped (running ones stop on their own row-batch checks), so a
+// cancelled query releases its workers promptly.
 //
-// A panic inside a partition task does not kill the process: each worker
-// recovers, the first panic is captured with its stack, remaining queued
-// partitions are skipped, and after every worker has returned the panic is
-// re-raised on the coordinator as a *PanicError. It then unwinds the
-// query's own call stack, where the per-query recovery boundary
-// (core.ExecStream / Stream.Next) converts it to an internal error.
-func (x *Exec) parallel(n int, fn func(p int)) {
+// A panic inside a partition task does not kill the process. Run inline,
+// it is already on the coordinator stack and unwinds it directly. On the
+// pool, each worker recovers, the first panic is captured with its stack,
+// remaining queued partitions are skipped, and after every worker has
+// returned the panic is re-raised on the coordinator as a *PanicError.
+// Either way it unwinds the query's own call stack, where the per-query
+// recovery boundary (core.ExecStream / Stream.Next) converts it to an
+// internal error.
+func (x *Exec) parallel(n, rows int, fn func(p int)) {
 	x.addTasks(int64(n))
-	workers := x.c.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	workers := min(x.c.workers, n)
+	if workers <= 1 || rows < x.c.inline {
 		for p := 0; p < n; p++ {
 			if x.Cancelled() {
 				return
 			}
-			// A panic here is already on the coordinator stack and unwinds
-			// to the query boundary directly.
 			fn(p)
 		}
 		return
@@ -649,7 +667,7 @@ func (x *Exec) Filter(r *Relation, pred func(Row) bool) *Relation {
 	out := newRelation(r.Schema, len(r.Parts))
 	out.keyCol = r.keyCol
 	arity := len(r.Schema)
-	x.parallel(len(r.Parts), func(p int) {
+	x.parallel(len(r.Parts), r.NumRows(), func(p int) {
 		src := r.Parts[p]
 		n := src.Len()
 		if n == 0 {
@@ -694,7 +712,7 @@ func (x *Exec) Project(r *Relation, cols []string) *Relation {
 			}
 		}
 	}
-	x.parallel(len(r.Parts), func(p int) {
+	x.parallel(len(r.Parts), r.NumRows(), func(p int) {
 		src := r.Parts[p]
 		n := src.Len()
 		if n == 0 {
@@ -745,8 +763,9 @@ func (x *Exec) shuffle(r *Relation, key int) *Relation {
 	n := len(r.Parts)
 	arity := len(r.Schema)
 	parts := uint64(c.partitions)
+	moved := r.NumRows()
 	buckets := make([][]*Block, n)
-	x.parallel(n, func(p int) {
+	x.parallel(n, moved, func(p int) {
 		src := r.Parts[p]
 		rows := src.Len()
 		if rows == 0 {
@@ -803,10 +822,10 @@ func (x *Exec) shuffle(r *Relation, key int) *Relation {
 		}
 		buckets[p] = local
 	})
-	x.addShuffled(int64(r.NumRows()))
+	x.addShuffled(int64(moved))
 	out := newRelation(r.Schema, c.partitions)
 	out.keyCol = key
-	x.parallel(c.partitions, func(t int) {
+	x.parallel(c.partitions, moved, func(t int) {
 		total := 0
 		for p := 0; p < n; p++ {
 			if buckets[p] != nil {
@@ -906,7 +925,7 @@ func (x *Exec) innerJoin(left, right *Relation, lIdx, rIdx []int, strat JoinStra
 	out.keyCol = lIdx[0]
 	pairs := make([]*scratch, len(out.Parts))
 	cols := joinCols(len(left.Schema), keepCols(len(right.Schema), rIdx))
-	x.parallel(len(out.Parts), func(p int) {
+	x.parallel(len(out.Parts), l.NumRows()+r.NumRows(), func(p int) {
 		lblk, rblk := l.Parts[p], r.Parts[p]
 		if lblk.Len() == 0 || rblk.Len() == 0 {
 			out.Parts[p] = newFixedBlock(len(out.Schema), 0)
@@ -954,7 +973,7 @@ func (x *Exec) LeftJoinWith(left, right *Relation, pred func(Row) bool, strat Jo
 		defer b.close()
 		out = newRelation(outSchema, len(left.Parts))
 		out.keyCol = left.keyCol
-		x.parallel(len(out.Parts), func(p int) {
+		x.parallel(len(out.Parts), left.NumRows(), func(p int) {
 			out.Parts[p] = x.probeOuter(left.Parts[p], b, lIdx, rKeep, len(outSchema), pred)
 		})
 	} else {
@@ -962,7 +981,7 @@ func (x *Exec) LeftJoinWith(left, right *Relation, pred func(Row) bool, strat Jo
 		r := x.shuffle(right, rIdx[0])
 		out = newRelation(outSchema, x.c.partitions)
 		out.keyCol = lIdx[0]
-		x.parallel(len(out.Parts), func(p int) {
+		x.parallel(len(out.Parts), l.NumRows()+r.NumRows(), func(p int) {
 			// A co-partition with no left rows has nothing to pad or match:
 			// its right side is never built.
 			if l.Parts[p].Len() == 0 {
@@ -1197,7 +1216,7 @@ func (x *Exec) cross(left, right *Relation, pred func(Row) bool, outer bool) *Re
 	x.addShuffled(int64(rn) * int64(len(left.Parts)))
 	out := newRelation(outSchema, len(left.Parts))
 	lA := len(left.Schema)
-	x.parallel(len(left.Parts), func(p int) {
+	x.parallel(len(left.Parts), left.NumRows()*rn, func(p int) {
 		src := left.Parts[p]
 		ln := src.Len()
 		rows := NewBlock(len(outSchema), 0)
@@ -1321,7 +1340,7 @@ func (x *Exec) Distinct(r *Relation) *Relation {
 	s := x.shuffle(r, 0)
 	out := newRelation(r.Schema, len(s.Parts))
 	out.keyCol = 0
-	x.parallel(len(s.Parts), func(p int) {
+	x.parallel(len(s.Parts), s.NumRows(), func(p int) {
 		src := s.Parts[p]
 		n := src.Len()
 		if n == 0 {

@@ -161,7 +161,8 @@ func checkRows(t *testing.T, desc string, got *Relation, want []Row) {
 // budget of one byte, which makes every hash-join build spill. A spilled
 // join must return the in-memory join's rows in the same order. The schema
 // pair with no shared column runs the cross join and the cross-style
-// OPTIONAL.
+// OPTIONAL. Every case runs inline, as inputs this small do, and again on
+// the workers.
 func TestOperatorEquivalenceRandomized(t *testing.T) {
 	schemas := [][2][]string{
 		{{"x", "y"}, {"x", "z"}},           // one join column
@@ -173,8 +174,8 @@ func TestOperatorEquivalenceRandomized(t *testing.T) {
 	}
 	pred := func(r Row) bool { return uint64(r[len(r)-1])%3 != 0 }
 	spillDir := t.TempDir()
-	for _, parts := range []int{1, 3, 4, 8} {
-		c := NewCluster(parts)
+	for _, cfg := range clusterConfigs([]int{1, 3, 4, 8}) {
+		c, parts := cfg.c, cfg.name
 		for seed := int64(0); seed < 12; seed++ {
 			rnd := rand.New(rand.NewSource(seed))
 			sc := schemas[int(seed)%len(schemas)]
@@ -184,7 +185,7 @@ func TestOperatorEquivalenceRandomized(t *testing.T) {
 			left := c.exec().FromRows(lS, lrows)
 			right := c.exec().FromRows(rS, rrows)
 			tag := func(op string) string {
-				return fmt.Sprintf("parts=%d seed=%d %s(%v⋈%v)", parts, seed, op, lS, rS)
+				return fmt.Sprintf("%s seed=%d %s(%v⋈%v)", parts, seed, op, lS, rS)
 			}
 			// Under the budget, a join whose inner part matches anything
 			// must have spilled some build.

@@ -105,7 +105,7 @@ func distinctStringKey(c *Cluster, r *Relation) *Relation {
 	x := c.exec()
 	s := x.shuffle(r, 0)
 	out := newRelation(r.Schema, len(s.Parts))
-	x.parallel(len(s.Parts), func(p int) {
+	x.parallel(len(s.Parts), s.NumRows(), func(p int) {
 		src := s.Parts[p]
 		seen := make(map[string]struct{}, src.Len())
 		rows := NewBlock(len(r.Schema), 0)

@@ -154,7 +154,8 @@ func TestFaultSpillReadFailure(t *testing.T) {
 
 // TestPanicInParallelWorkerContained: a panic inside a partition task is
 // re-raised on the coordinator as a typed *PanicError — it must not kill
-// the test process by escaping on a bare worker goroutine.
+// the test process by escaping on a bare worker goroutine. The scan's
+// 50,000 rows are above inlineRows, so its tasks run on the workers.
 func TestPanicInParallelWorkerContained(t *testing.T) {
 	tbl := store.NewTable("VP:p", "s", "o")
 	for i := 0; i < 50000; i++ {
@@ -168,10 +169,15 @@ func TestPanicInParallelWorkerContained(t *testing.T) {
 	}
 	x := c.NewExecContext(context.Background())
 
+	self := goid()
+	var g goroutines
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("worker panic did not reach the coordinator")
+		}
+		if len(g.ids) == 0 || g.ids[self] {
+			t.Fatalf("the predicate ran on goroutines %v, the caller is %s: the scan did not take the worker path", g.ids, self)
 		}
 		pe, ok := r.(*PanicError)
 		if !ok {
@@ -186,29 +192,38 @@ func TestPanicInParallelWorkerContained(t *testing.T) {
 	}()
 	x.ScanTable(tbl, ScanSpec{
 		Projs: []ScanProjection{{Col: "s", As: "x"}},
-		Pred:  func(Row) bool { panic("operator bug") },
+		Pred: func(Row) bool {
+			g.seen()
+			panic("operator bug")
+		},
 	})
 }
 
-// TestPanicSequentialPathPropagates: with a single worker the panic
-// unwinds the coordinator stack directly (no goroutine crossing needed).
+// TestPanicSequentialPathPropagates: with a single worker, or with two
+// over an input below inlineRows, the tasks run inline and the panic
+// unwinds the coordinator stack directly, its value unwrapped (no
+// goroutine crossing needed).
 func TestPanicSequentialPathPropagates(t *testing.T) {
 	tbl := store.NewTable("VP:p", "s", "o")
 	tbl.Append(1, 2)
 	tbl.Finalize()
 
-	c := NewCluster(1)
-	c.workers = 1
-	x := c.NewExec()
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("sequential-path panic was swallowed")
-		}
-	}()
-	x.ScanTable(tbl, ScanSpec{
-		Projs: []ScanProjection{{Col: "s", As: "x"}},
-		Pred:  func(Row) bool { panic("operator bug") },
-	})
+	for _, tc := range []struct{ partitions, workers int }{{1, 1}, {4, 2}} {
+		c := NewCluster(tc.partitions)
+		c.workers = tc.workers
+		x := c.NewExec()
+		func() {
+			defer func() {
+				if r := recover(); r != "operator bug" {
+					t.Fatalf("%d partitions, %d workers: recovered %v, want the bare panic value", tc.partitions, tc.workers, r)
+				}
+			}()
+			x.ScanTable(tbl, ScanSpec{
+				Projs: []ScanProjection{{Col: "s", As: "x"}},
+				Pred:  func(Row) bool { panic("operator bug") },
+			})
+		}()
+	}
 }
 
 // TestPanicErrorWrapping: PanicError formats its value, and the injected

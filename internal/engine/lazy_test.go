@@ -91,11 +91,12 @@ func lazyFixtures(t *testing.T, x *Exec, rng *rand.Rand) map[string]*Relation {
 
 // TestLazyRelationsMatchEager feeds every kind of lazy relation through every
 // operator that consumes one and requires the same rows, in the same order,
-// as the operator gives on the relation's eager twin.
+// as the operator gives on the relation's eager twin, inline and on the
+// workers.
 func TestLazyRelationsMatchEager(t *testing.T) {
-	for _, parts := range []int{1, 3, 8} {
-		c := NewCluster(parts)
-		rng := rand.New(rand.NewSource(int64(parts)))
+	for _, cfg := range clusterConfigs([]int{1, 3, 8}) {
+		c, parts := cfg.c, cfg.name
+		rng := rand.New(rand.NewSource(int64(c.partitions)))
 		x := c.exec()
 		other := x.FromRows([]string{"k", "z"}, randRows(rng, 2, 120, 70))
 		unrelated := x.FromRows([]string{"q"}, []Row{{1}, {2}, {3}})
@@ -135,14 +136,14 @@ func TestLazyRelationsMatchEager(t *testing.T) {
 			for op, fn := range ops {
 				got, want := fn(lazy), fn(eager)
 				if !reflect.DeepEqual(got.Schema, want.Schema) {
-					t.Fatalf("%d partitions, %s, %s: schema %v, eager %v", parts, name, op, got.Schema, want.Schema)
+					t.Fatalf("%s, %s, %s: schema %v, eager %v", parts, name, op, got.Schema, want.Schema)
 				}
 				if g, w := got.Rows(), want.Rows(); !reflect.DeepEqual(g, w) {
-					t.Fatalf("%d partitions, %s, %s: %d rows differ from the eager path's %d", parts, name, op, len(g), len(w))
+					t.Fatalf("%s, %s, %s: %d rows differ from the eager path's %d", parts, name, op, len(g), len(w))
 				}
 			}
 			if a, b := sole(lazy, 0), sole(eager, 0); a != b {
-				t.Fatalf("%d partitions, %s: SoleKey %s, eager %s", parts, name, a, b)
+				t.Fatalf("%s, %s: SoleKey %s, eager %s", parts, name, a, b)
 			}
 		}
 	}

@@ -234,7 +234,7 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 		if spec.Pred == nil {
 			sel = slices.Clone(sel) // the views keep it
 		}
-		x.parallel(c.partitions, func(p int) {
+		x.parallel(c.partitions, len(sel), func(p int) {
 			slo, shi := splitRange(len(sel), c.partitions, p)
 			if slo < shi {
 				rel.Parts[p] = materialize(t, spec, pl, sel[slo:shi:shi])
@@ -267,7 +267,7 @@ func (x *Exec) ScanTable(t *store.Table, spec ScanSpec) (*Relation, ScanStats, e
 		// The binary search proved the scan empty; all partitions stay nil.
 		return rel, st, nil
 	}
-	x.parallel(c.partitions, func(p int) {
+	x.parallel(c.partitions, span, func(p int) {
 		plo, phi := splitRange(span, c.partitions, p)
 		plo, phi = lo+plo, lo+phi
 		if plo >= phi {

@@ -14,7 +14,8 @@ import (
 
 // TestScratchReuseConcurrentJoins runs broadcast and shuffle joins from
 // several goroutines at once, each on its own execution over shared inputs,
-// so pooled pair vectors pass from join to join: a join's lazy output holds
+// inline in some rounds and on the workers in others, so pooled pair
+// vectors pass from join to join: a join's lazy output holds
 // its own copy of its pair vectors, and a top-k join puts its pooled ones
 // back once its winners are gathered, while other queries' lazy outputs are
 // still alive. Only after every join has finished are the outputs checked:
@@ -47,7 +48,11 @@ func TestScratchReuseConcurrentJoins(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := range rounds {
-				x := NewCluster(1 + (w+r)%4).exec()
+				c := NewCluster(1 + (w+r)%4)
+				if r%2 == 1 {
+					fanOut(c) // 3,000 rows would run inline
+				}
+				x := c.exec()
 				l, s := x.FromRows([]string{"k", "a"}, big), x.FromRows([]string{"k", "b"}, small)
 				strat := StrategyBroadcast
 				if r%3 == 2 {

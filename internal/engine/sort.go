@@ -169,7 +169,7 @@ func (x *Exec) OrderBy(r *Relation, cols []SortCol, keyOf func(dict.ID) SortKey)
 	for p := 1; p < len(r.Parts); p++ {
 		bases[p] = bases[p-1] + r.Parts[p-1].Len()
 	}
-	x.parallel(len(r.Parts), func(p int) {
+	x.parallel(len(r.Parts), n, func(p int) {
 		blk := r.Parts[p]
 		if blk.Len() == 0 {
 			return
@@ -220,14 +220,15 @@ func UseTopK(k, rows int) bool { return k <= rows/8 }
 // matching OrderBy exactly: TopK(r, k) equals OrderBy(r) truncated to k
 // rows, row for row.
 func (x *Exec) TopK(r *Relation, k int, cols []SortCol, keyOf func(dict.ID) SortKey) *Relation {
-	if total := r.NumRows(); k > total {
+	total := r.NumRows()
+	if k > total {
 		k = total
 	}
 	if k <= 0 {
 		return emptyResult(r)
 	}
 	runs := make([]topRun, len(r.Parts))
-	x.parallel(len(r.Parts), func(p int) {
+	x.parallel(len(r.Parts), total, func(p int) {
 		blk := r.Parts[p]
 		if blk.Len() == 0 {
 			return
@@ -280,9 +281,10 @@ func (x *Exec) JoinTopK(left, right *Relation, strat JoinStrategy, k int, cols [
 		return x.JoinWith(left, right, strat), false
 	}
 	out, pairs := x.innerJoin(left, right, lIdx, rIdx, strat)
-	x.addOutput(int64(out.NumRows()))
-	topk := k > 0 && UseTopK(k, out.NumRows())
-	x.parallel(len(out.Parts), func(p int) {
+	rows := out.NumRows()
+	x.addOutput(int64(rows))
+	topk := k > 0 && UseTopK(k, rows)
+	x.parallel(len(out.Parts), rows, func(p int) {
 		if pairs[p] == nil {
 			return
 		}
