@@ -255,8 +255,8 @@ func cmdServe(args []string) {
 	extra := fs.String("stores", "", "additional stores, NAME=DIR[,NAME=DIR...], served at /sparql/NAME")
 	addr := fs.String("addr", ":8080", "listen address")
 	mode := fs.String("mode", "ExtVP", "default execution mode: ExtVP, VP, TT or PT")
-	maxConcurrent := fs.Int("max-concurrent", 0, "max concurrent queries per store, split between the cheap and expensive lanes (0 = GOMAXPROCS)")
-	queueDepth := fs.Int("queue-depth", 0, "per-lane admission queue bound; a full queue answers 429 + Retry-After (0 = max(16, 4x max-concurrent))")
+	maxConcurrent := fs.Int("max-concurrent", 0, "max concurrent queries per store, shared by every query class (0 = GOMAXPROCS)")
+	queueDepth := fs.Int("queue-depth", 0, "per-store admission queue bound; a full queue answers 429 + Retry-After (0 = max(16, 4x max-concurrent))")
 	cheapThreshold := fs.Int("cheap-threshold", 0, "cost-gate boundary in planner-estimated rows (0 = 1000)")
 	slice := fs.Duration("slice", 0, "expensive-query time slice before yielding the worker slot (0 = 20ms)")
 	pt := fs.Bool("pt", false, "also build the property table so mode=PT requests work")

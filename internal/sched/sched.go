@@ -1,17 +1,18 @@
 // Package sched implements per-store query admission control and fair
 // time-sliced scheduling. It sits between the HTTP mux (or CLI) and the
-// query engine: every query is classified cheap or expensive by the cost
-// gate (Classify, fed by the planner's cardinality estimates), admitted
-// into the matching lane's bounded queue, and granted a worker slot when
-// one frees up. Expensive queries additionally carry a time slice: the
-// engine calls Ticket.Yield at its row-batch cancellation points, and a
-// ticket whose slice has expired while other work is waiting releases its
-// slot and re-enqueues, so N concurrent heavy queries make proportional
-// progress instead of FIFO head-of-line blocking.
+// query engine: every query is admitted into one bounded queue and granted
+// one of the store's worker slots when one frees up, whatever its class.
+// The cost gate (Classify, fed by the planner's cardinality estimates)
+// decides only which queries are time-sliced: an expensive query carries a
+// slice, the engine calls Ticket.Yield at its row-batch cancellation
+// points, and a ticket whose slice has expired while other work is waiting
+// releases its slot and re-enqueues, so N concurrent heavy queries make
+// proportional progress and a point lookup waits at most one slice instead
+// of a whole join. A cheap query is never sliced.
 //
 // Fairness uses virtual-time ordering (a simplified completely-fair
-// scheduler): each lane keeps a virtual clock equal to the service time of
-// the most-served dispatched ticket, new arrivals start at the current
+// scheduler): the scheduler keeps a virtual clock equal to the service time
+// of the most-served dispatched ticket, new arrivals start at the current
 // clock, and a yielding ticket's virtual time grows by the CPU slice it
 // just consumed. The wait heap pops the smallest (vtime, seq) first, so a
 // ticket that has waited while others ran ages into higher priority
@@ -23,6 +24,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,10 +34,11 @@ import (
 type Class int
 
 const (
-	// Cheap queries (point lookups, small stars) run in the cheap lane.
+	// Cheap queries (point lookups, small stars) run to completion once
+	// granted a slot.
 	Cheap Class = iota
-	// Expensive queries (analytics, snowflakes, cross joins) run in the
-	// expensive lane and are time-sliced.
+	// Expensive queries (analytics, snowflakes, cross joins) are
+	// time-sliced.
 	Expensive
 )
 
@@ -77,31 +80,28 @@ func nowNanos() int64 { return int64(time.Since(epoch)) }
 
 // Options configures a Scheduler.
 type Options struct {
-	// MaxConcurrent is the total worker-slot budget across both lanes.
-	// Defaults to 2 when <= 0. The expensive lane gets half (at least 1)
-	// and the cheap lane the rest (at least 1), so point lookups always
-	// have a slot that analytics cannot occupy.
+	// MaxConcurrent is the worker-slot budget every class shares.
+	// Defaults to GOMAXPROCS when <= 0.
 	MaxConcurrent int
-	// QueueDepth bounds each lane's admission queue (tickets waiting for
-	// their first slot grant; re-enqueued yields are not counted against
-	// it). When a lane's slots are busy and its queue is full, Admit
-	// rejects with *QueueFullError. Defaults to max(16, 4*MaxConcurrent).
+	// QueueDepth bounds the admission queue (tickets waiting for their
+	// first slot grant; re-enqueued yields are not counted against it).
+	// When every slot is busy and the queue is full, Admit rejects with
+	// *QueueFullError. Defaults to max(16, 4*MaxConcurrent).
 	QueueDepth int
 	// Slice is the execution time slice for expensive queries. <= 0
 	// selects DefaultSlice.
 	Slice time.Duration
 }
 
-// QueueFullError is returned by Admit when the lane's admission queue is
-// at capacity. RetryAfter estimates when a slot is likely to free up,
-// derived from the lane's recent per-query service time.
+// QueueFullError is returned by Admit when the admission queue is at
+// capacity. RetryAfter estimates when a slot is likely to free up, derived
+// from the recent per-query service time.
 type QueueFullError struct {
-	Class      Class
 	RetryAfter time.Duration
 }
 
 func (e *QueueFullError) Error() string {
-	return fmt.Sprintf("sched: %s queue full, retry after %s", e.Class, e.RetryAfter)
+	return fmt.Sprintf("sched: admission queue full, retry after %s", e.RetryAfter)
 }
 
 // ticket states.
@@ -115,15 +115,15 @@ const (
 // call Release exactly once when the query finishes (on any path,
 // including errors and cancellation). Ticket implements engine.Yielder.
 type Ticket struct {
-	s     *Scheduler
-	lane  *lane
-	ctx   context.Context
-	seq   uint64
-	vtime int64 // virtual service time, ns; heap priority
+	s      *Scheduler
+	ctx    context.Context
+	seq    uint64
+	vtime  int64 // virtual service time, ns; heap priority
+	sliced bool  // Expensive: each grant starts a slice
 
 	// sliceEnd is the monotonic deadline (ns since epoch) of the current
 	// slice; read lock-free on the Yield fast path. 0 means "no slicing"
-	// (cheap lane).
+	// (a cheap ticket).
 	sliceEnd atomic.Int64
 
 	enqueuedAt int64 // ns since epoch of the current enqueue
@@ -157,22 +157,20 @@ func (t *Ticket) Yields() int {
 	return t.yields
 }
 
-// Class reports which lane admitted the ticket.
-func (t *Ticket) Class() Class {
-	if t.lane == &t.s.heavy {
-		return Expensive
-	}
-	return Cheap
-}
+// Scheduler is one store's admission controller: one slot pool, one wait
+// heap and one bounded admission queue shared by every class. All state is
+// guarded by a single mutex; the only lock-free path is the Yield slice
+// check.
+type Scheduler struct {
+	mu    sync.Mutex
+	slice time.Duration
+	seq   uint64
 
-// lane is one class's slot budget, admission queue and wait heap.
-type lane struct {
-	class Class
 	slots int
 	free  int
 
 	waiting    waitHeap // queued tickets (admission waiters + re-enqueued yielders)
-	admitQueue int      // admission waiters only, bounded by QueueDepth
+	admitQueue int      // admission waiters only, bounded by queueDepth
 	queueDepth int
 
 	vclock int64 // virtual clock: max vtime among dispatched tickets
@@ -190,92 +188,61 @@ type lane struct {
 	yields    int64
 }
 
-// Scheduler is one store's admission controller. All state is guarded by a
-// single mutex; the only lock-free path is the Yield slice check.
-type Scheduler struct {
-	mu    sync.Mutex
-	cheap lane
-	heavy lane
-	slice time.Duration
-	seq   uint64
-}
-
 // New builds a Scheduler from opts (see Options for defaulting rules).
 func New(opts Options) *Scheduler {
-	total := opts.MaxConcurrent
-	if total <= 0 {
-		total = 2
-	}
-	heavySlots := total / 2
-	if heavySlots < 1 {
-		heavySlots = 1
-	}
-	cheapSlots := total - heavySlots
-	if cheapSlots < 1 {
-		cheapSlots = 1
+	slots := opts.MaxConcurrent
+	if slots <= 0 {
+		slots = runtime.GOMAXPROCS(0)
 	}
 	depth := opts.QueueDepth
 	if depth <= 0 {
-		depth = 4 * total
-		if depth < 16 {
-			depth = 16
-		}
+		depth = max(16, 4*slots)
 	}
 	slice := opts.Slice
 	if slice <= 0 {
 		slice = DefaultSlice
 	}
-	s := &Scheduler{slice: slice}
-	s.cheap = lane{class: Cheap, slots: cheapSlots, free: cheapSlots, queueDepth: depth}
-	s.heavy = lane{class: Expensive, slots: heavySlots, free: heavySlots, queueDepth: depth}
-	return s
-}
-
-func (s *Scheduler) laneFor(c Class) *lane {
-	if c == Expensive {
-		return &s.heavy
-	}
-	return &s.cheap
+	return &Scheduler{slice: slice, slots: slots, free: slots, queueDepth: depth}
 }
 
 // Admit requests a worker slot for a query of the given class. It blocks
 // until a slot is granted, the context is done, or — immediately — the
-// lane's admission queue is full, in which case it returns a
-// *QueueFullError carrying a Retry-After estimate. A ticket whose context
-// ends while queued is removed from the queue without ever executing and
-// its slot demand vanishes (the disconnect-releases-slot property).
+// admission queue is full, in which case it returns a *QueueFullError
+// carrying a Retry-After estimate. A ticket whose context ends while
+// queued is removed from the queue without ever executing and its slot
+// demand vanishes (the disconnect-releases-slot property). The class only
+// decides whether the ticket is time-sliced.
 func (s *Scheduler) Admit(ctx context.Context, class Class) (*Ticket, error) {
 	s.mu.Lock()
-	ln := s.laneFor(class)
-	if ln.free == 0 && ln.admitQueue >= ln.queueDepth {
-		ln.rejected++
-		ra := s.retryAfterLocked(ln)
+	if s.free == 0 && s.admitQueue >= s.queueDepth {
+		s.rejected++
+		ra := s.retryAfterLocked()
 		s.mu.Unlock()
-		return nil, &QueueFullError{Class: class, RetryAfter: ra}
+		return nil, &QueueFullError{RetryAfter: ra}
 	}
 	s.seq++
 	t := &Ticket{
-		s:    s,
-		lane: ln,
-		ctx:  ctx,
-		seq:  s.seq,
+		s:      s,
+		ctx:    ctx,
+		seq:    s.seq,
+		sliced: class == Expensive,
 		// enqueuedAt is stamped even on the immediate-grant path below:
 		// a fresh ticket's zero state is stateQueued, so grantLocked
 		// accumulates now-enqueuedAt into the queue wait either way.
 		enqueuedAt: nowNanos(),
-		vtime:      ln.vclock,
+		vtime:      s.vclock,
 		index:      -1,
 		grant:      make(chan struct{}),
 	}
-	ln.admitted++
-	if ln.free > 0 {
-		s.grantLocked(ln, t)
+	s.admitted++
+	if s.free > 0 {
+		s.grantLocked(t)
 		s.mu.Unlock()
 		return t, nil
 	}
 	t.state = stateQueued
-	ln.admitQueue++
-	heap.Push(&ln.waiting, t)
+	s.admitQueue++
+	heap.Push(&s.waiting, t)
 	s.mu.Unlock()
 
 	select {
@@ -292,9 +259,9 @@ func (s *Scheduler) Admit(ctx context.Context, class Class) (*Ticket, error) {
 		return t, nil
 	default:
 	}
-	heap.Remove(&ln.waiting, t.index)
-	ln.admitQueue--
-	ln.abandoned++
+	heap.Remove(&s.waiting, t.index)
+	s.admitQueue--
+	s.abandoned++
 	t.state = stateDone
 	t.released = true
 	s.mu.Unlock()
@@ -302,46 +269,46 @@ func (s *Scheduler) Admit(ctx context.Context, class Class) (*Ticket, error) {
 }
 
 // grantLocked hands a free slot to t. Caller holds s.mu.
-func (s *Scheduler) grantLocked(ln *lane, t *Ticket) {
-	ln.free--
+func (s *Scheduler) grantLocked(t *Ticket) {
+	s.free--
 	now := nowNanos()
 	if t.state == stateQueued {
 		t.waited += time.Duration(now - t.enqueuedAt)
 	}
 	if t.grantedAt == 0 { // first grant: the query starts executing
-		ln.started++
+		s.started++
 	}
 	t.state = stateRunning
 	t.grantedAt = now
-	if ln.vclock < t.vtime {
-		ln.vclock = t.vtime
+	if s.vclock < t.vtime {
+		s.vclock = t.vtime
 	}
-	if ln.class == Expensive {
+	if t.sliced {
 		t.sliceEnd.Store(now + int64(s.slice))
 	}
 	close(t.grant)
 }
 
 // dispatchLocked grants freed slots to the highest-priority waiters.
-func (s *Scheduler) dispatchLocked(ln *lane) {
-	for ln.free > 0 && ln.waiting.Len() > 0 {
-		t := heap.Pop(&ln.waiting).(*Ticket)
+func (s *Scheduler) dispatchLocked() {
+	for s.free > 0 && s.waiting.Len() > 0 {
+		t := heap.Pop(&s.waiting).(*Ticket)
 		if t.yields == 0 {
-			ln.admitQueue--
+			s.admitQueue--
 		}
-		s.grantLocked(ln, t)
+		s.grantLocked(t)
 	}
 }
 
 // retryAfterLocked estimates how long a rejected client should wait before
-// retrying: (queue length + 1) service times spread across the lane's
-// slots, clamped to [1s, 60s].
-func (s *Scheduler) retryAfterLocked(ln *lane) time.Duration {
-	per := time.Duration(ln.ewmaActive)
+// retrying: (queue length + 1) service times spread across the slots,
+// clamped to [1s, 60s].
+func (s *Scheduler) retryAfterLocked() time.Duration {
+	per := time.Duration(s.ewmaActive)
 	if per == 0 {
 		per = time.Second
 	}
-	est := time.Duration(ln.admitQueue+1) * per / time.Duration(ln.slots)
+	est := time.Duration(s.admitQueue+1) * per / time.Duration(s.slots)
 	if est < time.Second {
 		est = time.Second
 	}
@@ -367,7 +334,6 @@ func (t *Ticket) Yield() {
 
 func (t *Ticket) yieldSlow() {
 	s := t.s
-	ln := t.lane
 	s.mu.Lock()
 	if t.state != stateRunning || t.released {
 		// Raced with Release or a concurrent yielder from another
@@ -384,8 +350,8 @@ func (t *Ticket) yieldSlow() {
 	}
 	held := now - t.grantedAt
 	t.vtime += held
-	ln.observeActiveLocked(held)
-	if ln.waiting.Len() == 0 {
+	s.observeActiveLocked(held)
+	if s.waiting.Len() == 0 {
 		// Nobody is waiting: keep the slot and just start a new slice.
 		t.grantedAt = now
 		t.sliceEnd.Store(now + int64(s.slice))
@@ -393,14 +359,14 @@ func (t *Ticket) yieldSlow() {
 		return
 	}
 	// Give up the slot and rejoin the wait heap at our new virtual time.
-	ln.yields++
+	s.yields++
 	t.yields++
 	t.state = stateQueued
 	t.enqueuedAt = now
 	t.grant = make(chan struct{})
-	ln.free++
-	heap.Push(&ln.waiting, t)
-	s.dispatchLocked(ln)
+	s.free++
+	heap.Push(&s.waiting, t)
+	s.dispatchLocked()
 	grant := t.grant
 	s.mu.Unlock()
 
@@ -412,21 +378,20 @@ func (t *Ticket) yieldSlow() {
 	}
 }
 
-// observeActiveLocked folds one slot-hold duration into the lane's EWMA.
-func (ln *lane) observeActiveLocked(held int64) {
-	if ln.ewmaActive == 0 {
-		ln.ewmaActive = held
+// observeActiveLocked folds one slot-hold duration into the EWMA.
+func (s *Scheduler) observeActiveLocked(held int64) {
+	if s.ewmaActive == 0 {
+		s.ewmaActive = held
 	} else {
-		ln.ewmaActive = (7*ln.ewmaActive + held) / 8
+		s.ewmaActive = (7*s.ewmaActive + held) / 8
 	}
 }
 
-// Release returns the ticket's slot to the lane and dispatches the next
-// waiter. It is idempotent and must be called exactly once per admitted
-// ticket on every exit path.
+// Release returns the ticket's slot and dispatches the next waiter. It is
+// idempotent and must be called exactly once per admitted ticket on every
+// exit path.
 func (t *Ticket) Release() {
 	s := t.s
-	ln := t.lane
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t.released {
@@ -437,25 +402,26 @@ func (t *Ticket) Release() {
 	case stateRunning:
 		held := nowNanos() - t.grantedAt
 		t.vtime += held
-		ln.observeActiveLocked(held)
-		ln.free++
-		ln.completed++
+		s.observeActiveLocked(held)
+		s.free++
+		s.completed++
 		t.state = stateDone
-		s.dispatchLocked(ln)
+		s.dispatchLocked()
 	case stateQueued:
 		// The query unwound while re-queued after a cancelled yield wait:
 		// it never got (back) the slot, so only remove it from the heap.
-		heap.Remove(&ln.waiting, t.index)
+		heap.Remove(&s.waiting, t.index)
 		if t.yields == 0 {
-			ln.admitQueue--
+			s.admitQueue--
 		}
-		ln.completed++
+		s.completed++
 		t.state = stateDone
 	}
 }
 
-// LaneStats is a point-in-time snapshot of one lane.
-type LaneStats struct {
+// Stats is a point-in-time snapshot of the scheduler's gauges and
+// counters.
+type Stats struct {
 	Slots     int   `json:"slots"`
 	Running   int   `json:"running"`
 	Queued    int   `json:"queued"`  // admission waiters (bounded by QueueDepth)
@@ -468,39 +434,23 @@ type LaneStats struct {
 	Yields    int64 `json:"yields"`
 }
 
-// Stats is a snapshot of both lanes.
-type Stats struct {
-	Cheap     LaneStats `json:"cheap"`
-	Expensive LaneStats `json:"expensive"`
-}
-
-func snapLane(ln *lane) LaneStats {
-	return LaneStats{
-		Slots:     ln.slots,
-		Running:   ln.slots - ln.free,
-		Queued:    ln.admitQueue,
-		Waiting:   ln.waiting.Len(),
-		Admitted:  ln.admitted,
-		Rejected:  ln.rejected,
-		Abandoned: ln.abandoned,
-		Started:   ln.started,
-		Completed: ln.completed,
-		Yields:    ln.yields,
-	}
-}
-
-// Stats returns a consistent snapshot of both lanes' gauges and counters.
+// Stats returns a consistent snapshot of the gauges and counters.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{Cheap: snapLane(&s.cheap), Expensive: snapLane(&s.heavy)}
+	return Stats{
+		Slots:     s.slots,
+		Running:   s.slots - s.free,
+		Queued:    s.admitQueue,
+		Waiting:   s.waiting.Len(),
+		Admitted:  s.admitted,
+		Rejected:  s.rejected,
+		Abandoned: s.abandoned,
+		Started:   s.started,
+		Completed: s.completed,
+		Yields:    s.yields,
+	}
 }
-
-// QueueDepth reports the per-lane admission queue bound.
-func (s *Scheduler) QueueDepth() int { return s.cheap.queueDepth }
-
-// Slice reports the expensive-lane time slice.
-func (s *Scheduler) Slice() time.Duration { return s.slice }
 
 // waitHeap orders tickets by (virtual time, arrival sequence).
 type waitHeap []*Ticket

@@ -31,33 +31,120 @@ func TestSchedClassifyBoundary(t *testing.T) {
 	}
 }
 
-// TestSchedLaneSplit checks the slot budget split: expensive gets half (at
-// least 1), cheap the rest (at least 1).
-func TestSchedLaneSplit(t *testing.T) {
-	cases := []struct {
-		total, cheap, heavy int
-	}{
-		{1, 1, 1}, // both lanes keep a floor slot even at budget 1
-		{2, 1, 1},
-		{3, 2, 1},
-		{4, 2, 2},
-		{8, 4, 4},
-		{9, 5, 4},
-		{0, 1, 1}, // defaulted
+// TestSchedClassesShareOnePool checks that every class draws on the same
+// slot pool: at MaxConcurrent 2 two expensive tickets both run without
+// waiting, and a third ticket of either class queues until one of them
+// releases its slot.
+func TestSchedClassesShareOnePool(t *testing.T) {
+	s := New(Options{MaxConcurrent: 2})
+	admit := func(c Class) <-chan *Ticket {
+		ch := make(chan *Ticket, 1)
+		go func() {
+			tk, err := s.Admit(context.Background(), c)
+			if err != nil {
+				t.Error(err)
+			}
+			ch <- tk
+		}()
+		return ch
 	}
-	for _, c := range cases {
-		st := New(Options{MaxConcurrent: c.total}).Stats()
-		if st.Cheap.Slots != c.cheap || st.Expensive.Slots != c.heavy {
-			t.Errorf("MaxConcurrent=%d: slots cheap=%d expensive=%d, want %d/%d",
-				c.total, st.Cheap.Slots, st.Expensive.Slots, c.cheap, c.heavy)
+	for _, third := range []Class{Cheap, Expensive} {
+		var running []*Ticket
+		for i := 0; i < 2; i++ {
+			select {
+			case tk := <-admit(Expensive):
+				running = append(running, tk)
+			case <-time.After(2 * time.Second):
+				t.Fatalf("expensive ticket %d not granted with a slot free", i+1)
+			}
 		}
+		if st := s.Stats(); st.Running != 2 || st.Queued != 0 {
+			t.Fatalf("two expensive tickets: %+v, want running=2 queued=0", st)
+		}
+		granted := admit(third)
+		waitFor(t, func() bool { return s.Stats().Queued == 1 })
+		select {
+		case <-granted:
+			t.Fatalf("%v ticket granted with both slots busy", third)
+		case <-time.After(30 * time.Millisecond):
+		}
+		running[0].Release()
+		select {
+		case tk := <-granted:
+			tk.Release()
+		case <-time.After(2 * time.Second):
+			t.Fatalf("queued %v ticket not granted after Release", third)
+		}
+		running[1].Release()
+	}
+	if st := s.Stats(); st.Running != 0 || st.Queued != 0 || st.Started != 6 || st.Completed != 6 {
+		t.Errorf("after both rounds: %+v, want running=0 queued=0 started=completed=6", st)
 	}
 }
 
-// TestSchedAdmitAndRelease admits up to the lane's slots without blocking
+// TestSchedCheapOvertakesYielder is the unit-level starvation case: with
+// every slot held by an expensive ticket, a cheap admission waits only
+// until the next yield. It arrives at the virtual clock, while the yielder
+// re-queues at the clock plus the slice it just used, so the cheap ticket
+// takes the freed slot ahead of the yielder.
+func TestSchedCheapOvertakesYielder(t *testing.T) {
+	s := New(Options{MaxConcurrent: 2, Slice: time.Millisecond})
+	ctx := context.Background()
+	var heavy []*Ticket
+	for i := 0; i < 2; i++ {
+		tk, err := s.Admit(ctx, Expensive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heavy = append(heavy, tk)
+	}
+	cheapc := make(chan *Ticket, 1)
+	go func() {
+		tk, err := s.Admit(ctx, Cheap)
+		if err != nil {
+			t.Error(err)
+		}
+		cheapc <- tk
+	}()
+	waitFor(t, func() bool { return s.Stats().Queued == 1 })
+
+	time.Sleep(2 * time.Millisecond) // the slices run out
+	yielded := make(chan struct{})
+	go func() {
+		heavy[0].Yield()
+		close(yielded)
+	}()
+	var cheap *Ticket
+	select {
+	case cheap = <-cheapc:
+	case <-time.After(2 * time.Second):
+		t.Fatal("cheap ticket not granted at the yield")
+	}
+	select {
+	case <-yielded:
+		t.Fatal("yielder re-granted ahead of the cheap ticket")
+	case <-time.After(30 * time.Millisecond):
+	}
+	if st := s.Stats(); st.Running != 2 || st.Waiting != 1 || st.Yields != 1 {
+		t.Errorf("cheap running beside the other heavy ticket: %+v, want running=2 waiting=1 yields=1", st)
+	}
+	cheap.Release()
+	select {
+	case <-yielded:
+	case <-time.After(2 * time.Second):
+		t.Fatal("yielder not re-granted after the cheap ticket's release")
+	}
+	heavy[0].Release()
+	heavy[1].Release()
+	if st := s.Stats(); st.Running != 0 || st.Waiting != 0 || st.Completed != 3 {
+		t.Errorf("gauges not drained: %+v", st)
+	}
+}
+
+// TestSchedAdmitAndRelease admits up to the slot budget without blocking
 // and checks Release frees the slot for the next waiter.
 func TestSchedAdmitAndRelease(t *testing.T) {
-	s := New(Options{MaxConcurrent: 4}) // cheap lane: 2 slots
+	s := New(Options{MaxConcurrent: 2})
 	ctx := context.Background()
 
 	t1, err := s.Admit(ctx, Cheap)
@@ -68,7 +155,7 @@ func TestSchedAdmitAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Cheap.Running; got != 2 {
+	if got := s.Stats().Running; got != 2 {
 		t.Fatalf("running = %d, want 2", got)
 	}
 
@@ -100,7 +187,7 @@ func TestSchedAdmitAndRelease(t *testing.T) {
 	t3.Release()
 	t3.Release() // idempotent
 
-	st := s.Stats().Cheap
+	st := s.Stats()
 	if st.Running != 0 || st.Queued != 0 || st.Waiting != 0 {
 		t.Errorf("gauges not drained: %+v", st)
 	}
@@ -109,11 +196,11 @@ func TestSchedAdmitAndRelease(t *testing.T) {
 	}
 }
 
-// TestSchedBackpressureRejectsWhenFull fills one lane's slot and queue and
+// TestSchedBackpressureRejectsWhenFull fills the slot and the queue and
 // checks the next admit fails fast with a QueueFullError carrying a
-// clamped Retry-After, while the other lane still admits.
+// clamped Retry-After.
 func TestSchedBackpressureRejectsWhenFull(t *testing.T) {
-	s := New(Options{MaxConcurrent: 2, QueueDepth: 1}) // 1 slot per lane
+	s := New(Options{MaxConcurrent: 1, QueueDepth: 1})
 	ctx := context.Background()
 
 	running, err := s.Admit(ctx, Expensive)
@@ -129,26 +216,16 @@ func TestSchedBackpressureRejectsWhenFull(t *testing.T) {
 		}
 		queuedErr <- err
 	}()
-	waitFor(t, func() bool { return s.Stats().Expensive.Queued == 1 })
+	waitFor(t, func() bool { return s.Stats().Queued == 1 })
 
 	_, err = s.Admit(ctx, Expensive)
 	var full *QueueFullError
 	if !errors.As(err, &full) {
 		t.Fatalf("admit on full queue: err = %v, want *QueueFullError", err)
 	}
-	if full.Class != Expensive {
-		t.Errorf("QueueFullError.Class = %v", full.Class)
-	}
 	if full.RetryAfter < time.Second || full.RetryAfter > time.Minute {
 		t.Errorf("RetryAfter = %v, want within [1s, 60s]", full.RetryAfter)
 	}
-
-	// The cheap lane is unaffected by the expensive lane being full.
-	cheap, err := s.Admit(ctx, Cheap)
-	if err != nil {
-		t.Fatalf("cheap admit during expensive backpressure: %v", err)
-	}
-	cheap.Release()
 
 	// A queued client that disconnects releases its place without ever
 	// executing.
@@ -158,9 +235,9 @@ func TestSchedBackpressureRejectsWhenFull(t *testing.T) {
 	}
 	running.Release()
 
-	st := s.Stats().Expensive
+	st := s.Stats()
 	if st.Rejected != 1 || st.Abandoned != 1 || st.Started != 1 || st.Completed != 1 {
-		t.Errorf("expensive counters: %+v, want rejected=1 abandoned=1 started=1 completed=1", st)
+		t.Errorf("counters: %+v, want rejected=1 abandoned=1 started=1 completed=1", st)
 	}
 	if st.Running != 0 || st.Queued != 0 || st.Waiting != 0 {
 		t.Errorf("gauges not drained: %+v", st)
@@ -171,7 +248,7 @@ func TestSchedBackpressureRejectsWhenFull(t *testing.T) {
 // expensive ticket whose slice expired hands its slot to a waiter and
 // re-queues; the waiter's release hands the slot back.
 func TestSchedYieldRotatesSlot(t *testing.T) {
-	s := New(Options{MaxConcurrent: 2, Slice: time.Nanosecond}) // 1 expensive slot
+	s := New(Options{MaxConcurrent: 1, Slice: time.Nanosecond})
 	ctx := context.Background()
 
 	t1, err := s.Admit(ctx, Expensive)
@@ -186,7 +263,7 @@ func TestSchedYieldRotatesSlot(t *testing.T) {
 		}
 		t2c <- tk
 	}()
-	waitFor(t, func() bool { return s.Stats().Expensive.Queued == 1 })
+	waitFor(t, func() bool { return s.Stats().Queued == 1 })
 
 	// The 1ns slice is long expired: Yield must block t1 and grant t2.
 	yielded := make(chan struct{})
@@ -216,7 +293,7 @@ func TestSchedYieldRotatesSlot(t *testing.T) {
 	}
 	t1.Release()
 
-	st := s.Stats().Expensive
+	st := s.Stats()
 	if st.Yields != 1 || st.Running != 0 || st.Waiting != 0 {
 		t.Errorf("after rotation: %+v", st)
 	}
@@ -244,7 +321,7 @@ func TestSchedYieldKeepsSlotWhenIdle(t *testing.T) {
 	if tk.Yields() != 0 {
 		t.Errorf("idle yield counted as slot rotation: Yields() = %d", tk.Yields())
 	}
-	if got := s.Stats().Expensive.Running; got != 1 {
+	if got := s.Stats().Running; got != 1 {
 		t.Errorf("running = %d after idle yield, want 1", got)
 	}
 	tk.Release()
@@ -254,7 +331,7 @@ func TestSchedYieldKeepsSlotWhenIdle(t *testing.T) {
 // while re-queued unblocks (so the engine can observe cancellation) and
 // its eventual Release drains the queue entry.
 func TestSchedYieldReturnsOnCancel(t *testing.T) {
-	s := New(Options{MaxConcurrent: 2, Slice: time.Nanosecond})
+	s := New(Options{MaxConcurrent: 1, Slice: time.Nanosecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	t1, err := s.Admit(ctx, Expensive)
 	if err != nil {
@@ -266,7 +343,7 @@ func TestSchedYieldReturnsOnCancel(t *testing.T) {
 		tk, _ := s.Admit(context.Background(), Expensive)
 		t2c <- tk
 	}()
-	waitFor(t, func() bool { return s.Stats().Expensive.Queued == 1 })
+	waitFor(t, func() bool { return s.Stats().Queued == 1 })
 
 	yielded := make(chan struct{})
 	go func() {
@@ -283,7 +360,7 @@ func TestSchedYieldReturnsOnCancel(t *testing.T) {
 	t1.Release()
 	t2.Release()
 
-	st := s.Stats().Expensive
+	st := s.Stats()
 	if st.Running != 0 || st.Queued != 0 || st.Waiting != 0 {
 		t.Errorf("gauges not drained after cancelled yield: %+v", st)
 	}
@@ -365,26 +442,20 @@ func TestSchedRandomizedInvariants(t *testing.T) {
 		t.Fatalf("outcome sum %d+%d+%d != %d", ran.Load(), ctxErr.Load(), rejected.Load(), ops)
 	}
 	st := s.Stats()
-	for _, ln := range []struct {
-		name string
-		LaneStats
-	}{{"cheap", st.Cheap}, {"expensive", st.Expensive}} {
-		if ln.Running != 0 || ln.Queued != 0 || ln.Waiting != 0 {
-			t.Errorf("%s lane gauges not zero after storm: %+v", ln.name, ln.LaneStats)
-		}
-		if ln.Admitted != ln.Started+ln.Abandoned {
-			t.Errorf("%s lane: admitted %d != started %d + abandoned %d",
-				ln.name, ln.Admitted, ln.Started, ln.Abandoned)
-		}
-		if ln.Started != ln.Completed {
-			t.Errorf("%s lane: started %d != completed %d", ln.name, ln.Started, ln.Completed)
-		}
+	if st.Running != 0 || st.Queued != 0 || st.Waiting != 0 {
+		t.Errorf("gauges not zero after storm: %+v", st)
 	}
-	if total := st.Cheap.Started + st.Expensive.Started; total != ran.Load() {
-		t.Errorf("lanes started %d != tickets that ran %d", total, ran.Load())
+	if st.Admitted != st.Started+st.Abandoned {
+		t.Errorf("admitted %d != started %d + abandoned %d", st.Admitted, st.Started, st.Abandoned)
 	}
-	if total := st.Cheap.Rejected + st.Expensive.Rejected; total != rejected.Load() {
-		t.Errorf("lanes rejected %d != rejections observed %d", total, rejected.Load())
+	if st.Started != st.Completed {
+		t.Errorf("started %d != completed %d", st.Started, st.Completed)
+	}
+	if st.Started != ran.Load() {
+		t.Errorf("started %d != tickets that ran %d", st.Started, ran.Load())
+	}
+	if st.Rejected != rejected.Load() {
+		t.Errorf("rejected %d != rejections observed %d", st.Rejected, rejected.Load())
 	}
 }
 

@@ -209,6 +209,13 @@ func TestParseIntErrors(t *testing.T) {
 	if _, err := Parse(`SELECT ?x WHERE { ?x <p> ?y } OFFSET`); err == nil {
 		t.Error("bare OFFSET should fail")
 	}
+	// The grammar's INTEGER is unsigned: a negative count would read as
+	// "no LIMIT" or "no OFFSET", and a decimal one was truncated.
+	for _, mod := range []string{"LIMIT -1", "OFFSET -3", "LIMIT -0", "LIMIT 2.5", "OFFSET 1.0", "LIMIT 9223372036854775808"} {
+		if _, err := Parse(`SELECT ?x WHERE { ?x <p> ?y } ` + mod); err == nil {
+			t.Errorf("%s should fail", mod)
+		}
+	}
 }
 
 func TestParsePNameInFilter(t *testing.T) {

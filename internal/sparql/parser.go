@@ -1,9 +1,9 @@
 package sparql
 
 import (
-	"fmt"
 	"maps"
 	"regexp"
+	"strconv"
 	"strings"
 
 	"s2rdf/internal/rdf"
@@ -247,13 +247,16 @@ func (p *parser) parseQuery() (*Query, error) {
 	}
 }
 
+// parseInt reads the count of a LIMIT or OFFSET clause: the grammar's
+// INTEGER, digits only, and within int's range. A sign or a decimal point
+// is a syntax error, not a count that means "none" or a truncated one.
 func (p *parser) parseInt() (int, error) {
 	if p.tok.kind != tokNumber {
 		return 0, p.errorf("expected number, got %s", p.tok)
 	}
-	var n int
-	if _, err := fmt.Sscanf(p.tok.text, "%d", &n); err != nil {
-		return 0, p.errorf("bad integer %q", p.tok.text)
+	n, err := strconv.Atoi(p.tok.text)
+	if err != nil || strings.HasPrefix(p.tok.text, "-") {
+		return 0, p.errorf("bad integer %q (LIMIT and OFFSET take a non-negative integer)", p.tok.text)
 	}
 	return n, p.advance()
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,22 +34,22 @@ type ServerOptions struct {
 	// request with the "mode" parameter). The zero value is ModeExtVP.
 	Mode Mode
 	// MaxConcurrent bounds the number of queries executing at once per
-	// store. The budget is split between two lanes by the admission cost
-	// gate — expensive queries get half the slots (at least one), cheap
-	// queries the rest — so point lookups never queue behind analytics.
-	// Further requests wait their turn in a bounded queue (and fail fast
-	// when the client gives up). <= 0 selects GOMAXPROCS.
+	// store; every class of query draws on the same slots. Further
+	// requests wait their turn in a bounded queue (and fail fast when the
+	// client gives up), and an expensive query hands its slot to a waiter
+	// at the end of each time slice, so point lookups wait at most a slice
+	// behind analytics. <= 0 selects GOMAXPROCS.
 	MaxConcurrent int
-	// QueueDepth bounds each lane's admission queue per store. When a
-	// lane's slots are all busy and its queue is full, further requests
-	// are rejected immediately with 429 and a Retry-After estimate
-	// instead of queueing without bound. <= 0 selects
-	// max(16, 4×MaxConcurrent).
+	// QueueDepth bounds the admission queue per store. When every slot is
+	// busy and the queue is full, further requests are rejected
+	// immediately with 429 and a Retry-After estimate instead of queueing
+	// without bound. <= 0 selects max(16, 4×MaxConcurrent).
 	QueueDepth int
 	// CheapThreshold is the cost-gate boundary: queries whose planner
 	// cost estimate (max of total scan rows and peak intermediate rows)
-	// is at or below it run in the cheap lane, everything above in the
-	// expensive lane. <= 0 selects sched.DefaultCheapThreshold.
+	// is at or below it are cheap, everything above is expensive: time
+	// sliced, and the only class the result cache admits. <= 0 selects
+	// sched.DefaultCheapThreshold.
 	CheapThreshold int
 	// Slice is the execution time slice of expensive queries: at every
 	// row-batch boundary past its slice, an expensive query gives its
@@ -119,10 +118,10 @@ type ServerOptions struct {
 const DefaultStreamThreshold = 1024
 
 // sparqlServer answers SPARQL queries over HTTP with per-query metrics in
-// response headers. Every query passes a per-store admission scheduler: a
-// cost gate classifies it cheap or expensive from the planner's estimates,
-// each class has its own worker-slot budget and bounded queue, and
-// expensive queries are time-sliced so they make proportional progress. A
+// response headers. Every query passes a per-store admission scheduler: all
+// queries share its worker slots and bounded queue, and a cost gate
+// classifies each cheap or expensive from the planner's estimates, so that
+// expensive queries are time-sliced and make proportional progress. A
 // traffic burst degrades into bounded queueing then fast 429 rejection,
 // never unbounded goroutine fan-out; cancelled and timed-out queries
 // release their slot as soon as the engine observes the context, not when
@@ -179,8 +178,8 @@ func NewHandler(st *Store, opts ServerOptions) http.Handler {
 // defaultStore must name an entry of stores; it may be empty when stores
 // has exactly one entry, which then serves as the default. Each store keeps
 // its own engines, selection caches and admission scheduler (MaxConcurrent
-// worker slots split between the cheap and expensive lanes), so one
-// tenant's analytics cannot exhaust another tenant's budget.
+// worker slots), so one tenant's analytics cannot exhaust another tenant's
+// budget.
 func NewMux(stores map[string]*Store, defaultStore string, opts ServerOptions) (http.Handler, error) {
 	if len(stores) == 0 {
 		return nil, errors.New("s2rdf: NewMux needs at least one store")
@@ -199,9 +198,6 @@ func NewMux(stores map[string]*Store, defaultStore string, opts ServerOptions) (
 	}
 	if _, ok := stores[defaultStore]; !ok {
 		return nil, fmt.Errorf("s2rdf: default store %q not registered", defaultStore)
-	}
-	if opts.MaxConcurrent <= 0 {
-		opts.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
 	if opts.MaxQueryLen <= 0 {
 		opts.MaxQueryLen = 1 << 20
@@ -303,9 +299,8 @@ func (s *sparqlServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Triples int  `json:"triples"`
 		Default bool `json:"default,omitempty"`
 		// Sched exposes the store's admission-scheduler gauges and
-		// counters per lane, so operators (and the e2e tests) can watch
-		// queue depth drain and verify the in-flight gauges return to
-		// zero.
+		// counters, so operators (and the e2e tests) can watch queue depth
+		// drain and verify the in-flight gauges return to zero.
 		Sched sched.Stats `json:"sched"`
 		// Streaming counts responses currently being delivered
 		// incrementally (head written, stream not yet drained).
@@ -471,9 +466,9 @@ func (req *request) fail(err error) bool {
 		status = http.StatusMethodNotAllowed
 		h.Set("Allow", "GET, POST")
 	case errors.As(err, &full):
-		// Backpressure: the lane's slots are busy and its queue is full.
+		// Backpressure: every slot is busy and the queue is full.
 		status = http.StatusTooManyRequests
-		msg = fmt.Sprintf("%s admission queue full, retry later", full.Class)
+		msg = "admission queue full, retry later"
 		h.Set("Retry-After", strconv.Itoa(retryAfterSeconds(full.RetryAfter)))
 	case errors.Is(err, context.DeadlineExceeded):
 		status, msg = http.StatusGatewayTimeout, "query deadline exceeded "+req.phase
@@ -652,9 +647,9 @@ func (req *request) gate() {
 	req.class = sched.Classify(req.cost.Cost(), req.s.opts.CheapThreshold)
 }
 
-// admit waits for a worker slot in the class's lane. A full lane queue
-// rejects immediately (429 + Retry-After); a deadline or client disconnect
-// while queued withdraws the request without it ever executing.
+// admit waits for a worker slot. A full queue rejects immediately (429 +
+// Retry-After); a deadline or client disconnect while queued withdraws the
+// request without it ever executing.
 func (req *request) admit() (err error) {
 	req.phase = "while queued"
 	req.ticket, err = req.sv.sched.Admit(req.ctx, req.class)
@@ -664,7 +659,7 @@ func (req *request) admit() (err error) {
 // execute runs the plan to its final relation. Expensive queries carry the
 // ticket as the engine's yield hook: at every row-batch boundary past the
 // time slice they give up the slot and re-queue, so concurrent heavy
-// queries share the lane fairly. Each streamed batch is such a boundary, so
+// queries share the slots fairly. Each streamed batch is such a boundary, so
 // a slow consumer yields too. The test hooks, when set, ride the same hook.
 func (req *request) execute() (err error) {
 	req.phase = "during execution"
@@ -704,10 +699,10 @@ func (c yieldChain) Yield() {
 
 // setHeaders renders everything the request knows about itself so far: from
 // the cost gate on, the verdict and estimate; once admitted, the time spent
-// queued, how often the query yielded its slot and the lane's current queue
-// depth; and with res, the per-query engine metrics (on the streaming path
-// a snapshot as of the first flush, not the final totals), including the
-// selection-cache status of the query's one planning.
+// queued, how often the query yielded its slot and the store's current
+// queue depth; and with res, the per-query engine metrics (on the streaming
+// path a snapshot as of the first flush, not the final totals), including
+// the selection-cache status of the query's one planning.
 func (req *request) setHeaders(res *Result) {
 	h := req.w.Header()
 	itoa := func(n int64) string { return strconv.FormatInt(n, 10) }
@@ -718,12 +713,7 @@ func (req *request) setHeaders(res *Result) {
 	if t := req.ticket; t != nil {
 		h.Set("X-S2RDF-Queue-Wait", t.QueueWait().String())
 		h.Set("X-S2RDF-Sched-Yields", strconv.Itoa(t.Yields()))
-		stats := req.sv.sched.Stats()
-		depth := stats.Cheap.Queued
-		if req.class == sched.Expensive {
-			depth = stats.Expensive.Queued
-		}
-		h.Set("X-S2RDF-Queue-Depth", strconv.Itoa(depth))
+		h.Set("X-S2RDF-Queue-Depth", strconv.Itoa(req.sv.sched.Stats().Queued))
 	}
 	if res == nil {
 		return

@@ -27,8 +27,8 @@ import (
 // must drain to zero. The in-process scheduler mechanics are covered by
 // internal/sched; these tests pin the serving behavior.
 
-// schedStats fetches /healthz and returns the named store's per-lane
-// scheduler snapshot.
+// schedStats fetches /healthz and returns the named store's scheduler
+// snapshot.
 func schedStats(t *testing.T, ts *httptest.Server, store string) sched.Stats {
 	t.Helper()
 	info, ok := readHealthz(t, ts).Stores[store]
@@ -61,11 +61,12 @@ func queryURL(ts *httptest.Server, q string, params ...string) string {
 	return ts.URL + "/sparql?" + v.Encode()
 }
 
-// TestSchedStarvationBound saturates the expensive lane with long analytics
+// TestSchedStarvationBound saturates every worker slot with long analytics
 // queries and checks that concurrent point lookups stay within a bounded
 // multiple of their uncontended latency. Under plain FIFO admission every
-// lookup would sit behind queued multi-second joins (≥1s each); the
-// two-lane cost gate must keep the cheap lane's slots free of them.
+// lookup would sit behind queued multi-second joins (≥1s each); the time
+// slices and virtual-time order must let a lookup take the next slot a
+// join yields.
 func TestSchedStarvationBound(t *testing.T) {
 	srv := startServer(t, NewHandler(slowFixture(t), ServerOptions{MaxConcurrent: 4}))
 
@@ -101,8 +102,8 @@ func TestSchedStarvationBound(t *testing.T) {
 	heavySolo := getOK(queryURL(srv, slowQueryLimited, "timeout", "30s"))
 
 	// Saturate: 8 clients loop a >1s analytics join (bounded per iteration
-	// by the server-side timeout so shutdown is prompt). 8 > expensive-lane
-	// slots + cheap-lane slots, so FIFO sharing would stall lookups.
+	// by the server-side timeout so shutdown is prompt). 8 > slots, so FIFO
+	// sharing would stall lookups.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	heavyURL := queryURL(srv, slowQueryLimited, "timeout", "2s")
@@ -128,9 +129,9 @@ func TestSchedStarvationBound(t *testing.T) {
 	defer wg.Wait()
 	defer close(stop)
 
-	// Wait until the expensive lane is actually saturated before measuring.
+	// Wait until the slots are actually saturated before measuring.
 	waitForStats(t, srv, 5*time.Second, func(s sched.Stats) bool {
-		return s.Expensive.Running == s.Expensive.Slots && s.Expensive.Waiting > 0
+		return s.Running == s.Slots && s.Waiting > 0
 	})
 
 	lat := make([]time.Duration, 20)
@@ -156,7 +157,7 @@ func TestSchedStarvationBound(t *testing.T) {
 	}
 }
 
-// TestSchedBackpressure fills the expensive lane's slot and queue, then
+// TestSchedBackpressure fills the store's one slot and its queue, then
 // checks the overflow request is rejected with 429 and a parseable
 // Retry-After, and that a queued client that disconnects releases its queue
 // slot without the query ever executing.
@@ -167,7 +168,7 @@ func TestSchedBackpressure(t *testing.T) {
 	// behavior the starvation test wants — but here the queue must stay
 	// full so the overflow path is deterministic.
 	srv := startServer(t, NewHandler(slowFixture(t), ServerOptions{
-		MaxConcurrent: 2, // expensive lane: 1 slot
+		MaxConcurrent: 1,
 		QueueDepth:    1,
 		Slice:         time.Hour,
 	}))
@@ -191,22 +192,22 @@ func TestSchedBackpressure(t *testing.T) {
 		return cancelFn, ch
 	}
 
-	// H1 occupies the single expensive slot.
+	// H1 occupies the single slot.
 	cancel1, done1 := launch()
 	defer cancel1()
 	if s := waitForStats(t, srv, 5*time.Second, func(s sched.Stats) bool {
-		return s.Expensive.Running == 1
-	}); s.Expensive.Running != 1 {
-		t.Fatalf("expensive.Running = %d, want 1", s.Expensive.Running)
+		return s.Running == 1
+	}); s.Running != 1 {
+		t.Fatalf("Running = %d, want 1", s.Running)
 	}
 
 	// H2 fills the queue (depth 1).
 	cancel2, done2 := launch()
 	defer cancel2()
 	if s := waitForStats(t, srv, 5*time.Second, func(s sched.Stats) bool {
-		return s.Expensive.Queued == 1
-	}); s.Expensive.Queued != 1 {
-		t.Fatalf("expensive.Queued = %d, want 1", s.Expensive.Queued)
+		return s.Queued == 1
+	}); s.Queued != 1 {
+		t.Fatalf("Queued = %d, want 1", s.Queued)
 	}
 
 	// H3 overflows: 429 with a parseable Retry-After in [1s, 60s].
@@ -239,11 +240,11 @@ func TestSchedBackpressure(t *testing.T) {
 	cancel2()
 	<-done2
 	s := waitForStats(t, srv, 5*time.Second, func(s sched.Stats) bool {
-		return s.Expensive.Queued == 0 && s.Expensive.Abandoned == 1
+		return s.Queued == 0 && s.Abandoned == 1
 	})
-	if s.Expensive.Queued != 0 || s.Expensive.Abandoned != 1 || s.Expensive.Started != 1 {
+	if s.Queued != 0 || s.Abandoned != 1 || s.Started != 1 {
 		t.Fatalf("after queued disconnect: queued=%d abandoned=%d started=%d, want 0/1/1",
-			s.Expensive.Queued, s.Expensive.Abandoned, s.Expensive.Started)
+			s.Queued, s.Abandoned, s.Started)
 	}
 
 	// H1 disconnects mid-execution: every gauge drains to zero.
@@ -251,12 +252,12 @@ func TestSchedBackpressure(t *testing.T) {
 	<-done1
 	assertQuiescent(t, srv)
 	s = schedStats(t, srv, DefaultStoreName)
-	if s.Expensive.Admitted != s.Expensive.Started+s.Expensive.Abandoned {
+	if s.Admitted != s.Started+s.Abandoned {
 		t.Errorf("admitted %d != started %d + abandoned %d",
-			s.Expensive.Admitted, s.Expensive.Started, s.Expensive.Abandoned)
+			s.Admitted, s.Started, s.Abandoned)
 	}
-	if s.Expensive.Started != s.Expensive.Completed {
-		t.Errorf("started %d != completed %d", s.Expensive.Started, s.Expensive.Completed)
+	if s.Started != s.Completed {
+		t.Errorf("started %d != completed %d", s.Started, s.Completed)
 	}
 }
 
@@ -333,26 +334,20 @@ func TestSchedRandomizedServer(t *testing.T) {
 	t.Logf("storm outcomes: 200=%d 429=%d timeout=%d clientErr=%d",
 		ok200.Load(), rejected429.Load(), timeout5xx.Load(), clientErr.Load())
 
-	// Quiescence: all gauges back to zero, counters consistent per lane.
+	// Quiescence: all gauges back to zero, counters consistent.
 	assertQuiescent(t, srv)
 	s := schedStats(t, srv, DefaultStoreName)
-	for _, lane := range []struct {
-		name string
-		l    sched.LaneStats
-	}{{"cheap", s.Cheap}, {"expensive", s.Expensive}} {
-		if lane.l.Admitted != lane.l.Started+lane.l.Abandoned {
-			t.Errorf("%s: admitted %d != started %d + abandoned %d",
-				lane.name, lane.l.Admitted, lane.l.Started, lane.l.Abandoned)
-		}
-		if lane.l.Started != lane.l.Completed {
-			t.Errorf("%s: started %d != completed %d", lane.name, lane.l.Started, lane.l.Completed)
-		}
+	if s.Admitted != s.Started+s.Abandoned {
+		t.Errorf("admitted %d != started %d + abandoned %d", s.Admitted, s.Started, s.Abandoned)
+	}
+	if s.Started != s.Completed {
+		t.Errorf("started %d != completed %d", s.Started, s.Completed)
 	}
 	// Every 429 a client read was a scheduler rejection; the reverse can
 	// undercount because a client that hung up mid-request never reads the
 	// 429 the server wrote for it.
-	if got := s.Cheap.Rejected + s.Expensive.Rejected; got < rejected429.Load() {
-		t.Errorf("lane rejected sum %d < observed 429s %d", got, rejected429.Load())
+	if s.Rejected < rejected429.Load() {
+		t.Errorf("rejected %d < observed 429s %d", s.Rejected, rejected429.Load())
 	}
 }
 
@@ -440,7 +435,8 @@ func TestSchedCostGateWatDiv(t *testing.T) {
 }
 
 // TestSchedHeadersSurfaceQueueState checks the scheduling headers a
-// successful response carries: class, cost estimate, and queue wait.
+// successful response carries: class, cost estimate, queue wait and queue
+// depth.
 func TestSchedHeadersSurfaceQueueState(t *testing.T) {
 	srv := startServer(t, NewHandler(slowFixture(t), ServerOptions{MaxConcurrent: 2}))
 
@@ -465,6 +461,9 @@ func TestSchedHeadersSurfaceQueueState(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-S2RDF-Sched-Yields"); got != "0" {
 		t.Errorf("X-S2RDF-Sched-Yields = %q, want 0 for a cheap query", got)
+	}
+	if got := resp.Header.Get("X-S2RDF-Queue-Depth"); got != "0" {
+		t.Errorf("X-S2RDF-Queue-Depth = %q, want 0 on an idle store", got)
 	}
 
 	// The class header is decided pre-execution, so it rides on timeout

@@ -320,7 +320,7 @@ type streamEncoder struct {
 // header. The result is cached only when the cache is on and the cost gate
 // classified the query expensive (point lookups re-execute faster than they
 // churn the LRU — the admission policy of the result cache is the same gate
-// that splits the scheduler lanes).
+// that decides which queries the scheduler time-slices).
 func (req *request) newEncoder() *streamEncoder {
 	e := &streamEncoder{w: req.w, d: req.sv.st.Dataset().Dict}
 	if rc := req.sv.rcache; rc != nil && req.class == sched.Expensive {

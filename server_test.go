@@ -53,7 +53,7 @@ func startServer(t *testing.T, h http.Handler) *httptest.Server {
 // assertQuiescent waits (handler defers run after the response body is on
 // the wire, so a freshly-finished request may still hold its slot for an
 // instant) until every store srv serves is at rest — no query running or
-// waiting in either scheduler lane, no response streaming — and, once the
+// waiting for a scheduler slot, no response streaming — and, once the
 // clients' idle connections are closed,
 // the goroutine count is back to what it was when srv started. Anything
 // still held after 10s is a leak and fails the test.
@@ -119,11 +119,9 @@ func busyStores(t *testing.T, srv *httptest.Server) string {
 	var busy []string
 	for name, s := range readHealthz(t, srv).Stores {
 		for gauge, n := range map[string]int{
-			"cheap.running":     s.Sched.Cheap.Running,
-			"cheap.waiting":     s.Sched.Cheap.Waiting,
-			"expensive.running": s.Sched.Expensive.Running,
-			"expensive.waiting": s.Sched.Expensive.Waiting,
-			"streaming":         int(s.Streaming),
+			"sched.running": s.Sched.Running,
+			"sched.waiting": s.Sched.Waiting,
+			"streaming":     int(s.Streaming),
 		} {
 			if n != 0 {
 				busy = append(busy, fmt.Sprintf("%s %s=%d", name, gauge, n))
